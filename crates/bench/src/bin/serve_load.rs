@@ -188,7 +188,7 @@ fn bench_http(addr: &str, clients: usize, requests: usize) {
 fn predict_once(addr: &str, body: &str) -> Option<u16> {
     let mut stream = TcpStream::connect(addr).ok()?;
     let head = format!(
-        "POST /predict HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
+        "POST /v1/predict HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes()).ok()?;

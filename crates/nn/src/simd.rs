@@ -1,11 +1,14 @@
-//! AVX2 f32 kernels for the conv2d / linear forward hot loops.
+//! AVX2 f32 kernel for the linear forward hot loop.
 //!
 //! Compiled only with the `simd` feature on x86-64 and dispatched at
-//! run time via [`irf_runtime::simd::enabled`]. Every kernel performs
+//! run time via [`irf_runtime::simd::enabled`]. The kernel performs
 //! the exact per-element rounding sequence of its scalar counterpart —
 //! one rounded multiply and one rounded add per step, no FMA, no
 //! reassociation — vectorizing *across* output elements, so scalar and
-//! SIMD results are bitwise identical.
+//! SIMD results are bitwise identical. (conv2d needs no intrinsics: its
+//! stride-1 kernel in `tape.rs` is safe Rust that LLVM vectorizes in
+//! every build, and measured faster than the AVX2 axpy that used to
+//! live here — EXPERIMENTS.md, "SIMD kernel speed".)
 #![cfg(all(feature = "simd", target_arch = "x86_64"))]
 #![allow(unsafe_code)]
 
@@ -13,34 +16,6 @@ use std::arch::x86_64::{
     _mm256_add_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_mul_ps,
     _mm256_set1_ps, _mm256_storeu_ps,
 };
-
-/// `dst[i] += a * src[i]` over equal-length slices, 8-wide with a
-/// scalar tail. Each element sees exactly one rounded multiply and one
-/// rounded add, as in the scalar loop.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn axpy_f32(dst: &mut [f32], src: &[f32], a: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let av = _mm256_set1_ps(a);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        _mm256_storeu_ps(
-            dst.as_mut_ptr().add(i),
-            _mm256_add_ps(d, _mm256_mul_ps(av, s)),
-        );
-        i += 8;
-    }
-    while i < n {
-        dst[i] += a * src[i];
-        i += 1;
-    }
-}
 
 /// One sample-row of the dense linear layer: `orow[oi] = bd[oi] +
 /// Σ_c wd[oi*c + cj] * xrow[cj]` for all `o` outputs, vectorized 8

@@ -1115,7 +1115,6 @@ impl Tensor {
     }
 }
 
-/// Direct 2-D convolution forward pass.
 /// Dense linear forward `y = W x + b` on `(N, C, 1, 1)` input.
 fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let [n, c, _, _] = x.shape();
@@ -1153,6 +1152,145 @@ fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// Shapes of one convolution, shared by its forward and backward
+/// kernels.
+#[derive(Clone, Copy)]
+struct ConvDims {
+    ci: usize,
+    h: usize,
+    ww: usize,
+    kh: usize,
+    kw: usize,
+    ho: usize,
+    wo: usize,
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+}
+
+/// The half-open range of output positions `o < out` whose input
+/// position `o * stride + k - pad` lies inside `[0, len)`.
+fn valid_outputs(k: usize, pad: usize, len: usize, out: usize, stride: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = match (len + pad).checked_sub(k + 1) {
+        Some(last) => (last / stride + 1).min(out),
+        None => 0,
+    };
+    (lo, hi)
+}
+
+/// The contiguous runs one weight tap pairs up at stride 1: run `r` is
+/// `len` elements of a destination map from `dst_at + r * dst_pitch`
+/// against `len` elements of a source map from `src_at + r *
+/// src_pitch`.
+struct TapRuns {
+    count: usize,
+    len: usize,
+    dst_at: usize,
+    dst_pitch: usize,
+    src_at: usize,
+    src_pitch: usize,
+}
+
+impl TapRuns {
+    /// The same runs with the maps' roles exchanged.
+    fn flipped(self) -> TapRuns {
+        TapRuns {
+            dst_at: self.src_at,
+            dst_pitch: self.src_pitch,
+            src_at: self.dst_at,
+            src_pitch: self.dst_pitch,
+            ..self
+        }
+    }
+}
+
+impl ConvDims {
+    /// The runs of tap `(ky, kx)` at stride 1 with the output map as
+    /// destination and the input map as source; `None` when the tap
+    /// only ever sees padding. That is one run per valid output row —
+    /// or a single run over all of them when it spans whole rows of
+    /// both maps (every 1x1 and kx1 tap, and the centre column of a
+    /// same-padded kernel). Runs ascend by row, so accumulating them in
+    /// order visits elements in the order of the bounds-checked nests.
+    fn unit_stride_runs(&self, ky: usize, kx: usize) -> Option<TapRuns> {
+        debug_assert_eq!(self.stride, 1);
+        let (oh_lo, oh_hi) = valid_outputs(ky, self.pad_h, self.h, self.ho, 1);
+        let (lo, hi) = valid_outputs(kx, self.pad_w, self.ww, self.wo, 1);
+        if oh_lo >= oh_hi || lo >= hi {
+            return None;
+        }
+        let (rows, len) = (oh_hi - oh_lo, hi - lo);
+        let whole_rows = len == self.wo && len == self.ww;
+        Some(TapRuns {
+            count: if whole_rows { 1 } else { rows },
+            len: if whole_rows { rows * len } else { len },
+            dst_at: oh_lo * self.wo + lo,
+            dst_pitch: self.wo,
+            // Input coordinates under output `(oh_lo, lo)`.
+            src_at: (oh_lo + ky - self.pad_h) * self.ww + (lo + kx - self.pad_w),
+            src_pitch: self.ww,
+        })
+    }
+
+    /// [`ConvDims::unit_stride_runs`] of every tap, in `(ky, kx)` order
+    /// — the order of one channel's `kh x kw` weights. The runs depend
+    /// on the tap alone, so one table serves every channel pair.
+    fn unit_stride_taps(&self) -> Vec<Option<TapRuns>> {
+        (0..self.kh * self.kw)
+            .map(|tap| self.unit_stride_runs(tap / self.kw, tap % self.kw))
+            .collect()
+    }
+}
+
+/// `dst[i] += a * src[i]`: one rounded multiply and one rounded add per
+/// element, so vectorizing across elements changes no bit.
+///
+/// LLVM vectorizes a plain loop eight lanes to the iteration and leaves
+/// up to seven elements to a scalar remainder loop — most of a 7- or
+/// 15-long row at the 8x8 and 16x16 scales. So the plain loop only gets
+/// the multiple of eight, and `n % 8` is spelled out as straight-line
+/// groups of four, two and one, which compile to one (partial) vector
+/// operation each. Indexing is plain `[]` throughout: iterator adapters
+/// measured 3x slower in the unoptimized builds the test suite runs.
+fn axpy(dst: &mut [f32], src: &[f32], a: f32) {
+    let n = dst.len();
+    let src = &src[..n];
+    let mut i = 0;
+    while i < n & !7 {
+        dst[i] += a * src[i];
+        i += 1;
+    }
+    if n & 4 != 0 {
+        let (d4, s4) = (&mut dst[i..i + 4], &src[i..i + 4]);
+        d4[0] += a * s4[0];
+        d4[1] += a * s4[1];
+        d4[2] += a * s4[2];
+        d4[3] += a * s4[3];
+        i += 4;
+    }
+    if n & 2 != 0 {
+        let (d2, s2) = (&mut dst[i..i + 2], &src[i..i + 2]);
+        d2[0] += a * s2[0];
+        d2[1] += a * s2[1];
+        i += 2;
+    }
+    if n & 1 != 0 {
+        dst[i] += a * src[i];
+    }
+}
+
+/// [`axpy`] over every run of `t`.
+fn axpy_runs(dst: &mut [f32], src: &[f32], t: &TapRuns, a: f32) {
+    let (mut dst_at, mut src_at) = (t.dst_at, t.src_at);
+    for _ in 0..t.count {
+        axpy(&mut dst[dst_at..][..t.len], &src[src_at..][..t.len], a);
+        dst_at += t.dst_pitch;
+        src_at += t.src_pitch;
+    }
+}
+
+/// Direct 2-D convolution forward pass.
 fn conv2d_forward(
     x: &Tensor,
     w: &Tensor,
@@ -1160,6 +1298,39 @@ fn conv2d_forward(
     stride: usize,
     pad_h: usize,
     pad_w: usize,
+) -> Tensor {
+    conv2d_forward_with(x, w, b, stride, pad_h, pad_w, stride == 1)
+}
+
+/// [`Tape::conv2d`]'s forward pass through the any-stride,
+/// bounds-checked loop nest alone. Production code reaches that nest
+/// only for `stride > 1`; parity tests call this to hold the stride-1
+/// kernel to it bit for bit.
+///
+/// # Panics
+///
+/// Panics on shape mismatches or zero-sized outputs.
+#[doc(hidden)]
+#[must_use]
+pub fn conv2d_forward_reference(
+    x: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+) -> Tensor {
+    conv2d_forward_with(x, w, b, stride, pad_h, pad_w, false)
+}
+
+fn conv2d_forward_with(
+    x: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+    unit_stride_kernel: bool,
 ) -> Tensor {
     let [n, ci, h, ww] = x.shape();
     let [co, ci_w, kh, kw] = w.shape();
@@ -1169,95 +1340,114 @@ fn conv2d_forward(
     let ho = (h + 2 * pad_h - kh) / stride + 1;
     let wo = (ww + 2 * pad_w - kw) / stride + 1;
     assert!(ho > 0 && wo > 0, "conv2d: empty output");
+    let d = ConvDims {
+        ci,
+        h,
+        ww,
+        kh,
+        kw,
+        ho,
+        wo,
+        stride,
+        pad_h,
+        pad_w,
+    };
     let mut out = Tensor::zeros([n, co, ho, wo]);
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
     let od = out.data_mut();
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_simd = irf_runtime::simd::enabled() && stride == 1;
+    let taps = unit_stride_kernel.then(|| d.unit_stride_taps());
     // Parallel over (sample, output channel) blocks: each `ho x wo`
     // output map is written by exactly one task running the same serial
     // inner loop, so results are bitwise identical at any thread count.
     irf_runtime::par_chunks_mut(od, ho * wo, |blk, omap| {
         let ni = blk / co;
         let oc = blk % co;
-        let bias = bd[oc];
-        omap.iter_mut().for_each(|v| *v = bias);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if use_simd {
-            // Stride-1 vector path: per weight tap, the valid output
-            // columns form one contiguous run `[lo, hi)`, updated with
-            // an 8-wide axpy. Element-wise this performs exactly the
-            // adds of the scalar loop below, in the same order.
-            for ic in 0..ci {
-                let xbase = ((ni * ci + ic) * h) * ww;
-                let wbase = ((oc * ci + ic) * kh) * kw;
-                for ky in 0..kh {
-                    let iy0 = ky as isize - pad_h as isize;
-                    for kx in 0..kw {
-                        let wv = wd[wbase + ky * kw + kx];
-                        if wv == 0.0 {
-                            continue;
-                        }
-                        let lo = pad_w.saturating_sub(kx);
-                        let hi =
-                            ((ww + pad_w) as isize - kx as isize).clamp(0, wo as isize) as usize;
-                        if lo >= hi {
-                            continue;
-                        }
-                        for oh in 0..ho {
-                            let iy = oh as isize + iy0;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let xoff = xbase + iy as usize * ww + lo + kx - pad_w;
-                            let orow = oh * wo;
-                            // SAFETY: `simd::enabled()` guarantees AVX2.
-                            #[allow(unsafe_code)]
-                            unsafe {
-                                crate::simd::axpy_f32(
-                                    &mut omap[orow + lo..orow + hi],
-                                    &xd[xoff..xoff + (hi - lo)],
-                                    wv,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        for ic in 0..ci {
-            let xbase = ((ni * ci + ic) * h) * ww;
-            let wbase = ((oc * ci + ic) * kh) * kw;
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let wv = wd[wbase + ky * kw + kx];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    // Valid output rows: iy = oh*stride + ky - pad_h in [0, h).
-                    for oh in 0..ho {
-                        let iy = (oh * stride + ky) as isize - pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xbase + iy as usize * ww;
-                        let orow = oh * wo;
-                        for ow in 0..wo {
-                            let ix = (ow * stride + kx) as isize - pad_w as isize;
-                            if ix < 0 || ix >= ww as isize {
-                                continue;
-                            }
-                            omap[orow + ow] += wv * xd[xrow + ix as usize];
-                        }
-                    }
-                }
-            }
+        omap.fill(bd[oc]);
+        // This sample's input maps and this channel's weights.
+        let xs = &xd[ni * ci * h * ww..][..ci * h * ww];
+        let ws = &wd[oc * ci * kh * kw..][..ci * kh * kw];
+        match &taps {
+            Some(taps) => conv2d_map_unit_stride(omap, xs, ws, h * ww, taps),
+            None => conv2d_map_any_stride(omap, xs, ws, &d),
         }
     });
     out
+}
+
+/// Accumulates one sample's input maps `xs` (`ci x h x ww`) through one
+/// output channel's weights `ws` (`ci x kh x kw`) into that channel's
+/// bias-filled output map, at any stride: every input coordinate is
+/// tested against the map bounds inside the innermost loop.
+fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims) {
+    let ConvDims {
+        ci,
+        h,
+        ww,
+        kh,
+        kw,
+        ho,
+        wo,
+        stride,
+        pad_h,
+        pad_w,
+        ..
+    } = *d;
+    for ic in 0..ci {
+        let xbase = ic * h * ww;
+        let wbase = ic * kh * kw;
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let wv = ws[wbase + ky * kw + kx];
+                if wv == 0.0 {
+                    continue;
+                }
+                // Valid output rows: iy = oh*stride + ky - pad_h in [0, h).
+                for oh in 0..ho {
+                    let iy = (oh * stride + ky) as isize - pad_h as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let xrow = xbase + iy as usize * ww;
+                    let orow = oh * wo;
+                    for ow in 0..wo {
+                        let ix = (ow * stride + kx) as isize - pad_w as isize;
+                        if ix < 0 || ix >= ww as isize {
+                            continue;
+                        }
+                        omap[orow + ow] += wv * xs[xrow + ix as usize];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The stride-1 form of [`conv2d_map_any_stride`]: each tap's bounds
+/// were resolved once into contiguous runs (`taps`, from
+/// [`ConvDims::unit_stride_taps`]), leaving a branch-free [`axpy`] as
+/// the inner loop. Every output element receives the same
+/// multiply-then-add sequence in the same `(ic, ky, kx)` order as in
+/// the general nest, zero-weight skip included, so the two are bitwise
+/// identical.
+fn conv2d_map_unit_stride(
+    omap: &mut [f32],
+    xs: &[f32],
+    ws: &[f32],
+    map: usize,
+    taps: &[Option<TapRuns>],
+) {
+    for (xmap, wtaps) in xs.chunks_exact(map).zip(ws.chunks_exact(taps.len())) {
+        for (&wv, runs) in wtaps.iter().zip(taps) {
+            if wv == 0.0 {
+                continue;
+            }
+            if let Some(runs) = runs {
+                axpy_runs(omap, xmap, runs, wv);
+            }
+        }
+    }
 }
 
 /// Direct 2-D convolution backward pass: returns `(dx, dw, db)`.
@@ -1272,6 +1462,18 @@ fn conv2d_backward(
     let [n, ci, h, ww] = x.shape();
     let [co, _, kh, kw] = w.shape();
     let [_, _, ho, wo] = dy.shape();
+    let d = ConvDims {
+        ci,
+        h,
+        ww,
+        kh,
+        kw,
+        ho,
+        wo,
+        stride,
+        pad_h,
+        pad_w,
+    };
     let mut dx = Tensor::zeros([n, ci, h, ww]);
     let mut dw = Tensor::zeros(w.shape());
     let mut db = Tensor::zeros([1, co, 1, 1]);
@@ -1298,7 +1500,9 @@ fn conv2d_backward(
     });
 
     // dw[oc, ic, ky, kx]: parallel over output channels (each owns a
-    // `ci x kh x kw` block of the weight gradient).
+    // `ci x kh x kw` block of the weight gradient). `wgrad` is one
+    // serial sum over the tap's valid output pixels, rows then columns
+    // ascending; only the bounds are resolved outside the loops.
     let dwd = dw.data_mut();
     irf_runtime::par_chunks_mut(dwd, ci * kh * kw, |oc, dwoc| {
         for ni in 0..n {
@@ -1306,21 +1510,15 @@ fn conv2d_backward(
             for ic in 0..ci {
                 let xbase = ((ni * ci + ic) * h) * ww;
                 for ky in 0..kh {
+                    let (oh_lo, oh_hi) = valid_outputs(ky, pad_h, h, ho, stride);
                     for kx in 0..kw {
+                        let (lo, hi) = valid_outputs(kx, pad_w, ww, wo, stride);
                         let mut wgrad = 0.0;
-                        for oh in 0..ho {
-                            let iy = (oh * stride + ky) as isize - pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let xrow = xbase + iy as usize * ww;
+                        for oh in oh_lo..oh_hi {
+                            let xrow = xbase + (oh * stride + ky - pad_h) * ww;
                             let dyrow = dybase + oh * wo;
-                            for ow in 0..wo {
-                                let ix = (ow * stride + kx) as isize - pad_w as isize;
-                                if ix < 0 || ix >= ww as isize {
-                                    continue;
-                                }
-                                wgrad += dyd[dyrow + ow] * xd[xrow + ix as usize];
+                            for ow in lo..hi {
+                                wgrad += dyd[dyrow + ow] * xd[xrow + ow * stride + kx - pad_w];
                             }
                         }
                         dwoc[(ic * kh + ky) * kw + kx] += wgrad;
@@ -1334,35 +1532,70 @@ fn conv2d_backward(
     // with output channels as the inner loop so each dx element sees
     // its contributions in the serial order.
     let dxd = dx.data_mut();
+    // At stride 1 the forward kernel's runs, scattering instead of
+    // gathering; per `dx` element the adds arrive in the general nest's
+    // `(oc, ky, kx)` order, so the two are bitwise identical.
+    let taps = (stride == 1).then(|| {
+        let taps = d.unit_stride_taps().into_iter();
+        taps.map(|t| t.map(TapRuns::flipped)).collect::<Vec<_>>()
+    });
     irf_runtime::par_chunks_mut(dxd, h * ww, |blk, dxmap| {
         let ni = blk / ci;
         let ic = blk % ci;
         for oc in 0..co {
-            let dybase = ((ni * co + oc) * ho) * wo;
-            let wbase = ((oc * ci + ic) * kh) * kw;
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let wv = wd[wbase + ky * kw + kx];
-                    for oh in 0..ho {
-                        let iy = (oh * stride + ky) as isize - pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = iy as usize * ww;
-                        let dyrow = dybase + oh * wo;
-                        for ow in 0..wo {
-                            let ix = (ow * stride + kx) as isize - pad_w as isize;
-                            if ix < 0 || ix >= ww as isize {
-                                continue;
-                            }
-                            dxmap[xrow + ix as usize] += dyd[dyrow + ow] * wv;
+            let dymap = &dyd[((ni * co + oc) * ho) * wo..][..ho * wo];
+            let wtaps = &wd[((oc * ci + ic) * kh) * kw..][..kh * kw];
+            match &taps {
+                Some(taps) => {
+                    for (&wv, runs) in wtaps.iter().zip(taps) {
+                        if let Some(runs) = runs {
+                            axpy_runs(dxmap, dymap, runs, wv);
                         }
                     }
                 }
+                None => conv2d_dx_map_any_stride(dxmap, dymap, wtaps, &d),
             }
         }
     });
     (dx, dw, db)
+}
+
+/// Scatters one output channel's gradient map `dymap` through its
+/// `kh x kw` taps for one input channel into that channel's `dxmap`,
+/// at any stride.
+fn conv2d_dx_map_any_stride(dxmap: &mut [f32], dymap: &[f32], wtaps: &[f32], d: &ConvDims) {
+    let ConvDims {
+        h,
+        ww,
+        kh,
+        kw,
+        ho,
+        wo,
+        stride,
+        pad_h,
+        pad_w,
+        ..
+    } = *d;
+    for ky in 0..kh {
+        for kx in 0..kw {
+            let wv = wtaps[ky * kw + kx];
+            for oh in 0..ho {
+                let iy = (oh * stride + ky) as isize - pad_h as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let xrow = iy as usize * ww;
+                let dyrow = oh * wo;
+                for ow in 0..wo {
+                    let ix = (ow * stride + kx) as isize - pad_w as isize;
+                    if ix < 0 || ix >= ww as isize {
+                        continue;
+                    }
+                    dxmap[xrow + ix as usize] += dymap[dyrow + ow] * wv;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1478,6 +1711,86 @@ mod tests {
             let pb: Vec<u32> = part.data().iter().map(|v| v.to_bits()).collect();
             let sb: Vec<u32> = single.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(pb, sb, "sample {s} differs in batch");
+        }
+    }
+
+    /// `(dx, dw)` through the loop nests `conv2d_backward` ran before its
+    /// bounds were hoisted: every coordinate tested inside the innermost
+    /// loop, in the same accumulation order.
+    fn conv2d_backward_reference(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        stride: usize,
+        pad_h: usize,
+        pad_w: usize,
+    ) -> (Tensor, Tensor) {
+        let [n, ci, h, ww] = x.shape();
+        let [co, _, kh, kw] = w.shape();
+        let [_, _, ho, wo] = dy.shape();
+        let mut dx = Tensor::zeros(x.shape());
+        let mut dw = Tensor::zeros(w.shape());
+        for ni in 0..n {
+            for oc in 0..co {
+                for ic in 0..ci {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let wv = w.at(oc, ic, ky, kx);
+                            let mut wgrad = 0.0;
+                            for oh in 0..ho {
+                                let iy = (oh * stride + ky) as isize - pad_h as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for ow in 0..wo {
+                                    let ix = (ow * stride + kx) as isize - pad_w as isize;
+                                    if ix < 0 || ix >= ww as isize {
+                                        continue;
+                                    }
+                                    let (iy, ix) = (iy as usize, ix as usize);
+                                    let g = dy.at(ni, oc, oh, ow);
+                                    wgrad += g * x.at(ni, ic, iy, ix);
+                                    dx.add_at(ni, ic, iy, ix, g * wv);
+                                }
+                            }
+                            dw.add_at(oc, ic, ky, kx, wgrad);
+                        }
+                    }
+                }
+            }
+        }
+        (dx, dw)
+    }
+
+    #[test]
+    fn conv2d_backward_is_bitwise_identical_to_the_bounds_checked_nests() {
+        // (x shape, co, kernel, stride, pads): the model's stride-1
+        // kernels on an odd map, maps narrower than the kernel, no and
+        // extra padding, and stride 2 for the retained general `dx` nest.
+        let cases = [
+            ([2, 3, 9, 11], 4, (1, 1), 1, (0, 0)),
+            ([2, 3, 9, 11], 4, (3, 3), 1, (1, 1)),
+            ([1, 2, 9, 11], 2, (1, 7), 1, (0, 3)),
+            ([1, 2, 9, 11], 2, (7, 1), 1, (3, 0)),
+            ([1, 2, 2, 2], 2, (7, 7), 1, (3, 3)),
+            ([1, 2, 6, 7], 3, (3, 3), 1, (0, 0)),
+            ([1, 2, 6, 5], 3, (3, 3), 1, (2, 2)),
+            ([2, 3, 9, 11], 4, (3, 3), 2, (1, 1)),
+            ([1, 2, 8, 7], 2, (2, 2), 2, (0, 0)),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for (shape, co, (kh, kw), stride, (pad_h, pad_w)) in cases {
+            let [n, ci, h, ww] = shape;
+            let what = format!("{shape:?} {kh}x{kw} stride {stride} pad {pad_h},{pad_w}");
+            let ho = (h + 2 * pad_h - kh) / stride + 1;
+            let wo = (ww + 2 * pad_w - kw) / stride + 1;
+            let x = seeded_input(shape);
+            let w = seeded_input([co, ci, kh, kw]);
+            let dy = seeded_input([n, co, ho, wo]);
+            let (dx, dw, _) = conv2d_backward(&x, &w, &dy, stride, pad_h, pad_w);
+            let (dx_ref, dw_ref) = conv2d_backward_reference(&x, &w, &dy, stride, pad_h, pad_w);
+            assert_eq!(bits(&dx), bits(&dx_ref), "dx of {what}");
+            assert_eq!(bits(&dw), bits(&dw_ref), "dw of {what}");
         }
     }
 

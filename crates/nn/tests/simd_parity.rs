@@ -1,9 +1,11 @@
-//! Bitwise parity of the AVX2 f32 kernels against the scalar path,
-//! and thread-count determinism of the quantized forward.
-#![cfg(feature = "simd")]
+//! Bitwise parity of the fast kernels against their reference loops:
+//! the stride-1 conv2d kernel against the general bounds-checked nest
+//! (default build), the AVX2 linear kernel against the scalar path and
+//! thread-count determinism of the quantized forward (`simd` feature).
 
-use irf_nn::quant::PrecisionMode;
-use irf_nn::{ParamStore, Tape, Tensor};
+#[cfg(feature = "simd")]
+use irf_nn::{quant::PrecisionMode, ParamStore};
+use irf_nn::{Tape, Tensor};
 use std::sync::Mutex;
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -27,47 +29,64 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-fn conv_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
-    let mut tape = Tape::new();
-    let xn = tape.input(x.clone());
-    let wn = tape.input(w.clone());
-    let bn = tape.input(b.clone());
-    let y = tape.conv2d(xn, wn, bn, 1, pad);
-    tape.value(y).clone()
-}
-
 #[test]
-fn conv2d_simd_is_bitwise_identical_to_scalar_at_any_thread_count() {
+fn conv2d_stride1_kernel_is_bitwise_identical_to_the_general_loop() {
     let _g = lock_globals();
-    // Odd spatial size + channels exercise the 8-wide tail; include
-    // exact zeros in the weights to hit the skip branch.
-    let x = rand_tensor([3, 5, 19, 23], 1);
-    let mut w = rand_tensor([7, 5, 3, 3], 2);
-    w.data_mut()[4] = 0.0;
-    w.data_mut()[40] = 0.0;
-    let b = rand_tensor([1, 7, 1, 1], 3);
+    // (what, x shape (n, ci, h, w), co, kernel (kh, kw), pad (h, w))
+    let cases = [
+        // The model's kernels with its "same" pads, on an odd map so
+        // every run length leaves a vector tail, several samples deep.
+        ("1x1", [3, 5, 19, 23], 7, (1, 1), (0, 0)),
+        ("3x3", [3, 5, 19, 23], 7, (3, 3), (1, 1)),
+        ("1x7", [2, 4, 19, 23], 4, (1, 7), (0, 3)),
+        ("7x1", [2, 4, 19, 23], 4, (7, 1), (3, 0)),
+        ("7x7", [2, 2, 19, 23], 1, (7, 7), (3, 3)),
+        // The scales whose rows are shorter than two vectors.
+        ("3x3 on 8x8", [1, 6, 8, 8], 5, (3, 3), (1, 1)),
+        ("3x3 on 16x16", [1, 6, 16, 16], 5, (3, 3), (1, 1)),
+        // Maps narrower than the kernel: most taps only see padding.
+        ("7x7 on 2x2", [2, 3, 2, 2], 2, (7, 7), (3, 3)),
+        ("3x3 on 3x1", [1, 2, 3, 1], 2, (3, 3), (1, 1)),
+        ("1x7 on 5x3", [1, 2, 5, 3], 3, (1, 7), (0, 3)),
+        // Unpadded and over-padded: output narrower / wider than input.
+        ("3x3, pad_w 0", [2, 3, 9, 11], 4, (3, 3), (1, 0)),
+        ("3x3, no pad", [2, 3, 9, 11], 4, (3, 3), (0, 0)),
+        ("1x1, pad 1", [1, 3, 6, 5], 2, (1, 1), (1, 1)),
+        ("3x3, pad 2", [1, 3, 6, 5], 2, (3, 3), (2, 2)),
+    ];
+    for (seed, (what, shape, co, (kh, kw), (pad_h, pad_w))) in (100u64..).step_by(3).zip(cases) {
+        let x = rand_tensor(shape, seed);
+        let mut w = rand_tensor([co, shape[1], kh, kw], seed + 1);
+        let mut b = rand_tensor([1, co, 1, 1], seed + 2);
+        // Exact zeros hit the skip branch; an infinite weight turns
+        // any padding that is multiplied instead of skipped into NaN;
+        // a -0.0 bias turns any padding that is added into +0.0.
+        let taps = w.data().len();
+        w.data_mut()[taps / 2] = 0.0;
+        w.data_mut()[taps - 1] = 0.0;
+        w.data_mut()[taps / 3] = f32::INFINITY;
+        b.data_mut()[0] = -0.0;
 
-    irf_runtime::simd::set_disabled(true);
-    irf_runtime::set_num_threads(1);
-    let scalar = conv_forward(&x, &w, &b, 1);
-    irf_runtime::simd::set_disabled(false);
-
-    if !irf_runtime::simd::enabled() {
-        eprintln!("skipping: AVX2 unavailable at runtime");
-        return;
-    }
-    for threads in [1usize, 2, 4, 8] {
-        irf_runtime::set_num_threads(threads);
-        let simd = conv_forward(&x, &w, &b, 1);
-        assert_eq!(
-            bits(&scalar),
-            bits(&simd),
-            "conv2d diverged at {threads} threads"
-        );
+        let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b, 1, pad_h, pad_w);
+        for threads in [1usize, 2, 4, 8] {
+            irf_runtime::set_num_threads(threads);
+            let mut tape = Tape::new();
+            let xn = tape.input(x.clone());
+            let wn = tape.input(w.clone());
+            let bn = tape.input(b.clone());
+            let y = tape.conv2d_rect(xn, wn, bn, pad_h, pad_w);
+            assert_eq!(tape.value(y).shape(), reference.shape(), "{what}");
+            assert_eq!(
+                bits(tape.value(y)),
+                bits(&reference),
+                "{what} diverged at {threads} threads"
+            );
+        }
     }
     irf_runtime::set_num_threads(1);
 }
 
+#[cfg(feature = "simd")]
 #[test]
 fn linear_simd_is_bitwise_identical_to_scalar_at_any_thread_count() {
     let _g = lock_globals();
@@ -105,6 +124,7 @@ fn linear_simd_is_bitwise_identical_to_scalar_at_any_thread_count() {
     irf_runtime::set_num_threads(1);
 }
 
+#[cfg(feature = "simd")]
 #[test]
 fn int8_forward_is_deterministic_across_thread_counts() {
     let _g = lock_globals();
@@ -142,6 +162,7 @@ fn int8_forward_is_deterministic_across_thread_counts() {
     assert_ne!(bits(&reference), bits(tape.value(y)));
 }
 
+#[cfg(feature = "simd")]
 #[test]
 fn f16_forward_rounds_activations_deterministically() {
     let _g = lock_globals();

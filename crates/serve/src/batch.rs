@@ -1,6 +1,14 @@
-//! The micro-batching queue: concurrent predict requests are collected
-//! up to a batch size `B` or a deadline `T`, whichever comes first, and
-//! executed as ONE batched forward pass.
+//! The micro-batching queue: predict requests that are already waiting
+//! when the batcher comes free — up to a batch size `B` — are executed
+//! as ONE batched forward pass.
+//!
+//! The batcher never waits for company: it takes the first queued job
+//! plus whatever backlog is behind it and runs. Requests that arrive
+//! during a forward pass queue up and form the next batch, so batches
+//! grow exactly when the forward pass is the bottleneck, and a lone
+//! request pays no batching delay at all. (A per-sample forward costs
+//! the same alone as in a batch of four — EXPERIMENTS.md, "Served hit"
+//! — so idling for a fuller batch bought nothing.)
 //!
 //! Batching is free of accuracy consequences here: the batched forward
 //! is bitwise identical to running each sample alone (asserted by
@@ -15,7 +23,7 @@ use irf_pg::GridMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An atomically swappable trained model, shared between the batcher
 /// and the `POST /reload` endpoint.
@@ -62,9 +70,6 @@ impl ModelSlot {
 pub struct BatchConfig {
     /// Maximum requests fused into one forward pass.
     pub max_batch: usize,
-    /// How long the collector waits for more requests after the first
-    /// one arrives.
-    pub deadline: Duration,
     /// Bound on queued-but-unbatched requests; submissions beyond it
     /// are rejected (the server answers 429).
     pub queue_capacity: usize,
@@ -74,7 +79,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 4,
-            deadline: Duration::from_millis(5),
             queue_capacity: 64,
         }
     }
@@ -191,20 +195,10 @@ fn run_batcher(
             Ok(job) => job,
             Err(mpsc::RecvError) => return,
         };
+        // Batch from backlog: whatever is already queued rides along,
+        // nothing is waited for.
         let mut jobs = vec![first];
-        let deadline = Instant::now() + config.deadline;
-        while jobs.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => jobs.push(job),
-                Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {
-                    break
-                }
-            }
-        }
+        jobs.extend(rx.try_iter().take(max_batch - 1));
         // Partition the collected jobs into homogeneous groups — one
         // per distinct (model, precision) slot, in arrival order — so
         // a forward batch never mixes models or precision modes.
@@ -290,7 +284,6 @@ mod tests {
             pipeline,
             BatchConfig {
                 max_batch: 4,
-                deadline: Duration::from_millis(1),
                 queue_capacity: 8,
             },
             Arc::clone(&metrics),
@@ -371,57 +364,125 @@ mod tests {
         batcher.shutdown();
     }
 
-    #[test]
-    fn mixed_precision_jobs_batch_homogeneously() {
+    /// A pipeline, one prepared design and a model trained for it.
+    fn fixture() -> (IrFusionPipeline, Arc<PreparedStack>, TrainedModel) {
         let config = FusionConfig::tiny();
         let dataset = Dataset::generate(2, 2, 1, 7);
         let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
-        let int8 = trained.precision_variant(ir_fusion::PrecisionMode::Int8);
         let pipeline = IrFusionPipeline::new(config);
-        let stack = Arc::new(
-            pipeline
-                .prepare_stack(&dataset.designs[0].grid)
-                .expect("grid has pads"),
-        );
+        let stack = pipeline
+            .prepare_stack(&dataset.designs[0].grid)
+            .expect("grid has pads");
+        (pipeline, Arc::new(stack), trained)
+    }
+
+    /// Queues one job per slot in `slots` (all on `stack`), hangs up,
+    /// and only then runs the batcher loop over the queue — so what the
+    /// loop finds as backlog is exact, not a race. Replies come back in
+    /// submission order.
+    fn run_prequeued(
+        pipeline: &IrFusionPipeline,
+        max_batch: usize,
+        stack: &Arc<PreparedStack>,
+        slots: &[&Arc<ModelSlot>],
+    ) -> Vec<PredictReply> {
+        let config = BatchConfig {
+            max_batch,
+            queue_capacity: slots.len(),
+        };
+        let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
+        let replies: Vec<_> = slots
+            .iter()
+            .zip(1u64..)
+            .map(|(slot, request)| {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                try_submit(
+                    &tx,
+                    PredictJob {
+                        stack: Arc::clone(stack),
+                        slot: Arc::clone(slot),
+                        request,
+                        submitted: Instant::now(),
+                        reply: reply_tx,
+                    },
+                )
+                .expect("queue has room");
+                reply_rx
+            })
+            .collect();
+        drop(tx);
+        run_batcher(&rx, pipeline, config, &ServerMetrics::new(max_batch));
+        replies
+            .into_iter()
+            .map(|rx| rx.recv().expect("batcher replies"))
+            .collect()
+    }
+
+    #[test]
+    fn backlog_is_served_in_full_batches() {
+        let (pipeline, stack, trained) = fixture();
+        let expected = pipeline.predict(&trained, &stack);
+        let slot = Arc::new(ModelSlot::new(trained));
+
+        // Ten jobs waiting, four to a batch: ceil(10 / 4) = 3 batches.
+        let replies = run_prequeued(&pipeline, 4, &stack, &[&slot; 10]);
+        let sizes: Vec<usize> = replies.iter().map(|r| r.batch_size).collect();
+        assert_eq!(sizes, [4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
+        assert!(replies.iter().all(|r| r.map == expected));
+    }
+
+    #[test]
+    fn a_lone_job_does_not_wait_for_company() {
+        let (pipeline, stack, trained) = fixture();
+        let slot = Arc::new(ModelSlot::new(trained));
+        let metrics = Arc::new(ServerMetrics::new(4));
+        let batcher = Batcher::start(pipeline, BatchConfig::default(), metrics);
+        let tx = batcher.sender();
+        // Fastest of five, so one descheduled wake-up cannot fail it; a
+        // batcher that idles for company delays every one of them.
+        let fastest = (0..5)
+            .map(|_| {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                try_submit(
+                    &tx,
+                    PredictJob {
+                        stack: Arc::clone(&stack),
+                        slot: Arc::clone(&slot),
+                        request: 0,
+                        submitted: Instant::now(),
+                        reply: reply_tx,
+                    },
+                )
+                .expect("queue has room");
+                let reply = reply_rx.recv().expect("batcher replies");
+                assert_eq!(reply.batch_size, 1);
+                reply.queue_seconds
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(fastest < 2e-3, "lone job queued for {fastest} s");
+        drop(tx);
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn mixed_precision_jobs_batch_homogeneously() {
+        let (pipeline, stack, trained) = fixture();
+        let int8 = trained.precision_variant(ir_fusion::PrecisionMode::Int8);
         let expected_f32 = pipeline.predict(&trained, &stack);
         let expected_int8 = pipeline.predict(&int8, &stack);
         assert_ne!(expected_f32, expected_int8, "precisions must differ");
 
-        let slots = [
-            Arc::new(ModelSlot::new(trained)),
-            Arc::new(ModelSlot::new(int8)),
-        ];
-        let metrics = Arc::new(ServerMetrics::new(8));
-        let batcher = Batcher::start(
-            pipeline,
-            BatchConfig {
-                max_batch: 8,
-                deadline: Duration::from_millis(50),
-                queue_capacity: 8,
-            },
-            metrics,
+        let f32_slot = Arc::new(ModelSlot::new(trained));
+        let int8_slot = Arc::new(ModelSlot::new(int8));
+        // Interleave the two precisions in one collected batch; the
+        // batcher must split it into two homogeneous groups of two.
+        let replies = run_prequeued(
+            &pipeline,
+            8,
+            &stack,
+            &[&f32_slot, &int8_slot, &f32_slot, &int8_slot],
         );
-        let tx = batcher.sender();
-        // Interleave the two precisions so one collected batch holds
-        // both; the batcher must split it into homogeneous groups.
-        let mut replies = Vec::new();
-        for i in 0..4usize {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            try_submit(
-                &tx,
-                PredictJob {
-                    stack: Arc::clone(&stack),
-                    slot: Arc::clone(&slots[i % 2]),
-                    request: i as u64,
-                    submitted: Instant::now(),
-                    reply: reply_tx,
-                },
-            )
-            .expect("queue has room");
-            replies.push(reply_rx);
-        }
-        for (i, rx) in replies.into_iter().enumerate() {
-            let reply = rx.recv().expect("batcher replies");
+        for (i, reply) in replies.iter().enumerate() {
             let expected = if i % 2 == 0 {
                 &expected_f32
             } else {
@@ -431,13 +492,7 @@ mod tests {
                 &reply.map, expected,
                 "job {i} must ride its own precision group"
             );
-            assert!(
-                reply.batch_size <= 2,
-                "groups must not mix slots (got batch of {})",
-                reply.batch_size
-            );
+            assert_eq!(reply.batch_size, 2, "groups must not mix slots");
         }
-        drop(tx);
-        batcher.shutdown();
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! irf-serve [--addr HOST:PORT] [--workers N] [--batch-size B]
-//!           [--batch-deadline-ms T] [--queue N] [--cache N]
-//!           [--read-timeout-ms T] [--model CKPT | --no-model]
-//!           [--full] [--threads N]
+//!           [--queue N] [--cache N] [--read-timeout-ms T]
+//!           [--model CKPT | --no-model] [--full] [--threads N]
 //!           [--log LEVEL] [--log-format json|pretty]
 //!           [--slow-ms T] [--recorder N]
 //! ```
@@ -43,9 +42,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: irf-serve [--addr HOST:PORT] [--workers N] [--batch-size B]\n\
-         \x20                [--batch-deadline-ms T] [--queue N] [--cache N]\n\
-         \x20                [--read-timeout-ms T] [--model CKPT | --no-model]\n\
-         \x20                [--full] [--threads N]\n\
+         \x20                [--queue N] [--cache N] [--read-timeout-ms T]\n\
+         \x20                [--model CKPT | --no-model] [--full] [--threads N]\n\
          \x20                [--log off|error|warn|info|debug|trace]\n\
          \x20                [--log-format json|pretty] [--slow-ms T] [--recorder N]"
     );
@@ -74,10 +72,6 @@ fn parse_args() -> Args {
             "--addr" => args.server.addr = value("--addr"),
             "--workers" => args.server.workers = parse_num(&value("--workers")),
             "--batch-size" => args.server.batch.max_batch = parse_num(&value("--batch-size")),
-            "--batch-deadline-ms" => {
-                args.server.batch.deadline =
-                    Duration::from_millis(parse_num(&value("--batch-deadline-ms")) as u64);
-            }
             "--queue" => args.server.batch.queue_capacity = parse_num(&value("--queue")),
             "--read-timeout-ms" => {
                 args.server.read_timeout =

@@ -259,8 +259,12 @@ pub fn write_response_with_headers(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // Head and body leave in ONE write: as two, the second write of a
+    // response under one segment is held back by Nagle's algorithm
+    // until the client's delayed ACK (~40 ms per keep-alive exchange).
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -372,6 +376,31 @@ mod tests {
         assert!(String::from_utf8(out)
             .expect("utf8")
             .contains("Connection: keep-alive\r\n"));
+    }
+
+    #[test]
+    fn response_leaves_in_a_single_write() {
+        struct CountsWrites {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountsWrites {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = CountsWrites {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_response(&mut out, 200, "text/plain", b"ok", true).expect("write");
+        assert_eq!(out.writes, 1, "head and body must not be separate segments");
+        assert!(out.bytes.ends_with(b"\r\n\r\nok"));
     }
 
     #[test]

@@ -291,53 +291,60 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte in one piece. All three
+            // delimiters are ASCII, so a run of a `&str` input starts
+            // and ends on scalar boundaries and is validated once — the
+            // whole string costs time linear in its length.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            let plain = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                .map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(plain);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are out of scope for the
-                            // serving protocol; replace them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape sequence at `pos` (a backslash) into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are out of scope for the
+                // serving protocol; replace them.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -410,5 +417,137 @@ mod tests {
         assert_eq!(v.as_str(), Some("Aé"));
         let esc = parse(r#""\u0041z""#).expect("valid");
         assert_eq!(esc.as_str(), Some("Az"));
+    }
+
+    /// The string loop this parser shipped with until the byte-run
+    /// rewrite: one scalar per step, re-validating the whole remaining
+    /// input each time (quadratic). Kept as the oracle the linear loop
+    /// is held to.
+    impl Parser<'_> {
+        fn string_per_char(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => self.escape(&mut out)?,
+                    Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                    Some(_) => {
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
+                        let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                        out.push(ch);
+                        self.pos += ch.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Text after an opening quote, drawn from fragments that reach
+    /// every branch of the string routine; about one in eight ends
+    /// without a closing quote.
+    fn random_string_body(rng: &mut irf_runtime::Xoshiro256pp) -> String {
+        const FRAGMENTS: [&str; 24] = [
+            "a",
+            "net_12 ",
+            "R1 n1_m1_0_0 n1_m1_0_2000 0.35",
+            "é",
+            "€",
+            "😀",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\b",
+            "\\f",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\ud800",
+            "\\u+041",
+            "\\u12",
+            "\\u12é",
+            "\\uzzzz",
+            "\\x",
+            "\u{1}",
+            "\n",
+        ];
+        let mut text = String::new();
+        for _ in 0..rng.random_range(0..12usize) {
+            text.push_str(FRAGMENTS[rng.random_range(0..FRAGMENTS.len())]);
+        }
+        match rng.random_range(0..8u32) {
+            0 => {}
+            1 => text.push('\\'),
+            _ => text.push_str("\" trailing"),
+        }
+        text
+    }
+
+    #[test]
+    fn byte_run_strings_match_the_per_character_oracle() {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(0x5eed_1507);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let src = format!("\"{}", random_string_body(&mut rng));
+            let mut fast = Parser {
+                bytes: src.as_bytes(),
+                pos: 0,
+            };
+            let mut oracle = Parser {
+                bytes: src.as_bytes(),
+                pos: 0,
+            };
+            let (got, want) = (fast.string(), oracle.string_per_char());
+            assert_eq!(got, want, "case {case}: {src:?}");
+            match got {
+                Ok(_) => {
+                    assert_eq!(fast.pos, oracle.pos, "case {case}: {src:?}");
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 200 && rejected > 200,
+            "generator must reach both outcomes ({accepted} accepted, {rejected} rejected)"
+        );
+    }
+
+    #[test]
+    fn a_body_of_the_maximum_size_parses_in_linear_time() {
+        // One inline netlist as large as the HTTP layer admits. The
+        // per-character routine needs ~25 CPU-minutes for this body, so
+        // the bound below has three orders of magnitude of slack.
+        let (head, tail) = ("{\"netlist\":\"", "\"}");
+        let line = "R1 n1_m1_0_0 n1_m1_0_2000 0.35\\n";
+        let mut body = String::with_capacity(crate::http::MAX_BODY_BYTES);
+        body.push_str(head);
+        while body.len() + line.len() + tail.len() <= crate::http::MAX_BODY_BYTES {
+            body.push_str(line);
+        }
+        while body.len() + tail.len() < crate::http::MAX_BODY_BYTES {
+            body.push('x');
+        }
+        body.push_str(tail);
+        assert_eq!(body.len(), crate::http::MAX_BODY_BYTES);
+        let started = std::time::Instant::now();
+        let parsed = parse(&body).expect("valid");
+        let elapsed = started.elapsed();
+        let netlist = parsed
+            .get("netlist")
+            .and_then(Json::as_str)
+            .expect("string");
+        assert!(netlist.starts_with("R1 n1_m1_0_0 n1_m1_0_2000 0.35\nR1 "));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "8 MiB body took {elapsed:?}"
+        );
     }
 }

@@ -5,12 +5,13 @@
 //! HTTP or JSON crates, in keeping with the repo's toolchain-only
 //! build. Three ideas carry the design:
 //!
-//! - **Micro-batching** ([`batch`]): concurrent predict requests are
-//!   collected up to a batch size or deadline and executed as one
-//!   batched forward pass. Because every tape operation computes
-//!   per-sample values with identical serial loops, the batched pass
-//!   is bitwise identical to running each request alone — batching is
-//!   purely a throughput optimization.
+//! - **Micro-batching** ([`batch`]): predict requests already queued
+//!   when the batcher comes free (up to a batch size) are executed as
+//!   one batched forward pass; a lone request never waits for company.
+//!   Because every tape operation computes per-sample values with
+//!   identical serial loops, the batched pass is bitwise identical to
+//!   running each request alone — batching is purely a throughput
+//!   optimization.
 //! - **Stage-artifact caching** ([`ir_fusion::StageStore`]): every
 //!   pipeline stage (assembled MNA system, AMG solver setup, rough
 //!   solution, structural feature maps, prepared stack) is cached

@@ -89,8 +89,8 @@ use crate::json::{obj, parse, Json};
 use crate::metrics::{ServerMetrics, DEPRECATED_ENDPOINTS};
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
-    design_fingerprint, EditError, FusionConfig, IrFusionPipeline, PrecisionMode, StageStore,
-    TopologyDelta, TrainedModel,
+    EditError, FusionConfig, IrFusionPipeline, PrecisionMode, StageStore, TopologyDelta,
+    TrainedModel,
 };
 use irf_metrics::Timer;
 use irf_obs::recorder::SpanNode;
@@ -337,6 +337,8 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, state: &Arc<State>) {
 /// lands one record in the flight recorder plus one access-log line.
 fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     let _ = stream.set_read_timeout(Some(state.read_timeout));
+    // Responses are written whole; never hold one back for coalescing.
+    let _ = stream.set_nodelay(true);
     let conn = state.connections.fetch_add(1, Ordering::Relaxed);
     let mut minter = RequestIdMinter::new(conn);
     let mut reader = BufReader::new(stream);
@@ -1096,7 +1098,7 @@ fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u
     }
     (
         200,
-        render_prediction(&grid, state, &map, source, &body, extra),
+        render_prediction(&grid, stack.fingerprint, &map, source, &body, extra),
     )
 }
 
@@ -1187,7 +1189,14 @@ fn handle_whatif(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u1
     ];
     (
         200,
-        render_prediction(session.grid(), state, &map, source, &body, extra),
+        render_prediction(
+            session.grid(),
+            stack.fingerprint,
+            &map,
+            source,
+            &body,
+            extra,
+        ),
     )
 }
 
@@ -2017,11 +2026,12 @@ fn run_inference(
     match sender {
         Some(tx) => {
             let (reply_tx, reply_rx) = mpsc::channel();
+            let submitted = Instant::now();
             let job = PredictJob {
                 stack: Arc::clone(stack),
                 slot: Arc::clone(slot),
                 request: ctx.id.as_u64(),
-                submitted: Instant::now(),
+                submitted,
                 reply: reply_tx,
             };
             match try_submit(&tx, job) {
@@ -2036,13 +2046,18 @@ fn run_inference(
                     return Err((503, envelope("shutting_down", "shutting down")))
                 }
             }
-            let (received, infer_seconds) = Timer::time(|| {
+            let received = {
                 // The wait shows up in the request's span tree (the
                 // forward itself runs on the batcher thread).
                 let _span = irf_trace::span("infer_wait");
                 reply_rx.recv()
-            });
-            state.metrics.observe_stage("infer", infer_seconds);
+            };
+            // Timed from submission: waking the batcher usually costs
+            // this thread the CPU, and a clock started only once it is
+            // back would miss the part of the forward already run.
+            state
+                .metrics
+                .observe_stage("infer", submitted.elapsed().as_secs_f64());
             match received {
                 Ok(reply) => {
                     ctx.observe_reply(&reply);
@@ -2079,6 +2094,7 @@ fn run_inference_batch(
     match sender {
         Some(tx) => {
             let mut replies = Vec::with_capacity(stacks.len());
+            let submitted = Instant::now();
             for stack in stacks {
                 let (reply_tx, reply_rx) = mpsc::channel();
                 let job = PredictJob {
@@ -2101,14 +2117,16 @@ fn run_inference_batch(
                     }
                 }
             }
-            let (received, infer_seconds) = Timer::time(|| {
+            let received = {
                 let _span = irf_trace::span("infer_wait");
                 replies
                     .iter()
                     .map(mpsc::Receiver::recv)
                     .collect::<Result<Vec<_>, _>>()
-            });
-            state.metrics.observe_stage("infer", infer_seconds);
+            };
+            state
+                .metrics
+                .observe_stage("infer", submitted.elapsed().as_secs_f64());
             match received {
                 Ok(received) => {
                     let maps = received
@@ -2127,9 +2145,13 @@ fn run_inference_batch(
     }
 }
 
+/// Renders a `/v1/predict` / `/v1/whatif` answer. `fingerprint` is the
+/// prepared stack's — the [`ir_fusion::design_fingerprint`] of `grid`,
+/// already computed by the preparation and the key the grid was
+/// registered under — so rendering does not hash the grid again.
 fn render_prediction(
     grid: &PowerGrid,
-    state: &Arc<State>,
+    fingerprint: u64,
     map: &GridMap,
     source: &str,
     body: &Json,
@@ -2148,7 +2170,6 @@ fn render_prediction(
         .iter()
         .filter(|&&v| f64::from(v) >= threshold && v > 0.0)
         .count();
-    let fingerprint = design_fingerprint(grid, state.pipeline.config());
     let mut members = extra;
     members.extend(vec![
         ("design", Json::Str(format!("{fingerprint:016x}"))),
@@ -2173,4 +2194,44 @@ fn render_prediction(
         ));
     }
     obj(members).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ir_fusion::design_fingerprint;
+    use irf_data::{synthesize, SynthSpec};
+
+    /// `handle_predict` and `handle_whatif` report the prepared stack's
+    /// fingerprint as the design id instead of hashing the grid again;
+    /// this is the one place that holds the two equal.
+    #[test]
+    fn a_prepared_stack_carries_its_grids_design_fingerprint() {
+        let pipeline =
+            IrFusionPipeline::new(FusionConfig::tiny()).with_cache(Arc::new(StageStore::new(8)));
+        let grid = Arc::new(
+            PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid grid"),
+        );
+        let stack = pipeline.stack_builder().prepare(&grid).expect("pads");
+        assert_eq!(
+            stack.fingerprint,
+            design_fingerprint(&grid, pipeline.config())
+        );
+
+        // The what-if path: the fingerprint is the *edited* grid's.
+        let session = pipeline
+            .session(Arc::clone(&grid))
+            .with_current_deltas(&[(1, 2e-3)])
+            .with_topology_deltas(&[TopologyDelta::Strap {
+                layer: 1,
+                scale: 0.8,
+            }])
+            .expect("layer 1 has straps");
+        let edited = session.prepare().expect("pads");
+        assert_ne!(edited.fingerprint, stack.fingerprint);
+        assert_eq!(
+            edited.fingerprint,
+            design_fingerprint(session.grid(), pipeline.config())
+        );
+    }
 }

@@ -235,7 +235,6 @@ fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
             workers: 3,
             batch: BatchConfig {
                 max_batch: 3,
-                deadline: Duration::from_millis(5),
                 queue_capacity: 16,
             },
             cache_capacity: 8,

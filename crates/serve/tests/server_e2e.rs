@@ -8,7 +8,7 @@ use irf_serve::json::{parse, Json};
 use irf_serve::{BatchConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sends one HTTP/1.1 request with `Connection: close` and returns
 /// `(status, body)`.
@@ -97,7 +97,6 @@ fn server_answers_predicts_and_reuses_the_cache() {
             workers: 2,
             batch: BatchConfig {
                 max_batch: 2,
-                deadline: Duration::from_millis(5),
                 queue_capacity: 8,
             },
             cache_capacity: 8,
@@ -277,21 +276,34 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let _ = std::fs::remove_file(&big_path);
     let _ = std::fs::remove_file(&netlist_path);
 
-    // One keep-alive connection serves several requests.
+    // One keep-alive connection serves several requests, and a small
+    // response is not held back for the client's delayed ACK (~40 ms
+    // per exchange when head and body left as two writes on a socket
+    // without TCP_NODELAY). The first exchange is left out: on a fresh
+    // connection the kernel acks at once, so it never showed the stall.
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .expect("timeout");
     let mut reader = BufReader::new(stream);
-    for _ in 0..3 {
+    let mut fastest = Duration::MAX;
+    for exchange in 0..6 {
+        let sent = Instant::now();
         reader
             .get_mut()
             .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
             .expect("write request");
         let (status, connection, body) = read_one_response(&mut reader);
+        if exchange > 0 {
+            fastest = fastest.min(sent.elapsed());
+        }
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         assert_eq!(connection, "keep-alive");
     }
+    assert!(
+        fastest < Duration::from_millis(10),
+        "fastest of 5 keep-alive healthz round trips took {fastest:?}"
+    );
     reader
         .get_mut()
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")

@@ -83,7 +83,6 @@ fn reload_swaps_the_model_without_dropping_requests() {
             workers: 3,
             batch: BatchConfig {
                 max_batch: 2,
-                deadline: Duration::from_millis(5),
                 queue_capacity: 16,
             },
             cache_capacity: 8,

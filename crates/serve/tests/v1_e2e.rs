@@ -114,7 +114,6 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
             workers: 2,
             batch: BatchConfig {
                 max_batch: 2,
-                deadline: Duration::from_millis(5),
                 queue_capacity: 16,
             },
             cache_capacity: 8,

@@ -154,6 +154,42 @@ fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
     }
 }
 
+/// The fixed-seed IR-Fusion forward below, run at the commit before
+/// conv2d got its stride-1 kernel (every convolution through the
+/// general bounds-checked nest), hashed to `GOLDEN`. The kernel's
+/// contract is that no output bit moves, at any thread count.
+#[test]
+fn ir_fusion_forward_keeps_the_bits_of_the_general_conv_loop() {
+    const GOLDEN: u64 = 0xee5f_8c9e_edd3_770b;
+    let (model, store) = irf_models::build_model(
+        irf_models::ModelKind::IrFusion,
+        irf_models::ModelConfig {
+            in_channels: 11,
+            ..irf_models::ModelConfig::default()
+        },
+    );
+    let mut rng = Xoshiro256pp::seed_from_u64(0xDE_17);
+    let data: Vec<f32> = (0..2 * 11 * 32 * 32)
+        .map(|_| rng.random_range(-1.0f32..1.0))
+        .collect();
+    let x = Tensor::from_vec([2, 11, 32, 32], data);
+    for threads in [1, 2, 4, 8] {
+        let hash = with_threads(threads, || {
+            let mut tape = Tape::new();
+            let xn = tape.input(x.clone());
+            let y = model.forward(&mut tape, &store, xn);
+            // FNV-1a over the output words.
+            tape.value(y)
+                .data()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                    (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        });
+        assert_eq!(hash, GOLDEN, "{hash:#018x} at {threads} threads");
+    }
+}
+
 #[test]
 fn feature_stack_is_bitwise_identical_across_thread_counts() {
     let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid");
