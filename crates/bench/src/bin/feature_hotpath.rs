@@ -69,9 +69,7 @@ fn bench_shortest_path(grid: &PowerGrid, threads: usize, reps: usize) -> Measure
 
 fn bench_spice_parse(text: &str, threads: usize, reps: usize) -> Measurement {
     irf_runtime::set_num_threads(threads);
-    // Small chunks so even the tiny netlist exercises the parallel
-    // lex+parse fan-out and the serial merge.
-    let parse = || irf_spice::parse_chunked(text, 256).expect("netlist parses");
+    let parse = || irf_spice::parse(text).expect("netlist parses");
     let mut netlist = parse(); // warm up
     let start = Instant::now();
     for _ in 0..reps {

@@ -20,7 +20,6 @@
 pub const ENDPOINTS: &[(&str, f64)] = &[
     ("healthz", 0.010),
     ("metrics", 0.050),
-    ("trace", 0.100),
     ("debug", 0.050),
     ("predict", 0.500),
     ("whatif", 0.500),

@@ -2,8 +2,6 @@
 
 use crate::error::ModelError;
 use crate::stamp::PgSystem;
-use irf_spice::{Netlist, NodeId};
-use std::collections::HashMap;
 
 /// A circuit node of the power grid (never ground, never removed).
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +58,10 @@ pub struct Pad {
 
 /// A validated multi-layer power grid.
 ///
-/// Built from a netlist by [`PowerGrid::from_netlist`]; ground is
-/// removed, voltage sources become [`Pad`]s, current sources become
+/// Built by the one grid builder in [`crate::streaming`] — from a
+/// parsed netlist by [`PowerGrid::from_netlist`], from SPICE bytes by
+/// [`grid_from_spice_reader`](crate::grid_from_spice_reader); ground
+/// is removed, voltage sources become [`Pad`]s, current sources become
 /// [`Load`]s, and elements touching only ground are dropped.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerGrid {
@@ -76,91 +76,6 @@ pub struct PowerGrid {
 }
 
 impl PowerGrid {
-    /// Builds the model from a parsed netlist.
-    ///
-    /// Resistors with one terminal on ground contribute a grounded
-    /// conductance only if the paper's formulation needs them; for a
-    /// VDD grid they do not occur, so they are rejected together with
-    /// non-positive resistances.
-    ///
-    /// # Errors
-    ///
-    /// - [`ModelError::NonPositiveResistance`] for `R <= 0`;
-    /// - [`ModelError::NoPads`] when no voltage source exists;
-    /// - [`ModelError::UngroundedSource`] when a voltage source's
-    ///   negative terminal is not ground.
-    pub fn from_netlist(netlist: &Netlist) -> Result<Self, ModelError> {
-        let mut grid = PowerGrid::default();
-        // Map netlist ids (minus ground) onto dense node indices.
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
-        let mut node_index = |grid: &mut PowerGrid, id: NodeId| -> Option<usize> {
-            if id.is_ground() {
-                return None;
-            }
-            Some(*index.entry(id).or_insert_with(|| {
-                let info = netlist.node(id);
-                grid.nodes.push(PgNode {
-                    name: info.name.clone(),
-                    layer: info.layer.unwrap_or(1),
-                    x: info.x.unwrap_or(0),
-                    y: info.y.unwrap_or(0),
-                    is_pad: false,
-                });
-                grid.nodes.len() - 1
-            }))
-        };
-        for r in netlist.resistors() {
-            if r.ohms <= 0.0 {
-                return Err(ModelError::NonPositiveResistance {
-                    name: r.name.clone(),
-                    ohms: r.ohms,
-                });
-            }
-            let a = node_index(&mut grid, r.a);
-            let b = node_index(&mut grid, r.b);
-            if let (Some(a), Some(b)) = (a, b) {
-                if a != b {
-                    grid.segments.push(Segment { a, b, ohms: r.ohms });
-                }
-            }
-        }
-        for i in netlist.current_sources() {
-            // A load drawing current out of the grid: from = grid node,
-            // to = ground. The reversed orientation injects current.
-            let (node, sign) = if i.to.is_ground() {
-                (node_index(&mut grid, i.from), 1.0)
-            } else if i.from.is_ground() {
-                (node_index(&mut grid, i.to), -1.0)
-            } else {
-                (node_index(&mut grid, i.from), 1.0)
-            };
-            if let Some(node) = node {
-                grid.loads.push(Load {
-                    node,
-                    amps: sign * i.amps,
-                });
-            }
-        }
-        for v in netlist.voltage_sources() {
-            if !v.minus.is_ground() {
-                return Err(ModelError::UngroundedSource {
-                    name: v.name.clone(),
-                });
-            }
-            if let Some(node) = node_index(&mut grid, v.plus) {
-                grid.nodes[node].is_pad = true;
-                grid.pads.push(Pad {
-                    node,
-                    volts: v.volts,
-                });
-            }
-        }
-        if grid.pads.is_empty() {
-            return Err(ModelError::NoPads);
-        }
-        Ok(grid)
-    }
-
     /// Supply voltage: the maximum pad voltage.
     ///
     /// # Errors

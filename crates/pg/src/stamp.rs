@@ -9,7 +9,35 @@
 
 use crate::error::ModelError;
 use crate::grid::{Load, PowerGrid};
-use irf_sparse::{CsrAssembler, CsrMatrix, TripletMatrix};
+use irf_sparse::{CsrAssembler, CsrMatrix, PatternScatter};
+
+/// The MNA stamping walk, written once: hands `emit` every
+/// `(row, col, value)` contribution of `grid`'s segments to the
+/// reduced conductance matrix, in the fixed order every assembly path
+/// consumes them (segment order; per segment diagonal `a`, diagonal
+/// `b`, then the two off-diagonals). A segment to a pad folds into its
+/// other end's diagonal; a pad-to-pad segment carries no unknown.
+///
+/// Every segment endpoint must index into `index_of`.
+fn for_each_stamp(
+    grid: &PowerGrid,
+    index_of: &[Option<usize>],
+    mut emit: impl FnMut(usize, usize, f64),
+) {
+    for s in &grid.segments {
+        let g = s.conductance();
+        match (index_of[s.a], index_of[s.b]) {
+            (Some(a), Some(b)) => {
+                emit(a, a, g);
+                emit(b, b, g);
+                emit(a, b, -g);
+                emit(b, a, -g);
+            }
+            (Some(a), None) | (None, Some(a)) => emit(a, a, g),
+            (None, None) => {}
+        }
+    }
+}
 
 /// The topology half of the reduced system `G d = I`: the conductance
 /// matrix over non-pad nodes and the grid-node ↔ reduced-row maps.
@@ -74,28 +102,13 @@ impl PgStructure {
         let n = node_of.len();
         // Two-pass, memory-lean assembly: a count pass sizes each row,
         // then stamps land directly in their row buckets — no triplet
-        // buffer (24 B/entry) at million-node scale. The fill pass
-        // stamps in the exact order the old triplet path pushed, and
-        // both finish through the same sort+merge back half, so the
-        // matrix is bitwise identical to a triplet assembly (and to
-        // what [`PgStructure::restamped`] regenerates).
+        // buffer (24 B/entry) at million-node scale. Both passes, and
+        // [`PgStructure::restamped`], run the one [`for_each_stamp`]
+        // walk, so what `restamped` regenerates is bitwise identical.
         let mut asm = CsrAssembler::new(n, n);
-        for s in &grid.segments {
-            match (index_of[s.a], index_of[s.b]) {
-                (Some(a), Some(b)) => asm.count_conductance(a, b),
-                (Some(a), None) | (None, Some(a)) => asm.count_grounded(a),
-                (None, None) => {} // pad-to-pad segment carries no unknown
-            }
-        }
+        for_each_stamp(grid, &index_of, |row, _, _| asm.count_entry(row));
         asm.begin_fill();
-        for s in &grid.segments {
-            let g = s.conductance();
-            match (index_of[s.a], index_of[s.b]) {
-                (Some(a), Some(b)) => asm.stamp_conductance(a, b, g),
-                (Some(a), None) | (None, Some(a)) => asm.stamp_grounded(a, g),
-                (None, None) => {}
-            }
-        }
+        for_each_stamp(grid, &index_of, |row, col, value| asm.push(row, col, value));
         let matrix = asm.finish();
         if span.is_recording() {
             span.attr("grid_nodes", n_nodes);
@@ -130,12 +143,12 @@ impl PgStructure {
     /// outside the base pattern, or a conductance sum landing on exact
     /// zero — returns `None`, and the caller falls back to
     /// [`PgStructure::build`]. On `Some`, the result is bitwise
-    /// identical to a cold build of `edited`: triplets are regenerated
-    /// in the exact [`PgStructure::try_build`] stamping order and
-    /// scatter-added in that same order.
+    /// identical to a cold build of `edited`: the same stamps, in the
+    /// same order, scatter-added straight into the base pattern.
     #[must_use]
     pub fn restamped(&self, edited: &PowerGrid) -> Option<PgStructure> {
-        if edited.nodes.len() != self.index_of.len() {
+        let n_nodes = self.index_of.len();
+        if edited.nodes.len() != n_nodes {
             return None;
         }
         for (node, idx) in edited.nodes.iter().zip(&self.index_of) {
@@ -143,24 +156,21 @@ impl PgStructure {
                 return None;
             }
         }
-        let n = self.node_of.len();
-        let mut span = irf_trace::span("mna_restamp");
-        let mut t = TripletMatrix::with_capacity(n, n, 4 * edited.segments.len());
-        for s in &edited.segments {
-            if s.a >= self.index_of.len() || s.b >= self.index_of.len() {
-                return None;
-            }
-            let g = s.conductance();
-            match (self.index_of[s.a], self.index_of[s.b]) {
-                (Some(a), Some(b)) => t.stamp_conductance(a, b, g),
-                (Some(a), None) => t.stamp_grounded_conductance(a, g),
-                (None, Some(b)) => t.stamp_grounded_conductance(b, g),
-                (None, None) => {} // pad-to-pad segment carries no unknown
-            }
+        if edited
+            .segments
+            .iter()
+            .any(|s| s.a >= n_nodes || s.b >= n_nodes)
+        {
+            return None;
         }
-        let matrix = t.to_csr_with_pattern(&self.matrix)?;
+        let mut span = irf_trace::span("mna_restamp");
+        let mut scatter = PatternScatter::new(&self.matrix);
+        for_each_stamp(edited, &self.index_of, |row, col, value| {
+            scatter.add(row, col, value);
+        });
+        let matrix = scatter.finish()?;
         if span.is_recording() {
-            span.attr("unknowns", n);
+            span.attr("unknowns", self.node_of.len());
             span.attr("nnz", matrix.nnz());
             span.attr("segments", edited.segments.len());
         }

@@ -1,35 +1,38 @@
-//! Streaming grid ingest: SPICE bytes → [`PowerGrid`] with no
-//! [`Netlist`](irf_spice::Netlist) and no source text in memory.
+//! The grid builder: SPICE cards → [`PowerGrid`].
 //!
-//! The materializing path (`read_to_string` → [`irf_spice::parse`] →
-//! [`PowerGrid::from_netlist`]) holds three full-size artifacts at
-//! once: the source text, the netlist (which stores an owned name
-//! `String` for *every element card*), and the grid. At million-node
-//! scale the first two exist only to be thrown away. This module
-//! subscribes to the card-visitor stream ([`irf_spice::visit_cards`])
-//! instead and builds the grid directly:
+//! `Accumulator` is the one place that knows how a netlist becomes a
+//! grid — ground is node `0` and never a grid node, `R <= 0` is an
+//! error, a resistor leg to ground or onto itself is dropped, which
+//! terminal of an `I` card carries the load and with what sign, pads
+//! come from `V` cards whose minus terminal is ground, and a grid with
+//! no pad is rejected. It has two front doors:
 //!
-//! * **R cards** are absorbed immediately: node names intern into the
-//!   grid's node table as they first appear, segments are pushed in
-//!   card order, and non-positive resistances error on the spot.
-//! * **I and V cards** are buffered compactly (a resolved node index
-//!   when the name is already interned, the bare name otherwise —
-//!   never the element name) and replayed after the stream ends.
+//! * [`grid_from_spice_reader`] / [`grid_from_spice_path`] subscribe it
+//!   to the card-visitor stream ([`irf_spice::visit_cards`]), so a file
+//!   becomes a grid with no source text and no
+//!   [`Netlist`](irf_spice::Netlist) in memory — at million-node scale
+//!   those two exist only to be thrown away.
+//! * [`PowerGrid::from_netlist`] replays an already parsed netlist
+//!   through it.
 //!
-//! # Parity with the materializing path
+//! # Node order
 //!
-//! [`PowerGrid::from_netlist`] assigns grid node indices in
-//! *element-type-major* order: first appearance while walking all
-//! resistors, then all current sources, then all voltage sources.
-//! The accumulator reproduces that exactly — R cards intern during
-//! streaming (stream order = netlist resistor order), and the
-//! deferred I/V replay interns any still-unseen names in buffered
-//! card order, which is precisely when the type-major walk would have
-//! met them. Sign conventions, pad marking, `layer`/`x`/`y` defaults
-//! and error checks replicate `from_netlist` line for line, and a
-//! test asserts the two paths produce equal grids on the same bytes.
+//! Grid node indices are assigned in *element-type-major* order: first
+//! appearance while walking all resistors, then all current sources,
+//! then all voltage sources. **R cards** are therefore absorbed
+//! immediately (names intern into the node table as they first appear,
+//! segments are pushed in card order), while **I and V cards** are
+//! buffered compactly (a resolved node index when the name is already
+//! interned, the bare name otherwise — never the element name of an
+//! `I` card) and replayed when the stream ends, which is when any
+//! still-unseen name of theirs is interned. Whatever order the cards
+//! arrive in, the grid is the same; tests pin that on sources whose
+//! `V` and `I` cards come first.
 //!
-//! Two documented differences on *invalid* input only:
+//! # What the card stream does not check
+//!
+//! Two documented differences from `parse` + `from_netlist`, on
+//! *invalid* input only:
 //!
 //! * duplicate element names are not detected (that check needs
 //!   whole-file state the visitor stream deliberately does not keep —
@@ -37,13 +40,13 @@
 //!   matters);
 //! * errors surface in stream order, so a model error (say `R <= 0`
 //!   on line 3) can win over a parse error later in the file, where
-//!   the two-phase batch path would report the parse error first.
+//!   parsing the whole netlist first would report the parse error.
 //!   Valid designs are unaffected.
 
 use crate::error::ModelError;
 use crate::grid::{Load, Pad, PgNode, PowerGrid, Segment};
 use irf_spice::error::{ParseError, ParseErrorKind};
-use irf_spice::{NodeInfo, StreamError, StreamedCard, StreamedCardKind};
+use irf_spice::{Netlist, NodeId, NodeInfo, StreamError, StreamedCard, StreamedCardKind};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
@@ -110,8 +113,7 @@ enum NodeRef {
     Named(String),
 }
 
-/// Streaming accumulator; see the [module docs](self) for the parity
-/// argument.
+/// The grid under construction; see the [module docs](self).
 #[derive(Debug, Default)]
 struct Accumulator {
     grid: PowerGrid,
@@ -162,50 +164,52 @@ impl Accumulator {
         }
     }
 
+    fn resistor(&mut self, name: &str, a: &str, b: &str, ohms: f64) -> Result<(), ModelError> {
+        if ohms <= 0.0 {
+            return Err(ModelError::NonPositiveResistance {
+                name: name.to_string(),
+                ohms,
+            });
+        }
+        let a = self.node_index(a);
+        let b = self.node_index(b);
+        if let (Some(a), Some(b)) = (a, b) {
+            if a != b {
+                self.grid.segments.push(Segment { a, b, ohms });
+            }
+        }
+        Ok(())
+    }
+
+    fn current_source(&mut self, from: &str, to: &str, amps: f64) {
+        // A load draws current from the grid node toward ground; the
+        // reversed orientation injects.
+        let (node, sign) = if to == "0" {
+            (from, 1.0)
+        } else if from == "0" {
+            (to, -1.0)
+        } else {
+            (from, 1.0)
+        };
+        if node != "0" {
+            let r = self.node_ref(node);
+            self.loads.push((r, sign * amps));
+        }
+    }
+
+    fn voltage_source(&mut self, name: &str, plus: &str, minus: &str, volts: f64) {
+        self.pads
+            .push((name.to_string(), minus == "0", self.node_ref(plus), volts));
+    }
+
     fn absorb(&mut self, card: &StreamedCard<'_>) -> Result<(), ModelError> {
         match card.kind {
             StreamedCardKind::Resistor => {
-                if card.value <= 0.0 {
-                    return Err(ModelError::NonPositiveResistance {
-                        name: card.name.to_string(),
-                        ohms: card.value,
-                    });
-                }
-                let a = self.node_index(card.a);
-                let b = self.node_index(card.b);
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a != b {
-                        self.grid.segments.push(Segment {
-                            a,
-                            b,
-                            ohms: card.value,
-                        });
-                    }
-                }
+                self.resistor(card.name, card.a, card.b, card.value)?;
             }
-            StreamedCardKind::CurrentSource => {
-                // Same orientation rule as `PowerGrid::from_netlist`:
-                // a load draws current from the grid node toward
-                // ground; the reversed orientation injects.
-                let (node, sign) = if card.b == "0" {
-                    (card.a, 1.0)
-                } else if card.a == "0" {
-                    (card.b, -1.0)
-                } else {
-                    (card.a, 1.0)
-                };
-                if node != "0" {
-                    let r = self.node_ref(node);
-                    self.loads.push((r, sign * card.value));
-                }
-            }
+            StreamedCardKind::CurrentSource => self.current_source(card.a, card.b, card.value),
             StreamedCardKind::VoltageSource => {
-                self.pads.push((
-                    card.name.to_string(),
-                    card.b == "0",
-                    self.node_ref(card.a),
-                    card.value,
-                ));
+                self.voltage_source(card.name, card.a, card.b, card.value);
             }
         }
         Ok(())
@@ -235,12 +239,39 @@ impl Accumulator {
     }
 }
 
+impl PowerGrid {
+    /// Builds the model from a parsed netlist, by replaying its
+    /// elements through the grid builder: all resistors, then all
+    /// current sources, then all voltage sources. The grid equals the
+    /// one [`grid_from_spice_reader`] builds from the same SPICE text.
+    ///
+    /// # Errors
+    ///
+    /// - [`ModelError::NonPositiveResistance`] for `R <= 0`;
+    /// - [`ModelError::NoPads`] when no voltage source exists;
+    /// - [`ModelError::UngroundedSource`] when a voltage source's
+    ///   negative terminal is not ground.
+    pub fn from_netlist(netlist: &Netlist) -> Result<Self, ModelError> {
+        let name = |id: NodeId| netlist.node(id).name.as_str();
+        let mut acc = Accumulator::default();
+        for r in netlist.resistors() {
+            acc.resistor(&r.name, name(r.a), name(r.b), r.ohms)?;
+        }
+        for i in netlist.current_sources() {
+            acc.current_source(name(i.from), name(i.to), i.amps);
+        }
+        for v in netlist.voltage_sources() {
+            acc.voltage_source(&v.name, name(v.plus), name(v.minus), v.volts);
+        }
+        acc.finish()
+    }
+}
+
 /// Streams SPICE text from `reader` directly into a [`PowerGrid`],
-/// never materializing the source or a netlist. Produces a grid
-/// **equal** to
-/// `PowerGrid::from_netlist(&irf_spice::parse(&text)?)` on the same
-/// bytes (asserted by tests); see the [module docs](self) for the two
-/// invalid-input caveats.
+/// never materializing the source or a netlist. The grid is **equal**
+/// to `PowerGrid::from_netlist(&irf_spice::parse(&text)?)` on the same
+/// bytes; see the [module docs](self) for the two invalid-input
+/// caveats.
 ///
 /// # Errors
 ///
@@ -324,19 +355,37 @@ mod tests {
             let want = materialized(src).expect("valid");
             let got = streamed(src).expect("valid");
             assert_eq!(want, got, "src={src:?}");
+            assert_eq!(want.build_system(), got.build_system(), "src={src:?}");
         }
     }
 
     #[test]
     fn node_interning_is_type_major_like_from_netlist() {
-        // V1 names `late` before any resistor does, but from_netlist
-        // interns resistors first — the streaming path must too.
-        let src = "V1 late 0 1.0\nI1 early2 0 1m\nR1 late early 1.0\nR2 early early2 2.0\n";
-        let want = materialized(src).expect("valid");
-        let got = streamed(src).expect("valid");
-        assert_eq!(want, got);
-        let names: Vec<&str> = got.nodes.iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, vec!["late", "early", "early2"]);
+        let cases = [
+            // V1 names `late` before any resistor does, but nodes are
+            // interned resistors first, whichever door the cards came
+            // by.
+            (
+                "V1 late 0 1.0\nI1 early2 0 1m\nR1 late early 1.0\nR2 early early2 2.0\n",
+                vec!["late", "early", "early2"],
+            ),
+            // The netlist interned `pad` (V1) and `lone` (I1) before
+            // any resistor node, and `lone` is on no resistor at all:
+            // an adapter walking the netlist's nodes, or its cards in
+            // source order, would put them first.
+            (
+                "V1 pad 0 1.0\nI1 lone 0 1m\nI2 b 0 2m\nR1 a b 1.0\nR2 b pad 0.5\n",
+                vec!["a", "b", "pad", "lone"],
+            ),
+        ];
+        for (src, order) in cases {
+            let want = materialized(src).expect("valid");
+            let got = streamed(src).expect("valid");
+            assert_eq!(want, got, "src={src:?}");
+            assert_eq!(want.build_system(), got.build_system(), "src={src:?}");
+            let names: Vec<&str> = want.nodes.iter().map(|n| n.name.as_str()).collect();
+            assert_eq!(names, order, "src={src:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// An atomically swappable trained model, shared between the batcher
-/// and the `POST /reload` endpoint.
+/// and the `POST /v1/models/{name}/reload` endpoint.
 ///
 /// The batcher reads the slot once per batch ([`ModelSlot::get`] clones
 /// the inner `Arc` under a short lock), so a [`ModelSlot::swap`] never

@@ -18,10 +18,10 @@
 //! (`pretty` on a TTY, JSON lines otherwise; override with `--log`
 //! `--log-format` or `IRF_LOG` / `IRF_LOG_FORMAT`). Requests slower
 //! than `--slow-ms` (or `IRF_SLOW_MS`) snapshot their span tree into
-//! the flight recorder (`GET /debug/requests`), which retains the last
+//! the flight recorder (`GET /v1/debug/requests`), which retains the last
 //! `--recorder` completed requests.
 //!
-//! Stop the server with `POST /shutdown` (the dependency-free build
+//! Stop the server with `POST /v1/shutdown` (the dependency-free build
 //! cannot trap SIGTERM; see the crate docs).
 
 use ir_fusion::{load_model, train, FusionConfig, TrainedModel};

@@ -17,7 +17,7 @@
 //!   solution, structural feature maps, prepared stack) is cached
 //!   under a content fingerprint of exactly the inputs that determine
 //!   it, so repeated requests skip the dominant preparation cost and
-//!   `POST /whatif` re-analyzes a current edit while reusing the
+//!   `POST /v1/whatif` re-analyzes a current edit while reusing the
 //!   matrix and AMG hierarchy verbatim.
 //! - **Bounded queues everywhere**: the predict queue rejects beyond
 //!   its capacity (HTTP 429) instead of building unbounded backlog.

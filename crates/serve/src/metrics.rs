@@ -3,7 +3,7 @@
 //!
 //! The server publishes its request/batch/stage series into the same
 //! process-global registry the solver and pipeline publish into, so a
-//! single `GET /metrics` exposes the whole stack: request counts by
+//! single `GET /v1/metrics` exposes the whole stack: request counts by
 //! route and status, a batch-size histogram, per-stage latency
 //! accumulators, the feature-cache counters, *and* pipeline internals
 //! (`irf_pcg_iterations`, `irf_amg_levels`,
@@ -13,14 +13,6 @@ use ir_fusion::{PrecisionMode, Stage, StageStore};
 use irf_obs::slo::{SloPolicy, LATENCY_BUCKETS};
 use irf_trace::{MetricKind, MetricsRegistry};
 use std::sync::Arc;
-
-/// Legacy (unversioned) routes that answer as deprecated aliases of
-/// their `/v1` successors; their per-endpoint deprecation counters are
-/// zero-initialized so a cold scrape shows every alias.
-pub const DEPRECATED_ENDPOINTS: [&str; 10] = [
-    "healthz", "metrics", "trace", "debug", "predict", "whatif", "sweep", "optimize", "reload",
-    "shutdown",
-];
 
 /// The precision label values of `irf_predict_requests_total`.
 const PRECISION_LABELS: [&str; 3] = ["f32", "f16", "int8"];
@@ -148,7 +140,7 @@ impl ServerMetrics {
         r.describe(
             "irf_model_reloads_total",
             MetricKind::Counter,
-            "Successful checkpoint reloads via POST /reload.",
+            "Successful checkpoint reloads via POST /v1/models/{name}/reload.",
         );
         // Zero-initialize so the series is scrapeable before the first
         // reload (and CI can grep for it unconditionally).
@@ -156,19 +148,19 @@ impl ServerMetrics {
         r.describe(
             "irf_sweep_candidates_total",
             MetricKind::Counter,
-            "Candidate plans evaluated across all POST /sweep calls.",
+            "Candidate plans evaluated across all POST /v1/sweep calls.",
         );
         r.counter_add("irf_sweep_candidates_total", &[], 0.0);
         r.describe(
             "irf_opt_iterations_total",
             MetricKind::Counter,
-            "Optimizer loop iterations across all POST /optimize calls.",
+            "Optimizer loop iterations across all POST /v1/optimize calls.",
         );
         r.counter_add("irf_opt_iterations_total", &[], 0.0);
         r.describe(
             "irf_opt_evaluations_total",
             MetricKind::Counter,
-            "Candidate analyses evaluated across all POST /optimize calls.",
+            "Candidate analyses evaluated across all POST /v1/optimize calls.",
         );
         r.counter_add("irf_opt_evaluations_total", &[], 0.0);
         r.describe(
@@ -186,18 +178,6 @@ impl ServerMetrics {
             r.counter_add(
                 "irf_predict_requests_total",
                 &[("precision", precision)],
-                0.0,
-            );
-        }
-        r.describe(
-            "irf_deprecated_requests_total",
-            MetricKind::Counter,
-            "Requests served through deprecated unversioned route aliases.",
-        );
-        for endpoint in DEPRECATED_ENDPOINTS {
-            r.counter_add(
-                "irf_deprecated_requests_total",
-                &[("endpoint", endpoint)],
                 0.0,
             );
         }
@@ -240,7 +220,7 @@ impl ServerMetrics {
 
     /// Zero-initializes the per-endpoint SLO series so every endpoint
     /// is scrapeable (with zeroed buckets and breach counters) from
-    /// the first `/metrics` render, and publishes each declared
+    /// the first `/v1/metrics` render, and publishes each declared
     /// objective as a gauge.
     pub fn init_http(&self, policy: &SloPolicy) {
         let r = self.registry();
@@ -295,13 +275,6 @@ impl ServerMetrics {
             "irf_predict_requests_total",
             &[("precision", precision.name())],
         );
-    }
-
-    /// Counts one request that arrived through a deprecated
-    /// unversioned route alias.
-    pub fn observe_deprecated(&self, endpoint: &'static str) {
-        self.registry()
-            .counter_inc("irf_deprecated_requests_total", &[("endpoint", endpoint)]);
     }
 
     /// Counts the candidate plans of one finished `/sweep`.
@@ -463,15 +436,11 @@ mod tests {
         assert!(text.contains("irf_predict_requests_total{precision=\"f32\"} 0"));
         assert!(text.contains("irf_predict_requests_total{precision=\"f16\"} 0"));
         assert!(text.contains("irf_predict_requests_total{precision=\"int8\"} 0"));
-        assert!(text.contains("irf_deprecated_requests_total{endpoint=\"predict\"} 0"));
-        assert!(text.contains("irf_deprecated_requests_total{endpoint=\"reload\"} 0"));
         m.set_registry_models(2);
         m.observe_predict_precision(PrecisionMode::Int8);
-        m.observe_deprecated("predict");
         let text = m.render(&cache);
         assert!(text.contains("irf_model_registry_models 2"));
         assert!(text.contains("irf_predict_requests_total{precision=\"int8\"} 1"));
-        assert!(text.contains("irf_deprecated_requests_total{endpoint=\"predict\"} 1"));
     }
 
     #[test]

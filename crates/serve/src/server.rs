@@ -1,13 +1,9 @@
 //! The HTTP server: a `std::net::TcpListener` accept loop, a small
 //! pool of connection handlers, and the micro-batcher behind them.
 //!
-//! The HTTP surface is versioned under `/v1/`; every route below is
-//! canonical at `/v1/<route>`. The original unversioned paths remain
-//! as thin deprecated aliases: they run the identical handler and
-//! answer with a `Deprecation: true` header, one structured warning
-//! log record, and a bump of
-//! `irf_deprecated_requests_total{endpoint=...}`. (`POST /reload`
-//! aliases `POST /v1/models/default/reload`.)
+//! The HTTP surface lives under `/v1/`; every route below is served
+//! at `/v1/<route>` and nowhere else (anything else answers the 404
+//! `unknown_route` envelope).
 //!
 //! Every error response uses one envelope shape:
 //! `{"error": {"code": <machine-readable>, "message": <human>,
@@ -19,14 +15,14 @@
 //!
 //! - `GET /v1/healthz` — liveness probe, plain `ok`.
 //! - `GET /v1/metrics` — Prometheus text exposition.
-//! - `GET /v1/trace` — Chrome trace-event JSON of the most recent
-//!   `/v1/predict` (load it in Perfetto / `chrome://tracing`).
 //! - `GET /v1/debug/requests` — the flight recorder: the last N
 //!   completed requests (ids, timings, batch placement, per-request
 //!   stage-cache and solver counts), most recent first.
 //! - `GET /v1/debug/requests/{id}` — one recorded request in full,
 //!   including its span tree when it ran at or over the configured
-//!   slow-request threshold.
+//!   slow-request threshold. This is the one place a request's spans
+//!   can be fetched (for a Chrome/Perfetto export, run the design
+//!   through `analyze_design --trace`).
 //! - `GET /v1/models` — the model registry: every loaded model with
 //!   its architecture, parameter count, checkpoint precision and
 //!   servable precision variants.
@@ -42,7 +38,7 @@
 //!   the same (model, precision) variant, so every executed batch is
 //!   homogeneous and bitwise deterministic within its mode.
 //! - `POST /v1/whatif` — incremental re-analysis: a base design
-//!   fingerprint (as reported by `/predict`) plus a list of deltas.
+//!   fingerprint (as reported by `/v1/predict`) plus a list of deltas.
 //!   Current deltas (`kind` omitted or `"current"`) ride the stage
 //!   store's warm artifacts — the assembled MNA system, AMG hierarchy
 //!   and feature maps are reused and only the rough solve, stack
@@ -50,7 +46,7 @@
 //!   `"via"`, `"segment"`) scale or set segment resistances; the
 //!   parsed design and geometry maps stay warm and the MNA system /
 //!   AMG hierarchy are rebuilt incrementally from the base artifacts.
-//! - `POST /sweep` — ranked candidate sweep: one base fingerprint
+//! - `POST /v1/sweep` — ranked candidate sweep: one base fingerprint
 //!   plus N candidate delta plans. Every candidate is prepared
 //!   through the warm stage graph, the model forwards are fanned
 //!   through the micro-batcher, and the response ranks candidates by
@@ -58,17 +54,13 @@
 //!   base analysis, with per-candidate stage-cache hit statistics.
 //!   `"warm_start": true` opts candidates into seeding their rough
 //!   solves from the base solution.
-//! - `POST /optimize` — the closed-loop PDN optimizer: a base
+//! - `POST /v1/optimize` — the closed-loop PDN optimizer: a base
 //!   fingerprint, a worst-drop target and a metal budget. Candidates
 //!   are generated from the base drop map, priced by the metal cost
 //!   model, beam-searched through the warm stage graph, and the
 //!   winning plan (registered for follow-up what-ifs) plus the full
 //!   per-iteration trajectory come back.
-//! - `POST /reload` — swap in a checkpoint (`{"model_path": ...}`)
-//!   without dropping in-flight requests: the batcher resolves the
-//!   model once per batch, so batches already collected finish on the
-//!   old weights and later ones use the new.
-//! - `POST /shutdown` — graceful drain (see below).
+//! - `POST /v1/shutdown` — graceful drain (see below).
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive) and carry a
 //! per-request read timeout: an idle connection is closed silently
@@ -77,7 +69,7 @@
 //! Shutdown: the toolchain-only build has no way to trap SIGTERM /
 //! ctrl-c (that needs `libc`/`signal-hook`, and this repo is
 //! dependency-free by design), so graceful termination is exposed as
-//! an explicit `POST /shutdown` endpoint and the in-process
+//! an explicit `POST /v1/shutdown` endpoint and the in-process
 //! [`Server::shutdown`] handle instead. Both stop accepting, drain
 //! queued batches, and join every thread.
 
@@ -86,7 +78,7 @@ use crate::batch::{
 };
 use crate::http::{read_request, write_response, write_response_with_headers, HttpError, Request};
 use crate::json::{obj, parse, Json};
-use crate::metrics::{ServerMetrics, DEPRECATED_ENDPOINTS};
+use crate::metrics::ServerMetrics;
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
     EditError, FusionConfig, IrFusionPipeline, PrecisionMode, StageStore, TopologyDelta,
@@ -124,11 +116,11 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Requests at or above this duration snapshot their full span
     /// tree into the flight recorder (inspect via
-    /// `GET /debug/requests/{id}`). `Duration::ZERO` snapshots every
+    /// `GET /v1/debug/requests/{id}`). `Duration::ZERO` snapshots every
     /// request.
     pub slow_threshold: Duration,
     /// Completed requests retained by the flight recorder
-    /// (`GET /debug/requests`).
+    /// (`GET /v1/debug/requests`).
     pub recorder_capacity: usize,
 }
 
@@ -160,12 +152,7 @@ struct State {
     shutting_down: AtomicBool,
     addr: SocketAddr,
     read_timeout: Duration,
-    /// Chrome trace JSON of the most recent `/predict` (served by
-    /// `GET /trace`). Best-effort: the trace collector is a process
-    /// singleton, so under concurrent predicts only one request at a
-    /// time records.
-    last_trace: Mutex<Option<String>>,
-    /// Ring of completed request records (`GET /debug/requests`).
+    /// Ring of completed request records (`GET /v1/debug/requests`).
     recorder: FlightRecorder,
     /// Per-endpoint latency objectives in force.
     slo: SloPolicy,
@@ -176,7 +163,7 @@ struct State {
 }
 
 /// A running server; dropping the handle does NOT stop it — call
-/// [`Server::shutdown`] (or POST `/shutdown`) then [`Server::wait`].
+/// [`Server::shutdown`] (or POST `/v1/shutdown`) then [`Server::wait`].
 pub struct Server {
     state: Arc<State>,
     accept: Option<JoinHandle<()>>,
@@ -186,7 +173,7 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts serving. `model` is optional: without one,
-    /// `/predict` answers with the rough numerical map only
+    /// `/v1/predict` answers with the rough numerical map only
     /// (`"source":"rough"`).
     ///
     /// # Errors
@@ -220,7 +207,6 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             addr,
             read_timeout: config.read_timeout,
-            last_trace: Mutex::new(None),
             recorder: FlightRecorder::new(config.recorder_capacity),
             slo,
             slow_threshold: config.slow_threshold,
@@ -286,7 +272,7 @@ impl Server {
     }
 
     /// Blocks until every thread has exited (after
-    /// [`Server::shutdown`] or a `POST /shutdown`).
+    /// [`Server::shutdown`] or a `POST /v1/shutdown`).
     pub fn wait(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -383,35 +369,17 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
         // Everything recorded on this thread until `finish` — spans,
         // stage-cache events, PCG telemetry — is tagged with this id.
         let scope = irf_trace::request::scope(id.as_u64());
-        let (route, status, content_type, body, deprecated) = route_request(&request, state, &ctx);
+        let (route, status, content_type, body) = route_request(&request, state, &ctx);
         let stats = scope.finish();
         let duration_seconds = started.elapsed().as_secs_f64();
         let id_text = id.to_string();
-        let mut headers: Vec<(&str, &str)> = vec![("X-Irf-Request-Id", &id_text)];
-        if deprecated {
-            // Legacy unversioned alias: same handler, but the response
-            // advertises the deprecation, the hit is counted, and one
-            // structured warning lands in the log.
-            headers.push(("Deprecation", "true"));
-            if DEPRECATED_ENDPOINTS.contains(&route) {
-                state.metrics.observe_deprecated(route);
-            }
-            irf_obs::warn(
-                "deprecated_route",
-                &[
-                    ("endpoint", route.into()),
-                    ("target", request.target.as_str().into()),
-                    ("request", id_text.as_str().into()),
-                ],
-            );
-        }
         let written = write_response_with_headers(
             reader.get_mut(),
             status,
             content_type,
             body.as_bytes(),
             keep_alive,
-            &headers,
+            &[("X-Irf-Request-Id", &id_text)],
         );
         finish_request(
             state,
@@ -515,33 +483,22 @@ fn envelope(code: &str, message: &str) -> String {
     envelope_with(code, message, Vec::new())
 }
 
-/// Maps a request target onto the canonical (unversioned-internal)
-/// path plus a deprecation flag: `/v1/...` is the canonical surface;
-/// the original unversioned paths are deprecated aliases running the
-/// identical handlers (`/reload` aliases `/v1/models/default/reload`).
-/// Unknown targets pass through untouched (they 404 downstream).
-fn canonical_target(target: &str) -> (String, bool) {
-    if let Some(rest) = target.strip_prefix("/v1/") {
-        return (format!("/{rest}"), false);
-    }
-    match target {
-        "/reload" => ("/models/default/reload".to_string(), true),
-        "/healthz" | "/metrics" | "/trace" | "/predict" | "/whatif" | "/sweep" | "/optimize"
-        | "/shutdown" => (target.to_string(), true),
-        path if path == "/debug/requests" || path.starts_with("/debug/requests/") => {
-            (path.to_string(), true)
-        }
-        other => (other.to_string(), false),
-    }
-}
-
 fn route_request(
     request: &Request,
     state: &Arc<State>,
     ctx: &RequestCtx,
-) -> (&'static str, u16, &'static str, String, bool) {
-    let (path, deprecated) = canonical_target(&request.target);
-    let (route, status, content_type, body) = match (request.method.as_str(), path.as_str()) {
+) -> (&'static str, u16, &'static str, String) {
+    // Everything is served under `/v1`; any other target matches no
+    // arm below and answers the `unknown_route` 404.
+    let path = request.target.strip_prefix("/v1").unwrap_or("");
+    type Handler = fn(&Json, &Arc<State>, &RequestCtx) -> (u16, String);
+    let traced = |route, span, handler: Handler| {
+        let (status, body) = json_endpoint(request, state, ctx, Some(span), |body| {
+            handler(body, state, ctx)
+        });
+        (route, status, "application/json", body)
+    };
+    match (request.method.as_str(), path) {
         ("GET", "/healthz") => ("healthz", 200, "text/plain", "ok\n".to_string()),
         ("GET", "/metrics") => (
             "metrics",
@@ -549,15 +506,6 @@ fn route_request(
             "text/plain; version=0.0.4",
             state.metrics.render(&state.cache),
         ),
-        ("GET", "/trace") => match state.last_trace.lock().expect("trace poisoned").clone() {
-            Some(json) => ("trace", 200, "application/json", json),
-            None => (
-                "trace",
-                404,
-                "application/json",
-                envelope("no_trace", "no trace captured yet; POST /v1/predict first"),
-            ),
-        },
         ("GET", path) if path == "/debug/requests" || path.starts_with("/debug/requests/") => {
             let (status, body) = handle_debug_requests(path, state);
             ("debug", status, "application/json", body)
@@ -576,25 +524,15 @@ fn route_request(
                 .strip_prefix("/models/")
                 .and_then(|rest| rest.strip_suffix("/reload"))
                 .expect("guard matched");
-            let (status, body) = handle_model_reload(name, request, state);
+            let (status, body) = json_endpoint(request, state, ctx, None, |body| {
+                handle_model_reload(name, body, state)
+            });
             ("reload", status, "application/json", body)
         }
-        ("POST", "/predict") => {
-            let (status, body) = handle_predict(request, state, ctx);
-            ("predict", status, "application/json", body)
-        }
-        ("POST", "/whatif") => {
-            let (status, body) = handle_whatif(request, state, ctx);
-            ("whatif", status, "application/json", body)
-        }
-        ("POST", "/sweep") => {
-            let (status, body) = handle_sweep(request, state, ctx);
-            ("sweep", status, "application/json", body)
-        }
-        ("POST", "/optimize") => {
-            let (status, body) = handle_optimize(request, state, ctx);
-            ("optimize", status, "application/json", body)
-        }
+        ("POST", "/predict") => traced("predict", "predict_request", handle_predict),
+        ("POST", "/whatif") => traced("whatif", "whatif_request", handle_whatif),
+        ("POST", "/sweep") => traced("sweep", "sweep_request", handle_sweep),
+        ("POST", "/optimize") => traced("optimize", "optimize_request", handle_optimize),
         ("POST", "/shutdown") => {
             initiate_shutdown(state);
             (
@@ -608,7 +546,7 @@ fn route_request(
             "other",
             404,
             "application/json",
-            envelope("unknown_route", "no such route"),
+            envelope("unknown_route", "no such route; the API lives under /v1/"),
         ),
         _ => (
             "other",
@@ -616,8 +554,7 @@ fn route_request(
             "application/json",
             envelope("method_not_allowed", "method not allowed"),
         ),
-    };
-    (route, status, content_type, body, deprecated)
+    }
 }
 
 /// `GET /v1/models` — the registry listing: every loaded model with
@@ -749,8 +686,8 @@ impl RequestCtx {
     }
 }
 
-/// `GET /debug/requests` — the flight recorder's retained requests,
-/// most recent first (summaries only). `GET /debug/requests/{id}` —
+/// `GET /v1/debug/requests` — the flight recorder's retained requests,
+/// most recent first (summaries only). `GET /v1/debug/requests/{id}` —
 /// one request in full, including its span tree when the request was
 /// slow enough to snapshot one.
 fn handle_debug_requests(path: &str, state: &Arc<State>) -> (u16, String) {
@@ -846,25 +783,51 @@ fn render_span_node(node: &SpanNode) -> Json {
     ])
 }
 
-/// Records the spans of one `/predict` into `state.last_trace` when it
-/// drops (even on early error returns), and deposits the raw trace in
-/// the request's [`RequestCtx`] so a slow request can snapshot its
-/// span tree. The collector is a process singleton, so `install`
-/// yields `None` while another request is already recording — that
-/// request's trace wins.
+/// Collects the spans of one request and, when it drops (even on
+/// early error returns), deposits the trace in the request's
+/// [`RequestCtx`], from where a slow request's span tree is snapshot
+/// into the flight recorder. The collector is a process singleton, so
+/// `install` yields `None` while another request is already recording
+/// — that request's trace wins.
 struct TraceScope<'a> {
     collector: Option<irf_trace::Collector>,
-    state: &'a State,
     ctx: &'a RequestCtx,
 }
 
 impl Drop for TraceScope<'_> {
     fn drop(&mut self) {
         if let Some(collector) = self.collector.take() {
-            let trace = collector.finish();
-            *self.state.last_trace.lock().expect("trace poisoned") = Some(trace.to_chrome_json());
-            *self.ctx.trace.borrow_mut() = Some(trace);
+            *self.ctx.trace.borrow_mut() = Some(collector.finish());
         }
+    }
+}
+
+/// The one way into a handler that takes a JSON body: refuses new work
+/// during a drain, opens the request's trace scope and root span when
+/// `span` names one, decodes the body, and runs `handler` on it.
+fn json_endpoint(
+    request: &Request,
+    state: &State,
+    ctx: &RequestCtx,
+    span: Option<&'static str>,
+    handler: impl FnOnce(&Json) -> (u16, String),
+) -> (u16, String) {
+    if state.shutting_down.load(Ordering::SeqCst) {
+        return (503, envelope("shutting_down", "shutting down"));
+    }
+    let _trace = span.map(|_| TraceScope {
+        collector: irf_trace::Collector::install(),
+        ctx,
+    });
+    // Dropped before `_trace` (reverse declaration order), so the
+    // request-level span is flushed into the collector it belongs to.
+    let _span = span.map(irf_trace::span);
+    let Ok(text) = std::str::from_utf8(&request.body) else {
+        return (400, envelope("invalid_body", "body is not utf-8"));
+    };
+    match parse(text) {
+        Ok(body) => handler(&body),
+        Err(error) => (400, envelope("invalid_json", &error.to_string())),
     }
 }
 
@@ -872,12 +835,8 @@ impl Drop for TraceScope<'_> {
 /// server's filesystem (`{"model_path": ...}`) under `name`: existing
 /// entries are hot-swapped atomically (batches already collected
 /// finish on the model they resolved; no request is dropped), unknown
-/// names become new registry entries. `POST /reload` is the deprecated
-/// alias targeting `default`.
-fn handle_model_reload(name: &str, request: &Request, state: &Arc<State>) -> (u16, String) {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return (503, envelope("shutting_down", "shutting down"));
-    }
+/// names become new registry entries.
+fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, String) {
     let Some(registry) = &state.registry else {
         return (
             409,
@@ -897,14 +856,6 @@ fn handle_model_reload(name: &str, request: &Request, state: &Arc<State>) -> (u1
             ),
         );
     }
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
-        Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
-    };
     let Some(path) = body.get("model_path").and_then(Json::as_str) else {
         return (
             400,
@@ -1034,31 +985,12 @@ fn default_slot(state: &Arc<State>) -> Option<Arc<ModelSlot>> {
         .map(|(slot, _)| slot)
 }
 
-fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return (503, envelope("shutting_down", "shutting down"));
-    }
-    let _trace = TraceScope {
-        collector: irf_trace::Collector::install(),
-        state,
-        ctx,
-    };
-    // Dropped before `_trace` (reverse declaration order), so the
-    // request-level span is flushed into the collector it belongs to.
-    let _span = irf_trace::span("predict_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
-        Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
-    };
-    let resolved = match resolve_model(&body, state) {
+fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+    let resolved = match resolve_model(body, state) {
         Ok(resolved) => resolved,
         Err(err) => return err,
     };
-    let (grid, parse_seconds) = match Timer::time(|| resolve_grid(&body)) {
+    let (grid, parse_seconds) = match Timer::time(|| resolve_grid(body)) {
         (Ok(grid), seconds) => (grid, seconds),
         (Err((status, response)), _) => return (status, response),
     };
@@ -1086,10 +1018,11 @@ fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u
         .insert_parsed(stack.fingerprint, Arc::clone(&grid));
 
     let slot = resolved.as_ref().map(|(slot, ..)| slot);
-    let (map, source) = match run_inference(state, &stack, ctx, slot) {
+    let (maps, source) = match run_inference_batch(state, std::slice::from_ref(&stack), ctx, slot) {
         Ok(ok) => ok,
         Err(err) => return err,
     };
+    let map = &maps[0];
     let mut extra = Vec::new();
     if let Some((_, name, mode)) = &resolved {
         state.metrics.observe_predict_precision(*mode);
@@ -1098,11 +1031,11 @@ fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u
     }
     (
         200,
-        render_prediction(&grid, stack.fingerprint, &map, source, &body, extra),
+        render_prediction(&grid, stack.fingerprint, map, source, body, extra),
     )
 }
 
-/// `POST /whatif` — incremental re-analysis of a previously predicted
+/// `POST /v1/whatif` — incremental re-analysis of a previously predicted
 /// design under a list of edits:
 ///
 /// ```json
@@ -1115,32 +1048,15 @@ fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u
 /// ```
 ///
 /// The base grid is looked up in the stage store's parsed stage (404
-/// when unknown — POST it to `/predict` first). Current deltas reuse
+/// when unknown — POST it to `/v1/predict` first). Current deltas reuse
 /// every warm topology-keyed artifact; topology deltas reuse the
 /// parsed design and geometry maps and rebuild the MNA system / AMG
 /// hierarchy incrementally from the warm base artifacts. A delta that
 /// references a layer / layer pair / segment the base does not have is
 /// rejected with a structured 400 body (`{"error", "code", ...}`) and
 /// nothing is applied.
-fn handle_whatif(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return (503, envelope("shutting_down", "shutting down"));
-    }
-    let _trace = TraceScope {
-        collector: irf_trace::Collector::install(),
-        state,
-        ctx,
-    };
-    let _span = irf_trace::span("whatif_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
-        Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
-    };
-    let (fingerprint, grid) = match resolve_base(&body, state) {
+fn handle_whatif(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+    let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
     };
@@ -1175,10 +1091,11 @@ fn handle_whatif(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u1
         .insert_parsed(stack.fingerprint, Arc::clone(session.grid()));
 
     let slot = default_slot(state);
-    let (map, source) = match run_inference(state, &stack, ctx, slot.as_ref()) {
-        Ok(ok) => ok,
-        Err(err) => return err,
-    };
+    let (maps, source) =
+        match run_inference_batch(state, std::slice::from_ref(&stack), ctx, slot.as_ref()) {
+            Ok(ok) => ok,
+            Err(err) => return err,
+        };
     let extra = vec![
         ("base", Json::Str(format!("{fingerprint:016x}"))),
         ("deltas_applied", Json::Num(edits.len() as f64)),
@@ -1192,9 +1109,9 @@ fn handle_whatif(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u1
         render_prediction(
             session.grid(),
             stack.fingerprint,
-            &map,
+            &maps[0],
             source,
-            &body,
+            body,
             extra,
         ),
     )
@@ -1384,7 +1301,7 @@ fn edit_error_body(error: &EditError) -> String {
     envelope(edit_error_code(error), &error.to_string())
 }
 
-/// `POST /sweep` — ranked what-if sweep over candidate edit plans:
+/// `POST /v1/sweep` — ranked what-if sweep over candidate edit plans:
 ///
 /// ```json
 /// {"base": "<16-hex design fingerprint>",
@@ -1402,25 +1319,8 @@ fn edit_error_body(error: &EditError) -> String {
 /// delta, then submission order). Because every prepared map is
 /// bitwise deterministic and the ranking key is total, the ranking is
 /// identical at any thread count and any batch slicing.
-fn handle_sweep(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return (503, envelope("shutting_down", "shutting down"));
-    }
-    let _trace = TraceScope {
-        collector: irf_trace::Collector::install(),
-        state,
-        ctx,
-    };
-    let _span = irf_trace::span("sweep_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
-        Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
-    };
-    let (fingerprint, grid) = match resolve_base(&body, state) {
+fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+    let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
     };
@@ -1601,14 +1501,8 @@ fn handle_sweep(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16
         .get("hotspot_threshold")
         .and_then(Json::as_f64)
         .unwrap_or_else(|| f64::from(base_map.max()) * 0.9);
-    let hotspots = |map: &GridMap| {
-        map.data()
-            .iter()
-            .filter(|&&v| f64::from(v) >= threshold && v > 0.0)
-            .count()
-    };
     let base_max = f64::from(base_map.max());
-    let base_hotspots = hotspots(base_map);
+    let base_hotspots = hotspot_count(base_map, threshold);
 
     struct Row {
         index: usize,
@@ -1643,7 +1537,7 @@ fn handle_sweep(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16
                     .insert_parsed(design, Arc::clone(session.grid()));
             }
             let max_drop = f64::from(map.max());
-            let hotspot_count = hotspots(map);
+            let hotspot_count = hotspot_count(map, threshold);
             let plan = session.edit_plan();
             Row {
                 index,
@@ -1786,7 +1680,7 @@ fn render_topology_delta(delta: &TopologyDelta) -> Json {
     }
 }
 
-/// `POST /optimize` — the closed-loop PDN optimizer:
+/// `POST /v1/optimize` — the closed-loop PDN optimizer:
 ///
 /// ```json
 /// {"base": "<16-hex design fingerprint>",
@@ -1804,25 +1698,8 @@ fn render_topology_delta(delta: &TopologyDelta) -> Json {
 /// registered under its design fingerprint for follow-up `/whatif` /
 /// `/sweep` calls, and the full per-iteration trajectory is returned.
 /// Deterministic for a fixed base and tunables at any thread count.
-fn handle_optimize(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return (503, envelope("shutting_down", "shutting down"));
-    }
-    let _trace = TraceScope {
-        collector: irf_trace::Collector::install(),
-        state,
-        ctx,
-    };
-    let _span = irf_trace::span("optimize_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
-        Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
-    };
-    let (fingerprint, grid) = match resolve_base(&body, state) {
+fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+    let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
     };
@@ -1861,19 +1738,19 @@ fn handle_optimize(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (
             ),
         );
     }
-    let beam = match bounded_param(&body, "beam", 2, 1, 8) {
+    let beam = match bounded_param(body, "beam", 2, 1, 8) {
         Ok(v) => v,
         Err(body) => return (400, body),
     };
-    let max_iterations = match bounded_param(&body, "max_iterations", 8, 1, 32) {
+    let max_iterations = match bounded_param(body, "max_iterations", 8, 1, 32) {
         Ok(v) => v,
         Err(body) => return (400, body),
     };
-    let max_evaluations = match bounded_param(&body, "max_evaluations", 64, 1, 256) {
+    let max_evaluations = match bounded_param(body, "max_evaluations", 64, 1, 256) {
         Ok(v) => v,
         Err(body) => return (400, body),
     };
-    let candidates_per_state = match bounded_param(&body, "candidates_per_state", 6, 1, 16) {
+    let candidates_per_state = match bounded_param(body, "candidates_per_state", 6, 1, 16) {
         Ok(v) => v,
         Err(body) => return (400, body),
     };
@@ -2006,73 +1883,11 @@ fn handle_optimize(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (
     )
 }
 
-/// Queues one prepared stack for the batched forward pass on `slot`
-/// (a registry-resolved model+precision variant), or falls back to
-/// the rough map when no model is loaded (`slot` is `None`).
-fn run_inference(
-    state: &Arc<State>,
-    stack: &Arc<ir_fusion::PreparedStack>,
-    ctx: &RequestCtx,
-    slot: Option<&Arc<ModelSlot>>,
-) -> Result<(GridMap, &'static str), (u16, String)> {
-    let Some(slot) = slot else {
-        return Ok((stack.rough.clone(), "rough"));
-    };
-    let sender = state
-        .predict_tx
-        .lock()
-        .expect("predict sender poisoned")
-        .clone();
-    match sender {
-        Some(tx) => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let submitted = Instant::now();
-            let job = PredictJob {
-                stack: Arc::clone(stack),
-                slot: Arc::clone(slot),
-                request: ctx.id.as_u64(),
-                submitted,
-                reply: reply_tx,
-            };
-            match try_submit(&tx, job) {
-                Ok(()) => {}
-                Err(SubmitError::QueueFull) => {
-                    return Err((
-                        429,
-                        envelope("queue_full", "predict queue is full, retry later"),
-                    ))
-                }
-                Err(SubmitError::Closed) => {
-                    return Err((503, envelope("shutting_down", "shutting down")))
-                }
-            }
-            let received = {
-                // The wait shows up in the request's span tree (the
-                // forward itself runs on the batcher thread).
-                let _span = irf_trace::span("infer_wait");
-                reply_rx.recv()
-            };
-            // Timed from submission: waking the batcher usually costs
-            // this thread the CPU, and a clock started only once it is
-            // back would miss the part of the forward already run.
-            state
-                .metrics
-                .observe_stage("infer", submitted.elapsed().as_secs_f64());
-            match received {
-                Ok(reply) => {
-                    ctx.observe_reply(&reply);
-                    Ok((reply.map, "fused"))
-                }
-                Err(mpsc::RecvError) => Err((503, envelope("shutting_down", "shutting down"))),
-            }
-        }
-        None => Err((503, envelope("shutting_down", "shutting down"))),
-    }
-}
-
-/// Fans `stacks` through the micro-batcher against `slot`: every job
-/// is submitted before any reply is awaited, so one sweep's forwards
-/// coalesce into as few batches as the batcher's window allows.
+/// The one inference helper: fans `stacks` (a single predict's one
+/// stack, a sweep's many) through the micro-batcher against `slot`, a
+/// registry-resolved model+precision variant. Every job is submitted
+/// before any reply is awaited, so one sweep's forwards coalesce into
+/// as few batches as the batcher's window allows.
 /// Output order matches input order, and because the batched forward
 /// is bitwise identical to serial forwards, the maps do not depend on
 /// how the batcher slices the jobs. Without a model (`slot` `None`),
@@ -2118,12 +1933,17 @@ fn run_inference_batch(
                 }
             }
             let received = {
+                // The wait shows up in the request's span tree (the
+                // forward itself runs on the batcher thread).
                 let _span = irf_trace::span("infer_wait");
                 replies
                     .iter()
                     .map(mpsc::Receiver::recv)
                     .collect::<Result<Vec<_>, _>>()
             };
+            // Timed from submission: waking the batcher usually costs
+            // this thread the CPU, and a clock started only once it is
+            // back would miss the part of the forward already run.
             state
                 .metrics
                 .observe_stage("infer", submitted.elapsed().as_secs_f64());
@@ -2143,6 +1963,14 @@ fn run_inference_batch(
         }
         None => Err((503, envelope("shutting_down", "shutting down"))),
     }
+}
+
+/// Pixels of `map` at or over `threshold` volts (and over zero).
+fn hotspot_count(map: &GridMap, threshold: f64) -> usize {
+    map.data()
+        .iter()
+        .filter(|&&v| f64::from(v) >= threshold && v > 0.0)
+        .count()
 }
 
 /// Renders a `/v1/predict` / `/v1/whatif` answer. `fingerprint` is the
@@ -2165,11 +1993,7 @@ fn render_prediction(
         .get("hotspot_threshold")
         .and_then(Json::as_f64)
         .unwrap_or_else(|| f64::from(map.max()) * 0.9);
-    let hotspot_count = map
-        .data()
-        .iter()
-        .filter(|&&v| f64::from(v) >= threshold && v > 0.0)
-        .count();
+    let hotspot_count = hotspot_count(map, threshold);
     let mut members = extra;
     members.extend(vec![
         ("design", Json::Str(format!("{fingerprint:016x}"))),

@@ -1,6 +1,6 @@
 //! End-to-end tests for the request-scoped observability layer:
 //! `X-Irf-Request-Id` response headers, the flight recorder behind
-//! `GET /debug/requests`, and per-request attribution of stage-cache
+//! `GET /v1/debug/requests`, and per-request attribution of stage-cache
 //! and solver telemetry. Kept in its own test binary so its traffic
 //! doesn't perturb the process-global metrics registry other e2e
 //! tests assert exact counts against.
@@ -55,7 +55,7 @@ fn request(
 
 /// Fetches one recorded request from the flight recorder and parses it.
 fn debug_record(addr: SocketAddr, id: &str) -> Json {
-    let (status, _, body) = request(addr, "GET", &format!("/debug/requests/{id}"), "");
+    let (status, _, body) = request(addr, "GET", &format!("/v1/debug/requests/{id}"), "");
     assert_eq!(status, 200, "record {id} missing: {body}");
     parse(&body).expect("valid record json")
 }
@@ -107,7 +107,7 @@ fn request_ids_round_trip_and_attribute_stage_events() {
     let (status, id, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":3}}"#,
     );
     assert_eq!(status, 200, "predict failed: {body}");
@@ -127,7 +127,7 @@ fn request_ids_round_trip_and_attribute_stage_events() {
     // plus the PCG iterations of its incremental re-solve to its own
     // request id — the core acceptance criterion of this layer.
     let whatif_body = format!(r#"{{"base":"{base}","deltas":[{{"node":1,"amps":0.002}}]}}"#);
-    let (status, id, body) = request(addr, "POST", "/whatif", &whatif_body);
+    let (status, id, body) = request(addr, "POST", "/v1/whatif", &whatif_body);
     assert_eq!(status, 200, "whatif failed: {body}");
     let whatif_id = id.expect("whatif response carries X-Irf-Request-Id");
     assert_ne!(whatif_id, predict_id, "ids are distinct per request");
@@ -192,7 +192,7 @@ fn request_ids_round_trip_and_attribute_stage_events() {
     assert!(field_u64(&record, "cache_misses") >= 1);
 
     // The list endpoint summarizes both, newest first.
-    let (status, _, body) = request(addr, "GET", "/debug/requests", "");
+    let (status, _, body) = request(addr, "GET", "/v1/debug/requests", "");
     assert_eq!(status, 200);
     let listing = parse(&body).expect("valid listing json");
     assert_eq!(field_u64(&listing, "capacity"), 64);
@@ -212,12 +212,12 @@ fn request_ids_round_trip_and_attribute_stage_events() {
     assert_eq!(seqs, sorted, "listing is newest first");
 
     // Malformed and unknown ids are rejected cleanly.
-    let (status, _, _) = request(addr, "GET", "/debug/requests/not-hex", "");
+    let (status, _, _) = request(addr, "GET", "/v1/debug/requests/not-hex", "");
     assert_eq!(status, 400);
-    let (status, _, _) = request(addr, "GET", "/debug/requests/ffffffffffffffff", "");
+    let (status, _, _) = request(addr, "GET", "/v1/debug/requests/ffffffffffffffff", "");
     assert_eq!(status, 404);
 
-    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }
@@ -255,7 +255,7 @@ fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
         .map(|seed| {
             std::thread::spawn(move || {
                 let body = format!(r#"{{"spec":{{"class":"fake","seed":{}}}}}"#, 100 + seed);
-                let (status, id, body) = request(addr, "POST", "/predict", &body);
+                let (status, id, body) = request(addr, "POST", "/v1/predict", &body);
                 assert_eq!(status, 200, "predict failed: {body}");
                 id.expect("response carries X-Irf-Request-Id")
             })
@@ -292,7 +292,7 @@ fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
         );
     }
 
-    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }
@@ -304,13 +304,13 @@ fn flight_recorder_stays_within_its_fixed_capacity() {
 
     let mut first_id = None;
     for _ in 0..10 {
-        let (status, id, _) = request(addr, "GET", "/healthz", "");
+        let (status, id, _) = request(addr, "GET", "/v1/healthz", "");
         assert_eq!(status, 200);
         let id = id.expect("even /healthz responses carry an id");
         first_id.get_or_insert(id);
     }
 
-    let (status, _, body) = request(addr, "GET", "/debug/requests", "");
+    let (status, _, body) = request(addr, "GET", "/v1/debug/requests", "");
     assert_eq!(status, 200);
     let listing = parse(&body).expect("valid listing json");
     assert_eq!(field_u64(&listing, "capacity"), 4);
@@ -331,15 +331,15 @@ fn flight_recorder_stays_within_its_fixed_capacity() {
         .get("request")
         .and_then(Json::as_str)
         .expect("summary id");
-    let (status, _, _) = request(addr, "GET", &format!("/debug/requests/{newest}"), "");
+    let (status, _, _) = request(addr, "GET", &format!("/v1/debug/requests/{newest}"), "");
     assert_eq!(status, 200);
 
     // The first request of the burst was evicted long ago: 404.
     let first_id = first_id.expect("captured first id");
-    let (status, _, _) = request(addr, "GET", &format!("/debug/requests/{first_id}"), "");
+    let (status, _, _) = request(addr, "GET", &format!("/v1/debug/requests/{first_id}"), "");
     assert_eq!(status, 404, "oldest record must have been evicted");
 
-    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }

@@ -1,4 +1,4 @@
-//! End-to-end tests for `POST /optimize` and the hardened `/sweep`
+//! End-to-end tests for `POST /v1/optimize` and the hardened `/v1/sweep`
 //! input validation, in their own test binary so their requests don't
 //! perturb the process-global metrics registry other e2e binaries
 //! assert exact counts against.
@@ -62,7 +62,7 @@ fn predict_base(addr: SocketAddr) -> String {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":3}}"#,
     );
     assert_eq!(status, 200, "predict failed: {body}");
@@ -78,7 +78,7 @@ fn baseline_max_drop(addr: SocketAddr) -> f64 {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":3}}"#,
     );
     assert_eq!(status, 200, "predict failed: {body}");
@@ -100,7 +100,7 @@ fn optimize_closes_the_loop_and_registers_the_winner() {
     let body = format!(
         r#"{{"base":"{base}","target_max_drop":{target},"metal_budget":1e9,"beam":2,"max_iterations":3,"max_evaluations":24}}"#
     );
-    let (status, reply) = request(addr, "POST", "/optimize", &body);
+    let (status, reply) = request(addr, "POST", "/v1/optimize", &body);
     assert_eq!(status, 200, "optimize failed: {reply}");
     let json = parse(&reply).expect("valid json");
     assert_eq!(json.get("target_met").and_then(Json::as_bool), Some(true));
@@ -137,7 +137,7 @@ fn optimize_closes_the_loop_and_registers_the_winner() {
         .expect("winner design")
         .to_string();
     let whatif = format!(r#"{{"base":"{design}","deltas":[{{"node":0,"amps":0.0001}}]}}"#);
-    let (status, reply) = request(addr, "POST", "/whatif", &whatif);
+    let (status, reply) = request(addr, "POST", "/v1/whatif", &whatif);
     assert_eq!(status, 200, "winner not registered as base: {reply}");
 
     let replay_deltas: Vec<String> = deltas.iter().map(Json::render).collect();
@@ -145,7 +145,7 @@ fn optimize_closes_the_loop_and_registers_the_winner() {
         r#"{{"base":"{base}","deltas":[{}]}}"#,
         replay_deltas.join(",")
     );
-    let (status, reply) = request(addr, "POST", "/whatif", &replay);
+    let (status, reply) = request(addr, "POST", "/v1/whatif", &replay);
     assert_eq!(status, 200, "replaying winner deltas failed: {reply}");
     let replayed = parse(&reply).expect("valid json");
     assert_eq!(
@@ -155,7 +155,7 @@ fn optimize_closes_the_loop_and_registers_the_winner() {
     );
 
     // The loop's work is visible on /metrics.
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert!(metrics.contains("irf_opt_iterations_total"));
     assert!(metrics.contains("irf_opt_evaluations_total"));
@@ -185,7 +185,7 @@ fn optimize_rejects_bad_inputs_with_structured_bodies() {
     let (status, reply) = request(
         addr,
         "POST",
-        "/optimize",
+        "/v1/optimize",
         r#"{"base":"00000000deadbeef","target_max_drop":0.001,"metal_budget":1.0}"#,
     );
     assert_eq!(status, 404, "unexpected: {reply}");
@@ -222,7 +222,7 @@ fn optimize_rejects_bad_inputs_with_structured_bodies() {
             "invalid_max_evaluations",
         ),
     ] {
-        let (status, reply) = request(addr, "POST", "/optimize", &body);
+        let (status, reply) = request(addr, "POST", "/v1/optimize", &body);
         assert_eq!(status, 400, "expected 400 for {code}: {reply}");
         let json = parse(&reply).expect("valid json");
         assert_eq!(
@@ -248,7 +248,7 @@ fn sweep_rejects_empty_and_oversized_candidate_lists_with_counts() {
     let (status, reply) = request(
         addr,
         "POST",
-        "/sweep",
+        "/v1/sweep",
         &format!(r#"{{"base":"{base}","candidates":[]}}"#),
     );
     assert_eq!(status, 400, "unexpected: {reply}");
@@ -268,7 +268,7 @@ fn sweep_rejects_empty_and_oversized_candidate_lists_with_counts() {
         r#"{{"base":"{base}","candidates":[{}]}}"#,
         vec![candidate; 65].join(",")
     );
-    let (status, reply) = request(addr, "POST", "/sweep", &oversized);
+    let (status, reply) = request(addr, "POST", "/v1/sweep", &oversized);
     assert_eq!(status, 400, "unexpected: {reply}");
     let json = parse(&reply).expect("valid json");
     let error = json.get("error").expect("error envelope");
@@ -282,9 +282,9 @@ fn sweep_rejects_empty_and_oversized_candidate_lists_with_counts() {
 
     // A valid sweep is counted on the candidates metric.
     let ok = format!(r#"{{"base":"{base}","candidates":[{candidate},{candidate}]}}"#);
-    let (status, reply) = request(addr, "POST", "/sweep", &ok);
+    let (status, reply) = request(addr, "POST", "/v1/sweep", &ok);
     assert_eq!(status, 200, "sweep failed: {reply}");
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert_eq!(metric_value(&metrics, "irf_sweep_candidates_total"), 2.0);
 
@@ -312,9 +312,9 @@ fn warm_start_sweep_matches_cold_identities() {
     let cold_body = format!(r#"{{"base":"{base}","candidates":{candidates}}}"#);
     let warm_body = format!(r#"{{"base":"{base}","warm_start":true,"candidates":{candidates}}}"#);
 
-    let (status, cold) = request(addr, "POST", "/sweep", &cold_body);
+    let (status, cold) = request(addr, "POST", "/v1/sweep", &cold_body);
     assert_eq!(status, 200, "cold sweep failed: {cold}");
-    let (status, warm) = request(addr, "POST", "/sweep", &warm_body);
+    let (status, warm) = request(addr, "POST", "/v1/sweep", &warm_body);
     assert_eq!(status, 200, "warm sweep failed: {warm}");
 
     let identities = |reply: &str| -> Vec<(String, String)> {
@@ -349,7 +349,7 @@ fn warm_start_sweep_matches_cold_identities() {
     // The warm path is itself deterministic: the same warm sweep twice
     // reproduces every ranking metric bitwise (cache stats differ —
     // the repeat is a pure stack-stage hit).
-    let (status, warm2) = request(addr, "POST", "/sweep", &warm_body);
+    let (status, warm2) = request(addr, "POST", "/v1/sweep", &warm_body);
     assert_eq!(status, 200, "second warm sweep failed: {warm2}");
     let ranking = |reply: &str| -> Vec<(String, String, Option<f64>, Option<f64>)> {
         let json = parse(reply).expect("valid json");

@@ -11,8 +11,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Sends one HTTP/1.1 request with `Connection: close` and returns
-/// `(status, body)`.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+/// the raw response text (status line, headers and body).
+fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
@@ -25,6 +25,12 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
     stream.write_all(body.as_bytes()).expect("write body");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
+    response
+}
+
+/// `raw_request` reduced to `(status, body)`.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let response = raw_request(addr, method, path, body);
     let status: u16 = response
         .split(' ')
         .nth(1)
@@ -37,6 +43,19 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
         .1
         .to_string();
     (status, payload)
+}
+
+/// Collects every span name in a flight-recorder span tree, depth
+/// first.
+fn span_names(node: &Json, out: &mut Vec<String>) {
+    if let Some(name) = node.get("name").and_then(Json::as_str) {
+        out.push(name.to_string());
+    }
+    if let Some(Json::Arr(children)) = node.get("children") {
+        for child in children {
+            span_names(child, out);
+        }
+    }
 }
 
 /// Reads exactly one response (head + `Content-Length` body) off a
@@ -101,6 +120,9 @@ fn server_answers_predicts_and_reuses_the_cache() {
             },
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
+            // Every request snapshots its span tree into the flight
+            // recorder, so the lookup below is deterministic.
+            slow_threshold: Duration::ZERO,
             ..ServerConfig::default()
         },
         config,
@@ -109,17 +131,18 @@ fn server_answers_predicts_and_reuses_the_cache() {
     .expect("bind ephemeral port");
     let addr = server.addr();
 
-    let (status, body) = request(addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/v1/healthz", "");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    // No predict has run yet: /trace has nothing to serve.
-    let (status, _) = request(addr, "GET", "/trace", "");
-    assert_eq!(status, 404, "trace before any predict");
+    // There is no trace endpoint: a request's spans live in the flight
+    // recorder (looked up below).
+    let (status, _) = request(addr, "GET", "/v1/trace", "");
+    assert_eq!(status, 404, "the flight recorder is the one trace store");
 
     // Two predicts of the SAME design: the second must hit the cache.
     let predict_body = r#"{"spec":{"class":"fake","seed":11}}"#;
     for _ in 0..2 {
-        let (status, body) = request(addr, "POST", "/predict", predict_body);
+        let (status, body) = request(addr, "POST", "/v1/predict", predict_body);
         assert_eq!(status, 200, "predict failed: {body}");
         let json = parse(&body).expect("valid json");
         assert_eq!(json.get("source").and_then(Json::as_str), Some("fused"));
@@ -141,29 +164,35 @@ fn server_answers_predicts_and_reuses_the_cache() {
     }
 
     // Malformed and unknown requests are rejected, not crashed on.
-    let (status, _) = request(addr, "POST", "/predict", "{not json");
+    let (status, _) = request(addr, "POST", "/v1/predict", "{not json");
     assert_eq!(status, 400);
-    let (status, _) = request(addr, "POST", "/predict", "{}");
+    let (status, _) = request(addr, "POST", "/v1/predict", "{}");
     assert_eq!(status, 400);
     let (status, _) = request(addr, "GET", "/nope", "");
     assert_eq!(status, 404);
 
-    // include_map returns width*height values. This is also the most
-    // recent predict, so /trace below reflects it.
-    let (status, body) = request(
+    // include_map returns width*height values. Its request id is
+    // looked up in the flight recorder below.
+    let response = raw_request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":11},"include_map":true}"#,
     );
-    assert_eq!(status, 200);
-    let json = parse(&body).expect("valid json");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let (head, body) = response.split_once("\r\n\r\n").expect("separator");
+    let predict_id = head
+        .lines()
+        .find_map(|line| line.strip_prefix("X-Irf-Request-Id: "))
+        .expect("request id header")
+        .to_string();
+    let json = parse(body).expect("valid json");
     match json.get("map") {
         Some(Json::Arr(values)) => assert_eq!(values.len(), 16 * 16),
         other => panic!("expected map array, got {other:?}"),
     }
 
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     // Three predicts of the same design: the cold walk computed each
     // of the six stage artifacts (stack, assembled system, solver
@@ -192,27 +221,22 @@ fn server_answers_predicts_and_reuses_the_cache() {
     assert!(metrics.contains("irf_stage_seconds_total{stage=\"pcg_solve\"}"));
     assert!(metrics.contains("irf_stage_seconds_total{stage=\"rough_solve\"}"));
 
-    // The last predict's trace is valid Chrome trace-event JSON (the
-    // top-level array format) with at least the request-level span.
-    let (status, trace) = request(addr, "GET", "/trace", "");
-    assert_eq!(status, 200, "{trace}");
-    match parse(&trace).expect("trace is valid json") {
-        Json::Arr(events) => {
-            assert!(!events.is_empty(), "trace has no events");
-            let names: Vec<_> = events
-                .iter()
-                .filter_map(|e| e.get("name").and_then(Json::as_str).map(str::to_string))
-                .collect();
-            assert!(
-                names.iter().any(|n| n == "predict_request"),
-                "missing request span in {names:?}"
-            );
-            assert!(
-                names.iter().any(|n| n == "nn_forward"),
-                "missing forward span in {names:?}"
-            );
-        }
-        other => panic!("expected a trace-event array, got {other:?}"),
+    // The flight recorder resolves that predict's id back to its span
+    // tree: the request-level span, and under it the wait for the
+    // batched forward.
+    let (status, record) = request(addr, "GET", &format!("/v1/debug/requests/{predict_id}"), "");
+    assert_eq!(status, 200, "{record}");
+    let record = parse(&record).expect("record is valid json");
+    let mut names = Vec::new();
+    match record.get("spans") {
+        Some(Json::Arr(roots)) => roots.iter().for_each(|root| span_names(root, &mut names)),
+        other => panic!("expected a span tree, got {other:?}"),
+    }
+    for span in ["predict_request", "infer_wait"] {
+        assert!(
+            names.iter().any(|n| n == span),
+            "missing {span} span in {names:?}"
+        );
     }
 
     // netlist_path streams the file into the same grid the spec
@@ -228,7 +252,7 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         &format!(r#"{{"netlist_path":"{}"}}"#, netlist_path.display()),
     );
     assert_eq!(status, 200, "netlist_path predict failed: {body}");
@@ -237,7 +261,7 @@ fn server_answers_predicts_and_reuses_the_cache() {
         .get("design")
         .and_then(Json::as_str)
         .map(str::to_string);
-    let (_, body) = request(addr, "POST", "/predict", predict_body);
+    let (_, body) = request(addr, "POST", "/v1/predict", predict_body);
     let json = parse(&body).expect("valid json");
     assert_eq!(
         by_path,
@@ -256,7 +280,7 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         &format!(r#"{{"netlist_path":"{}"}}"#, big_path.display()),
     );
     assert_eq!(status, 413, "oversized file must be refused: {body}");
@@ -291,7 +315,7 @@ fn server_answers_predicts_and_reuses_the_cache() {
         let sent = Instant::now();
         reader
             .get_mut()
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
             .expect("write request");
         let (status, connection, body) = read_one_response(&mut reader);
         if exchange > 0 {
@@ -306,14 +330,14 @@ fn server_answers_predicts_and_reuses_the_cache() {
     );
     reader
         .get_mut()
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
         .expect("write request");
     let (status, connection, _) = read_one_response(&mut reader);
     assert_eq!(status, 200);
     assert_eq!(connection, "close");
 
     // Graceful shutdown over HTTP; wait() must join every thread.
-    let (status, body) = request(addr, "POST", "/shutdown", "");
+    let (status, body) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200, "{body}");
     server.wait();
 }

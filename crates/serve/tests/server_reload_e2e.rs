@@ -1,5 +1,5 @@
-//! End-to-end test of `POST /reload`: checkpoint swap under live
-//! traffic. Kept in its own test binary (= its own process) because
+//! End-to-end test of `POST /v1/models/default/reload`: checkpoint
+//! swap under live traffic. Kept in its own test binary (= its own process) because
 //! the server publishes into the process-global metrics registry, and
 //! this test's predict traffic would pollute the counters asserted by
 //! `server_e2e.rs`.
@@ -96,16 +96,16 @@ fn reload_swaps_the_model_without_dropping_requests() {
     let addr = server.addr();
 
     let predict_body = r#"{"spec":{"class":"fake","seed":3},"include_map":true}"#;
-    let (status, before) = request(addr, "POST", "/predict", predict_body);
+    let (status, before) = request(addr, "POST", "/v1/predict", predict_body);
     assert_eq!(status, 200, "predict failed: {before}");
 
     // Bad reload requests are rejected without disturbing the model.
-    let (status, _) = request(addr, "POST", "/reload", "{}");
+    let (status, _) = request(addr, "POST", "/v1/models/default/reload", "{}");
     assert_eq!(status, 400, "missing model_path");
     let (status, _) = request(
         addr,
         "POST",
-        "/reload",
+        "/v1/models/default/reload",
         r#"{"model_path":"/nonexistent.bin"}"#,
     );
     assert_eq!(status, 422, "unreadable checkpoint");
@@ -116,14 +116,14 @@ fn reload_swaps_the_model_without_dropping_requests() {
         .map(|_| {
             std::thread::spawn(move || {
                 for _ in 0..3 {
-                    let (status, body) = request(addr, "POST", "/predict", predict_body);
+                    let (status, body) = request(addr, "POST", "/v1/predict", predict_body);
                     assert_eq!(status, 200, "in-flight predict dropped: {body}");
                 }
             })
         })
         .collect();
     let reload_body = format!(r#"{{"model_path":"{}"}}"#, checkpoint.display());
-    let (status, body) = request(addr, "POST", "/reload", &reload_body);
+    let (status, body) = request(addr, "POST", "/v1/models/default/reload", &reload_body);
     assert_eq!(status, 200, "reload failed: {body}");
     assert!(body.contains("\"reloaded\":true"), "{body}");
     for worker in workers {
@@ -132,7 +132,7 @@ fn reload_swaps_the_model_without_dropping_requests() {
 
     // The same design (served from the feature cache) now goes through
     // the new weights.
-    let (status, after) = request(addr, "POST", "/predict", predict_body);
+    let (status, after) = request(addr, "POST", "/v1/predict", predict_body);
     assert_eq!(status, 200, "predict after reload: {after}");
     assert_ne!(
         map_values(&before),
@@ -140,14 +140,14 @@ fn reload_swaps_the_model_without_dropping_requests() {
         "prediction must change after the swap"
     );
 
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert_eq!(metric_value(&metrics, "irf_model_reloads_total"), 1.0);
     assert!(metrics.contains("irf_requests_total{route=\"reload\",status=\"200\"} 1"));
     assert!(metrics.contains("irf_requests_total{route=\"reload\",status=\"400\"} 1"));
     assert!(metrics.contains("irf_requests_total{route=\"reload\",status=\"422\"} 1"));
 
-    let (status, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
     let _ = std::fs::remove_file(&checkpoint);

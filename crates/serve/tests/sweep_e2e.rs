@@ -63,7 +63,7 @@ fn predict_base(addr: SocketAddr) -> String {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":3}}"#,
     );
     assert_eq!(status, 200, "predict failed: {body}");
@@ -106,7 +106,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
     // A strap edit re-analyzes successfully and moves the fingerprint.
     let strap =
         format!(r#"{{"base":"{base}","deltas":[{{"kind":"strap","layer":1,"scale":0.5}}]}}"#);
-    let (status, body) = request(addr, "POST", "/whatif", &strap);
+    let (status, body) = request(addr, "POST", "/v1/whatif", &strap);
     assert_eq!(status, 200, "strap whatif failed: {body}");
     let json = parse(&body).expect("valid json");
     assert_ne!(
@@ -123,7 +123,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
         let (_, body) = request(
             addr,
             "POST",
-            "/whatif",
+            "/v1/whatif",
             &format!(r#"{{"base":"{base}","deltas":[]}}"#),
         );
         parse(&body)
@@ -138,7 +138,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
         "halving m1 resistance must not worsen the drop ({strap_max} vs {base_max})"
     );
     // Identical edit → byte-identical response (warm, deterministic).
-    let (_, body2) = request(addr, "POST", "/whatif", &strap);
+    let (_, body2) = request(addr, "POST", "/v1/whatif", &strap);
     assert_eq!(body2, body, "idempotent topology what-if");
 
     // Mixed kinds in one request work too.
@@ -149,7 +149,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
         ),
         base
     );
-    let (status, body) = request(addr, "POST", "/whatif", &mixed);
+    let (status, body) = request(addr, "POST", "/v1/whatif", &mixed);
     assert_eq!(status, 200, "mixed whatif failed: {body}");
     let json = parse(&body).expect("valid json");
     assert_eq!(json.get("deltas_applied").and_then(Json::as_u64), Some(3));
@@ -160,7 +160,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
 
     // The geometry maps stayed warm across every topology edit: only
     // the very first predict computed them.
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert!(
         metrics.contains("irf_stage_cache_events_total{stage=\"structural\",event=\"miss\"} 1"),
         "geometry maps must be computed exactly once:\n{metrics}"
@@ -214,7 +214,7 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
         let (status, body) = request(
             addr,
             "POST",
-            "/whatif",
+            "/v1/whatif",
             &format!(r#"{{"base":"{base}","deltas":{deltas}}}"#),
         );
         assert_eq!(status, 400, "{deltas} must be rejected, got: {body}");
@@ -238,13 +238,13 @@ fn topology_whatif_reuses_geometry_and_rejects_bad_deltas() {
         let (status, _) = request(
             addr,
             "POST",
-            "/whatif",
+            "/v1/whatif",
             &format!(r#"{{"base":"{base}","deltas":{deltas}}}"#),
         );
         assert_eq!(status, 400, "{deltas} must be rejected");
     }
 
-    let (status, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }
@@ -260,23 +260,28 @@ fn sweep_ranks_candidates_deterministically() {
     let (status, _) = request(
         addr,
         "POST",
-        "/sweep",
+        "/v1/sweep",
         r#"{"base":"0000000000000000","candidates":[{"deltas":[]}]}"#,
     );
     assert_eq!(status, 404);
-    let (status, _) = request(addr, "POST", "/sweep", &format!(r#"{{"base":"{base}"}}"#));
+    let (status, _) = request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        &format!(r#"{{"base":"{base}"}}"#),
+    );
     assert_eq!(status, 400);
     let (status, _) = request(
         addr,
         "POST",
-        "/sweep",
+        "/v1/sweep",
         &format!(r#"{{"base":"{base}","candidates":[]}}"#),
     );
     assert_eq!(status, 400);
     let (status, body) = request(
         addr,
         "POST",
-        "/sweep",
+        "/v1/sweep",
         &format!(
             r#"{{"base":"{base}","candidates":[{{"label":"bogus","deltas":[{{"kind":"strap","layer":99,"scale":0.5}}]}}]}}"#
         ),
@@ -293,7 +298,7 @@ fn sweep_ranks_candidates_deterministically() {
     assert_eq!(details.get("label").and_then(Json::as_str), Some("bogus"));
 
     // The real sweep: eight candidates, ranked best-first.
-    let (status, body) = request(addr, "POST", "/sweep", &sweep_body(&base));
+    let (status, body) = request(addr, "POST", "/v1/sweep", &sweep_body(&base));
     assert_eq!(status, 200, "sweep failed: {body}");
     let json = parse(&body).expect("valid json");
     assert_eq!(json.get("base").and_then(Json::as_str), Some(base.as_str()));
@@ -338,7 +343,7 @@ fn sweep_ranks_candidates_deterministically() {
     // Re-issuing the identical sweep is warm and byte-identical —
     // cache statistics included, because every candidate stack is now
     // a stack-stage hit (1 hit, 0 misses per candidate).
-    let (status, body2) = request(addr, "POST", "/sweep", &sweep_body(&base));
+    let (status, body2) = request(addr, "POST", "/v1/sweep", &sweep_body(&base));
     assert_eq!(status, 200);
     let json2 = parse(&body2).expect("valid json");
     let Some(Json::Arr(candidates2)) = json2.get("candidates") else {
@@ -360,7 +365,7 @@ fn sweep_ranks_candidates_deterministically() {
         );
     }
 
-    let (status, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }
@@ -374,9 +379,9 @@ fn sweep_is_bitwise_identical_across_thread_counts() {
         let server = start_server(threads);
         let addr = server.addr();
         let base = predict_base(addr);
-        let (status, body) = request(addr, "POST", "/sweep", &sweep_body(&base));
+        let (status, body) = request(addr, "POST", "/v1/sweep", &sweep_body(&base));
         assert_eq!(status, 200, "sweep at {threads} threads failed: {body}");
-        let (status, _) = request(addr, "POST", "/shutdown", "");
+        let (status, _) = request(addr, "POST", "/v1/shutdown", "");
         assert_eq!(status, 200);
         server.wait();
         body

@@ -1,6 +1,6 @@
 //! End-to-end tests of the versioned `/v1` surface: the unified error
-//! envelope on every endpoint, legacy-alias parity (same handlers,
-//! `Deprecation: true` header), the named model registry
+//! envelope on every endpoint, the retired unversioned paths (404
+//! `unknown_route`, no deprecation header), the named model registry
 //! (list / reload round-trip), and per-precision predicts including
 //! int8 determinism. Kept in its own test binary because the server
 //! publishes into the process-global metrics registry.
@@ -70,6 +70,12 @@ fn envelope_code(body: &str) -> String {
     code.to_string()
 }
 
+/// `true` when a response mentions a deprecation anywhere — the
+/// retired response header or the retired per-endpoint counter.
+fn advertises_deprecation(response: &str) -> bool {
+    response.to_ascii_lowercase().contains("deprecat")
+}
+
 fn map_values(body: &str) -> Vec<f64> {
     match parse(body).expect("valid json").get("map") {
         Some(Json::Arr(values)) => values
@@ -126,20 +132,23 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
     .expect("bind ephemeral port");
     let addr = server.addr();
 
-    // --- Versioned routes answer without the Deprecation header; the
-    // legacy aliases answer identically WITH it. ---
+    // --- `/v1` is the only surface: the retired unversioned paths
+    // answer the `unknown_route` envelope, and nothing advertises a
+    // deprecation any more. ---
     let v1_health = raw_request(addr, "GET", "/v1/healthz", "");
     assert!(v1_health.starts_with("HTTP/1.1 200"), "{v1_health}");
-    assert!(
-        !v1_health.contains("Deprecation:"),
-        "v1 route must not be deprecated: {v1_health}"
-    );
-    let legacy_health = raw_request(addr, "GET", "/healthz", "");
-    assert!(legacy_health.starts_with("HTTP/1.1 200"), "{legacy_health}");
-    assert!(
-        legacy_health.contains("Deprecation: true\r\n"),
-        "legacy route must carry the Deprecation header: {legacy_health}"
-    );
+    assert!(!advertises_deprecation(&v1_health), "{v1_health}");
+    for (method, path, body) in [
+        ("GET", "/healthz", ""),
+        ("POST", "/predict", r#"{"spec":{"class":"fake","seed":3}}"#),
+        ("POST", "/reload", "{}"),
+    ] {
+        let response = raw_request(addr, method, path, body);
+        assert!(response.starts_with("HTTP/1.1 404"), "{path}: {response}");
+        assert!(!advertises_deprecation(&response), "{path}: {response}");
+        let reply = response.split_once("\r\n\r\n").expect("separator").1;
+        assert_eq!(envelope_code(reply), "unknown_route", "{path}: {reply}");
+    }
 
     let predict_body = r#"{"spec":{"class":"fake","seed":3},"include_map":true}"#;
     let (status, v1_predict) = request(addr, "POST", "/v1/predict", predict_body);
@@ -155,17 +164,11 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         Some("f32"),
         "unqualified predicts run at the checkpoint precision: {v1_predict}"
     );
-    let legacy_predict = raw_request(addr, "POST", "/predict", predict_body);
-    assert!(legacy_predict.contains("Deprecation: true\r\n"));
-    let legacy_body = legacy_predict
-        .split_once("\r\n\r\n")
-        .expect("separator")
-        .1
-        .to_string();
+    let (_, repeat_predict) = request(addr, "POST", "/v1/predict", predict_body);
     assert_eq!(
         map_values(&v1_predict),
-        map_values(&legacy_body),
-        "legacy alias must run the identical handler"
+        map_values(&repeat_predict),
+        "a repeated predict must answer the identical map"
     );
 
     // --- The unified envelope on every endpoint's error path. ---
@@ -287,13 +290,10 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         "{listing}"
     );
 
-    // The legacy alias targets `default` and bumps its reload count.
-    let legacy_reload = raw_request(addr, "POST", "/reload", &reload_body);
-    assert!(legacy_reload.contains("Deprecation: true\r\n"));
-    assert!(
-        legacy_reload.contains("\"model\":\"default\""),
-        "{legacy_reload}"
-    );
+    // Reloading `default` by name bumps its reload count.
+    let (status, reply) = request(addr, "POST", "/v1/models/default/reload", &reload_body);
+    assert_eq!(status, 200, "default reload failed: {reply}");
+    assert!(reply.contains("\"model\":\"default\""), "{reply}");
     let (_, listing) = request(addr, "GET", "/v1/models", "");
     let Some(Json::Arr(models)) = parse(&listing).expect("valid json").get("models").cloned()
     else {
@@ -351,8 +351,8 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         "an int8 checkpoint serves int8 by default: {alt_reply}"
     );
 
-    // --- Metrics: registry gauge, per-precision counters, and the
-    // deprecation counters the legacy hits accumulated. ---
+    // --- Metrics: registry gauge, per-precision counters, and no
+    // trace of the retired deprecation counter. ---
     let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert_eq!(metric_value(&metrics, "irf_model_registry_models "), 2.0);
@@ -365,16 +365,8 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         3.0
     );
     assert!(
-        metric_value(
-            &metrics,
-            "irf_deprecated_requests_total{endpoint=\"predict\"} "
-        ) >= 1.0
-    );
-    assert!(
-        metric_value(
-            &metrics,
-            "irf_deprecated_requests_total{endpoint=\"reload\"} "
-        ) >= 1.0
+        !advertises_deprecation(&metrics),
+        "the deprecation counter is gone: {metrics}"
     );
 
     let (status, _) = request(addr, "POST", "/v1/shutdown", "");

@@ -72,7 +72,7 @@ fn whatif_rides_warm_artifacts() {
     let (status, body) = request(
         addr,
         "POST",
-        "/predict",
+        "/v1/predict",
         r#"{"spec":{"class":"fake","seed":3}}"#,
     );
     assert_eq!(status, 200, "predict failed: {body}");
@@ -88,24 +88,29 @@ fn whatif_rides_warm_artifacts() {
     let (status, _) = request(
         addr,
         "POST",
-        "/whatif",
+        "/v1/whatif",
         r#"{"base":"0000000000000000","deltas":[{"node":1,"amps":0.001}]}"#,
     );
     assert_eq!(status, 404);
     // ...and a malformed delta list is a 400.
-    let (status, _) = request(addr, "POST", "/whatif", &format!(r#"{{"base":"{base}"}}"#));
+    let (status, _) = request(
+        addr,
+        "POST",
+        "/v1/whatif",
+        &format!(r#"{{"base":"{base}"}}"#),
+    );
     assert_eq!(status, 400);
     let (status, _) = request(
         addr,
         "POST",
-        "/whatif",
+        "/v1/whatif",
         &format!(r#"{{"base":"{base}","deltas":[{{"node":999999,"amps":0.1}}]}}"#),
     );
     assert_eq!(status, 400);
 
     // The real what-if: bump one cell's current and re-analyze.
     let whatif_body = format!(r#"{{"base":"{base}","deltas":[{{"node":1,"amps":0.002}}]}}"#);
-    let (status, body) = request(addr, "POST", "/whatif", &whatif_body);
+    let (status, body) = request(addr, "POST", "/v1/whatif", &whatif_body);
     assert_eq!(status, 200, "whatif failed: {body}");
     let json = parse(&body).expect("valid json");
     assert_eq!(json.get("base").and_then(Json::as_str), Some(base.as_str()));
@@ -124,14 +129,14 @@ fn whatif_rides_warm_artifacts() {
 
     // Re-issuing the identical what-if lands a warm stack hit, and
     // the edited design is itself a valid base for further what-ifs.
-    let (status, body2) = request(addr, "POST", "/whatif", &whatif_body);
+    let (status, body2) = request(addr, "POST", "/v1/whatif", &whatif_body);
     assert_eq!(status, 200);
     assert_eq!(body2, body, "idempotent what-if");
     let chained = format!(r#"{{"base":"{design}","deltas":[{{"node":1,"amps":-0.001}}]}}"#);
-    let (status, body) = request(addr, "POST", "/whatif", &chained);
+    let (status, body) = request(addr, "POST", "/v1/whatif", &chained);
     assert_eq!(status, 200, "chained whatif failed: {body}");
 
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     // The warm walks reused the topology-keyed artifacts: the
     // assembled system and solver setup were computed once (by the
@@ -157,7 +162,7 @@ fn whatif_rides_warm_artifacts() {
     assert!(metrics.contains("irf_requests_total{route=\"whatif\",status=\"404\"} 1"));
     assert!(metrics.contains("irf_stage_seconds_total{stage=\"whatif_prepare\"}"));
 
-    let (status, body) = request(addr, "POST", "/shutdown", "");
+    let (status, body) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200, "{body}");
     server.wait();
 }
@@ -186,7 +191,7 @@ fn read_timeouts_close_idle_connections_and_408_half_requests() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     stalled
-        .write_all(b"POST /predict HTTP/1.1\r\nContent-Le")
+        .write_all(b"POST /v1/predict HTTP/1.1\r\nContent-Le")
         .expect("write partial head");
     let mut response = String::new();
     stalled
@@ -207,10 +212,15 @@ fn read_timeouts_close_idle_connections_and_408_half_requests() {
     assert!(buf.is_empty(), "idle close must not write a response");
 
     // A model-free server has nothing for /reload to swap.
-    let (status, body) = request(addr, "POST", "/reload", r#"{"model_path":"x"}"#);
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/models/default/reload",
+        r#"{"model_path":"x"}"#,
+    );
     assert_eq!(status, 409, "{body}");
 
-    let (status, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
     server.wait();
 }

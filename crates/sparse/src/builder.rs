@@ -23,11 +23,8 @@
 //! order, and per-row insertion order is all the stable column sort
 //! and duplicate merge can observe.
 //!
-//! The stamp helpers ([`CsrAssembler::count_conductance`] /
-//! [`CsrAssembler::stamp_conductance`] and friends) mirror
-//! [`crate::TripletMatrix::stamp_conductance`]'s exact push order so
-//! MNA assembly in `irf-pg` can swap paths without perturbing a single
-//! bit.
+//! MNA assembly in `irf-pg` walks its stamps twice — once into
+//! [`CsrAssembler::count_entry`], once into [`CsrAssembler::push`].
 
 use crate::csr::CsrMatrix;
 
@@ -38,15 +35,16 @@ use crate::csr::CsrMatrix;
 /// ```
 /// use irf_sparse::{CsrAssembler, CsrMatrix};
 ///
+/// let entries = [(0, 0, 2.0), (1, 1, 2.0), (0, 1, -2.0), (1, 0, -2.0)];
 /// let mut asm = CsrAssembler::new(2, 2);
-/// asm.count_conductance(0, 1);
+/// for &(r, _, _) in &entries {
+///     asm.count_entry(r);
+/// }
 /// asm.begin_fill();
-/// asm.stamp_conductance(0, 1, 2.0);
-/// let a = asm.finish();
-///
-/// let mut t = irf_sparse::TripletMatrix::new(2, 2);
-/// t.stamp_conductance(0, 1, 2.0);
-/// assert_eq!(a, t.to_csr());
+/// for &(r, c, v) in &entries {
+///     asm.push(r, c, v);
+/// }
+/// assert_eq!(asm.finish(), CsrMatrix::from_triplets(2, 2, &entries));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CsrAssembler {
@@ -90,30 +88,6 @@ impl CsrAssembler {
         self.offsets[r + 1] += 1;
     }
 
-    /// Count pass twin of [`CsrAssembler::stamp_conductance`]: a
-    /// conductance between interior unknowns `a` and `b` contributes
-    /// two entries to each of their rows.
-    ///
-    /// # Panics
-    ///
-    /// See [`CsrAssembler::count_entry`].
-    pub fn count_conductance(&mut self, a: usize, b: usize) {
-        self.count_entry(a);
-        self.count_entry(a);
-        self.count_entry(b);
-        self.count_entry(b);
-    }
-
-    /// Count pass twin of [`CsrAssembler::stamp_grounded`]: one
-    /// diagonal entry.
-    ///
-    /// # Panics
-    ///
-    /// See [`CsrAssembler::count_entry`].
-    pub fn count_grounded(&mut self, a: usize) {
-        self.count_entry(a);
-    }
-
     /// Ends the count pass: prefix-sums the counts into bucket
     /// offsets and allocates the exactly-sized entry array. Stamp
     /// calls are accepted after this.
@@ -152,33 +126,6 @@ impl CsrAssembler {
         );
         self.entries[k] = (c, v);
         self.cursor[r] = k + 1;
-    }
-
-    /// Fill pass: stamps conductance `g` between interior unknowns `a`
-    /// and `b` in the same push order as
-    /// [`crate::TripletMatrix::stamp_conductance`] — diagonal `a`,
-    /// diagonal `b`, then the two off-diagonals — so assemblies are
-    /// bitwise interchangeable between the two paths.
-    ///
-    /// # Panics
-    ///
-    /// See [`CsrAssembler::push`].
-    pub fn stamp_conductance(&mut self, a: usize, b: usize, g: f64) {
-        self.push(a, a, g);
-        self.push(b, b, g);
-        self.push(a, b, -g);
-        self.push(b, a, -g);
-    }
-
-    /// Fill pass: stamps conductance `g` from unknown `a` to ground
-    /// (diagonal only), mirroring
-    /// [`crate::TripletMatrix::stamp_grounded_conductance`].
-    ///
-    /// # Panics
-    ///
-    /// See [`CsrAssembler::push`].
-    pub fn stamp_grounded(&mut self, a: usize, g: f64) {
-        self.push(a, a, g);
     }
 
     /// Finishes assembly: every row must have received exactly the
@@ -227,6 +174,68 @@ impl CsrAssembler {
     }
 }
 
+/// Value-only re-assembly into the sparsity pattern of an existing
+/// matrix: contributions are scatter-added straight into the
+/// pattern's value slots as they are produced — no sort, and no
+/// buffer of them.
+///
+/// This is the incremental fast path for when only values changed
+/// (e.g. a strap/via resistance edit re-stamps the same circuit
+/// topology). The result is **bitwise identical** to a full assembly
+/// of the same contribution sequence: duplicates accumulate in the
+/// order they are added, the order the stable column sort of the full
+/// path preserves.
+#[derive(Debug, Clone)]
+pub struct PatternScatter<'a> {
+    pattern: &'a CsrMatrix,
+    values: Vec<f64>,
+    /// Set once a contribution landed outside the pattern.
+    missed: bool,
+}
+
+impl<'a> PatternScatter<'a> {
+    /// Starts from all-zero values in `pattern`'s structure.
+    #[must_use]
+    pub fn new(pattern: &'a CsrMatrix) -> Self {
+        PatternScatter {
+            pattern,
+            values: vec![0.0; pattern.nnz()],
+            missed: false,
+        }
+    }
+
+    /// Adds `v` at `(r, c)`. A position outside the pattern is
+    /// remembered and makes [`PatternScatter::finish`] decline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is out of bounds for the pattern's shape.
+    pub fn add(&mut self, r: usize, c: usize, v: f64) {
+        assert!(
+            r < self.pattern.rows() && c < self.pattern.cols(),
+            "entry ({r},{c}) out of bounds"
+        );
+        let (s, e) = (self.pattern.row_ptr()[r], self.pattern.row_ptr()[r + 1]);
+        match self.pattern.col_idx()[s..e].binary_search(&c) {
+            Ok(k) => self.values[s + k] += v,
+            Err(_) => self.missed = true,
+        }
+    }
+
+    /// The matrix, or `None` when the pattern cannot represent the
+    /// contributions exactly: one landed outside it, or an accumulated
+    /// value is exactly `0.0` (which a full assembly would have
+    /// dropped, changing the pattern). Callers fall back to a full
+    /// assembly.
+    #[must_use]
+    pub fn finish(self) -> Option<CsrMatrix> {
+        if self.missed {
+            return None;
+        }
+        CsrMatrix::with_pattern_values(self.pattern, self.values)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,23 +269,20 @@ mod tests {
         let n = 200;
         let segs = segments(n, 1500);
         let mut t = TripletMatrix::with_capacity(n, n, 4 * segs.len());
-        let mut asm = CsrAssembler::new(n, n);
-        for &(a, b, _) in &segs {
-            if a == b {
-                asm.count_grounded(a);
-            } else {
-                asm.count_conductance(a, b);
-            }
-        }
-        asm.begin_fill();
         for &(a, b, g) in &segs {
             if a == b {
                 t.stamp_grounded_conductance(a, g);
-                asm.stamp_grounded(a, g);
             } else {
                 t.stamp_conductance(a, b, g);
-                asm.stamp_conductance(a, b, g);
             }
+        }
+        let mut asm = CsrAssembler::new(n, n);
+        for &(r, _, _) in t.iter() {
+            asm.count_entry(r);
+        }
+        asm.begin_fill();
+        for &(r, c, v) in t.iter() {
+            asm.push(r, c, v);
         }
         let via_triplets = t.to_csr();
         let via_assembler = asm.finish();

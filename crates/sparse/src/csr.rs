@@ -2,6 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::builder::PatternScatter;
 use crate::sell::SellPlan;
 
 /// Cuts `0..rows` into nnz-balanced chunks: each chunk accumulates at
@@ -128,8 +129,8 @@ impl CsrMatrix {
     /// assembly (and of the AMG Galerkin triple product, which funnels
     /// through here). The sort must be *stable*: duplicate (row, col)
     /// contributions then merge in insertion order, which is exactly
-    /// the order [`CsrMatrix::from_triplets_with_pattern`]
-    /// scatter-adds them — the bitwise-identity contract of
+    /// the order [`crate::PatternScatter`] scatter-adds
+    /// them — the bitwise-identity contract of
     /// incremental re-assembly. Duplicates are summed and exact-zero
     /// sums dropped.
     pub(crate) fn from_bucketed(
@@ -178,15 +179,11 @@ impl CsrMatrix {
     }
 
     /// Builds a CSR matrix from triplets by scatter-adding into the
-    /// sparsity `pattern` of an existing matrix, skipping the per-row
-    /// sort that dominates [`CsrMatrix::from_triplets`].
-    ///
-    /// This is the incremental re-assembly fast path: when only values
-    /// changed (e.g. a strap/via resistance edit re-stamps the same
-    /// circuit topology), the result is **bitwise identical** to a
-    /// fresh `from_triplets` call — duplicates are accumulated in
-    /// triplet order, the same order the stable sort in `from_triplets`
-    /// preserves for equal columns.
+    /// sparsity `pattern` of an existing matrix
+    /// ([`crate::PatternScatter`] over a triplet slice), skipping the
+    /// per-row sort that dominates [`CsrMatrix::from_triplets`]. On
+    /// `Some`, the result is **bitwise identical** to a fresh
+    /// `from_triplets` call.
     ///
     /// Returns `None` when the pattern cannot represent the triplets
     /// exactly: a triplet lands outside the pattern, or an accumulated
@@ -201,23 +198,18 @@ impl CsrMatrix {
         pattern: &CsrMatrix,
         triplets: &[(usize, usize, f64)],
     ) -> Option<Self> {
-        let rows = pattern.rows;
-        let cols = pattern.cols;
-        let mut values = vec![0.0f64; pattern.nnz()];
+        let mut scatter = PatternScatter::new(pattern);
         for &(r, c, v) in triplets {
-            assert!(r < rows && c < cols, "triplet ({r},{c}) out of bounds");
-            let (s, e) = (pattern.row_ptr[r], pattern.row_ptr[r + 1]);
-            let k = pattern.col_idx[s..e].binary_search(&c).ok()?;
-            values[s + k] += v;
+            scatter.add(r, c, v);
         }
-        Self::with_pattern_values(pattern, values)
+        scatter.finish()
     }
 
     /// Wraps a fully accumulated `values` array (parallel to
     /// `pattern`'s stored entries) in the pattern's structure. Shared
     /// tail of every pattern-reuse assembly path
-    /// ([`CsrMatrix::from_triplets_with_pattern`], the AMG
-    /// pattern-reusing Galerkin product).
+    /// ([`crate::PatternScatter`], the AMG pattern-reusing Galerkin
+    /// product).
     ///
     /// Returns `None` when any accumulated value is exactly `0.0`: a
     /// full assembly would have dropped that entry, so the true

@@ -61,7 +61,7 @@ pub mod solver;
 pub mod triplet;
 pub mod vector;
 
-pub use builder::CsrAssembler;
+pub use builder::{CsrAssembler, PatternScatter};
 pub use csr::CsrMatrix;
 pub use error::SolveError;
 pub use ic0::Ic0Preconditioner;

@@ -1,13 +1,11 @@
 //! Logical-line lexer: comments, blank lines and `+` continuations.
 //!
-//! Two layers:
-//!
-//! - [`chunk_source`] splits raw source into [`SourceChunk`]s whose
-//!   boundaries fall only on *card-start* lines (never inside a `+`
-//!   continuation run), so chunks can be lexed independently and in
-//!   parallel;
-//! - [`logical_line_refs`] lexes one chunk into zero-copy
-//!   [`LineRef`]s whose fields borrow the source text.
+//! [`logical_line_refs`] lexes a run of whole physical lines into
+//! zero-copy [`LineRef`]s whose fields borrow the text. The run must
+//! start at a card boundary (a line that is neither blank, a comment
+//! nor a `+` continuation — the rule [`crate::stream::ChunkReader`]
+//! cuts the source by), so that no `+` continuation ever reaches back
+//! across a cut and chunks can be lexed independently and in parallel.
 //!
 //! The owned [`logical_lines`] view is kept for callers that want a
 //! self-contained result.
@@ -31,39 +29,31 @@ pub struct LineRef<'a> {
     pub fields: Vec<&'a str>,
 }
 
-/// A slice of the source that starts at a card boundary: safe to lex
-/// in isolation because no `+` continuation ever crosses into it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceChunk<'a> {
-    /// The chunk's text (one or more whole physical lines).
-    pub text: &'a str,
-    /// 1-based number of the chunk's first physical line in the full
-    /// source — added to in-chunk offsets so error line numbers
-    /// survive chunked parsing.
-    pub first_line: usize,
-}
-
 /// `true` when a raw physical line *starts* a card: non-empty after
 /// comment stripping, not a `*` comment, and not a `+` continuation.
-/// Shared with the streaming chunker in [`crate::stream`], which must
-/// cut chunks at exactly the same boundaries as [`chunk_source`].
+/// The one rule chunk boundaries are cut by.
 pub(crate) fn is_card_start(raw: &str) -> bool {
     let body = raw.split(['$', ';']).next().unwrap_or("").trim();
     !body.is_empty() && !body.starts_with('*') && !body.starts_with('+')
 }
 
-/// Splits the source into chunks of roughly `cards_per_chunk` cards,
-/// cutting only at card-start boundaries so comment and continuation
-/// lines always travel with the card they belong to. Lexing each
-/// chunk with [`logical_line_refs`] (passing its
-/// [`SourceChunk::first_line`]) yields exactly the same logical lines
-/// as lexing the whole source at once.
-///
-/// The chunk boundaries depend only on the source text and
-/// `cards_per_chunk` — never on the thread count — which is what
-/// keeps the parallel parse bitwise deterministic.
-#[must_use]
-pub fn chunk_source(src: &str, cards_per_chunk: usize) -> Vec<SourceChunk<'_>> {
+/// One chunk of [`chunk_source`]: whole physical lines starting at a
+/// card boundary, plus the 1-based number of the first of them.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SourceChunk<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) first_line: usize,
+}
+
+/// Whole-source reference chunker, kept as the test oracle for
+/// [`crate::stream::ChunkReader`]: splits `src` into chunks of roughly
+/// `cards_per_chunk` cards, cutting only at card-start lines so
+/// comment and continuation lines travel with the card they belong
+/// to. Lexing each chunk with [`logical_line_refs`] (passing its
+/// `first_line`) yields exactly the logical lines of the whole source.
+#[cfg(test)]
+pub(crate) fn chunk_source(src: &str, cards_per_chunk: usize) -> Vec<SourceChunk<'_>> {
     let cards_per_chunk = cards_per_chunk.max(1);
     let mut chunks = Vec::new();
     let mut chunk_start_byte = 0usize;
@@ -98,7 +88,7 @@ pub fn chunk_source(src: &str, cards_per_chunk: usize) -> Vec<SourceChunk<'_>> {
 
 /// Lexes SPICE source into zero-copy logical lines; physical line
 /// numbers are offset by `first_line` (pass `1` for whole-source
-/// lexing, or a [`SourceChunk::first_line`] for a chunk).
+/// lexing, or the chunk's first physical line for a chunk).
 ///
 /// - `*`-prefixed lines and inline `$`/`;` comments are dropped;
 /// - blank lines are skipped;

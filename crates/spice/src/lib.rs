@@ -5,9 +5,12 @@
 //! cell load, and voltage sources for the power pads. This crate
 //! provides:
 //!
-//! - [`parser::parse`]: a line-oriented SPICE parser covering the
-//!   subset used by PG analysis (`R`, `I`, `V` elements, `*` comments,
-//!   `+` continuations, SI value suffixes, `.end`).
+//! - [`parse`] / [`parse_reader`]: a line-oriented SPICE parser
+//!   covering the subset used by PG analysis (`R`, `I`, `V` elements,
+//!   `*` comments, `+` continuations, SI value suffixes, `.end`), from
+//!   a `&str` or any `BufRead`; [`visit_cards`] streams the same cards
+//!   to a callback without building a netlist. All three run the one
+//!   chunk-parallel driver in [`stream`].
 //! - [`netlist::Netlist`]: the parsed design with hash-interned node
 //!   names and structured node coordinates following the ICCAD-2023
 //!   contest convention `n<net>_m<layer>_<x>_<y>`.
@@ -46,9 +49,8 @@ pub mod writer;
 pub use error::ParseError;
 pub use hash::{source_hash, Fnv1a};
 pub use netlist::{CurrentSource, Netlist, NodeId, NodeInfo, Resistor, VoltageSource};
-pub use parser::{parse, parse_chunked};
+pub use parser::parse;
 pub use stream::{
-    parse_path, parse_reader, parse_reader_chunked, visit_cards, ChunkReader, StreamError,
-    StreamedCard, StreamedCardKind,
+    parse_reader, visit_cards, ChunkReader, StreamError, StreamedCard, StreamedCardKind,
 };
 pub use writer::write;

@@ -1,25 +1,21 @@
 //! The SPICE card parser for the PG subset (`R`, `I`, `V`).
 //!
-//! Parsing is streaming and parallel: [`chunk_source`] splits the
-//! source at card boundaries, each chunk is lexed + parsed on the
-//! deterministic pool into raw cards with zero-copy `&str` fields,
-//! and a serial merge pass interns node names in source order and
-//! checks duplicate element names. Because the chunk boundaries
-//! depend only on the text (never on the thread count) and the merge
-//! walks chunks in order, the resulting [`Netlist`] — node-id
-//! assignment included — is identical to a fully serial parse, and
-//! error line numbers are preserved.
+//! Two halves, both driven by the one loop in [`crate::stream`]:
+//! `parse_chunk` lexes + parses one card-boundary chunk into raw cards
+//! with zero-copy `&str` fields (the parallel half), and the `Merger`
+//! folds chunk parses in source order into a [`Netlist`], interning
+//! node names and checking duplicate element names (the serial half).
+//! Because chunk boundaries depend only on the text (never on the
+//! thread count) and the merge walks chunks in order, the resulting
+//! [`Netlist`] — node-id assignment included — is identical to a fully
+//! serial parse, and error line numbers are preserved.
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{chunk_source, logical_line_refs, SourceChunk};
+use crate::lexer::logical_line_refs;
 use crate::netlist::{CurrentSource, Netlist, Resistor, VoltageSource};
+use crate::stream::{parse_reader, StreamError};
 use crate::value::parse_spice_number;
 use std::collections::HashSet;
-
-/// Cards per parallel parse chunk. Large enough that chunk overhead
-/// is negligible, small enough that contest-scale netlists (millions
-/// of cards) spread across every worker.
-pub(crate) const CARDS_PER_CHUNK: usize = 1024;
 
 /// What a raw card will become once merged.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -52,9 +48,12 @@ pub(crate) struct ChunkParse<'a> {
     pub(crate) error: Option<ParseError>,
 }
 
-pub(crate) fn parse_chunk<'a>(chunk: &SourceChunk<'a>) -> ChunkParse<'a> {
+/// Lexes and parses one chunk: `text` is whole physical lines starting
+/// at a card boundary, `first_line` the 1-based source line of the
+/// first of them.
+pub(crate) fn parse_chunk(text: &str, first_line: usize) -> ChunkParse<'_> {
     let mut cards = Vec::new();
-    for line in logical_line_refs(chunk.text, chunk.first_line) {
+    for line in logical_line_refs(text, first_line) {
         let fields = &line.fields;
         let head = fields[0];
         if head == "+" {
@@ -116,11 +115,6 @@ pub(crate) fn parse_chunk<'a>(chunk: &SourceChunk<'a>) -> ChunkParse<'a> {
 /// Incremental serial merge state: absorbs chunk parses in source
 /// order, interning node names (identical id assignment to a serial
 /// parse) and enforcing unique element names across chunk boundaries.
-///
-/// The batch [`parse`] path folds every chunk through one `Merger`;
-/// the streaming reader in [`crate::stream`] does exactly the same
-/// over chunks it only holds transiently, which is why both produce
-/// bitwise-identical netlists from the same bytes.
 pub(crate) struct Merger {
     netlist: Netlist,
     seen_names: HashSet<String>,
@@ -187,15 +181,6 @@ impl Merger {
     }
 }
 
-/// Serial merge of a fully materialized chunk list; see [`Merger`].
-fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
-    let mut merger = Merger::new();
-    for chunk in chunks {
-        merger.absorb(chunk)?;
-    }
-    Ok(merger.finish())
-}
-
 /// Parses SPICE source into a [`Netlist`].
 ///
 /// Supported cards:
@@ -206,9 +191,9 @@ fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
 /// - `.end` / `.op` and other dot-cards are accepted and ignored;
 /// - `*` comments, `$`/`;` inline comments, and `+` continuations.
 ///
-/// Large sources are parsed in parallel (see the module docs); the
-/// result and any error — line number included — are identical to a
-/// serial parse at any thread count.
+/// This is [`parse_reader`] over the bytes of `src`: large sources
+/// are parsed in parallel, and the result and any error — line number
+/// included — are identical to a serial parse at any thread count.
 ///
 /// # Errors
 ///
@@ -225,37 +210,29 @@ fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
 /// # Ok::<(), irf_spice::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Netlist, ParseError> {
-    parse_chunked(src, CARDS_PER_CHUNK)
+    parse_reader(src.as_bytes()).map_err(in_memory_error)
 }
 
-/// [`parse`] with an explicit chunk size — exposed so tests can force
-/// multi-chunk parses on small sources; results are identical for
-/// every `cards_per_chunk >= 1`.
-///
-/// # Errors
-///
-/// See [`parse`].
-pub fn parse_chunked(src: &str, cards_per_chunk: usize) -> Result<Netlist, ParseError> {
-    let mut span = irf_trace::span("spice_parse");
-    let chunks = chunk_source(src, cards_per_chunk);
-    let n_chunks = chunks.len();
-    let tasks: Vec<_> = chunks.iter().map(|c| move || parse_chunk(c)).collect();
-    let parsed = irf_runtime::par_map(tasks);
-    let netlist = merge(parsed)?;
-    irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
-    if span.is_recording() {
-        span.attr("chunks", n_chunks);
-        span.attr("resistors", netlist.resistors().len());
-        span.attr("current_sources", netlist.current_sources().len());
-        span.attr("voltage_sources", netlist.voltage_sources().len());
+/// The error of a parse whose source was a `&str`: reading one cannot
+/// fail, so only the parse half of [`StreamError`] can occur.
+fn in_memory_error(error: StreamError) -> ParseError {
+    match error {
+        StreamError::Parse(e) => e,
+        StreamError::Io(e) => unreachable!("reading a &str cannot fail: {e}"),
     }
-    Ok(netlist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::NodeId;
+    use crate::stream::parse_reader_chunked;
+
+    /// [`parse`] at an explicit chunk size (two chunks per batch, so
+    /// multi-batch merges are exercised too).
+    fn parse_chunked(src: &str, cards_per_chunk: usize) -> Result<Netlist, ParseError> {
+        parse_reader_chunked(src.as_bytes(), cards_per_chunk, 2).map_err(in_memory_error)
+    }
 
     const TINY: &str = "\
 * tiny PG

@@ -1,57 +1,49 @@
-//! Streaming SPICE ingest: parse from any [`BufRead`] source without
-//! materializing the file.
+//! The parser driver: SPICE bytes from any [`BufRead`] source to
+//! parsed cards, without materializing the file.
 //!
-//! The batch parser ([`crate::parse`]) holds the whole source text in
-//! memory, chunks it at card boundaries, parses chunks in parallel
-//! and merges serially. At million-node scale the source alone is
-//! hundreds of megabytes, and callers that `read_to_string` before
-//! parsing pay that plus the netlist. This module feeds the **same**
-//! chunked machinery from a reader instead:
+//! One loop (`drive`) turns bytes into cards for every entry point of
+//! this crate:
 //!
-//! 1. [`ChunkReader`] re-implements the card-boundary chunking rule of
-//!    [`crate::lexer::chunk_source`] incrementally over
-//!    [`BufRead::read_line`] — identical boundaries, identical
-//!    `first_line` numbering, but each chunk is an owned `String`
-//!    that lives only until it is parsed.
-//! 2. [`parse_reader`] pulls batches of a few dozen chunks, parses
-//!    each batch in parallel with the exact per-chunk parser the batch
-//!    path uses, folds the results into the same serial merger, and
-//!    drops the batch. Peak memory is one batch of source text plus
-//!    the growing [`Netlist`] — never the whole file.
-//! 3. [`visit_cards`] is the card-visitor mode: instead of building a
-//!    [`Netlist`], each parsed card is handed to a callback as it
-//!    arrives, so `irf-pg` can stamp MNA entries directly and skip
-//!    the netlist entirely.
+//! 1. [`ChunkReader`] cuts the source into owned chunks at card
+//!    boundaries, incrementally over [`BufRead::read_line`]; each
+//!    chunk lives only until it is parsed.
+//! 2. A batch of a few dozen chunks is lexed + parsed in parallel
+//!    (`parser::parse_chunk`), handed to a sink serially in source
+//!    order, and dropped. Peak memory is one batch of source text plus
+//!    whatever the sink builds — never the whole file.
+//!
+//! The loop has two sinks. [`parse_reader`] folds the cards into a
+//! [`Netlist`] (interning node names, rejecting duplicate element
+//! names); [`crate::parse`] is that over the bytes of a `&str`.
+//! [`visit_cards`] hands each card to a callback instead, so `irf-pg`
+//! can build its grid directly and skip the netlist entirely.
 //!
 //! # Determinism
 //!
 //! Chunk boundaries depend only on the bytes and the chunk size —
 //! never on the thread count or the reader's buffer size — and the
-//! merge is serial in source order. [`parse_reader`] therefore
-//! produces a [`Netlist`] **bitwise identical** (node-id assignment,
-//! [`Netlist::content_hash`] and all) to [`crate::parse`] on the same
-//! bytes, and reports the same first error with the same line number.
-//! Tests assert this parity.
+//! sink runs serially in source order. The [`Netlist`] (node-id
+//! assignment, [`Netlist::content_hash`] and all), the card sequence
+//! and the first error with its line number are therefore identical
+//! at any thread count and any chunk or batch size. Tests assert this.
 
-use crate::error::ParseError;
-use crate::lexer::{is_card_start, SourceChunk};
+use crate::error::{ParseError, ParseErrorKind};
+use crate::lexer::is_card_start;
 use crate::netlist::Netlist;
-use crate::parser::{parse_chunk, CardKind, ChunkParse, Merger, CARDS_PER_CHUNK};
-use std::fs::File;
-use std::io::{self, BufRead, BufReader};
-use std::path::Path;
+use crate::parser::{parse_chunk, CardKind, ChunkParse, Merger};
+use std::io::{self, BufRead};
 
-/// How many chunks a streaming batch holds before it is parsed and
-/// dropped. Bounds resident source text to roughly
-/// `CHUNKS_PER_BATCH * cards_per_chunk` cards (~1–2 MB at default
-/// sizes) while still giving the parallel phase enough independent
-/// chunks to spread across workers.
+/// Cards per parallel parse chunk. Large enough that chunk overhead
+/// is negligible, small enough that contest-scale netlists (millions
+/// of cards) spread across every worker.
+const CARDS_PER_CHUNK: usize = 1024;
+
+/// How many chunks a batch holds before it is parsed and dropped.
+/// Bounds resident source text to roughly
+/// `CHUNKS_PER_BATCH * CARDS_PER_CHUNK` cards (~1–2 MB) while still
+/// giving the parallel phase enough independent chunks to spread
+/// across workers.
 const CHUNKS_PER_BATCH: usize = 32;
-
-/// Read-buffer capacity for [`parse_path`] / [`grid-from-path`]-style
-/// callers: large enough that syscall overhead vanishes on
-/// multi-hundred-MB netlists.
-const FILE_BUF_BYTES: usize = 1 << 20;
 
 /// Error from a streaming parse: either the underlying reader failed
 /// or the SPICE text was malformed.
@@ -59,8 +51,7 @@ const FILE_BUF_BYTES: usize = 1 << 20;
 pub enum StreamError {
     /// The reader returned an I/O error.
     Io(io::Error),
-    /// The SPICE text failed to parse (same errors, same line
-    /// numbers, as the batch parser).
+    /// The SPICE text failed to parse.
     Parse(ParseError),
 }
 
@@ -96,12 +87,11 @@ impl From<ParseError> for StreamError {
 
 /// Incremental card-boundary chunker over a [`BufRead`] source.
 ///
-/// Yields owned `(text, first_line)` chunks with exactly the
-/// boundaries [`crate::lexer::chunk_source`] would produce on the
-/// concatenated bytes: cuts only at card-start lines, comments and
-/// `+` continuations travel with their card, the trailing chunk is
-/// emitted even when it holds no card, and an empty source yields no
-/// chunks.
+/// Yields owned `(text, first_line)` chunks of whole physical lines,
+/// `first_line` being the 1-based source line a chunk starts on: cuts
+/// fall only on card-start lines, so comments and `+` continuations
+/// travel with their card; the trailing chunk is emitted even when it
+/// holds no card, and an empty source yields no chunks.
 #[derive(Debug)]
 pub struct ChunkReader<R> {
     reader: R,
@@ -119,8 +109,7 @@ pub struct ChunkReader<R> {
 }
 
 impl<R: BufRead> ChunkReader<R> {
-    /// Wraps `reader` with the default chunk size the batch parser
-    /// uses.
+    /// Wraps `reader` with the default chunk size.
     pub fn new(reader: R) -> Self {
         Self::with_chunk_size(reader, CARDS_PER_CHUNK)
     }
@@ -145,8 +134,7 @@ impl<R: BufRead> ChunkReader<R> {
     /// # Errors
     ///
     /// Propagates reader errors. Note `read_line` also rejects
-    /// non-UTF-8 input with an `InvalidData` error, matching the
-    /// `&str` requirement of the batch path.
+    /// non-UTF-8 input with an `InvalidData` error.
     pub fn next_chunk(&mut self) -> io::Result<Option<(String, usize)>> {
         if self.done {
             return Ok(None);
@@ -180,18 +168,21 @@ impl<R: BufRead> ChunkReader<R> {
     }
 }
 
-/// Drives the streaming pipeline: batches of owned chunks are parsed
-/// in parallel with the batch path's per-chunk parser, then handed to
-/// `sink` serially in source order. Returns the chunk count.
+/// The one loop that turns bytes into cards: batches of owned chunks
+/// are parsed in parallel, then handed to `sink` serially in source
+/// order. A chunk carries the cards parsed before its first error (if
+/// any); sinks consume the cards, then surface the error.
 fn drive<R: BufRead>(
     reader: R,
     cards_per_chunk: usize,
     chunks_per_batch: usize,
     mut sink: impl FnMut(ChunkParse<'_>) -> Result<(), ParseError>,
-) -> Result<usize, StreamError> {
+) -> Result<(), StreamError> {
+    let mut span = irf_trace::span("spice_parse");
     let chunks_per_batch = chunks_per_batch.max(1);
     let mut chunker = ChunkReader::with_chunk_size(reader, cards_per_chunk);
-    let mut total_chunks = 0usize;
+    let mut n_chunks = 0usize;
+    let mut n_cards = 0usize;
     loop {
         let mut batch: Vec<(String, usize)> = Vec::with_capacity(chunks_per_batch);
         while batch.len() < chunks_per_batch {
@@ -201,82 +192,60 @@ fn drive<R: BufRead>(
             }
         }
         if batch.is_empty() {
-            return Ok(total_chunks);
+            break;
         }
-        total_chunks += batch.len();
-        let views: Vec<SourceChunk<'_>> = batch
+        n_chunks += batch.len();
+        let tasks: Vec<_> = batch
             .iter()
-            .map(|(text, first_line)| SourceChunk {
-                text,
-                first_line: *first_line,
-            })
+            .map(|(text, first_line)| move || parse_chunk(text, *first_line))
             .collect();
-        let tasks: Vec<_> = views.iter().map(|c| move || parse_chunk(c)).collect();
         for parsed in irf_runtime::par_map(tasks) {
+            n_cards += parsed.cards.len();
             sink(parsed)?;
         }
         // `batch` (the only copy of this slice of source text) drops
         // here — resident source stays bounded by one batch.
     }
+    irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
+    if span.is_recording() {
+        span.attr("chunks", n_chunks);
+        span.attr("cards", n_cards);
+    }
+    Ok(())
 }
 
-/// Streaming equivalent of [`crate::parse`]: reads SPICE text from
-/// `reader` and builds a [`Netlist`] without ever holding the whole
-/// source in memory.
-///
-/// The result — node-id assignment, element order,
-/// [`Netlist::content_hash`] — is bitwise identical to
-/// `crate::parse(&text)` on the same bytes, and the first error (line
-/// number included) matches too.
+/// Reads SPICE text from `reader` and builds a [`Netlist`] without
+/// ever holding the whole source in memory. See [`crate::parse`] for
+/// the supported cards.
 ///
 /// # Errors
 ///
 /// [`StreamError::Io`] when the reader fails (including non-UTF-8
-/// input), [`StreamError::Parse`] for malformed SPICE.
+/// input), [`StreamError::Parse`] for malformed SPICE — the earliest
+/// offending line, duplicate element names included.
 pub fn parse_reader<R: BufRead>(reader: R) -> Result<Netlist, StreamError> {
     parse_reader_chunked(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH)
 }
 
-/// [`parse_reader`] with explicit chunk and batch sizes — exposed so
-/// tests can force many small chunks and batches; results are
+/// [`parse_reader`] with explicit chunk and batch sizes, so tests can
+/// force many small chunks and batches on small sources; results are
 /// identical for every `cards_per_chunk >= 1` and
 /// `chunks_per_batch >= 1`.
 ///
 /// # Errors
 ///
 /// See [`parse_reader`].
+#[doc(hidden)]
 pub fn parse_reader_chunked<R: BufRead>(
     reader: R,
     cards_per_chunk: usize,
     chunks_per_batch: usize,
 ) -> Result<Netlist, StreamError> {
-    let mut span = irf_trace::span("spice_parse_stream");
     let mut merger = Merger::new();
-    let n_chunks = drive(reader, cards_per_chunk, chunks_per_batch, |chunk| {
+    drive(reader, cards_per_chunk, chunks_per_batch, |chunk| {
         merger.absorb(chunk)
     })?;
-    let netlist = merger.finish();
-    irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
-    if span.is_recording() {
-        span.attr("chunks", n_chunks);
-        span.attr("resistors", netlist.resistors().len());
-        span.attr("current_sources", netlist.current_sources().len());
-        span.attr("voltage_sources", netlist.voltage_sources().len());
-    }
-    Ok(netlist)
-}
-
-/// Opens `path` and streams it through [`parse_reader`] behind a
-/// large file buffer. This is the front door for
-/// bigger-than-comfortable netlists on disk.
-///
-/// # Errors
-///
-/// See [`parse_reader`]; opening the file can also fail with
-/// [`StreamError::Io`].
-pub fn parse_path(path: impl AsRef<Path>) -> Result<Netlist, StreamError> {
-    let file = File::open(path)?;
-    parse_reader(BufReader::with_capacity(FILE_BUF_BYTES, file))
+    Ok(merger.finish())
 }
 
 /// The element class of a [`StreamedCard`].
@@ -311,17 +280,17 @@ pub struct StreamedCard<'a> {
 /// Card-visitor mode: streams `reader`, validating and parsing every
 /// card exactly like [`parse_reader`], but hands each card to `visit`
 /// in source order instead of building a [`Netlist`]. This lets
-/// `irf-pg` stamp MNA entries as cards arrive with no netlist in
-/// memory at all.
+/// `irf-pg` build its grid as cards arrive with no netlist in memory
+/// at all.
 ///
 /// Lexing/parsing still runs chunk-parallel; only the visitor walk is
 /// serial, so card order is exactly source order.
 ///
 /// Malformed cards (bad prefixes, missing fields, bad values,
-/// dangling continuations) error with the same line numbers as the
-/// batch parser. **Not** checked on this path: duplicate element
-/// names, which require whole-file state — use [`parse_reader`] when
-/// that validation matters, or track names in the visitor.
+/// dangling continuations) error with the same line numbers as
+/// [`parse_reader`]. **Not** checked here: duplicate element names,
+/// which require whole-file state — use [`parse_reader`] when that
+/// validation matters, or track names in the visitor.
 ///
 /// # Errors
 ///
@@ -333,14 +302,12 @@ where
     R: BufRead,
     F: FnMut(&StreamedCard<'_>) -> Result<(), ParseError>,
 {
-    let mut span = irf_trace::span("spice_visit_stream");
-    let mut n_cards = 0usize;
-    let n_chunks = drive(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH, |chunk| {
+    drive(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH, |chunk| {
         for card in &chunk.cards {
             let Some(value) = card.value else {
                 return Err(ParseError {
                     line: card.line,
-                    kind: crate::error::ParseErrorKind::InvalidValue(card.value_text.to_string()),
+                    kind: ParseErrorKind::InvalidValue(card.value_text.to_string()),
                 });
             };
             let kind = match card.kind {
@@ -348,7 +315,6 @@ where
                 CardKind::Current => StreamedCardKind::CurrentSource,
                 CardKind::Voltage => StreamedCardKind::VoltageSource,
             };
-            n_cards += 1;
             visit(&StreamedCard {
                 kind,
                 name: card.name,
@@ -358,26 +324,19 @@ where
                 line: card.line,
             })?;
         }
-        if let Some(error) = chunk.error {
-            return Err(error);
+        match chunk.error {
+            Some(error) => Err(error),
+            None => Ok(()),
         }
-        Ok(())
-    })?;
-    irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
-    if span.is_recording() {
-        span.attr("chunks", n_chunks);
-        span.attr("cards", n_cards);
-    }
-    Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ParseErrorKind;
     use crate::lexer::chunk_source;
     use crate::parse;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
 
     const TRICKY: &str = "\
 * header comment
@@ -451,7 +410,8 @@ R3 a
         let dir = std::env::temp_dir();
         let path = dir.join("irf_spice_stream_test.sp");
         std::fs::write(&path, TRICKY).expect("writes");
-        let streamed = parse_path(&path).expect("parses");
+        let file = std::fs::File::open(&path).expect("opens");
+        let streamed = parse_reader(BufReader::new(file)).expect("parses");
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed, parse(TRICKY).expect("parses"));
     }

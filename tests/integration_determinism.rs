@@ -252,12 +252,16 @@ fn chunked_spice_parse_is_identical_across_thread_counts() {
         seed: 22,
         ..SynthSpec::default()
     }));
-    let reference = with_threads(1, || irf_spice::parse_chunked(&text, usize::MAX))
-        .expect("netlist round-trips");
+    // The sized entry: `cards_per_chunk` cards per parallel chunk,
+    // four chunks per batch.
+    let parse = |cards_per_chunk: usize| {
+        irf_spice::stream::parse_reader_chunked(text.as_bytes(), cards_per_chunk, 4)
+    };
+    let reference = with_threads(1, || parse(usize::MAX)).expect("netlist round-trips");
     for threads in [1, 2, 4, 8] {
         for cards_per_chunk in [7, 64, 1024] {
-            let parsed = with_threads(threads, || irf_spice::parse_chunked(&text, cards_per_chunk))
-                .expect("netlist round-trips");
+            let parsed =
+                with_threads(threads, || parse(cards_per_chunk)).expect("netlist round-trips");
             assert_eq!(
                 parsed, reference,
                 "parse differs at {threads} threads, {cards_per_chunk} cards/chunk"

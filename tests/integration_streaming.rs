@@ -8,7 +8,7 @@ use ir_fusion::pipeline::IrFusionPipeline;
 use irf_data::synth::{synthesize_to_path, synthesize_to_string, SynthSpec};
 use irf_pg::{PgSystem, PowerGrid};
 use irf_sparse::{CsrMatrix, Solver, SolverKind};
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -67,7 +67,8 @@ fn streaming_parse_matches_materialized_parse() {
     assert_eq!(materialized.content_hash(), streamed.content_hash());
 
     let path = temp_netlist("parse_parity.sp", &spec);
-    let from_file = irf_spice::parse_path(&path).expect("parse from file");
+    let file = std::fs::File::open(&path).expect("open netlist file");
+    let from_file = irf_spice::parse_reader(BufReader::new(file)).expect("parse from file");
     let _ = std::fs::remove_file(&path);
     assert_eq!(materialized.content_hash(), from_file.content_hash());
 }
