@@ -4,8 +4,9 @@
 
 use crate::config::FusionConfig;
 use crate::stages::{
-    apply_topology_deltas, design_fingerprint, warm_stage_fingerprint, EditError, Prediction,
-    RoughSolution, StagePlan, TopologyDelta,
+    apply_topology_deltas, conductance_fingerprint, currents_fingerprint, design_fingerprint,
+    warm_stage_fingerprint, EditError, KeyParts, Prediction, RoughSolution, StagePlan,
+    TopologyDelta,
 };
 use crate::store::StageStore;
 use crate::train::TrainedModel;
@@ -180,27 +181,30 @@ impl From<FeatureError> for StreamPrepareError {
 }
 
 /// The accumulated edits of an [`AnalysisSession`] relative to its
-/// base design, plus the stage keys of the base artifacts a
-/// topology-delta walk can rebuild from.
+/// base design, plus the base artifacts a topology-delta walk can
+/// rebuild from.
 ///
 /// Current deltas leave every topology-keyed fingerprint intact, so
 /// they need no base hints — the warm artifacts are found under the
 /// *same* keys. Topology deltas (strap/via/segment resistance edits)
-/// change the assembled and solver-setup keys; the plan remembers the
-/// keys those artifacts lived under *before the first topology edit*
-/// so [`IrFusionPipeline`] can re-stamp the edited conductances into
-/// the base CSR ([`PgStructure::restamped`]) and rebuild the AMG
-/// hierarchy against the base setup
-/// ([`irf_sparse::Solver::rebuild_from`]) instead of assembling from
-/// scratch. Chained topology edits keep the original base hints: the
-/// base is the last design that went through a full (or cached)
-/// assembly.
+/// change the assembled, solver-setup and resistance keys; the plan
+/// remembers the grid and the three keys those artifacts lived under
+/// *before the first topology edit* so [`IrFusionPipeline`] can
+/// re-stamp the edited conductances into the base CSR
+/// ([`PgStructure::restamped`]), rebuild the AMG hierarchy against the
+/// base setup ([`irf_sparse::Solver::rebuild_from`]) and refresh the
+/// per-pad shortest-path distances from the base's
+/// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
+/// computing any of the three from scratch. Chained topology edits
+/// keep the original base hints: the base is the last design that went
+/// through a full (or cached) assembly, and a chain's diff against it
+/// is the union of its edits.
 #[derive(Debug, Clone, Default)]
 pub struct EditPlan {
     current_deltas: Vec<(usize, f64)>,
     topology_deltas: Vec<TopologyDelta>,
-    base_assembled: Option<u64>,
-    base_solver_setup: Option<u64>,
+    /// The grid before the first topology delta, and its key plan.
+    base: Option<(Arc<PowerGrid>, StagePlan)>,
     rough_seed: Option<Arc<RoughSolution>>,
 }
 
@@ -221,14 +225,21 @@ impl EditPlan {
     /// base, once a topology delta has been recorded.
     #[must_use]
     pub fn base_assembled(&self) -> Option<u64> {
-        self.base_assembled
+        self.base.as_ref().map(|(_, plan)| plan.assembled)
     }
 
     /// The [`crate::stages::Stage::SolverSetup`] key of the pre-edit
     /// base, once a topology delta has been recorded.
     #[must_use]
     pub fn base_solver_setup(&self) -> Option<u64> {
-        self.base_solver_setup
+        self.base.as_ref().map(|(_, plan)| plan.solver_setup)
+    }
+
+    /// The [`crate::stages::Stage::Resistance`] key of the pre-edit
+    /// base, once a topology delta has been recorded.
+    #[must_use]
+    pub fn base_resistance(&self) -> Option<u64> {
+        self.base.as_ref().map(|(_, plan)| plan.resistance)
     }
 
     /// The base [`RoughSolution`] the rough solve is seeded from, when
@@ -381,7 +392,11 @@ impl<'p> FeatureStackBuilder<'p> {
             CachePolicy::Shared => self.pipeline.cache().map(Arc::as_ref),
             CachePolicy::Bypass => None,
         };
-        self.with_threads(|| self.pipeline.staged_prepare(&config, grid, store, None))
+        let plan = StagePlan::for_design(grid, &config);
+        self.with_threads(|| {
+            self.pipeline
+                .staged_prepare(&config, grid, &plan, store, None)
+        })
     }
 
     /// Prepares the label-free stack straight from a SPICE file on
@@ -562,62 +577,50 @@ impl IrFusionPipeline {
     }
 
     /// One stage-graph walk: every artifact is fetched from `store`
-    /// under its own fingerprint (computing on miss, single-flighted)
-    /// or computed directly when `store` is `None`. Because each
-    /// stage's compute is the *same* code the cold path runs, a walk
-    /// over warm artifacts is bitwise identical to a cold analysis at
-    /// any thread count. `edit` carries an [`AnalysisSession`]'s base
-    /// hints so topology-delta misses can rebuild incrementally.
+    /// under its own fingerprint in `plan` (computing on miss,
+    /// single-flighted) or computed directly when `store` is `None`.
+    /// Because each stage's compute is the *same* code the cold path
+    /// runs, a walk over warm artifacts is bitwise identical to a cold
+    /// analysis at any thread count. `edit` carries an
+    /// [`AnalysisSession`]'s base hints so topology-delta misses can
+    /// rebuild incrementally.
     fn staged_prepare(
         &self,
         config: &FusionConfig,
         grid: &PowerGrid,
+        plan: &StagePlan,
         store: Option<&StageStore>,
         edit: Option<&EditPlan>,
     ) -> Result<Arc<PreparedStack>, FeatureError> {
         if grid.pads.is_empty() {
             return Err(FeatureError::NoPads);
         }
-        let plan = Self::effective_plan(config, grid, edit);
-        let build = || self.build_stack(config, grid, &plan, store, edit);
+        let build = || self.build_stack(config, grid, plan, store, edit);
         Ok(match store {
             Some(s) => s.stack(plan.stack, build),
             None => build(),
         })
     }
 
-    /// The stage keys an edit actually resolves under. Default plans
-    /// are exactly [`StagePlan::for_design`]; when the edit opted into
-    /// a warm-started rough solve, the rough and stack keys are tagged
-    /// with [`warm_stage_fingerprint`] so warm-started artifacts never
-    /// shadow (or get shadowed by) their bitwise-cold counterparts.
-    fn effective_plan(
-        config: &FusionConfig,
-        grid: &PowerGrid,
-        edit: Option<&EditPlan>,
-    ) -> StagePlan {
-        let mut plan = StagePlan::for_design(grid, config);
-        if let Some(seed) = edit.and_then(EditPlan::rough_seed) {
-            plan.rough = warm_stage_fingerprint(plan.rough, seed.fingerprint);
-            plan.stack = warm_stage_fingerprint(plan.stack, seed.fingerprint);
-        }
-        plan
-    }
-
     /// Computes the [`PreparedStack`] for one design, pulling every
     /// upstream artifact through `store` when attached. Pads must have
     /// been checked by the caller.
     ///
-    /// On an [`crate::stages::Stage::Assembled`] or
-    /// [`crate::stages::Stage::SolverSetup`] miss with base hints in
+    /// On an [`crate::stages::Stage::Assembled`],
+    /// [`crate::stages::Stage::SolverSetup`] or
+    /// [`crate::stages::Stage::Resistance`] miss with base hints in
     /// `edit`, the compute closure first tries the incremental route —
     /// re-stamping the edited conductances into the warm base CSR
-    /// ([`PgStructure::restamped`]) and rebuilding the AMG hierarchy
+    /// ([`PgStructure::restamped`]), rebuilding the AMG hierarchy
     /// against the warm base setup
-    /// ([`irf_sparse::Solver::rebuild_from`]) — and falls back to the
-    /// cold build when the base is gone or structurally incompatible.
-    /// Both incremental routes are bitwise identical to their cold
-    /// counterparts, so the determinism contract is unaffected.
+    /// ([`irf_sparse::Solver::rebuild_from`]), refreshing the per-pad
+    /// shortest-path distances from the warm base maps
+    /// ([`FeatureExtractor::resistance_maps_from_base`]) — and falls
+    /// back to the cold build when the base is gone or structurally
+    /// incompatible. All three incremental routes are bitwise identical
+    /// to their cold counterparts, so the determinism contract is
+    /// unaffected. The refreshed maps keep no distance arrays: those
+    /// stay with the base, which every later edit of it refreshes from.
     fn build_stack(
         &self,
         config: &FusionConfig,
@@ -641,11 +644,20 @@ impl IrFusionPipeline {
                 None => geometry(),
             };
             let resistance = || {
-                Arc::new(
-                    extractor
-                        .resistance_maps(grid)
-                        .expect("pads checked by staged_prepare"),
-                )
+                let base = store.zip(edit).and_then(|(s, e)| {
+                    let (base_grid, base_plan) = e.base.as_ref()?;
+                    if base_plan.resistance == plan.resistance {
+                        return None;
+                    }
+                    Some((base_grid, s.peek_resistance(base_plan.resistance)?))
+                });
+                let maps = match &base {
+                    Some((base_grid, base)) => {
+                        extractor.resistance_maps_from_base(grid, base_grid, base)
+                    }
+                    None => extractor.resistance_maps(grid),
+                };
+                Arc::new(maps.expect("pads checked by staged_prepare"))
             };
             let resistance = match store {
                 Some(s) => s.resistance(plan.resistance, resistance),
@@ -684,8 +696,8 @@ impl IrFusionPipeline {
     /// The stage walk up to (and including) the rough solve: assembled
     /// system, prepared solver, rough solution — each fetched from
     /// `store` under its key in `plan` or computed on miss. `plan` must
-    /// already carry the edit's effective keys
-    /// ([`IrFusionPipeline::effective_plan`]); when the edit carries a
+    /// already carry the edit's effective keys (seed-tagged when the
+    /// session opted into a warm start); when the edit carries a
     /// rough seed, the solve is warm-started under the tagged key.
     fn rough_walk(
         &self,
@@ -814,6 +826,7 @@ impl IrFusionPipeline {
     pub fn session(&self, grid: Arc<PowerGrid>) -> AnalysisSession<'_> {
         AnalysisSession {
             pipeline: self,
+            keys: KeyParts::of(&grid, &self.config),
             grid,
             cache: CachePolicy::Shared,
             plan: EditPlan::default(),
@@ -862,7 +875,8 @@ impl IrFusionPipeline {
     ///
     /// Returns [`FeatureError::NoPads`] when the grid has no pads.
     pub fn prepare_stack(&self, grid: &PowerGrid) -> Result<PreparedStack, FeatureError> {
-        self.staged_prepare(&self.config, grid, None, None)
+        let plan = StagePlan::for_design(grid, &self.config);
+        self.staged_prepare(&self.config, grid, &plan, None, None)
             .map(|stack| (*stack).clone())
     }
 
@@ -996,6 +1010,10 @@ impl IrFusionPipeline {
 pub struct AnalysisSession<'p> {
     pipeline: &'p IrFusionPipeline,
     grid: Arc<PowerGrid>,
+    /// The component digests of `grid` under the pipeline
+    /// configuration: hashed once when the session opens, then each
+    /// edit replaces only the digest of what it changed.
+    keys: KeyParts,
     cache: CachePolicy,
     plan: EditPlan,
 }
@@ -1009,9 +1027,43 @@ impl AnalysisSession<'_> {
 
     /// The [`design_fingerprint`] of the effective grid under the
     /// pipeline configuration — the key a prepared stack lives under.
+    /// Read from the carried key plan; nothing is re-hashed.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        design_fingerprint(&self.grid, self.pipeline.config())
+        self.stage_plan().stack
+    }
+
+    /// The key plan of the effective grid — equal to
+    /// [`StagePlan::for_design`] of [`AnalysisSession::grid`] under the
+    /// pipeline configuration, composed from the digests the session
+    /// carries instead of re-hashing the grid.
+    #[must_use]
+    pub fn stage_plan(&self) -> StagePlan {
+        StagePlan::from_parts(&self.keys)
+    }
+
+    /// The stage keys this session resolves under: its
+    /// [`AnalysisSession::stage_plan`], except that a session opted
+    /// into a warm-started rough solve tags the rough and stack keys
+    /// with [`warm_stage_fingerprint`] so warm-started artifacts never
+    /// shadow (or get shadowed by) their bitwise-cold counterparts.
+    fn effective_plan(&self) -> StagePlan {
+        let mut plan = self.stage_plan();
+        if let Some(seed) = self.plan.rough_seed() {
+            plan.rough = warm_stage_fingerprint(plan.rough, seed.fingerprint);
+            plan.stack = warm_stage_fingerprint(plan.stack, seed.fingerprint);
+        }
+        plan
+    }
+
+    /// Swaps in a copy of the grid with edited loads (the copy shares
+    /// the node table) and re-hashes the loads — the one digest a
+    /// current edit changes.
+    fn edit_loads(&mut self, edit: impl FnOnce(&mut Vec<Load>)) {
+        let mut grid = (*self.grid).clone();
+        edit(&mut grid.loads);
+        self.keys.currents = currents_fingerprint(&grid.loads);
+        self.grid = Arc::new(grid);
     }
 
     /// Sets the cache policy (default [`CachePolicy::Shared`]).
@@ -1024,9 +1076,7 @@ impl AnalysisSession<'_> {
     /// Replaces the whole load vector.
     #[must_use]
     pub fn with_currents(mut self, loads: Vec<Load>) -> Self {
-        let mut grid = (*self.grid).clone();
-        grid.loads = loads;
-        self.grid = Arc::new(grid);
+        self.edit_loads(|grid_loads| *grid_loads = loads);
         self
     }
 
@@ -1035,25 +1085,27 @@ impl AnalysisSession<'_> {
     /// is created when the node drew no current before.
     #[must_use]
     pub fn with_current_deltas(mut self, deltas: &[(usize, f64)]) -> Self {
-        let mut grid = (*self.grid).clone();
-        for &(node, amps) in deltas {
-            match grid.loads.iter_mut().find(|l| l.node == node) {
-                Some(load) => load.amps += amps,
-                None => grid.loads.push(Load { node, amps }),
+        self.edit_loads(|loads| {
+            for &(node, amps) in deltas {
+                match loads.iter_mut().find(|l| l.node == node) {
+                    Some(load) => load.amps += amps,
+                    None => loads.push(Load { node, amps }),
+                }
             }
-        }
-        self.grid = Arc::new(grid);
+        });
         self.plan.current_deltas.extend_from_slice(deltas);
         self
     }
 
     /// Applies topology deltas — strap / via / segment resistance
-    /// edits — to the effective grid, recording the pre-edit stage
-    /// keys so the next [`AnalysisSession::prepare`] can rebuild the
-    /// assembled system and the solver setup incrementally from the
-    /// warm base artifacts. Validation is all-or-nothing: every delta
-    /// in the batch is checked against the base grid before any is
-    /// applied, so a failing batch applies none of them.
+    /// edits — to the effective grid, recording the pre-edit grid and
+    /// stage keys so the next [`AnalysisSession::prepare`] can rebuild
+    /// the assembled system and the solver setup, and refresh the
+    /// shortest-path distances, incrementally from the warm base
+    /// artifacts. Only the `ohms` are re-hashed: every other digest of
+    /// the key plan is carried over. Validation is all-or-nothing:
+    /// every delta in the batch is checked against the base grid before
+    /// any is applied, so a failing batch applies none of them.
     ///
     /// Chained calls keep the *first* pre-edit base as the rebuild
     /// anchor — the last design that actually went through a full (or
@@ -1065,13 +1117,12 @@ impl AnalysisSession<'_> {
     /// segment the base grid does not have, or carries a non-finite /
     /// non-positive value.
     pub fn with_topology_deltas(mut self, deltas: &[TopologyDelta]) -> Result<Self, EditError> {
-        if self.plan.base_assembled.is_none() {
-            let base = StagePlan::for_design(&self.grid, self.pipeline.config());
-            self.plan.base_assembled = Some(base.assembled);
-            self.plan.base_solver_setup = Some(base.solver_setup);
-        }
         let mut grid = (*self.grid).clone();
         apply_topology_deltas(&mut grid, deltas)?;
+        if self.plan.base.is_none() {
+            self.plan.base = Some((Arc::clone(&self.grid), self.stage_plan()));
+        }
+        self.keys.conductance = conductance_fingerprint(&grid);
         self.grid = Arc::new(grid);
         self.plan.topology_deltas.extend_from_slice(deltas);
         Ok(self)
@@ -1116,11 +1167,9 @@ impl AnalysisSession<'_> {
             CachePolicy::Shared => self.pipeline.cache().map(Arc::as_ref),
             CachePolicy::Bypass => None,
         };
-        let config = self.pipeline.config();
-        let plan = IrFusionPipeline::effective_plan(config, &self.grid, Some(&self.plan));
         Ok(self
             .pipeline
-            .rough_walk(&self.grid, &plan, store, Some(&self.plan)))
+            .rough_walk(&self.grid, &self.effective_plan(), store, Some(&self.plan)))
     }
 
     /// The composed [`EditPlan`] recorded so far.
@@ -1144,8 +1193,13 @@ impl AnalysisSession<'_> {
             CachePolicy::Shared => self.pipeline.cache().map(Arc::as_ref),
             CachePolicy::Bypass => None,
         };
-        self.pipeline
-            .staged_prepare(self.pipeline.config(), &self.grid, store, Some(&self.plan))
+        self.pipeline.staged_prepare(
+            self.pipeline.config(),
+            &self.grid,
+            &self.effective_plan(),
+            store,
+            Some(&self.plan),
+        )
     }
 
     /// Analyzes the effective grid, optionally refining with a
@@ -1351,6 +1405,83 @@ mod tests {
             .expect("pads");
         assert_eq!(warm.rough.data(), fresh.rough.data());
         assert_eq!(warm.features.to_nchw().3, fresh.features.to_nchw().3);
+    }
+
+    #[test]
+    fn a_session_carries_the_key_plan_of_its_effective_grid() {
+        use crate::stages::TopologyDelta;
+        let p = pipeline();
+        let base = Arc::new(grid());
+        let strap = TopologyDelta::Strap {
+            layer: 1,
+            scale: 0.8,
+        };
+        let segment = TopologyDelta::Segment {
+            segment: 5,
+            ohms: 0.123,
+        };
+        let mut doubled = base.loads.clone();
+        for l in &mut doubled {
+            l.amps *= 2.0;
+        }
+        let open = || p.session(Arc::clone(&base));
+        let sessions = [
+            ("unedited", open()),
+            (
+                "current",
+                open().with_current_deltas(&[(1, 2e-3), (9, 1e-4)]),
+            ),
+            ("with_currents", open().with_currents(doubled.clone())),
+            ("topology", open().with_topology_deltas(&[strap]).unwrap()),
+            (
+                "chained topology",
+                open()
+                    .with_topology_deltas(&[strap])
+                    .unwrap()
+                    .with_topology_deltas(&[segment])
+                    .unwrap(),
+            ),
+            (
+                "mixed",
+                open()
+                    .with_current_deltas(&[(2, 1e-3)])
+                    .with_topology_deltas(&[segment, strap])
+                    .unwrap()
+                    .with_currents(doubled)
+                    .with_current_deltas(&[(2, -5e-4)]),
+            ),
+        ];
+        let mut seen = Vec::new();
+        for (label, session) in &sessions {
+            let want = StagePlan::for_design(session.grid(), p.config());
+            assert_eq!(session.stage_plan(), want, "{label}");
+            assert_eq!(session.fingerprint(), want.stack, "{label}");
+            assert_eq!(
+                session.fingerprint(),
+                design_fingerprint(session.grid(), p.config()),
+                "{label}"
+            );
+            let prepared = session.prepare().expect("pads");
+            assert_eq!(prepared.fingerprint, session.fingerprint(), "{label}");
+            assert!(!seen.contains(&want.stack), "{label} repeats a design");
+            seen.push(want.stack);
+        }
+        // Every topology session anchors on the grid it was opened on.
+        for (label, session) in &sessions[3..] {
+            let plan = session.edit_plan();
+            let base_plan = StagePlan::for_design(&base, p.config());
+            assert_eq!(plan.base_assembled(), Some(base_plan.assembled), "{label}");
+            assert_eq!(
+                plan.base_solver_setup(),
+                Some(base_plan.solver_setup),
+                "{label}"
+            );
+            assert_eq!(
+                plan.base_resistance(),
+                Some(base_plan.resistance),
+                "{label}"
+            );
+        }
     }
 
     #[test]

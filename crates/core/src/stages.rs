@@ -36,9 +36,19 @@
 //! Predictions are *not* cached: the model can be hot-swapped at any
 //! time, so they are recomputed from the (cached) stack.
 //!
-//! All fingerprints are 64-bit FNV-1a ([`irf_spice::Fnv1a`]): stable
-//! across processes and platforms, so a restarted server reproduces
-//! the same keys for the same designs.
+//! All fingerprints are 64-bit FNV-1a ([`irf_spice::Fnv1a`], a word a
+//! step): stable across processes and platforms, so a restarted server
+//! reproduces the same keys for the same designs.
+//!
+//! Every key is composed from six component digests (geometry,
+//! conductances, pad volts, currents and the two config digests), each
+//! hashed once. [`StagePlan::for_design`] composes them in one place —
+//! the single definition of the six keys — so an [`AnalysisSession`]
+//! carries the digests and an edit re-hashes only the component it
+//! changed: the `ohms` after a topology delta, the loads after a
+//! current delta, never the 90k node names neither can touch.
+//!
+//! [`AnalysisSession`]: crate::pipeline::AnalysisSession
 
 use crate::config::FusionConfig;
 use irf_pg::{GridMap, Load, PowerGrid};
@@ -148,13 +158,11 @@ pub struct Prediction {
 pub fn geometry_fingerprint(grid: &PowerGrid) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(grid.nodes.len() as u64);
-    for n in &grid.nodes {
-        h.write(n.name.as_bytes());
-        h.write(&[0]);
-        h.write_u64(u64::from(n.layer));
-        h.write(&n.x.to_le_bytes());
-        h.write(&n.y.to_le_bytes());
-        h.write(&[u8::from(n.is_pad)]);
+    for n in grid.nodes.iter() {
+        h.write_words(n.name.as_bytes());
+        h.write_u64(u64::from(n.layer) | u64::from(n.is_pad) << 32);
+        h.write_i64(n.x);
+        h.write_i64(n.y);
     }
     h.write_u64(grid.segments.len() as u64);
     for s in &grid.segments {
@@ -182,6 +190,19 @@ pub fn conductance_fingerprint(grid: &PowerGrid) -> u64 {
     h.finish()
 }
 
+/// Fingerprint of the pad voltages alone, positionally — the boundary
+/// values baked into the assembled system. *Which* nodes are pads is
+/// geometry ([`geometry_fingerprint`]).
+#[must_use]
+pub fn pad_volts_fingerprint(grid: &PowerGrid) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(grid.pads.len() as u64);
+    for p in &grid.pads {
+        h.write_f64(p.volts);
+    }
+    h.finish()
+}
+
 /// Fingerprint of the grid *topology*: nodes, segments and pads —
 /// everything that shapes the MNA matrix, and nothing that doesn't.
 /// The load (current) vector is deliberately excluded: it only enters
@@ -189,20 +210,15 @@ pub fn conductance_fingerprint(grid: &PowerGrid) -> u64 {
 /// (and every artifact keyed by it) valid.
 ///
 /// Composed from [`geometry_fingerprint`], [`conductance_fingerprint`]
-/// and the pad voltages, so artifacts keyed on the geometry half alone
-/// can be shared across resistance edits.
+/// and [`pad_volts_fingerprint`], so artifacts keyed on the geometry
+/// half alone can be shared across resistance edits.
 #[must_use]
 pub fn topology_fingerprint(grid: &PowerGrid) -> u64 {
-    let mut volts = Fnv1a::new();
-    volts.write_u64(grid.pads.len() as u64);
-    for p in &grid.pads {
-        volts.write_f64(p.volts);
-    }
-    combine_fingerprints(&[
+    topology_of(
         geometry_fingerprint(grid),
         conductance_fingerprint(grid),
-        volts.finish(),
-    ])
+        pad_volts_fingerprint(grid),
+    )
 }
 
 /// Fingerprint of the load (current) vector alone — the only input
@@ -267,27 +283,61 @@ pub fn warm_stage_fingerprint(key: u64, seed: u64) -> u64 {
 }
 
 /// Content fingerprint of a design plus the preparation-relevant
-/// configuration — the [`Stage::Stack`] key.
+/// configuration — the [`Stage::Stack`] key of
+/// [`StagePlan::for_design`], so the two cannot drift.
 ///
-/// Composed from [`topology_fingerprint`], [`currents_fingerprint`],
-/// [`solver_config_fingerprint`] and [`feature_config_fingerprint`],
-/// so two (grid, config) pairs with equal fingerprints produce
-/// bitwise identical stacks. Model, training and threading settings
-/// are deliberately excluded — they do not affect the stack (results
-/// are bitwise identical at any thread count).
+/// Two (grid, config) pairs with equal fingerprints produce bitwise
+/// identical stacks. Model, training and threading settings are
+/// deliberately excluded — they do not affect the stack (results are
+/// bitwise identical at any thread count).
 #[must_use]
 pub fn design_fingerprint(grid: &PowerGrid, config: &FusionConfig) -> u64 {
-    combine_fingerprints(&[
-        topology_fingerprint(grid),
-        currents_fingerprint(&grid.loads),
-        solver_config_fingerprint(config),
-        feature_config_fingerprint(config),
-    ])
+    StagePlan::for_design(grid, config).stack
+}
+
+/// The component digests of one (grid, config) pair — each input of
+/// the stage graph hashed once. Every stage key is a combination of
+/// these ([`StagePlan::from_parts`]), so an edit that changes one
+/// input replaces one digest and recombines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyParts {
+    /// [`geometry_fingerprint`].
+    pub(crate) geometry: u64,
+    /// [`conductance_fingerprint`] — what a topology delta changes.
+    pub(crate) conductance: u64,
+    /// [`pad_volts_fingerprint`].
+    pub(crate) pad_volts: u64,
+    /// [`currents_fingerprint`] — what a current edit changes.
+    pub(crate) currents: u64,
+    /// [`solver_config_fingerprint`].
+    pub(crate) solver_config: u64,
+    /// [`feature_config_fingerprint`].
+    pub(crate) feature_config: u64,
+}
+
+impl KeyParts {
+    /// Hashes every component of `grid` and `config`, each once.
+    pub(crate) fn of(grid: &PowerGrid, config: &FusionConfig) -> Self {
+        KeyParts {
+            geometry: geometry_fingerprint(grid),
+            conductance: conductance_fingerprint(grid),
+            pad_volts: pad_volts_fingerprint(grid),
+            currents: currents_fingerprint(&grid.loads),
+            solver_config: solver_config_fingerprint(config),
+            feature_config: feature_config_fingerprint(config),
+        }
+    }
+}
+
+/// The one composition behind [`topology_fingerprint`] and the
+/// topology-keyed stages of [`StagePlan`].
+fn topology_of(geometry: u64, conductance: u64, pad_volts: u64) -> u64 {
+    combine_fingerprints(&[geometry, conductance, pad_volts])
 }
 
 /// The full key plan for one (grid, config) pair: every per-stage
 /// fingerprint the stage walk needs, computed once up front.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagePlan {
     /// Topology fingerprint — the [`Stage::Assembled`] key.
     pub assembled: u64,
@@ -310,19 +360,28 @@ impl StagePlan {
     /// Computes all stage keys for a design under a configuration.
     #[must_use]
     pub fn for_design(grid: &PowerGrid, config: &FusionConfig) -> Self {
-        let geometry = geometry_fingerprint(grid);
-        let conductance = conductance_fingerprint(grid);
-        let topology = topology_fingerprint(grid);
-        let currents = currents_fingerprint(&grid.loads);
-        let solver_cfg = solver_config_fingerprint(config);
-        let feature_cfg = feature_config_fingerprint(config);
+        Self::from_parts(&KeyParts::of(grid, config))
+    }
+
+    /// The single definition of the six keys: which component digests
+    /// each stage's artifact is a function of.
+    pub(crate) fn from_parts(parts: &KeyParts) -> Self {
+        let KeyParts {
+            geometry,
+            conductance,
+            pad_volts,
+            currents,
+            solver_config,
+            feature_config,
+        } = *parts;
+        let topology = topology_of(geometry, conductance, pad_volts);
         StagePlan {
             assembled: topology,
-            solver_setup: combine_fingerprints(&[topology, solver_cfg]),
-            rough: combine_fingerprints(&[topology, solver_cfg, currents]),
-            structural: combine_fingerprints(&[geometry, feature_cfg]),
-            resistance: combine_fingerprints(&[geometry, conductance, feature_cfg]),
-            stack: combine_fingerprints(&[topology, currents, solver_cfg, feature_cfg]),
+            solver_setup: combine_fingerprints(&[topology, solver_config]),
+            rough: combine_fingerprints(&[topology, solver_config, currents]),
+            structural: combine_fingerprints(&[geometry, feature_config]),
+            resistance: combine_fingerprints(&[geometry, conductance, feature_config]),
+            stack: combine_fingerprints(&[topology, currents, solver_config, feature_config]),
         }
     }
 }
@@ -553,6 +612,88 @@ mod tests {
             design_fingerprint(&a.grid, &cfg3),
             "thread count must not affect the fingerprint"
         );
+    }
+
+    #[test]
+    fn each_change_flips_exactly_the_keys_that_depend_on_it() {
+        use std::sync::Arc;
+        let cfg = FusionConfig::tiny();
+        let base = Design::fake(1).grid;
+        let keys = |grid: &PowerGrid, cfg: &FusionConfig| {
+            let p = StagePlan::for_design(grid, cfg);
+            [
+                p.assembled,
+                p.solver_setup,
+                p.rough,
+                p.structural,
+                p.resistance,
+                p.stack,
+            ]
+        };
+        let base_keys = keys(&base, &cfg);
+        let edited = |edit: &dyn Fn(&mut PowerGrid)| {
+            let mut grid = base.clone();
+            edit(&mut grid);
+            grid
+        };
+        let (mut more_iterations, mut wider) = (cfg, cfg);
+        more_iterations.solver_iterations += 1;
+        wider.feature.width += 1;
+        // Which of [assembled, solver_setup, rough, structural,
+        // resistance, stack] each change flips.
+        let cases: [(&str, PowerGrid, FusionConfig, [bool; 6]); 6] = [
+            (
+                "one load's amps",
+                edited(&|g| g.loads[0].amps += 1e-6),
+                cfg,
+                [false, false, true, false, false, true],
+            ),
+            (
+                "one segment's ohms",
+                edited(&|g| g.segments[7].ohms *= 1.5),
+                cfg,
+                [true, true, true, false, true, true],
+            ),
+            (
+                "one pad's volts",
+                edited(&|g| g.pads[0].volts += 0.01),
+                cfg,
+                [true, true, true, false, false, true],
+            ),
+            (
+                "one node's x",
+                edited(&|g| Arc::make_mut(&mut g.nodes)[3].x += 1),
+                cfg,
+                [true, true, true, true, true, true],
+            ),
+            (
+                "the solver budget",
+                base.clone(),
+                more_iterations,
+                [false, true, true, false, false, true],
+            ),
+            (
+                "the map width",
+                base.clone(),
+                wider,
+                [false, false, false, true, true, true],
+            ),
+        ];
+        for (label, grid, cfg, flips) in cases {
+            let got = keys(&grid, &cfg);
+            let flipped: Vec<bool> = got.iter().zip(&base_keys).map(|(a, b)| a != b).collect();
+            assert_eq!(flipped, flips, "{label}");
+        }
+    }
+
+    #[test]
+    fn the_plan_and_the_named_fingerprints_share_one_composition() {
+        let cfg = FusionConfig::tiny();
+        let grid = Design::fake(3).grid;
+        let plan = StagePlan::for_design(&grid, &cfg);
+        assert_eq!(plan.stack, design_fingerprint(&grid, &cfg));
+        assert_eq!(plan.assembled, topology_fingerprint(&grid));
+        assert_eq!(plan, StagePlan::from_parts(&KeyParts::of(&grid, &cfg)));
     }
 
     #[test]

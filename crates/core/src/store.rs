@@ -417,6 +417,12 @@ impl StageStore {
         }
     }
 
+    /// Non-counting probe: refreshes recency on success but records
+    /// neither a hit nor a miss.
+    fn peek(&self, stage: Stage, key: u64) -> Option<StageArtifact> {
+        self.shard((stage, key)).get((stage, key))
+    }
+
     /// Non-counting probe for a warm [`Stage::Assembled`] artifact —
     /// used by the topology-delta fast path to locate its *base*
     /// system. Refreshes recency on success but records neither a hit
@@ -425,10 +431,7 @@ impl StageStore {
     /// asserted against.
     #[must_use]
     pub fn peek_assembled(&self, key: u64) -> Option<Arc<PgStructure>> {
-        match self
-            .shard((Stage::Assembled, key))
-            .get((Stage::Assembled, key))
-        {
+        match self.peek(Stage::Assembled, key) {
             Some(StageArtifact::Assembled(v)) => Some(v),
             _ => None,
         }
@@ -438,11 +441,19 @@ impl StageStore {
     /// see [`StageStore::peek_assembled`].
     #[must_use]
     pub fn peek_solver_setup(&self, key: u64) -> Option<Arc<SolverSetup>> {
-        match self
-            .shard((Stage::SolverSetup, key))
-            .get((Stage::SolverSetup, key))
-        {
+        match self.peek(Stage::SolverSetup, key) {
             Some(StageArtifact::Setup(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Non-counting probe for a warm [`Stage::Resistance`] artifact —
+    /// the base maps a topology edit refreshes its shortest-path
+    /// distances from; see [`StageStore::peek_assembled`].
+    #[must_use]
+    pub fn peek_resistance(&self, key: u64) -> Option<Arc<ResistanceMaps>> {
+        match self.peek(Stage::Resistance, key) {
+            Some(StageArtifact::Resistance(v)) => Some(v),
             _ => None,
         }
     }

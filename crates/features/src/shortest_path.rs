@@ -14,16 +14,72 @@
 //!   pool, and the partial accumulators are folded in fixed chunk
 //!   order ([`irf_runtime::par_reduce`]), so the result is bitwise
 //!   identical at any thread count.
+//!
+//! # Refreshing instead of recomputing
+//!
+//! A what-if topology edit changes a handful of segment resistances,
+//! and most of them sit on nobody's shortest path. [`PadDistances`]
+//! keeps the per-pad distance arrays of a *base* grid so that an edit
+//! of it pays for what it moves ([`PadDistances::refreshed`]) instead
+//! of re-running every pass.
+//!
+//! Why the refreshed bits equal a from-scratch pass: a pass computes,
+//! per node, the minimum over paths of the left-to-right floating-point
+//! sum of the path's resistances. `fl(a + r)` is monotone in `a` and
+//! never below `a` for `r >= 0`, which is all Dijkstra's proof needs,
+//! so that minimum is what *any* correct label-correcting procedure
+//! ends on — there is one answer, and it has one bit pattern. The
+//! refresh starts from the base array instead of from infinity:
+//!
+//! 1. every *increased* segment that is tight in the base array
+//!    (`fl(d[a] + r_old)` has the bits of `d[b]`, either direction) may
+//!    have carried shortest paths, so everything hanging below it
+//!    through tight edges is invalidated (an over-approximation —
+//!    harmless, the answer is unique) and re-seeded from its
+//!    neighbours under the new weights;
+//! 2. both endpoints of every *decreased* segment are relaxed;
+//! 3. the ordinary heap loop (`settle`, the one the cold pass runs)
+//!    propagates from there.
+//!
+//! What survives untouched is an upper bound some real path of the
+//! edited grid attains, and every edge ends relaxed, so the loop ends
+//! on the unique answer. A pad whose changes touch more than a quarter
+//! of the nodes (`REFRESH_MAX_TOUCHED_SHARE`) runs the plain full pass
+//! instead, a pad no change reaches shares the base's array, and the
+//! per-node average is re-folded whole by the same `average_per_node`
+//! the cold path uses.
 
 use crate::error::FeatureError;
 use irf_pg::{GridMap, PowerGrid, Rasterizer};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
 /// How many pads the *average* shortest-path computation visits
 /// individually before falling back to the single multi-source pass.
 const MAX_PADS_FOR_AVERAGE: usize = 32;
+
+/// Share of the nodes one pad's changes may *touch* — nodes invalidated
+/// below tight increased segments, plus decreased segments that already
+/// beat an endpoint's distance — before that pad runs the plain full
+/// pass instead. Both counts are known before anything is re-relaxed
+/// (the invalidation walk stops the moment the share is passed), so a
+/// hopeless refresh wastes at most this share of one pass.
+///
+/// Measured on the 91 160-node / 13-pad benchmark base (release, one
+/// thread, fall-back disabled; EXPERIMENTS.md "Topology what-if and
+/// candidate sweep"), as time for all 13 pads against 13 full passes:
+/// increases that move 17 % of the (pad, node) distances cost 0.26 of
+/// the full passes, 49 % cost 1.0, 81 % cost 1.4 — each invalidated
+/// node is walked, re-seeded and settled again on a colder heap, so
+/// the crossing is near 45 %. Decreases that move 47 % cost 0.4 and
+/// 95 % cost 1.0 while the changed segments are few, but 45 368
+/// improving segments at once (a die-wide m2 scale) start the heap
+/// loop on a heap that large and cost 1.5. A quarter of the nodes, per
+/// pad, keeps both below the full pass with room for the pads of one
+/// edit differing.
+const REFRESH_MAX_TOUCHED_SHARE: f64 = 0.25;
 
 /// Pads folded per reduction chunk. Fixed — never derived from the
 /// thread count — so the accumulation grouping, and therefore every
@@ -124,10 +180,15 @@ impl ResistanceGraph {
 
 /// Per-thread scratch arena: the distance vector and heap are reused
 /// across passes on the same worker, so a 32-pad fan-out performs 1-2
-/// large allocations per thread instead of 32.
+/// large allocations per thread instead of 32. `invalidated` and
+/// `marked` serve the refresh: the nodes one pad's increases
+/// invalidated, and a per-node flag (source or invalidated) cleared
+/// at the start of every pass.
 struct Scratch {
     dist: Vec<f64>,
     heap: BinaryHeap<HeapItem>,
+    invalidated: Vec<u32>,
+    marked: Vec<bool>,
 }
 
 thread_local! {
@@ -135,8 +196,35 @@ thread_local! {
         RefCell::new(Scratch {
             dist: Vec::new(),
             heap: BinaryHeap::new(),
+            invalidated: Vec::new(),
+            marked: Vec::new(),
         })
     };
+}
+
+/// The one Dijkstra loop, shared by the cold pass and the refresh:
+/// pops until the heap is empty, relaxing every edge of each node
+/// popped at its current distance. Returns how many nodes it settled.
+fn settle(graph: &ResistanceGraph, dist: &mut [f64], heap: &mut BinaryHeap<HeapItem>) -> usize {
+    let mut settled = 0;
+    while let Some(HeapItem { dist: d, node }) = heap.pop() {
+        let node = node as usize;
+        if d > dist[node] {
+            continue;
+        }
+        settled += 1;
+        for (next, resistance) in graph.neighbors(node) {
+            let nd = d + resistance;
+            if nd < dist[next] {
+                dist[next] = nd;
+                heap.push(HeapItem {
+                    dist: nd,
+                    node: next as u32,
+                });
+            }
+        }
+    }
+    settled
 }
 
 /// Runs one Dijkstra pass from `sources` in the calling thread's
@@ -155,24 +243,29 @@ fn dijkstra_pass<R>(graph: &ResistanceGraph, sources: &[usize], f: impl FnOnce(&
                 node: s as u32,
             });
         }
-        while let Some(HeapItem { dist: d, node }) = scratch.heap.pop() {
-            let node = node as usize;
-            if d > scratch.dist[node] {
-                continue;
-            }
-            for (next, resistance) in graph.neighbors(node) {
-                let nd = d + resistance;
-                if nd < scratch.dist[next] {
-                    scratch.dist[next] = nd;
-                    scratch.heap.push(HeapItem {
-                        dist: nd,
-                        node: next as u32,
-                    });
-                }
-            }
-        }
+        settle(graph, &mut scratch.dist, &mut scratch.heap);
         f(&scratch.dist)
     })
+}
+
+/// Adds the passes a caller is about to run to
+/// `irf_sp_pad_passes_total`: full Dijkstra passes actually run, so a
+/// multi-source design counts one and a refresh only its fall-backs.
+fn count_passes(passes: usize) {
+    if passes > 0 {
+        irf_trace::registry().counter_add("irf_sp_pad_passes_total", &[], passes as f64);
+    }
+}
+
+/// The source set of each pass over `grid`: one pass per pad, or one
+/// multi-source pass when the pads exceed [`MAX_PADS_FOR_AVERAGE`].
+fn pass_sources(grid: &PowerGrid) -> Vec<Vec<usize>> {
+    let pads = grid.pads.iter().map(|p| p.node);
+    if grid.pads.len() > MAX_PADS_FOR_AVERAGE {
+        vec![pads.collect()]
+    } else {
+        pads.map(|p| vec![p]).collect()
+    }
 }
 
 /// Dijkstra with edge weight = segment resistance from the given
@@ -211,7 +304,9 @@ pub fn shortest_path_resistance_map(
 /// Rasterizes precomputed per-node shortest-path values with per-tile
 /// means, skipping unreachable (infinite) nodes. Split out so the
 /// feature extractor can fan the Dijkstra passes out at top level and
-/// rasterize later inside its own task.
+/// rasterize later inside its own task. Always splats the whole die:
+/// per-tile `f32` sums depend on the order nodes arrive in, so a
+/// refreshed value array is re-splatted whole, never patched.
 #[must_use]
 pub fn rasterize_per_node(grid: &PowerGrid, values: &[f64], raster: &Rasterizer) -> GridMap {
     raster.splat_mean(
@@ -223,36 +318,26 @@ pub fn rasterize_per_node(grid: &PowerGrid, values: &[f64], raster: &Rasterizer)
     )
 }
 
-/// Per-node average shortest-path resistance (see
-/// [`shortest_path_resistance_map`]). The per-pad passes fan out
-/// across the deterministic pool; the partial accumulators are folded
-/// in fixed chunk order, so the result is bitwise identical at any
-/// thread count.
-///
-/// # Errors
-///
-/// Returns [`FeatureError::NoPads`] when the grid has no pads.
-pub fn shortest_path_resistance_per_node(grid: &PowerGrid) -> Result<Vec<f64>, FeatureError> {
-    if grid.pads.is_empty() {
-        return Err(FeatureError::NoPads);
-    }
-    let pad_nodes: Vec<usize> = grid.pads.iter().map(|p| p.node).collect();
-    let graph = ResistanceGraph::new(grid);
-    irf_trace::registry().counter_add("irf_sp_pad_passes_total", &[], pad_nodes.len() as f64);
-    if pad_nodes.len() > MAX_PADS_FOR_AVERAGE {
-        // One multi-source minimum pass — cheap enough to stay serial.
-        return Ok(dijkstra_pass(&graph, &pad_nodes, <[f64]>::to_vec));
-    }
-    let n = graph.len();
+/// The one per-node fold: the average over `pads` distance arrays of
+/// `n` nodes each, `f64::INFINITY` where no pad reaches. `visit(p,
+/// sink)` hands pad `p`'s array to `sink` exactly once — the cold path
+/// runs the pass there, the refresh reads a stored array — and the
+/// summation order is pinned either way: chunks of [`PADS_PER_CHUNK`]
+/// summed from zero in pad order, chunks folded left to right.
+fn average_per_node(
+    n: usize,
+    pads: usize,
+    visit: impl Fn(usize, &mut dyn FnMut(&[f64])) + Sync,
+) -> Vec<f64> {
     let (acc, reachable) = irf_runtime::par_reduce(
-        pad_nodes.len(),
+        pads,
         PADS_PER_CHUNK,
         (vec![0.0f64; n], vec![0u32; n]),
-        |pads| {
+        |chunk| {
             let mut acc = vec![0.0f64; n];
             let mut reachable = vec![0u32; n];
-            for &pad in &pad_nodes[pads] {
-                dijkstra_pass(&graph, &[pad], |dist| {
+            for pad in chunk {
+                visit(pad, &mut |dist| {
                     for ((a, r), &d) in acc.iter_mut().zip(reachable.iter_mut()).zip(dist) {
                         if d.is_finite() {
                             *a += d;
@@ -275,8 +360,7 @@ pub fn shortest_path_resistance_per_node(grid: &PowerGrid) -> Result<Vec<f64>, F
             (acc, reachable)
         },
     );
-    Ok(acc
-        .iter()
+    acc.iter()
         .zip(&reachable)
         .map(|(&a, &r)| {
             if r > 0 {
@@ -285,7 +369,378 @@ pub fn shortest_path_resistance_per_node(grid: &PowerGrid) -> Result<Vec<f64>, F
                 f64::INFINITY
             }
         })
-        .collect())
+        .collect()
+}
+
+/// Per-node average shortest-path resistance (see
+/// [`shortest_path_resistance_map`]). The per-pad passes fan out
+/// across the deterministic pool; the partial accumulators are folded
+/// in fixed chunk order, so the result is bitwise identical at any
+/// thread count. Holds at most `PADS_PER_CHUNK` partial sums per
+/// worker and no per-pad array — a cold analysis retains none of the
+/// state [`PadDistances`] keeps for a base.
+///
+/// # Errors
+///
+/// Returns [`FeatureError::NoPads`] when the grid has no pads.
+pub fn shortest_path_resistance_per_node(grid: &PowerGrid) -> Result<Vec<f64>, FeatureError> {
+    if grid.pads.is_empty() {
+        return Err(FeatureError::NoPads);
+    }
+    let graph = ResistanceGraph::new(grid);
+    let sources = pass_sources(grid);
+    count_passes(sources.len());
+    if let [all_pads] = sources.as_slice() {
+        // One pass — multi-source, or a one-pad design — is its own
+        // average: `(0 + d) / 1` has the bits of `d`.
+        return Ok(dijkstra_pass(&graph, all_pads, <[f64]>::to_vec));
+    }
+    Ok(average_per_node(graph.len(), sources.len(), |pad, sink| {
+        dijkstra_pass(&graph, &sources[pad], sink);
+    }))
+}
+
+/// One segment whose resistance differs, bit for bit, between a base
+/// grid and an edit of it.
+#[derive(Debug, Clone, Copy)]
+struct SegmentChange {
+    a: usize,
+    b: usize,
+    old: f64,
+    new: f64,
+}
+
+/// The segments whose `ohms` differ between `base` and `edited`, or
+/// `None` when the two grids differ in anything else the resistance
+/// maps depend on (the node table, segment endpoints, pad nodes) — then
+/// nothing of the base can be refreshed. An edit made on a clone shares
+/// the base's node table, which makes that comparison one pointer.
+fn changed_segments(base: &PowerGrid, edited: &PowerGrid) -> Option<Vec<SegmentChange>> {
+    let same_shape = base.nodes == edited.nodes
+        && base.segments.len() == edited.segments.len()
+        && base.pads.len() == edited.pads.len()
+        && base
+            .pads
+            .iter()
+            .zip(&edited.pads)
+            .all(|(p, q)| p.node == q.node);
+    if !same_shape {
+        return None;
+    }
+    let mut changes = Vec::new();
+    for (old, new) in base.segments.iter().zip(&edited.segments) {
+        if (old.a, old.b) != (new.a, new.b) {
+            return None;
+        }
+        if old.ohms.to_bits() != new.ohms.to_bits() {
+            changes.push(SegmentChange {
+                a: old.a,
+                b: old.b,
+                old: old.ohms,
+                new: new.ohms,
+            });
+        }
+    }
+    Some(changes)
+}
+
+/// What one [`PadDistances::refreshed`] call did — the attributes of
+/// the `feature/shortest_path_resistance` span that say why an edit
+/// was cheap (or was not).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefreshStats {
+    /// Segments whose `ohms` differ from the base's, bit for bit.
+    pub changed_segments: usize,
+    /// Nodes the heap loop settled again, summed over the refreshed
+    /// pads (a full pass settles every reachable node; those are not
+    /// counted here).
+    pub settled: usize,
+    /// Pads whose invalidated set passed the fall-back share and ran
+    /// the plain full pass.
+    pub full_passes: usize,
+}
+
+/// The outcome of one pad's refresh.
+enum PadRefresh {
+    /// No change reaches this pad's distances: share the base's array.
+    Unchanged,
+    /// The refreshed array, and how many nodes were settled again.
+    Refreshed(Vec<f64>, usize),
+    /// The changes reach past the fall-back share of the nodes: run
+    /// the plain full pass over the edited grid.
+    Hopeless,
+}
+
+/// The adjacency of the base and of the edited grid, each built when
+/// the first pad needs it: an edit no pad feels builds neither, one
+/// with only decreases never builds the base's.
+struct RefreshGraphs<'a> {
+    base: &'a PowerGrid,
+    edited: &'a PowerGrid,
+    base_graph: OnceLock<ResistanceGraph>,
+    edited_graph: OnceLock<ResistanceGraph>,
+}
+
+impl RefreshGraphs<'_> {
+    fn base_graph(&self) -> &ResistanceGraph {
+        self.base_graph
+            .get_or_init(|| ResistanceGraph::new(self.base))
+    }
+
+    fn edited_graph(&self) -> &ResistanceGraph {
+        self.edited_graph
+            .get_or_init(|| ResistanceGraph::new(self.edited))
+    }
+}
+
+/// Refreshes one pass's distance array `base` (computed on the base
+/// grid, from `sources`) to the weights of the edited grid; see the
+/// module docs for why the result has the bits of a full pass.
+fn refresh_pass(
+    graphs: &RefreshGraphs<'_>,
+    changes: &[SegmentChange],
+    sources: &[usize],
+    base: &[f64],
+) -> PadRefresh {
+    SCRATCH.with(|cell| {
+        let Scratch {
+            heap,
+            invalidated,
+            marked,
+            ..
+        } = &mut *cell.borrow_mut();
+        let n = base.len();
+        marked.clear();
+        marked.resize(n, false);
+        invalidated.clear();
+        heap.clear();
+
+        // Sources keep distance zero whatever the weights are.
+        for &s in sources {
+            marked[s] = true;
+        }
+        // Heads of tight increased segments: their distance may have
+        // come through the segment (unreachable endpoints, infinite on
+        // both sides of any edge, have nothing to lose). Decreased
+        // segments that already beat an endpoint's distance.
+        let mut improving = 0;
+        for c in changes {
+            let (da, db) = (base[c.a], base[c.b]);
+            if c.new > c.old {
+                if da.is_finite() {
+                    for (from, to) in [(da, c.b), (db, c.a)] {
+                        if from + c.old == base[to] && !marked[to] {
+                            marked[to] = true;
+                            invalidated.push(to as u32);
+                        }
+                    }
+                }
+            } else if da + c.new < db || db + c.new < da {
+                improving += 1;
+            }
+        }
+        // Everything hanging below a head through edges tight in the
+        // base array; `invalidated` doubles as the work list. The walk
+        // stops as soon as the fall-back share is passed.
+        let limit = (n as f64 * REFRESH_MAX_TOUCHED_SHARE) as usize;
+        if !invalidated.is_empty() {
+            let old = graphs.base_graph();
+            let mut next = 0;
+            while next < invalidated.len() && invalidated.len() + improving <= limit {
+                let v = invalidated[next] as usize;
+                next += 1;
+                for (w, resistance) in old.neighbors(v) {
+                    if !marked[w] && base[v] + resistance == base[w] {
+                        marked[w] = true;
+                        invalidated.push(w as u32);
+                    }
+                }
+            }
+        }
+        if invalidated.is_empty() && improving == 0 {
+            return PadRefresh::Unchanged;
+        }
+        if invalidated.len() + improving > limit {
+            return PadRefresh::Hopeless;
+        }
+
+        let new = graphs.edited_graph();
+        let mut dist = base.to_vec();
+        for &v in invalidated.iter() {
+            dist[v as usize] = f64::INFINITY;
+        }
+        // Re-seed each invalidated node from its neighbours under the
+        // new weights (still-invalid neighbours are infinite and drop
+        // out; re-seeded ones are as good a bound as survivors).
+        for &v in invalidated.iter() {
+            let v = v as usize;
+            let best = new
+                .neighbors(v)
+                .map(|(u, resistance)| dist[u] + resistance)
+                .fold(f64::INFINITY, f64::min);
+            if best < f64::INFINITY {
+                dist[v] = best;
+                heap.push(HeapItem {
+                    dist: best,
+                    node: v as u32,
+                });
+            }
+        }
+        for c in changes.iter().filter(|c| c.new < c.old) {
+            for (from, to) in [(c.a, c.b), (c.b, c.a)] {
+                let nd = dist[from] + c.new;
+                if nd < dist[to] {
+                    dist[to] = nd;
+                    heap.push(HeapItem {
+                        dist: nd,
+                        node: to as u32,
+                    });
+                }
+            }
+        }
+        let settled = settle(new, &mut dist, heap);
+        PadRefresh::Refreshed(dist, settled)
+    })
+}
+
+/// The per-pad distance arrays of one grid: the state a topology edit
+/// refreshes instead of re-running every Dijkstra pass. One array per
+/// pad, or a single array when the pads exceed the per-pad limit and
+/// the multi-source pass ran. `pads x nodes x 8` bytes — kept for a
+/// *base* design once an edit of it asks, never by a cold analysis.
+#[derive(Clone)]
+pub struct PadDistances {
+    passes: Vec<Arc<[f64]>>,
+}
+
+impl std::fmt::Debug for PadDistances {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PadDistances")
+            .field("passes", &self.passes.len())
+            .field("nodes", &self.passes.first().map_or(0, |p| p.len()))
+            .finish()
+    }
+}
+
+impl PadDistances {
+    /// Runs every pass over `grid` and keeps the arrays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::NoPads`] when the grid has no pads.
+    pub fn compute(grid: &PowerGrid) -> Result<Self, FeatureError> {
+        if grid.pads.is_empty() {
+            return Err(FeatureError::NoPads);
+        }
+        let graph = ResistanceGraph::new(grid);
+        let sources = pass_sources(grid);
+        count_passes(sources.len());
+        let tasks: Vec<_> = sources
+            .iter()
+            .map(|s| {
+                let graph = &graph;
+                move || dijkstra_pass(graph, s, |dist| Arc::<[f64]>::from(dist))
+            })
+            .collect();
+        Ok(PadDistances {
+            passes: irf_runtime::par_map(tasks),
+        })
+    }
+
+    /// The distance array of each pass, in pad order (one array for a
+    /// multi-source design).
+    pub fn passes(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        self.passes.iter().map(|p| &**p)
+    }
+
+    /// The per-node average of the arrays — the bits
+    /// [`shortest_path_resistance_per_node`] returns for the grid they
+    /// belong to.
+    #[must_use]
+    pub fn per_node(&self) -> Vec<f64> {
+        match self.passes.as_slice() {
+            [single] => single.to_vec(),
+            passes => average_per_node(passes[0].len(), passes.len(), |pad, sink| {
+                sink(&passes[pad]);
+            }),
+        }
+    }
+
+    /// `true` when every array is the very allocation `other` holds —
+    /// what [`PadDistances::refreshed`] returns when the edit moved no
+    /// distance of any pad, so everything derived from `other`'s arrays
+    /// still stands.
+    #[must_use]
+    pub fn shares_every_pass_with(&self, other: &PadDistances) -> bool {
+        self.passes.len() == other.passes.len()
+            && self
+                .passes
+                .iter()
+                .zip(&other.passes)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    /// The arrays of `edited`, an `ohms`-only edit of `base`, refreshed
+    /// from these (which must be `base`'s): every array has the bits a
+    /// full pass over `edited` computes. Pads no change reaches share
+    /// their array with `self`; `self` is never written.
+    ///
+    /// Returns `None` when `edited` differs from `base` in more than
+    /// segment resistances (or these arrays do not fit `base`) — the
+    /// caller then computes from scratch.
+    #[must_use]
+    pub fn refreshed(
+        &self,
+        base: &PowerGrid,
+        edited: &PowerGrid,
+    ) -> Option<(PadDistances, RefreshStats)> {
+        let sources = pass_sources(base);
+        let fits = sources.len() == self.passes.len()
+            && self.passes.iter().all(|p| p.len() == base.nodes.len());
+        if !fits {
+            return None;
+        }
+        let changes = changed_segments(base, edited)?;
+        let mut stats = RefreshStats {
+            changed_segments: changes.len(),
+            ..RefreshStats::default()
+        };
+        if changes.is_empty() {
+            return Some((self.clone(), stats));
+        }
+        let graphs = RefreshGraphs {
+            base,
+            edited,
+            base_graph: OnceLock::new(),
+            edited_graph: OnceLock::new(),
+        };
+        // Per pad: the array, nodes settled again, full passes run.
+        let tasks: Vec<_> = sources
+            .iter()
+            .zip(&self.passes)
+            .map(|(s, dist)| {
+                let (graphs, changes) = (&graphs, &changes);
+                move || match refresh_pass(graphs, changes, s, dist) {
+                    PadRefresh::Unchanged => (Arc::clone(dist), 0, 0),
+                    PadRefresh::Refreshed(dist, settled) => (dist.into(), settled, 0),
+                    PadRefresh::Hopeless => {
+                        let graph = graphs.edited_graph();
+                        (dijkstra_pass(graph, s, |d| Arc::<[f64]>::from(d)), 0, 1)
+                    }
+                }
+            })
+            .collect();
+        let passes = irf_runtime::par_map(tasks)
+            .into_iter()
+            .map(|(dist, settled, full_passes)| {
+                stats.settled += settled;
+                stats.full_passes += full_passes;
+                dist
+            })
+            .collect();
+        count_passes(stats.full_passes);
+        Some((PadDistances { passes }, stats))
+    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@ use crate::distance::effective_distance_map;
 use crate::error::FeatureError;
 use crate::normalize::{normalize, Normalization};
 use crate::resistance::resistance_map;
-use crate::shortest_path;
+use crate::shortest_path::{self, PadDistances};
 use crate::solution::layer_solution_maps;
 use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use std::sync::OnceLock;
 
 /// Fixed scale applied to voltage-valued maps (the rough-solution
 /// channels): volts x 100, so millivolt-scale drops land near 0.1-1.
@@ -189,15 +190,41 @@ pub struct GeometryMaps {
 
 /// The *resistance-dependent* structural channels: functions of the
 /// segment resistances (but still never of the load currents). A
-/// strap/via edit invalidates these while [`GeometryMaps`] stays warm;
-/// a current-only edit reuses both halves.
-#[derive(Debug, Clone, PartialEq)]
+/// strap/via edit gets new ones while [`GeometryMaps`] stays warm — and
+/// *refreshes* them from the base design's
+/// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
+/// re-running every per-pad Dijkstra; a current-only edit reuses both
+/// halves.
+///
+/// Equality compares the two maps. The per-pad distance arrays a base
+/// grows on its first topology edit are working state, not content.
+#[derive(Debug, Clone)]
 pub struct ResistanceMaps {
     /// The normalized `resistance/map` channel.
     pub resistance: GridMap,
     /// The normalized `resistance/shortest_path` channel (the costly
     /// per-pad Dijkstra).
     pub shortest_path: GridMap,
+    /// The per-pad distance arrays behind `shortest_path`, materialised
+    /// by the first topology edit that refreshes from these maps. A
+    /// cold analysis leaves this empty: `pads x nodes x 8` bytes are
+    /// only worth holding for a design that is being edited.
+    pad_distances: OnceLock<PadDistances>,
+}
+
+impl PartialEq for ResistanceMaps {
+    fn eq(&self, other: &Self) -> bool {
+        self.resistance == other.resistance && self.shortest_path == other.shortest_path
+    }
+}
+
+impl ResistanceMaps {
+    /// `true` once a topology edit of this design has materialised its
+    /// per-pad distance arrays.
+    #[must_use]
+    pub fn holds_pad_distances(&self) -> bool {
+        self.pad_distances.get().is_some()
+    }
 }
 
 /// Extracts the full hierarchical numerical-structural stack for one
@@ -313,7 +340,7 @@ impl FeatureExtractor {
 
     /// Computes only the resistance-dependent structural channels
     /// (resistance mass, per-pad shortest-path resistance). These are
-    /// recomputed on a strap/via edit while [`GeometryMaps`] stays
+    /// what a strap/via edit replaces while [`GeometryMaps`] stays
     /// warm.
     ///
     /// The shortest-path resistance values — the costliest feature —
@@ -327,16 +354,93 @@ impl FeatureExtractor {
     /// Returns [`FeatureError::NoPads`] when the grid has no pads (the
     /// pad-relative features are undefined).
     pub fn resistance_maps(&self, grid: &PowerGrid) -> Result<ResistanceMaps, FeatureError> {
+        self.resistance_maps_with(grid, None)
+    }
+
+    /// The resistance maps of `grid`, an `ohms`-only edit of
+    /// `base_grid`, refreshed from `base` — which must be
+    /// `base_grid`'s maps. Bit for bit what
+    /// [`FeatureExtractor::resistance_maps`] returns for `grid`; only
+    /// the cost differs: the first call on a `base` materialises its
+    /// per-pad distance arrays (one full pass per pad, kept inside
+    /// `base`), every call then pays for the distances the edit moves
+    /// ([`PadDistances::refreshed`]), one fold and two whole-die
+    /// splats. The returned maps hold no arrays of their own. When
+    /// `grid` differs from `base_grid` in more than segment
+    /// resistances, this *is* `resistance_maps(grid)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::NoPads`] when the grid has no pads.
+    pub fn resistance_maps_from_base(
+        &self,
+        grid: &PowerGrid,
+        base_grid: &PowerGrid,
+        base: &ResistanceMaps,
+    ) -> Result<ResistanceMaps, FeatureError> {
+        self.resistance_maps_with(grid, Some((base_grid, base)))
+    }
+
+    fn resistance_maps_with(
+        &self,
+        grid: &PowerGrid,
+        base: Option<(&PowerGrid, &ResistanceMaps)>,
+    ) -> Result<ResistanceMaps, FeatureError> {
         if grid.pads.is_empty() {
             return Err(FeatureError::NoPads);
         }
         let raster = self.rasterizer(grid);
-        let sp_values = {
+        /// What the shortest-path channel is made from.
+        enum PathSource<'a> {
+            /// Per-node values, still to be rasterized.
+            PerNode(Vec<f64>),
+            /// The base's finished map: the edit moved no pad's
+            /// distances at all.
+            BaseMap(&'a GridMap),
+        }
+        let sp_source = {
             let mut sp_span = irf_trace::span("feature/shortest_path_resistance");
+            // Full passes run under this span besides a cold compute's:
+            // materialising the base's arrays, and pads that fell back.
+            let mut full_passes = 0;
+            let refreshed = base.and_then(|(base_grid, base)| {
+                if base_grid.pads.is_empty() {
+                    return None;
+                }
+                let distances = base.pad_distances.get_or_init(|| {
+                    let distances =
+                        PadDistances::compute(base_grid).expect("base pads checked above");
+                    full_passes += distances.passes().len();
+                    distances
+                });
+                let (refreshed, stats) = distances.refreshed(base_grid, grid)?;
+                full_passes += stats.full_passes;
+                let base_map = &base.shortest_path;
+                let unmoved = refreshed.shares_every_pass_with(distances)
+                    && (base_map.width(), base_map.height())
+                        == (self.config.width, self.config.height);
+                let source = if unmoved {
+                    PathSource::BaseMap(base_map)
+                } else {
+                    PathSource::PerNode(refreshed.per_node())
+                };
+                Some((source, stats))
+            });
             if sp_span.is_recording() {
                 sp_span.attr("pads", grid.pads.len());
+                sp_span.attr("refreshed", refreshed.is_some());
+                if let Some((_, stats)) = &refreshed {
+                    sp_span.attr("changed_segments", stats.changed_segments);
+                    sp_span.attr("settled", stats.settled);
+                    sp_span.attr("full_passes", full_passes);
+                }
             }
-            shortest_path::shortest_path_resistance_per_node(grid)?
+            match refreshed {
+                Some((source, _)) => source,
+                None => {
+                    PathSource::PerNode(shortest_path::shortest_path_resistance_per_node(grid)?)
+                }
+            }
         };
         let norm = self.config.normalization;
         let path_r = Normalization::Fixed(PATH_RESISTANCE_SCALE);
@@ -347,13 +451,15 @@ impl FeatureExtractor {
                 normalize(&resistance_map(grid, r), norm)
             }),
             Box::new({
-                let sp_values = &sp_values;
+                let sp_source = &sp_source;
                 move || {
                     let _s = irf_trace::span("feature/shortest_path_rasterize");
-                    normalize(
-                        &shortest_path::rasterize_per_node(grid, sp_values, r),
-                        path_r,
-                    )
+                    match sp_source {
+                        PathSource::PerNode(values) => {
+                            normalize(&shortest_path::rasterize_per_node(grid, values, r), path_r)
+                        }
+                        PathSource::BaseMap(map) => (*map).clone(),
+                    }
                 }
             }),
         ];
@@ -361,6 +467,7 @@ impl FeatureExtractor {
         Ok(ResistanceMaps {
             resistance: maps.next().expect("resistance map"),
             shortest_path: maps.next().expect("shortest-path map"),
+            pad_distances: OnceLock::new(),
         })
     }
 

@@ -2,9 +2,10 @@
 
 use crate::error::ModelError;
 use crate::stamp::PgSystem;
+use std::sync::Arc;
 
 /// A circuit node of the power grid (never ground, never removed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PgNode {
     /// Name from the netlist.
     pub name: String,
@@ -63,10 +64,17 @@ pub struct Pad {
 /// [`grid_from_spice_reader`](crate::grid_from_spice_reader); ground
 /// is removed, voltage sources become [`Pad`]s, current sources become
 /// [`Load`]s, and elements touching only ground are dropped.
+///
+/// The node table is frozen by the builder and shared: cloning a grid
+/// copies its segments, loads and pads (all `Copy` data) and bumps one
+/// reference count, so a what-if edit never pays for the node names it
+/// cannot touch. Code that must change a node builds a new table
+/// (`grid.nodes.to_vec()`, edit, `.into()`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerGrid {
-    /// All circuit nodes.
-    pub nodes: Vec<PgNode>,
+    /// All circuit nodes: one immutable table per design, shared by
+    /// every clone of the grid.
+    pub nodes: Arc<[PgNode]>,
     /// Resistive segments between nodes.
     pub segments: Vec<Segment>,
     /// Cell loads.
@@ -117,7 +125,7 @@ impl PowerGrid {
     #[must_use]
     pub fn bounding_box(&self) -> (i64, i64, i64, i64) {
         let mut bb = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             bb.0 = bb.0.min(n.x);
             bb.1 = bb.1.min(n.y);
             bb.2 = bb.2.max(n.x);

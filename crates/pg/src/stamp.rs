@@ -416,7 +416,9 @@ I1 n3 0 1m
 
         // Pad set mismatch.
         let mut repadded = grid.clone();
-        repadded.nodes[1].is_pad = true;
+        let mut nodes = repadded.nodes.to_vec();
+        nodes[1].is_pad = true;
+        repadded.nodes = nodes.into();
         assert!(base.restamped(&repadded).is_none());
 
         // Segment endpoint out of range.

@@ -116,7 +116,10 @@ enum NodeRef {
 /// The grid under construction; see the [module docs](self).
 #[derive(Debug, Default)]
 struct Accumulator {
-    grid: PowerGrid,
+    /// The node table while it can still grow; [`Accumulator::finish`]
+    /// freezes it into the grid's shared table.
+    nodes: Vec<PgNode>,
+    segments: Vec<Segment>,
     index: HashMap<String, usize>,
     /// Buffered I cards: `(chosen node, signed amps)`.
     loads: Vec<(NodeRef, f64)>,
@@ -136,14 +139,14 @@ impl Accumulator {
             return Some(idx);
         }
         let info = NodeInfo::from_name(name);
-        self.grid.nodes.push(PgNode {
+        self.nodes.push(PgNode {
             name: info.name,
             layer: info.layer.unwrap_or(1),
             x: info.x.unwrap_or(0),
             y: info.y.unwrap_or(0),
             is_pad: false,
         });
-        let idx = self.grid.nodes.len() - 1;
+        let idx = self.nodes.len() - 1;
         self.index.insert(name.to_string(), idx);
         Some(idx)
     }
@@ -175,7 +178,7 @@ impl Accumulator {
         let b = self.node_index(b);
         if let (Some(a), Some(b)) = (a, b) {
             if a != b {
-                self.grid.segments.push(Segment { a, b, ohms });
+                self.segments.push(Segment { a, b, ohms });
             }
         }
         Ok(())
@@ -216,26 +219,34 @@ impl Accumulator {
     }
 
     fn finish(mut self) -> Result<PowerGrid, ModelError> {
-        let loads = std::mem::take(&mut self.loads);
-        for (r, amps) in loads {
+        let mut loads = Vec::with_capacity(self.loads.len());
+        for (r, amps) in std::mem::take(&mut self.loads) {
             if let Some(node) = self.resolve(r) {
-                self.grid.loads.push(Load { node, amps });
+                loads.push(Load { node, amps });
             }
         }
-        let pads = std::mem::take(&mut self.pads);
-        for (name, minus_is_ground, plus, volts) in pads {
+        let mut pads = Vec::with_capacity(self.pads.len());
+        for (name, minus_is_ground, plus, volts) in std::mem::take(&mut self.pads) {
             if !minus_is_ground {
                 return Err(ModelError::UngroundedSource { name });
             }
             if let Some(node) = self.resolve(plus) {
-                self.grid.nodes[node].is_pad = true;
-                self.grid.pads.push(Pad { node, volts });
+                self.nodes[node].is_pad = true;
+                pads.push(Pad { node, volts });
             }
         }
-        if self.grid.pads.is_empty() {
+        if pads.is_empty() {
             return Err(ModelError::NoPads);
         }
-        Ok(self.grid)
+        // The name index is the builder's largest allocation; release
+        // it before the node table is copied into its frozen form.
+        drop(self.index);
+        Ok(PowerGrid {
+            nodes: self.nodes.into(),
+            segments: self.segments,
+            loads,
+            pads,
+        })
     }
 }
 

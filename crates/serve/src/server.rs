@@ -1065,7 +1065,7 @@ fn handle_whatif(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Str
         Err(message) => return (400, envelope("invalid_deltas", &message)),
     };
 
-    let session = match build_session(state, &grid, &edits) {
+    let session = match build_session(&state.pipeline.session(grid), &edits) {
         Ok(session) => session,
         Err(error) => return (400, edit_error_body(&error)),
     };
@@ -1164,16 +1164,16 @@ fn resolve_base(body: &Json, state: &Arc<State>) -> Result<(u64, Arc<PowerGrid>)
     Ok((fingerprint, grid))
 }
 
-/// Opens a session on `grid` with `edits` applied: current deltas
+/// A copy of the `base` session with `edits` applied: current deltas
 /// first (they never move fingerprints the topology path depends on),
 /// then topology deltas, which validate against the base grid
-/// all-or-nothing.
+/// all-or-nothing. The copy carries the base's key plan, so a sweep
+/// hashes its base design once, not once per candidate.
 fn build_session<'p>(
-    state: &'p Arc<State>,
-    grid: &Arc<PowerGrid>,
+    base: &ir_fusion::AnalysisSession<'p>,
     edits: &Edits,
 ) -> Result<ir_fusion::AnalysisSession<'p>, EditError> {
-    let mut session = state.pipeline.session(Arc::clone(grid));
+    let mut session = base.clone();
     if !edits.currents.is_empty() {
         session = session.with_current_deltas(&edits.currents);
     }
@@ -1364,6 +1364,11 @@ fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Stri
         );
     }
 
+    // The base analysis everything is ranked against (warm after the
+    // original /predict; computed through the same stage graph
+    // otherwise), and the session every candidate is an edit of.
+    let base_session = state.pipeline.session(Arc::clone(&grid));
+
     // Parse and validate every candidate before solving anything, so a
     // malformed plan rejects the whole sweep without wasted work.
     let mut candidates = Vec::with_capacity(items.len());
@@ -1388,7 +1393,7 @@ fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Stri
                 )
             }
         };
-        let session = match build_session(state, &grid, &edits) {
+        let session = match build_session(&base_session, &edits) {
             Ok(session) => session,
             Err(error) => {
                 return (
@@ -1406,11 +1411,6 @@ fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Stri
         };
         candidates.push((label, session));
     }
-
-    // The base analysis everything is ranked against (warm after the
-    // original /predict; computed through the same stage graph
-    // otherwise).
-    let base_session = state.pipeline.session(Arc::clone(&grid));
 
     // `"warm_start": true` opts candidates into seeding their rough
     // solves from the base solution. Faster, and still deterministic

@@ -89,7 +89,8 @@ fn current_edits_invalidate_only_the_current_dependent_stages() {
     // Moving a segment endpoint is a geometry edit: *everything*
     // structural goes, including the geometry maps.
     let mut moved = base.clone();
-    moved.nodes[moved.segments[0].a].x += 1;
+    let endpoint = moved.segments[0].a;
+    Arc::make_mut(&mut moved.nodes)[endpoint].x += 1;
     let moved_plan = StagePlan::for_design(&moved, &config);
     assert_ne!(moved_plan.assembled, base_plan.assembled);
     assert_ne!(moved_plan.structural, base_plan.structural);
@@ -486,4 +487,266 @@ fn warm_start_falls_back_to_cold_on_geometry_mismatch() {
         "mismatched seed must be ignored, not applied"
     );
     assert_eq!(warm.solve_report.iterations, cold.solve_report.iterations);
+}
+
+/// A store no test below fills: one shard, so nothing is evicted
+/// before its sixteenth artifact of a stage (a sharded store evicts
+/// per shard, well before its nominal capacity).
+fn roomy_store() -> StageStore {
+    StageStore::with_shards(16, 1)
+}
+
+/// Misses of the four stages a topology edit can touch.
+fn topology_misses(store: &StageStore) -> [u64; 4] {
+    [
+        Stage::Assembled,
+        Stage::SolverSetup,
+        Stage::Structural,
+        Stage::Resistance,
+    ]
+    .map(|stage| store.stage_counters(stage).misses)
+}
+
+/// One via and one top-layer strap of `grid`, as `Segment` deltas that
+/// halve the first and double the second — both sit on shortest paths
+/// to the pads, so unlike an m1 strap they move distances.
+fn via_and_top_strap_deltas(grid: &PowerGrid) -> [ir_fusion::TopologyDelta; 2] {
+    let top = grid.layers().last().copied().expect("layers");
+    let layers = |i: usize| {
+        let s = &grid.segments[i];
+        (grid.nodes[s.a].layer, grid.nodes[s.b].layer)
+    };
+    let segments = 0..grid.segments.len();
+    let via = segments
+        .clone()
+        .find(|&i| layers(i).0 != layers(i).1)
+        .expect("via");
+    let strap = segments
+        .rev()
+        .find(|&i| layers(i) == (top, top))
+        .expect("top-layer strap");
+    [
+        ir_fusion::TopologyDelta::Segment {
+            segment: via,
+            ohms: grid.segments[via].ohms * 0.5,
+        },
+        ir_fusion::TopologyDelta::Segment {
+            segment: strap,
+            ohms: grid.segments[strap].ohms * 2.0,
+        },
+    ]
+}
+
+fn assert_same_stack(got: &ir_fusion::PreparedStack, want: &ir_fusion::PreparedStack, label: &str) {
+    assert_eq!(got.fingerprint, want.fingerprint, "{label}");
+    assert_eq!(
+        bits32(got.rough.data()),
+        bits32(want.rough.data()),
+        "{label}: rough map"
+    );
+    assert_eq!(
+        bits32(&got.features.to_nchw().3),
+        bits32(&want.features.to_nchw().3),
+        "{label}: features"
+    );
+}
+
+#[test]
+fn segment_edits_that_move_distances_refresh_and_stay_bitwise() {
+    let config = FusionConfig::tiny();
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let store = Arc::new(roomy_store());
+            let pipeline = IrFusionPipeline::new(config).with_cache(Arc::clone(&store));
+            let base = Arc::new(grid(5));
+            let deltas = via_and_top_strap_deltas(&base);
+            pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+            let base_plan = StagePlan::for_design(&base, &config);
+            let mut outputs = Vec::new();
+            // Each delta alone, then both in one batch.
+            for batch in [&deltas[..1], &deltas[1..], &deltas[..]] {
+                let before = topology_misses(&store);
+                let session = pipeline
+                    .session(Arc::clone(&base))
+                    .with_topology_deltas(batch)
+                    .expect("valid deltas");
+                let warm = session.prepare().expect("pads");
+                let missed: Vec<u64> = topology_misses(&store)
+                    .iter()
+                    .zip(before)
+                    .map(|(after, before)| after - before)
+                    .collect();
+                assert_eq!(missed, [1, 1, 0, 1], "{batch:?}");
+                let cold = session
+                    .clone()
+                    .cache_policy(CachePolicy::Bypass)
+                    .prepare()
+                    .expect("pads");
+                assert_same_stack(&warm, &cold, &format!("{batch:?} @ {threads} threads"));
+                assert_ne!(
+                    bits32(&warm.features.to_nchw().3),
+                    bits32(
+                        &pipeline
+                            .session(Arc::clone(&base))
+                            .prepare()
+                            .expect("pads")
+                            .features
+                            .to_nchw()
+                            .3
+                    ),
+                    "{batch:?} changed the features"
+                );
+                // The refreshed maps keep no arrays; the base grew its
+                // own on the first of these edits.
+                let edited = store
+                    .peek_resistance(session.stage_plan().resistance)
+                    .expect("edited maps stored");
+                assert!(!edited.holds_pad_distances(), "{batch:?}");
+                outputs.push((warm.fingerprint, bits32(&warm.features.to_nchw().3)));
+            }
+            let base_maps = store
+                .peek_resistance(base_plan.resistance)
+                .expect("base maps stored");
+            assert!(base_maps.holds_pad_distances());
+            outputs
+        })
+    };
+    let reference = run(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(reference, run(threads), "differs at {threads} threads");
+    }
+}
+
+#[test]
+fn edits_of_one_base_never_write_through_its_distance_arrays() {
+    use ir_fusion::StageArtifact;
+    let config = FusionConfig::tiny();
+    let store = Arc::new(roomy_store());
+    let pipeline = IrFusionPipeline::new(config).with_cache(Arc::clone(&store));
+    let base = Arc::new(grid(5));
+    let [a, b] = via_and_top_strap_deltas(&base);
+    pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    let edit = |pipeline: &IrFusionPipeline, delta| {
+        pipeline
+            .session(Arc::clone(&base))
+            .with_topology_deltas(&[delta])
+            .expect("valid")
+            .prepare()
+            .expect("pads")
+    };
+    let first_a = edit(&pipeline, a);
+    let first_b = edit(&pipeline, b);
+    assert_ne!(first_a.fingerprint, first_b.fingerprint);
+
+    // Edit A again, in a store that holds nothing but the very maps —
+    // and arrays — that A and then B refreshed from.
+    let base_key = StagePlan::for_design(&base, &config).resistance;
+    let base_maps = store.peek_resistance(base_key).expect("base maps stored");
+    assert!(base_maps.holds_pad_distances());
+    let second_store = Arc::new(roomy_store());
+    second_store.insert(
+        Stage::Resistance,
+        base_key,
+        StageArtifact::Resistance(base_maps),
+    );
+    let second = IrFusionPipeline::new(config).with_cache(Arc::clone(&second_store));
+    let again_a = edit(&second, a);
+    assert_eq!(second_store.stage_counters(Stage::Resistance).misses, 1);
+    assert_same_stack(&again_a, &first_a, "edit A after edit B");
+}
+
+#[test]
+fn a_store_too_small_to_keep_the_base_falls_back_to_the_full_compute() {
+    let config = FusionConfig::tiny();
+    // One artifact per stage: analysing any other design evicts the
+    // base's.
+    let store = Arc::new(StageStore::with_shards(1, 1));
+    let pipeline = IrFusionPipeline::new(config).with_cache(Arc::clone(&store));
+    let base = Arc::new(grid(5));
+    let deltas = via_and_top_strap_deltas(&base);
+    pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    pipeline
+        .session(Arc::new(restriped_grid(5)))
+        .prepare()
+        .expect("pads");
+    let base_key = StagePlan::for_design(&base, &config).resistance;
+    assert!(store.peek_resistance(base_key).is_none(), "base evicted");
+
+    let session = pipeline
+        .session(Arc::clone(&base))
+        .with_topology_deltas(&deltas)
+        .expect("valid deltas");
+    assert_eq!(session.edit_plan().base_resistance(), Some(base_key));
+    let warm = session.prepare().expect("pads");
+    let cold = session
+        .clone()
+        .cache_policy(CachePolicy::Bypass)
+        .prepare()
+        .expect("pads");
+    assert_same_stack(&warm, &cold, "edit without its base");
+}
+
+#[test]
+fn only_a_base_that_saw_a_topology_edit_holds_distance_arrays() {
+    let config = FusionConfig::tiny();
+    let store = Arc::new(roomy_store());
+    let pipeline = IrFusionPipeline::new(config).with_cache(Arc::clone(&store));
+    let base = Arc::new(grid(5));
+    let base_key = StagePlan::for_design(&base, &config).resistance;
+    let holds = |key: u64| {
+        store
+            .peek_resistance(key)
+            .expect("maps stored")
+            .holds_pad_distances()
+    };
+
+    // A cold analysis and a current edit: maps only.
+    pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    assert!(!holds(base_key), "a cold analysis keeps no arrays");
+    pipeline
+        .session(Arc::clone(&base))
+        .with_current_deltas(&[(1, 2e-3)])
+        .prepare()
+        .expect("pads");
+    assert!(!holds(base_key), "a current edit asks for none");
+
+    // The first topology edit materialises them, in the base.
+    let [a, b] = via_and_top_strap_deltas(&base);
+    let edited_a = pipeline
+        .session(Arc::clone(&base))
+        .with_topology_deltas(&[a])
+        .expect("valid");
+    edited_a.prepare().expect("pads");
+    assert!(holds(base_key));
+    let a_key = edited_a.stage_plan().resistance;
+    assert!(!holds(a_key), "an edited design stores maps only");
+
+    // A chained edit anchors on the first base, not on the design the
+    // chain passed through: A's maps are never asked for arrays.
+    let before = topology_misses(&store);
+    let chained = edited_a.clone().with_topology_deltas(&[b]).expect("valid");
+    assert_eq!(chained.edit_plan().base_resistance(), Some(base_key));
+    let warm = chained.prepare().expect("pads");
+    let missed: Vec<u64> = topology_misses(&store)
+        .iter()
+        .zip(before)
+        .map(|(after, before)| after - before)
+        .collect();
+    assert_eq!(missed, [1, 1, 0, 1]);
+    assert!(!holds(a_key), "the chain anchored on the first base");
+    assert!(!holds(chained.stage_plan().resistance));
+    let cold = chained
+        .clone()
+        .cache_policy(CachePolicy::Bypass)
+        .prepare()
+        .expect("pads");
+    assert_same_stack(&warm, &cold, "chained edit");
+
+    // A session opened on an edited design makes *that* design a base.
+    let reopened = pipeline
+        .session(Arc::clone(edited_a.grid()))
+        .with_topology_deltas(&[b])
+        .expect("valid");
+    assert_eq!(reopened.edit_plan().base_resistance(), Some(a_key));
+    assert_eq!(reopened.fingerprint(), chained.fingerprint());
 }

@@ -127,3 +127,76 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
     }
     drop(guard);
 }
+
+/// The `feature/shortest_path_resistance` span says why a topology
+/// what-if was cheap: the first edit of a base materialises the base's
+/// per-pad arrays (one full pass per pad), every later one refreshes
+/// from them and runs none.
+#[test]
+fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
+    use ir_fusion::{StageStore, TopologyDelta};
+    use irf_trace::AttrValue;
+    use std::sync::Arc;
+
+    let config = FusionConfig::tiny();
+    let store = Arc::new(StageStore::with_shards(16, 1));
+    let pipeline = IrFusionPipeline::new(config).with_cache(store);
+    let base = Arc::new(
+        PowerGrid::from_netlist(&synthesize(&SynthSpec {
+            seed: 3,
+            ..SynthSpec::default()
+        }))
+        .expect("valid grid"),
+    );
+    let pads = base.pads.len() as u64;
+    // Two m1 straps: on nobody's shortest path, like the benchmark's.
+    let m1_straps: Vec<usize> = (0..base.segments.len())
+        .filter(|&i| {
+            let s = &base.segments[i];
+            base.nodes[s.a].layer == 1 && base.nodes[s.b].layer == 1
+        })
+        .take(2)
+        .collect();
+
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = Collector::install().expect("no competing collector");
+    pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    for &segment in &m1_straps {
+        pipeline
+            .session(Arc::clone(&base))
+            .with_topology_deltas(&[TopologyDelta::Segment {
+                segment,
+                ohms: base.segments[segment].ohms * 0.5,
+            }])
+            .expect("valid delta")
+            .prepare()
+            .expect("pads");
+    }
+    let trace = collector.finish();
+    drop(guard);
+
+    let mut spans: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "feature/shortest_path_resistance")
+        .collect();
+    spans.sort_by_key(|e| e.start_ns);
+    let attr = |event: &irf_trace::Event, key: &str| {
+        event
+            .args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let [cold, first, second] = spans.as_slice() else {
+        panic!("one span per analysis, got {}", spans.len());
+    };
+    assert_eq!(attr(cold, "refreshed"), Some(AttrValue::Bool(false)));
+    assert_eq!(attr(cold, "full_passes"), None);
+    for (edit, full_passes) in [(first, pads), (second, 0)] {
+        assert_eq!(attr(edit, "refreshed"), Some(AttrValue::Bool(true)));
+        assert_eq!(attr(edit, "changed_segments"), Some(AttrValue::U64(1)));
+        assert_eq!(attr(edit, "settled"), Some(AttrValue::U64(0)));
+        assert_eq!(attr(edit, "full_passes"), Some(AttrValue::U64(full_passes)));
+    }
+}
