@@ -9,9 +9,17 @@
 //! For conv2d the reference is the general bounds-checked loop nest and
 //! the fast leg the stride-1 run kernel every build dispatches to (safe
 //! Rust, no intrinsics, so it runs with or without the `simd` feature).
-//! For the other three the reference is the scalar loop and the fast
-//! leg its AVX2 variant, which needs the `simd` feature and AVX2 at run
-//! time. Every f32/f64 kernel is checksum-asserted: the fast leg must
+//! For SpMV and the smoother the reference is the one-row-at-a-time
+//! loop the solver ran before its row-group kernel
+//! (`CsrMatrix::rows_into_reference`) and the fast leg what the build
+//! ships: the row-group kernel by default, the AVX2 SELL-4 kernel with
+//! the `simd` feature and AVX2 at run time — and then the row-group
+//! kernel's time is printed beside it ("scalar" column), because that
+//! is what AVX2 has to beat. Both run on a 5-point Laplacian (the fine
+//! level) and on a coarse-level-shaped matrix (~600 ragged rows of ~50
+//! non-zeros, where a K-cycle spends most of its time). For linear the
+//! reference is the scalar loop and the fast leg its AVX2 variant.
+//! Every f32/f64 kernel is checksum-asserted: the fast leg must
 //! be bitwise identical to the reference (the kernels vectorize across
 //! outputs but keep each output's rounding sequence), and the int8 leg
 //! must reproduce itself exactly — the benchmark fails otherwise.
@@ -20,7 +28,7 @@
 
 use irf_nn::quant::PrecisionMode;
 use irf_nn::{ParamStore, Tape, Tensor};
-use irf_sparse::smoother::l1_jacobi;
+use irf_sparse::smoother::{l1_diagonal, l1_jacobi};
 use irf_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -66,11 +74,14 @@ fn simd_available() -> bool {
 
 struct Row {
     kernel: &'static str,
-    /// The reference leg: scalar loop (conv2d: general loop nest).
+    /// The reference leg: scalar loop (conv2d: general loop nest;
+    /// spmv/smoother: the old one-row loop).
     scalar: Leg,
-    /// The fast leg: AVX2 variant (conv2d: stride-1 kernel), when it
-    /// can run in this build on this machine.
+    /// The fast leg: what the build ships, when it differs from the
+    /// reference and can run on this machine.
     simd: Option<Leg>,
+    /// The shipped safe-Rust kernel, where an AVX2 one is the fast leg.
+    shipped_scalar: Option<Leg>,
     int8: Option<Leg>,
 }
 
@@ -111,6 +122,7 @@ fn bench_conv(tiny: bool) -> Row {
         kernel: "conv2d",
         scalar: general,
         simd: Some(stride1),
+        shipped_scalar: None,
         int8: Some(int8),
     }
 }
@@ -145,6 +157,7 @@ fn bench_linear(tiny: bool) -> Row {
         kernel: "linear",
         scalar,
         simd,
+        shipped_scalar: None,
         int8: Some(int8),
     }
 }
@@ -182,49 +195,107 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn bench_spmv(tiny: bool) -> Row {
-    let (n, reps) = if tiny { (64, 20) } else { (224, 100) };
-    let a = laplacian(n);
-    let x = rand_vec(n * n, 7);
-    let mut y = vec![0.0; n * n];
-    let mut run = |disabled: bool| {
-        irf_runtime::simd::set_disabled(disabled);
-        time_leg(reps, || {
-            a.spmv_into(&x, &mut y);
-            checksum64(y.iter().map(|v| v.to_bits()))
-        })
+/// The shape of a coarse AMG level: `rows` ragged rows of 30-70
+/// non-zeros scattered over all columns, diagonally dominant.
+fn coarse_like(rows: usize, seed: u64) -> CsrMatrix {
+    let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+    let mut triplets = Vec::with_capacity(rows * 51);
+    for r in 0..rows {
+        let len = 30 + (rng.next_u64() % 41) as usize;
+        let stride = 1 + (rng.next_u64() % 7) as usize;
+        for j in 1..len {
+            let c = (r + j * stride) % rows;
+            if c != r {
+                triplets.push((r, c, -(0.1 + f64::from(rng.random::<f32>()))));
+            }
+        }
+        triplets.push((r, r, 2.0 * len as f64));
+    }
+    CsrMatrix::from_triplets(rows, rows, &triplets)
+}
+
+/// The two matrix shapes a solve multiplies by, with the factor by
+/// which the small coarse one needs more repetitions for a stable time.
+fn shapes(tiny: bool) -> [(CsrMatrix, usize); 2] {
+    let n = if tiny { 64 } else { 224 };
+    [(laplacian(n), 1), (coarse_like(600, 9), 8)]
+}
+
+/// Times `run` as the reference (`use_reference = true` is passed to
+/// it), as the shipped safe-Rust kernel, and as AVX2 when that can run.
+fn three_legs(kernel: &'static str, reps: usize, mut run: impl FnMut(bool) -> u64) -> Row {
+    irf_runtime::simd::set_disabled(true);
+    let reference = time_leg(reps, || run(true));
+    let row_group = time_leg(reps, || run(false));
+    let avx2 = simd_available().then(|| time_leg(reps, || run(false)));
+    let (fast, shipped_scalar) = match avx2 {
+        Some(avx2) => (avx2, Some(row_group)),
+        None => (row_group, None),
     };
-    let scalar = run(true);
-    let simd = simd_available().then(|| run(false));
     Row {
-        kernel: "spmv",
-        scalar,
-        simd,
+        kernel,
+        scalar: reference,
+        simd: Some(fast),
+        shipped_scalar,
         int8: None,
     }
 }
 
-fn bench_smoother(tiny: bool) -> Row {
-    let (n, reps) = if tiny { (64, 10) } else { (224, 50) };
-    let a = laplacian(n);
-    let b = rand_vec(n * n, 8);
-    let run = |disabled: bool| {
-        irf_runtime::simd::set_disabled(disabled);
-        time_leg(reps, || {
-            // Fresh x per run so every sweep does identical work.
-            let mut x = vec![0.0; n * n];
-            l1_jacobi(&a, &b, &mut x, 4);
-            checksum64(x.iter().map(|v| v.to_bits()))
+fn bench_spmv(tiny: bool) -> Vec<Row> {
+    let names = ["spmv", "spmv-coarse"];
+    shapes(tiny)
+        .iter()
+        .zip(names)
+        .map(|((a, more), name)| {
+            let reps = if tiny { 20 } else { 100 } * more;
+            let x = rand_vec(a.cols(), 7);
+            let mut y = vec![0.0; a.rows()];
+            three_legs(name, reps, |use_reference| {
+                if use_reference {
+                    a.rows_into_reference(&x, None, &mut y);
+                } else {
+                    a.spmv_into(&x, &mut y);
+                }
+                checksum64(y.iter().map(|v| v.to_bits()))
+            })
         })
-    };
-    let scalar = run(true);
-    let simd = simd_available().then(|| run(false));
-    Row {
-        kernel: "smoother",
-        scalar,
-        simd,
-        int8: None,
+        .collect()
+}
+
+/// l1-Jacobi sweeps with every residual through the old one-row loop:
+/// how `l1_jacobi` computed before the row-group kernel (its damping
+/// factor is 1, and `1.0 * r` is `r` exactly).
+fn l1_jacobi_reference(a: &CsrMatrix, b: &[f64], x: &mut [f64], sweeps: usize) {
+    let diag = l1_diagonal(a);
+    let mut r = vec![0.0; a.rows()];
+    for _ in 0..sweeps {
+        a.rows_into_reference(x, Some(b), &mut r);
+        for ((xi, ri), di) in x.iter_mut().zip(&r).zip(&diag) {
+            *xi += ri / di;
+        }
     }
+}
+
+fn bench_smoother(tiny: bool) -> Vec<Row> {
+    let names = ["smoother", "smoother-coarse"];
+    shapes(tiny)
+        .iter()
+        .zip(names)
+        .map(|((a, more), name)| {
+            let reps = if tiny { 10 } else { 50 } * more;
+            let b = rand_vec(a.rows(), 8);
+            three_legs(name, reps, |use_reference| {
+                // Fresh x per run so every sweep does identical work.
+                let mut x = vec![0.0; a.rows()];
+                if use_reference {
+                    l1_jacobi_reference(a, &b, &mut x, 4);
+                } else {
+                    l1_jacobi(a, &b, &mut x, 4);
+                }
+                checksum64(x.iter().map(|v| v.to_bits()))
+            })
+        })
+        .collect()
 }
 
 fn main() {
@@ -239,18 +310,15 @@ fn main() {
         irf_runtime::simd::compiled(),
     );
 
-    let rows = [
-        bench_conv(tiny),
-        bench_linear(tiny),
-        bench_spmv(tiny),
-        bench_smoother(tiny),
-    ];
+    let mut rows = vec![bench_conv(tiny), bench_linear(tiny)];
+    rows.extend(bench_spmv(tiny));
+    rows.extend(bench_smoother(tiny));
     // Leave the process-global switch as the build default.
     irf_runtime::simd::set_disabled(false);
 
     println!(
-        "{:<10} {:>12} {:>12} {:>8} {:>12} {:>10}",
-        "kernel", "ref (ms)", "fast (ms)", "speedup", "int8 (ms)", "checksum"
+        "{:<16} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10}",
+        "kernel", "ref (ms)", "fast (ms)", "speedup", "scalar (ms)", "int8 (ms)", "checksum"
     );
     let mut target_hits = 0usize;
     for row in &rows {
@@ -258,6 +326,13 @@ fn main() {
             assert_eq!(
                 row.scalar.checksum, simd.checksum,
                 "{}: fast output is not bitwise identical to the reference",
+                row.kernel
+            );
+        }
+        if let Some(shipped) = &row.shipped_scalar {
+            assert_eq!(
+                row.scalar.checksum, shipped.checksum,
+                "{}: shipped scalar output is not bitwise identical to the reference",
                 row.kernel
             );
         }
@@ -275,17 +350,18 @@ fn main() {
         {
             target_hits += 1;
         }
+        let ms = |leg: &Option<Leg>| {
+            leg.as_ref()
+                .map_or_else(|| "-".to_string(), |l| format!("{:.4}", l.seconds * 1e3))
+        };
         println!(
-            "{:<10} {:>12.3} {:>12} {:>8} {:>12} {:>10}",
+            "{:<16} {:>12.4} {:>12} {:>8} {:>12} {:>12} {:>10}",
             row.kernel,
             row.scalar.seconds * 1e3,
-            row.simd
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |l| format!("{:.3}", l.seconds * 1e3)),
+            ms(&row.simd),
             speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
-            row.int8
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |l| format!("{:.3}", l.seconds * 1e3)),
+            ms(&row.shipped_scalar),
+            ms(&row.int8),
             "ok",
         );
     }
@@ -301,6 +377,9 @@ fn main() {
             "--assert-speedup: fewer than two kernels reached 1.5x"
         );
     } else {
-        println!("simd unavailable (feature off or no AVX2): only conv2d has a fast leg");
+        println!(
+            "simd unavailable (feature off or no AVX2): conv2d, spmv and smoother time the \
+             safe-Rust kernels every build ships; linear has no fast leg"
+        );
     }
 }

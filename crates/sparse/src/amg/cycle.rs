@@ -3,7 +3,10 @@
 
 use crate::amg::hierarchy::{prolongate_add, restrict_into, AmgHierarchy};
 use crate::pcg::Preconditioner;
-use crate::smoother::{l1_diagonal, scaled_sweeps, smooth, SmootherKind};
+use crate::smoother::{
+    assert_nonzero_diagonal, l1_diagonal, smooth, sweep_from_zero, sweeps_on_checked_diagonal,
+    SmootherKind,
+};
 use crate::vector::dot;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -56,6 +59,25 @@ pub struct AmgPreconditioner {
     /// separate from `v_scratch` because the K-cycle holds its buffers
     /// across a nested `run_cycle` at the same level).
     k_scratch: RefCell<Vec<KScratch>>,
+    /// What the cycles have done since construction.
+    counts: RefCell<CycleCounts>,
+}
+
+/// Work counters of one [`AmgPreconditioner`]: how often each level
+/// was visited and how many passes over each level's matrix those
+/// visits made. Plain additions beside the scratch, no clock — with
+/// the per-level non-zero counts of the `amg_setup` span they give the
+/// work per level without a profiler.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CycleCounts {
+    /// Cycle entries per level, finest first; the first entry is the
+    /// number of [`Preconditioner::apply`] calls.
+    pub level_visits: Vec<u64>,
+    /// Passes over each level's matrix (smoother sweeps that read it,
+    /// the residual, the K-cycle's own SpMV), finest first. The
+    /// coarsest level's direct solve reads its dense factor instead,
+    /// so only a K-cycle's SpMV counts there.
+    pub level_matrix_passes: Vec<u64>,
 }
 
 /// The immutable, thread-safe part of an [`AmgPreconditioner`]: the
@@ -75,9 +97,15 @@ pub struct AmgCore {
 
 impl AmgCore {
     /// Precomputes the smoother diagonals for a built hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Jacobi-family smoothing diagonal has a zero entry
+    /// on any level: the sweeps divide by it, and checking here, once,
+    /// keeps the check out of every sweep.
     #[must_use]
     pub fn new(hierarchy: AmgHierarchy, cycle: CycleKind) -> Self {
-        let smoother_diag = match hierarchy.params().smoother {
+        let smoother_diag: Vec<Vec<f64>> = match hierarchy.params().smoother {
             SmootherKind::Jacobi => hierarchy.levels().iter().map(|l| l.a.diagonal()).collect(),
             SmootherKind::L1Jacobi => hierarchy
                 .levels()
@@ -86,6 +114,9 @@ impl AmgCore {
                 .collect(),
             _ => Vec::new(),
         };
+        for diag in &smoother_diag {
+            assert_nonzero_diagonal(diag);
+        }
         AmgCore {
             hierarchy,
             cycle,
@@ -148,14 +179,35 @@ impl AmgPreconditioner {
             core,
             v_scratch: RefCell::new(vec![VScratch::default(); n_levels]),
             k_scratch: RefCell::new(vec![KScratch::default(); n_levels]),
+            counts: RefCell::new(CycleCounts {
+                level_visits: vec![0; n_levels],
+                level_matrix_passes: vec![0; n_levels],
+            }),
         }
     }
 
+    /// What this preconditioner's cycles have done since it was built.
+    #[must_use]
+    pub fn counts(&self) -> CycleCounts {
+        self.counts.borrow().clone()
+    }
+
     /// Applies this level's smoother, reusing the precomputed diagonal
-    /// and the provided residual scratch for the Jacobi family.
-    fn smooth_level(&self, level: usize, b: &[f64], x: &mut [f64], smooth_r: &mut Vec<f64>) {
+    /// and the provided residual scratch for the Jacobi family. With
+    /// `from_zero` the sweeps start from the zero vector whatever `x`
+    /// holds, and overwrite it (the pre-smoother of a cycle). Returns
+    /// the passes it made over the level's matrix.
+    fn smooth_level(
+        &self,
+        level: usize,
+        b: &[f64],
+        x: &mut [f64],
+        smooth_r: &mut Vec<f64>,
+        from_zero: bool,
+    ) -> u64 {
         let lvl = &self.core.hierarchy.levels()[level];
         let params = self.core.hierarchy.params();
+        let mut sweeps = params.smoothing_sweeps;
         match params.smoother {
             SmootherKind::Jacobi | SmootherKind::L1Jacobi => {
                 let omega = if params.smoother == SmootherKind::Jacobi {
@@ -163,18 +215,30 @@ impl AmgPreconditioner {
                 } else {
                     1.0
                 };
+                let diag = &self.core.smoother_diag[level];
+                if from_zero && sweeps > 0 {
+                    // The first sweep from zero needs no residual.
+                    sweep_from_zero(b, x, omega, diag);
+                    sweeps -= 1;
+                } else if from_zero {
+                    x.fill(0.0);
+                }
                 smooth_r.resize(b.len(), 0.0);
-                scaled_sweeps(
-                    &lvl.a,
-                    b,
-                    x,
-                    omega,
-                    params.smoothing_sweeps,
-                    &self.core.smoother_diag[level],
-                    smooth_r,
-                );
+                sweeps_on_checked_diagonal(&lvl.a, b, x, omega, sweeps, diag, smooth_r);
+                sweeps as u64
             }
-            kind => smooth(kind, &lvl.a, b, x, params.smoothing_sweeps),
+            kind => {
+                if from_zero {
+                    x.fill(0.0);
+                }
+                smooth(kind, &lvl.a, b, x, sweeps);
+                let directions = if kind == SmootherKind::SymmetricGaussSeidel {
+                    2
+                } else {
+                    1
+                };
+                (directions * sweeps) as u64
+            }
         }
     }
 
@@ -196,31 +260,30 @@ impl AmgPreconditioner {
         &self.core
     }
 
-    /// Runs one cycle on `A_level x = b`, updating `x` (which must be
-    /// zero-initialised by the caller at the top level).
+    /// Runs one cycle on `A_level x = b` from the zero guess and
+    /// overwrites `x` with the result; the incoming `x` is not read, so
+    /// no caller zero-fills it. The zero guess is what lets the
+    /// pre-smoother skip its first residual
+    /// ([`sweep_from_zero`]).
     fn run_cycle(&self, level: usize, b: &[f64], x: &mut [f64]) {
         let levels = self.core.hierarchy.levels();
         let lvl = &levels[level];
-        if lvl.agg.is_none() {
+        let Some(agg) = lvl.agg.as_ref() else {
             // Coarsest level: exact solve.
+            self.counts.borrow_mut().level_visits[level] += 1;
             self.core.hierarchy.coarse_solve(b, x);
             return;
-        }
-        let agg = lvl
-            .agg
-            .as_ref()
-            .expect("non-coarsest level has aggregation");
+        };
         // Borrow this level's scratch for the duration; the RefCell
         // borrow is released before recursing to the next level.
         let mut s = std::mem::take(&mut self.v_scratch.borrow_mut()[level]);
         // Pre-smoothing.
-        self.smooth_level(level, b, x, &mut s.smooth_r);
+        let mut passes = self.smooth_level(level, b, x, &mut s.smooth_r, true);
         // Coarse-grid correction on the residual.
         s.r.resize(b.len(), 0.0);
         lvl.a.residual_into(b, x, &mut s.r);
         s.rc.resize(agg.n_coarse, 0.0);
         restrict_into(agg, &s.r, &mut s.rc);
-        s.xc.clear();
         s.xc.resize(agg.n_coarse, 0.0);
         match self.core.cycle {
             CycleKind::VCycle => self.run_cycle(level + 1, &s.rc, &mut s.xc),
@@ -228,12 +291,16 @@ impl AmgPreconditioner {
         }
         prolongate_add(agg, &s.xc, x);
         // Post-smoothing.
-        self.smooth_level(level, b, x, &mut s.smooth_r);
+        passes += 1 + self.smooth_level(level, b, x, &mut s.smooth_r, false);
         self.v_scratch.borrow_mut()[level] = s;
+        let mut counts = self.counts.borrow_mut();
+        counts.level_visits[level] += 1;
+        counts.level_matrix_passes[level] += passes;
     }
 
     /// Solves the coarse problem with at most two steps of flexible CG,
     /// each preconditioned by the next level's cycle (Notay's K-cycle).
+    /// Overwrites `x`, like [`run_cycle`](Self::run_cycle).
     fn kcycle_coarse_solve(&self, level: usize, b: &[f64], x: &mut [f64]) {
         let a = &self.core.hierarchy.levels()[level].a;
         let n = b.len();
@@ -242,11 +309,11 @@ impl AmgPreconditioner {
         let mut s = std::mem::take(&mut self.k_scratch.borrow_mut()[level]);
         // --- First inner iteration ---
         // z1 = cycle(b); the Krylov step decides how far to go along it.
-        s.z1.clear();
         s.z1.resize(n, 0.0);
         self.run_cycle(level, b, &mut s.z1);
         s.az1.resize(n, 0.0);
         a.spmv_into(&s.z1, &mut s.az1);
+        self.counts.borrow_mut().level_matrix_passes[level] += 1;
         let d1 = dot(&s.z1, &s.az1);
         if d1 <= 0.0 || !d1.is_finite() {
             x.copy_from_slice(&s.z1);
@@ -272,11 +339,11 @@ impl AmgPreconditioner {
             return;
         }
         // --- Second inner iteration (flexible CG step) ---
-        s.z2.clear();
         s.z2.resize(n, 0.0);
         self.run_cycle(level, &s.r, &mut s.z2);
         s.az2.resize(n, 0.0);
         a.spmv_into(&s.z2, &mut s.az2);
+        self.counts.borrow_mut().level_matrix_passes[level] += 1;
         // Orthogonalise z2 against z1 in the A-inner product.
         let beta = dot(&s.z2, &s.az1) / d1;
         s.p2.resize(n, 0.0);
@@ -305,7 +372,6 @@ impl AmgPreconditioner {
 
 impl Preconditioner for AmgPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.iter_mut().for_each(|v| *v = 0.0);
         self.run_cycle(0, r, z);
     }
 }

@@ -303,7 +303,7 @@ impl AmgHierarchy {
     }
 
     /// Solves the coarsest system exactly using the cached Cholesky
-    /// factor.
+    /// factor. Overwrites `x`; its incoming values are not read.
     ///
     /// # Panics
     ///
@@ -313,18 +313,22 @@ impl AmgHierarchy {
         assert_eq!(x.len(), self.coarse_n, "coarse solve: x mismatch");
         let n = self.coarse_n;
         let l = &self.coarse_chol;
-        // Forward substitution L y = b.
-        let mut y = vec![0.0; n];
+        // Forward substitution L y = b, with y kept in x: a cycle comes
+        // here hundreds of times per solve, so no scratch is allocated.
         for i in 0..n {
             let mut s = b[i];
             for j in 0..i {
-                s -= l[i * n + j] * y[j];
+                s -= l[i * n + j] * x[j];
             }
-            y[i] = s / l[i * n + i];
+            x[i] = s / l[i * n + i];
         }
-        // Backward substitution L^T x = y.
+        // Backward substitution L^T x = y, in place: step i reads y_i
+        // (still in x[i]) and the already final x[j], j > i. It strides
+        // down a column of the row-major factor; the factor sits in L1
+        // and this whole function is 1.4 % of a 24-iteration K-cycle
+        // solve (EXPERIMENTS.md), so no transpose is stored for it.
         for i in (0..n).rev() {
-            let mut s = y[i];
+            let mut s = x[i];
             for j in (i + 1)..n {
                 s -= l[j * n + i] * x[j];
             }

@@ -18,5 +18,5 @@ pub mod cycle;
 pub mod hierarchy;
 
 pub use aggregation::{aggregate_pairwise, strength_graph, Aggregation};
-pub use cycle::{AmgCore, AmgPreconditioner, CycleKind};
+pub use cycle::{AmgCore, AmgPreconditioner, CycleCounts, CycleKind};
 pub use hierarchy::{AmgHierarchy, AmgParams};

@@ -40,6 +40,32 @@ fn nnz_balanced_chunks(rows: usize, row_ptr: &[usize]) -> Vec<usize> {
     bounds
 }
 
+/// Rows the default-build SpMV/residual kernel advances in lock-step
+/// ([`CsrMatrix::rows_into`]). Chosen from a measurement, not an
+/// option: EXPERIMENTS.md, "What a K-cycle iteration costs", times 1,
+/// 2, 3, 4 and 8 on every level of a 28 k-node hierarchy and on the
+/// whole 24-iteration solve (50.3 / 48.4 / 48.4 / 50.3 / 56.2 ms). Two
+/// wins on the 50-120-long coarse rows where the solve spends its time
+/// and costs the least on the 4-long fine rows; from four up the eight
+/// slice pointers no longer fit the registers.
+const ROW_GROUP: usize = 2;
+
+/// Stores one row group's sums at `out[at..]`, subtracted from `b`
+/// when the caller wants a residual.
+#[inline(always)]
+fn write_rows<const W: usize>(acc: &[f64; W], b: Option<&[f64]>, at: usize, out: &mut [f64]) {
+    match b {
+        Some(b) => {
+            let mut l = 0;
+            while l < W {
+                out[at + l] = b[at + l] - acc[l];
+                l += 1;
+            }
+        }
+        None => out[at..at + W].copy_from_slice(acc),
+    }
+}
+
 /// An immutable sparse matrix in compressed sparse row format.
 ///
 /// This is the workhorse storage for the conductance systems produced
@@ -363,20 +389,12 @@ impl CsrMatrix {
             return;
         }
         // Row-parallel over nnz-balanced ragged chunks: each output
-        // element is produced by exactly one serial inner loop and the
-        // chunk boundaries derive from the structure alone, so the
+        // element is produced by exactly one serial accumulation and
+        // the chunk boundaries derive from the structure alone, so the
         // result is bitwise identical at any thread count. Matrices
         // below one chunk run inline.
         irf_runtime::par_ragged_chunks_mut(y, &self.row_chunks, |ci, yc| {
-            let base = self.row_chunks[ci];
-            for (i, yr) in yc.iter_mut().enumerate() {
-                let r = base + i;
-                let mut acc = 0.0;
-                for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                *yr = acc;
-            }
+            self.rows_into(self.row_chunks[ci], x, None, yc);
         });
     }
 
@@ -403,16 +421,114 @@ impl CsrMatrix {
             return;
         }
         irf_runtime::par_ragged_chunks_mut(r, &self.row_chunks, |ci, rc| {
-            let base = self.row_chunks[ci];
-            for (i, rr) in rc.iter_mut().enumerate() {
-                let row = base + i;
-                let mut acc = 0.0;
-                for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                *rr = b[row] - acc;
-            }
+            self.rows_into(self.row_chunks[ci], x, Some(b), rc);
         });
+    }
+
+    /// The row-group kernel behind [`CsrMatrix::spmv_into`] and
+    /// [`CsrMatrix::residual_into`]: fills `out` with the sums of rows
+    /// `base..base + out.len()` against `x` — or, given `b`, with
+    /// `b[row] - sum`.
+    ///
+    /// [`ROW_GROUP`] consecutive rows advance in lock-step, one
+    /// accumulator each, so the adds of one row's chain overlap the
+    /// other rows' instead of waiting on their own previous add; rows
+    /// longer than the group's shortest finish their tails one after
+    /// another, and rows left over at the end of `out` go one at a
+    /// time. Every row is still `acc = 0.0; acc += a_k * x[col_k]` in
+    /// stored order, one rounded multiply and one rounded add a step,
+    /// so how rows are grouped cannot show in the result: it equals
+    /// [`CsrMatrix::rows_into_reference`] and the AVX2 SELL-4 kernel
+    /// bit for bit.
+    fn rows_into(&self, base: usize, x: &[f64], b: Option<&[f64]>, out: &mut [f64]) {
+        let n = out.len();
+        let ptr = &self.row_ptr[base..=base + n];
+        let b = b.map(|b| &b[base..base + n]);
+        let mut i = 0;
+        while i + ROW_GROUP <= n {
+            let acc = self.row_group::<ROW_GROUP>(&ptr[i..=i + ROW_GROUP], x);
+            write_rows(&acc, b, i, out);
+            i += ROW_GROUP;
+        }
+        while i < n {
+            let acc = self.row_group::<1>(&ptr[i..=i + 1], x);
+            write_rows(&acc, b, i, out);
+            i += 1;
+        }
+    }
+
+    /// The sums of the `W` consecutive rows delimited by `ptr` (`W + 1`
+    /// row pointers) against `x`. Each row's `values`/`col_idx` are
+    /// sliced once, and the lock-step part again to the shortest row's
+    /// length, so the loops carry no check but the one on `x`. Index
+    /// loops, not iterator adapters: the dev-profile test suite spends
+    /// its solver time here.
+    #[inline(always)]
+    fn row_group<const W: usize>(&self, ptr: &[usize], x: &[f64]) -> [f64; W] {
+        let mut vals: [&[f64]; W] = [&[]; W];
+        let mut cols: [&[usize]; W] = [&[]; W];
+        let mut shortest = usize::MAX;
+        let mut l = 0;
+        while l < W {
+            vals[l] = &self.values[ptr[l]..ptr[l + 1]];
+            cols[l] = &self.col_idx[ptr[l]..ptr[l + 1]];
+            shortest = shortest.min(vals[l].len());
+            l += 1;
+        }
+        let mut head_vals = vals;
+        let mut head_cols = cols;
+        let mut l = 0;
+        while l < W {
+            head_vals[l] = &vals[l][..shortest];
+            head_cols[l] = &cols[l][..shortest];
+            l += 1;
+        }
+        let mut acc = [0.0f64; W];
+        let mut k = 0;
+        while k < shortest {
+            let mut l = 0;
+            while l < W {
+                acc[l] += head_vals[l][k] * x[head_cols[l][k]];
+                l += 1;
+            }
+            k += 1;
+        }
+        let mut l = 0;
+        while l < W {
+            let mut k = shortest;
+            while k < vals[l].len() {
+                acc[l] += vals[l][k] * x[cols[l][k]];
+                k += 1;
+            }
+            l += 1;
+        }
+        acc
+    }
+
+    /// The one-row-at-a-time loop [`CsrMatrix::spmv_into`] and
+    /// [`CsrMatrix::residual_into`] ran before the row-group kernel,
+    /// serial over all rows: `out[row] = sum` or, given `b`,
+    /// `b[row] - sum`. Kept as the reference the parity tests and
+    /// `kernel_speed` hold the shipped kernels to; nothing in the
+    /// program calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions do not match.
+    #[doc(hidden)]
+    pub fn rows_into_reference(&self, x: &[f64], b: Option<&[f64]>, out: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "reference: x length mismatch");
+        assert_eq!(out.len(), self.rows, "reference: out length mismatch");
+        for (row, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
+                acc += self.values[k] * x[self.col_idx[k]];
+            }
+            *o = match b {
+                Some(b) => b[row] - acc,
+                None => acc,
+            };
+        }
     }
 
     /// The diagonal of the matrix (zeros where no diagonal is stored).
@@ -506,8 +622,8 @@ impl CsrMatrix {
 
     /// `true` when this matrix has already materialised its SELL-4
     /// SIMD plan (built lazily on the first vector-dispatched SpMV).
-    /// Introspection for tests and benches; always `false` on the
-    /// scalar-only build.
+    /// Introspection for tests and benches; always `false` in the
+    /// default build, which never dispatches to it.
     #[must_use]
     pub fn simd_plan_built(&self) -> bool {
         self.sell.get().is_some()
@@ -668,6 +784,119 @@ mod tests {
         let dense17: f64 = (0..4000).map(|c| 0.5 * x[c]).sum::<f64>() + x[17];
         assert!((y[17] - dense17).abs() < 1e-9);
         assert!((y[40] - x[40]).abs() < 1e-15);
+    }
+
+    /// A matrix no assembly path would build, for the kernels alone:
+    /// row lengths drawn from `lengths`, explicit stored `0.0`/`-0.0`
+    /// and subnormal values among ordinary ones, and row chunks of
+    /// `chunk_rows` rows whatever their cost.
+    fn ragged(rows: usize, lengths: &[usize], chunk_rows: usize, seed: u64) -> CsrMatrix {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+        let cols = 257;
+        let mut row_ptr = vec![0usize];
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for _ in 0..rows {
+            let len = lengths[(rng.next_u64() % lengths.len() as u64) as usize];
+            // `len` distinct sorted columns: a random start, unit steps.
+            let start = (rng.next_u64() % (cols - len + 1) as u64) as usize;
+            for c in start..start + len {
+                col_idx.push(c);
+                values.push(match rng.next_u64() % 16 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 3.0e-310,
+                    _ => rng.random::<f64>() * 4.0 - 2.0,
+                });
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let mut row_chunks: Vec<usize> = (0..rows).step_by(chunk_rows).collect();
+        row_chunks.push(rows);
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+            row_chunks,
+            sell: OnceLock::new(),
+        }
+    }
+
+    /// A vector of ordinary values salted with both zeros and a
+    /// subnormal.
+    fn salted(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match rng.next_u64() % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -2.0e-311,
+                _ => rng.random::<f64>() * 2.0 - 1.0,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_group_kernel_equals_the_one_row_loop_bit_for_bit() {
+        let mixed = [0, 1, 2, 3, 5, 64, 200];
+        // (rows, lengths, rows per chunk): chunks that are and are not
+        // a multiple of the group width, a last chunk of one row,
+        // matrices shorter than one group, no rows at all.
+        let cases: [(usize, &[usize], usize); 8] = [
+            (97, &mixed, 7),
+            (64, &mixed, 8),
+            (33, &mixed, 1),
+            (50, &[200], 3),
+            (41, &[0, 1], 5),
+            (1, &[64], 4),
+            (1, &[0], 1),
+            (0, &mixed, 3),
+        ];
+        for (case, &(rows, lengths, chunk_rows)) in cases.iter().enumerate() {
+            let a = ragged(rows, lengths, chunk_rows, 0xC5_00 + case as u64);
+            let x = salted(a.cols, 0xC5_10 + case as u64);
+            let b = salted(a.rows, 0xC5_20 + case as u64);
+            let mut want_y = vec![f64::NAN; rows];
+            let mut want_r = vec![f64::NAN; rows];
+            a.rows_into_reference(&x, None, &mut want_y);
+            a.rows_into_reference(&x, Some(&b), &mut want_r);
+
+            // The kernel itself, chunk by chunk, whatever the build
+            // dispatches `spmv_into` to.
+            let (mut y, mut r) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+            for w in a.row_chunks.windows(2) {
+                a.rows_into(w[0], &x, None, &mut y[w[0]..w[1]]);
+                a.rows_into(w[0], &x, Some(&b), &mut r[w[0]..w[1]]);
+            }
+            assert_eq!(bits(&y), bits(&want_y), "case {case}: kernel spmv");
+            assert_eq!(bits(&r), bits(&want_r), "case {case}: kernel residual");
+
+            // The public entries (the AVX2 leg under `--features
+            // simd`), at every thread count.
+            for threads in [1, 2, 4, 8] {
+                irf_runtime::set_num_threads(threads);
+                let (mut y, mut r) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+                a.spmv_into(&x, &mut y);
+                a.residual_into(&b, &x, &mut r);
+                irf_runtime::set_num_threads(0);
+                assert_eq!(
+                    bits(&y),
+                    bits(&want_y),
+                    "case {case}: spmv, {threads} threads"
+                );
+                assert_eq!(
+                    bits(&r),
+                    bits(&want_r),
+                    "case {case}: residual, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

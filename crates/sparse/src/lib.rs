@@ -38,9 +38,10 @@
 //! let report = Solver::new(SolverKind::AmgPcg).solve(&a, &b);
 //! assert!(report.converged);
 //! ```
-// The scalar-only default build carries no unsafe code at all; the
-// `simd` feature admits it solely inside the `sell` kernel module and
-// its call sites, each carrying a narrow `#[allow]` + SAFETY comment.
+// The default build carries no unsafe code at all — its SpMV and
+// residual are the safe-Rust row-group kernel in `csr.rs`; the `simd`
+// feature admits unsafe solely inside the `sell` kernel module and its
+// call sites, each carrying a narrow `#[allow]` + SAFETY comment.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

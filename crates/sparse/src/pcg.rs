@@ -15,7 +15,9 @@ use crate::vector::{axpy, dot, norm2, xpby};
 /// Polak-Ribiere update used by [`pcg`] tolerates the mild
 /// non-linearity of a K-cycle AMG preconditioner.
 pub trait Preconditioner {
-    /// Applies the preconditioner: writes `z = M^{-1} r`.
+    /// Applies the preconditioner: overwrites `z` with `M^{-1} r`.
+    /// The incoming `z` is scratch: callers need not clear it and
+    /// implementations must not read it.
     ///
     /// # Panics
     ///
@@ -92,6 +94,17 @@ pub fn pcg<M: Preconditioner>(
 
 /// [`pcg`] starting from a caller-supplied initial guess `x0`.
 ///
+/// The preconditioner is applied only where the answer depends on it:
+/// once per iteration that is followed by another (so `iterations`
+/// times in a solve the budget or the tolerance ends, never more than
+/// `iterations + 1` on a breakdown) and not at all when `max_iter` is
+/// zero or `x0` already meets `tol`. The relative residual of an
+/// iteration is known before its preconditioner application, which
+/// only prepares the next search direction; the solve that stops there
+/// skips it. An all-zero guess also skips the initial residual pass:
+/// `b - A·0` has the bits of `b` (see
+/// `smoother::sweep_from_zero`).
+///
 /// # Panics
 ///
 /// Panics if dimensions do not match.
@@ -118,7 +131,20 @@ pub fn pcg_with_guess<M: Preconditioner>(
         };
     }
     let mut r = vec![0.0; n];
-    a.residual_into(b, &x, &mut r);
+    if x.iter().all(|&v| v == 0.0) {
+        r.copy_from_slice(b);
+    } else {
+        a.residual_into(b, &x, &mut r);
+    }
+    let mut history = vec![norm2(&r) / bnorm];
+    let mut converged = history[0] < tol;
+    if converged || max_iter == 0 {
+        return CgResult {
+            x,
+            converged,
+            trace: ConvergenceTrace { history },
+        };
+    }
     let mut z = vec![0.0; n];
     m.apply(&r, &mut z);
     let mut p = z.clone();
@@ -127,10 +153,7 @@ pub fn pcg_with_guess<M: Preconditioner>(
     // the inner loop allocates nothing.
     let mut r_old = vec![0.0; n];
     let mut rz = dot(&r, &z);
-    let mut history = vec![norm2(&r) / bnorm];
-    let mut converged = history[0] < tol;
-    let mut it = 0;
-    while !converged && it < max_iter {
+    loop {
         a.spmv_into(&p, &mut ap);
         let pap = dot(&p, &ap);
         if pap <= 0.0 || !pap.is_finite() {
@@ -141,6 +164,14 @@ pub fn pcg_with_guess<M: Preconditioner>(
         // Keep the previous residual for the flexible beta.
         r_old.copy_from_slice(&r);
         axpy(-alpha, &ap, &mut r);
+        let rel = norm2(&r) / bnorm;
+        history.push(rel);
+        converged = rel < tol;
+        // `history` holds the initial residual and one entry per
+        // iteration. Stop before a cycle nobody reads.
+        if converged || history.len() > max_iter {
+            break;
+        }
         m.apply(&r, &mut z);
         // Polak-Ribiere: beta = z^T (r - r_old) / (z_old^T r_old).
         let num = {
@@ -162,10 +193,6 @@ pub fn pcg_with_guess<M: Preconditioner>(
         let beta = (num / rz).max(0.0);
         rz = dot(&r, &z);
         xpby(&z, beta, &mut p);
-        it += 1;
-        let rel = norm2(&r) / bnorm;
-        history.push(rel);
-        converged = rel < tol;
         if rz <= 0.0 || !rz.is_finite() {
             break;
         }
@@ -233,6 +260,97 @@ mod tests {
         let cold = pcg(&a, &b, &m, 1e-10, 500);
         let warm = pcg_with_guess(&a, &b, &m, cold.x.clone(), 1e-10, 500);
         assert!(warm.trace.iterations() <= 1);
+    }
+
+    /// Jacobi, counting its applications; optionally returning a
+    /// direction that breaks PCG down (`z = -r`, so `r·z < 0`) from
+    /// the `sabotage_from`-th application on.
+    struct Counting {
+        inner: JacobiPreconditioner,
+        calls: std::cell::Cell<usize>,
+        sabotage_from: usize,
+    }
+
+    impl Counting {
+        fn new(a: &CsrMatrix) -> Self {
+            Counting {
+                inner: JacobiPreconditioner::new(a),
+                calls: std::cell::Cell::new(0),
+                sabotage_from: usize::MAX,
+            }
+        }
+    }
+
+    impl Preconditioner for Counting {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() >= self.sabotage_from {
+                for (zi, ri) in z.iter_mut().zip(r) {
+                    *zi = -ri;
+                }
+            } else {
+                self.inner.apply(r, z);
+            }
+        }
+    }
+
+    #[test]
+    fn the_preconditioner_is_applied_only_where_the_answer_depends_on_it() {
+        let a = laplacian_2d(10, 10);
+        let b: Vec<f64> = (0..100).map(|i| 1.0 + (i % 7) as f64).collect();
+
+        // The budget ends the solve: one application per iteration.
+        for budget in [1, 2, 7] {
+            let m = Counting::new(&a);
+            let res = pcg(&a, &b, &m, 1e-30, budget);
+            assert_eq!(res.trace.iterations(), budget);
+            assert!(!res.converged);
+            assert_eq!(m.calls.get(), budget, "budget {budget}");
+        }
+
+        // The tolerance ends it: still one per iteration.
+        let m = Counting::new(&a);
+        let done = pcg(&a, &b, &m, 1e-10, 500);
+        assert!(done.converged && done.trace.iterations() < 500);
+        assert_eq!(m.calls.get(), done.trace.iterations());
+
+        // No iteration, no application: an empty budget ...
+        let m = Counting::new(&a);
+        let res = pcg(&a, &b, &m, 1e-10, 0);
+        assert_eq!((res.trace.iterations(), m.calls.get()), (0, 0));
+        assert!(!res.converged && res.x.iter().all(|&v| v == 0.0));
+        assert_eq!(res.trace.history, vec![1.0]);
+        // ... and a guess that already meets the tolerance.
+        let m = Counting::new(&a);
+        let res = pcg_with_guess(&a, &b, &m, done.x.clone(), 1e-8, 500);
+        assert_eq!((res.trace.iterations(), m.calls.get()), (0, 0));
+        assert!(res.converged);
+        assert_eq!(res.x, done.x);
+
+        // Breakdown: the third application hands back an ascent
+        // direction, `r·z <= 0` stops the solve after iteration 2,
+        // never more than one application past the iteration count.
+        let m = Counting {
+            sabotage_from: 3,
+            ..Counting::new(&a)
+        };
+        let res = pcg(&a, &b, &m, 1e-30, 50);
+        assert_eq!(res.trace.iterations(), 2);
+        assert_eq!(m.calls.get(), 3);
+        // The first application already broken: `p·Ap > 0` still holds
+        // for `p = -r`, so one iteration runs before `r·z` is looked at.
+        let m = Counting {
+            sabotage_from: 1,
+            ..Counting::new(&a)
+        };
+        let res = pcg(&a, &b, &m, 1e-30, 50);
+        assert!(m.calls.get() <= res.trace.iterations() + 1);
+
+        // b = 0 still returns zeros without touching anything.
+        let m = Counting::new(&a);
+        let res = pcg_with_guess(&a, &[0.0; 100], &m, vec![1.0; 100], 1e-10, 10);
+        assert!(res.converged && res.x.iter().all(|&v| v == 0.0));
+        assert_eq!(m.calls.get(), 0);
     }
 
     #[test]

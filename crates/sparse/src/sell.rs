@@ -13,7 +13,10 @@
 //!
 //! Per output row the kernel performs the exact scalar sequence
 //! `acc = 0.0; acc += a_k * x[col_k]` in stored order — one rounded
-//! multiply and one rounded add per step, no FMA, no reassociation.
+//! multiply and one rounded add per step, no FMA, no reassociation —
+//! which is also what the default build's safe-Rust row-group kernel
+//! (`CsrMatrix::rows_into`, two rows in lock-step) does per row, so
+//! the two agree bit for bit however either groups its rows.
 //! Padding slots hold value `0.0` / column `0`, appended *after* the
 //! row's real entries; they add `0.0 * x[0]` (which is `±0.0`) to an
 //! accumulator that is either still `+0.0` or already past its real
@@ -24,13 +27,21 @@
 //! uphold the remaining precondition (finite `x`); NaN/inf inputs
 //! propagate exactly as in the scalar loop on x86.
 //!
+//! The same absorption is why a multiply by an all-zero vector can be
+//! skipped outright: with finite matrix entries (assembly guarantees
+//! them) every product `a_k * ±0.0` is `±0.0`, the accumulator stays
+//! `+0.0`, and `b - A·0` has the bits of `b`. The AMG pre-smoother
+//! (`smoother::sweep_from_zero`) and `pcg_with_guess` rest
+//! on it; DESIGN.md §8 states the contract.
+//!
 //! The plan is built lazily on the first SIMD-dispatched kernel call
 //! and cached on the matrix (`OnceLock`); cloning a matrix shares the
 //! plan (values are immutable), while value-rebuilding constructors
 //! start with an empty cache.
 
-// In the default (scalar-only) build the plan type is compiled but the
-// kernels that consume it are not.
+// In the default build (safe Rust only: the row-group kernel in
+// `csr.rs`) the plan type is compiled but the kernels that consume it
+// are not.
 #![cfg_attr(not(feature = "simd"), allow(dead_code))]
 
 /// SELL-4 repacking of a CSR matrix, ready for 4-wide f64 kernels.
@@ -212,12 +223,8 @@ pub(crate) unsafe fn spmv_chunk_avx2(
 /// AVX2 diagonal-scaled Jacobi update over one chunk:
 /// `x[i] += omega * r[i] / diag[i]`, elementwise — each element is one
 /// rounded multiply, one rounded divide and one rounded add, the exact
-/// scalar sequence.
-///
-/// # Panics
-///
-/// Panics on a zero diagonal entry, with the same message as the
-/// scalar path.
+/// scalar sequence. The caller has already checked `diag` for zeros
+/// (`smoother::assert_nonzero_diagonal`).
 ///
 /// # Safety
 ///
@@ -227,29 +234,16 @@ pub(crate) unsafe fn spmv_chunk_avx2(
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn scaled_update_chunk_avx2(
-    xc: &mut [f64],
-    r: &[f64],
-    diag: &[f64],
-    omega: f64,
-    base_row: usize,
-) {
+pub(crate) unsafe fn scaled_update_chunk_avx2(xc: &mut [f64], r: &[f64], diag: &[f64], omega: f64) {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_movemask_pd,
-        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _CMP_EQ_OQ,
+        _mm256_add_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_storeu_pd,
     };
     let n = xc.len();
     let om = _mm256_set1_pd(omega);
-    let zero = _mm256_setzero_pd();
     let mut i = 0usize;
     while i + 4 <= n {
         let dv = _mm256_loadu_pd(diag.as_ptr().add(i));
-        if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(dv, zero)) != 0 {
-            for l in 0..4 {
-                let row = base_row + i + l;
-                assert!(diag[i + l] != 0.0, "jacobi: zero diagonal at row {row}");
-            }
-        }
         let rv = _mm256_loadu_pd(r.as_ptr().add(i));
         let t = _mm256_div_pd(_mm256_mul_pd(om, rv), dv);
         let xv = _mm256_loadu_pd(xc.as_ptr().add(i));
@@ -257,10 +251,7 @@ pub(crate) unsafe fn scaled_update_chunk_avx2(
         i += 4;
     }
     while i < n {
-        let d = diag[i];
-        let row = base_row + i;
-        assert!(d != 0.0, "jacobi: zero diagonal at row {row}");
-        xc[i] += omega * r[i] / d;
+        xc[i] += omega * r[i] / diag[i];
         i += 1;
     }
 }

@@ -77,8 +77,56 @@ const SWEEP_CHUNK: usize = 2048;
 ///
 /// # Panics
 ///
-/// Panics if dimensions mismatch or a diagonal entry is zero.
+/// Panics if dimensions mismatch or — checked once per call, before
+/// the first sweep, not per element — a diagonal entry is zero.
 pub fn scaled_sweeps(
+    a: &CsrMatrix,
+    b: &[f64],
+    x: &mut [f64],
+    omega: f64,
+    sweeps: usize,
+    diag: &[f64],
+    r: &mut [f64],
+) {
+    if sweeps > 0 {
+        assert_nonzero_diagonal(diag);
+    }
+    sweeps_on_checked_diagonal(a, b, x, omega, sweeps, diag, r);
+}
+
+/// Panics with the first zero entry of a smoothing diagonal. The
+/// sweeps divide by every entry, so the check is made once up front —
+/// by [`scaled_sweeps`] per call, by an AMG cycle once at setup —
+/// where it does not keep the update loop from vectorising.
+pub(crate) fn assert_nonzero_diagonal(diag: &[f64]) {
+    if let Some(row) = diag.iter().position(|&d| d == 0.0) {
+        panic!("jacobi: zero diagonal at row {row}");
+    }
+}
+
+/// One Jacobi-family sweep from the zero vector, `x_i = 0.0 + omega *
+/// b_i / d_i`, without a pass over the matrix. The incoming `x` is
+/// not read. This is the one special case of a cycle's pre-smoother,
+/// and it has the bits of the general sweep on a zeroed `x`:
+/// `r = b - A·0` has the bits of `b` (zero absorption: the module
+/// docs of `sell.rs`), and the `0.0 +` keeps the `+0.0` that
+/// `x_i += ...` leaves where the quotient is `-0.0`. `diag` has been
+/// through [`assert_nonzero_diagonal`].
+pub(crate) fn sweep_from_zero(b: &[f64], x: &mut [f64], omega: f64, diag: &[f64]) {
+    assert_eq!(b.len(), x.len());
+    assert_eq!(diag.len(), x.len());
+    irf_runtime::par_chunks_mut(x, SWEEP_CHUNK, |ci, xc| {
+        let base = ci * SWEEP_CHUNK;
+        let (bc, dc) = (&b[base..base + xc.len()], &diag[base..base + xc.len()]);
+        for ((xi, bi), di) in xc.iter_mut().zip(bc).zip(dc) {
+            *xi = 0.0 + omega * bi / di;
+        }
+    });
+}
+
+/// [`scaled_sweeps`] on a diagonal the caller has already put through
+/// [`assert_nonzero_diagonal`].
+pub(crate) fn sweeps_on_checked_diagonal(
     a: &CsrMatrix,
     b: &[f64],
     x: &mut [f64],
@@ -109,7 +157,6 @@ pub fn scaled_sweeps(
                         &r[base..base + xc.len()],
                         &diag[base..base + xc.len()],
                         omega,
-                        base,
                     );
                 }
             });
@@ -117,11 +164,9 @@ pub fn scaled_sweeps(
         }
         irf_runtime::par_chunks_mut(x, SWEEP_CHUNK, |ci, xc| {
             let base = ci * SWEEP_CHUNK;
-            for (i, xi) in xc.iter_mut().enumerate() {
-                let row = base + i;
-                let d = diag[row];
-                assert!(d != 0.0, "jacobi: zero diagonal at row {row}");
-                *xi += omega * r[row] / d;
+            let (rc, dc) = (&r[base..base + xc.len()], &diag[base..base + xc.len()]);
+            for ((xi, ri), di) in xc.iter_mut().zip(rc).zip(dc) {
+                *xi += omega * ri / di;
             }
         });
     }
@@ -155,26 +200,34 @@ fn gs_directed(a: &CsrMatrix, b: &[f64], x: &mut [f64], sweeps: usize, backward:
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
     for _ in 0..sweeps {
-        let order: Box<dyn Iterator<Item = usize>> = if backward {
-            Box::new((0..n).rev())
-        } else {
-            Box::new(0..n)
-        };
-        for i in order {
-            let (cols, vals) = a.row(i);
-            let mut sigma = 0.0;
-            let mut diag = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c == i {
-                    diag = v;
-                } else {
-                    sigma += v * x[c];
-                }
+        if backward {
+            for i in (0..n).rev() {
+                gs_relax_row(a, b, x, i);
             }
-            assert!(diag != 0.0, "gauss-seidel: zero diagonal at row {i}");
-            x[i] = (b[i] - sigma) / diag;
+        } else {
+            for i in 0..n {
+                gs_relax_row(a, b, x, i);
+            }
         }
     }
+}
+
+/// One Gauss-Seidel relaxation: solves row `i` for `x[i]` against the
+/// current values of its neighbours.
+#[inline]
+fn gs_relax_row(a: &CsrMatrix, b: &[f64], x: &mut [f64], i: usize) {
+    let (cols, vals) = a.row(i);
+    let mut sigma = 0.0;
+    let mut diag = 0.0;
+    for (&c, &v) in cols.iter().zip(vals) {
+        if c == i {
+            diag = v;
+        } else {
+            sigma += v * x[c];
+        }
+    }
+    assert!(diag != 0.0, "gauss-seidel: zero diagonal at row {i}");
+    x[i] = (b[i] - sigma) / diag;
 }
 
 /// Applies the chosen smoother for `sweeps` sweeps.
@@ -237,6 +290,37 @@ mod tests {
         for (l1, d) in l1_diagonal(&a).iter().zip(&plain) {
             assert!(l1 >= d);
         }
+    }
+
+    #[test]
+    fn the_sweep_from_zero_has_the_bits_of_a_general_sweep_on_a_zeroed_vector() {
+        let a = laplacian_1d(40);
+        // Both zeros in b: `-0.0` is where `0.0 +` earns its place.
+        let b: Vec<f64> = (0..40)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (i as f64).sin(),
+            })
+            .collect();
+        let diag = l1_diagonal(&a);
+        let mut general = vec![0.0; 40];
+        sweeps_on_checked_diagonal(&a, &b, &mut general, 0.7, 1, &diag, &mut [0.0; 40]);
+        // Whatever x held is overwritten, not read.
+        let mut from_zero = vec![f64::NAN; 40];
+        sweep_from_zero(&b, &mut from_zero, 0.7, &diag);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&general), bits(&from_zero));
+    }
+
+    #[test]
+    #[should_panic(expected = "jacobi: zero diagonal at row 3")]
+    fn scaled_sweeps_reject_a_zero_diagonal_before_the_first_sweep() {
+        let a = laplacian_1d(6);
+        let mut diag = a.diagonal();
+        diag[3] = 0.0;
+        let (mut x, mut r) = (vec![0.0; 6], vec![0.0; 6]);
+        scaled_sweeps(&a, &[1.0; 6], &mut x, 1.0, 1, &diag, &mut r);
     }
 
     #[test]

@@ -401,6 +401,7 @@ impl SolverSetup {
                 let mut solve_span = irf_trace::span("pcg_solve");
                 let res = pcg_with_guess(a, b, &m, x0, self.tol, self.max_iter);
                 record_pcg_telemetry(&res, &mut solve_span);
+                record_cycle_counts(&m, res.trace.iterations(), &mut solve_span);
                 drop(solve_span);
                 let solve = t1.elapsed().as_secs_f64();
                 irf_trace::registry().counter_add(
@@ -471,6 +472,25 @@ fn record_pcg_telemetry(res: &crate::cg::CgResult, span: &mut irf_trace::Span) {
     if res.converged {
         registry.counter_add("irf_pcg_converged_total", &[], 1.0);
     }
+}
+
+/// Publishes what the preconditioner's cycles did during one solve:
+/// applications (the fine level's visits), visits per level and passes
+/// over each level's matrix.
+/// PCG multiplies by the fine matrix once per iteration itself; that
+/// pass is added to level 0, so the fine level reads like every other
+/// (a K-cycle counts its own SpMV on the level it runs on).
+fn record_cycle_counts(m: &AmgPreconditioner, iterations: usize, span: &mut irf_trace::Span) {
+    if !span.is_recording() {
+        return;
+    }
+    let counts = m.counts();
+    let mut passes = counts.level_matrix_passes;
+    passes[0] += iterations as u64;
+    let as_f64 = |v: Vec<u64>| v.into_iter().map(|c| c as f64).collect::<Vec<_>>();
+    span.attr("cycle_applications", counts.level_visits[0]);
+    span.attr("level_visits", as_f64(counts.level_visits));
+    span.attr("level_matrix_passes", as_f64(passes));
 }
 
 fn finish_iterative(res: crate::cg::CgResult, setup: f64, solve: f64) -> SolveReport {

@@ -2,7 +2,8 @@
 //!
 //! Only meaningful with `--features simd`; compiles to nothing
 //! otherwise. Each test computes the scalar result (vector path
-//! force-disabled via `irf_runtime::simd::set_disabled`) and the SIMD
+//! force-disabled via `irf_runtime::simd::set_disabled`, which leaves
+//! the safe-Rust row-group kernel every build ships) and the SIMD
 //! result in the same process and asserts f64 **bit** equality at
 //! 1/2/4/8 threads.
 #![cfg(feature = "simd")]
@@ -117,6 +118,86 @@ fn residual_simd_is_bitwise_identical_to_scalar() {
             bits(&simd),
             "residual diverged at {threads} threads"
         );
+    }
+    irf_runtime::set_num_threads(1);
+}
+
+/// Rows of 0, 1, 2, 3, 5, 64 and 200 non-zeros mixed, so SELL groups
+/// pad short rows against long ones and the row-group kernel runs
+/// long tails; some values subnormal.
+fn ragged_matrix(rows: usize, seed: u64) -> CsrMatrix {
+    let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+    let cols = 263;
+    let lengths = [0usize, 1, 2, 3, 5, 64, 200];
+    let mut t: Vec<(usize, usize, f64)> = Vec::new();
+    for r in 0..rows {
+        let len = lengths[(rng.next_u64() % lengths.len() as u64) as usize];
+        let start = (rng.next_u64() % (cols - len + 1) as u64) as usize;
+        for c in start..start + len {
+            let v = if rng.next_u64().is_multiple_of(16) {
+                -4.0e-310
+            } else {
+                rng.random::<f64>() * 4.0 - 2.0
+            };
+            t.push((r, c, v));
+        }
+    }
+    CsrMatrix::from_triplets(rows, cols, &t)
+}
+
+/// Ordinary values salted with `0.0`, `-0.0` and a subnormal.
+fn salted_vec(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+    (0..n)
+        .map(|_| match rng.next_u64() % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 2.0e-311,
+            _ => rng.random::<f64>() * 2.0 - 1.0,
+        })
+        .collect()
+}
+
+#[test]
+fn ragged_rows_agree_between_reference_row_group_and_simd_kernels() {
+    let _g = lock_globals();
+    // 97 rows: several chunks, none a multiple of four; 3 and 1 rows:
+    // shorter than one SELL group.
+    for (rows, seed) in [(97usize, 0xA1u64), (3, 0xA2), (1, 0xA3)] {
+        let a = ragged_matrix(rows, seed);
+        let x = salted_vec(a.cols(), seed + 0x10);
+        let b = salted_vec(a.rows(), seed + 0x20);
+        let mut want_y = vec![0.0; rows];
+        let mut want_r = vec![0.0; rows];
+        a.rows_into_reference(&x, None, &mut want_y);
+        a.rows_into_reference(&x, Some(&b), &mut want_r);
+
+        let mut y = vec![0.0; rows];
+        let mut r = vec![0.0; rows];
+        irf_runtime::simd::set_disabled(true);
+        irf_runtime::set_num_threads(1);
+        a.spmv_into(&x, &mut y);
+        a.residual_into(&b, &x, &mut r);
+        irf_runtime::simd::set_disabled(false);
+        assert_eq!(bits(&want_y), bits(&y), "{rows} rows: row-group spmv");
+        assert_eq!(bits(&want_r), bits(&r), "{rows} rows: row-group residual");
+
+        if !irf_runtime::simd::enabled() {
+            eprintln!("skipping: AVX2 unavailable at runtime");
+            return;
+        }
+        for threads in [1usize, 2, 4, 8] {
+            irf_runtime::set_num_threads(threads);
+            a.spmv_into(&x, &mut y);
+            a.residual_into(&b, &x, &mut r);
+            assert_eq!(bits(&want_y), bits(&y), "{rows} rows: simd spmv, {threads}");
+            assert_eq!(
+                bits(&want_r),
+                bits(&r),
+                "{rows} rows: simd residual, {threads}"
+            );
+        }
+        assert!(a.simd_plan_built());
     }
     irf_runtime::set_num_threads(1);
 }

@@ -331,3 +331,154 @@ fn pipeline_prepare_is_bitwise_identical_across_thread_counts() {
         assert_samples_bitwise_equal(&r1, &rn, &format!("rot90 at {threads} threads"));
     }
 }
+
+/// FNV-1a over 64-bit words.
+fn fnv64(h: u64, words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(h, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds everything a caller can read off a solve — `x`, the residual
+/// history (whose length is `iterations + 1` and whose last entry is
+/// `residual`) and `converged` — into `h`.
+fn fold_report(h: u64, report: &irf_sparse::SolveReport) -> u64 {
+    let h = fnv64(h, report.x.iter().map(|v| v.to_bits()));
+    let h = fnv64(h, report.trace.history.iter().map(|v| v.to_bits()));
+    fnv64(h, std::iter::once(u64::from(report.converged)))
+}
+
+/// Every solve below, hashed at the commit before the solve phase
+/// stopped doing work its answer does not depend on (the pre-smoother's
+/// residual of a zero guess, the cycle after the last iteration, the
+/// one-row-at-a-time SpMV). That change's contract is that no bit of
+/// any `SolveReport` moves, for any cycle, smoother, sweep count,
+/// budget, guess or thread count.
+#[test]
+fn truncated_solves_keep_the_bits_of_the_full_work_solver() {
+    use irf_sparse::amg::AmgParams;
+    use irf_sparse::smoother::SmootherKind;
+    use irf_sparse::{Solver, SolverKind};
+
+    // (label, hash) — AMG rows fold budgets 0, 1, 2 and 24 of one
+    // prepared hierarchy.
+    const GOLDEN: [(&str, u64); 22] = [
+        ("K/Jacobi/1", 0xf506_9b6e_4d28_9b12),
+        ("K/Jacobi/2", 0x8d3b_3a1e_b069_f8e3),
+        ("K/L1Jacobi/1", 0x5151_73f7_cc2b_d8fa),
+        ("K/L1Jacobi/2", 0x0d80_ce34_7c45_a6c1),
+        ("K/GaussSeidel/1", 0x6648_577d_5280_5ef3),
+        ("K/GaussSeidel/2", 0xca74_62f5_872a_aae2),
+        ("K/SymmetricGaussSeidel/1", 0x46a4_b330_fc08_eacb),
+        ("K/SymmetricGaussSeidel/2", 0x5733_4708_2892_7d3d),
+        ("V/Jacobi/1", 0x9bd8_a6da_0c22_0c45),
+        ("V/Jacobi/2", 0xd105_74db_4e36_5234),
+        ("V/L1Jacobi/1", 0x324b_6ca4_a669_56db),
+        ("V/L1Jacobi/2", 0x576c_c2ac_1464_2b7c),
+        ("V/GaussSeidel/1", 0x2b74_8bd2_66a5_41d3),
+        ("V/GaussSeidel/2", 0xe1bc_92a7_0ccf_93dd),
+        ("V/SymmetricGaussSeidel/1", 0x10e9_92c0_5c47_8e44),
+        ("V/SymmetricGaussSeidel/2", 0x11f9_3540_0a99_72eb),
+        ("K/Jacobi/1 to 1e-6", 0xa692_1d80_1055_95b0),
+        ("Jacobi-PCG", 0xa673_1e11_a6c8_1fe2),
+        ("IC(0)-PCG to 1e-9", 0xd32a_0a04_28b1_87ed),
+        ("CG", 0x3ae7_f337_f4dd_1d96),
+        ("K/Jacobi/1 from a non-zero guess", 0x2394_2e4b_1eb2_42ec),
+        ("V/Jacobi/1 from a guess meeting tol", 0x4fe6_1783_cebd_fe6c),
+    ];
+
+    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(2500, 0xDE_20)))
+        .expect("valid");
+    let structure = irf_pg::PgStructure::build(&grid);
+    let a = &structure.matrix;
+    let b = structure.rhs(&grid.loads);
+    assert!((2000..5000).contains(&a.rows()), "{} rows", a.rows());
+
+    let solve_all = || {
+        let mut out: Vec<(String, u64)> = Vec::new();
+        for (kind, cycle) in [(SolverKind::AmgPcg, 'K'), (SolverKind::AmgPcgVCycle, 'V')] {
+            for smoother in [
+                SmootherKind::Jacobi,
+                SmootherKind::L1Jacobi,
+                SmootherKind::GaussSeidel,
+                SmootherKind::SymmetricGaussSeidel,
+            ] {
+                for smoothing_sweeps in [1, 2] {
+                    let setup = Solver::new(kind)
+                        .with_amg_params(AmgParams {
+                            smoother,
+                            smoothing_sweeps,
+                            ..AmgParams::default()
+                        })
+                        .prepare(a);
+                    // Tolerance out of reach: the budget ends the solve.
+                    let hash = [0, 1, 2, 24].iter().fold(FNV_SEED, |h, &budget| {
+                        let report = setup.with_stopping(1e-30, budget).solve(a, &b);
+                        assert_eq!(report.iterations, budget);
+                        fold_report(h, &report)
+                    });
+                    out.push((format!("{cycle}/{smoother:?}/{smoothing_sweeps}"), hash));
+                }
+            }
+        }
+        let jacobi = AmgParams {
+            smoother: SmootherKind::Jacobi,
+            ..AmgParams::default()
+        };
+        let one = |label: &str, report: irf_sparse::SolveReport| {
+            (label.to_string(), fold_report(FNV_SEED, &report))
+        };
+        let k_setup = Solver::new(SolverKind::AmgPcg)
+            .with_amg_params(jacobi)
+            .prepare(a);
+        let converged = k_setup.with_stopping(1e-6, 200).solve(a, &b);
+        assert!(converged.converged && converged.iterations < 200);
+        out.push(one("K/Jacobi/1 to 1e-6", converged.clone()));
+        out.push(one(
+            "Jacobi-PCG",
+            Solver::new(SolverKind::JacobiPcg)
+                .with_tolerance(1e-30)
+                .with_max_iterations(50)
+                .solve(a, &b),
+        ));
+        let ic0 = Solver::new(SolverKind::Ic0Pcg)
+            .with_tolerance(1e-9)
+            .with_max_iterations(2000)
+            .solve(a, &b);
+        assert!(ic0.converged);
+        out.push(one("IC(0)-PCG to 1e-9", ic0));
+        out.push(one(
+            "CG",
+            Solver::new(SolverKind::Cg)
+                .with_tolerance(1e-30)
+                .with_max_iterations(50)
+                .solve(a, &b),
+        ));
+        let guess: Vec<f64> = (0..a.rows()).map(|i| 1e-4 * (i % 11) as f64).collect();
+        out.push(one(
+            "K/Jacobi/1 from a non-zero guess",
+            k_setup
+                .with_stopping(1e-30, 5)
+                .solve_with_guess(a, &b, guess),
+        ));
+        let warm = Solver::new(SolverKind::AmgPcgVCycle)
+            .with_amg_params(jacobi)
+            .with_tolerance(1e-4)
+            .solve_with_guess(a, &b, converged.x);
+        assert_eq!(warm.iterations, 0);
+        out.push(one("V/Jacobi/1 from a guess meeting tol", warm));
+        out
+    };
+
+    for threads in [1, 2, 4, 8] {
+        let hashes = with_threads(threads, solve_all);
+        assert_eq!(hashes.len(), GOLDEN.len());
+        for ((label, hash), (want_label, want)) in hashes.iter().zip(GOLDEN) {
+            assert_eq!(label, want_label);
+            assert_eq!(
+                *hash, want,
+                "{label}: {hash:#018x} at {threads} threads, pinned {want:#018x}"
+            );
+        }
+    }
+}

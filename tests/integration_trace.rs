@@ -200,3 +200,72 @@ fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
         assert_eq!(attr(edit, "full_passes"), Some(AttrValue::U64(full_passes)));
     }
 }
+
+/// The `pcg_solve` span counts what the cycles did, so work per level
+/// reads off a trace (with `level_nnz` on `amg_setup`) without a
+/// profiler: one cycle per iteration — none after the last — and three
+/// passes over a level's matrix per visit under one Jacobi sweep (the
+/// residual, the post-smoother's, and the K-cycle's or PCG's own
+/// SpMV; the pre-smoother's first sweep starts from zero and needs
+/// none).
+#[test]
+fn the_pcg_span_counts_cycles_visits_and_matrix_passes_per_level() {
+    use irf_sparse::amg::AmgParams;
+    use irf_sparse::smoother::SmootherKind;
+    use irf_sparse::{Solver, SolverKind};
+    use irf_trace::AttrValue;
+
+    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(3000, 5)))
+        .expect("valid grid");
+    let structure = irf_pg::PgStructure::build(&grid);
+    let rhs = structure.rhs(&grid.loads);
+    let setup = Solver::new(SolverKind::AmgPcg)
+        .with_amg_params(AmgParams {
+            smoother: SmootherKind::Jacobi,
+            smoothing_sweeps: 1,
+            ..AmgParams::default()
+        })
+        .with_tolerance(1e-30)
+        .with_max_iterations(6)
+        .prepare(&structure.matrix);
+
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = Collector::install().expect("no competing collector");
+    let report = setup.solve(&structure.matrix, &rhs);
+    let trace = collector.finish();
+    drop(guard);
+    assert_eq!(report.iterations, 6);
+
+    let pcg = trace
+        .events
+        .iter()
+        .find(|e| e.name == "pcg_solve")
+        .expect("pcg span");
+    let attr = |key: &str| {
+        pcg.args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("pcg_solve span has no {key}"))
+    };
+    assert_eq!(attr("cycle_applications"), AttrValue::U64(6));
+    let (AttrValue::F64List(visits), AttrValue::F64List(passes)) =
+        (attr("level_visits"), attr("level_matrix_passes"))
+    else {
+        panic!("per-level counts are lists");
+    };
+    assert!(visits.len() >= 3, "{} levels", visits.len());
+    assert_eq!(visits.len(), passes.len());
+    assert_eq!(visits[0], 6.0, "one fine-level visit per application");
+    for level in 0..visits.len() - 1 {
+        assert_eq!(
+            passes[level],
+            3.0 * visits[level],
+            "level {level}: {passes:?} passes over {visits:?} visits"
+        );
+    }
+    assert!(
+        visits.windows(2).all(|w| w[0] <= w[1]),
+        "a K-cycle visits a coarser level at least as often: {visits:?}"
+    );
+}
