@@ -47,8 +47,8 @@ use crate::error::ModelError;
 use crate::grid::{Load, Pad, PgNode, PowerGrid, Segment};
 use irf_spice::error::{ParseError, ParseErrorKind};
 use irf_spice::{Netlist, NodeId, NodeInfo, StreamError, StreamedCard, StreamedCardKind};
-use std::collections::HashMap;
 use std::fs::File;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
@@ -113,6 +113,80 @@ enum NodeRef {
     Named(String),
 }
 
+/// The builder's name → node-index table: linear probing over
+/// `(hash, index)` slots. It owns no names — a probe compares against
+/// `nodes[index].name`, the one copy of every name the builder keeps.
+///
+/// The hash is keyed per builder (`RandomState`, SipHash): `/v1/predict`
+/// ingests netlists whose node names the sender chooses, and against a
+/// fixed-seed hash they can be chosen to share one probe chain. A
+/// fixed-seed FNV-1a index measured faster (the builder's share of an
+/// ingest 4.4 → 3.9 ms at 24 k nodes, 21 → 17 ms at 70 k;
+/// EXPERIMENTS.md, "What turning SPICE text into a grid costs") and is
+/// rejected for that reason.
+#[derive(Debug, Default)]
+struct NameIndex {
+    key: RandomState,
+    /// `(low half of the name's hash, node index)`; [`NameIndex::FREE`]
+    /// as the index marks a free slot. Empty until the first insert,
+    /// then a power of two and at least twice the node count.
+    slots: Vec<(u32, u32)>,
+}
+
+impl NameIndex {
+    const FREE: u32 = u32::MAX;
+
+    /// The table doubles before it is more than half full, where linear
+    /// probing looks at ~1.5 slots for a name it has and ~2.5 for a new
+    /// one. Fuller tables (3/4, 7/8) ingested no faster or slower than
+    /// the run-to-run spread at 24 k, 70 k and 300 k nodes
+    /// (EXPERIMENTS.md); all they buy is at most 8 bytes a node.
+    const MAX_LOAD_INVERSE: usize = 2;
+
+    fn hash(&self, name: &str) -> u32 {
+        // The low half is as well mixed as the whole.
+        self.key.hash_one(name) as u32
+    }
+
+    fn get(&self, hash: u32, name: &str, nodes: &[PgNode]) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut at = hash as usize & mask;
+        loop {
+            let (slot_hash, index) = self.slots[at];
+            if index == Self::FREE {
+                return None;
+            }
+            if slot_hash == hash && nodes[index as usize].name == name {
+                return Some(index as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Records that the name hashing to `hash`, which `get` did not
+    /// find, is node `index` — the count of names recorded so far.
+    fn insert_new(&mut self, hash: u32, index: usize) {
+        if (index + 1) * Self::MAX_LOAD_INVERSE > self.slots.len() {
+            let mut grown = vec![(0, Self::FREE); (self.slots.len() * 2).max(16)];
+            for &(hash, index) in self.slots.iter().filter(|slot| slot.1 != Self::FREE) {
+                Self::place(&mut grown, hash, index);
+            }
+            self.slots = grown;
+        }
+        assert!(index < Self::FREE as usize, "node count fits the index");
+        Self::place(&mut self.slots, hash, index as u32);
+    }
+
+    fn place(slots: &mut [(u32, u32)], hash: u32, index: u32) {
+        let mask = slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while slots[at].1 != Self::FREE {
+            at = (at + 1) & mask;
+        }
+        slots[at] = (hash, index);
+    }
+}
+
 /// The grid under construction; see the [module docs](self).
 #[derive(Debug, Default)]
 struct Accumulator {
@@ -120,7 +194,7 @@ struct Accumulator {
     /// freezes it into the grid's shared table.
     nodes: Vec<PgNode>,
     segments: Vec<Segment>,
-    index: HashMap<String, usize>,
+    index: NameIndex,
     /// Buffered I cards: `(chosen node, signed amps)`.
     loads: Vec<(NodeRef, f64)>,
     /// Buffered V cards: `(element name, minus-is-ground, plus,
@@ -135,27 +209,28 @@ impl Accumulator {
         if name == "0" {
             return None;
         }
-        if let Some(&idx) = self.index.get(name) {
+        let hash = self.index.hash(name);
+        if let Some(idx) = self.index.get(hash, name, &self.nodes) {
             return Some(idx);
         }
-        let info = NodeInfo::from_name(name);
+        let (layer, x, y) = NodeInfo::place(name).unwrap_or((1, 0, 0));
+        let idx = self.nodes.len();
         self.nodes.push(PgNode {
-            name: info.name,
-            layer: info.layer.unwrap_or(1),
-            x: info.x.unwrap_or(0),
-            y: info.y.unwrap_or(0),
+            name: name.to_string(),
+            layer,
+            x,
+            y,
             is_pad: false,
         });
-        let idx = self.nodes.len() - 1;
-        self.index.insert(name.to_string(), idx);
+        self.index.insert_new(hash, idx);
         Some(idx)
     }
 
     /// A deferred reference: resolved now when possible, by name
     /// otherwise.
     fn node_ref(&self, name: &str) -> NodeRef {
-        match self.index.get(name) {
-            Some(&idx) => NodeRef::Resolved(idx),
+        match self.index.get(self.index.hash(name), name, &self.nodes) {
+            Some(idx) => NodeRef::Resolved(idx),
             None => NodeRef::Named(name.to_string()),
         }
     }
@@ -218,7 +293,8 @@ impl Accumulator {
         Ok(())
     }
 
-    fn finish(mut self) -> Result<PowerGrid, ModelError> {
+    /// The grid, and the slot count the name index grew to.
+    fn finish(mut self) -> Result<(PowerGrid, usize), ModelError> {
         let mut loads = Vec::with_capacity(self.loads.len());
         for (r, amps) in std::mem::take(&mut self.loads) {
             if let Some(node) = self.resolve(r) {
@@ -238,15 +314,16 @@ impl Accumulator {
         if pads.is_empty() {
             return Err(ModelError::NoPads);
         }
-        // The name index is the builder's largest allocation; release
-        // it before the node table is copied into its frozen form.
+        // Release the index before the node table is copied frozen.
+        let index_slots = self.index.slots.len();
         drop(self.index);
-        Ok(PowerGrid {
+        let grid = PowerGrid {
             nodes: self.nodes.into(),
             segments: self.segments,
             loads,
             pads,
-        })
+        };
+        Ok((grid, index_slots))
     }
 }
 
@@ -274,7 +351,7 @@ impl PowerGrid {
         for v in netlist.voltage_sources() {
             acc.voltage_source(&v.name, name(v.plus), name(v.minus), v.volts);
         }
-        acc.finish()
+        acc.finish().map(|(grid, _)| grid)
     }
 }
 
@@ -309,8 +386,9 @@ pub fn grid_from_spice_reader<R: BufRead>(reader: R) -> Result<PowerGrid, Ingest
         return Err(IngestError::Model(e));
     }
     result?;
-    let grid = acc.finish()?;
+    let (grid, index_slots) = acc.finish()?;
     if span.is_recording() {
+        span.attr("index_slots", index_slots);
         span.attr("nodes", grid.nodes.len());
         span.attr("segments", grid.segments.len());
         span.attr("loads", grid.loads.len());
@@ -422,6 +500,72 @@ mod tests {
             Err(IngestError::Parse(e)) => assert_eq!(e.line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_utf8_input_is_an_io_error() {
+        // Also when an earlier line of the same batch has a parse
+        // error: the read fails before any card reaches the builder.
+        for src in [
+            &b"V1 p 0 1.0\nR1 p a 1.0\nI1 \xFF 0 1m\n"[..],
+            &b"V1 p 0 zz\nR1 p a 1.0\nI1 \xFF 0 1m\n"[..],
+        ] {
+            match grid_from_spice_reader(src) {
+                Err(IngestError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                other => panic!("expected an InvalidData i/o error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A seeded ~40 000-node source whose names collide in every way
+    /// but equality: `n7` / `n70` / `N7` (length, case), `n7a` / `n7b`
+    /// (last byte), and a multi-byte tail.
+    fn many_names_source() -> String {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(0x2023);
+        let mut below = |n: u64| rng.random_range(0..n);
+        let name = |i: u64| match i % 5 {
+            0 => format!("n{}", i / 5),
+            1 => format!("N{}", i / 5),
+            2 => format!("n{}a", i / 5),
+            3 => format!("n{}b", i / 5),
+            _ => format!("n{}é", i / 5),
+        };
+        let mut src = String::from("* many names\nV1 pad_only 0 1.0\nI1 load_only 0 1m\n");
+        for i in 0..40_000u64 {
+            // A chain through every name, so each is interned by a
+            // resistor, plus a cross-link to a name seen before.
+            src.push_str(&format!("R{i} {} {} 0.5\n", name(i), name(i + 1)));
+            if i % 3 == 0 {
+                src.push_str(&format!("Rx{i} {} {} 1.5\n", name(below(i + 1)), name(i)));
+            }
+            if i % 7 == 0 {
+                src.push_str(&format!("I{i} {} 0 1m\n", name(below(i + 1))));
+            }
+            if i % 9_000 == 0 {
+                src.push_str(&format!("V{i} {} 0 1.0\n", name(i)));
+            }
+            if i % 11 == 0 {
+                src.push_str(&format!("Rg{i} {} 0 50\n", name(i))); // a leg to ground
+            }
+        }
+        src
+    }
+
+    #[test]
+    fn name_index_keeps_near_miss_names_apart_through_growth() {
+        let src = many_names_source();
+        let want = materialized(&src).expect("valid");
+        let got = streamed(&src).expect("valid");
+        // 40 001 chain names + the two no resistor names: the 16-slot
+        // index doubled thirteen times on the way.
+        assert_eq!(want.nodes.len(), 40_003);
+        let mut names: Vec<&str> = want.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(&names[40_001..], ["load_only", "pad_only"]);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 40_003, "every node has its own name");
+        assert_eq!(want, got);
+        assert_eq!(want.build_system(), got.build_system());
     }
 
     #[test]

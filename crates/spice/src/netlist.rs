@@ -50,28 +50,27 @@ impl NodeInfo {
     /// Unrecognized names produce a `NodeInfo` with no coordinates.
     #[must_use]
     pub fn from_name(name: &str) -> Self {
-        let mut info = NodeInfo {
+        let place = Self::place(name);
+        NodeInfo {
             name: name.to_string(),
-            layer: None,
-            x: None,
-            y: None,
-        };
-        // Expect: n<net> _ m<layer> _ <x> _ <y>
-        let parts: Vec<&str> = name.split('_').collect();
-        if parts.len() == 4 {
-            let layer = parts[1]
-                .strip_prefix('m')
-                .or_else(|| parts[1].strip_prefix('M'))
-                .and_then(|s| s.parse::<u32>().ok());
-            let x = parts[2].parse::<i64>().ok();
-            let y = parts[3].parse::<i64>().ok();
-            if let (Some(layer), Some(x), Some(y)) = (layer, x, y) {
-                info.layer = Some(layer);
-                info.x = Some(x);
-                info.y = Some(y);
-            }
+            layer: place.map(|(layer, _, _)| layer),
+            x: place.map(|(_, x, _)| x),
+            y: place.map(|(_, _, y)| y),
         }
-        info
+    }
+
+    /// The `(layer, x, y)` a name encodes under the convention of
+    /// [`NodeInfo::from_name`], or `None` for any other name.
+    #[must_use]
+    pub fn place(name: &str) -> Option<(u32, i64, i64)> {
+        // Expect: n<net> _ m<layer> _ <x> _ <y>
+        let mut parts = name.split('_');
+        let (_net, layer, x, y) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
+        if parts.next().is_some() {
+            return None;
+        }
+        let layer = layer.strip_prefix(['m', 'M'])?.parse::<u32>().ok()?;
+        Some((layer, x.parse::<i64>().ok()?, y.parse::<i64>().ok()?))
     }
 }
 

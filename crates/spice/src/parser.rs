@@ -1,7 +1,7 @@
 //! The SPICE card parser for the PG subset (`R`, `I`, `V`).
 //!
 //! Two halves, both driven by the one loop in [`crate::stream`]:
-//! `parse_chunk` lexes + parses one card-boundary chunk into raw cards
+//! `parse_chunk` scans + parses one card-boundary chunk into raw cards
 //! with zero-copy `&str` fields (the parallel half), and the `Merger`
 //! folds chunk parses in source order into a [`Netlist`], interning
 //! node names and checking duplicate element names (the serial half).
@@ -11,7 +11,7 @@
 //! serial parse, and error line numbers are preserved.
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::logical_line_refs;
+use crate::lexer::scan_cards;
 use crate::netlist::{CurrentSource, Netlist, Resistor, VoltageSource};
 use crate::stream::{parse_reader, StreamError};
 use crate::value::parse_spice_number;
@@ -48,68 +48,51 @@ pub(crate) struct ChunkParse<'a> {
     pub(crate) error: Option<ParseError>,
 }
 
-/// Lexes and parses one chunk: `text` is whole physical lines starting
+/// Scans and parses one chunk: `text` is whole physical lines starting
 /// at a card boundary, `first_line` the 1-based source line of the
 /// first of them.
 pub(crate) fn parse_chunk(text: &str, first_line: usize) -> ChunkParse<'_> {
     let mut cards = Vec::new();
-    for line in logical_line_refs(text, first_line) {
-        let fields = &line.fields;
-        let head = fields[0];
+    let mut error = None;
+    for card in scan_cards(text, first_line) {
+        let [head, a, b, value_text] = card.fields;
+        let line = card.line;
+        let fail = |kind| Some(ParseError { line, kind });
         if head == "+" {
-            return ChunkParse {
-                cards,
-                error: Some(ParseError {
-                    line: line.line,
-                    kind: ParseErrorKind::DanglingContinuation,
-                }),
-            };
+            error = fail(ParseErrorKind::DanglingContinuation);
+            break;
         }
-        if head.starts_with('.') {
-            continue; // control cards (.end, .op, ...) are ignored
-        }
-        let prefix = head
-            .chars()
-            .next()
-            .expect("logical lines have non-empty fields")
-            .to_ascii_uppercase();
-        let kind = match prefix {
-            'R' => CardKind::Resistor,
-            'I' => CardKind::Current,
-            'V' => CardKind::Voltage,
-            other => {
-                return ChunkParse {
-                    cards,
-                    error: Some(ParseError {
-                        line: line.line,
-                        kind: ParseErrorKind::UnsupportedElement(other),
-                    }),
-                }
+        let kind = match head.as_bytes()[0] {
+            b'.' => continue, // control cards (.end, .op, ...) are ignored
+            b'R' | b'r' => CardKind::Resistor,
+            b'I' | b'i' => CardKind::Current,
+            b'V' | b'v' => CardKind::Voltage,
+            _ => {
+                let prefix = head.chars().next().expect("a card has a first field");
+                error = fail(ParseErrorKind::UnsupportedElement(
+                    prefix.to_ascii_uppercase(),
+                ));
+                break;
             }
         };
-        if fields.len() < 4 {
-            return ChunkParse {
-                cards,
-                error: Some(ParseError {
-                    line: line.line,
-                    kind: ParseErrorKind::MissingFields {
-                        element: prefix,
-                        found: fields.len(),
-                    },
-                }),
-            };
+        if card.count < 4 {
+            error = fail(ParseErrorKind::MissingFields {
+                element: char::from(head.as_bytes()[0].to_ascii_uppercase()),
+                found: card.count,
+            });
+            break;
         }
         cards.push(RawCard {
             kind,
             name: head,
-            a: fields[1],
-            b: fields[2],
-            value: parse_spice_number(fields[3]),
-            value_text: fields[3],
-            line: line.line,
+            a,
+            b,
+            value: parse_spice_number(value_text),
+            value_text,
+            line,
         });
     }
-    ChunkParse { cards, error: None }
+    ChunkParse { cards, error }
 }
 
 /// Incremental serial merge state: absorbs chunk parses in source
@@ -227,6 +210,7 @@ mod tests {
     use super::*;
     use crate::netlist::NodeId;
     use crate::stream::parse_reader_chunked;
+    use irf_runtime::Xoshiro256pp;
 
     /// [`parse`] at an explicit chunk size (two chunks per batch, so
     /// multi-batch merges are exercised too).
@@ -373,5 +357,204 @@ V1 n1_m4_0_0 0 1.1
         let err = parse_chunked(src, 1).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(matches!(err.kind, ParseErrorKind::MissingFields { .. }));
+    }
+
+    /// The card loop `parse_chunk` replaced, over the oracle lexer:
+    /// what the differential below holds the shipped pair to.
+    fn oracle_parse_chunk(text: &str, first_line: usize) -> ChunkParse<'_> {
+        let mut cards = Vec::new();
+        let error = |line, kind| Some(ParseError { line, kind });
+        for line in crate::lexer::oracle::logical_line_refs(text, first_line) {
+            let fields = &line.fields;
+            let head = fields[0];
+            if head == "+" {
+                let error = error(line.line, ParseErrorKind::DanglingContinuation);
+                return ChunkParse { cards, error };
+            }
+            if head.starts_with('.') {
+                continue;
+            }
+            let prefix = head
+                .chars()
+                .next()
+                .expect("logical lines have non-empty fields")
+                .to_ascii_uppercase();
+            let kind = match prefix {
+                'R' => CardKind::Resistor,
+                'I' => CardKind::Current,
+                'V' => CardKind::Voltage,
+                other => {
+                    let error = error(line.line, ParseErrorKind::UnsupportedElement(other));
+                    return ChunkParse { cards, error };
+                }
+            };
+            if fields.len() < 4 {
+                let kind = ParseErrorKind::MissingFields {
+                    element: prefix,
+                    found: fields.len(),
+                };
+                let error = error(line.line, kind);
+                return ChunkParse { cards, error };
+            }
+            cards.push(RawCard {
+                kind,
+                name: head,
+                a: fields[1],
+                b: fields[2],
+                value: crate::value::oracle_parse_spice_number(fields[3]),
+                value_text: fields[3],
+                line: line.line,
+            });
+        }
+        ChunkParse { cards, error: None }
+    }
+
+    /// Everything a sink can see of a run of chunk parses: the cards up
+    /// to the first error, then that error.
+    type Outcome = (
+        Vec<(char, String, String, String, Option<u64>, String, usize)>,
+        Option<ParseError>,
+    );
+
+    fn outcome<'a>(parses: impl Iterator<Item = ChunkParse<'a>>) -> Outcome {
+        let mut cards = Vec::new();
+        for parse in parses {
+            cards.extend(parse.cards.iter().map(|c| {
+                let kind = match c.kind {
+                    CardKind::Resistor => 'R',
+                    CardKind::Current => 'I',
+                    CardKind::Voltage => 'V',
+                };
+                let text = |s: &str| s.to_string();
+                let bits = c.value.map(f64::to_bits);
+                (
+                    kind,
+                    text(c.name),
+                    text(c.a),
+                    text(c.b),
+                    bits,
+                    text(c.value_text),
+                    c.line,
+                )
+            }));
+            if parse.error.is_some() {
+                return (cards, parse.error);
+            }
+        }
+        (cards, None)
+    }
+
+    fn pick<'a>(rng: &mut Xoshiro256pp, from: &[&'a str]) -> &'a str {
+        from[rng.random_range(0..from.len())]
+    }
+
+    /// One generated source: a few physical lines, each a card head, a
+    /// continuation, a comment or blank, with separators, comment
+    /// marks and line endings drawn at every position.
+    fn generated_source(rng: &mut Xoshiro256pp) -> String {
+        const SEPARATORS: [&str; 12] = [
+            " ", " ", " ", "  ", "\t", "\r", "\x0B", "\x0C", "\u{85}", "\u{A0}", "\u{2003}", " \t ",
+        ];
+        const HEADS: [&str; 14] = [
+            "R1", "R2", "r3", "I1", "i2", "V1", "v2", "C1", ".end", ".op", "Ré", "é1", "R*", "+",
+        ];
+        const FIELDS: [&str; 22] = [
+            "a",
+            "b",
+            "0",
+            "n1_m1_0_0",
+            "n1_m4_100_200",
+            "nœud",
+            "名",
+            "x*y",
+            "1k",
+            "1meg",
+            "1MEG",
+            "3mil",
+            "1e",
+            "1e+",
+            "-3m",
+            "+1",
+            "zz",
+            "10kohm",
+            "1.5",
+            "2e3",
+            "1é",
+            ".5u",
+        ];
+        const COMMENTS: [&str; 5] = ["$", ";", "$ note", "; R9 a b 1", "$;"];
+        let mut src = String::new();
+        let lines = 1 + rng.random_range(0..6);
+        for line in 0..lines {
+            if rng.random_range(0..4) == 0 {
+                src.push_str(pick(rng, &SEPARATORS));
+            }
+            match rng.random_range(0..10) {
+                0 => src.push_str("* comment R1 a b 1"),
+                1 => {}
+                2 | 3 => src.push('+'),
+                _ => src.push_str(pick(rng, &HEADS)),
+            }
+            for _ in 0..rng.random_range(0..7) {
+                // A continuation's first field may touch its `+`.
+                if rng.random_range(0..8) != 0 {
+                    src.push_str(pick(rng, &SEPARATORS));
+                }
+                match rng.random_range(0..16) {
+                    0 => src.push_str(pick(rng, &COMMENTS)),
+                    1 => src.push('*'),
+                    2 => src.push('+'),
+                    _ => src.push_str(pick(rng, &FIELDS)),
+                }
+            }
+            if rng.random_range(0..4) == 0 {
+                src.push_str(pick(rng, &SEPARATORS));
+            }
+            if rng.random_range(0..6) == 0 {
+                src.push_str(pick(rng, &COMMENTS));
+            }
+            let last = line + 1 == lines;
+            src.push_str(match rng.random_range(0..if last { 5 } else { 3 }) {
+                0 | 1 => "\n",
+                2 => "\r\n",
+                3 => "\r",
+                _ => "",
+            });
+        }
+        src
+    }
+
+    #[test]
+    fn shipped_scanner_and_chunker_match_the_oracle_on_generated_sources() {
+        use crate::lexer::oracle::chunk_source;
+        use crate::stream::read_chunks;
+
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1f_2023);
+        let mut with_cards = 0usize;
+        let mut with_errors = 0usize;
+        for case in 0..100_000 {
+            let src = generated_source(&mut rng);
+            for cards_per_chunk in [1, 2, 1024] {
+                let want_chunks = chunk_source(&src, cards_per_chunk);
+                let chunks = read_chunks(src.as_bytes(), cards_per_chunk)
+                    .expect("reading a &str cannot fail");
+                assert_eq!(
+                    chunks, want_chunks,
+                    "case {case}: chunk bounds of {src:?} at {cards_per_chunk} cards"
+                );
+                let parses = |parse: fn(&str, usize) -> ChunkParse<'_>| {
+                    outcome(chunks.iter().map(|(text, line)| parse(text, *line)))
+                };
+                let (got, want) = (parses(parse_chunk), parses(oracle_parse_chunk));
+                assert_eq!(got, want, "case {case}: {src:?} at {cards_per_chunk} cards");
+                if cards_per_chunk == 1 {
+                    with_cards += usize::from(!want.0.is_empty());
+                    with_errors += usize::from(want.1.is_some());
+                }
+            }
+        }
+        // The generator must keep exercising both outcomes.
+        assert!(with_cards > 20_000, "{with_cards} sources had cards");
+        assert!(with_errors > 20_000, "{with_errors} sources had errors");
     }
 }

@@ -5,9 +5,11 @@
 //! this crate:
 //!
 //! 1. [`ChunkReader`] cuts the source into owned chunks at card
-//!    boundaries, incrementally over [`BufRead::read_line`]; each
-//!    chunk lives only until it is parsed.
-//! 2. A batch of a few dozen chunks is lexed + parsed in parallel
+//!    boundaries: [`BufRead::read_until`] appends each line straight
+//!    onto the accumulating chunk, the card-start rule
+//!    ([`crate::lexer`]) is decided on those bytes, and UTF-8 is
+//!    validated once per chunk, which lives only until it is parsed.
+//! 2. A batch of a few dozen chunks is scanned + parsed in parallel
 //!    (`parser::parse_chunk`), handed to a sink serially in source
 //!    order, and dropped. Peak memory is one batch of source text plus
 //!    whatever the sink builds — never the whole file.
@@ -96,16 +98,20 @@ impl From<ParseError> for StreamError {
 pub struct ChunkReader<R> {
     reader: R,
     cards_per_chunk: usize,
-    /// Text of the chunk currently accumulating.
-    chunk: String,
+    /// Bytes of the chunk currently accumulating.
+    chunk: Vec<u8>,
     /// 1-based first physical line of the accumulating chunk.
     chunk_first_line: usize,
     cards_in_chunk: usize,
     /// Physical lines read so far.
     line_no: usize,
-    /// Scratch for `read_line`.
-    line: String,
     done: bool,
+}
+
+/// The error `read_line` gives for bytes that are not UTF-8.
+fn not_utf8<E>(_: E) -> io::Error {
+    let kind = io::ErrorKind::InvalidData;
+    io::Error::new(kind, "stream did not contain valid UTF-8")
 }
 
 impl<R: BufRead> ChunkReader<R> {
@@ -120,11 +126,10 @@ impl<R: BufRead> ChunkReader<R> {
         ChunkReader {
             reader,
             cards_per_chunk: cards_per_chunk.max(1),
-            chunk: String::new(),
+            chunk: Vec::new(),
             chunk_first_line: 1,
             cards_in_chunk: 0,
             line_no: 0,
-            line: String::new(),
             done: false,
         }
     }
@@ -133,39 +138,53 @@ impl<R: BufRead> ChunkReader<R> {
     ///
     /// # Errors
     ///
-    /// Propagates reader errors. Note `read_line` also rejects
-    /// non-UTF-8 input with an `InvalidData` error.
+    /// Propagates reader errors, and rejects non-UTF-8 input with an
+    /// `InvalidData` error from the call that read the offending line.
     pub fn next_chunk(&mut self) -> io::Result<Option<(String, usize)>> {
         if self.done {
             return Ok(None);
         }
         loop {
-            self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
+            let line_start = self.chunk.len();
+            if self.reader.read_until(b'\n', &mut self.chunk)? == 0 {
                 self.done = true;
                 if self.chunk.is_empty() {
                     return Ok(None);
                 }
-                return Ok(Some((
-                    std::mem::take(&mut self.chunk),
-                    self.chunk_first_line,
-                )));
+                let text = String::from_utf8(std::mem::take(&mut self.chunk)).map_err(not_utf8)?;
+                return Ok(Some((text, self.chunk_first_line)));
             }
             self.line_no += 1;
-            if is_card_start(&self.line) {
+            if is_card_start(&self.chunk[line_start..]) {
                 if self.cards_in_chunk >= self.cards_per_chunk {
-                    let out = (std::mem::take(&mut self.chunk), self.chunk_first_line);
-                    self.chunk_first_line = self.line_no;
+                    // The line just read opens the next chunk, about
+                    // as long as this one. It is validated now as well
+                    // as with its chunk: a bad byte fails the call that
+                    // read it.
+                    let mut next = Vec::with_capacity(self.chunk.len());
+                    next.extend_from_slice(&self.chunk[line_start..]);
+                    std::str::from_utf8(&next).map_err(not_utf8)?;
+                    self.chunk.truncate(line_start);
+                    let text = String::from_utf8(std::mem::replace(&mut self.chunk, next))
+                        .map_err(not_utf8)?;
+                    let first_line = std::mem::replace(&mut self.chunk_first_line, self.line_no);
                     self.cards_in_chunk = 1;
-                    self.chunk.push_str(&self.line);
-                    return Ok(Some(out));
+                    return Ok(Some((text, first_line)));
                 }
                 self.cards_in_chunk += 1;
             }
-            self.chunk.push_str(&self.line);
         }
     }
+}
+
+/// Every chunk of `reader`, for tests that compare chunk boundaries.
+#[cfg(test)]
+pub(crate) fn read_chunks<R: BufRead>(
+    reader: R,
+    cards_per_chunk: usize,
+) -> io::Result<Vec<(String, usize)>> {
+    let mut chunker = ChunkReader::with_chunk_size(reader, cards_per_chunk);
+    std::iter::from_fn(|| chunker.next_chunk().transpose()).collect()
 }
 
 /// The one loop that turns bytes into cards: batches of owned chunks
@@ -183,6 +202,7 @@ fn drive<R: BufRead>(
     let mut chunker = ChunkReader::with_chunk_size(reader, cards_per_chunk);
     let mut n_chunks = 0usize;
     let mut n_cards = 0usize;
+    let mut n_bytes = 0usize;
     loop {
         let mut batch: Vec<(String, usize)> = Vec::with_capacity(chunks_per_batch);
         while batch.len() < chunks_per_batch {
@@ -195,6 +215,7 @@ fn drive<R: BufRead>(
             break;
         }
         n_chunks += batch.len();
+        n_bytes += batch.iter().map(|(text, _)| text.len()).sum::<usize>();
         let tasks: Vec<_> = batch
             .iter()
             .map(|(text, first_line)| move || parse_chunk(text, *first_line))
@@ -208,6 +229,8 @@ fn drive<R: BufRead>(
     }
     irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
     if span.is_recording() {
+        span.attr("bytes", n_bytes);
+        span.attr("lines", chunker.line_no);
         span.attr("chunks", n_chunks);
         span.attr("cards", n_cards);
     }
@@ -221,8 +244,9 @@ fn drive<R: BufRead>(
 /// # Errors
 ///
 /// [`StreamError::Io`] when the reader fails (including non-UTF-8
-/// input), [`StreamError::Parse`] for malformed SPICE — the earliest
-/// offending line, duplicate element names included.
+/// input, which wins over a parse error in the same batch of chunks),
+/// [`StreamError::Parse`] for malformed SPICE — the earliest offending
+/// line, duplicate element names included.
 pub fn parse_reader<R: BufRead>(reader: R) -> Result<Netlist, StreamError> {
     parse_reader_chunked(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH)
 }
@@ -283,7 +307,7 @@ pub struct StreamedCard<'a> {
 /// `irf-pg` build its grid as cards arrive with no netlist in memory
 /// at all.
 ///
-/// Lexing/parsing still runs chunk-parallel; only the visitor walk is
+/// Scanning/parsing still runs chunk-parallel; only the visitor walk is
 /// serial, so card order is exactly source order.
 ///
 /// Malformed cards (bad prefixes, missing fields, bad values,
@@ -334,7 +358,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::chunk_source;
+    use crate::lexer::oracle::chunk_source;
     use crate::parse;
     use std::io::{BufReader, Cursor};
 
@@ -351,16 +375,8 @@ R3 a
 ";
 
     fn chunker_matches_chunk_source(src: &str, cards: usize) {
-        let want: Vec<(String, usize)> = chunk_source(src, cards)
-            .iter()
-            .map(|c| (c.text.to_string(), c.first_line))
-            .collect();
-        let mut got = Vec::new();
-        let mut r = ChunkReader::with_chunk_size(Cursor::new(src), cards);
-        while let Some(c) = r.next_chunk().expect("no io errors") {
-            got.push(c);
-        }
-        assert_eq!(want, got, "src={src:?} cards={cards}");
+        let got = read_chunks(Cursor::new(src), cards).expect("no io errors");
+        assert_eq!(chunk_source(src, cards), got, "src={src:?} cards={cards}");
     }
 
     #[test]
@@ -372,6 +388,63 @@ R3 a
             chunker_matches_chunk_source("R1 a b 1\nR2 c d 2", cards); // no trailing newline
             chunker_matches_chunk_source("+ dangling\n", cards);
         }
+    }
+
+    #[test]
+    fn chunk_reader_is_independent_of_the_read_buffer() {
+        let long = format!("R1 {} b 1\n+ 2 $ tail\nR2 c d 2\n", "n".repeat(200));
+        let sources = [
+            TRICKY,
+            long.as_str(),                      // a line longer than every buffer
+            "R1 a b 1\nR2 c d 2",               // no trailing newline
+            "R1 a b 1\r\nR2 c d 2\r",           // the file ends in a lone `\r`
+            "\u{2003}R1 nœud b 1\n\u{85}+ 2\n", // multi-byte across refills
+        ];
+        for src in sources {
+            for cards in [1, 2, 100] {
+                let want = chunk_source(src, cards);
+                for capacity in [1, 2, 7, 64] {
+                    let reader = BufReader::with_capacity(capacity, src.as_bytes());
+                    let got = read_chunks(reader, cards).expect("no io errors");
+                    assert_eq!(want, got, "src={src:?} cards={cards} capacity={capacity}");
+                }
+            }
+        }
+    }
+
+    fn invalid_data(result: Result<impl std::fmt::Debug, StreamError>) {
+        match result {
+            Err(StreamError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected an InvalidData i/o error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_utf8_input_is_an_io_error_ahead_of_its_batch() {
+        let valid = b"R1 a b 1\nR2 c d 2\nR3 \xFF e 3\nR4 f g 4\n";
+        // A parse error on an earlier line of the same batch loses.
+        let broken = b"R1 a b zz\nR2 c d 2\nR3 \xFF e 3\nR4 f g 4\n";
+        for src in [&valid[..], &broken[..]] {
+            invalid_data(parse_reader(src));
+            let mut seen = 0usize;
+            invalid_data(visit_cards(src, |_| {
+                seen += 1;
+                Ok(())
+            }));
+            assert_eq!(seen, 0, "no card of the batch reaches the sink");
+            // One chunk per batch: the bad line is read by the call
+            // that emits the chunk before it, so that chunk's batch is
+            // the one that fails — line 2 never reaches the sink, and
+            // only line 1's error, a batch earlier, can win.
+            match parse_reader_chunked(src, 1, 1) {
+                Err(StreamError::Parse(e)) if src == broken => assert_eq!(e.line, 1),
+                other => invalid_data(other),
+            }
+        }
+        // The bad byte on the very line that cuts the first chunk.
+        invalid_data(parse_reader_chunked(&b"R1 a b zz\nR2 \xFF d 2\n"[..], 1, 1));
+        // Truncated multi-byte sequence at the end of the file.
+        invalid_data(parse_reader(&b"R1 a b 1\nR2 c d 2 \xE2\x80"[..]));
     }
 
     #[test]

@@ -53,6 +53,80 @@ pub fn parse_spice_number(s: &str) -> Option<f64> {
         return None;
     }
     let base: f64 = s[..end].parse().ok()?;
+    // The suffix is matched on its bytes, whatever their case.
+    let suffix = &bytes[end..];
+    let starts_with = |word: &[u8]| suffix.len() >= 3 && suffix[..3].eq_ignore_ascii_case(word);
+    let scale = if starts_with(b"meg") {
+        1e6
+    } else if starts_with(b"mil") {
+        25.4e-6
+    } else {
+        match suffix.first().map(u8::to_ascii_lowercase) {
+            None => 1.0,
+            Some(b'f') => 1e-15,
+            Some(b'p') => 1e-12,
+            Some(b'n') => 1e-9,
+            Some(b'u') => 1e-6,
+            Some(b'm') => 1e-3,
+            Some(b'k') => 1e3,
+            Some(b'g') => 1e9,
+            Some(b't') => 1e12,
+            // Unknown letters are treated as a unit annotation.
+            Some(c) if c.is_ascii_alphabetic() => 1.0,
+            Some(_) => return None,
+        }
+    };
+    Some(base * scale)
+}
+
+/// [`parse_spice_number`] as it was before its suffix was matched on
+/// bytes (a lower-cased `String` per value): the oracle of the
+/// differential tests.
+#[cfg(test)]
+pub(crate) fn oracle_parse_spice_number(s: &str) -> Option<f64> {
+    let s = s.trim();
+    if s.is_empty() {
+        return None;
+    }
+    // Split into the longest valid float prefix and the suffix.
+    let bytes = s.as_bytes();
+    let mut end = 0;
+    let mut seen_digit = false;
+    let mut seen_dot = false;
+    let mut seen_exp = false;
+    while end < bytes.len() {
+        let c = bytes[end] as char;
+        let ok = match c {
+            '0'..='9' => {
+                seen_digit = true;
+                true
+            }
+            '+' | '-' => end == 0 || matches!(bytes[end - 1] as char, 'e' | 'E'),
+            '.' if !seen_dot && !seen_exp => {
+                seen_dot = true;
+                true
+            }
+            'e' | 'E' if seen_digit && !seen_exp => {
+                // Only treat as exponent when followed by digit or sign.
+                let next = bytes.get(end + 1).map(|&b| b as char);
+                if matches!(next, Some('0'..='9') | Some('+') | Some('-')) {
+                    seen_exp = true;
+                    true
+                } else {
+                    false
+                }
+            }
+            _ => false,
+        };
+        if !ok {
+            break;
+        }
+        end += 1;
+    }
+    if !seen_digit {
+        return None;
+    }
+    let base: f64 = s[..end].parse().ok()?;
     let suffix = s[end..].to_ascii_lowercase();
     let scale = if suffix.starts_with("meg") {
         1e6
@@ -134,6 +208,23 @@ mod tests {
     fn exponent_without_digits_is_unit() {
         // "1e" — the 'e' cannot start an exponent, so it is a unit.
         assert_eq!(parse_spice_number("1e"), Some(1.0));
+    }
+
+    #[test]
+    fn suffixes_match_the_oracle_in_any_case() {
+        for number in ["1", "-2.5", "3e2", "4e", ".5"] {
+            for suffix in [
+                "", "f", "P", "n", "U", "m", "K", "g", "T", "meg", "MEG", "mEgohm", "me", "mil",
+                "MIL", "Mi", "ohm", "V", "é", "mé", "_", "%", "meé", "1", " ",
+            ] {
+                let text = format!("{number}{suffix}");
+                assert_eq!(
+                    parse_spice_number(&text).map(f64::to_bits),
+                    oracle_parse_spice_number(&text).map(f64::to_bits),
+                    "{text:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use irf_data::synth::{synthesize, SynthSpec};
 use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_pg::{GridMap, PowerGrid};
-use irf_trace::Collector;
+use irf_trace::{AttrValue, Collector};
 use std::sync::Mutex;
 
 /// The global thread count and the trace collector are both
@@ -119,6 +119,23 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
         assert!(amg.args.iter().any(|(k, _)| *k == "levels"));
         assert!(amg.args.iter().any(|(k, _)| *k == "operator_complexity"));
 
+        // The parse span says how much text it read, so a slow first
+        // sight reads as MB/s.
+        let parse = trace
+            .events
+            .iter()
+            .find(|e| e.name == "spice_parse")
+            .expect("spice_parse span");
+        let attr = |key: &str| parse.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        assert_eq!(
+            attr("bytes"),
+            Some(&AttrValue::U64(spice_text.len() as u64))
+        );
+        assert_eq!(
+            attr("lines"),
+            Some(&AttrValue::U64(spice_text.lines().count() as u64))
+        );
+
         // The export round-trips into non-empty Chrome JSON and a
         // profile tree mentioning the solve.
         let json = trace.to_chrome_json();
@@ -135,7 +152,6 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
 #[test]
 fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
     use ir_fusion::{StageStore, TopologyDelta};
-    use irf_trace::AttrValue;
     use std::sync::Arc;
 
     let config = FusionConfig::tiny();
