@@ -191,8 +191,9 @@ impl From<FeatureError> for StreamPrepareError {
 /// remembers the grid and the three keys those artifacts lived under
 /// *before the first topology edit* so [`IrFusionPipeline`] can
 /// re-stamp the edited conductances into the base CSR
-/// ([`PgStructure::restamped`]), rebuild the AMG hierarchy against the
-/// base setup ([`irf_sparse::Solver::rebuild_from`]) and refresh the
+/// ([`PgStructure::restamped`]), re-run the AMG setup on the re-stamped
+/// matrix ([`irf_sparse::Solver::rebuild_from`], a cold setup whose
+/// span says `rebuilt`) and refresh the
 /// per-pad shortest-path distances from the base's
 /// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
 /// computing any of the three from scratch. Chained topology edits
@@ -611,9 +612,10 @@ impl IrFusionPipeline {
     /// [`crate::stages::Stage::Resistance`] miss with base hints in
     /// `edit`, the compute closure first tries the incremental route —
     /// re-stamping the edited conductances into the warm base CSR
-    /// ([`PgStructure::restamped`]), rebuilding the AMG hierarchy
-    /// against the warm base setup
-    /// ([`irf_sparse::Solver::rebuild_from`]), refreshing the per-pad
+    /// ([`PgStructure::restamped`]), re-running the AMG setup on the
+    /// re-stamped matrix ([`irf_sparse::Solver::rebuild_from`], which
+    /// takes nothing from the base but the `rebuilt` mark on its
+    /// span), refreshing the per-pad
     /// shortest-path distances from the warm base maps
     /// ([`FeatureExtractor::resistance_maps_from_base`]) — and falls
     /// back to the cold build when the base is gone or structurally

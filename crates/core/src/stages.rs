@@ -32,7 +32,8 @@
 //! `Structural` artifacts warm and recomputes only the
 //! conductance-dependent chain (`Assembled → SolverSetup → Rough`,
 //! `Resistance`, `Stack`) — and those recomputations ride incremental
-//! fast paths (CSR re-stamping, AMG pattern reuse) where possible.
+//! fast paths (CSR re-stamping, refreshed shortest-path distances)
+//! where possible; the AMG setup is re-run whole on the edited values.
 //! Predictions are *not* cached: the model can be hot-swapped at any
 //! time, so they are recomputed from the (cached) stack.
 //!

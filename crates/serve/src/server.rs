@@ -44,8 +44,8 @@
 //!   and feature maps are reused and only the rough solve, stack
 //!   assembly and model forward run. Topology deltas (`"strap"`,
 //!   `"via"`, `"segment"`) scale or set segment resistances; the
-//!   parsed design and geometry maps stay warm and the MNA system /
-//!   AMG hierarchy are rebuilt incrementally from the base artifacts.
+//!   parsed design and geometry maps stay warm, the MNA system is
+//!   re-stamped into the base's and the AMG setup re-run on it.
 //! - `POST /v1/sweep` — ranked candidate sweep: one base fingerprint
 //!   plus N candidate delta plans. Every candidate is prepared
 //!   through the warm stage graph, the model forwards are fanned

@@ -5,6 +5,8 @@
 //! coupling strength measure applies: node `j` is strongly connected to
 //! `i` when `-a_ij >= theta * max_k(-a_ik)`.
 
+use std::time::Instant;
+
 use crate::csr::CsrMatrix;
 
 /// A fine-to-coarse aggregate assignment.
@@ -34,29 +36,77 @@ impl Aggregation {
     }
 }
 
-/// Builds the strong-connection adjacency of `a`.
-///
-/// Returns, for each row, the strongly connected off-diagonal
-/// neighbours sorted by descending coupling strength `-a_ij`.
-///
-/// `theta` in `[0, 1]` is the strength threshold; `0.0` keeps every
-/// negative coupling, larger values keep only the strongest.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-#[must_use]
-pub fn strength_graph(a: &CsrMatrix, theta: f64) -> Vec<Vec<(usize, f64)>> {
-    assert_eq!(a.rows(), a.cols(), "strength graph needs a square matrix");
-    let n = a.rows();
-    let mut graph: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    // Row-parallel over the matrix's nnz-balanced chunks: each row's
-    // neighbour list is built and sorted by one task with the same
-    // serial routine, so the graph is identical at any thread count.
-    irf_runtime::par_ragged_chunks_mut(&mut graph, a.row_chunks(), |ci, rows| {
-        let base = a.row_chunks()[ci];
-        for (j, slot) in rows.iter_mut().enumerate() {
-            let i = base + j;
+/// Scratch and phase timers of one hierarchy build, shared by both
+/// pairings and both Galerkin products of every level. Each buffer
+/// grows to what the finest level needs on first use and is reused,
+/// never shrunk, on the coarser ones.
+#[derive(Debug, Default)]
+pub(crate) struct SetupWorkspace {
+    /// Per-row strength threshold `theta * max_k(-a_ik)`.
+    threshold: Vec<f64>,
+    /// Per-row count of strong neighbours.
+    degree: Vec<usize>,
+    /// [`bucket_rows`] output: bucket offsets and the rows they list.
+    pub(super) bucket_ptr: Vec<usize>,
+    pub(super) bucket_list: Vec<usize>,
+    /// `acc[c]` belongs to the coarse row being summed iff
+    /// `stamp[c] == epoch`.
+    pub(super) stamp: Vec<usize>,
+    pub(super) epoch: usize,
+    pub(super) acc: Vec<f64>,
+    /// Distinct coarse columns of the row being summed (a prefix).
+    pub(super) touched: Vec<usize>,
+    /// Seconds spent pairing / forming products so far.
+    pub(crate) pairing_s: f64,
+    pub(crate) galerkin_s: f64,
+}
+
+/// Stable counting sort of rows `0..n` by `key(row) < n_keys`: afterwards
+/// `rows[ptr[k]..ptr[k + 1]]` lists the rows of key `k` in ascending
+/// order.
+pub(super) fn bucket_rows(
+    n: usize,
+    n_keys: usize,
+    key: impl Fn(usize) -> usize,
+    ptr: &mut Vec<usize>,
+    rows: &mut Vec<usize>,
+) {
+    ptr.clear();
+    ptr.resize(n_keys + 2, 0);
+    for r in 0..n {
+        ptr[key(r) + 2] += 1;
+    }
+    for k in 2..n_keys + 2 {
+        ptr[k] += ptr[k - 1];
+    }
+    // `ptr[k + 1]` is bucket k's write cursor, and its end once filled.
+    if rows.len() < n {
+        rows.resize(n, 0);
+    }
+    for r in 0..n {
+        let slot = &mut ptr[key(r) + 1];
+        rows[*slot] = r;
+        *slot += 1;
+    }
+}
+
+impl SetupWorkspace {
+    /// [`aggregate_pairwise`] on this workspace: three linear sweeps
+    /// over the CSR arrays, no per-row list and no comparison sort.
+    pub(crate) fn pairwise(&mut self, a: &CsrMatrix, theta: f64) -> Aggregation {
+        assert_eq!(a.rows(), a.cols(), "aggregation needs a square matrix");
+        let t0 = Instant::now();
+        let n = a.rows();
+        // Sweep 1: per row, the strength threshold and how many
+        // off-diagonals pass it (`strong`).
+        if self.threshold.len() < n {
+            self.threshold.resize(n, 0.0);
+            self.degree.resize(n, 0);
+        }
+        let (threshold, degree) = (&mut self.threshold[..n], &mut self.degree[..n]);
+        let strong = |i: usize, c: usize, v: f64, t: f64| c != i && -v >= t && v < 0.0;
+        let mut max_degree = 0;
+        for i in 0..n {
             let (cols, vals) = a.row(i);
             let max_neg = cols
                 .iter()
@@ -64,23 +114,70 @@ pub fn strength_graph(a: &CsrMatrix, theta: f64) -> Vec<Vec<(usize, f64)>> {
                 .filter(|&(&c, _)| c != i)
                 .map(|(_, &v)| -v)
                 .fold(0.0_f64, f64::max);
-            let mut neigh: Vec<(usize, f64)> = cols
-                .iter()
-                .zip(vals)
-                .filter(|&(&c, &v)| c != i && -v >= theta * max_neg && v < 0.0)
-                .map(|(&c, &v)| (c, -v))
-                .collect();
-            neigh.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            *slot = neigh;
+            let t = theta * max_neg;
+            let strong_entries = cols.iter().zip(vals).filter(|&(&c, &v)| strong(i, c, v, t));
+            threshold[i] = t;
+            degree[i] = strong_entries.count();
+            max_degree = max_degree.max(degree[i]);
         }
-    });
-    graph
+        // Sweep 2: visit low-degree nodes first (they have the fewest
+        // pairing options), ties in index order.
+        bucket_rows(
+            n,
+            max_degree + 1,
+            |i| degree[i],
+            &mut self.bucket_ptr,
+            &mut self.bucket_list,
+        );
+        // Sweep 3: pair each still-free node with its strongest
+        // still-free strong neighbour. Strict `>` keeps the first column
+        // among equal couplings, and every strong coupling exceeds the
+        // initial 0.
+        const UNASSIGNED: usize = usize::MAX;
+        let mut assign = vec![UNASSIGNED; n];
+        let mut n_coarse = 0;
+        for &i in &self.bucket_list[..n] {
+            if assign[i] != UNASSIGNED {
+                continue;
+            }
+            let (cols, vals) = a.row(i);
+            let (mut partner, mut best) = (UNASSIGNED, 0.0);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if strong(i, c, v, threshold[i]) && -v > best && assign[c] == UNASSIGNED {
+                    (partner, best) = (c, -v);
+                }
+            }
+            assign[i] = n_coarse;
+            if partner != UNASSIGNED {
+                assign[partner] = n_coarse;
+            }
+            n_coarse += 1;
+        }
+        self.pairing_s += t0.elapsed().as_secs_f64();
+        Aggregation { assign, n_coarse }
+    }
+
+    /// [`aggregate_double_pairwise`] on this workspace.
+    pub(crate) fn double_pairwise(&mut self, a: &CsrMatrix, theta: f64) -> Aggregation {
+        let first = self.pairwise(a, theta);
+        let coarse = self.galerkin(a, &first);
+        let second = self.pairwise(&coarse, theta);
+        let assign = first.assign.iter().map(|&mid| second.assign[mid]).collect();
+        Aggregation {
+            assign,
+            n_coarse: second.n_coarse,
+        }
+    }
 }
 
-/// Greedy pairwise aggregation on the strength graph.
+/// Greedy pairwise aggregation on the strong couplings of `a`: `j` is
+/// a strong neighbour of `i` when `a_ij < 0` and
+/// `-a_ij >= theta * max_k(-a_ik)`. `theta` in `[0, 1]`: `0.0` keeps
+/// every negative coupling, larger values only the strongest.
 ///
-/// Visits unaggregated nodes in order of ascending degree and pairs
-/// each with its strongest unaggregated neighbour; leftover nodes form
+/// Visits unaggregated nodes in order of ascending strong degree (ties
+/// in index order) and pairs each with its strongest unaggregated
+/// strong neighbour (ties to the lowest column); leftover nodes form
 /// singletons. Applying this twice (see
 /// [`aggregate_double_pairwise`]) yields aggregates of up to 4 nodes —
 /// the setup used by aggregation-based AMG solvers such as AGMG and
@@ -91,30 +188,7 @@ pub fn strength_graph(a: &CsrMatrix, theta: f64) -> Vec<Vec<(usize, f64)>> {
 /// Panics if `a` is not square.
 #[must_use]
 pub fn aggregate_pairwise(a: &CsrMatrix, theta: f64) -> Aggregation {
-    let n = a.rows();
-    let graph = strength_graph(a, theta);
-    const UNASSIGNED: usize = usize::MAX;
-    let mut assign = vec![UNASSIGNED; n];
-    // Visit low-degree nodes first: they have the fewest pairing options.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| graph[i].len());
-    let mut n_coarse = 0;
-    for &i in &order {
-        if assign[i] != UNASSIGNED {
-            continue;
-        }
-        // Strongest still-free neighbour, if any.
-        let partner = graph[i]
-            .iter()
-            .find(|&&(j, _)| assign[j] == UNASSIGNED)
-            .map(|&(j, _)| j);
-        assign[i] = n_coarse;
-        if let Some(j) = partner {
-            assign[j] = n_coarse;
-        }
-        n_coarse += 1;
-    }
-    Aggregation { assign, n_coarse }
+    SetupWorkspace::default().pairwise(a, theta)
 }
 
 /// Two rounds of pairwise aggregation composed, giving aggregates of up
@@ -125,19 +199,13 @@ pub fn aggregate_pairwise(a: &CsrMatrix, theta: f64) -> Aggregation {
 /// Panics if `a` is not square.
 #[must_use]
 pub fn aggregate_double_pairwise(a: &CsrMatrix, theta: f64) -> Aggregation {
-    let first = aggregate_pairwise(a, theta);
-    let coarse = super::hierarchy::galerkin_coarse(a, &first);
-    let second = aggregate_pairwise(&coarse, theta);
-    let assign = first.assign.iter().map(|&mid| second.assign[mid]).collect();
-    Aggregation {
-        assign,
-        n_coarse: second.n_coarse,
-    }
+    SetupWorkspace::default().double_pairwise(a, theta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amg::parity::strength_graph;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         let mut t = Vec::new();

@@ -1,6 +1,8 @@
 //! AMG setup stage: the multilevel hierarchy of Galerkin operators.
 
-use crate::amg::aggregation::{aggregate_double_pairwise, Aggregation};
+use std::time::Instant;
+
+use crate::amg::aggregation::{bucket_rows, Aggregation, SetupWorkspace};
 use crate::csr::CsrMatrix;
 use crate::smoother::SmootherKind;
 
@@ -54,85 +56,109 @@ pub struct AmgHierarchy {
 }
 
 /// Computes the Galerkin coarse operator `A_c = P^T A P` for a
-/// piecewise-constant prolongation defined by `agg`.
+/// piecewise-constant prolongation defined by `agg`: entry `(I, J)` is
+/// the sum of every `a_ij` with `i` in aggregate `I` and `j` in `J`,
+/// taken in (fine row, stored position) order; sums that come out
+/// exactly zero are not stored.
 ///
 /// # Panics
 ///
 /// Panics if `agg.assign.len() != a.rows()`.
 #[must_use]
 pub fn galerkin_coarse(a: &CsrMatrix, agg: &Aggregation) -> CsrMatrix {
-    assert_eq!(agg.assign.len(), a.rows(), "aggregation size mismatch");
-    // Two-pass bucketed product: count how many fine entries land in
-    // each coarse row, prefix-sum into bucket offsets, then scatter
-    // `(assign[c], v)` pairs directly into their coarse-row buckets in
-    // fine-row iteration order. This replaces the old full triplet
-    // buffer (24 B per fine non-zero — the AMG setup's memory hog at
-    // million-node scale) with one exactly-sized 16 B/entry array.
-    //
-    // Bitwise identical to the triplet formulation: the bucket sort
-    // inside `from_triplets` preserved per-coarse-row order of the
-    // fine iteration, and the direct scatter writes the same per-row
-    // sequences, so the shared sort+merge back half
-    // (`from_bucketed`, parallel per coarse row) sums duplicates in
-    // the same order.
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
-    let mut offsets = vec![0usize; agg.n_coarse + 1];
-    for r in 0..a.rows() {
-        offsets[agg.assign[r] + 1] += row_ptr[r + 1] - row_ptr[r];
-    }
-    for i in 0..agg.n_coarse {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor = offsets[..agg.n_coarse].to_vec();
-    let mut entries: Vec<(usize, f64)> = vec![(0, 0.0); a.nnz()];
-    for r in 0..a.rows() {
-        let coarse_r = agg.assign[r];
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            entries[cursor[coarse_r]] = (agg.assign[col_idx[k]], values[k]);
-            cursor[coarse_r] += 1;
-        }
-    }
-    CsrMatrix::from_bucketed(agg.n_coarse, agg.n_coarse, &offsets, entries)
+    SetupWorkspace::default().galerkin(a, agg)
 }
 
-/// [`galerkin_coarse`] variant that scatter-adds into a known coarse
-/// sparsity pattern instead of sorting a fresh one.
-///
-/// Returns `None` when the product's structure does not match
-/// `pattern` (the caller falls back to [`galerkin_coarse`]). On
-/// `Some`, the result is bitwise identical to [`galerkin_coarse`]:
-/// both sum the mapped fine entries in the same serial triplet order.
-fn galerkin_coarse_with_pattern(
-    a: &CsrMatrix,
-    agg: &Aggregation,
-    pattern: &CsrMatrix,
-) -> Option<CsrMatrix> {
-    assert_eq!(agg.assign.len(), a.rows(), "aggregation size mismatch");
-    if pattern.rows() != agg.n_coarse || pattern.cols() != agg.n_coarse {
-        return None;
-    }
-    // Scatter-add each mapped fine entry straight into the pattern's
-    // value slots, in fine-row iteration order — the same
-    // accumulation order `from_triplets_with_pattern` used over the
-    // old materialized triplet list, with no triplet buffer at all.
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
-    let p_row_ptr = pattern.row_ptr();
-    let p_col_idx = pattern.col_idx();
-    let mut out = vec![0.0f64; pattern.nnz()];
-    for r in 0..a.rows() {
-        let coarse_r = agg.assign[r];
-        let (s, e) = (p_row_ptr[coarse_r], p_row_ptr[coarse_r + 1]);
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            let coarse_c = agg.assign[col_idx[k]];
-            let slot = p_col_idx[s..e].binary_search(&coarse_c).ok()?;
-            out[s + slot] += values[k];
+/// A coarse row that touched more than one in this many of the coarse
+/// columns is emitted by scanning the stamps in column order instead of
+/// sorting what it touched. Measured on the final products of a
+/// 91 k-node hierarchy (EXPERIMENTS.md, "What an AMG setup costs"):
+/// the level whose coarse rows touch 142 of 651 columns takes 0.93 ms
+/// sorted and 0.59 ms scanned, the next (225 of 227) 0.68 and 0.26; a
+/// share of 4 catches only part of the first, 16 reads like 8, and 32
+/// starts scanning the level above (50 of 1 923 columns), 0.97 ->
+/// 1.58 ms. Short rows need no cut-over of their own: `sort_unstable`
+/// already sorts up to 20 elements by insertion, and a hand-written
+/// insertion sort in front of it measured the same or slower on every
+/// level.
+const DENSE_ROW_SHARE: usize = 8;
+
+impl SetupWorkspace {
+    /// [`galerkin_coarse`] on this workspace, one coarse row at a time.
+    ///
+    /// The order argument: sorting a coarse row's mapped entries stably
+    /// by column and merging duplicates left to right from `0.0` (what
+    /// `CsrMatrix::from_triplets` does with the same entries) adds the
+    /// contributions to one coarse column in the order they were
+    /// generated — ascending fine row, then stored position. Walking
+    /// the aggregate's fine rows in ascending order and adding each
+    /// entry to `acc[column]`, started at `0.0 + v`, is that same
+    /// sequence of additions per column, so every sum has the same
+    /// bits and the same sums are exactly zero.
+    pub(crate) fn galerkin(&mut self, a: &CsrMatrix, agg: &Aggregation) -> CsrMatrix {
+        assert_eq!(agg.assign.len(), a.rows(), "aggregation size mismatch");
+        let t0 = Instant::now();
+        let (assign, n_coarse) = (&agg.assign[..], agg.n_coarse);
+        bucket_rows(
+            a.rows(),
+            n_coarse,
+            |r| assign[r],
+            &mut self.bucket_ptr,
+            &mut self.bucket_list,
+        );
+        if self.stamp.len() < n_coarse {
+            self.stamp.resize(n_coarse, 0);
+            self.acc.resize(n_coarse, 0.0);
+            self.touched.resize(n_coarse, 0);
         }
+        let (stamp, acc) = (&mut self.stamp[..n_coarse], &mut self.acc[..n_coarse]);
+        let (a_ptr, a_col, a_val) = (a.row_ptr(), a.col_idx(), a.values());
+        // Reserved for the most the product can hold (a coarse entry
+        // takes at least one fine entry) and trimmed once it is known.
+        let mut row_ptr = Vec::with_capacity(n_coarse + 1);
+        let mut col_idx = Vec::with_capacity(a.nnz());
+        let mut values = Vec::with_capacity(a.nnz());
+        row_ptr.push(0);
+        for coarse_r in 0..n_coarse {
+            self.epoch += 1;
+            let mut n_touched = 0;
+            let members = self.bucket_ptr[coarse_r]..self.bucket_ptr[coarse_r + 1];
+            for &r in &self.bucket_list[members] {
+                let entries = a_ptr[r]..a_ptr[r + 1];
+                for (&c, &v) in a_col[entries.clone()].iter().zip(&a_val[entries]) {
+                    let coarse_c = assign[c];
+                    if stamp[coarse_c] == self.epoch {
+                        acc[coarse_c] += v;
+                    } else {
+                        stamp[coarse_c] = self.epoch;
+                        acc[coarse_c] = 0.0 + v;
+                        self.touched[n_touched] = coarse_c;
+                        n_touched += 1;
+                    }
+                }
+            }
+            let emit = |c: usize| {
+                if acc[c] != 0.0 {
+                    col_idx.push(c);
+                    values.push(acc[c]);
+                }
+            };
+            if DENSE_ROW_SHARE * n_touched > n_coarse {
+                (0..n_coarse)
+                    .filter(|&c| stamp[c] == self.epoch)
+                    .for_each(emit);
+            } else {
+                let touched = &mut self.touched[..n_touched];
+                touched.sort_unstable();
+                touched.iter().copied().for_each(emit);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        self.galerkin_s += t0.elapsed().as_secs_f64();
+        CsrMatrix::from_sorted_parts(n_coarse, n_coarse, row_ptr, col_idx, values)
     }
-    CsrMatrix::with_pattern_values(pattern, out)
 }
 
 /// Restricts a fine-level vector: `r_c[a] = sum_{i in a} r[i]`
@@ -183,77 +209,21 @@ impl AmgHierarchy {
     /// positive definite (which indicates a non-SPD input).
     #[must_use]
     pub fn build(a: &CsrMatrix, params: AmgParams) -> Self {
-        assert_eq!(a.rows(), a.cols(), "amg: matrix must be square");
-        let mut levels = Vec::new();
-        let mut current = a.clone();
-        while current.rows() > params.coarse_limit && levels.len() + 1 < params.max_levels {
-            let agg = aggregate_double_pairwise(&current, params.theta);
-            if agg.n_coarse >= current.rows() {
-                break; // aggregation stalled; stop coarsening
-            }
-            let coarse = galerkin_coarse(&current, &agg);
-            levels.push(Level {
-                a: current,
-                agg: Some(agg),
-            });
-            current = coarse;
-        }
-        let coarse_n = current.rows();
-        let coarse_chol = dense_cholesky(&current);
-        levels.push(Level {
-            a: current,
-            agg: None,
-        });
-        AmgHierarchy {
-            levels,
-            params,
-            coarse_chol,
-            coarse_n,
-        }
+        Self::build_in(a, params, &mut SetupWorkspace::default())
     }
 
-    /// Re-runs the setup for a matrix with the same sparsity pattern as
-    /// `base`'s finest operator, reusing base-level coarse *patterns*
-    /// where the hierarchy shape is provably unchanged.
-    ///
-    /// Aggregation is value-dependent, so it is always recomputed —
-    /// reusing a stale fine-to-coarse map would silently change the
-    /// hierarchy and break the bitwise warm-equals-cold contract. What
-    /// *can* be reused safely is the sorted sparsity pattern of each
-    /// Galerkin product: when the fresh aggregation equals the base
-    /// level's and the fine operators share a pattern, the coarse
-    /// operator is scatter-assembled into the base coarse pattern
-    /// (skipping the dominant sort) and is bitwise identical to what
-    /// [`AmgHierarchy::build`] would produce. Any mismatch falls back
-    /// to the full per-level build, so the result always equals
-    /// `AmgHierarchy::build(a, params)` bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square, or if the coarsest operator is not
-    /// positive definite.
-    #[must_use]
-    pub fn rebuild_from(a: &CsrMatrix, params: AmgParams, base: &AmgHierarchy) -> Self {
+    /// [`AmgHierarchy::build`] on the caller's workspace, which
+    /// afterwards says how long the pairings and the products took.
+    pub(crate) fn build_in(a: &CsrMatrix, params: AmgParams, ws: &mut SetupWorkspace) -> Self {
         assert_eq!(a.rows(), a.cols(), "amg: matrix must be square");
-        let reuse = params == base.params;
         let mut levels = Vec::new();
         let mut current = a.clone();
         while current.rows() > params.coarse_limit && levels.len() + 1 < params.max_levels {
-            let agg = aggregate_double_pairwise(&current, params.theta);
+            let agg = ws.double_pairwise(&current, params.theta);
             if agg.n_coarse >= current.rows() {
                 break; // aggregation stalled; stop coarsening
             }
-            let li = levels.len();
-            let coarse = if reuse {
-                base.levels
-                    .get(li)
-                    .filter(|b| b.agg.as_ref() == Some(&agg) && b.a.same_pattern(&current))
-                    .and_then(|_| base.levels.get(li + 1))
-                    .and_then(|next| galerkin_coarse_with_pattern(&current, &agg, &next.a))
-                    .unwrap_or_else(|| galerkin_coarse(&current, &agg))
-            } else {
-                galerkin_coarse(&current, &agg)
-            };
+            let coarse = ws.galerkin(&current, &agg);
             levels.push(Level {
                 a: current,
                 agg: Some(agg),
@@ -293,8 +263,11 @@ impl AmgHierarchy {
     }
 
     /// Operator complexity: total non-zeros across all levels divided
-    /// by the finest-level non-zeros. A healthy aggregation hierarchy
-    /// stays well below 2.
+    /// by the finest-level non-zeros. A uniform 2-D Laplacian stays
+    /// below 2; the benchmark's multi-layer power grids read 2.15-2.40
+    /// at 24 k-91 k nodes, because from the third level on aggregation
+    /// shrinks the rows but no longer the non-zeros (ROADMAP, "the
+    /// hierarchy's plateau levels").
     #[must_use]
     pub fn operator_complexity(&self) -> f64 {
         let fine = self.levels[0].a.nnz().max(1) as f64;
@@ -452,9 +425,11 @@ mod tests {
 
     #[test]
     fn rebuild_from_matches_a_cold_build_bitwise() {
+        use crate::solver::{Solver, SolverKind};
+
         let a = laplacian_2d(20, 20);
-        let params = AmgParams::default();
-        let base = AmgHierarchy::build(&a, params);
+        let solver = Solver::new(SolverKind::AmgPcg);
+        let base = solver.prepare(&a);
 
         // Same-pattern symmetric value edit: weaken a subset of the
         // couplings the way a strap-resistance edit does (the `r + c`
@@ -468,20 +443,18 @@ mod tests {
         }
         let edited = CsrMatrix::from_triplets(400, 400, &t);
 
-        let cold = AmgHierarchy::build(&edited, params);
-        let warm = AmgHierarchy::rebuild_from(&edited, params, &base);
-        assert_eq!(warm.num_levels(), cold.num_levels());
-        for (w, c) in warm.levels().iter().zip(cold.levels()) {
-            assert_eq!(w.a, c.a, "rebuilt level operator differs");
-            assert_eq!(w.agg, c.agg, "rebuilt aggregation differs");
-        }
-        assert_eq!(warm.coarse_chol, cold.coarse_chol);
-
-        // Rebuilding against an unrelated base still equals cold.
-        let other = AmgHierarchy::build(&laplacian_2d(15, 15), params);
-        let cross = AmgHierarchy::rebuild_from(&edited, params, &other);
-        for (w, c) in cross.levels().iter().zip(cold.levels()) {
-            assert_eq!(w.a, c.a);
+        let cold = AmgHierarchy::build(&edited, AmgParams::default());
+        // Against its own base, and against an unrelated one.
+        let other = solver.prepare(&laplacian_2d(15, 15));
+        for base in [&base, &other] {
+            let warm = solver.rebuild_from(base, &edited);
+            let warm = warm.amg_hierarchy().expect("an AMG setup");
+            assert_eq!(warm.num_levels(), cold.num_levels());
+            for (w, c) in warm.levels().iter().zip(cold.levels()) {
+                assert_eq!(w.a, c.a, "rebuilt level operator differs");
+                assert_eq!(w.agg, c.agg, "rebuilt aggregation differs");
+            }
+            assert_eq!(warm.coarse_chol, cold.coarse_chol);
         }
     }
 

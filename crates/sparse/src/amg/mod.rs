@@ -6,7 +6,10 @@
 //! 1. **Setup stage** — recursively group strongly connected nodes into
 //!    aggregates, producing progressively coarser Galerkin operators
 //!    `A_{l+1} = P^T A_l P` with piecewise-constant prolongation
-//!    ([`aggregation`], [`hierarchy`]).
+//!    ([`aggregation`], [`hierarchy`]). A level costs a few linear
+//!    sweeps over its CSR arrays, all through one workspace per build;
+//!    an edited matrix is set up again from scratch, because its
+//!    aggregation depends on the edited values.
 //! 2. **Preconditioning phase** — a multigrid cycle (V-cycle or Notay's
 //!    K-cycle) applied as the implicit preconditioner `M^{-1}`
 //!    ([`cycle`], [`AmgPreconditioner`]).
@@ -17,6 +20,9 @@ pub mod aggregation;
 pub mod cycle;
 pub mod hierarchy;
 
-pub use aggregation::{aggregate_pairwise, strength_graph, Aggregation};
+pub use aggregation::{aggregate_pairwise, Aggregation};
 pub use cycle::{AmgCore, AmgPreconditioner, CycleCounts, CycleKind};
 pub use hierarchy::{AmgHierarchy, AmgParams};
+
+#[cfg(test)]
+mod parity;

@@ -152,8 +152,7 @@ impl CsrMatrix {
     /// Each row is sorted by column in parallel — one ragged piece per
     /// row, each sorted by the same serial routine, so the result is
     /// identical at any thread count. This is the dominant cost of
-    /// assembly (and of the AMG Galerkin triple product, which funnels
-    /// through here). The sort must be *stable*: duplicate (row, col)
+    /// assembly. The sort must be *stable*: duplicate (row, col)
     /// contributions then merge in insertion order, which is exactly
     /// the order [`crate::PatternScatter`] scatter-adds
     /// them — the bitwise-identity contract of
@@ -192,13 +191,29 @@ impl CsrMatrix {
             row_ptr[r + 1] = out_c.len();
         }
         drop(entries);
+        Self::from_sorted_parts(rows, cols, row_ptr, out_c, out_v)
+    }
+
+    /// Wraps finished CSR arrays whose columns are already sorted and
+    /// unique within each row: the tail of every constructor here and
+    /// of the AMG Galerkin product, which emits its rows in order.
+    pub(crate) fn from_sorted_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(row_ptr[rows], col_idx.len());
+        debug_assert_eq!(col_idx.len(), values.len());
         let row_chunks = nnz_balanced_chunks(rows, &row_ptr);
         CsrMatrix {
             rows,
             cols,
             row_ptr,
-            col_idx: out_c,
-            values: out_v,
+            col_idx,
+            values,
             row_chunks,
             sell: OnceLock::new(),
         }
@@ -233,9 +248,8 @@ impl CsrMatrix {
 
     /// Wraps a fully accumulated `values` array (parallel to
     /// `pattern`'s stored entries) in the pattern's structure. Shared
-    /// tail of every pattern-reuse assembly path
-    /// ([`crate::PatternScatter`], the AMG pattern-reusing Galerkin
-    /// product).
+    /// tail of the pattern-reuse assembly path
+    /// ([`crate::PatternScatter`]).
     ///
     /// Returns `None` when any accumulated value is exactly `0.0`: a
     /// full assembly would have dropped that entry, so the true
@@ -272,17 +286,7 @@ impl CsrMatrix {
     /// Builds an `n x n` identity matrix.
     #[must_use]
     pub fn identity(n: usize) -> Self {
-        let row_ptr: Vec<usize> = (0..=n).collect();
-        let row_chunks = nnz_balanced_chunks(n, &row_ptr);
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            row_ptr,
-            col_idx: (0..n).collect(),
-            values: vec![1.0; n],
-            row_chunks,
-            sell: OnceLock::new(),
-        }
+        Self::from_sorted_parts(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
     }
 
     /// nnz-balanced row-chunk boundaries (`row_ptr` style) the parallel
@@ -572,16 +576,7 @@ impl CsrMatrix {
         for i in 0..self.cols {
             rp[i + 1] += rp[i];
         }
-        let row_chunks = nnz_balanced_chunks(self.cols, &rp);
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr: rp,
-            col_idx,
-            values,
-            row_chunks,
-            sell: OnceLock::new(),
-        }
+        Self::from_sorted_parts(self.cols, self.rows, rp, col_idx, values)
     }
 
     /// `true` if the matrix equals its transpose up to `tol`.

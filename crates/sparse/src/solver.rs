@@ -1,5 +1,6 @@
 //! Unified solver facade with timing and convergence reporting.
 
+use crate::amg::aggregation::SetupWorkspace;
 use crate::amg::{AmgCore, AmgHierarchy, AmgParams, AmgPreconditioner, CycleKind};
 use crate::cg::{conjugate_gradient, ConvergenceTrace};
 use crate::cholesky::CholeskyFactor;
@@ -186,6 +187,12 @@ impl Solver {
     /// positive definite.
     #[must_use]
     pub fn prepare(&self, a: &CsrMatrix) -> SolverSetup {
+        self.prepare_marked(a, false)
+    }
+
+    /// [`Solver::prepare`]; `rebuilt` marks the `amg_setup` span of a
+    /// setup that replaces an earlier one.
+    fn prepare_marked(&self, a: &CsrMatrix, rebuilt: bool) -> SolverSetup {
         let t0 = Instant::now();
         let inner = match self.kind {
             SolverKind::Cg => Prepared::Bare,
@@ -200,8 +207,12 @@ impl Solver {
                     CycleKind::VCycle
                 };
                 let mut setup_span = irf_trace::span("amg_setup");
-                let h = AmgHierarchy::build(a, self.amg_params);
-                record_amg_telemetry(&h, &mut setup_span);
+                if rebuilt && setup_span.is_recording() {
+                    setup_span.attr("rebuilt", true);
+                }
+                let mut ws = SetupWorkspace::default();
+                let h = AmgHierarchy::build_in(a, self.amg_params, &mut ws);
+                record_amg_telemetry(&h, &ws, &mut setup_span);
                 let core = Arc::new(AmgCore::new(h, cycle));
                 drop(setup_span);
                 irf_trace::registry().counter_add(
@@ -225,55 +236,24 @@ impl Solver {
         }
     }
 
-    /// [`Solver::prepare`] for a matrix whose sparsity pattern matches
-    /// an already-prepared `base` setup — the topology-delta fast path.
+    /// [`Solver::prepare`] for a matrix that replaces the one `base`
+    /// was prepared against — what a topology what-if calls.
     ///
-    /// For the AMG kinds this routes through
-    /// [`AmgHierarchy::rebuild_from`], which reuses the base coarse
-    /// sparsity patterns (skipping the dominant assembly sorts) wherever
-    /// the freshly recomputed aggregation proves the hierarchy shape is
-    /// unchanged. The returned setup is bitwise equivalent to a cold
-    /// [`Solver::prepare`] of the same matrix. Non-AMG kinds, or a
-    /// `base` prepared under a different kind, simply fall back to the
-    /// cold path.
+    /// This is a cold setup of `a`, bitwise equal to
+    /// [`Solver::prepare`]'s: the aggregation depends on the edited
+    /// values, so every level is re-paired and re-multiplied, and
+    /// nothing of `base`'s hierarchy can be reused (scatter-adding into
+    /// its coarse sparsity patterns measured slower than the product
+    /// itself — EXPERIMENTS.md, "What an AMG setup costs"). `base` only
+    /// decides whether the `amg_setup` span carries `rebuilt`: it does
+    /// when both setups are AMG.
     ///
     /// # Panics
     ///
     /// Same as [`Solver::prepare`].
     #[must_use]
     pub fn rebuild_from(&self, base: &SolverSetup, a: &CsrMatrix) -> SolverSetup {
-        let (Prepared::Amg(core), SolverKind::AmgPcg | SolverKind::AmgPcgVCycle) =
-            (&base.inner, self.kind)
-        else {
-            return self.prepare(a);
-        };
-        let t0 = Instant::now();
-        let cycle = if self.kind == SolverKind::AmgPcg {
-            CycleKind::KCycle
-        } else {
-            CycleKind::VCycle
-        };
-        let mut setup_span = irf_trace::span("amg_setup");
-        if setup_span.is_recording() {
-            setup_span.attr("rebuilt", true);
-        }
-        let h = AmgHierarchy::rebuild_from(a, self.amg_params, core.hierarchy());
-        record_amg_telemetry(&h, &mut setup_span);
-        let core = Arc::new(AmgCore::new(h, cycle));
-        drop(setup_span);
-        irf_trace::registry().counter_add(
-            "irf_stage_seconds_total",
-            &[("stage", "amg_setup")],
-            t0.elapsed().as_secs_f64(),
-        );
-        SolverSetup {
-            kind: self.kind,
-            tol: self.tol,
-            max_iter: self.max_iter,
-            dim: a.rows(),
-            setup_seconds: t0.elapsed().as_secs_f64(),
-            inner: Prepared::Amg(core),
-        }
+        self.prepare_marked(a, matches!(base.inner, Prepared::Amg(_)))
     }
 }
 
@@ -336,6 +316,16 @@ impl SolverSetup {
     #[must_use]
     pub fn max_iterations(&self) -> usize {
         self.max_iter
+    }
+
+    /// The multigrid hierarchy of an AMG setup; `None` for the other
+    /// kinds.
+    #[must_use]
+    pub fn amg_hierarchy(&self) -> Option<&AmgHierarchy> {
+        match &self.inner {
+            Prepared::Amg(core) => Some(core.hierarchy()),
+            _ => None,
+        }
     }
 
     /// Returns a copy of this setup with an overridden stopping rule
@@ -434,8 +424,9 @@ impl SolverSetup {
 }
 
 /// Publishes AMG hierarchy statistics as span attributes and registry
-/// gauges: level count, per-level nnz, and operator complexity.
-fn record_amg_telemetry(h: &AmgHierarchy, span: &mut irf_trace::Span) {
+/// gauges: level count, per-level rows and nnz, operator complexity,
+/// and the seconds the build spent pairing and forming products.
+fn record_amg_telemetry(h: &AmgHierarchy, ws: &SetupWorkspace, span: &mut irf_trace::Span) {
     let levels = h.num_levels();
     let complexity = h.operator_complexity();
     if span.is_recording() {
@@ -447,7 +438,16 @@ fn record_amg_telemetry(h: &AmgHierarchy, span: &mut irf_trace::Span) {
                 .map(|l| l.a.nnz() as f64)
                 .collect::<Vec<_>>(),
         );
+        span.attr(
+            "level_rows",
+            h.levels()
+                .iter()
+                .map(|l| l.a.rows() as f64)
+                .collect::<Vec<_>>(),
+        );
         span.attr("operator_complexity", complexity);
+        span.attr("pairing_s", ws.pairing_s);
+        span.attr("galerkin_s", ws.galerkin_s);
     }
     let registry = irf_trace::registry();
     registry.gauge_set("irf_amg_levels", &[], levels as f64);

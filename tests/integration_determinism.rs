@@ -482,3 +482,83 @@ fn truncated_solves_keep_the_bits_of_the_full_work_solver() {
         }
     }
 }
+
+/// Folds a whole hierarchy — every level's `row_ptr`, `col_idx`, value
+/// bits and aggregate map, then the coarse solve of a fixed vector —
+/// into one hash.
+fn hierarchy_hash(h: &irf_sparse::amg::AmgHierarchy) -> u64 {
+    let mut hash = FNV_SEED;
+    for level in h.levels() {
+        hash = fnv64(hash, level.a.row_ptr().iter().map(|&p| p as u64));
+        hash = fnv64(hash, level.a.col_idx().iter().map(|&c| c as u64));
+        hash = fnv64(hash, level.a.values().iter().map(|v| v.to_bits()));
+        if let Some(agg) = &level.agg {
+            hash = fnv64(hash, std::iter::once(agg.n_coarse as u64));
+            hash = fnv64(hash, agg.assign.iter().map(|&a| a as u64));
+        }
+    }
+    let n = h.levels().last().expect("a level").a.rows();
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+    let mut x = vec![0.0; n];
+    h.coarse_solve(&b, &mut x);
+    fnv64(hash, x.iter().map(|v| v.to_bits()))
+}
+
+/// Golden hashes of whole AMG hierarchies, harvested at the commit
+/// before the setup stopped materialising a strength graph and sorting
+/// its Galerkin products (when `Solver::rebuild_from` also still
+/// scattered into the base's coarse patterns). The pinned solves above
+/// would notice a changed hierarchy only through a changed answer;
+/// this pins every level operator, every aggregate map and the coarse
+/// factor themselves, for a design and for its eight-segment edit.
+#[test]
+fn amg_hierarchies_keep_the_bits_of_the_sorted_setup() {
+    use irf_sparse::amg::{AmgHierarchy, AmgParams};
+    use irf_sparse::{Solver, SolverKind};
+
+    // (nodes asked for, rows, levels, hash, hash after the edit)
+    const GOLDEN: [(usize, usize, usize, u64, u64); 3] = [
+        (1500, 1562, 4, 0xef9f_71a3_641b_abe8, 0xa579_7162_afdf_e5f2),
+        (4000, 4226, 5, 0xee96_1783_51c7_1155, 0x00f0_6af1_6e3f_2061),
+        (
+            20000,
+            20394,
+            6,
+            0x4d60_cd61_5b98_dd1b,
+            0x963e_077f_877a_b723,
+        ),
+    ];
+    for (nodes, rows, levels, want_base, want_edited) in GOLDEN {
+        let grid =
+            PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(nodes, 0xA3_22)))
+                .expect("valid");
+        let structure = irf_pg::PgStructure::build(&grid);
+        assert_eq!(structure.matrix.rows(), rows);
+        // Halve eight segments spread over the segment list.
+        let mut edited_grid = grid.clone();
+        let stride = grid.segments.len() / 8;
+        for k in 0..8 {
+            edited_grid.segments[k * stride + stride / 2].ohms *= 0.5;
+        }
+        let edited = structure.restamped(&edited_grid).expect("same pattern");
+
+        let solver = Solver::new(SolverKind::AmgPcg);
+        let hash_of = |setup: &irf_sparse::SolverSetup| {
+            hierarchy_hash(setup.amg_hierarchy().expect("an AMG setup"))
+        };
+        for threads in [1, 2, 4, 8] {
+            with_threads(threads, || {
+                let what = format!("{nodes} nodes at {threads} threads");
+                let built = AmgHierarchy::build(&structure.matrix, AmgParams::default());
+                assert_eq!(built.num_levels(), levels, "{what}");
+                assert_eq!(hierarchy_hash(&built), want_base, "{what}: build");
+                let base = solver.prepare(&structure.matrix);
+                assert_eq!(hash_of(&base), want_base, "{what}: prepare");
+                let warm = solver.rebuild_from(&base, &edited.matrix);
+                assert_eq!(hash_of(&warm), want_edited, "{what}: rebuild_from");
+                let cold = solver.prepare(&edited.matrix);
+                assert_eq!(hash_of(&cold), want_edited, "{what}: cold prepare");
+            });
+        }
+    }
+}

@@ -116,8 +116,29 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
             .iter()
             .find(|e| e.name == "amg_setup")
             .expect("amg span");
-        assert!(amg.args.iter().any(|(k, _)| *k == "levels"));
         assert!(amg.args.iter().any(|(k, _)| *k == "operator_complexity"));
+        // ... and says where its time went: how fast the levels shrank,
+        // and how the span splits into pairing and Galerkin products.
+        let attr = |key: &str| {
+            let found = amg.args.iter().find(|(k, _)| *k == key);
+            found
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("amg_setup has no {key}"))
+        };
+        let (AttrValue::U64(levels), AttrValue::F64List(level_rows)) =
+            (attr("levels"), attr("level_rows"))
+        else {
+            panic!("levels / level_rows have the wrong type");
+        };
+        assert_eq!(level_rows.len() as u64, *levels);
+        assert!(level_rows.windows(2).all(|w| w[1] < w[0]), "{level_rows:?}");
+        let (AttrValue::F64(pairing_s), AttrValue::F64(galerkin_s)) =
+            (attr("pairing_s"), attr("galerkin_s"))
+        else {
+            panic!("pairing_s / galerkin_s have the wrong type");
+        };
+        assert!(*pairing_s >= 0.0 && *galerkin_s >= 0.0);
+        assert!(pairing_s + galerkin_s <= amg.dur_ns as f64 * 1e-9);
 
         // The parse span says how much text it read, so a slow first
         // sight reads as MB/s.
