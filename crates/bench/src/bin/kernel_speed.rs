@@ -1,5 +1,5 @@
-//! Single-thread kernel speed: reference vs fast vs int8 for the
-//! forward hot kernels — conv2d, dense linear, CSR SpMV and the
+//! Single-thread kernel speed: reference vs fast for the forward hot
+//! kernels — conv2d, dense linear, CSR SpMV and the
 //! l1-Jacobi smoother sweep.
 //!
 //! ```bash
@@ -19,15 +19,14 @@
 //! level) and on a coarse-level-shaped matrix (~600 ragged rows of ~50
 //! non-zeros, where a K-cycle spends most of its time). For linear the
 //! reference is the scalar loop and the fast leg its AVX2 variant.
-//! Every f32/f64 kernel is checksum-asserted: the fast leg must
-//! be bitwise identical to the reference (the kernels vectorize across
-//! outputs but keep each output's rounding sequence), and the int8 leg
-//! must reproduce itself exactly — the benchmark fails otherwise.
+//! Every kernel is checksum-asserted: the fast leg must be bitwise
+//! identical to the reference (the kernels vectorize across outputs but
+//! keep each output's rounding sequence) — the benchmark fails
+//! otherwise.
 //! `--assert-speedup` additionally enforces >= 1.5x single-thread
 //! speedup on at least two of {conv2d, spmv, smoother}.
 
-use irf_nn::quant::PrecisionMode;
-use irf_nn::{ParamStore, Tape, Tensor};
+use irf_nn::{Tape, Tensor};
 use irf_sparse::smoother::{l1_diagonal, l1_jacobi};
 use irf_sparse::CsrMatrix;
 use std::time::Instant;
@@ -82,7 +81,6 @@ struct Row {
     simd: Option<Leg>,
     /// The shipped safe-Rust kernel, where an AVX2 one is the fast leg.
     shipped_scalar: Option<Leg>,
-    int8: Option<Leg>,
 }
 
 impl Row {
@@ -102,28 +100,19 @@ fn bench_conv(tiny: bool) -> Row {
         let y = irf_nn::tape::conv2d_forward_reference(&x, &w, &b, 1, 1, 1);
         checksum64(y.data().iter().map(|v| u64::from(v.to_bits())))
     });
-    let fwd = |precision: PrecisionMode, store: &ParamStore, wid, bid, x: &Tensor| {
+    let stride1 = time_leg(reps, || {
         let mut tape = Tape::new();
-        tape.set_precision(precision);
         let xn = tape.input(x.clone());
-        let wn = tape.param(store, wid);
-        let bn = tape.param(store, bid);
+        let wn = tape.input(w.clone());
+        let bn = tape.input(b.clone());
         let y = tape.conv2d(xn, wn, bn, 1, 1);
         checksum64(tape.value(y).data().iter().map(|v| u64::from(v.to_bits())))
-    };
-    let mut store = ParamStore::new();
-    let wid = store.register("w", w);
-    let bid = store.register("b", b);
-    store.quantize(PrecisionMode::Int8);
-
-    let stride1 = time_leg(reps, || fwd(PrecisionMode::F32, &store, wid, bid, &x));
-    let int8 = time_leg(reps, || fwd(PrecisionMode::Int8, &store, wid, bid, &x));
+    });
     Row {
         kernel: "conv2d",
         scalar: general,
         simd: Some(stride1),
         shipped_scalar: None,
-        int8: Some(int8),
     }
 }
 
@@ -133,32 +122,22 @@ fn bench_linear(tiny: bool) -> Row {
     let x = rand_tensor([64, c, 1, 1], 4);
     let w = rand_tensor([c, c, 1, 1], 5);
     let b = rand_tensor([1, c, 1, 1], 6);
-    let fwd = |precision: PrecisionMode, store: &ParamStore, wid, bid, x: &Tensor| {
+    let fwd = || {
         let mut tape = Tape::new();
-        tape.set_precision(precision);
         let xn = tape.input(x.clone());
-        let wn = tape.param(store, wid);
-        let bn = tape.param(store, bid);
+        let wn = tape.input(w.clone());
+        let bn = tape.input(b.clone());
         let y = tape.linear(xn, wn, bn);
         checksum64(tape.value(y).data().iter().map(|v| u64::from(v.to_bits())))
     };
-    let mut store = ParamStore::new();
-    let wid = store.register("w", w);
-    let bid = store.register("b", b);
-    store.quantize(PrecisionMode::Int8);
-
     irf_runtime::simd::set_disabled(true);
-    let scalar = time_leg(reps, || fwd(PrecisionMode::F32, &store, wid, bid, &x));
-    let simd =
-        simd_available().then(|| time_leg(reps, || fwd(PrecisionMode::F32, &store, wid, bid, &x)));
-    irf_runtime::simd::set_disabled(true);
-    let int8 = time_leg(reps, || fwd(PrecisionMode::Int8, &store, wid, bid, &x));
+    let scalar = time_leg(reps, fwd);
+    let simd = simd_available().then(|| time_leg(reps, fwd));
     Row {
         kernel: "linear",
         scalar,
         simd,
         shipped_scalar: None,
-        int8: Some(int8),
     }
 }
 
@@ -237,7 +216,6 @@ fn three_legs(kernel: &'static str, reps: usize, mut run: impl FnMut(bool) -> u6
         scalar: reference,
         simd: Some(fast),
         shipped_scalar,
-        int8: None,
     }
 }
 
@@ -305,7 +283,7 @@ fn main() {
     // Single-thread: the tentpole's speedup target is per-core.
     irf_runtime::set_num_threads(1);
     println!(
-        "kernel_speed: single-thread reference vs fast vs int8 ({}, simd compiled: {})",
+        "kernel_speed: single-thread reference vs fast ({}, simd compiled: {})",
         if tiny { "tiny" } else { "full" },
         irf_runtime::simd::compiled(),
     );
@@ -317,8 +295,8 @@ fn main() {
     irf_runtime::simd::set_disabled(false);
 
     println!(
-        "{:<16} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10}",
-        "kernel", "ref (ms)", "fast (ms)", "speedup", "scalar (ms)", "int8 (ms)", "checksum"
+        "{:<16} {:>12} {:>12} {:>8} {:>12} {:>10}",
+        "kernel", "ref (ms)", "fast (ms)", "speedup", "scalar (ms)", "checksum"
     );
     let mut target_hits = 0usize;
     for row in &rows {
@@ -336,15 +314,6 @@ fn main() {
                 row.kernel
             );
         }
-        if let Some(int8) = &row.int8 {
-            // int8 must be deterministic, and a genuinely different
-            // numeric path from f32.
-            assert_ne!(
-                row.scalar.checksum, int8.checksum,
-                "{}: int8 output should differ from f32",
-                row.kernel
-            );
-        }
         let speedup = row.speedup();
         if matches!(row.kernel, "conv2d" | "spmv" | "smoother") && speedup.is_some_and(|s| s >= 1.5)
         {
@@ -355,13 +324,12 @@ fn main() {
                 .map_or_else(|| "-".to_string(), |l| format!("{:.4}", l.seconds * 1e3))
         };
         println!(
-            "{:<16} {:>12.4} {:>12} {:>8} {:>12} {:>12} {:>10}",
+            "{:<16} {:>12.4} {:>12} {:>8} {:>12} {:>10}",
             row.kernel,
             row.scalar.seconds * 1e3,
             ms(&row.simd),
             speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
             ms(&row.shipped_scalar),
-            ms(&row.int8),
             "ok",
         );
     }

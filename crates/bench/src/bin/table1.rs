@@ -1,16 +1,13 @@
 //! Regenerates **Table I** — main results: MAE / F1 / runtime / MIRDE
-//! for every model on held-out real-like designs, plus int8/f16
-//! quantized variants of each zoo entry with their accuracy-delta
-//! gate verdicts.
+//! for every model on held-out real-like designs.
 //!
 //! ```bash
 //! cargo run -p irf-bench --bin table1 --release            # paper-shaped scale
 //! cargo run -p irf-bench --bin table1 --release -- --tiny  # smoke scale
 //! ```
 
-use ir_fusion::experiment::table1_with_options;
+use ir_fusion::experiment::table1;
 use irf_bench::{format_row, scale_from_args, table_header};
-use irf_nn::PrecisionMode;
 
 fn main() {
     let scale = scale_from_args();
@@ -21,36 +18,15 @@ fn main() {
     println!("(paper reference: IR-Fusion MAE 0.72, F1 0.71, runtime 6.98 s, MIRDE 3.05)");
     println!();
     println!("{}", table_header());
-    let rows = table1_with_options(&scale, true);
-    let mut gate_failures = 0usize;
+    let rows = table1(&scale);
     for row in &rows {
-        if row.precision == PrecisionMode::F32 {
-            println!("{}", format_row(&row.name, &row.report));
-        } else {
-            let gate = row.gate.expect("quantized rows carry a gate");
-            if !gate.pass {
-                gate_failures += 1;
-            }
-            println!(
-                "{}  [{}: MAE {:+.2}%, F1 {:+.3} -> {}]",
-                format_row(&format!("{} ({})", row.name, row.precision), &row.report),
-                row.precision,
-                gate.mae_delta_pct,
-                gate.f1_delta,
-                if gate.pass { "PASS" } else { "FAIL" },
-            );
-        }
+        println!("{}", format_row(&row.name, &row.report));
     }
     // Shape check mirrored in EXPERIMENTS.md: IR-Fusion should lead on
     // the accuracy metrics while paying runtime for the solver.
-    let f32_rows: Vec<_> = rows
-        .iter()
-        .filter(|r| r.precision == PrecisionMode::F32)
-        .collect();
     if let (Some(ours), Some(best_baseline)) = (
-        f32_rows.iter().find(|r| r.name == "IR-Fusion"),
-        f32_rows
-            .iter()
+        rows.iter().find(|r| r.name == "IR-Fusion"),
+        rows.iter()
             .filter(|r| r.name != "IR-Fusion")
             .min_by(|a, b| a.report.mae_volts.total_cmp(&b.report.mae_volts)),
     ) {
@@ -62,9 +38,4 @@ fn main() {
             (ours.report.f1 - best_baseline.report.f1) * 100.0,
         );
     }
-    assert_eq!(
-        gate_failures, 0,
-        "{gate_failures} quantized variants failed the accuracy-delta gate"
-    );
-    println!("quantization gate: all quantized variants PASS");
 }

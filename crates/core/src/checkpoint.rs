@@ -3,22 +3,29 @@
 //!
 //! Format (little-endian): magic `IRFM`, version `u32`, model-kind id
 //! `u32`, in-channels `u32`, base-channels `u32`, seed `u64`, residual
-//! flag `u8`, label scale `f32`, precision tag `u8` (version >= 2),
-//! followed by the [`irf_nn::serialize`] parameter stream.
+//! flag `u8`, label scale `f32`, one reserved `u8` that must be 0
+//! (byte 33, version >= 2), followed by the [`irf_nn::serialize`]
+//! parameter stream.
 //!
-//! Parameters are always stored at full f32 precision; a non-f32
-//! precision tag makes [`load_model`] rebuild the quantization
-//! sidecars deterministically after loading, so quantized checkpoints
-//! cost no extra bytes. Version-1 streams (no tag) load as f32.
+//! The reserved byte used to select a reduced-precision forward
+//! (1 = f16, 2 = int8). Those modes are gone, and a file that asks for
+//! one is refused rather than silently served at f32. Version-1
+//! streams (no such byte) load as before.
 
 use crate::train::TrainedModel;
 use irf_models::{build_model, ModelConfig, ModelKind};
 use irf_nn::serialize::{self, CheckpointError};
-use irf_nn::PrecisionMode;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"IRFM";
 const VERSION: u32 = 2;
+
+/// Largest `in_channels` / `base_channels` a checkpoint header may
+/// carry. [`load_model`] sizes every weight tensor from the two before
+/// it has read a single weight, so they are bounded here: 64 is the
+/// base width of the full-size U-Nets the paper compares against, and
+/// this repository trains at 6 wide on 11 input channels.
+pub const MAX_CHECKPOINT_CHANNELS: usize = 64;
 
 /// Saves a trained bundle; load it back with [`load_model`].
 /// A `&mut` writer may be passed.
@@ -48,7 +55,7 @@ pub fn save_model<W: Write>(
     w.write_all(&config.seed.to_le_bytes())?;
     w.write_all(&[u8::from(trained.residual)])?;
     w.write_all(&trained.label_scale.to_le_bytes())?;
-    w.write_all(&[trained.precision.id()])?;
+    w.write_all(&[0u8])?; // reserved
     serialize::save(&trained.store, w)
 }
 
@@ -60,7 +67,8 @@ pub fn save_model<W: Write>(
 ///
 /// Returns [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`]
 /// for foreign streams, [`CheckpointError::Mismatch`] for unknown model
-/// ids, and propagates parameter-stream errors.
+/// ids, channel counts outside `1..=`[`MAX_CHECKPOINT_CHANNELS`] and a
+/// non-zero reserved byte, and propagates parameter-stream errors.
 pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, CheckpointError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -74,8 +82,8 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, CheckpointError> {
     let kind_id = read_u32(&mut r)?;
     let kind = ModelKind::from_id(kind_id)
         .ok_or_else(|| CheckpointError::Mismatch(format!("unknown model kind id {kind_id}")))?;
-    let in_channels = read_u32(&mut r)? as usize;
-    let base_channels = read_u32(&mut r)? as usize;
+    let in_channels = read_channels(&mut r, "in_channels")?;
+    let base_channels = read_channels(&mut r, "base_channels")?;
     let mut seed_bytes = [0u8; 8];
     r.read_exact(&mut seed_bytes)?;
     let seed = u64::from_le_bytes(seed_bytes);
@@ -85,14 +93,21 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, CheckpointError> {
     let mut scale_bytes = [0u8; 4];
     r.read_exact(&mut scale_bytes)?;
     let label_scale = f32::from_le_bytes(scale_bytes);
-    let precision = if version >= 2 {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        PrecisionMode::from_id(tag[0])
-            .ok_or_else(|| CheckpointError::Mismatch(format!("unknown precision tag {}", tag[0])))?
-    } else {
-        PrecisionMode::F32
-    };
+    if version >= 2 {
+        let mut reserved = [0u8; 1];
+        r.read_exact(&mut reserved)?;
+        if reserved[0] != 0 {
+            let asked = match reserved[0] {
+                1 => "the removed f16 mode",
+                2 => "the removed int8 mode",
+                _ => "an unknown precision",
+            };
+            return Err(CheckpointError::Mismatch(format!(
+                "reserved byte 33 is {} ({asked}); only f32 checkpoints load",
+                reserved[0]
+            )));
+        }
+    }
     let (model, mut store) = build_model(
         kind,
         ModelConfig {
@@ -103,17 +118,24 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, CheckpointError> {
         },
     );
     serialize::load(&mut store, r)?;
-    // Sidecars are derived data: rebuild them from the freshly loaded
-    // f32 weights (deterministic, so two loads agree bitwise).
-    store.quantize(precision);
     Ok(TrainedModel {
         model,
         store,
         label_scale,
         residual,
         loss_history: Vec::new(),
-        precision,
     })
+}
+
+fn read_channels<R: Read>(r: &mut R, what: &str) -> Result<usize, CheckpointError> {
+    let value = read_u32(r)? as usize;
+    if (1..=MAX_CHECKPOINT_CHANNELS).contains(&value) {
+        Ok(value)
+    } else {
+        Err(CheckpointError::Mismatch(format!(
+            "{what} {value} is outside 1..={MAX_CHECKPOINT_CHANNELS}"
+        )))
+    }
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, CheckpointError> {
@@ -155,68 +177,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quantized_bundle_roundtrips_with_identical_predictions() {
-        let ds = Dataset::generate(2, 2, 1, 41);
-        let mut cfg = FusionConfig::tiny();
-        cfg.train.epochs = 1;
-        let trained = train(ModelKind::IrFusion, &ds, &cfg).with_precision(PrecisionMode::Int8);
-        let mut model_cfg = cfg.model;
-        model_cfg.in_channels = 11;
-        model_cfg.linear_head = trained.residual;
+    /// An untrained IR-Fusion bundle with every header field fixed.
+    fn fixed_bundle() -> (TrainedModel, ModelConfig) {
+        let config = ModelConfig {
+            in_channels: 11,
+            base_channels: 6,
+            seed: 0x0102_0304_0506_0708,
+            linear_head: true,
+        };
+        let (model, store) = build_model(ModelKind::IrFusion, config);
+        let trained = TrainedModel {
+            model,
+            store,
+            label_scale: 1.5,
+            residual: true,
+            loss_history: Vec::new(),
+        };
+        (trained, config)
+    }
+
+    fn saved(trained: &TrainedModel, config: ModelConfig) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_model(&trained, ModelKind::IrFusion, model_cfg, &mut buf).expect("save");
-        let loaded = load_model(buf.as_slice()).expect("load");
-        assert_eq!(loaded.precision, PrecisionMode::Int8);
-        let pipeline = IrFusionPipeline::new(cfg);
-        let a = evaluate_model(&trained, &ds, &pipeline);
-        let b = evaluate_model(&loaded, &ds, &pipeline);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.mae_volts, y.mae_volts, "sidecar rebuild must be exact");
-        }
+        save_model(trained, ModelKind::IrFusion, config, &mut buf).expect("save");
+        buf
+    }
+
+    #[test]
+    fn header_bytes_equal_a_fixed_golden_prefix() {
+        let (trained, config) = fixed_bundle();
+        let buf = saved(&trained, config);
+        #[rustfmt::skip]
+        let golden: [u8; 42] = [
+            b'I', b'R', b'F', b'M', 2, 0, 0, 0,     // magic, version 2
+            6, 0, 0, 0,                             // ModelKind::IrFusion
+            11, 0, 0, 0, 6, 0, 0, 0,                // in / base channels
+            8, 7, 6, 5, 4, 3, 2, 1,                 // seed
+            1, 0, 0, 0xC0, 0x3F,                    // residual, 1.5f32
+            0,                                      // byte 33: reserved
+            b'I', b'R', b'F', b'W', 1, 0, 0, 0,     // parameter stream
+        ];
+        assert_eq!(buf[..42], golden);
     }
 
     #[test]
     fn version1_stream_loads_as_f32() {
-        // Build a V2 bundle, then rewrite it as a V1 stream (no
-        // precision tag) and confirm it still loads, defaulting to f32.
-        let ds = Dataset::generate(1, 1, 1, 43);
-        let mut cfg = FusionConfig::tiny();
-        cfg.train.epochs = 0;
-        let trained = train(ModelKind::IrFusion, &ds, &cfg);
-        let mut model_cfg = cfg.model;
-        model_cfg.in_channels = 11;
-        model_cfg.linear_head = trained.residual;
-        let mut buf = Vec::new();
-        save_model(&trained, ModelKind::IrFusion, model_cfg, &mut buf).expect("save");
-        // Header: magic(4) version(4) kind(4) in_ch(4) base_ch(4)
-        // seed(8) residual(1) scale(4) tag(1).
+        // A version-1 stream is the version-2 one without byte 33.
+        let (trained, config) = fixed_bundle();
+        let buf = saved(&trained, config);
         let mut v1 = Vec::with_capacity(buf.len() - 1);
         v1.extend_from_slice(&buf[..4]);
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&buf[8..33]);
         v1.extend_from_slice(&buf[34..]);
         let loaded = load_model(v1.as_slice()).expect("v1 load");
-        assert_eq!(loaded.precision, PrecisionMode::F32);
         assert_eq!(loaded.label_scale, trained.label_scale);
+        assert_eq!(loaded.residual, trained.residual);
+        // Saved again it is the version-2 file, weights included.
+        assert_eq!(saved(&loaded, config), buf);
     }
 
     #[test]
     fn unknown_precision_tag_is_rejected() {
-        let ds = Dataset::generate(1, 1, 1, 44);
-        let mut cfg = FusionConfig::tiny();
-        cfg.train.epochs = 0;
-        let trained = train(ModelKind::IrFusion, &ds, &cfg);
-        let mut model_cfg = cfg.model;
-        model_cfg.in_channels = 11;
-        model_cfg.linear_head = trained.residual;
-        let mut buf = Vec::new();
-        save_model(&trained, ModelKind::IrFusion, model_cfg, &mut buf).expect("save");
-        buf[33] = 0xEE; // precision tag byte
-        assert!(matches!(
-            load_model(buf.as_slice()),
-            Err(CheckpointError::Mismatch(_))
-        ));
+        let (trained, config) = fixed_bundle();
+        let mut buf = saved(&trained, config);
+        for (tag, names) in [(1u8, "f16"), (2, "int8"), (0xEE, "unknown")] {
+            buf[33] = tag;
+            match load_model(buf.as_slice()) {
+                Err(CheckpointError::Mismatch(m)) => assert!(m.contains(names), "{m}"),
+                other => panic!("tag {tag}: expected a mismatch, got {other:?}"),
+            }
+        }
+        buf[33] = 0;
+        load_model(buf.as_slice()).expect("tag 0 loads");
+    }
+
+    #[test]
+    fn crafted_headers_end_in_a_typed_error() {
+        let (trained, config) = fixed_bundle();
+        let good = saved(&trained, config);
+        // 42 header bytes + the parameter count; what follows is the
+        // first parameter's name length.
+        let mut long_name = good[..46].to_vec();
+        long_name.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut wide = good[..34].to_vec();
+        wide[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut no_input = good[..34].to_vec();
+        no_input[12..16].copy_from_slice(&0u32.to_le_bytes());
+        let mut just_over = good.clone();
+        just_over[16..20].copy_from_slice(&(MAX_CHECKPOINT_CHANNELS as u32 + 1).to_le_bytes());
+        for (what, bytes) in [
+            ("name_len = u32::MAX", long_name),
+            ("base_channels = u32::MAX", wide),
+            ("in_channels = 0", no_input),
+            ("base_channels = MAX + 1", just_over),
+        ] {
+            let result = load_model(bytes.as_slice());
+            assert!(
+                matches!(result, Err(CheckpointError::Mismatch(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]

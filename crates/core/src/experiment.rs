@@ -10,7 +10,6 @@ use crate::train::train;
 use irf_data::Dataset;
 use irf_metrics::MetricReport;
 use irf_models::ModelKind;
-use irf_nn::PrecisionMode;
 
 /// Sizing of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,109 +78,41 @@ impl ExperimentScale {
     }
 }
 
-/// One Table I row: model name, forward precision, and averaged
-/// metrics. Quantized rows carry the gate verdict against their f32
-/// parent.
+/// One Table I row: model name and averaged metrics.
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Model display name.
     pub name: String,
-    /// Forward-pass precision this row was evaluated at.
-    pub precision: PrecisionMode,
     /// Metrics averaged over the test designs.
     pub report: MetricReport,
-    /// Accuracy-delta gate vs the f32 row (`None` for f32 rows).
-    pub gate: Option<QuantGate>,
-}
-
-/// Maximum relative MAE increase (percent) a quantized variant may
-/// show over its f32 parent and still ship.
-pub const QUANT_GATE_MAE_PCT: f64 = 10.0;
-/// Maximum absolute F1 decrease a quantized variant may show over its
-/// f32 parent and still ship.
-pub const QUANT_GATE_F1_DROP: f64 = 0.10;
-
-/// Accuracy-delta gate verdict for one quantized zoo entry.
-#[derive(Debug, Clone, Copy)]
-pub struct QuantGate {
-    /// Relative MAE increase vs f32, in percent (negative = better).
-    pub mae_delta_pct: f64,
-    /// Absolute F1 change vs f32 (negative = worse).
-    pub f1_delta: f64,
-    /// `true` when both deltas are within the gate thresholds.
-    pub pass: bool,
-}
-
-/// Scores a quantized report against its f32 parent: the variant
-/// passes when MAE regresses by at most [`QUANT_GATE_MAE_PCT`] percent
-/// and F1 drops by at most [`QUANT_GATE_F1_DROP`] absolute.
-#[must_use]
-pub fn quantization_gate(base: &MetricReport, quant: &MetricReport) -> QuantGate {
-    let mae_delta_pct = if base.mae_volts > 0.0 {
-        (quant.mae_volts - base.mae_volts) / base.mae_volts * 100.0
-    } else {
-        0.0
-    };
-    let f1_delta = quant.f1 - base.f1;
-    QuantGate {
-        mae_delta_pct,
-        f1_delta,
-        pass: mae_delta_pct <= QUANT_GATE_MAE_PCT && -f1_delta <= QUANT_GATE_F1_DROP,
-    }
 }
 
 /// Regenerates **Table I**: trains every model on the same augmented
 /// corpus ("all baselines adopt the data after augmentation") and
-/// evaluates on the held-out real designs. Each model is scored at
-/// f32 and, when `quantized` is set, re-scored at int8 and f16 from
-/// the same trained weights (quantization is checkpoint-level — no
-/// retraining), with the accuracy-delta gate attached to each
-/// quantized row.
-#[must_use]
-pub fn table1_with_options(scale: &ExperimentScale, quantized: bool) -> Vec<Table1Row> {
-    let dataset = scale.dataset();
-    let config = scale.config();
-    let mut rows = Vec::new();
-    for kind in ModelKind::TABLE1 {
-        let mut cfg = config;
-        if kind != ModelKind::IrFusion {
-            // Baselines consume the flat (non-hierarchical,
-            // non-numerical) inputs, exactly like the original
-            // models that see only current / distance / density.
-            cfg.feature.numerical = false;
-            cfg.feature.hierarchical = false;
-        }
-        let pipeline = IrFusionPipeline::new(cfg);
-        let mut trained = train(kind, &dataset, &cfg);
-        let name = trained.model.name().to_string();
-        let base = MetricReport::mean(&evaluate_model(&trained, &dataset, &pipeline));
-        rows.push(Table1Row {
-            name: name.clone(),
-            precision: PrecisionMode::F32,
-            report: base,
-            gate: None,
-        });
-        if quantized {
-            for mode in [PrecisionMode::Int8, PrecisionMode::F16] {
-                trained = trained.with_precision(mode);
-                let report = MetricReport::mean(&evaluate_model(&trained, &dataset, &pipeline));
-                rows.push(Table1Row {
-                    name: name.clone(),
-                    precision: mode,
-                    report,
-                    gate: Some(quantization_gate(&base, &report)),
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// [`table1_with_options`] without the quantized re-scores: one f32
-/// row per zoo entry, matching the paper's table.
+/// evaluates on the held-out real designs.
 #[must_use]
 pub fn table1(scale: &ExperimentScale) -> Vec<Table1Row> {
-    table1_with_options(scale, false)
+    let dataset = scale.dataset();
+    let config = scale.config();
+    ModelKind::TABLE1
+        .iter()
+        .map(|&kind| {
+            let mut cfg = config;
+            if kind != ModelKind::IrFusion {
+                // Baselines consume the flat (non-hierarchical,
+                // non-numerical) inputs, exactly like the original
+                // models that see only current / distance / density.
+                cfg.feature.numerical = false;
+                cfg.feature.hierarchical = false;
+            }
+            let trained = train(kind, &dataset, &cfg);
+            let reports = evaluate_model(&trained, &dataset, &IrFusionPipeline::new(cfg));
+            Table1Row {
+                name: trained.model.name().to_string(),
+                report: MetricReport::mean(&reports),
+            }
+        })
+        .collect()
 }
 
 /// One Fig. 7 point: iteration count, numerical-only metrics, fused
@@ -313,31 +244,6 @@ mod tests {
         let ds = s.dataset();
         assert_eq!(ds.designs.len(), 6);
         assert_eq!(ds.test_indices.len(), 2);
-    }
-
-    #[test]
-    fn quantized_rows_carry_gates_that_pass() {
-        let mut s = ExperimentScale::tiny();
-        s.n_fake = 1;
-        s.n_real = 1;
-        s.n_test = 1;
-        s.epochs = 1;
-        let rows = table1_with_options(&s, true);
-        // Three rows per zoo entry: f32, int8, f16.
-        assert_eq!(rows.len(), irf_models::ModelKind::TABLE1.len() * 3);
-        for chunk in rows.chunks(3) {
-            assert_eq!(chunk[0].precision, PrecisionMode::F32);
-            assert!(chunk[0].gate.is_none());
-            for q in &chunk[1..] {
-                assert_eq!(q.name, chunk[0].name);
-                let gate = q.gate.expect("quantized rows carry a gate");
-                assert!(
-                    gate.pass,
-                    "{} {} failed the accuracy gate: MAE {:+.2}%, F1 {:+.3}",
-                    q.name, q.precision, gate.mae_delta_pct, gate.f1_delta
-                );
-            }
-        }
     }
 
     #[test]

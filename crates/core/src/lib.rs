@@ -45,7 +45,6 @@ pub use checkpoint::{load_model, save_model};
 pub use config::{FusionConfig, TrainConfig};
 pub use evaluate::{evaluate_model, evaluate_numerical};
 pub use irf_features::FeatureError;
-pub use irf_nn::PrecisionMode;
 pub use pipeline::{
     Analysis, AnalysisSession, CachePolicy, EditPlan, FeatureStackBuilder, IrFusionPipeline,
     PreparedSample, PreparedStack, StreamPrepareError,

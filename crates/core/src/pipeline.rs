@@ -13,11 +13,11 @@ use crate::train::TrainedModel;
 use irf_data::golden::golden_drops;
 use irf_data::Design;
 use irf_features::{FeatureError, FeatureExtractor, FeatureStack};
-use irf_metrics::Timer;
 use irf_nn::{Tape, Tensor};
 use irf_pg::{GridMap, Load, ModelError, PgStructure, PowerGrid, Rasterizer};
 use irf_sparse::{SolveReport, Solver, SolverSetup};
 use irf_spice::Netlist;
+use irf_trace::Timer;
 use std::sync::Arc;
 
 /// A design prepared up to (but excluding) the golden label: feature
@@ -932,12 +932,10 @@ impl IrFusionPipeline {
         }
         let mut span = irf_trace::span("nn_forward");
         span.attr("batch", stacks.len());
-        span.attr("precision", trained.precision.name());
         let inputs: Vec<Tensor> = stacks.iter().map(|s| s.feature_tensor()).collect();
         let batched = Tensor::concat_batch(&inputs);
         let [_, _, h, w] = batched.shape();
         let mut tape = Tape::new();
-        tape.set_precision(trained.precision);
         let x = tape.input(batched);
         let y = trained.model.forward(&mut tape, &trained.store, x);
         let pred = tape.value(y);

@@ -6,7 +6,7 @@ use irf_data::augment::{augmentation_plan, no_rotation_plan, AugmentedSample};
 use irf_data::{Dataset, DesignClass};
 use irf_models::{build_model, Model, ModelKind};
 use irf_nn::optim::Adam;
-use irf_nn::{loss, ParamStore, PrecisionMode, Tape};
+use irf_nn::{loss, ParamStore, Tape};
 
 /// A trained model bundle: the network, its parameters, and the label
 /// scale used during training (labels are volts scaled into a range
@@ -25,51 +25,16 @@ pub struct TrainedModel {
     pub residual: bool,
     /// Mean training loss per epoch.
     pub loss_history: Vec<f32>,
-    /// Inference precision. Training always produces `F32`; use
-    /// [`TrainedModel::with_precision`] to derive a quantized variant.
-    pub precision: PrecisionMode,
-}
-
-impl TrainedModel {
-    /// Derives a variant of this bundle that runs its forward pass at
-    /// `mode`: builds (or clears, for `F32`) the parameter store's
-    /// quantization sidecars and records the mode so the pipeline's
-    /// inference tape picks it up.
-    #[must_use]
-    pub fn with_precision(mut self, mode: PrecisionMode) -> Self {
-        self.store.quantize(mode);
-        self.precision = mode;
-        self
-    }
-
-    /// Clones this bundle at `mode`: the architecture handles and f32
-    /// weights are copied, then the copy's quantization sidecars are
-    /// (re)built for `mode`. The original is untouched, so one trained
-    /// model can serve several precision variants side by side.
-    #[must_use]
-    pub fn precision_variant(&self, mode: PrecisionMode) -> TrainedModel {
-        let mut store = self.store.clone();
-        store.quantize(mode);
-        TrainedModel {
-            model: self.model.boxed_clone(),
-            store,
-            label_scale: self.label_scale,
-            residual: self.residual,
-            loss_history: self.loss_history.clone(),
-            precision: mode,
-        }
-    }
 }
 
 impl std::fmt::Debug for TrainedModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "TrainedModel({}, {} params, scale {}, {})",
+            "TrainedModel({}, {} params, scale {})",
             self.model.name(),
             self.store.num_scalars(),
-            self.label_scale,
-            self.precision
+            self.label_scale
         )
     }
 }
@@ -193,7 +158,6 @@ pub fn train(kind: ModelKind, dataset: &Dataset, config: &FusionConfig) -> Train
         label_scale,
         residual,
         loss_history,
-        precision: PrecisionMode::F32,
     }
 }
 

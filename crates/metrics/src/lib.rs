@@ -12,9 +12,7 @@
 pub mod classification;
 pub mod regression;
 pub mod report;
-pub mod timer;
 
 pub use classification::{confusion, f1_score, topk_overlap, Confusion, HOTSPOT_THRESHOLD};
 pub use regression::{correlation, mae, max_error, mirde, rmse};
 pub use report::MetricReport;
-pub use timer::Timer;

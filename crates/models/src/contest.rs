@@ -62,10 +62,6 @@ impl Model for ContestWinner {
     fn set_linear_head(&mut self, linear: bool) {
         self.head.set_relu(!linear);
     }
-
-    fn boxed_clone(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -57,12 +57,6 @@ pub trait Model: Send + Sync {
     /// non-negative) and linear (signed residual corrections for the
     /// fusion pipeline). Default: ReLU.
     fn set_linear_head(&mut self, linear: bool);
-
-    /// Clones the architecture behind the trait object. Models are
-    /// plain parameter-handle structs (the weights live in the
-    /// [`ParamStore`]), so this is a cheap structural copy — it lets a
-    /// trained bundle be duplicated per precision variant.
-    fn boxed_clone(&self) -> Box<dyn Model>;
 }
 
 pub use registry::{build_model, ModelConfig, ModelKind};

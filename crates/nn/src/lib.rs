@@ -40,13 +40,11 @@ pub mod layers;
 pub mod loss;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod serialize;
 mod simd;
 pub mod tape;
 pub mod tensor;
 
 pub use param::{ParamId, ParamStore};
-pub use quant::PrecisionMode;
 pub use tape::{NodeId, Tape};
 pub use tensor::Tensor;

@@ -1,8 +1,5 @@
 //! Trainable parameters shared across forward passes.
 
-use std::sync::Arc;
-
-use crate::quant::{PrecisionMode, QuantizedTensor};
 use crate::tensor::Tensor;
 
 /// Handle to a parameter in a [`ParamStore`].
@@ -29,10 +26,6 @@ pub struct ParamStore {
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
     names: Vec<String>,
-    /// Reduced-precision sidecars built by [`ParamStore::quantize`];
-    /// `None` per parameter until then. Shared by `Arc` so tapes can
-    /// hold references without copying payloads.
-    quant: Vec<Option<Arc<QuantizedTensor>>>,
 }
 
 impl ParamStore {
@@ -48,36 +41,7 @@ impl ParamStore {
         self.grads.push(Tensor::zeros(value.shape()));
         self.values.push(value);
         self.names.push(name.into());
-        self.quant.push(None);
         id
-    }
-
-    /// Builds reduced-precision sidecars for every parameter (a no-op
-    /// clearing them for [`PrecisionMode::F32`]). Sidecars are derived
-    /// data: rebuild after any weight mutation (optimizer step,
-    /// checkpoint load).
-    pub fn quantize(&mut self, mode: PrecisionMode) {
-        for (q, v) in self.quant.iter_mut().zip(&self.values) {
-            *q = QuantizedTensor::build(mode, v).map(Arc::new);
-        }
-    }
-
-    /// Drops all reduced-precision sidecars.
-    pub fn clear_quant(&mut self) {
-        for q in &mut self.quant {
-            *q = None;
-        }
-    }
-
-    /// The reduced-precision sidecar of a parameter, if
-    /// [`ParamStore::quantize`] has built one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not from this store.
-    #[must_use]
-    pub fn quant(&self, id: ParamId) -> Option<&Arc<QuantizedTensor>> {
-        self.quant[id.0].as_ref()
     }
 
     /// Number of registered parameters (tensors, not scalars).

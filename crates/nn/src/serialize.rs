@@ -110,7 +110,15 @@ pub fn load<R: Read>(store: &mut ParamStore, mut r: R) -> Result<(), CheckpointE
     }
     for i in 0..count {
         let id = ParamId(i);
+        // The length comes from the file: compare it with the name it
+        // has to equal before allocating for it.
         let name_len = read_u32(&mut r)? as usize;
+        if name_len != store.name(id).len() {
+            return Err(CheckpointError::Mismatch(format!(
+                "param {i} is '{}' in store but its checkpoint name is {name_len} bytes long",
+                store.name(id)
+            )));
+        }
         let mut name = vec![0u8; name_len];
         r.read_exact(&mut name)?;
         let name = String::from_utf8(name)

@@ -5,10 +5,7 @@
 //! [`crate::loss`] function) walks the tape in reverse and accumulates
 //! parameter gradients into the [`ParamStore`].
 
-use std::sync::Arc;
-
 use crate::param::{ParamId, ParamStore};
-use crate::quant::{self, PrecisionMode, QuantizedTensor};
 use crate::tensor::Tensor;
 
 /// Handle to a node (an intermediate tensor) on a [`Tape`].
@@ -123,13 +120,6 @@ pub struct Tape {
     values: Vec<Tensor>,
     grads: Vec<Option<Tensor>>,
     needs_grad: Vec<bool>,
-    /// Reduced-precision sidecar per node (populated for `Param` nodes
-    /// whose store carries one); consumed by conv2d/linear when
-    /// `precision != F32`.
-    node_quant: Vec<Option<Arc<QuantizedTensor>>>,
-    /// Forward-pass precision; `F32` unless set by
-    /// [`Tape::set_precision`]. Non-f32 tapes are inference-only.
-    precision: PrecisionMode,
 }
 
 impl Tape {
@@ -174,23 +164,7 @@ impl Tape {
         self.values.push(value);
         self.grads.push(None);
         self.needs_grad.push(needs_grad);
-        self.node_quant.push(None);
         id
-    }
-
-    /// Selects the forward precision for subsequently recorded
-    /// conv2d/linear nodes. Non-f32 modes take effect only where the
-    /// parameter store carries matching sidecars (see
-    /// [`ParamStore::quantize`]); such tapes are **inference-only** —
-    /// [`Tape::backward`] refuses to run on them.
-    pub fn set_precision(&mut self, mode: PrecisionMode) {
-        self.precision = mode;
-    }
-
-    /// The tape's forward precision.
-    #[must_use]
-    pub fn precision(&self) -> PrecisionMode {
-        self.precision
     }
 
     fn ng(&self, id: NodeId) -> bool {
@@ -208,14 +182,9 @@ impl Tape {
         self.push(Op::Input, value, true)
     }
 
-    /// Reads a parameter from the store onto the tape, carrying along
-    /// any reduced-precision sidecar the store holds for it.
+    /// Reads a parameter from the store onto the tape.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        let node = self.push(Op::Param(id), store.value(id).clone(), true);
-        if self.precision != PrecisionMode::F32 {
-            self.node_quant[node.0] = store.quant(id).cloned();
-        }
-        node
+        self.push(Op::Param(id), store.value(id).clone(), true)
     }
 
     /// 2-D convolution: `x (N,Ci,H,W) * w (Co,Ci,kh,kw) + b (1,Co,1,1)`.
@@ -254,24 +223,14 @@ impl Tape {
         pad_h: usize,
         pad_w: usize,
     ) -> NodeId {
-        let value = match (self.precision, self.node_quant[w.0].as_deref()) {
-            (PrecisionMode::Int8, Some(QuantizedTensor::Int8(wq))) => {
-                quant::conv2d_int8_forward(self.value(x), wq, self.value(b), stride, pad_h, pad_w)
-            }
-            (PrecisionMode::F16, Some(QuantizedTensor::F16(wq))) => {
-                let mut v = conv2d_forward(self.value(x), wq, self.value(b), stride, pad_h, pad_w);
-                quant::f16_round_tensor(&mut v);
-                v
-            }
-            _ => conv2d_forward(
-                self.value(x),
-                self.value(w),
-                self.value(b),
-                stride,
-                pad_h,
-                pad_w,
-            ),
-        };
+        let value = conv2d_forward(
+            self.value(x),
+            self.value(w),
+            self.value(b),
+            stride,
+            pad_h,
+            pad_w,
+        );
         let needs = self.ng(x) || self.ng(w) || self.ng(b);
         self.push(
             Op::Conv2d {
@@ -662,17 +621,7 @@ impl Tape {
         let [o, ci, _, _] = self.value(w).shape();
         assert_eq!(ci, c, "linear weight input-dim mismatch");
         assert_eq!(self.value(b).shape(), [1, o, 1, 1], "linear bias shape");
-        let out = match (self.precision, self.node_quant[w.0].as_deref()) {
-            (PrecisionMode::Int8, Some(QuantizedTensor::Int8(wq))) => {
-                quant::linear_int8_forward(self.value(x), wq, self.value(b))
-            }
-            (PrecisionMode::F16, Some(QuantizedTensor::F16(wq))) => {
-                let mut v = linear_forward(self.value(x), wq, self.value(b));
-                quant::f16_round_tensor(&mut v);
-                v
-            }
-            _ => linear_forward(self.value(x), self.value(w), self.value(b)),
-        };
+        let out = linear_forward(self.value(x), self.value(w), self.value(b));
         let needs = self.ng(x) || self.ng(w) || self.ng(b);
         self.push(Op::Linear { x, w, b }, out, needs)
     }
@@ -746,16 +695,8 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `seed`'s shape differs from the output value's shape,
-    /// or if the tape was recorded at a non-f32 precision (quantized
-    /// forwards are inference-only; their recorded ops do not match
-    /// the f32 weights gradients would be taken against).
+    /// Panics if `seed`'s shape differs from the output value's shape.
     pub fn backward(&mut self, output: NodeId, seed: Tensor, store: &mut ParamStore) {
-        assert_eq!(
-            self.precision,
-            PrecisionMode::F32,
-            "backward requires an f32-precision tape"
-        );
         assert_eq!(
             seed.shape(),
             self.values[output.0].shape(),

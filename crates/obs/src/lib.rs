@@ -5,7 +5,7 @@
 //! solver telemetry, a metrics registry), this crate answers "what did
 //! *request* `3f9a…` do" — the unit operators actually debug:
 //!
-//! * [`id`] — [`RequestId`](id::RequestId) minting: FNV-1a of
+//! * [`id`] — [`RequestId`] minting: FNV-1a of
 //!   connection id + a monotonic per-connection sequence, echoed to
 //!   clients as the `X-Irf-Request-Id` response header.
 //! * [`log`] — a std-only structured logger: JSON lines (or
@@ -13,7 +13,7 @@
 //!   level-filtered via `IRF_LOG`, zero allocation on the disabled
 //!   path.
 //! * [`recorder`] — the always-on flight recorder: a fixed-capacity
-//!   ring of completed [`RequestRecord`](recorder::RequestRecord)s,
+//!   ring of completed [`RequestRecord`]s,
 //!   with full span trees snapshotted for requests slower than a
 //!   threshold, served under `GET /debug/requests`.
 //! * [`slo`] — declared per-endpoint latency objectives driving the

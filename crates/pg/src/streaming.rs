@@ -10,7 +10,7 @@
 //! * [`grid_from_spice_reader`] / [`grid_from_spice_path`] subscribe it
 //!   to the card-visitor stream ([`irf_spice::visit_cards`]), so a file
 //!   becomes a grid with no source text and no
-//!   [`Netlist`](irf_spice::Netlist) in memory — at million-node scale
+//!   [`Netlist`] in memory — at million-node scale
 //!   those two exist only to be thrown away.
 //! * [`PowerGrid::from_netlist`] replays an already parsed netlist
 //!   through it.

@@ -18,8 +18,8 @@
 
 use crate::metrics::ServerMetrics;
 use ir_fusion::{IrFusionPipeline, PreparedStack, TrainedModel};
-use irf_metrics::Timer;
 use irf_pg::GridMap;
+use irf_trace::Timer;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -55,13 +55,7 @@ impl ModelSlot {
 
     /// Replaces the model. Takes effect from the next collected batch.
     pub fn swap(&self, model: TrainedModel) {
-        self.swap_arc(Arc::new(model));
-    }
-
-    /// [`ModelSlot::swap`] for an already-shared model (the registry
-    /// moves prepared precision variants between slots this way).
-    pub fn swap_arc(&self, model: Arc<TrainedModel>) {
-        *self.model.lock().unwrap_or_else(|e| e.into_inner()) = model;
+        *self.model.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(model);
     }
 }
 
@@ -90,10 +84,9 @@ impl Default for BatchConfig {
 pub struct PredictJob {
     /// Prepared features + rough map (label-free).
     pub stack: Arc<PreparedStack>,
-    /// The (model, precision) variant this job runs on, resolved by
-    /// the handler. The batcher groups collected jobs by slot, so
-    /// every executed forward batch is homogeneous in both model and
-    /// precision mode.
+    /// The model this job runs on, resolved by the handler. The
+    /// batcher groups collected jobs by slot, so every executed
+    /// forward batch runs on one model.
     pub slot: Arc<ModelSlot>,
     /// Id of the originating HTTP request (`0` when none). Carried
     /// explicitly: the batcher thread never inherits the handler's
@@ -135,8 +128,8 @@ pub struct Batcher {
 
 impl Batcher {
     /// Spawns the batcher thread. Each job carries the [`ModelSlot`]
-    /// it resolved against (a named model at one precision); the
-    /// batcher reads each distinct slot once per batch and a
+    /// it resolved against (a named model); the batcher reads each
+    /// distinct slot once per batch and a
     /// `POST /v1/models/{name}/reload` swaps slots in place.
     #[must_use]
     pub fn start(
@@ -200,8 +193,8 @@ fn run_batcher(
         let mut jobs = vec![first];
         jobs.extend(rx.try_iter().take(max_batch - 1));
         // Partition the collected jobs into homogeneous groups — one
-        // per distinct (model, precision) slot, in arrival order — so
-        // a forward batch never mixes models or precision modes.
+        // per distinct model slot, in arrival order — so a forward
+        // batch never mixes models.
         let mut groups: Vec<(Arc<ModelSlot>, Vec<PredictJob>)> = Vec::new();
         for job in jobs {
             match groups
@@ -236,7 +229,6 @@ fn run_batcher(
                     &[
                         ("batch_size", batch_size.into()),
                         ("forward_seconds", seconds.into()),
-                        ("precision", model.precision.name().into()),
                         ("requests", ids.as_str().into()),
                     ],
                 );
@@ -465,33 +457,32 @@ mod tests {
     }
 
     #[test]
-    fn mixed_precision_jobs_batch_homogeneously() {
-        let (pipeline, stack, trained) = fixture();
-        let int8 = trained.precision_variant(ir_fusion::PrecisionMode::Int8);
-        let expected_f32 = pipeline.predict(&trained, &stack);
-        let expected_int8 = pipeline.predict(&int8, &stack);
-        assert_ne!(expected_f32, expected_int8, "precisions must differ");
+    fn jobs_of_two_models_batch_homogeneously() {
+        let (pipeline, stack, first) = fixture();
+        let mut longer = FusionConfig::tiny();
+        longer.train.epochs += 1;
+        let second = ir_fusion::train(ModelKind::IrEdge, &Dataset::generate(2, 2, 1, 7), &longer);
+        let expected_first = pipeline.predict(&first, &stack);
+        let expected_second = pipeline.predict(&second, &stack);
+        assert_ne!(expected_first, expected_second, "models must differ");
 
-        let f32_slot = Arc::new(ModelSlot::new(trained));
-        let int8_slot = Arc::new(ModelSlot::new(int8));
-        // Interleave the two precisions in one collected batch; the
+        let first_slot = Arc::new(ModelSlot::new(first));
+        let second_slot = Arc::new(ModelSlot::new(second));
+        // Interleave the two models in one collected batch; the
         // batcher must split it into two homogeneous groups of two.
         let replies = run_prequeued(
             &pipeline,
             8,
             &stack,
-            &[&f32_slot, &int8_slot, &f32_slot, &int8_slot],
+            &[&first_slot, &second_slot, &first_slot, &second_slot],
         );
         for (i, reply) in replies.iter().enumerate() {
             let expected = if i % 2 == 0 {
-                &expected_f32
+                &expected_first
             } else {
-                &expected_int8
+                &expected_second
             };
-            assert_eq!(
-                &reply.map, expected,
-                "job {i} must ride its own precision group"
-            );
+            assert_eq!(&reply.map, expected, "job {i} must ride its own model");
             assert_eq!(reply.batch_size, 2, "groups must not mix slots");
         }
     }

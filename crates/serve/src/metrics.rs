@@ -9,13 +9,10 @@
 //! (`irf_pcg_iterations`, `irf_amg_levels`,
 //! `irf_stage_seconds_total{stage="pcg_solve"}`, ...).
 
-use ir_fusion::{PrecisionMode, Stage, StageStore};
+use ir_fusion::{Stage, StageStore};
 use irf_obs::slo::{SloPolicy, LATENCY_BUCKETS};
 use irf_trace::{MetricKind, MetricsRegistry};
 use std::sync::Arc;
-
-/// The precision label values of `irf_predict_requests_total`.
-const PRECISION_LABELS: [&str; 3] = ["f32", "f16", "int8"];
 
 /// Which registry a [`ServerMetrics`] publishes into.
 enum Registry {
@@ -169,18 +166,6 @@ impl ServerMetrics {
             "Models currently loaded in the registry.",
         );
         r.gauge_set("irf_model_registry_models", &[], 0.0);
-        r.describe(
-            "irf_predict_requests_total",
-            MetricKind::Counter,
-            "Successful predict requests by forward precision.",
-        );
-        for precision in PRECISION_LABELS {
-            r.counter_add(
-                "irf_predict_requests_total",
-                &[("precision", precision)],
-                0.0,
-            );
-        }
         r.describe_histogram(
             "irf_http_request_seconds",
             "End-to-end request latency by endpoint.",
@@ -267,14 +252,6 @@ impl ServerMetrics {
     pub fn set_registry_models(&self, count: usize) {
         self.registry()
             .gauge_set("irf_model_registry_models", &[], count as f64);
-    }
-
-    /// Counts one successful predict at `precision`.
-    pub fn observe_predict_precision(&self, precision: PrecisionMode) {
-        self.registry().counter_inc(
-            "irf_predict_requests_total",
-            &[("precision", precision.name())],
-        );
     }
 
     /// Counts the candidate plans of one finished `/sweep`.
@@ -433,14 +410,9 @@ mod tests {
         let cache = StageStore::new(1);
         let text = m.render(&cache);
         assert!(text.contains("irf_model_registry_models 0"));
-        assert!(text.contains("irf_predict_requests_total{precision=\"f32\"} 0"));
-        assert!(text.contains("irf_predict_requests_total{precision=\"f16\"} 0"));
-        assert!(text.contains("irf_predict_requests_total{precision=\"int8\"} 0"));
         m.set_registry_models(2);
-        m.observe_predict_precision(PrecisionMode::Int8);
         let text = m.render(&cache);
         assert!(text.contains("irf_model_registry_models 2"));
-        assert!(text.contains("irf_predict_requests_total{precision=\"int8\"} 1"));
     }
 
     #[test]

@@ -1,37 +1,24 @@
 //! The named model registry behind `/v1/models`.
 //!
-//! Generalizes the single swappable [`ModelSlot`] into a map of named
-//! entries, each holding one [`ModelSlot`] per precision variant
-//! (f32 / f16 / int8). Variants are derived once per (re)load via
-//! [`TrainedModel::precision_variant`] — the f32 weights are shared
-//! structurally and the quantization sidecars rebuilt per mode — so a
-//! request can pick any precision of any loaded model and the
-//! micro-batcher still reads exactly one slot per batch.
+//! A map of named entries, each holding one swappable [`ModelSlot`]:
+//! a request picks a loaded model by name and the micro-batcher reads
+//! exactly one slot per batch.
 //!
 //! Slot identity is stable across reloads: `POST /v1/models/{name}/reload`
-//! swaps the three variant slots in place (under the registry lock, so
-//! the swap is atomic with respect to concurrent resolves), and jobs
+//! swaps the entry's slot in place (under the registry lock, so the
+//! swap is atomic with respect to concurrent resolves), and jobs
 //! already queued against the old `Arc<TrainedModel>` finish on the
 //! model they started with.
 
 use crate::batch::ModelSlot;
-use ir_fusion::{PrecisionMode, TrainedModel};
+use ir_fusion::TrainedModel;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// All precision variants, in listing order.
-pub const PRECISIONS: [PrecisionMode; 3] =
-    [PrecisionMode::F32, PrecisionMode::F16, PrecisionMode::Int8];
-
-/// One named entry: a slot per precision variant plus the precision
-/// the underlying checkpoint declared (what an unqualified request
-/// runs at).
+/// One named entry: the slot its requests run through and what
+/// `GET /v1/models` says about it.
 struct Entry {
-    /// Indexed by [`PrecisionMode::id`].
-    slots: [Arc<ModelSlot>; 3],
-    /// Precision of the loaded checkpoint; requests that don't name a
-    /// precision use this variant.
-    loaded: PrecisionMode,
+    slot: Arc<ModelSlot>,
     /// Architecture display name (stable across reloads of the same
     /// architecture; refreshed on every reload).
     architecture: String,
@@ -50,15 +37,11 @@ pub struct ModelInfo {
     pub architecture: String,
     /// Trained parameter scalars.
     pub params: usize,
-    /// Precision of the loaded checkpoint.
-    pub loaded_precision: PrecisionMode,
-    /// Precisions servable for this entry.
-    pub precisions: Vec<PrecisionMode>,
     /// Completed reloads of this entry.
     pub reloads: u64,
 }
 
-/// Named, hot-swappable trained models with per-precision variants.
+/// Named, hot-swappable trained models.
 pub struct ModelRegistry {
     entries: Mutex<BTreeMap<String, Entry>>,
 }
@@ -69,48 +52,15 @@ impl std::fmt::Debug for ModelRegistry {
     }
 }
 
-fn build_entry(model: TrainedModel, reloads: u64) -> Entry {
-    let loaded = model.precision;
-    let architecture = model.model.name().to_string();
-    let params = model.store.num_scalars();
-    // Two structural copies requantized per mode; the third variant is
-    // the loaded model itself (avoids one copy).
-    let variant = |mode: PrecisionMode| Arc::new(ModelSlot::new(model.precision_variant(mode)));
-    let slots = match loaded {
-        PrecisionMode::F32 => {
-            let f16 = variant(PrecisionMode::F16);
-            let int8 = variant(PrecisionMode::Int8);
-            [Arc::new(ModelSlot::new(model)), f16, int8]
-        }
-        PrecisionMode::F16 => {
-            let f32v = variant(PrecisionMode::F32);
-            let int8 = variant(PrecisionMode::Int8);
-            [f32v, Arc::new(ModelSlot::new(model)), int8]
-        }
-        PrecisionMode::Int8 => {
-            let f32v = variant(PrecisionMode::F32);
-            let f16 = variant(PrecisionMode::F16);
-            [f32v, f16, Arc::new(ModelSlot::new(model))]
-        }
-    };
-    Entry {
-        slots,
-        loaded,
-        architecture,
-        params,
-        reloads,
-    }
-}
-
 impl ModelRegistry {
     /// A registry holding `initial` under the name `default`.
     #[must_use]
     pub fn new(initial: TrainedModel) -> Self {
-        let mut entries = BTreeMap::new();
-        entries.insert("default".to_string(), build_entry(initial, 0));
-        ModelRegistry {
-            entries: Mutex::new(entries),
-        }
+        let registry = ModelRegistry {
+            entries: Mutex::new(BTreeMap::new()),
+        };
+        registry.reload("default", initial);
+        registry
     }
 
     /// Number of loaded models.
@@ -126,51 +76,46 @@ impl ModelRegistry {
         self.len() == 0
     }
 
-    /// The slot serving `name` at `precision` (`None` precision → the
-    /// entry's loaded checkpoint precision). `Err` carries the sorted
-    /// names of the models that ARE loaded, for the error envelope.
+    /// The slot serving `name`. `Err` carries the sorted names of the
+    /// models that ARE loaded, for the error envelope.
     ///
     /// # Errors
     ///
     /// Returns the list of loaded model names when `name` is unknown.
-    pub fn resolve(
-        &self,
-        name: &str,
-        precision: Option<PrecisionMode>,
-    ) -> Result<(Arc<ModelSlot>, PrecisionMode), Vec<String>> {
+    pub fn resolve(&self, name: &str) -> Result<Arc<ModelSlot>, Vec<String>> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.get(name) {
-            Some(entry) => {
-                let mode = precision.unwrap_or(entry.loaded);
-                Ok((Arc::clone(&entry.slots[mode.id() as usize]), mode))
-            }
+            Some(entry) => Ok(Arc::clone(&entry.slot)),
             None => Err(entries.keys().cloned().collect()),
         }
     }
 
-    /// Loads `model` under `name`: existing entries have all three
-    /// variant slots swapped in place (batches already collected keep
-    /// the model they resolved), new names get fresh slots. Returns
-    /// the entry's total reload count.
+    /// Loads `model` under `name`: an existing entry has its slot
+    /// swapped in place (batches already collected keep the model they
+    /// resolved), a new name gets a fresh slot. Returns the entry's
+    /// total reload count.
     pub fn reload(&self, name: &str, model: TrainedModel) -> u64 {
+        let architecture = model.model.name().to_string();
+        let params = model.store.num_scalars();
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.get_mut(name) {
             Some(entry) => {
-                let next = build_entry(model, entry.reloads + 1);
-                for (slot, fresh) in entry.slots.iter().zip(next.slots) {
-                    // Move the variant out of its fresh slot into the
-                    // existing one, preserving slot identity for
-                    // queued jobs.
-                    slot.swap_arc(fresh.get());
-                }
-                entry.loaded = next.loaded;
-                entry.architecture = next.architecture;
-                entry.params = next.params;
+                entry.slot.swap(model);
+                entry.architecture = architecture;
+                entry.params = params;
                 entry.reloads += 1;
                 entry.reloads
             }
             None => {
-                entries.insert(name.to_string(), build_entry(model, 0));
+                entries.insert(
+                    name.to_string(),
+                    Entry {
+                        slot: Arc::new(ModelSlot::new(model)),
+                        architecture,
+                        params,
+                        reloads: 0,
+                    },
+                );
                 0
             }
         }
@@ -186,8 +131,6 @@ impl ModelRegistry {
                 name: name.clone(),
                 architecture: entry.architecture.clone(),
                 params: entry.params,
-                loaded_precision: entry.loaded,
-                precisions: PRECISIONS.to_vec(),
                 reloads: entry.reloads,
             })
             .collect()
@@ -219,35 +162,34 @@ mod tests {
     }
 
     #[test]
-    fn registry_serves_every_precision_variant() {
+    fn registry_holds_one_model_per_name() {
         let registry = ModelRegistry::new(tiny_model());
         assert_eq!(registry.len(), 1);
-        for mode in PRECISIONS {
-            let (slot, resolved) = registry
-                .resolve("default", Some(mode))
-                .expect("default exists");
-            assert_eq!(resolved, mode);
-            assert_eq!(slot.get().precision, mode);
-        }
-        // Unqualified resolve uses the loaded precision.
-        let (_, resolved) = registry.resolve("default", None).expect("default exists");
-        assert_eq!(resolved, PrecisionMode::F32);
+        let first = registry.resolve("default").expect("default exists");
+        let again = registry.resolve("default").expect("default exists");
+        assert!(Arc::ptr_eq(&first, &again), "one slot per name");
+        assert!(
+            Arc::ptr_eq(&first.get(), &again.get()),
+            "one model per slot"
+        );
     }
 
     #[test]
     fn unknown_models_report_the_loaded_names() {
         let registry = ModelRegistry::new(tiny_model());
-        let err = registry.resolve("nope", None).expect_err("unknown");
+        let err = registry.resolve("nope").expect_err("unknown");
         assert_eq!(err, vec!["default".to_string()]);
     }
 
     #[test]
     fn reload_keeps_slot_identity_and_counts() {
         let registry = ModelRegistry::new(tiny_model());
-        let (before, _) = registry.resolve("default", None).expect("exists");
+        let before = registry.resolve("default").expect("exists");
+        let old_model = before.get();
         assert_eq!(registry.reload("default", tiny_model()), 1);
-        let (after, _) = registry.resolve("default", None).expect("exists");
+        let after = registry.resolve("default").expect("exists");
         assert!(Arc::ptr_eq(&before, &after), "slot identity must survive");
+        assert!(!Arc::ptr_eq(&old_model, &after.get()), "model must change");
         assert_eq!(registry.reload("alt", tiny_model()), 0);
         assert_eq!(registry.len(), 2);
         let names: Vec<String> = registry.list().into_iter().map(|m| m.name).collect();

@@ -24,19 +24,18 @@
 //!   can be fetched (for a Chrome/Perfetto export, run the design
 //!   through `analyze_design --trace`).
 //! - `GET /v1/models` — the model registry: every loaded model with
-//!   its architecture, parameter count, checkpoint precision and
-//!   servable precision variants.
+//!   its architecture, parameter count and reload count.
 //! - `POST /v1/models/{name}/reload` — load a checkpoint
 //!   (`{"model_path": ...}`) under `name`, hot-swapping an existing
 //!   entry atomically (in-flight batches finish on the model they
 //!   resolved) or creating a new named entry.
 //! - `POST /v1/predict` — run one design through the pipeline.
 //!   Optional `"model"` picks a registry entry (default `default`),
-//!   optional `"precision"` (`"f32"` | `"f16"` | `"int8"`) picks the
-//!   forward-precision variant; both are validated with the error
-//!   envelope. The micro-batcher only fuses requests that resolved to
-//!   the same (model, precision) variant, so every executed batch is
-//!   homogeneous and bitwise deterministic within its mode.
+//!   validated with the error envelope. The forward pass is f32; a
+//!   `"precision"` member naming anything else answers
+//!   `400 invalid_precision`. The micro-batcher only fuses requests
+//!   that resolved to the same model, so every executed batch is
+//!   homogeneous and bitwise deterministic.
 //! - `POST /v1/whatif` — incremental re-analysis: a base design
 //!   fingerprint (as reported by `/v1/predict`) plus a list of deltas.
 //!   Current deltas (`kind` omitted or `"current"`) ride the stage
@@ -81,14 +80,13 @@ use crate::json::{obj, parse, Json};
 use crate::metrics::ServerMetrics;
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
-    EditError, FusionConfig, IrFusionPipeline, PrecisionMode, StageStore, TopologyDelta,
-    TrainedModel,
+    EditError, FusionConfig, IrFusionPipeline, StageStore, TopologyDelta, TrainedModel,
 };
-use irf_metrics::Timer;
 use irf_obs::recorder::SpanNode;
 use irf_obs::{FlightRecorder, RequestId, RequestIdMinter, RequestRecord, SloPolicy};
 use irf_pg::{GridMap, PowerGrid};
 use irf_trace::request::RequestStats;
+use irf_trace::Timer;
 use std::cell::{Cell, RefCell};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -145,9 +143,8 @@ struct State {
     /// `None` once shutdown started (or when serving without a model
     /// was requested and no batcher exists).
     predict_tx: Mutex<Option<mpsc::SyncSender<PredictJob>>>,
-    /// Named models with per-precision variants; `None` when serving
-    /// without a model (then reloads answer 409 and predicts fall back
-    /// to the rough numerical map).
+    /// Named models; `None` when serving without a model (then reloads
+    /// answer 409 and predicts fall back to the rough numerical map).
     registry: Option<Arc<ModelRegistry>>,
     shutting_down: AtomicBool,
     addr: SocketAddr,
@@ -558,8 +555,7 @@ fn route_request(
 }
 
 /// `GET /v1/models` — the registry listing: every loaded model with
-/// its architecture, parameter count, checkpoint precision, servable
-/// precision variants and reload count.
+/// its architecture, parameter count and reload count.
 fn handle_models_list(state: &Arc<State>) -> (u16, String) {
     let models: Vec<Json> = state
         .registry
@@ -572,19 +568,6 @@ fn handle_models_list(state: &Arc<State>) -> (u16, String) {
                 ("name", Json::Str(info.name.clone())),
                 ("architecture", Json::Str(info.architecture.clone())),
                 ("params", Json::Num(info.params as f64)),
-                (
-                    "loaded_precision",
-                    Json::Str(info.loaded_precision.name().to_string()),
-                ),
-                (
-                    "precisions",
-                    Json::Arr(
-                        info.precisions
-                            .iter()
-                            .map(|p| Json::Str(p.name().to_string()))
-                            .collect(),
-                    ),
-                ),
                 ("reloads", Json::Num(info.reloads as f64)),
             ])
         })
@@ -883,7 +866,6 @@ fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, Str
             )
         }
     };
-    let precision = model.precision;
     let reloads = registry.reload(name, model);
     state.metrics.set_registry_models(registry.len());
     state.metrics.observe_reload();
@@ -894,21 +876,20 @@ fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, Str
             ("reloaded", Json::Bool(true)),
             ("model", Json::Str(name.to_string())),
             ("model_path", Json::Str(path.to_string())),
-            ("precision", Json::Str(precision.name().to_string())),
             ("reloads", Json::Num(reloads as f64)),
         ])
         .render(),
     )
 }
 
-/// A resolved predict target: the slot to run on plus the (model
-/// name, precision) echoed in the response.
-type ResolvedModel = (Arc<ModelSlot>, String, PrecisionMode);
+/// A resolved predict target: the slot to run on plus the model name
+/// echoed in the response.
+type ResolvedModel = (Arc<ModelSlot>, String);
 
-/// Resolves the optional `"model"` / `"precision"` request members
-/// against the registry: the slot to run on plus the resolved
-/// (model name, precision) for the response, or a rendered envelope.
-/// `Ok(None)` means no model is loaded and the rough map applies.
+/// Resolves the optional `"model"` request member against the
+/// registry: the slot to run on plus the model name for the response,
+/// or a rendered envelope. `Ok(None)` means no model is loaded and the
+/// rough map applies.
 fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel>, (u16, String)> {
     let name = match body.get("model") {
         None => "default",
@@ -922,44 +903,37 @@ fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel
             }
         },
     };
-    let precision = match body.get("precision") {
-        None => None,
-        Some(value) => match value.as_str().and_then(PrecisionMode::parse) {
-            Some(mode) => Some(mode),
-            None => {
-                return Err((
-                    400,
-                    envelope_with(
-                        "invalid_precision",
-                        "precision must be one of f32, f16, int8",
-                        vec![(
-                            "value",
-                            value
-                                .as_str()
-                                .map_or_else(|| value.clone(), |s| Json::Str(s.to_string())),
-                        )],
-                    ),
-                ))
-            }
-        },
-    };
+    // The forward pass has one numeric mode. A request that asks for
+    // another is refused: answering it at f32 would misreport what ran.
+    if let Some(value) = body.get("precision") {
+        if value.as_str() != Some("f32") {
+            return Err((
+                400,
+                envelope_with(
+                    "invalid_precision",
+                    "this server serves f32 only",
+                    vec![("value", value.clone())],
+                ),
+            ));
+        }
+    }
     let Some(registry) = &state.registry else {
-        if body.get("model").is_some() || body.get("precision").is_some() {
-            // Serving without a model: an explicit model/precision ask
-            // cannot be honoured, and silently answering with the
-            // rough map would misreport the precision contract.
+        if body.get("model").is_some() {
+            // Serving without a model: an explicit model ask cannot be
+            // honoured, and silently answering with the rough map
+            // would misreport which model ran.
             return Err((
                 409,
                 envelope(
                     "no_model",
-                    "server is running without a model; model/precision selection is unavailable",
+                    "server is running without a model; model selection is unavailable",
                 ),
             ));
         }
         return Ok(None);
     };
-    match registry.resolve(name, precision) {
-        Ok((slot, mode)) => Ok(Some((slot, name.to_string(), mode))),
+    match registry.resolve(name) {
+        Ok(slot) => Ok(Some((slot, name.to_string()))),
         Err(loaded) => Err((
             404,
             envelope_with(
@@ -974,15 +948,14 @@ fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel
     }
 }
 
-/// The `default` model's slot at its checkpoint precision — what the
-/// endpoints without model selection (`/whatif`, `/sweep`,
-/// `/optimize`) run on. `None` when serving without a model.
+/// The `default` model's slot — what the endpoints without model
+/// selection (`/whatif`, `/sweep`, `/optimize`) run on. `None` when
+/// serving without a model.
 fn default_slot(state: &Arc<State>) -> Option<Arc<ModelSlot>> {
     state
         .registry
         .as_ref()
-        .and_then(|registry| registry.resolve("default", None).ok())
-        .map(|(slot, _)| slot)
+        .and_then(|registry| registry.resolve("default").ok())
 }
 
 fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
@@ -1024,10 +997,8 @@ fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, St
     };
     let map = &maps[0];
     let mut extra = Vec::new();
-    if let Some((_, name, mode)) = &resolved {
-        state.metrics.observe_predict_precision(*mode);
+    if let Some((_, name)) = &resolved {
         extra.push(("model", Json::Str(name.clone())));
-        extra.push(("precision", Json::Str(mode.name().to_string())));
     }
     (
         200,
@@ -1885,7 +1856,7 @@ fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, S
 
 /// The one inference helper: fans `stacks` (a single predict's one
 /// stack, a sweep's many) through the micro-batcher against `slot`, a
-/// registry-resolved model+precision variant. Every job is submitted
+/// registry-resolved model. Every job is submitted
 /// before any reply is awaited, so one sweep's forwards coalesce into
 /// as few batches as the batcher's window allows.
 /// Output order matches input order, and because the batched forward

@@ -1,11 +1,12 @@
 //! End-to-end tests of the versioned `/v1` surface: the unified error
 //! envelope on every endpoint, the retired unversioned paths (404
 //! `unknown_route`, no deprecation header), the named model registry
-//! (list / reload round-trip), and per-precision predicts including
-//! int8 determinism. Kept in its own test binary because the server
-//! publishes into the process-global metrics registry.
+//! (list / reload round-trip), and the one numeric mode of a predict:
+//! `"precision":"f32"` changes nothing, any other value is refused.
+//! Kept in its own test binary because the server publishes into the
+//! process-global metrics registry.
 
-use ir_fusion::{FusionConfig, PrecisionMode};
+use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_serve::json::{parse, Json};
@@ -96,23 +97,22 @@ fn metric_value(metrics: &str, line_prefix: &str) -> f64 {
 }
 
 #[test]
-fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
+fn v1_surface_envelope_registry_and_f32_only_predicts() {
     let config = FusionConfig::tiny();
     let dataset = Dataset::generate(2, 2, 1, 7);
     let model = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
 
-    // An int8-tagged checkpoint for the registry round-trip: loading
-    // it must yield an entry whose unqualified predicts run at int8.
+    // A differently trained checkpoint for the registry round-trip:
+    // the entry it loads into must answer with its own map.
     let mut longer = config;
     longer.train.epochs += 2;
     let second = ir_fusion::train(ModelKind::IrEdge, &dataset, &longer);
-    let int8 = second.precision_variant(PrecisionMode::Int8);
     let checkpoint = std::env::temp_dir().join(format!("irf-v1-{}.bin", std::process::id()));
     let mut model_cfg = config.model;
     model_cfg.in_channels = 11; // 5 shared + 3 layer-current + 3 layer-solution
-    model_cfg.linear_head = int8.residual;
+    model_cfg.linear_head = second.residual;
     let file = std::fs::File::create(&checkpoint).expect("create checkpoint");
-    ir_fusion::save_model(&int8, ModelKind::IrEdge, model_cfg, file).expect("save checkpoint");
+    ir_fusion::save_model(&second, ModelKind::IrEdge, model_cfg, file).expect("save checkpoint");
 
     let server = Server::start(
         &ServerConfig {
@@ -159,16 +159,26 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         Some("default"),
         "predict must echo the resolved model: {v1_predict}"
     );
-    assert_eq!(
-        v1_json.get("precision").and_then(Json::as_str),
-        Some("f32"),
-        "unqualified predicts run at the checkpoint precision: {v1_predict}"
+    assert!(
+        v1_json.get("precision").is_none(),
+        "there is no precision to echo: {v1_predict}"
     );
     let (_, repeat_predict) = request(addr, "POST", "/v1/predict", predict_body);
     assert_eq!(
-        map_values(&v1_predict),
-        map_values(&repeat_predict),
-        "a repeated predict must answer the identical map"
+        v1_predict, repeat_predict,
+        "a repeated predict must answer the identical bytes"
+    );
+    // Naming the one mode there is changes nothing.
+    let (status, f32_predict) = request(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"spec":{"class":"fake","seed":3},"include_map":true,"precision":"f32"}"#,
+    );
+    assert_eq!(status, 200, "f32 predict failed: {f32_predict}");
+    assert_eq!(
+        f32_predict, v1_predict,
+        "\"precision\":\"f32\" must answer the member-less bytes"
     );
 
     // --- The unified envelope on every endpoint's error path. ---
@@ -178,6 +188,20 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
             "POST",
             "/v1/predict",
             r#"{"spec":{"class":"fake","seed":3},"precision":"fp64"}"#,
+            400,
+            "invalid_precision",
+        ),
+        (
+            "POST",
+            "/v1/predict",
+            r#"{"spec":{"class":"fake","seed":3},"precision":"int8"}"#,
+            400,
+            "invalid_precision",
+        ),
+        (
+            "POST",
+            "/v1/predict",
+            r#"{"spec":{"class":"fake","seed":3},"precision":16}"#,
             400,
             "invalid_precision",
         ),
@@ -253,7 +277,33 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         .expect("details.loaded");
     assert_eq!(loaded.render(), r#"["default"]"#, "{reply}");
 
-    // --- Registry: list, named reload, precision variants. ---
+    // invalid_precision says what was asked for and what is served.
+    let (_, reply) = request(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"spec":{"class":"fake","seed":3},"model":"default","precision":"int8"}"#,
+    );
+    let error = parse(&reply)
+        .expect("valid json")
+        .get("error")
+        .cloned()
+        .expect("error envelope");
+    assert_eq!(
+        error.get("message").and_then(Json::as_str),
+        Some("this server serves f32 only"),
+        "{reply}"
+    );
+    assert_eq!(
+        error
+            .get("details")
+            .and_then(|d| d.get("value"))
+            .and_then(Json::as_str),
+        Some("int8"),
+        "{reply}"
+    );
+
+    // --- Registry: list, named reload. ---
     let (status, listing) = request(addr, "GET", "/v1/models", "");
     assert_eq!(status, 200, "{listing}");
     let json = parse(&listing).expect("valid json");
@@ -265,13 +315,16 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         models[0].get("name").and_then(Json::as_str),
         Some("default")
     );
+    // The whole row: name, architecture, params, reloads.
+    let params = models[0]
+        .get("params")
+        .and_then(Json::as_u64)
+        .expect("params");
+    assert!(params > 0, "{listing}");
     assert_eq!(
-        models[0].get("loaded_precision").and_then(Json::as_str),
-        Some("f32")
-    );
-    assert_eq!(
-        models[0].get("precisions").expect("precisions").render(),
-        r#"["f32","f16","int8"]"#
+        models[0].render(),
+        format!(r#"{{"name":"default","architecture":"IREDGe","params":{params},"reloads":0}}"#),
+        "{listing}"
     );
 
     let reload_body = format!(r#"{{"model_path":"{}"}}"#, checkpoint.display());
@@ -279,7 +332,7 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
     assert_eq!(status, 200, "named reload failed: {reply}");
     let json = parse(&reply).expect("valid json");
     assert_eq!(json.get("model").and_then(Json::as_str), Some("alt"));
-    assert_eq!(json.get("precision").and_then(Json::as_str), Some("int8"));
+    assert!(json.get("precision").is_none(), "{reply}");
     assert_eq!(json.get("reloads").and_then(Json::as_u64), Some(0));
 
     let (_, listing) = request(addr, "GET", "/v1/models", "");
@@ -305,36 +358,8 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         .expect("default entry");
     assert_eq!(default.get("reloads").and_then(Json::as_u64), Some(1));
 
-    // --- Per-precision predicts: int8 is deterministic end to end,
-    // distinct from f32, and an int8 checkpoint's entry defaults to
-    // int8 without an explicit precision member. ---
-    let int8_body = r#"{"spec":{"class":"fake","seed":3},"precision":"int8","include_map":true}"#;
-    let (status, first) = request(addr, "POST", "/v1/predict", int8_body);
-    assert_eq!(status, 200, "int8 predict failed: {first}");
-    assert_eq!(
-        parse(&first)
-            .expect("valid json")
-            .get("precision")
-            .and_then(Json::as_str),
-        Some("int8")
-    );
-    let (_, second_reply) = request(addr, "POST", "/v1/predict", int8_body);
-    assert_eq!(
-        map_values(&first),
-        map_values(&second_reply),
-        "int8 predicts must be bitwise deterministic"
-    );
-    let (_, f32_reply) = request(
-        addr,
-        "POST",
-        "/v1/predict",
-        r#"{"spec":{"class":"fake","seed":3},"precision":"f32","include_map":true}"#,
-    );
-    assert_ne!(
-        map_values(&first),
-        map_values(&f32_reply),
-        "int8 and f32 forwards must be distinguishable"
-    );
+    // --- Two models, two answers: the named entry runs its own
+    // weights, and `default` now runs them too. ---
     let (status, alt_reply) = request(
         addr,
         "POST",
@@ -342,27 +367,35 @@ fn v1_surface_envelope_aliases_registry_and_quantized_predicts() {
         r#"{"spec":{"class":"fake","seed":3},"model":"alt","include_map":true}"#,
     );
     assert_eq!(status, 200, "alt predict failed: {alt_reply}");
+    assert!(alt_reply.contains("\"model\":\"alt\""), "{alt_reply}");
+    assert_ne!(
+        map_values(&alt_reply),
+        map_values(&v1_predict),
+        "the second checkpoint must answer differently from the startup model"
+    );
+    let (_, reloaded_default) = request(addr, "POST", "/v1/predict", predict_body);
     assert_eq!(
-        parse(&alt_reply)
-            .expect("valid json")
-            .get("precision")
-            .and_then(Json::as_str),
-        Some("int8"),
-        "an int8 checkpoint serves int8 by default: {alt_reply}"
+        map_values(&reloaded_default),
+        map_values(&alt_reply),
+        "default was reloaded from the same checkpoint"
     );
 
-    // --- Metrics: registry gauge, per-precision counters, and no
-    // trace of the retired deprecation counter. ---
+    // --- Metrics: registry gauge, the predict counter that is left,
+    // and no trace of the retired per-precision and deprecation
+    // counters. ---
     let (status, metrics) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert_eq!(metric_value(&metrics, "irf_model_registry_models "), 2.0);
     assert_eq!(
-        metric_value(&metrics, "irf_predict_requests_total{precision=\"int8\"} "),
-        3.0
+        metric_value(
+            &metrics,
+            "irf_requests_total{route=\"predict\",status=\"200\"} "
+        ),
+        5.0
     );
-    assert_eq!(
-        metric_value(&metrics, "irf_predict_requests_total{precision=\"f32\"} "),
-        3.0
+    assert!(
+        !metrics.contains("irf_predict_requests_total"),
+        "the per-precision counter is gone: {metrics}"
     );
     assert!(
         !advertises_deprecation(&metrics),

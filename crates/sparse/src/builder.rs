@@ -16,7 +16,7 @@
 //!
 //! The bucketed array then finishes through the same
 //! parallel-sort + serial-merge back half as
-//! [`CsrMatrix::from_triplets`] ([`CsrMatrix::from_bucketed`]), so a
+//! [`CsrMatrix::from_triplets`] (`CsrMatrix::from_bucketed`), so a
 //! two-pass assembly is **bitwise identical** to the triplet path
 //! whenever the fill pass pushes contributions in the same order the
 //! triplet path would have: bucket sort preserves per-row insertion
@@ -130,7 +130,7 @@ impl CsrAssembler {
 
     /// Finishes assembly: every row must have received exactly the
     /// entries it counted. Sorting, duplicate merging and exact-zero
-    /// dropping run through [`CsrMatrix::from_bucketed`], the same
+    /// dropping run through `CsrMatrix::from_bucketed`, the same
     /// back half as [`CsrMatrix::from_triplets`].
     ///
     /// # Panics

@@ -4,7 +4,7 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`span`] — scoped spans recorded into a per-thread buffer. Spans
+//! * [`mod@span`] — scoped spans recorded into a per-thread buffer. Spans
 //!   compile to a single relaxed atomic load when no [`Collector`] is
 //!   installed, so leaving the instrumentation in hot paths is free.
 //!   Buffers flush into a process-wide sink whenever a thread's span
@@ -13,7 +13,7 @@
 //!   protocol. A finished [`Trace`] exports Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev))
 //!   and a human-readable self-profile tree ([`profile`]).
-//! * [`registry`] — a [`MetricsRegistry`] of counters, gauges, and
+//! * [`mod@registry`] — a [`MetricsRegistry`] of counters, gauges, and
 //!   histograms with Prometheus text rendering. One process-global
 //!   instance ([`registry()`]) is shared by the solver, the pipeline,
 //!   the inference server, and the bench binaries, so `GET /metrics`
