@@ -651,14 +651,10 @@ impl IrFusionPipeline {
                     if base_plan.resistance == plan.resistance {
                         return None;
                     }
-                    Some((base_grid, s.peek_resistance(base_plan.resistance)?))
+                    Some((base_grid.as_ref(), s.peek_resistance(base_plan.resistance)?))
                 });
-                let maps = match &base {
-                    Some((base_grid, base)) => {
-                        extractor.resistance_maps_from_base(grid, base_grid, base)
-                    }
-                    None => extractor.resistance_maps(grid),
-                };
+                let base = base.as_ref().map(|(base_grid, base)| (*base_grid, &**base));
+                let maps = extractor.resistance_maps_with(grid, &geometry, base);
                 Arc::new(maps.expect("pads checked by staged_prepare"))
             };
             let resistance = match store {
@@ -668,9 +664,10 @@ impl IrFusionPipeline {
             let features = extractor
                 .extract_with_parts(grid, &rough.drops, &geometry, &resistance)
                 .expect("pads checked by staged_prepare");
-            let raster = extractor.rasterizer(grid);
-            let rough_map =
-                irf_features::solution::bottom_layer_solution_map(grid, &rough.drops, &raster);
+            let rough_map = irf_features::solution::bottom_layer_solution_map_tiled(
+                &rough.drops,
+                geometry.tile_table(),
+            );
             (features, rough_map)
         });
         let registry = irf_trace::registry();

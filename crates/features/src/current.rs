@@ -7,64 +7,116 @@
 //! is distributed over layers in proportion to the layer's share of
 //! segment conductance inside the load's tile.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
-use std::collections::HashMap;
+use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
 
 /// The total current map over all layers (the classic IREDGe-style
 /// current image): load currents summed per tile.
 #[must_use]
 pub fn total_current_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    raster.splat_sum(grid.loads.iter().map(|l| {
-        let n = &grid.nodes[l.node];
-        (n.x, n.y, l.amps)
-    }))
+    total_current_map_tiled(grid, &TileTable::with_raster(grid, *raster))
+}
+
+/// [`total_current_map`] through the tile table of `grid`.
+///
+/// # Panics
+///
+/// Panics if `tiles` was not built from `grid`'s nodes.
+#[must_use]
+pub fn total_current_map_tiled(grid: &PowerGrid, tiles: &TileTable) -> GridMap {
+    let tile = tiles.tiles();
+    assert_eq!(tile.len(), grid.nodes.len(), "tile table of another grid");
+    let raster = tiles.raster();
+    let mut sum = GridMap::new(raster.width(), raster.height());
+    let data = sum.data_mut();
+    for l in &grid.loads {
+        data[tile[l.node] as usize] += l.amps as f32;
+    }
+    sum
+}
+
+/// The conductance each layer contributes to each tile — half of every
+/// segment's conductance is credited to the tile and layer of each
+/// endpoint — and the per-tile totals over all layers. A function of
+/// the segments and the tile table alone: a current edit leaves it
+/// standing, so it is built with the resistance maps, not per stack.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConductanceShares {
+    /// `share[slot * tiles + tile]`, layer slots as in the tile table.
+    share: Vec<f64>,
+    totals: Vec<f64>,
+}
+
+impl ConductanceShares {
+    /// The shares of `grid`'s segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tiles` was not built from `grid`'s nodes.
+    #[must_use]
+    pub fn new(grid: &PowerGrid, tiles: &TileTable) -> Self {
+        let (tile, slot) = (tiles.tiles(), tiles.slots());
+        assert_eq!(tile.len(), grid.nodes.len(), "tile table of another grid");
+        let n = tiles.tile_count();
+        let mut share = vec![0f64; tiles.layers().len() * n];
+        for s in &grid.segments {
+            let g = s.conductance() / 2.0;
+            share[slot[s.a] as usize * n + tile[s.a] as usize] += g;
+            share[slot[s.b] as usize * n + tile[s.b] as usize] += g;
+        }
+        let mut totals = vec![0f64; n];
+        for layer_share in share.chunks_exact(n) {
+            for (t, s) in totals.iter_mut().zip(layer_share) {
+                *t += s;
+            }
+        }
+        irf_trace::registry().counter_inc("irf_tile_tables_built_total", &[("table", "share")]);
+        ConductanceShares { share, totals }
+    }
 }
 
 /// Per-layer current maps (ascending layer order), allocated by each
 /// layer's conductance share inside the tile. Layers with no segments
 /// in a tile carry none of that tile's current; if no layer has
 /// conductance in the tile, the bottom layer takes it all.
+///
+/// # Panics
+///
+/// Panics if `tiles` was not built from `grid`'s nodes, or `shares`
+/// not from `tiles`.
 #[must_use]
-pub fn layer_current_maps(grid: &PowerGrid, raster: &Rasterizer) -> Vec<(u32, GridMap)> {
-    let layers = grid.layers();
-    let (w, h) = (raster.width(), raster.height());
-    // Conductance each layer contributes to each tile: half of every
-    // segment's conductance is credited to each endpoint's tile.
-    let mut layer_index: HashMap<u32, usize> = HashMap::new();
-    for (i, &l) in layers.iter().enumerate() {
-        layer_index.insert(l, i);
-    }
-    let mut share = vec![vec![0f64; w * h]; layers.len()];
-    for s in &grid.segments {
-        let g = s.conductance() / 2.0;
-        for &end in &[s.a, s.b] {
-            let n = &grid.nodes[end];
-            let (px, py) = raster.pixel(n.x, n.y);
-            share[layer_index[&n.layer]][py * w + px] += g;
-        }
-    }
-    let mut totals = vec![0f64; w * h];
-    for layer_share in &share {
-        for (t, s) in totals.iter_mut().zip(layer_share) {
-            *t += s;
-        }
-    }
+pub fn layer_current_maps(
+    grid: &PowerGrid,
+    tiles: &TileTable,
+    shares: &ConductanceShares,
+) -> Vec<(u32, GridMap)> {
+    let tile = tiles.tiles();
+    assert_eq!(tile.len(), grid.nodes.len(), "tile table of another grid");
+    let n = tiles.tile_count();
+    let layers = tiles.layers();
+    assert_eq!(
+        (shares.totals.len(), shares.share.len()),
+        (n, layers.len() * n),
+        "conductance shares of another tile table"
+    );
+    let raster = tiles.raster();
+    let mut maps: Vec<GridMap> = layers
+        .iter()
+        .map(|_| GridMap::new(raster.width(), raster.height()))
+        .collect();
     // Distribute each load across layers by conductance share.
-    let mut maps: Vec<GridMap> = (0..layers.len()).map(|_| GridMap::new(w, h)).collect();
     for l in &grid.loads {
-        let n = &grid.nodes[l.node];
-        let (px, py) = raster.pixel(n.x, n.y);
-        let idx = py * w + px;
-        if totals[idx] > 0.0 {
-            for (li, layer_share) in share.iter().enumerate() {
-                let frac = layer_share[idx] / totals[idx];
-                maps[li].add(px, py, (l.amps * frac) as f32);
+        let idx = tile[l.node] as usize;
+        let total = shares.totals[idx];
+        if total > 0.0 {
+            for (map, layer_share) in maps.iter_mut().zip(shares.share.chunks_exact(n)) {
+                let frac = layer_share[idx] / total;
+                map.data_mut()[idx] += (l.amps * frac) as f32;
             }
         } else {
-            maps[0].add(px, py, l.amps as f32);
+            maps[0].data_mut()[idx] += l.amps as f32;
         }
     }
-    layers.into_iter().zip(maps).collect()
+    layers.iter().copied().zip(maps).collect()
 }
 
 #[cfg(test)]
@@ -83,6 +135,49 @@ I1 n1_m1_1000_0 0 2m
         PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
     }
 
+    fn layer_maps(g: &PowerGrid, width: usize, height: usize) -> Vec<(u32, GridMap)> {
+        let tiles = TileTable::new(g, width, height);
+        layer_current_maps(g, &tiles, &ConductanceShares::new(g, &tiles))
+    }
+
+    /// The `f64` shares reach a map only through an `f32` rounding that
+    /// hides their last bits, so they are held to the per-segment
+    /// bookkeeping they replaced here, where the fields can be read: a
+    /// `HashMap` from layer to slot, one `pixel` per endpoint, totals
+    /// summed layer by layer in ascending order.
+    #[test]
+    fn shares_keep_the_bits_of_the_per_segment_bookkeeping() {
+        use irf_data::synth::{synthesize, SynthSpec};
+        use std::collections::HashMap;
+
+        let g = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(3000, 5)))
+            .expect("valid grid");
+        let raster = Rasterizer::new(g.bounding_box(), 8, 8);
+        let layers = g.layers();
+        assert!(layers.len() >= 3, "the order of the totals needs three");
+        let layer_index: HashMap<u32, usize> =
+            layers.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+        let mut share = vec![vec![0f64; 64]; layers.len()];
+        for s in &g.segments {
+            let half = s.conductance() / 2.0;
+            for &end in &[s.a, s.b] {
+                let n = &g.nodes[end];
+                let (px, py) = raster.pixel(n.x, n.y);
+                share[layer_index[&n.layer]][py * 8 + px] += half;
+            }
+        }
+        let mut totals = vec![0f64; 64];
+        for layer_share in &share {
+            for (t, s) in totals.iter_mut().zip(layer_share) {
+                *t += s;
+            }
+        }
+        let got = ConductanceShares::new(&g, &TileTable::with_raster(&g, raster));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.share), bits(&share.concat()));
+        assert_eq!(bits(&got.totals), bits(&totals));
+    }
+
     #[test]
     fn total_map_sums_loads() {
         let g = grid();
@@ -94,8 +189,7 @@ I1 n1_m1_1000_0 0 2m
     #[test]
     fn layer_maps_conserve_total_current() {
         let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 2, 2);
-        let maps = layer_current_maps(&g, &raster);
+        let maps = layer_maps(&g, 2, 2);
         let total: f32 = maps.iter().flat_map(|(_, m)| m.data().iter()).sum();
         assert!((f64::from(total) - 2e-3).abs() < 1e-9, "total {total}");
     }
@@ -103,8 +197,7 @@ I1 n1_m1_1000_0 0 2m
     #[test]
     fn layer_allocation_follows_conductance() {
         let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 1, 1);
-        let maps = layer_current_maps(&g, &raster);
+        let maps = layer_maps(&g, 1, 1);
         // Layer 1 conductance in the single tile: R1/2 (10/2=5) + R2 (2) = 7.
         // Layer 4: R1/2 (5) + R3 (5) = 10. Shares: 7/17 and 10/17.
         let m1: f32 = maps[0].1.get(0, 0);
@@ -126,8 +219,7 @@ R2 n1_m4_0_0 n1_m1_9000_9000 1.0
         // credits half its conductance there, so instead isolate by
         // checking conservation only.
         let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
-        let raster = Rasterizer::new(g.bounding_box(), 4, 4);
-        let maps = layer_current_maps(&g, &raster);
+        let maps = layer_maps(&g, 4, 4);
         let total: f32 = maps.iter().flat_map(|(_, m)| m.data().iter()).sum();
         assert!((f64::from(total) - 1e-3).abs() < 1e-9);
     }

@@ -1,6 +1,6 @@
 //! PDN density map.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
 
 /// The PDN density map: how much power-grid structure each tile
 /// contains. The paper derives it "from the average PDN pitch within
@@ -10,26 +10,19 @@ use irf_pg::{GridMap, PowerGrid, Rasterizer};
 /// in `[0, 1]`.
 #[must_use]
 pub fn pdn_density_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    let counts = raster.splat_sum(grid.nodes.iter().map(|n| (n.x, n.y, 1.0)));
-    counts.normalized()
+    pdn_density_map_tiled(&TileTable::with_raster(grid, *raster))
 }
 
-/// Per-layer PDN density maps (ascending layer order), each
-/// normalized independently.
+/// [`pdn_density_map`] of the design `tiles` was built from.
 #[must_use]
-pub fn layer_density_maps(grid: &PowerGrid, raster: &Rasterizer) -> Vec<(u32, GridMap)> {
-    grid.layers()
-        .into_iter()
-        .map(|layer| {
-            let m = raster.splat_sum(
-                grid.nodes
-                    .iter()
-                    .filter(|n| n.layer == layer)
-                    .map(|n| (n.x, n.y, 1.0)),
-            );
-            (layer, m.normalized())
-        })
-        .collect()
+pub fn pdn_density_map_tiled(tiles: &TileTable) -> GridMap {
+    let raster = tiles.raster();
+    let mut counts = GridMap::new(raster.width(), raster.height());
+    let data = counts.data_mut();
+    for &tile in tiles.tiles() {
+        data[tile as usize] += 1.0;
+    }
+    counts.normalized()
 }
 
 #[cfg(test)]
@@ -65,20 +58,5 @@ I1 n1_m1_1000_0 0 1m
         let m = pdn_density_map(&g, &raster);
         // Tile 0 holds 4 nodes (0, 100, 200 + the pad node), tile 3 one.
         assert!(m.get(0, 0) > m.get(3, 0));
-    }
-
-    #[test]
-    fn layer_maps_split_by_layer() {
-        let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 4, 1);
-        let maps = layer_density_maps(&g, &raster);
-        assert_eq!(maps.len(), 2);
-        let (l1, m1) = &maps[0];
-        let (l4, m4) = &maps[1];
-        assert_eq!((*l1, *l4), (1, 4));
-        // Layer 4 has only the pad at x = 0.
-        assert!((m4.get(0, 0) - 1.0).abs() < 1e-6);
-        assert_eq!(m4.get(3, 0), 0.0);
-        assert!(m1.get(0, 0) > 0.0);
     }
 }

@@ -14,6 +14,12 @@
 //!
 //! [`stack::FeatureExtractor`] bundles all of them into a named
 //! [`stack::FeatureStack`] ready for the model zoo.
+//!
+//! Every splatted map is an index-and-add over the design's
+//! [`irf_pg::TileTable`] — the tile and layer slot of each node, worked
+//! out once per design and carried by [`GeometryMaps`] — and keeps the
+//! bits of the per-sample coordinate splat it replaced
+//! (`tests/tile_table_differential.rs`).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,44 +1,27 @@
 //! Resistance map: local resistive mass per tile.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use irf_pg::{GridMap, PowerGrid, TileTable};
 
 /// The paper's resistance map "distributes the resistance of each
 /// resistor across overlapping grids": half of every segment's
 /// resistance is credited to the tile of each endpoint.
+///
+/// # Panics
+///
+/// Panics if `tiles` was not built from `grid`'s nodes.
 #[must_use]
-pub fn resistance_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    raster.splat_sum(grid.segments.iter().flat_map(|s| {
-        let half = s.ohms / 2.0;
-        let na = &grid.nodes[s.a];
-        let nb = &grid.nodes[s.b];
-        [(na.x, na.y, half), (nb.x, nb.y, half)]
-    }))
-}
-
-/// Per-layer resistance maps (ascending layer order). A segment
-/// contributes to the layer of each endpoint (vias therefore bridge
-/// two layers with half their resistance on each).
-#[must_use]
-pub fn layer_resistance_maps(grid: &PowerGrid, raster: &Rasterizer) -> Vec<(u32, GridMap)> {
-    grid.layers()
-        .into_iter()
-        .map(|layer| {
-            let m = raster.splat_sum(grid.segments.iter().flat_map(|s| {
-                let half = s.ohms / 2.0;
-                let na = &grid.nodes[s.a];
-                let nb = &grid.nodes[s.b];
-                let mut out = Vec::with_capacity(2);
-                if na.layer == layer {
-                    out.push((na.x, na.y, half));
-                }
-                if nb.layer == layer {
-                    out.push((nb.x, nb.y, half));
-                }
-                out
-            }));
-            (layer, m)
-        })
-        .collect()
+pub fn resistance_map(grid: &PowerGrid, tiles: &TileTable) -> GridMap {
+    let tile = tiles.tiles();
+    assert_eq!(tile.len(), grid.nodes.len(), "tile table of another grid");
+    let raster = tiles.raster();
+    let mut sum = GridMap::new(raster.width(), raster.height());
+    let data = sum.data_mut();
+    for s in &grid.segments {
+        let half = (s.ohms / 2.0) as f32;
+        data[tile[s.a] as usize] += half;
+        data[tile[s.b] as usize] += half;
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -59,8 +42,7 @@ I1 n1_m1_1000_0 0 1m
     #[test]
     fn total_resistive_mass_is_conserved() {
         let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 2, 1);
-        let m = resistance_map(&g, &raster);
+        let m = resistance_map(&g, &TileTable::new(&g, 2, 1));
         let total: f32 = m.data().iter().sum();
         assert!((f64::from(total) - 1.4).abs() < 1e-6);
     }
@@ -68,23 +50,9 @@ I1 n1_m1_1000_0 0 1m
     #[test]
     fn endpoints_share_segments() {
         let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 2, 1);
-        let m = resistance_map(&g, &raster);
+        let m = resistance_map(&g, &TileTable::new(&g, 2, 1));
         // Left tile: R1 (0.4 whole, both ends at x=0) + half of R2.
         assert!((f64::from(m.get(0, 0)) - 0.9).abs() < 1e-6);
         assert!((f64::from(m.get(1, 0)) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn layer_split_assigns_via_halves() {
-        let g = grid();
-        let raster = Rasterizer::new(g.bounding_box(), 1, 1);
-        let maps = layer_resistance_maps(&g, &raster);
-        let m1: f32 = maps[0].1.get(0, 0);
-        let m4: f32 = maps[1].1.get(0, 0);
-        // Layer 1: half of R1 (0.2) + all of R2 (1.0) = 1.2.
-        assert!((f64::from(m1) - 1.2).abs() < 1e-6);
-        // Layer 4: half of R1.
-        assert!((f64::from(m4) - 0.2).abs() < 1e-6);
     }
 }

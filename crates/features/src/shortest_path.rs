@@ -50,7 +50,8 @@
 //! the cold path uses.
 
 use crate::error::FeatureError;
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use irf_pg::raster::divide_by_counts;
+use irf_pg::{GridMap, PowerGrid, TileTable};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -293,12 +294,16 @@ pub fn resistance_distances(grid: &PowerGrid, sources: &[usize]) -> Result<Vec<f
 /// # Errors
 ///
 /// Returns [`FeatureError::NoPads`] when the grid has no pads.
+///
+/// # Panics
+///
+/// Panics if `tiles` was not built from `grid`'s nodes.
 pub fn shortest_path_resistance_map(
     grid: &PowerGrid,
-    raster: &Rasterizer,
+    tiles: &TileTable,
 ) -> Result<GridMap, FeatureError> {
     let values = shortest_path_resistance_per_node(grid)?;
-    Ok(rasterize_per_node(grid, &values, raster))
+    Ok(rasterize_per_node(&values, tiles))
 }
 
 /// Rasterizes precomputed per-node shortest-path values with per-tile
@@ -307,15 +312,27 @@ pub fn shortest_path_resistance_map(
 /// rasterize later inside its own task. Always splats the whole die:
 /// per-tile `f32` sums depend on the order nodes arrive in, so a
 /// refreshed value array is re-splatted whole, never patched.
+///
+/// # Panics
+///
+/// Panics if `values.len()` is not the node count `tiles` was built
+/// from.
 #[must_use]
-pub fn rasterize_per_node(grid: &PowerGrid, values: &[f64], raster: &Rasterizer) -> GridMap {
-    raster.splat_mean(
-        grid.nodes
-            .iter()
-            .zip(values)
-            .filter(|(_, v)| v.is_finite())
-            .map(|(n, &v)| (n.x, n.y, v)),
-    )
+pub fn rasterize_per_node(values: &[f64], tiles: &TileTable) -> GridMap {
+    let tile = tiles.tiles();
+    assert_eq!(values.len(), tile.len(), "one value per node");
+    let raster = tiles.raster();
+    let mut sum = GridMap::new(raster.width(), raster.height());
+    let data = sum.data_mut();
+    let mut count = vec![0f32; data.len()];
+    for (&t, &v) in tile.iter().zip(values) {
+        if v.is_finite() {
+            data[t as usize] += v as f32;
+            count[t as usize] += 1.0;
+        }
+    }
+    divide_by_counts(data, &count);
+    sum
 }
 
 /// The one per-node fold: the average over `pads` distance arrays of
@@ -801,8 +818,7 @@ I1 a 0 1m
     #[test]
     fn map_rasterizes_reachable_nodes() {
         let g = chain();
-        let raster = Rasterizer::new(g.bounding_box(), 1, 1);
-        let m = shortest_path_resistance_map(&g, &raster).unwrap();
+        let m = shortest_path_resistance_map(&g, &TileTable::new(&g, 1, 1)).unwrap();
         // Mean of 0.0, 0.5, 1.0.
         assert!((f64::from(m.get(0, 0)) - 0.5).abs() < 1e-6);
     }
@@ -831,9 +847,8 @@ I1 t 0 1m
             Err(FeatureError::NoPads)
         );
         assert_eq!(resistance_distances(&g, &[]), Err(FeatureError::NoPads));
-        let raster = Rasterizer::new((0, 0, 1, 1), 1, 1);
         assert_eq!(
-            shortest_path_resistance_map(&g, &raster),
+            shortest_path_resistance_map(&g, &TileTable::new(&g, 1, 1)),
             Err(FeatureError::NoPads)
         );
     }

@@ -1,15 +1,16 @@
 //! The assembled per-design feature stack.
 
-use crate::current::{layer_current_maps, total_current_map};
-use crate::density::pdn_density_map;
+use crate::current::{layer_current_maps, total_current_map_tiled, ConductanceShares};
+use crate::density::pdn_density_map_tiled;
 use crate::distance::effective_distance_map;
 use crate::error::FeatureError;
 use crate::normalize::{normalize, Normalization};
 use crate::resistance::resistance_map;
 use crate::shortest_path::{self, PadDistances};
 use crate::solution::layer_solution_maps;
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
-use std::sync::OnceLock;
+use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Fixed scale applied to voltage-valued maps (the rough-solution
 /// channels): volts x 100, so millivolt-scale drops land near 0.1-1.
@@ -180,12 +181,60 @@ impl StructuralMaps {
 /// This is the half of the old [`StructuralMaps`] artifact that a
 /// strap/via resistance edit can reuse verbatim: a topology delta that
 /// only rescales `ohms` leaves these maps untouched.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The design's [`TileTable`] rides along: it depends on exactly what
+/// these maps depend on, so whoever holds the maps warm holds the tile
+/// of every node for the resistance stage, the stack and the rough map
+/// to read. Equality compares the two maps.
+#[derive(Debug, Clone)]
 pub struct GeometryMaps {
     /// The normalized `distance/effective` channel.
     pub distance: GridMap,
     /// The normalized `density/pdn` channel.
     pub density: GridMap,
+    tiles: Arc<Carried<TileTable>>,
+}
+
+impl PartialEq for GeometryMaps {
+    fn eq(&self, other: &Self) -> bool {
+        self.distance == other.distance && self.density == other.density
+    }
+}
+
+impl GeometryMaps {
+    /// The tile and layer slot of every node of the design.
+    #[must_use]
+    pub fn tile_table(&self) -> &TileTable {
+        &self.tiles.table
+    }
+}
+
+/// A lookup table carried beside the maps of the stage that built it,
+/// and whether a stack has been assembled from it yet.
+#[derive(Debug)]
+struct Carried<T> {
+    table: T,
+    read: AtomicBool,
+}
+
+impl<T> Carried<T> {
+    fn new(table: T) -> Arc<Self> {
+        Arc::new(Carried {
+            table,
+            read: AtomicBool::new(false),
+        })
+    }
+
+    /// What the `feature_stack` span says of the table: `"built"` on
+    /// the first stack assembled from it — the analysis that paid for
+    /// it — and `"warm"` on every later one.
+    fn claim(&self) -> &'static str {
+        if self.read.swap(true, Ordering::Relaxed) {
+            "warm"
+        } else {
+            "built"
+        }
+    }
 }
 
 /// The *resistance-dependent* structural channels: functions of the
@@ -197,7 +246,9 @@ pub struct GeometryMaps {
 /// halves.
 ///
 /// Equality compares the two maps. The per-pad distance arrays a base
-/// grows on its first topology edit are working state, not content.
+/// grows on its first topology edit are working state, not content,
+/// and the conductance shares are a function of the same segments the
+/// maps are.
 #[derive(Debug, Clone)]
 pub struct ResistanceMaps {
     /// The normalized `resistance/map` channel.
@@ -210,6 +261,10 @@ pub struct ResistanceMaps {
     /// cold analysis leaves this empty: `pads x nodes x 8` bytes are
     /// only worth holding for a design that is being edited.
     pad_distances: OnceLock<PadDistances>,
+    /// What the per-layer current maps split each tile's load by. Like
+    /// the two maps it depends on the segments and never on the loads,
+    /// so a current edit reads it and a strap edit rebuilds it once.
+    shares: Arc<Carried<ConductanceShares>>,
 }
 
 impl PartialEq for ResistanceMaps {
@@ -273,8 +328,9 @@ impl FeatureExtractor {
         grid: &PowerGrid,
         rough_drop: &[f64],
     ) -> Result<FeatureStack, FeatureError> {
-        let structural = self.structural(grid)?;
-        self.extract_with_structural(grid, rough_drop, &structural)
+        let geometry = self.geometry(grid)?;
+        let resistance = self.resistance_maps_with(grid, &geometry, None)?;
+        self.extract_with_parts(grid, rough_drop, &geometry, &resistance)
     }
 
     /// Computes only the current-independent channels — the structural
@@ -295,7 +351,7 @@ impl FeatureExtractor {
     /// pad-relative features are undefined).
     pub fn structural(&self, grid: &PowerGrid) -> Result<StructuralMaps, FeatureError> {
         let geometry = self.geometry(grid)?;
-        let resistance = self.resistance_maps(grid)?;
+        let resistance = self.resistance_maps_with(grid, &geometry, None)?;
         Ok(StructuralMaps::from_parts(&geometry, &resistance))
     }
 
@@ -317,25 +373,32 @@ impl FeatureExtractor {
         if grid.pads.is_empty() {
             return Err(FeatureError::NoPads);
         }
-        let raster = self.rasterizer(grid);
+        let tiles = self.tile_table(grid);
         let norm = self.config.normalization;
         let dist = Normalization::Fixed(1.0 / self.config.width.max(self.config.height) as f32);
-        let r = &raster;
+        let t = &tiles;
         let tasks: Vec<Box<dyn FnOnce() -> GridMap + Send>> = vec![
             Box::new(move || {
                 let _s = irf_trace::span("feature/effective_distance");
-                normalize(&effective_distance_map(grid, r), dist)
+                normalize(&effective_distance_map(grid, t.raster()), dist)
             }),
             Box::new(move || {
                 let _s = irf_trace::span("feature/pdn_density");
-                normalize(&pdn_density_map(grid, r), norm)
+                normalize(&pdn_density_map_tiled(t), norm)
             }),
         ];
         let mut maps = irf_runtime::par_map(tasks).into_iter();
         Ok(GeometryMaps {
             distance: maps.next().expect("distance map"),
             density: maps.next().expect("density map"),
+            tiles: Carried::new(tiles),
         })
+    }
+
+    /// The tile table of `grid` under this extractor's rasterizer.
+    fn tile_table(&self, grid: &PowerGrid) -> TileTable {
+        let _s = irf_trace::span("feature/tile_table");
+        TileTable::new(grid, self.config.width, self.config.height)
     }
 
     /// Computes only the resistance-dependent structural channels
@@ -354,7 +417,7 @@ impl FeatureExtractor {
     /// Returns [`FeatureError::NoPads`] when the grid has no pads (the
     /// pad-relative features are undefined).
     pub fn resistance_maps(&self, grid: &PowerGrid) -> Result<ResistanceMaps, FeatureError> {
-        self.resistance_maps_with(grid, None)
+        self.resistance_maps_tiled(grid, None, None)
     }
 
     /// The resistance maps of `grid`, an `ohms`-only edit of
@@ -378,18 +441,48 @@ impl FeatureExtractor {
         base_grid: &PowerGrid,
         base: &ResistanceMaps,
     ) -> Result<ResistanceMaps, FeatureError> {
-        self.resistance_maps_with(grid, Some((base_grid, base)))
+        self.resistance_maps_tiled(grid, None, Some((base_grid, base)))
     }
 
-    fn resistance_maps_with(
+    /// The resistance maps of `grid` for a caller that already holds
+    /// its [`GeometryMaps`]: what [`FeatureExtractor::resistance_maps`]
+    /// (`base` absent) or [`FeatureExtractor::resistance_maps_from_base`]
+    /// (`base = (base_grid, its maps)`) returns, bit for bit, read
+    /// through the geometry's tile table instead of a second one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::NoPads`] when the grid has no pads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geometry` is not `grid`'s.
+    pub fn resistance_maps_with(
         &self,
         grid: &PowerGrid,
+        geometry: &GeometryMaps,
+        base: Option<(&PowerGrid, &ResistanceMaps)>,
+    ) -> Result<ResistanceMaps, FeatureError> {
+        self.resistance_maps_tiled(grid, Some(geometry.tile_table()), base)
+    }
+
+    fn resistance_maps_tiled(
+        &self,
+        grid: &PowerGrid,
+        tiles: Option<&TileTable>,
         base: Option<(&PowerGrid, &ResistanceMaps)>,
     ) -> Result<ResistanceMaps, FeatureError> {
         if grid.pads.is_empty() {
             return Err(FeatureError::NoPads);
         }
-        let raster = self.rasterizer(grid);
+        let own_tiles;
+        let tiles = match tiles {
+            Some(tiles) => tiles,
+            None => {
+                own_tiles = self.tile_table(grid);
+                &own_tiles
+            }
+        };
         /// What the shortest-path channel is made from.
         enum PathSource<'a> {
             /// Per-node values, still to be rasterized.
@@ -444,11 +537,10 @@ impl FeatureExtractor {
         };
         let norm = self.config.normalization;
         let path_r = Normalization::Fixed(PATH_RESISTANCE_SCALE);
-        let r = &raster;
         let tasks: Vec<Box<dyn FnOnce() -> GridMap + Send>> = vec![
             Box::new(move || {
                 let _s = irf_trace::span("feature/resistance_map");
-                normalize(&resistance_map(grid, r), norm)
+                normalize(&resistance_map(grid, tiles), norm)
             }),
             Box::new({
                 let sp_source = &sp_source;
@@ -456,7 +548,7 @@ impl FeatureExtractor {
                     let _s = irf_trace::span("feature/shortest_path_rasterize");
                     match sp_source {
                         PathSource::PerNode(values) => {
-                            normalize(&shortest_path::rasterize_per_node(grid, values, r), path_r)
+                            normalize(&shortest_path::rasterize_per_node(values, tiles), path_r)
                         }
                         PathSource::BaseMap(map) => (*map).clone(),
                     }
@@ -464,18 +556,25 @@ impl FeatureExtractor {
             }),
         ];
         let mut maps = irf_runtime::par_map(tasks).into_iter();
+        let shares = {
+            let _s = irf_trace::span("feature/share_tables");
+            ConductanceShares::new(grid, tiles)
+        };
         Ok(ResistanceMaps {
             resistance: maps.next().expect("resistance map"),
             shortest_path: maps.next().expect("shortest-path map"),
             pad_distances: OnceLock::new(),
+            shares: Carried::new(shares),
         })
     }
 
     /// Assembles the full stack from precomputed structural channels,
     /// recomputing only the current-dependent channels (total/per-layer
     /// currents and per-layer rough-solution maps). Channel order and
-    /// values are bitwise identical to [`FeatureExtractor::extract`] —
-    /// that method routes through this one.
+    /// values are bitwise identical to [`FeatureExtractor::extract`].
+    /// The combined artifact carries no tables, so this builds the tile
+    /// table and the conductance shares for the call;
+    /// [`FeatureExtractor::extract_with_parts`] reads warm ones.
     ///
     /// # Errors
     ///
@@ -491,19 +590,28 @@ impl FeatureExtractor {
         rough_drop: &[f64],
         structural: &StructuralMaps,
     ) -> Result<FeatureStack, FeatureError> {
-        self.assemble_stack(
-            grid,
-            rough_drop,
-            &structural.distance,
-            &structural.density,
-            &structural.resistance,
-            &structural.shortest_path,
-        )
+        let tiles = self.tile_table(grid);
+        let shares = ConductanceShares::new(grid, &tiles);
+        let geometry = GeometryMaps {
+            distance: structural.distance.clone(),
+            density: structural.density.clone(),
+            tiles: Carried::new(tiles),
+        };
+        let resistance = ResistanceMaps {
+            resistance: structural.resistance.clone(),
+            shortest_path: structural.shortest_path.clone(),
+            pad_distances: OnceLock::new(),
+            shares: Carried::new(shares),
+        };
+        self.extract_with_parts(grid, rough_drop, &geometry, &resistance)
     }
 
     /// Assembles the full stack from the split structural halves —
     /// the stage-graph entry point where [`GeometryMaps`] and
     /// [`ResistanceMaps`] are cached under *different* fingerprints.
+    /// Recomputes only the current-dependent channels, through the tile
+    /// table and the conductance shares the halves carry, and splices
+    /// the precomputed structural maps into the fixed channel order.
     /// Channel order and values are bitwise identical to
     /// [`FeatureExtractor::extract`].
     ///
@@ -513,8 +621,9 @@ impl FeatureExtractor {
     ///
     /// # Panics
     ///
-    /// Panics if `rough_drop.len() != grid.nodes.len()` or the map
-    /// sizes disagree with the configured raster.
+    /// Panics if `rough_drop.len() != grid.nodes.len()`, the halves are
+    /// not `grid`'s, or the map sizes disagree with the configured
+    /// raster.
     pub fn extract_with_parts(
         &self,
         grid: &PowerGrid,
@@ -522,37 +631,14 @@ impl FeatureExtractor {
         geometry: &GeometryMaps,
         resistance: &ResistanceMaps,
     ) -> Result<FeatureStack, FeatureError> {
-        self.assemble_stack(
-            grid,
-            rough_drop,
-            &geometry.distance,
-            &geometry.density,
-            &resistance.resistance,
-            &resistance.shortest_path,
-        )
-    }
-
-    /// The shared assembly path behind [`extract_with_structural`] and
-    /// [`extract_with_parts`]: recomputes only the current-dependent
-    /// channels and splices the precomputed structural maps into the
-    /// fixed channel order.
-    ///
-    /// [`extract_with_structural`]: FeatureExtractor::extract_with_structural
-    /// [`extract_with_parts`]: FeatureExtractor::extract_with_parts
-    fn assemble_stack(
-        &self,
-        grid: &PowerGrid,
-        rough_drop: &[f64],
-        distance: &GridMap,
-        density: &GridMap,
-        resistance: &GridMap,
-        shortest_path: &GridMap,
-    ) -> Result<FeatureStack, FeatureError> {
         if grid.pads.is_empty() {
             return Err(FeatureError::NoPads);
         }
         let mut span = irf_trace::span("feature_stack");
-        let raster = self.rasterizer(grid);
+        let tile_table = geometry.tiles.claim();
+        let share_tables = resistance.shares.claim();
+        let tiles = geometry.tile_table();
+        let shares = &resistance.shares.table;
         let amps = Normalization::Fixed(CURRENT_SCALE);
         let volts = Normalization::Fixed(VOLT_SCALE);
         // Every map group is independent of the others, so they are
@@ -562,12 +648,11 @@ impl FeatureExtractor {
             One(&'static str, GridMap),
             Layers(&'static str, Vec<(u32, GridMap)>),
         }
-        let r = &raster;
         let mut tasks: Vec<Box<dyn FnOnce() -> Group + Send>> = vec![Box::new(move || {
             let _s = irf_trace::span("feature/current_total");
             Group::One(
                 "current/total",
-                normalize(&total_current_map(grid, r), amps),
+                normalize(&total_current_map_tiled(grid, tiles), amps),
             )
         })];
         if self.config.hierarchical {
@@ -575,7 +660,7 @@ impl FeatureExtractor {
                 let _s = irf_trace::span("feature/layer_currents");
                 Group::Layers(
                     "current",
-                    layer_current_maps(grid, r)
+                    layer_current_maps(grid, tiles, shares)
                         .into_iter()
                         .map(|(layer, m)| (layer, normalize(&m, amps)))
                         .collect(),
@@ -587,7 +672,7 @@ impl FeatureExtractor {
                 let _s = irf_trace::span("feature/layer_solutions");
                 Group::Layers(
                     "solution",
-                    layer_solution_maps(grid, rough_drop, r)
+                    layer_solution_maps(rough_drop, tiles)
                         .into_iter()
                         .map(|(layer, m)| (layer, normalize(&m, volts)))
                         .collect(),
@@ -601,10 +686,10 @@ impl FeatureExtractor {
             Group::Layers(..) => unreachable!("first group is current/total"),
         };
         stack.push(total.0, total.1);
-        stack.push("distance/effective", distance.clone());
-        stack.push("density/pdn", density.clone());
-        stack.push("resistance/map", resistance.clone());
-        stack.push("resistance/shortest_path", shortest_path.clone());
+        stack.push("distance/effective", geometry.distance.clone());
+        stack.push("density/pdn", geometry.density.clone());
+        stack.push("resistance/map", resistance.resistance.clone());
+        stack.push("resistance/shortest_path", resistance.shortest_path.clone());
         for group in groups {
             match group {
                 Group::One(name, m) => stack.push(name, m),
@@ -619,6 +704,8 @@ impl FeatureExtractor {
             span.attr("channels", stack.len());
             span.attr("width", self.config.width);
             span.attr("height", self.config.height);
+            span.attr("tile_table", tile_table);
+            span.attr("share_tables", share_tables);
         }
         Ok(stack)
     }
@@ -768,6 +855,42 @@ I1 n1_m1_1000_0 0 1m
         edited.segments[1].ohms *= 2.0;
         assert_eq!(ex.geometry(&edited).unwrap(), geometry);
         assert_ne!(ex.resistance_maps(&edited).unwrap(), resistance);
+    }
+
+    /// Coordinates are parsed from node names, so a netlist can span
+    /// more than an `i64` holds; the parent's `x1 - x0` panicked a debug
+    /// build here and wrapped a release one.
+    #[test]
+    fn a_die_wider_than_i64_rasterizes_without_overflow() {
+        let src = "\
+V1 n1_m4_-9223372036854775800_0 0 1.0
+R1 n1_m4_-9223372036854775800_0 n1_m1_9223372036854775800_0 0.1
+R2 n1_m1_9223372036854775800_0 n1_m1_0_0 0.5
+I1 n1_m1_0_0 0 1m
+";
+        let g = irf_pg::grid_from_spice_reader(std::io::Cursor::new(src)).expect("valid grid");
+        let ex = FeatureExtractor::new(config());
+        let geometry = ex.geometry(&g).expect("pads");
+        let resistance = ex.resistance_maps(&g).expect("pads");
+        // Three nodes on the row y = 0: columns 0, 4 (x = 0, mid-die)
+        // and 7 of 8.
+        let density = geometry.density.data();
+        assert_eq!(
+            (density[0], density[4], density[7]),
+            (1.0, 1.0, 1.0),
+            "{density:?}"
+        );
+        assert_eq!(density.iter().filter(|&&v| v != 0.0).count(), 3);
+        // R2's halves land mid-die and at the right edge.
+        let mass = resistance.resistance.data();
+        assert!(
+            mass[4] > 0.0 && mass[7] > mass[4] && mass[0] > 0.0,
+            "{mass:?}"
+        );
+        let stack = ex
+            .extract_with_parts(&g, &[0.0, 0.002, 0.004], &geometry, &resistance)
+            .expect("pads");
+        assert_eq!(stack.len(), 9);
     }
 
     #[test]

@@ -57,6 +57,21 @@ pub struct Pad {
     pub volts: f64,
 }
 
+/// The distinct values of `layers`, ascending. A netlist names its
+/// nodes layer by layer, so a value is compared with the one before it
+/// before it is kept for the sort: long runs cost a compare each.
+pub(crate) fn sorted_distinct(layers: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut distinct: Vec<u32> = Vec::new();
+    for layer in layers {
+        if distinct.last() != Some(&layer) {
+            distinct.push(layer);
+        }
+    }
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct
+}
+
 /// A validated multi-layer power grid.
 ///
 /// Built by the one grid builder in [`crate::streaming`] — from a
@@ -115,10 +130,7 @@ impl PowerGrid {
     /// Sorted list of metal layers present.
     #[must_use]
     pub fn layers(&self) -> Vec<u32> {
-        let mut l: Vec<u32> = self.nodes.iter().map(|n| n.layer).collect();
-        l.sort_unstable();
-        l.dedup();
-        l
+        sorted_distinct(self.nodes.iter().map(|n| n.layer))
     }
 
     /// Bounding box `(x0, y0, x1, y1)` over all nodes.

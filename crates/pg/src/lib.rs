@@ -46,7 +46,7 @@ pub mod transient;
 
 pub use error::ModelError;
 pub use grid::{Load, Pad, PgNode, PowerGrid, Segment};
-pub use raster::{GridMap, Rasterizer};
+pub use raster::{GridMap, Rasterizer, TileTable};
 pub use stamp::{PgStructure, PgSystem};
 pub use streaming::{grid_from_spice_path, grid_from_spice_reader, IngestError};
 

@@ -4,7 +4,12 @@
 //! ("each node is planted into the 256 x 256 grid" via `x = x_n / w`,
 //! `y = y_n / l`). [`Rasterizer`] implements that mapping for an
 //! arbitrary target resolution, and [`GridMap`] is the dense f32 image
-//! the features and the ML models operate on.
+//! the features and the ML models operate on. [`TileTable`] is that
+//! mapping taken once per design: every feature map of a design splats
+//! the same nodes through the same rasterizer, so each node's tile is
+//! looked up, not recomputed, per sample.
+
+use crate::grid::{sorted_distinct, PowerGrid};
 
 /// A dense row-major 2-D map of `f32` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,6 +206,29 @@ impl GridMap {
     }
 }
 
+/// `a - b` as an `f64`. Coordinates are outside input (parsed from node
+/// names), so the difference of two of them need not fit an `i64`;
+/// wherever it does, this is `(a - b) as f64` to the bit.
+fn diff_f64(a: i64, b: i64) -> f64 {
+    let magnitude = a.abs_diff(b) as f64;
+    if a >= b {
+        magnitude
+    } else {
+        -magnitude
+    }
+}
+
+/// The last step of a per-tile mean: divides each sum by the number of
+/// samples that landed on its tile, leaving tiles nothing landed on at
+/// zero.
+pub fn divide_by_counts(sums: &mut [f32], counts: &[f32]) {
+    for (s, c) in sums.iter_mut().zip(counts) {
+        if *c > 0.0 {
+            *s /= c;
+        }
+    }
+}
+
 /// Maps database-unit node coordinates onto a fixed pixel grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rasterizer {
@@ -225,8 +253,8 @@ impl Rasterizer {
     pub fn new(bbox: (i64, i64, i64, i64), width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "raster must have positive size");
         let (x0, y0, x1, y1) = bbox;
-        let span_x = (x1 - x0).max(1) as f64;
-        let span_y = (y1 - y0).max(1) as f64;
+        let span_x = diff_f64(x1, x0).max(1.0);
+        let span_y = diff_f64(y1, y0).max(1.0);
         Rasterizer {
             x0,
             y0,
@@ -252,8 +280,10 @@ impl Rasterizer {
     /// Pixel for a node coordinate (clamped to the grid).
     #[must_use]
     pub fn pixel(&self, x: i64, y: i64) -> (usize, usize) {
-        let px = (((x - self.x0) as f64) / self.tile_w).floor() as isize;
-        let py = (((y - self.y0) as f64) / self.tile_h).floor() as isize;
+        // The cast truncates toward zero where `floor` rounded down:
+        // they part only below zero, and all of that clamps to 0.
+        let px = (diff_f64(x, self.x0) / self.tile_w) as isize;
+        let py = (diff_f64(y, self.y0) / self.tile_h) as isize;
         (
             px.clamp(0, self.width as isize - 1) as usize,
             py.clamp(0, self.height as isize - 1) as usize,
@@ -271,11 +301,7 @@ impl Rasterizer {
             sum.add(px, py, v as f32);
             count.add(px, py, 1.0);
         }
-        for (s, c) in sum.data_mut().iter_mut().zip(count.data()) {
-            if *c > 0.0 {
-                *s /= c;
-            }
-        }
+        divide_by_counts(sum.data_mut(), count.data());
         sum
     }
 
@@ -306,6 +332,109 @@ impl Rasterizer {
             }
         }
         out
+    }
+}
+
+/// Where every node of one design lands under one [`Rasterizer`]: its
+/// flat tile index (`y * width + x` of [`Rasterizer::pixel`], so the
+/// clamp is the rasterizer's) and the dense slot of its metal layer in
+/// the design's ascending layer list. Eight bytes a node; coordinates
+/// are not copied.
+///
+/// Every feature map of a design is a splat of its nodes, its segment
+/// endpoints or its loads through the same rasterizer. With the table
+/// built once, each of those samples is an index and an add.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TileTable {
+    raster: Rasterizer,
+    layers: Vec<u32>,
+    tiles: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl TileTable {
+    /// The table of `grid` under the `width x height` rasterizer over
+    /// its bounding box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` or `height` is zero, or if the raster has more
+    /// than `u32::MAX` tiles.
+    #[must_use]
+    pub fn new(grid: &PowerGrid, width: usize, height: usize) -> Self {
+        Self::with_raster(grid, Rasterizer::new(grid.bounding_box(), width, height))
+    }
+
+    /// The table of `grid` under `raster`, which need not cover the
+    /// grid: a node outside it clamps to an edge tile, as
+    /// [`Rasterizer::pixel`] has it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the raster has more than `u32::MAX` tiles.
+    #[must_use]
+    pub fn with_raster(grid: &PowerGrid, raster: Rasterizer) -> Self {
+        let width = raster.width();
+        assert!(
+            width
+                .checked_mul(raster.height())
+                .is_some_and(|tiles| u32::try_from(tiles).is_ok()),
+            "a tile index must fit 32 bits"
+        );
+        // One pass over the node table: a node's slot starts out as its
+        // layer and becomes the layer's rank once every layer is known.
+        let mut tiles = Vec::with_capacity(grid.nodes.len());
+        let mut slots = Vec::with_capacity(grid.nodes.len());
+        for node in grid.nodes.iter() {
+            let (px, py) = raster.pixel(node.x, node.y);
+            tiles.push((py * width + px) as u32);
+            slots.push(node.layer);
+        }
+        let layers = sorted_distinct(slots.iter().copied());
+        for slot in &mut slots {
+            // The layer count is outside input, and up to 2^32 distinct
+            // `u32` layers rank as 0..=u32::MAX: a slot never truncates.
+            let rank = layers.binary_search(slot).expect("every layer was kept");
+            *slot = rank as u32;
+        }
+        irf_trace::registry().counter_inc("irf_tile_tables_built_total", &[("table", "tile")]);
+        TileTable {
+            raster,
+            layers,
+            tiles,
+            slots,
+        }
+    }
+
+    /// The rasterizer the tiles were taken from.
+    #[must_use]
+    pub fn raster(&self) -> &Rasterizer {
+        &self.raster
+    }
+
+    /// The metal layers of the design, ascending; a node's
+    /// [slot](TileTable::slots) indexes this list.
+    #[must_use]
+    pub fn layers(&self) -> &[u32] {
+        &self.layers
+    }
+
+    /// Per node, the flat index `y * width + x` of its tile.
+    #[must_use]
+    pub fn tiles(&self) -> &[u32] {
+        &self.tiles
+    }
+
+    /// Per node, the index of its layer in [`TileTable::layers`].
+    #[must_use]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// Tiles in the raster (`width * height`).
+    #[must_use]
+    pub fn tile_count(&self) -> usize {
+        self.raster.width() * self.raster.height()
     }
 }
 
@@ -396,6 +525,76 @@ mod tests {
         assert!(pgm.starts_with(b"P5\n2 2\n255\n"));
         assert_eq!(pgm.len(), "P5\n2 2\n255\n".len() + 4);
         assert_eq!(*pgm.last().unwrap(), 255);
+    }
+
+    #[test]
+    fn a_box_wider_than_i64_neither_overflows_nor_wraps() {
+        // Coordinates come from node names: the span of this box and
+        // the offset of its far nodes do not fit an `i64`.
+        let (lo, hi) = (i64::MIN + 10, i64::MAX - 10);
+        let r = Rasterizer::new((lo, lo, hi, hi), 64, 64);
+        assert_eq!(r.pixel(lo, lo), (0, 0));
+        assert_eq!(r.pixel(0, 0), (32, 32));
+        assert_eq!(r.pixel(hi, hi), (63, 63));
+        assert_eq!(r.pixel(i64::MIN, i64::MAX), (0, 63));
+    }
+
+    #[test]
+    fn the_truncating_cast_lands_where_floor_did() {
+        // `pixel` was `floor` then clamp; the cast differs from `floor`
+        // only for negative fractions, which clamp to 0 either way.
+        let r = Rasterizer::new((-700, 40, 2300, 1040), 7, 3);
+        for x in (-2000..4000).step_by(13) {
+            for y in [-500, 39, 40, 41, 373, 374, 1039, 1040, 9000] {
+                let px = (((x + 700) as f64) / r.tile_w).floor() as isize;
+                let py = (((y - 40) as f64) / r.tile_h).floor() as isize;
+                let want = (px.clamp(0, 6) as usize, py.clamp(0, 2) as usize);
+                assert_eq!(r.pixel(x, y), want, "({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn differences_that_fit_an_i64_keep_their_bits() {
+        for (a, b) in [
+            (0i64, 0i64),
+            (5, 7),
+            (-3, 1 << 53),
+            ((1 << 53) + 1, -1),
+            (i64::MAX, 1),
+            (-1, i64::MAX),
+            (i64::MIN + 1, 0),
+            (123_456_789_012_345_678, -9_876_543_210_987_654),
+        ] {
+            let want = ((a - b) as f64).to_bits();
+            assert_eq!(diff_f64(a, b).to_bits(), want, "{a} - {b}");
+        }
+    }
+
+    #[test]
+    fn the_tile_table_is_the_rasterizers_pixel_per_node() {
+        let nodes: Vec<crate::PgNode> = [(4, 0, 0), (1, 999, 10), (2, 1000, 1000), (1, -5, 400)]
+            .iter()
+            .map(|&(layer, x, y)| crate::PgNode {
+                name: format!("n1_m{layer}_{x}_{y}"),
+                layer,
+                x,
+                y,
+                is_pad: false,
+            })
+            .collect();
+        let grid = PowerGrid {
+            nodes: nodes.into(),
+            ..PowerGrid::default()
+        };
+        let raster = Rasterizer::new((0, 0, 1000, 1000), 10, 5);
+        let table = TileTable::with_raster(&grid, raster);
+        assert_eq!(table.layers(), &[1, 2, 4]);
+        assert_eq!(table.slots(), &[2, 0, 1, 0]);
+        // (0,0) -> 0; (9,0) -> 9; (9,4) -> 49; x = -5 clamps to (0,2) -> 20.
+        assert_eq!(table.tiles(), &[0, 9, 49, 20]);
+        assert_eq!(table.tile_count(), 50);
+        assert_eq!(TileTable::new(&grid, 10, 5).raster().pixel(-5, 0), (0, 0));
     }
 
     #[test]

@@ -197,6 +197,11 @@ impl ServerMetrics {
             "AMG hierarchy levels of the most recent setup.",
         );
         r.describe(
+            "irf_tile_tables_built_total",
+            MetricKind::Counter,
+            "Per-design rasterization tables built (tile table, conductance shares).",
+        );
+        r.describe(
             "irf_amg_operator_complexity",
             MetricKind::Gauge,
             "AMG operator complexity of the most recent setup.",

@@ -14,8 +14,8 @@ use irf_pg::{GridMap, PowerGrid};
 use irf_trace::{AttrValue, Collector};
 use std::sync::Mutex;
 
-/// The global thread count and the trace collector are both
-/// process-wide state; runs that touch either hold this lock.
+/// The global thread count, the trace collector and the metrics
+/// registry are process-wide state; runs that touch any hold this lock.
 static PROCESS_STATE: Mutex<()> = Mutex::new(());
 
 fn bits32(v: &[f32]) -> Vec<u32> {
@@ -48,6 +48,9 @@ fn run_pipeline(
 
 #[test]
 fn tracing_is_zero_overhead_and_covers_every_stage() {
+    // Training prepares stacks, and so moves the process-wide table
+    // counter another test reads: it runs under the lock too.
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = FusionConfig::tiny();
     let dataset = Dataset::generate(2, 2, 1, 7);
     let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
@@ -57,7 +60,6 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
         ..SynthSpec::default()
     }));
 
-    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = {
         irf_runtime::set_num_threads(1);
         let out = run_pipeline(&pipeline, &trained, &spice_text);
@@ -236,6 +238,106 @@ fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
         assert_eq!(attr(edit, "settled"), Some(AttrValue::U64(0)));
         assert_eq!(attr(edit, "full_passes"), Some(AttrValue::U64(full_passes)));
     }
+}
+
+/// The `feature_stack` span says which analysis paid for the per-design
+/// rasterization tables, and `irf_tile_tables_built_total` counts them:
+/// a cold analysis builds one tile table and one set of conductance
+/// shares, a current edit of a primed base reads both warm, a strap
+/// edit keeps the tile table (geometry is untouched) and rebuilds the
+/// shares once.
+#[test]
+fn the_feature_stack_span_says_which_tables_an_analysis_built() {
+    use ir_fusion::{CachePolicy, StageStore, TopologyDelta};
+    use std::sync::Arc;
+
+    let config = FusionConfig::tiny();
+    let store = Arc::new(StageStore::with_shards(16, 1));
+    let pipeline = IrFusionPipeline::new(config).with_cache(store);
+    let base = Arc::new(
+        PowerGrid::from_netlist(&synthesize(&SynthSpec {
+            seed: 3,
+            ..SynthSpec::default()
+        }))
+        .expect("valid grid"),
+    );
+    let m1_strap = (0..base.segments.len())
+        .find(|&i| {
+            let s = &base.segments[i];
+            base.nodes[s.a].layer == 1 && base.nodes[s.b].layer == 1
+        })
+        .expect("an m1 strap");
+    let load = base.loads[0].node;
+    let built = |table: &str| {
+        irf_trace::registry()
+            .get("irf_tile_tables_built_total", &[("table", table)])
+            .unwrap_or(0.0)
+    };
+
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = Collector::install().expect("no competing collector");
+    // One request id per analysis: the spans of each are told apart by
+    // it, whatever else the process is tracing.
+    let mut counts = Vec::new();
+    let mut analysis = |request: u64, run: &dyn Fn()| {
+        let before = (built("tile"), built("share"));
+        let scope = irf_trace::request::scope(request);
+        run();
+        drop(scope);
+        counts.push((built("tile") - before.0, built("share") - before.1));
+    };
+    analysis(1, &|| {
+        pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    });
+    analysis(2, &|| {
+        pipeline
+            .session(Arc::clone(&base))
+            .with_current_deltas(&[(load, 1e-4)])
+            .prepare()
+            .expect("pads");
+    });
+    analysis(3, &|| {
+        pipeline
+            .session(Arc::clone(&base))
+            .with_topology_deltas(&[TopologyDelta::Segment {
+                segment: m1_strap,
+                ohms: base.segments[m1_strap].ohms * 0.5,
+            }])
+            .expect("valid delta")
+            .prepare()
+            .expect("pads");
+    });
+    analysis(4, &|| {
+        pipeline
+            .session(Arc::clone(&base))
+            .cache_policy(CachePolicy::Bypass)
+            .prepare()
+            .expect("pads");
+    });
+    let trace = collector.finish();
+    drop(guard);
+
+    let said = |request: u64| {
+        let stacks: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "feature_stack" && e.request == request)
+            .collect();
+        let [stack] = stacks.as_slice() else {
+            panic!("request {request}: {} feature_stack spans", stacks.len());
+        };
+        let attr = |key: &str| match stack.args.iter().find(|(k, _)| *k == key) {
+            Some((_, AttrValue::Str(s))) => s.to_string(),
+            other => panic!("request {request}: {key} is {other:?}"),
+        };
+        (attr("tile_table"), attr("share_tables"))
+    };
+    let pair = |tile: &str, share: &str| (tile.to_string(), share.to_string());
+    // (tile tables, share tables) built, and what the span said.
+    assert_eq!((counts[0], said(1)), ((1.0, 1.0), pair("built", "built")));
+    assert_eq!((counts[1], said(2)), ((0.0, 0.0), pair("warm", "warm")));
+    assert_eq!((counts[2], said(3)), ((0.0, 1.0), pair("warm", "built")));
+    assert_eq!((counts[3], said(4)), ((1.0, 1.0), pair("built", "built")));
 }
 
 /// The `pcg_solve` span counts what the cycles did, so work per level
