@@ -3,8 +3,14 @@
 //! l1-Jacobi smoother sweep.
 //!
 //! ```bash
-//! cargo run -p irf-bench --release --features simd --bin kernel_speed -- [--tiny] [--assert-speedup]
+//! cargo run -p irf-bench --release --features simd --bin kernel_speed -- [--tiny]
 //! ```
+//!
+//! Every other perf number lives in `irf-benchmark` (`BENCHMARK.json`),
+//! but the benchmark compiles the default build only: this is the one
+//! instrument that times the non-default `simd` build, whose numbers
+//! the open "decide `simd`" question needs. Its bitwise legs are the
+//! same oracles the `simd_parity` tests hold the kernels to.
 //!
 //! For conv2d the reference is the general bounds-checked loop nest and
 //! the fast leg the stride-1 run kernel every build dispatches to (safe
@@ -22,9 +28,7 @@
 //! Every kernel is checksum-asserted: the fast leg must be bitwise
 //! identical to the reference (the kernels vectorize across outputs but
 //! keep each output's rounding sequence) — the benchmark fails
-//! otherwise.
-//! `--assert-speedup` additionally enforces >= 1.5x single-thread
-//! speedup on at least two of {conv2d, spmv, smoother}.
+//! otherwise. Speedups are printed, never gated.
 
 use irf_nn::{Tape, Tensor};
 use irf_sparse::smoother::{l1_diagonal, l1_jacobi};
@@ -279,8 +283,7 @@ fn bench_smoother(tiny: bool) -> Vec<Row> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let tiny = args.iter().any(|a| a == "--tiny");
-    let assert_speedup = args.iter().any(|a| a == "--assert-speedup");
-    // Single-thread: the tentpole's speedup target is per-core.
+    // Single-thread: the speedups compared are per-core.
     irf_runtime::set_num_threads(1);
     println!(
         "kernel_speed: single-thread reference vs fast ({}, simd compiled: {})",
@@ -298,7 +301,6 @@ fn main() {
         "{:<16} {:>12} {:>12} {:>8} {:>12} {:>10}",
         "kernel", "ref (ms)", "fast (ms)", "speedup", "scalar (ms)", "checksum"
     );
-    let mut target_hits = 0usize;
     for row in &rows {
         if let Some(simd) = &row.simd {
             assert_eq!(
@@ -315,10 +317,6 @@ fn main() {
             );
         }
         let speedup = row.speedup();
-        if matches!(row.kernel, "conv2d" | "spmv" | "smoother") && speedup.is_some_and(|s| s >= 1.5)
-        {
-            target_hits += 1;
-        }
         let ms = |leg: &Option<Leg>| {
             leg.as_ref()
                 .map_or_else(|| "-".to_string(), |l| format!("{:.4}", l.seconds * 1e3))
@@ -334,17 +332,7 @@ fn main() {
         );
     }
     println!("checksums: reference == fast bitwise on every kernel that ran both");
-    if rows[1].simd.is_some() {
-        let met = target_hits >= 2;
-        println!(
-            "speedup target (>=1.5x on >=2 of conv2d/spmv/smoother): {} ({target_hits}/3)",
-            if met { "MET" } else { "NOT MET" }
-        );
-        assert!(
-            !assert_speedup || met,
-            "--assert-speedup: fewer than two kernels reached 1.5x"
-        );
-    } else {
+    if rows[1].simd.is_none() {
         println!(
             "simd unavailable (feature off or no AVX2): conv2d, spmv and smoother time the \
              safe-Rust kernels every build ships; linear has no fast leg"

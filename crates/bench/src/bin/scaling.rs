@@ -1,155 +1,78 @@
-//! Thread-scaling benchmark for the parallel hot paths: sparse
-//! matrix-vector products on a power-grid Laplacian and conv2d
-//! forward passes, each measured at 1, 2, 4, and 8 threads.
+//! Bounded-memory large-grid leg: the whole prepare path on a scaled
+//! synthetic design, from a file on disk, at 1, 2, 4, and 8 threads.
 //!
 //! ```bash
-//! cargo run -p irf-bench --bin scaling --release -- [--tiny] [--json PATH]
-//! cargo run -p irf-bench --bin scaling --release -- --large 1000000 [--json PATH]
+//! cargo run -p irf-bench --bin scaling --release -- --large [NODES] [--json PATH]
 //! ```
 //!
-//! Emits a human-readable table on stdout and, with `--json PATH`, a
-//! machine-readable report (suitable for `BENCH_scaling.json`). All
-//! kernels are bitwise deterministic, so the checksum column must be
-//! identical across thread counts — the benchmark fails otherwise.
-//!
-//! `--large N` switches to the end-to-end bounded-memory leg: a
-//! scaled synthetic design of roughly `N` nodes is streamed to disk
-//! ([`irf_data::synthesize_to_path`]), then for each thread count the
-//! full prepare path runs from the file — streaming ingest
-//! ([`irf_pg::grid_from_spice_path`]), two-pass MNA assembly, AMG
-//! setup, and a truncated rough solve — with `VmHWM` peak-RSS
-//! recorded after the streaming sweep and again after a
+//! A design of roughly `NODES` nodes (10^6 when the value is omitted)
+//! is streamed to disk ([`irf_data::synthesize_to_path`]), then for
+//! each thread count the full prepare path runs from the file —
+//! streaming ingest ([`irf_pg::grid_from_spice_path`]), two-pass MNA
+//! assembly, AMG setup, and a truncated rough solve — with `VmHWM`
+//! peak-RSS recorded after the streaming sweep and again after a
 //! materialize-everything baseline (read the whole file into a
 //! `String`, parse to a full [`irf_spice::Netlist`], then model).
 //! Because the high-water mark is monotone, the streaming sweep runs
 //! first; its peak is an upper bound on what the streaming path
 //! needs. Matrix and solution checksums must be bitwise identical
 //! across thread counts and between the streaming and baseline paths.
+//!
+//! Per-thread timings carry the benchmark's metric names
+//! (`pg.ingest_s`, `pg.assemble_s`, `sparse.amg_setup_s`,
+//! `sparse.solve_s`, `sparse.pcg_iterations`), so this report and an
+//! `irf-benchmark --trace` run read alike. Kernel thread scaling is
+//! not measured here: it is `runtime.t2_speedup` and `sparse.spmv_gbs`
+//! in the benchmark, and the kernels' bitwise thread-count checks are
+//! in `tests/integration_determinism.rs`.
+//!
+//! Flags are parsed strictly: `--large` is required, a value that is
+//! not a node count of at least 8, a `--json` without a path, or any
+//! other argument prints a usage line and exits 2.
 
-use irf_nn::{ParamStore, Tape, Tensor};
-use irf_runtime::Xoshiro256pp;
-use irf_sparse::{CsrMatrix, Solver, SolverKind, TripletMatrix};
+use irf_sparse::{CsrMatrix, Solver, SolverKind};
 use std::time::Instant;
 
-struct Measurement {
-    kernel: &'static str,
-    threads: usize,
-    reps: usize,
-    seconds: f64,
-    throughput: f64, // kernel-specific unit per second
-    checksum: u64,
+const USAGE: &str = "usage: scaling --large [NODES] [--json PATH]  (NODES >= 8, default 1000000)";
+
+/// The node count a bare `--large` asks for.
+const DEFAULT_NODES: usize = 1_000_000;
+
+#[derive(Debug, PartialEq)]
+struct Args {
+    target_nodes: usize,
+    json_path: Option<String>,
 }
 
-/// A `side x side` grid Laplacian with randomized conductances and two
-/// grounded corners — the same structure the IR solver sees.
-fn grid_laplacian(side: usize) -> CsrMatrix {
-    let n = side * side;
-    let mut rng = Xoshiro256pp::seed_from_u64(0xB3_4C);
-    let mut t = TripletMatrix::new(n, n);
-    for r in 0..side {
-        for c in 0..side {
-            let i = r * side + c;
-            if c + 1 < side {
-                t.stamp_conductance(i, i + 1, rng.random_range(0.5f64..2.0));
+/// Parses the arguments after the program name, or says what is wrong
+/// with them.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut target_nodes = None;
+    let mut json_path = None;
+    let mut it = args.iter().peekable();
+    while let Some(flag) = it.next() {
+        // A flag's value is the next argument unless that is a flag.
+        let mut value = || it.next_if(|v| !v.starts_with("--"));
+        match flag.as_str() {
+            "--large" => {
+                target_nodes = Some(match value() {
+                    None => DEFAULT_NODES,
+                    Some(v) => match v.parse::<usize>() {
+                        Ok(n) if n >= 8 => n,
+                        _ => return Err(format!("--large wants a node count >= 8, got {v:?}")),
+                    },
+                });
             }
-            if r + 1 < side {
-                t.stamp_conductance(i, i + side, rng.random_range(0.5f64..2.0));
+            "--json" => {
+                json_path = Some(value().ok_or("--json wants a path")?.clone());
             }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    t.stamp_grounded_conductance(0, 1.0);
-    t.stamp_grounded_conductance(n - 1, 1.0);
-    t.to_csr()
-}
-
-fn bench_spmv(a: &CsrMatrix, threads: usize, reps: usize) -> Measurement {
-    irf_runtime::set_num_threads(threads);
-    let n = a.rows();
-    let mut rng = Xoshiro256pp::seed_from_u64(0xB3_01);
-    let x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0f64..1.0)).collect();
-    let mut y = vec![0.0; n];
-    a.spmv_into(&x, &mut y); // warm up (spawns the worker threads)
-    let start = Instant::now();
-    for _ in 0..reps {
-        a.spmv_into(&x, &mut y);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let checksum = y.iter().fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits());
-    Measurement {
-        kernel: "spmv",
-        threads,
-        reps,
-        seconds,
-        // nonzeros processed per second (2 flops each).
-        throughput: (a.nnz() * reps) as f64 / seconds,
-        checksum,
-    }
-}
-
-fn bench_conv2d(shape: [usize; 4], threads: usize, reps: usize) -> Measurement {
-    irf_runtime::set_num_threads(threads);
-    let mut rng = Xoshiro256pp::seed_from_u64(0xB3_02);
-    let mut tensor = |shape: [usize; 4]| {
-        let n: usize = shape.iter().product();
-        let data: Vec<f32> = (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        Tensor::from_vec(shape, data)
-    };
-    let co = 16;
-    let x = tensor(shape);
-    let w = tensor([co, shape[1], 3, 3]);
-    let b = tensor([1, co, 1, 1]);
-    let mut store = ParamStore::new();
-    let run = |store: &mut ParamStore| {
-        let mut tape = Tape::new();
-        let xi = tape.leaf(x.clone());
-        let wi = tape.leaf(w.clone());
-        let bi = tape.leaf(b.clone());
-        let y = tape.conv2d(xi, wi, bi, 1, 1);
-        let seed = Tensor::filled(tape.value(y).shape(), 1.0);
-        tape.backward(y, seed, store);
-        tape.value(y)
-            .data()
-            .iter()
-            .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
-    };
-    let mut checksum = run(&mut store); // warm up
-    let start = Instant::now();
-    for _ in 0..reps {
-        checksum = run(&mut store);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let pixels = shape[0] * shape[2] * shape[3];
-    Measurement {
-        kernel: "conv2d",
-        threads,
-        reps,
-        seconds,
-        // output pixels (fwd+bwd) per second.
-        throughput: (pixels * reps) as f64 / seconds,
-        checksum,
-    }
-}
-
-fn json_report(rows: &[Measurement], nodes: usize) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"thread-scaling\",\n");
-    let peak_mb = irf_bench::peak_rss_bytes().map_or(0.0, |b| b as f64 / (1024.0 * 1024.0));
-    out.push_str(&format!("  \"peak_rss_mb\": {peak_mb:.1},\n"));
-    out.push_str(&format!("  \"grid_nodes\": {nodes},\n  \"results\": [\n"));
-    for (i, m) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"reps\": {}, \
-             \"seconds\": {:.6}, \"throughput_per_s\": {:.1}, \"checksum\": \"{:016x}\"}}{}\n",
-            m.kernel,
-            m.threads,
-            m.reps,
-            m.seconds,
-            m.throughput,
-            m.checksum,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(Args {
+        target_nodes: target_nodes.ok_or("--large is required")?,
+        json_path,
+    })
 }
 
 fn bits_checksum<'a>(vals: impl Iterator<Item = &'a f64>) -> u64 {
@@ -167,11 +90,11 @@ fn matrix_checksum(a: &CsrMatrix) -> u64 {
 
 struct LargeRun {
     threads: usize,
-    ingest_seconds: f64,
-    assemble_seconds: f64,
-    amg_setup_seconds: f64,
-    solve_seconds: f64,
-    iterations: usize,
+    ingest_s: f64,
+    assemble_s: f64,
+    amg_setup_s: f64,
+    solve_s: f64,
+    pcg_iterations: usize,
     matrix_checksum: u64,
     solution_checksum: u64,
     peak_rss_mb: f64,
@@ -183,16 +106,16 @@ fn large_pass(path: &std::path::Path, threads: usize) -> LargeRun {
     irf_runtime::set_num_threads(threads);
     let start = Instant::now();
     let grid = irf_pg::grid_from_spice_path(path).expect("streaming ingest");
-    let ingest_seconds = start.elapsed().as_secs_f64();
+    let ingest_s = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let system = irf_pg::PgSystem::try_build(&grid).expect("assembly");
-    let assemble_seconds = start.elapsed().as_secs_f64();
+    let assemble_s = start.elapsed().as_secs_f64();
     drop(grid);
 
     let start = Instant::now();
     let setup = Solver::new(SolverKind::AmgPcg).prepare(&system.matrix);
-    let amg_setup_seconds = start.elapsed().as_secs_f64();
+    let amg_setup_s = start.elapsed().as_secs_f64();
 
     // Rough solve: the fusion pipeline's "early truncation" regime.
     let report = setup
@@ -201,11 +124,11 @@ fn large_pass(path: &std::path::Path, threads: usize) -> LargeRun {
     let peak = irf_bench::peak_rss_bytes().unwrap_or(0);
     LargeRun {
         threads,
-        ingest_seconds,
-        assemble_seconds,
-        amg_setup_seconds,
-        solve_seconds: report.solve_seconds,
-        iterations: report.iterations,
+        ingest_s,
+        assemble_s,
+        amg_setup_s,
+        solve_s: report.solve_seconds,
+        pcg_iterations: report.iterations,
         matrix_checksum: matrix_checksum(&system.matrix),
         solution_checksum: bits_checksum(report.x.iter()),
         peak_rss_mb: peak as f64 / (1024.0 * 1024.0),
@@ -240,11 +163,11 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
         println!(
             "{:>7} | {:>8.2} | {:>8.2} | {:>8.2} | {:>8.2} | {:>4} | {:016x} | {:>7.1}MB",
             run.threads,
-            run.ingest_seconds,
-            run.assemble_seconds,
-            run.amg_setup_seconds,
-            run.solve_seconds,
-            run.iterations,
+            run.ingest_s,
+            run.assemble_s,
+            run.amg_setup_s,
+            run.solve_s,
+            run.pcg_iterations,
             run.solution_checksum,
             run.peak_rss_mb
         );
@@ -296,16 +219,17 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
     ));
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"ingest_seconds\": {:.3}, \"assemble_seconds\": {:.3}, \
-             \"amg_setup_seconds\": {:.3}, \"solve_seconds\": {:.3}, \"iterations\": {}, \
+            "    {{\"threads\": {}, \"pg.ingest_s\": {:.3}, \"pg.assemble_s\": {:.3}, \
+             \"sparse.amg_setup_s\": {:.3}, \"sparse.solve_s\": {:.3}, \
+             \"sparse.pcg_iterations\": {}, \
              \"matrix_checksum\": \"{:016x}\", \"solution_checksum\": \"{:016x}\", \
              \"peak_rss_mb\": {:.1}}}{}\n",
             r.threads,
-            r.ingest_seconds,
-            r.assemble_seconds,
-            r.amg_setup_seconds,
-            r.solve_seconds,
-            r.iterations,
+            r.ingest_s,
+            r.assemble_s,
+            r.amg_setup_s,
+            r.solve_s,
+            r.pcg_iterations,
             r.matrix_checksum,
             r.solution_checksum,
             r.peak_rss_mb,
@@ -327,90 +251,68 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let tiny = args.iter().any(|a| a == "--tiny");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
-    if let Some(i) = args.iter().position(|a| a == "--large") {
-        let target: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1_000_000);
-        run_large(target, json_path);
-        return;
-    }
-
-    // >= 100k nodes at full scale so every kernel spans many chunks.
-    let side = if tiny { 64 } else { 320 };
-    let (spmv_reps, conv_reps) = if tiny { (20, 3) } else { (50, 5) };
-    let conv_shape = if tiny { [1, 8, 32, 32] } else { [4, 8, 64, 64] };
-    let a = grid_laplacian(side);
-    println!(
-        "thread-scaling: spmv on {} nodes ({} nnz), conv2d on {:?} (16 out channels)",
-        a.rows(),
-        a.nnz(),
-        conv_shape
-    );
-    println!(
-        "{:>8} | {:>7} | {:>9} | {:>14} | {:>8} | {:>16}",
-        "kernel", "threads", "seconds", "throughput/s", "speedup", "checksum"
-    );
-    println!("{}", "-".repeat(78));
-
-    let mut rows = Vec::new();
-    let mut base = 0.0;
-    for &threads in &[1usize, 2, 4, 8] {
-        let m = bench_spmv(&a, threads, spmv_reps);
-        if threads == 1 {
-            base = m.throughput;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&args) {
+        Ok(args) => run_large(args.target_nodes, args.json_path),
+        Err(why) => {
+            eprintln!("scaling: {why}\n{USAGE}");
+            std::process::exit(2);
         }
-        println!(
-            "{:>8} | {:>7} | {:>9.4} | {:>14.1} | {:>7.2}x | {:016x}",
-            m.kernel,
-            m.threads,
-            m.seconds,
-            m.throughput,
-            m.throughput / base,
-            m.checksum
-        );
-        rows.push(m);
     }
-    let spmv_checksums: Vec<u64> = rows.iter().map(|m| m.checksum).collect();
-    assert!(
-        spmv_checksums.windows(2).all(|w| w[0] == w[1]),
-        "spmv results are not deterministic across thread counts"
-    );
+}
 
-    for &threads in &[1usize, 2, 4, 8] {
-        let m = bench_conv2d(conv_shape, threads, conv_reps);
-        if threads == 1 {
-            base = m.throughput;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    }
+
+    fn args(target_nodes: usize, json_path: Option<&str>) -> Args {
+        Args {
+            target_nodes,
+            json_path: json_path.map(str::to_string),
         }
-        println!(
-            "{:>8} | {:>7} | {:>9.4} | {:>14.1} | {:>7.2}x | {:016x}",
-            m.kernel,
-            m.threads,
-            m.seconds,
-            m.throughput,
-            m.throughput / base,
-            m.checksum
-        );
-        rows.push(m);
     }
-    let conv_checksums: Vec<u64> = rows[4..].iter().map(|m| m.checksum).collect();
-    assert!(
-        conv_checksums.windows(2).all(|w| w[0] == w[1]),
-        "conv2d results are not deterministic across thread counts"
-    );
 
-    irf_runtime::set_num_threads(0);
-    let report = json_report(&rows, a.rows());
-    if let Some(path) = json_path {
-        std::fs::write(&path, &report).expect("write JSON report");
-        println!("\nwrote {path}");
-    } else {
-        println!("\n{report}");
+    #[test]
+    fn a_node_count_and_a_path_are_taken_as_given() {
+        assert_eq!(parse(&["--large", "150000"]), Ok(args(150_000, None)));
+        assert_eq!(
+            parse(&["--large", "150000", "--json", "r.json"]),
+            Ok(args(150_000, Some("r.json")))
+        );
+        assert_eq!(
+            parse(&["--json", "r.json", "--large", "8"]),
+            Ok(args(8, Some("r.json")))
+        );
+    }
+
+    #[test]
+    fn a_bare_large_means_a_million_nodes() {
+        assert_eq!(parse(&["--large"]), Ok(args(DEFAULT_NODES, None)));
+        assert_eq!(
+            parse(&["--large", "--json", "r.json"]),
+            Ok(args(DEFAULT_NODES, Some("r.json")))
+        );
+    }
+
+    #[test]
+    fn garbage_is_refused_not_defaulted() {
+        for bad in [
+            &["--large", "2e5"][..],
+            &["--large", "150k"],
+            &["--large", "-5"],
+            &["--large", "7"],
+            &["--large", "150000", "--json"],
+            &["--json", "--large", "150000"],
+            &["--large", "150000", "--tiny"],
+            &["--large", "150000", "extra"],
+            &["--json", "r.json"],
+            &[],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 }

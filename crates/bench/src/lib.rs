@@ -9,11 +9,14 @@
 //! | `fig6`   | Fig. 6 — golden / MAUnet / IR-Fusion drop maps (PGM + ASCII) |
 //! | `fig7`   | Fig. 7 — accuracy-vs-iterations trade-off vs PowerRush |
 //! | `fig8`   | Fig. 8 — ablation study |
-//! | `scaling` | thread-scaling throughput of the parallel hot paths |
+//! | `scaling` | `--large N`: the prepare path from a file at 10^5–10^6 nodes under bounded memory, 1/2/4/8 threads |
+//! | `kernel_speed` | reference vs shipped (and AVX2 under `--features simd`) single-thread kernel times |
 //!
-//! The `scaling` binary measures spmv and conv2d throughput at 1, 2,
-//! 4, and 8 threads and emits JSON, feeding the runtime columns of the
-//! paper's tables and the `BENCH_*.json` artifacts.
+//! Every other performance number — per-workload end-to-end times and
+//! the per-layer metrics behind Table I's runtime column — is recorded
+//! by the repository's benchmark, `irf-benchmark` (`BENCHMARK.json`,
+//! `benchmark/README.md`); `scaling` reports its per-thread timings in
+//! that benchmark's metric names.
 
 use irf_metrics::MetricReport;
 

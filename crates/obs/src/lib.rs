@@ -24,8 +24,8 @@
 //!
 //! Everything here *observes*: none of it changes what the pipeline
 //! computes, and the combined logging + recorder overhead is held to
-//! the same < 2 % budget as tracing (measured by the `trace_overhead`
-//! bench).
+//! the same < 2 % budget as tracing (tracing's is `trace.overhead_pct`
+//! in any `irf-benchmark --trace` run; `benchmark/README.md`).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

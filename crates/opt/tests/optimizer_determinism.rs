@@ -89,8 +89,35 @@ fn trajectories_are_identical_across_threads_and_warm_reruns() {
     assert_eq!(reference, first, "warm run differs from fresh run");
 }
 
+/// The brute-force plan: every strap layer widened and every via pair
+/// upsized 2x at once, layers and pairs in first-seen segment order.
+fn widen_everything(grid: &PowerGrid) -> Vec<TopologyDelta> {
+    let mut straps = Vec::new();
+    let mut vias = Vec::new();
+    for s in &grid.segments {
+        let (a, b) = (grid.nodes[s.a].layer, grid.nodes[s.b].layer);
+        if a == b {
+            if !straps.contains(&a) {
+                straps.push(a);
+            }
+        } else if !vias.contains(&(a.min(b), a.max(b))) {
+            vias.push((a.min(b), a.max(b)));
+        }
+    }
+    straps
+        .into_iter()
+        .map(|layer| TopologyDelta::Strap { layer, scale: 0.5 })
+        .chain(vias.into_iter().map(|(lower, upper)| TopologyDelta::Via {
+            lower,
+            upper,
+            scale: 0.5,
+        }))
+        .collect()
+}
+
 /// The loop closes on a modest (10%-better) target within its
-/// evaluation budget, spending real metal to get there.
+/// evaluation budget, spending real metal to get there — and strictly
+/// less of it than widening everything at once.
 #[test]
 fn loop_meets_a_modest_target() {
     let pipeline =
@@ -104,6 +131,7 @@ fn loop_meets_a_modest_target() {
             .rough
             .max(),
     );
+    let widen_cost = CostModel::default().plan_cost(&base, &widen_everything(&base));
     let report = Optimizer::new(&pipeline, config(baseline * 0.9))
         .run(base)
         .expect("run succeeds");
@@ -111,6 +139,11 @@ fn loop_meets_a_modest_target() {
     assert!(report.target_met);
     assert!(report.winner.max_drop <= baseline * 0.9);
     assert!(report.winner.metal_cost > 0.0);
+    assert!(
+        report.winner.metal_cost < widen_cost,
+        "winner must be strictly cheaper than widen-everything ({} vs {widen_cost})",
+        report.winner.metal_cost
+    );
     assert!(!report.trajectory.is_empty());
     assert!(report.evaluations <= 24);
 }

@@ -196,17 +196,36 @@ fn warm_topology_edit_rebuilds_incrementally_and_stays_bitwise() {
             scale: 1.25,
         },
     ];
+    // A plan mixing a current delta with topology deltas in one
+    // session: a load change riding a strap scale and a one-segment
+    // edit — the only place such a plan is checked warm == bypass.
+    let mixed_currents = [(2, 5e-4)];
+    let mixed_topology = [
+        TopologyDelta::Strap {
+            layer: strap_layer,
+            scale: 0.8,
+        },
+        TopologyDelta::Segment {
+            segment: 0,
+            ohms: probe.segments[0].ohms * 0.9,
+        },
+    ];
+    type Plan<'a> = (&'a [(usize, f64)], &'a [TopologyDelta]);
+    let plans: [Plan; 2] = [(&[], &deltas), (&mixed_currents, &mixed_topology)];
 
-    // One cold + topology-warm walk at a given thread count.
-    let run = |threads: usize| {
+    // One cold + topology-warm walk of a plan at a given thread count.
+    let run = |threads: usize, (currents, topology): Plan| {
         with_threads(threads, || {
             let store = Arc::new(StageStore::new(8));
             let pipeline = IrFusionPipeline::new(config).with_cache(Arc::clone(&store));
             let base = Arc::new(grid(5));
             pipeline.session(Arc::clone(&base)).prepare().expect("pads");
-            let session = pipeline
-                .session(base)
-                .with_topology_deltas(&deltas)
+            let mut session = pipeline.session(base);
+            if !currents.is_empty() {
+                session = session.with_current_deltas(currents);
+            }
+            let session = session
+                .with_topology_deltas(topology)
                 .expect("valid deltas");
             let stack = session.prepare().expect("pads");
 
@@ -245,14 +264,21 @@ fn warm_topology_edit_rebuilds_incrementally_and_stays_bitwise() {
         })
     };
 
-    let reference = run(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            reference,
-            run(threads),
-            "topology-delta path differs at {threads} threads"
-        );
-    }
+    let fingerprints = plans.map(|plan| {
+        let reference = run(1, plan);
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                reference,
+                run(threads, plan),
+                "topology-delta path differs at {threads} threads ({plan:?})"
+            );
+        }
+        reference.0
+    });
+    assert_ne!(
+        fingerprints[0], fingerprints[1],
+        "the mixed plan is a different design from the topology-only one"
+    );
 }
 
 #[test]
