@@ -28,24 +28,20 @@ fn main() {
         "{:<26} {:>10} {:>10} {:>10} {:>10}",
         "solver", "k=1", "k=2", "k=5", "k=10"
     );
-    let light = AmgParams {
-        smoother: SmootherKind::Jacobi,
+    let sgs = AmgParams {
+        smoother: SmootherKind::SymmetricGaussSeidel,
         ..AmgParams::default()
     };
     for (label, kind, params) in [
         ("CG", SolverKind::Cg, AmgParams::default()),
         ("Jacobi-PCG", SolverKind::JacobiPcg, AmgParams::default()),
-        ("AMG-PCG V-cycle/Jacobi", SolverKind::AmgPcgVCycle, light),
         (
-            "AMG-PCG V-cycle/SGS",
+            "AMG-PCG V-cycle/Jacobi",
             SolverKind::AmgPcgVCycle,
             AmgParams::default(),
         ),
-        (
-            "AMG-PCG K-cycle/SGS",
-            SolverKind::AmgPcg,
-            AmgParams::default(),
-        ),
+        ("AMG-PCG V-cycle/SGS", SolverKind::AmgPcgVCycle, sgs),
+        ("AMG-PCG K-cycle/SGS", SolverKind::AmgPcg, sgs),
     ] {
         print!("{label:<26}");
         for k in [1usize, 2, 5, 10] {

@@ -10,7 +10,6 @@
 //! | `fig7`   | Fig. 7 — accuracy-vs-iterations trade-off vs PowerRush |
 //! | `fig8`   | Fig. 8 — ablation study |
 //! | `scaling` | `--large N`: the prepare path from a file at 10^5–10^6 nodes under bounded memory, 1/2/4/8 threads |
-//! | `kernel_speed` | reference vs shipped (and AVX2 under `--features simd`) single-thread kernel times |
 //!
 //! Every other performance number — per-workload end-to-end times and
 //! the per-layer metrics behind Table I's runtime column — is recorded

@@ -5,7 +5,6 @@ use irf_features::FeatureConfig;
 use irf_models::ModelConfig;
 use irf_nn::optim::LrSchedule;
 use irf_sparse::amg::AmgParams;
-use irf_sparse::smoother::SmootherKind;
 use irf_sparse::SolverKind;
 
 /// Training hyperparameters.
@@ -81,10 +80,7 @@ impl Default for FusionConfig {
         FusionConfig {
             solver_iterations: 2,
             solver_kind: SolverKind::AmgPcgVCycle,
-            amg: AmgParams {
-                smoother: SmootherKind::Jacobi,
-                ..AmgParams::default()
-            },
+            amg: AmgParams::default(),
             feature,
             model: ModelConfig::default(),
             train: TrainConfig::default(),

@@ -28,11 +28,7 @@
 //! let y = conv.forward(&mut tape, &store, x);
 //! assert_eq!(tape.value(y).shape(), [2, 4, 8, 8]);
 //! ```
-// The scalar-only default build carries no unsafe code at all; the
-// `simd` feature admits it solely inside the AVX2 kernel module and
-// its call sites, each carrying a narrow `#[allow]` + SAFETY comment.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod init;
@@ -41,7 +37,6 @@ pub mod loss;
 pub mod optim;
 pub mod param;
 pub mod serialize;
-mod simd;
 pub mod tape;
 pub mod tensor;
 

@@ -1065,22 +1065,10 @@ fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let wd = w.data();
     let bd = b.data();
     let od = out.data_mut();
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_simd = irf_runtime::simd::enabled() && o * c <= i32::MAX as usize;
     // Row-parallel: one output row (all O units of one sample)
     // per work unit, each produced by the same serial loop.
     irf_runtime::par_chunks_mut(od, o, |ni, orow| {
         let xrow = ni * c;
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if use_simd {
-            // SAFETY: `simd::enabled()` guarantees AVX2; offsets fit
-            // in i32 (checked above).
-            #[allow(unsafe_code)]
-            unsafe {
-                crate::simd::linear_row(orow, &xd[xrow..xrow + c], wd, bd);
-            }
-            return;
-        }
         for (oi, s) in orow.iter_mut().enumerate() {
             let mut acc = bd[oi];
             let wrow = oi * c;

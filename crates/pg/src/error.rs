@@ -5,9 +5,9 @@ use std::fmt;
 
 /// Error building or using a [`crate::PowerGrid`] model.
 ///
-/// Also exported as [`PgError`](crate::PgError): malformed grids and
-/// bad simulation parameters surface as errors rather than panics,
-/// following the same convention as `FeatureError::NoPads` upstream.
+/// Also exported as [`PgError`](crate::PgError): malformed grids
+/// surface as errors rather than panics, following the same convention
+/// as `FeatureError::NoPads` upstream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// A resistor had a non-positive resistance.
@@ -34,28 +34,6 @@ pub enum ModelError {
         /// Number of nodes in the grid.
         nodes: usize,
     },
-    /// A numeric parameter that must be strictly positive was not.
-    NonPositiveParameter {
-        /// Parameter name.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A vector length disagreed with the model dimension.
-    DimensionMismatch {
-        /// What was being checked.
-        what: &'static str,
-        /// Expected length.
-        expected: usize,
-        /// Actual length.
-        got: usize,
-    },
-    /// The assembled system could not be factored (not positive
-    /// definite; indicates a floating grid).
-    NotPositiveDefinite {
-        /// Underlying solver diagnostic.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -73,19 +51,6 @@ impl fmt::Display for ModelError {
                     f,
                     "{what} references node {index}, but grid has {nodes} nodes"
                 )
-            }
-            ModelError::NonPositiveParameter { what, value } => {
-                write!(f, "{what} must be positive, got {value}")
-            }
-            ModelError::DimensionMismatch {
-                what,
-                expected,
-                got,
-            } => {
-                write!(f, "{what}: expected length {expected}, got {got}")
-            }
-            ModelError::NotPositiveDefinite { detail } => {
-                write!(f, "system is not positive definite ({detail})")
             }
         }
     }

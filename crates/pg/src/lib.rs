@@ -42,7 +42,6 @@ pub mod raster;
 pub mod stamp;
 pub mod stats;
 pub mod streaming;
-pub mod transient;
 
 pub use error::ModelError;
 pub use grid::{Load, Pad, PgNode, PowerGrid, Segment};
@@ -51,8 +50,6 @@ pub use stamp::{PgStructure, PgSystem};
 pub use streaming::{grid_from_spice_path, grid_from_spice_reader, IngestError};
 
 /// The power-grid model error type. Alias for [`ModelError`]: malformed
-/// grids and bad simulation parameters surface as `Err(PgError)` rather
-/// than panics.
+/// grids surface as `Err(PgError)` rather than panics.
 pub type PgError = ModelError;
 pub use stats::DesignStats;
-pub use transient::TransientSim;

@@ -30,7 +30,6 @@
 pub mod pool;
 pub mod rng;
 pub mod sched;
-pub mod simd;
 
 pub use pool::{
     configured_threads, num_threads, par_chunks_mut, par_for, par_map, par_ragged_chunks_mut,

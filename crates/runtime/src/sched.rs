@@ -28,9 +28,8 @@
 //! property of the *problem*, never of the thread count or the
 //! machine. The chunk boundaries it induces are therefore identical on
 //! every run and every host, which is what keeps reductions (fixed
-//! combine order over chunk partials) and SELL group layout (groups
-//! aligned to chunk boundaries) bitwise reproducible at any thread
-//! count.
+//! combine order over chunk partials) bitwise reproducible at any
+//! thread count.
 
 /// How many chunks the autotuner aims to split a loop into.
 ///

@@ -28,7 +28,7 @@ impl Default for AmgParams {
             coarse_limit: 64,
             max_levels: 20,
             smoothing_sweeps: 1,
-            smoother: SmootherKind::SymmetricGaussSeidel,
+            smoother: SmootherKind::Jacobi,
         }
     }
 }

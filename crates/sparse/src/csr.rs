@@ -1,9 +1,6 @@
 //! Compressed sparse row (CSR) matrix.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::builder::PatternScatter;
-use crate::sell::SellPlan;
 
 /// Cuts `0..rows` into nnz-balanced chunks: each chunk accumulates at
 /// least an autotuned cost budget (one unit per stored non-zero plus
@@ -19,8 +16,7 @@ use crate::sell::SellPlan;
 /// hundreds of thousands of dispatch-bound micro-chunks, and coarse
 /// AMG levels no longer collapse to a single serial chunk. The budget
 /// is a pure function of the matrix structure (total cost), never the
-/// thread count, so chunk boundaries — and with them SELL group
-/// layout and reduction order — stay bitwise stable.
+/// thread count, so chunk boundaries stay bitwise stable.
 fn nnz_balanced_chunks(rows: usize, row_ptr: &[usize]) -> Vec<usize> {
     let total = row_ptr[rows] + rows;
     let budget = irf_runtime::autotuned_chunk_cost(total);
@@ -81,7 +77,7 @@ fn write_rows<const W: usize>(acc: &[f64; W], b: Option<&[f64]>, at: usize, out:
 /// let y = a.spmv(&[1.0, 1.0]);
 /// assert_eq!(y, vec![1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -95,22 +91,6 @@ pub struct CsrMatrix {
     /// (`row_ptr` style), precomputed from the structure at
     /// construction.
     row_chunks: Vec<usize>,
-    /// Lazily built SELL-4 repacking for the SIMD SpMV path. Clones
-    /// share it (values are immutable); constructors that produce new
-    /// values start empty.
-    sell: OnceLock<Arc<SellPlan>>,
-}
-
-/// Equality is semantic — shape, structure and values — and ignores
-/// the derived SIMD plan cache.
-impl PartialEq for CsrMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-            && self.values == other.values
-    }
 }
 
 impl CsrMatrix {
@@ -215,7 +195,6 @@ impl CsrMatrix {
             col_idx,
             values,
             row_chunks,
-            sell: OnceLock::new(),
         }
     }
 
@@ -267,9 +246,6 @@ impl CsrMatrix {
             col_idx: pattern.col_idx.clone(),
             values,
             row_chunks: pattern.row_chunks.clone(),
-            // The values differ from the pattern's, so its cached SIMD
-            // plan (which embeds values) must not be reused.
-            sell: OnceLock::new(),
         })
     }
 
@@ -379,19 +355,6 @@ impl CsrMatrix {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.rows, "spmv: y length mismatch");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if irf_runtime::simd::enabled() {
-            let plan = self.sell_plan();
-            irf_runtime::par_ragged_chunks_mut(y, &self.row_chunks, |ci, yc| {
-                // SAFETY: `simd::enabled()` guarantees AVX2; the plan
-                // was built from this matrix's own arrays.
-                #[allow(unsafe_code)]
-                unsafe {
-                    crate::sell::spmv_chunk_avx2(plan, ci, self.row_chunks[ci], x, yc, None);
-                }
-            });
-            return;
-        }
         // Row-parallel over nnz-balanced ragged chunks: each output
         // element is produced by exactly one serial accumulation and
         // the chunk boundaries derive from the structure alone, so the
@@ -411,19 +374,6 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.cols, "residual: x length mismatch");
         assert_eq!(r.len(), self.rows, "residual: r length mismatch");
         assert_eq!(b.len(), self.rows, "residual: b length mismatch");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if irf_runtime::simd::enabled() {
-            let plan = self.sell_plan();
-            irf_runtime::par_ragged_chunks_mut(r, &self.row_chunks, |ci, rc| {
-                // SAFETY: `simd::enabled()` guarantees AVX2; the plan
-                // was built from this matrix's own arrays.
-                #[allow(unsafe_code)]
-                unsafe {
-                    crate::sell::spmv_chunk_avx2(plan, ci, self.row_chunks[ci], x, rc, Some(b));
-                }
-            });
-            return;
-        }
         irf_runtime::par_ragged_chunks_mut(r, &self.row_chunks, |ci, rc| {
             self.rows_into(self.row_chunks[ci], x, Some(b), rc);
         });
@@ -442,8 +392,18 @@ impl CsrMatrix {
     /// time. Every row is still `acc = 0.0; acc += a_k * x[col_k]` in
     /// stored order, one rounded multiply and one rounded add a step,
     /// so how rows are grouped cannot show in the result: it equals
-    /// [`CsrMatrix::rows_into_reference`] and the AVX2 SELL-4 kernel
-    /// bit for bit.
+    /// [`CsrMatrix::rows_into_reference`] bit for bit.
+    ///
+    /// # Zero absorption
+    ///
+    /// A multiply by an all-zero vector can be skipped outright. With
+    /// finite matrix entries (assembly guarantees them) every product
+    /// `a_k * ±0.0` is `±0.0`, and under round-to-nearest an
+    /// accumulator that starts at `+0.0` stays `+0.0` when one is added
+    /// (`+0.0 + ±0.0 = +0.0`). So `A·0` is all `+0.0`, and `b - A·0`
+    /// has the bits of `b`. The AMG pre-smoother
+    /// (`smoother::sweep_from_zero`) and `pcg::pcg_with_guess` rest on
+    /// it; DESIGN.md §8 states the contract.
     fn rows_into(&self, base: usize, x: &[f64], b: Option<&[f64]>, out: &mut [f64]) {
         let n = out.len();
         let ptr = &self.row_ptr[base..=base + n];
@@ -512,9 +472,8 @@ impl CsrMatrix {
     /// The one-row-at-a-time loop [`CsrMatrix::spmv_into`] and
     /// [`CsrMatrix::residual_into`] ran before the row-group kernel,
     /// serial over all rows: `out[row] = sum` or, given `b`,
-    /// `b[row] - sum`. Kept as the reference the parity tests and
-    /// `kernel_speed` hold the shipped kernels to; nothing in the
-    /// program calls it.
+    /// `b[row] - sum`. Kept as the reference the parity tests hold the
+    /// shipped kernels to; nothing in the program calls it.
     ///
     /// # Panics
     ///
@@ -600,28 +559,6 @@ impl CsrMatrix {
     #[must_use]
     pub fn norm_frobenius(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// The lazily built SELL-4 plan for the SIMD kernels.
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    fn sell_plan(&self) -> &SellPlan {
-        self.sell.get_or_init(|| {
-            Arc::new(SellPlan::build(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                &self.row_chunks,
-            ))
-        })
-    }
-
-    /// `true` when this matrix has already materialised its SELL-4
-    /// SIMD plan (built lazily on the first vector-dispatched SpMV).
-    /// Introspection for tests and benches; always `false` in the
-    /// default build, which never dispatches to it.
-    #[must_use]
-    pub fn simd_plan_built(&self) -> bool {
-        self.sell.get().is_some()
     }
 
     /// Iterates over all stored entries as `(row, col, value)`.
@@ -815,7 +752,6 @@ mod tests {
             col_idx,
             values,
             row_chunks,
-            sell: OnceLock::new(),
         }
     }
 
@@ -862,18 +798,8 @@ mod tests {
             a.rows_into_reference(&x, None, &mut want_y);
             a.rows_into_reference(&x, Some(&b), &mut want_r);
 
-            // The kernel itself, chunk by chunk, whatever the build
-            // dispatches `spmv_into` to.
-            let (mut y, mut r) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
-            for w in a.row_chunks.windows(2) {
-                a.rows_into(w[0], &x, None, &mut y[w[0]..w[1]]);
-                a.rows_into(w[0], &x, Some(&b), &mut r[w[0]..w[1]]);
-            }
-            assert_eq!(bits(&y), bits(&want_y), "case {case}: kernel spmv");
-            assert_eq!(bits(&r), bits(&want_r), "case {case}: kernel residual");
-
-            // The public entries (the AVX2 leg under `--features
-            // simd`), at every thread count.
+            // The public entries run the kernel chunk by chunk, at
+            // every thread count.
             for threads in [1, 2, 4, 8] {
                 irf_runtime::set_num_threads(threads);
                 let (mut y, mut r) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);

@@ -14,9 +14,8 @@
 //!   K-cycle preconditioner inside PCG — the **AMG-PCG** solver of
 //!   PowerRush that the IR-Fusion paper uses for its rough numerical
 //!   solutions.
-//! - Baselines: a sparse Cholesky direct solver ([`cholesky`]) used to
-//!   produce golden reference solutions, and a random-walk Monte-Carlo
-//!   solver ([`random_walk`]) in the spirit of Qian et al.
+//! - A sparse Cholesky direct solver ([`cholesky`]) used to produce
+//!   golden reference solutions.
 //!
 //! # Example
 //!
@@ -38,12 +37,7 @@
 //! let report = Solver::new(SolverKind::AmgPcg).solve(&a, &b);
 //! assert!(report.converged);
 //! ```
-// The default build carries no unsafe code at all — its SpMV and
-// residual are the safe-Rust row-group kernel in `csr.rs`; the `simd`
-// feature admits unsafe solely inside the `sell` kernel module and its
-// call sites, each carrying a narrow `#[allow]` + SAFETY comment.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod amg;
@@ -52,11 +46,8 @@ pub mod cg;
 pub mod cholesky;
 pub mod csr;
 pub mod error;
-pub mod ic0;
 pub mod matrix_market;
 pub mod pcg;
-pub mod random_walk;
-mod sell;
 pub mod smoother;
 pub mod solver;
 pub mod triplet;
@@ -65,7 +56,6 @@ pub mod vector;
 pub use builder::{CsrAssembler, PatternScatter};
 pub use csr::CsrMatrix;
 pub use error::SolveError;
-pub use ic0::Ic0Preconditioner;
 pub use pcg::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner};
 pub use solver::{SolveReport, Solver, SolverKind, SolverSetup};
 pub use triplet::TripletMatrix;

@@ -108,8 +108,8 @@ pub(crate) fn assert_nonzero_diagonal(diag: &[f64]) {
 /// b_i / d_i`, without a pass over the matrix. The incoming `x` is
 /// not read. This is the one special case of a cycle's pre-smoother,
 /// and it has the bits of the general sweep on a zeroed `x`:
-/// `r = b - A·0` has the bits of `b` (zero absorption: the module
-/// docs of `sell.rs`), and the `0.0 +` keeps the `+0.0` that
+/// `r = b - A·0` has the bits of `b` (zero absorption: the docs of
+/// `CsrMatrix::rows_into`), and the `0.0 +` keeps the `+0.0` that
 /// `x_i += ...` leaves where the quotient is `-0.0`. `diag` has been
 /// through [`assert_nonzero_diagonal`].
 pub(crate) fn sweep_from_zero(b: &[f64], x: &mut [f64], omega: f64, diag: &[f64]) {
@@ -143,25 +143,6 @@ pub(crate) fn sweeps_on_checked_diagonal(
     for _ in 0..sweeps {
         a.residual_into(b, x, r);
         let r = &*r;
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if irf_runtime::simd::enabled() {
-            irf_runtime::par_chunks_mut(x, SWEEP_CHUNK, |ci, xc| {
-                let base = ci * SWEEP_CHUNK;
-                // SAFETY: `simd::enabled()` guarantees AVX2; r and
-                // diag are full-length vectors, so the chunk slices
-                // starting at `base` cover `xc`.
-                #[allow(unsafe_code)]
-                unsafe {
-                    crate::sell::scaled_update_chunk_avx2(
-                        xc,
-                        &r[base..base + xc.len()],
-                        &diag[base..base + xc.len()],
-                        omega,
-                    );
-                }
-            });
-            continue;
-        }
         irf_runtime::par_chunks_mut(x, SWEEP_CHUNK, |ci, xc| {
             let base = ci * SWEEP_CHUNK;
             let (rc, dc) = (&r[base..base + xc.len()], &diag[base..base + xc.len()]);
@@ -311,6 +292,98 @@ mod tests {
         sweep_from_zero(&b, &mut from_zero, 0.7, &diag);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&general), bits(&from_zero));
+    }
+
+    /// A 5-point Laplacian on an `n x n` grid: the fine-level shape.
+    fn laplacian_2d(n: usize) -> CsrMatrix {
+        let idx = |i: usize, j: usize| i * n + j;
+        let mut t = Vec::with_capacity(5 * n * n);
+        for i in 0..n {
+            for j in 0..n {
+                let r = idx(i, j);
+                t.push((r, r, 4.0));
+                if i > 0 {
+                    t.push((r, idx(i - 1, j), -1.0));
+                }
+                if i + 1 < n {
+                    t.push((r, idx(i + 1, j), -1.0));
+                }
+                if j > 0 {
+                    t.push((r, idx(i, j - 1), -1.0));
+                }
+                if j + 1 < n {
+                    t.push((r, idx(i, j + 1), -1.0));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(n * n, n * n, &t)
+    }
+
+    /// The shape of a coarse AMG level: `rows` ragged rows of 30-70
+    /// non-zeros scattered over all columns, diagonally dominant.
+    fn coarse_like(rows: usize, seed: u64) -> CsrMatrix {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+        let mut t = Vec::with_capacity(rows * 51);
+        for r in 0..rows {
+            let len = 30 + (rng.next_u64() % 41) as usize;
+            let stride = 1 + (rng.next_u64() % 7) as usize;
+            for j in 1..len {
+                let c = (r + j * stride) % rows;
+                if c != r {
+                    t.push((r, c, -(0.1 + rng.random::<f64>())));
+                }
+            }
+            t.push((r, r, 2.0 * len as f64));
+        }
+        CsrMatrix::from_triplets(rows, rows, &t)
+    }
+
+    /// Four Jacobi-family sweeps from `x`, every residual through the
+    /// one-row-at-a-time loop and every update serial.
+    fn reference_sweeps(a: &CsrMatrix, b: &[f64], x: &mut [f64], omega: f64, diag: &[f64]) {
+        let mut r = vec![0.0; a.rows()];
+        for _ in 0..4 {
+            a.rows_into_reference(x, Some(b), &mut r);
+            for ((xi, ri), di) in x.iter_mut().zip(&r).zip(diag) {
+                *xi += omega * ri / di;
+            }
+        }
+    }
+
+    #[test]
+    fn jacobi_sweeps_equal_the_one_row_reference_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (shape, a) in [
+            ("5-point", laplacian_2d(64)),
+            ("coarse", coarse_like(600, 9)),
+        ] {
+            let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(8);
+            let b: Vec<f64> = (0..a.rows())
+                .map(|_| rng.random::<f64>() * 2.0 - 1.0)
+                .collect();
+            let mut want_jacobi = vec![0.0; a.rows()];
+            reference_sweeps(&a, &b, &mut want_jacobi, 2.0 / 3.0, &a.diagonal());
+            let mut want_l1 = vec![0.0; a.rows()];
+            reference_sweeps(&a, &b, &mut want_l1, 1.0, &l1_diagonal(&a));
+            for threads in [1, 2, 4, 8] {
+                irf_runtime::set_num_threads(threads);
+                let mut x_jacobi = vec![0.0; a.rows()];
+                jacobi(&a, &b, &mut x_jacobi, 2.0 / 3.0, 4);
+                let mut x_l1 = vec![0.0; a.rows()];
+                l1_jacobi(&a, &b, &mut x_l1, 4);
+                irf_runtime::set_num_threads(0);
+                assert_eq!(
+                    bits(&x_jacobi),
+                    bits(&want_jacobi),
+                    "{shape}: jacobi, {threads} threads"
+                );
+                assert_eq!(
+                    bits(&x_l1),
+                    bits(&want_l1),
+                    "{shape}: l1_jacobi, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

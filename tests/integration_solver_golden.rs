@@ -3,7 +3,6 @@
 
 use irf_data::{synthesize, SynthSpec};
 use irf_pg::PowerGrid;
-use irf_sparse::random_walk::{RandomWalkConfig, RandomWalkSolver};
 use irf_sparse::{Solver, SolverKind};
 
 fn system() -> (irf_pg::PgSystem, PowerGrid) {
@@ -46,32 +45,6 @@ fn amg_pcg_converges_much_faster_than_cg_on_pg_systems() {
         "AMG-PCG {} vs CG {} iterations",
         amg.iterations,
         cg.iterations
-    );
-}
-
-#[test]
-fn random_walk_estimates_the_worst_node() {
-    let (sys, _) = system();
-    let golden = Solver::new(SolverKind::Cholesky).solve(&sys.matrix, &sys.rhs);
-    let worst = golden
-        .x
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap();
-    let rw = RandomWalkSolver::new(
-        &sys.matrix,
-        RandomWalkConfig {
-            walks_per_node: 3000,
-            ..RandomWalkConfig::default()
-        },
-    );
-    let est = rw.solve_node(&sys.rhs, worst);
-    let exact = golden.x[worst];
-    assert!(
-        (est - exact).abs() < 0.15 * exact,
-        "random walk {est:e} vs exact {exact:e}"
     );
 }
 
