@@ -17,8 +17,9 @@ use irf_nn::{Tape, Tensor};
 use irf_pg::{GridMap, Load, ModelError, PgStructure, PowerGrid, Rasterizer};
 use irf_sparse::{SolveReport, Solver, SolverSetup};
 use irf_spice::Netlist;
-use irf_trace::Timer;
+use irf_trace::timed;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A design prepared up to (but excluding) the golden label: feature
 /// stack, rough numerical map, and the solve report behind it.
@@ -469,8 +470,7 @@ impl<'p> FeatureStackBuilder<'p> {
         model: Option<&TrainedModel>,
     ) -> Result<Analysis, FeatureError> {
         let _span = irf_trace::span("analyze_grid");
-        let mut timer = Timer::new();
-        timer.start();
+        let started = Instant::now();
         let config = self.effective_config();
         let needs_solve = config.feature.numerical || model.is_none_or(|t| t.residual);
         let stack = if needs_solve {
@@ -503,12 +503,12 @@ impl<'p> FeatureStackBuilder<'p> {
         };
         let fused_map =
             model.map(|trained| self.with_threads(|| self.pipeline.predict(trained, &stack)));
-        timer.stop();
+        let runtime_seconds = started.elapsed().as_secs_f64();
         Ok(Analysis {
             rough_map: stack.rough.clone(),
             fused_map,
             solve_report: stack.solve_report.clone(),
-            runtime_seconds: timer.seconds(),
+            runtime_seconds,
         })
     }
 }
@@ -632,8 +632,8 @@ impl IrFusionPipeline {
         edit: Option<&EditPlan>,
     ) -> Arc<PreparedStack> {
         let extractor = FeatureExtractor::new(config.feature);
-        let (rough, solve_seconds) = Timer::time(|| self.rough_walk(grid, plan, store, edit));
-        let (stack, feature_seconds) = Timer::time(|| {
+        let (rough, solve_seconds) = timed(|| self.rough_walk(grid, plan, store, edit));
+        let (stack, feature_seconds) = timed(|| {
             let geometry = || {
                 Arc::new(
                     extractor
@@ -772,7 +772,7 @@ impl IrFusionPipeline {
             return None;
         }
         let _span = irf_trace::span("rough_solve_warm");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let rhs = structure.rhs(&grid.loads);
         let relaxed = setup.with_stopping(
             seed.report.residual.max(setup.tolerance()),
@@ -799,7 +799,7 @@ impl IrFusionPipeline {
         fingerprint: u64,
     ) -> RoughSolution {
         let _span = irf_trace::span("rough_solve");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let rhs = structure.rhs(&grid.loads);
         let report = setup.solve(&structure.matrix, &rhs);
         let drops = structure.expand_solution(&report.x);
@@ -1208,16 +1208,15 @@ impl AnalysisSession<'_> {
     /// Returns [`FeatureError::NoPads`] when the grid has no pads.
     pub fn analyze(&self, model: Option<&TrainedModel>) -> Result<Analysis, FeatureError> {
         let _span = irf_trace::span("analyze_grid");
-        let mut timer = Timer::new();
-        timer.start();
+        let started = Instant::now();
         let stack = self.prepare()?;
         let fused_map = model.map(|trained| self.pipeline.predict(trained, &stack));
-        timer.stop();
+        let runtime_seconds = started.elapsed().as_secs_f64();
         Ok(Analysis {
             rough_map: stack.rough.clone(),
             fused_map,
             solve_report: stack.solve_report.clone(),
-            runtime_seconds: timer.seconds(),
+            runtime_seconds,
         })
     }
 

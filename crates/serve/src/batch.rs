@@ -16,10 +16,11 @@
 //! throughput — one tape walk amortizes scheduling and parameter
 //! traffic across all samples in flight.
 
+use crate::log;
 use crate::metrics::ServerMetrics;
 use ir_fusion::{IrFusionPipeline, PreparedStack, TrainedModel};
 use irf_pg::GridMap;
-use irf_trace::Timer;
+use irf_trace::timed;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -214,17 +215,17 @@ fn run_batcher(
             // takes effect on the NEXT batch, never mid-forward.
             let model = slot.get();
             let batch_started = Instant::now();
-            let (maps, seconds) = Timer::time(|| pipeline.predict_batch(&model, &stacks));
+            let (maps, seconds) = timed(|| pipeline.predict_batch(&model, &stacks));
             metrics.observe_batch(jobs.len());
             metrics.observe_stage("forward", seconds);
             let batch_size = jobs.len();
-            if irf_obs::log::enabled(irf_obs::log::Level::Debug) {
+            if log::enabled(log::Level::Debug) {
                 // The per-batch detail record names every fused request
                 // so a slow forward can be pinned to its co-batched
                 // peers.
                 let ids: Vec<String> = jobs.iter().map(|j| format!("{:016x}", j.request)).collect();
                 let ids = ids.join(",");
-                irf_obs::debug(
+                log::debug(
                     "forward_batch",
                     &[
                         ("batch_size", batch_size.into()),

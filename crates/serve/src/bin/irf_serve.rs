@@ -4,8 +4,7 @@
 //! irf-serve [--addr HOST:PORT] [--workers N] [--batch-size B]
 //!           [--queue N] [--cache N] [--read-timeout-ms T]
 //!           [--model CKPT | --no-model] [--full] [--threads N]
-//!           [--log LEVEL] [--log-format json|pretty]
-//!           [--slow-ms T] [--recorder N]
+//!           [--log LEVEL] [--slow-ms T] [--recorder N]
 //! ```
 //!
 //! Without `--model`, a tiny IR-Fusion model is trained at startup on
@@ -14,12 +13,12 @@
 //! rough numerical maps. `--full` uses the full-resolution pipeline
 //! configuration instead of the test-scale one.
 //!
-//! Observability: all diagnostics are structured log records on stderr
-//! (`pretty` on a TTY, JSON lines otherwise; override with `--log`
-//! `--log-format` or `IRF_LOG` / `IRF_LOG_FORMAT`). Requests slower
-//! than `--slow-ms` (or `IRF_SLOW_MS`) snapshot their span tree into
-//! the flight recorder (`GET /v1/debug/requests`), which retains the last
-//! `--recorder` completed requests.
+//! Observability: all diagnostics are structured log records on
+//! stderr, one JSON object per line, at `--log` level and above
+//! (default `info`). Requests at or over `--slow-ms` (default 500)
+//! snapshot their span tree into the flight recorder
+//! (`GET /v1/debug/requests`), which retains the last `--recorder`
+//! completed requests.
 //!
 //! Stop the server with `POST /v1/shutdown` (the dependency-free build
 //! cannot trap SIGTERM; see the crate docs).
@@ -27,7 +26,7 @@
 use ir_fusion::{load_model, train, FusionConfig, TrainedModel};
 use irf_data::Dataset;
 use irf_models::ModelKind;
-use irf_obs::log::{Format, Level};
+use irf_serve::log::{self, Level};
 use irf_serve::{Server, ServerConfig};
 use std::time::Duration;
 
@@ -45,7 +44,7 @@ fn usage() -> ! {
          \x20                [--queue N] [--cache N] [--read-timeout-ms T]\n\
          \x20                [--model CKPT | --no-model] [--full] [--threads N]\n\
          \x20                [--log off|error|warn|info|debug|trace]\n\
-         \x20                [--log-format json|pretty] [--slow-ms T] [--recorder N]"
+         \x20                [--slow-ms T] [--recorder N]"
     );
     std::process::exit(2);
 }
@@ -58,13 +57,6 @@ fn parse_args() -> Args {
         full: false,
         threads: 0,
     };
-    // The env knobs apply first so flags can override them.
-    if let Some(ms) = std::env::var("IRF_SLOW_MS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        args.server.slow_threshold = Duration::from_millis(ms);
-    }
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
@@ -85,27 +77,13 @@ fn parse_args() -> Args {
             "--log" => {
                 let raw = value("--log");
                 let Some(level) = Level::parse(&raw) else {
-                    irf_obs::error(
+                    log::error(
                         "bad_flag",
                         &[("flag", "--log".into()), ("value", raw.as_str().into())],
                     );
                     usage();
                 };
-                irf_obs::log::configure(Some(level), None);
-            }
-            "--log-format" => {
-                let raw = value("--log-format");
-                let Some(format) = Format::parse(&raw) else {
-                    irf_obs::error(
-                        "bad_flag",
-                        &[
-                            ("flag", "--log-format".into()),
-                            ("value", raw.as_str().into()),
-                        ],
-                    );
-                    usage();
-                };
-                irf_obs::log::configure(None, Some(format));
+                log::set_level(level);
             }
             "--slow-ms" => {
                 args.server.slow_threshold =
@@ -114,7 +92,7 @@ fn parse_args() -> Args {
             "--recorder" => args.server.recorder_capacity = parse_num(&value("--recorder")),
             "--help" | "-h" => usage(),
             other => {
-                irf_obs::error("unknown_flag", &[("flag", other.into())]);
+                log::error("unknown_flag", &[("flag", other.into())]);
                 usage();
             }
         }
@@ -124,7 +102,7 @@ fn parse_args() -> Args {
 
 fn parse_num(s: &str) -> usize {
     s.parse().unwrap_or_else(|_| {
-        irf_obs::error("not_a_number", &[("value", s.into())]);
+        log::error("not_a_number", &[("value", s.into())]);
         usage();
     })
 }
@@ -135,7 +113,7 @@ fn startup_model(args: &Args, config: &FusionConfig) -> Option<TrainedModel> {
     }
     if let Some(path) = &args.model_path {
         let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            irf_obs::error(
+            log::error(
                 "checkpoint_open_failed",
                 &[
                     ("path", path.as_str().into()),
@@ -145,7 +123,7 @@ fn startup_model(args: &Args, config: &FusionConfig) -> Option<TrainedModel> {
             std::process::exit(1);
         });
         let trained = load_model(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-            irf_obs::error(
+            log::error(
                 "checkpoint_load_failed",
                 &[
                     ("path", path.as_str().into()),
@@ -154,7 +132,7 @@ fn startup_model(args: &Args, config: &FusionConfig) -> Option<TrainedModel> {
             );
             std::process::exit(1);
         });
-        irf_obs::info(
+        log::info(
             "checkpoint_loaded",
             &[
                 ("path", path.as_str().into()),
@@ -163,7 +141,7 @@ fn startup_model(args: &Args, config: &FusionConfig) -> Option<TrainedModel> {
         );
         return Some(trained);
     }
-    irf_obs::info(
+    log::info(
         "startup_training",
         &[(
             "hint",
@@ -172,7 +150,7 @@ fn startup_model(args: &Args, config: &FusionConfig) -> Option<TrainedModel> {
     );
     let dataset = Dataset::generate(2, 2, 1, 7);
     let trained = train(ModelKind::IrFusion, &dataset, config);
-    irf_obs::info(
+    log::info(
         "startup_model_ready",
         &[("model", format!("{trained:?}").as_str().into())],
     );
@@ -189,7 +167,7 @@ fn main() {
     config.num_threads = args.threads;
     let model = startup_model(&args, &config);
     let server = Server::start(&args.server, config, model).unwrap_or_else(|e| {
-        irf_obs::error(
+        log::error(
             "bind_failed",
             &[
                 ("addr", args.server.addr.as_str().into()),
@@ -199,7 +177,7 @@ fn main() {
         std::process::exit(1);
     });
     println!("listening on http://{}", server.addr());
-    irf_obs::info(
+    log::info(
         "listening",
         &[
             ("addr", server.addr().to_string().as_str().into()),
@@ -214,5 +192,5 @@ fn main() {
         ],
     );
     server.wait();
-    irf_obs::info("drained", &[]);
+    log::info("drained", &[]);
 }

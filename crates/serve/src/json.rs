@@ -113,7 +113,7 @@ impl Json {
 /// Writes a number. JSON has no NaN/infinity, so non-finite values
 /// render as `null`; finite values use Rust's shortest round-trip
 /// formatting, with integral values printed without a fraction.
-fn write_number(v: f64, out: &mut String) {
+pub(crate) fn write_number(v: f64, out: &mut String) {
     use fmt::Write as _;
     if !v.is_finite() {
         out.push_str("null");
@@ -125,7 +125,7 @@ fn write_number(v: f64, out: &mut String) {
 }
 
 /// Writes `s` as a quoted JSON string with the mandatory escapes.
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     use fmt::Write as _;
     out.push('"');
     for ch in s.chars() {

@@ -22,6 +22,15 @@
 //! - **Bounded queues everywhere**: the predict queue rejects beyond
 //!   its capacity (HTTP 429) instead of building unbounded backlog.
 //!
+//! The crate also holds the request layer of the observability stack
+//! (the process layer — spans, request scope, metrics registry — is
+//! `irf-trace`): [`recorder`] mints the `X-Irf-Request-Id` of every
+//! request and keeps the flight recorder behind
+//! `GET /v1/debug/requests`, [`log`] writes the JSON-lines access log,
+//! and [`metrics`] holds the per-endpoint latency objectives next to
+//! the `/v1/metrics` facade. Everything there *observes*: none of it
+//! changes what the pipeline computes.
+//!
 //! ```no_run
 //! use irf_serve::{Server, ServerConfig};
 //! use ir_fusion::FusionConfig;
@@ -41,7 +50,11 @@
 pub mod batch;
 pub mod http;
 pub mod json;
+pub mod log;
 pub mod metrics;
+#[cfg(test)]
+mod promlint;
+pub mod recorder;
 pub mod registry;
 pub mod server;
 

@@ -1,5 +1,6 @@
 //! Server observability: a facade over the unified
-//! [`irf_trace::MetricsRegistry`].
+//! [`irf_trace::MetricsRegistry`], and the per-endpoint latency
+//! objectives it accounts requests against.
 //!
 //! The server publishes its request/batch/stage series into the same
 //! process-global registry the solver and pipeline publish into, so a
@@ -8,43 +9,61 @@
 //! accumulators, the feature-cache counters, *and* pipeline internals
 //! (`irf_pcg_iterations`, `irf_amg_levels`,
 //! `irf_stage_seconds_total{stage="pcg_solve"}`, ...).
+//!
+//! Each endpoint carries one fixed objective — "a request should
+//! finish within N seconds" (`ENDPOINTS`) — and every request lands
+//! in the `irf_http_request_seconds{endpoint=...}` histogram, while
+//! requests over their objective bump
+//! `irf_slo_breaches_total{endpoint=...}`. Burn rate is then a PromQL
+//! one-liner: `rate(irf_slo_breaches_total[5m]) /
+//! rate(irf_http_request_seconds_count[5m])`.
 
 use ir_fusion::{Stage, StageStore};
-use irf_obs::slo::{SloPolicy, LATENCY_BUCKETS};
 use irf_trace::{MetricKind, MetricsRegistry};
-use std::sync::Arc;
 
-/// Which registry a [`ServerMetrics`] publishes into.
-enum Registry {
-    /// The process-global registry (production): pipeline and solver
-    /// series appear alongside the server's own.
-    Global,
-    /// An isolated instance (tests): no cross-talk with other servers
-    /// in the same process.
-    Owned(Arc<MetricsRegistry>),
+/// Every endpoint label the server reports, with its latency objective
+/// in seconds. The objectives reflect each endpoint's work (a
+/// `/healthz` probe has no business taking 10 ms; an `/optimize` beam
+/// search legitimately takes seconds). `other` (unknown routes) gets
+/// the probe budget — a 404 should be instant.
+pub(crate) const ENDPOINTS: &[(&str, f64)] = &[
+    ("healthz", 0.010),
+    ("metrics", 0.050),
+    ("debug", 0.050),
+    ("predict", 0.500),
+    ("whatif", 0.500),
+    ("sweep", 2.000),
+    ("optimize", 10.000),
+    ("reload", 1.000),
+    ("models", 0.050),
+    ("shutdown", 0.050),
+    ("other", 0.010),
+];
+
+/// Latency histogram bucket bounds (seconds) shared by every
+/// `irf_http_request_seconds` series: log-spaced from 1 ms to 30 s so
+/// both a `/healthz` probe and an `/optimize` run resolve.
+const LATENCY_BUCKETS: &[f64] = &[
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+];
+
+/// The objective for `endpoint` in seconds (unknown endpoints get the
+/// `other` objective).
+#[must_use]
+pub(crate) fn objective_seconds(endpoint: &str) -> f64 {
+    let lookup = |name: &str| ENDPOINTS.iter().find(|(e, _)| *e == name).map(|(_, o)| *o);
+    lookup(endpoint)
+        .or_else(|| lookup("other"))
+        .expect("`other` is in ENDPOINTS")
 }
 
 /// Server metrics facade. All methods are thread-safe; request rates
 /// are far below the contention regime where the registry's mutex
 /// would matter.
+#[derive(Debug)]
 pub struct ServerMetrics {
-    registry: Registry,
+    registry: &'static MetricsRegistry,
     max_batch: usize,
-}
-
-impl std::fmt::Debug for ServerMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerMetrics")
-            .field("max_batch", &self.max_batch)
-            .field(
-                "registry",
-                &match self.registry {
-                    Registry::Global => "global",
-                    Registry::Owned(_) => "owned",
-                },
-            )
-            .finish()
-    }
 }
 
 impl ServerMetrics {
@@ -52,37 +71,24 @@ impl ServerMetrics {
     /// sizes the batch histogram (one bucket per possible batch size).
     #[must_use]
     pub fn new(max_batch: usize) -> Self {
+        ServerMetrics::with_registry(irf_trace::registry(), max_batch)
+    }
+
+    /// Creates a facade over `registry` — the process-global one in
+    /// production; tests that must not observe series published by
+    /// other servers in the process pass an isolated (leaked) one.
+    #[must_use]
+    pub fn with_registry(registry: &'static MetricsRegistry, max_batch: usize) -> Self {
         let m = ServerMetrics {
-            registry: Registry::Global,
+            registry,
             max_batch: max_batch.max(1),
         };
         m.describe_families();
         m
-    }
-
-    /// Creates a facade over an isolated registry (for tests that must
-    /// not observe series published by other servers in the process).
-    #[must_use]
-    pub fn with_registry(registry: Arc<MetricsRegistry>, max_batch: usize) -> Self {
-        let m = ServerMetrics {
-            registry: Registry::Owned(registry),
-            max_batch: max_batch.max(1),
-        };
-        m.describe_families();
-        m
-    }
-
-    /// The registry this facade publishes into.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        match &self.registry {
-            Registry::Global => irf_trace::registry(),
-            Registry::Owned(r) => r,
-        }
     }
 
     fn describe_families(&self) {
-        let r = self.registry();
+        let r = self.registry;
         r.describe(
             "irf_requests_total",
             MetricKind::Counter,
@@ -210,11 +216,11 @@ impl ServerMetrics {
 
     /// Zero-initializes the per-endpoint SLO series so every endpoint
     /// is scrapeable (with zeroed buckets and breach counters) from
-    /// the first `/v1/metrics` render, and publishes each declared
-    /// objective as a gauge.
-    pub fn init_http(&self, policy: &SloPolicy) {
-        let r = self.registry();
-        for (endpoint, objective) in policy.endpoints() {
+    /// the first `/v1/metrics` render, and publishes each objective as
+    /// a gauge.
+    pub fn init_http(&self) {
+        let r = self.registry;
+        for (endpoint, objective) in ENDPOINTS {
             let labels = [("endpoint", *endpoint)];
             r.touch_histogram("irf_http_request_seconds", &labels);
             r.counter_add("irf_slo_breaches_total", &labels, 0.0);
@@ -225,7 +231,7 @@ impl ServerMetrics {
     /// Records one finished request's end-to-end latency against its
     /// endpoint's SLO.
     pub fn observe_http(&self, endpoint: &'static str, seconds: f64, breached: bool) {
-        let r = self.registry();
+        let r = self.registry;
         let labels = [("endpoint", endpoint)];
         r.observe("irf_http_request_seconds", &labels, seconds);
         if breached {
@@ -235,7 +241,7 @@ impl ServerMetrics {
 
     /// Counts one finished request.
     pub fn observe_request(&self, route: &str, status: u16) {
-        self.registry().counter_add(
+        self.registry.counter_add(
             "irf_requests_total",
             &[("route", route), ("status", &status.to_string())],
             1.0,
@@ -244,30 +250,30 @@ impl ServerMetrics {
 
     /// Records one executed batch of `size` requests.
     pub fn observe_batch(&self, size: usize) {
-        self.registry()
+        self.registry
             .observe("irf_batch_size", &[], size.clamp(1, self.max_batch) as f64);
     }
 
     /// Counts one successful model reload.
     pub fn observe_reload(&self) {
-        self.registry().counter_inc("irf_model_reloads_total", &[]);
+        self.registry.counter_inc("irf_model_reloads_total", &[]);
     }
 
     /// Publishes the number of models loaded in the registry.
     pub fn set_registry_models(&self, count: usize) {
-        self.registry()
+        self.registry
             .gauge_set("irf_model_registry_models", &[], count as f64);
     }
 
     /// Counts the candidate plans of one finished `/sweep`.
     pub fn observe_sweep_candidates(&self, count: usize) {
-        self.registry()
+        self.registry
             .counter_add("irf_sweep_candidates_total", &[], count as f64);
     }
 
     /// Counts one finished `/optimize` run's loop work.
     pub fn observe_optimize(&self, iterations: usize, evaluations: usize) {
-        let r = self.registry();
+        let r = self.registry;
         r.counter_add("irf_opt_iterations_total", &[], iterations as f64);
         r.counter_add("irf_opt_evaluations_total", &[], evaluations as f64);
     }
@@ -275,7 +281,7 @@ impl ServerMetrics {
     /// Accumulates `seconds` of latency under a stage label
     /// (`parse`, `prepare`, `infer`, `forward`, ...).
     pub fn observe_stage(&self, stage: &'static str, seconds: f64) {
-        let r = self.registry();
+        let r = self.registry;
         r.counter_add("irf_stage_seconds_total", &[("stage", stage)], seconds);
         r.counter_add("irf_stage_requests_total", &[("stage", stage)], 1.0);
     }
@@ -290,7 +296,7 @@ impl ServerMetrics {
     /// AMG hierarchy stats, per-stage solver seconds).
     #[must_use]
     pub fn render(&self, cache: &StageStore) -> String {
-        let r = self.registry();
+        let r = self.registry;
         r.counter_set("irf_cache_hits_total", &[], cache.hits() as f64);
         r.counter_set("irf_cache_misses_total", &[], cache.misses() as f64);
         r.counter_set(
@@ -324,7 +330,20 @@ mod tests {
     use super::*;
 
     fn isolated(max_batch: usize) -> ServerMetrics {
-        ServerMetrics::with_registry(Arc::new(MetricsRegistry::new()), max_batch)
+        ServerMetrics::with_registry(Box::leak(Box::new(MetricsRegistry::new())), max_batch)
+    }
+
+    #[test]
+    fn defaults_cover_every_endpoint() {
+        assert_eq!(objective_seconds("predict"), 0.5);
+        assert_eq!(objective_seconds("optimize"), 10.0);
+        // Unknown endpoints fall back to the `other` objective.
+        assert_eq!(objective_seconds("nonexistent"), objective_seconds("other"));
+    }
+
+    #[test]
+    fn buckets_are_strictly_ascending() {
+        assert!(LATENCY_BUCKETS.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -392,7 +411,7 @@ mod tests {
     #[test]
     fn http_slo_series_start_zeroed_and_accumulate() {
         let m = isolated(2);
-        m.init_http(&SloPolicy::new());
+        m.init_http();
         let cache = StageStore::new(1);
         let text = m.render(&cache);
         assert!(
@@ -423,7 +442,7 @@ mod tests {
     #[test]
     fn rendered_exposition_passes_promlint() {
         let m = isolated(4);
-        m.init_http(&SloPolicy::new());
+        m.init_http();
         m.observe_request("predict", 200);
         m.observe_request("healthz", 200);
         m.observe_batch(2);
@@ -432,7 +451,7 @@ mod tests {
         m.observe_http("optimize", 11.0, true);
         let cache = StageStore::new(4);
         assert!(cache.get(Stage::Stack, 1).is_none());
-        let problems = irf_obs::promlint::lint(&m.render(&cache));
+        let problems = crate::promlint::lint(&m.render(&cache));
         assert!(problems.is_empty(), "promlint: {problems:?}");
     }
 

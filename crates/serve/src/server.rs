@@ -77,16 +77,18 @@ use crate::batch::{
 };
 use crate::http::{read_request, write_response, write_response_with_headers, HttpError, Request};
 use crate::json::{obj, parse, Json};
-use crate::metrics::ServerMetrics;
+use crate::log;
+use crate::metrics::{objective_seconds, ServerMetrics};
+use crate::recorder::{
+    parse_hex16, render_attr, span_tree, FlightRecorder, RequestId, RequestIdMinter, RequestRecord,
+};
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
     EditError, FusionConfig, IrFusionPipeline, StageStore, TopologyDelta, TrainedModel,
 };
-use irf_obs::recorder::SpanNode;
-use irf_obs::{FlightRecorder, RequestId, RequestIdMinter, RequestRecord, SloPolicy};
 use irf_pg::{GridMap, PowerGrid};
 use irf_trace::request::RequestStats;
-use irf_trace::Timer;
+use irf_trace::{timed, SpanTree};
 use std::cell::{Cell, RefCell};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -151,8 +153,6 @@ struct State {
     read_timeout: Duration,
     /// Ring of completed request records (`GET /v1/debug/requests`).
     recorder: FlightRecorder,
-    /// Per-endpoint latency objectives in force.
-    slo: SloPolicy,
     /// Requests at or above this duration snapshot their span tree.
     slow_threshold: Duration,
     /// Accept counter; each connection's request ids derive from it.
@@ -185,10 +185,9 @@ impl Server {
         let addr = listener.local_addr()?;
         let cache = Arc::new(StageStore::new(config.cache_capacity));
         let metrics = Arc::new(ServerMetrics::new(config.batch.max_batch));
-        let slo = SloPolicy::from_env();
         // Zero-init the per-endpoint SLO series so `/metrics` exposes
         // every endpoint from the first scrape.
-        metrics.init_http(&slo);
+        metrics.init_http();
         let pipeline = IrFusionPipeline::new(fusion).with_cache(Arc::clone(&cache));
         let registry = model.map(|trained| Arc::new(ModelRegistry::new(trained)));
         metrics.set_registry_models(registry.as_ref().map_or(0, |r| r.len()));
@@ -205,7 +204,6 @@ impl Server {
             addr,
             read_timeout: config.read_timeout,
             recorder: FlightRecorder::new(config.recorder_capacity),
-            slo,
             slow_threshold: config.slow_threshold,
             connections: AtomicU64::new(0),
         });
@@ -347,7 +345,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
                     false,
                 );
                 state.metrics.observe_request("other", status);
-                irf_obs::warn(
+                log::warn(
                     "request_error",
                     &[
                         ("error", message.as_str().into()),
@@ -393,7 +391,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     }
 }
 
-fn unix_ms_now() -> u64 {
+/// Wall-clock milliseconds since the Unix epoch (0 before it).
+pub(crate) fn unix_ms_now() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -412,7 +411,7 @@ fn finish_request(
     stats: RequestStats,
 ) {
     state.metrics.observe_request(route, status);
-    let objective = state.slo.objective_seconds(route);
+    let objective = objective_seconds(route);
     let breached = duration_seconds > objective;
     state
         .metrics
@@ -423,7 +422,7 @@ fn finish_request(
         ctx.trace
             .borrow()
             .as_ref()
-            .map(|trace| irf_obs::recorder::span_tree(trace, ctx.id.as_u64()))
+            .map(|trace| span_tree(trace, ctx.id.as_u64()))
     } else {
         None
     };
@@ -441,9 +440,9 @@ fn finish_request(
         slo_breached: breached,
         spans,
     });
-    if irf_obs::log::enabled(irf_obs::log::Level::Info) {
+    if log::enabled(log::Level::Info) {
         let id_text = ctx.id.to_string();
-        irf_obs::info(
+        log::info(
             "access",
             &[
                 ("request", id_text.as_str().into()),
@@ -745,18 +744,19 @@ fn render_request_record(record: &RequestRecord, include_spans: bool) -> Json {
     obj(members)
 }
 
-fn render_span_node(node: &SpanNode) -> Json {
+fn render_span_node(node: &SpanTree) -> Json {
+    let event = &node.event;
     obj(vec![
-        ("name", Json::Str(node.name.to_string())),
-        ("tid", Json::Num(node.tid as f64)),
-        ("start_ns", Json::Num(node.start_ns as f64)),
-        ("dur_ns", Json::Num(node.dur_ns as f64)),
+        ("name", Json::Str(event.name.to_string())),
+        ("tid", Json::Num(event.tid as f64)),
+        ("start_ns", Json::Num(event.start_ns as f64)),
+        ("dur_ns", Json::Num(event.dur_ns as f64)),
         (
             "args",
-            obj(node
+            obj(event
                 .args
                 .iter()
-                .map(|(k, v)| (*k, Json::Str(v.clone())))
+                .map(|(k, v)| (*k, Json::Str(render_attr(v))))
                 .collect()),
         ),
         (
@@ -845,7 +845,7 @@ fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, Str
             envelope("missing_model_path", "request needs model_path"),
         );
     };
-    let (loaded, seconds) = Timer::time(|| {
+    let (loaded, seconds) = timed(|| {
         std::fs::File::open(path)
             .map_err(|e| format!("cannot open {path}: {e}"))
             .and_then(|file| {
@@ -963,14 +963,14 @@ fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, St
         Ok(resolved) => resolved,
         Err(err) => return err,
     };
-    let (grid, parse_seconds) = match Timer::time(|| resolve_grid(body)) {
+    let (grid, parse_seconds) = match timed(|| resolve_grid(body)) {
         (Ok(grid), seconds) => (grid, seconds),
         (Err((status, response)), _) => return (status, response),
     };
     state.metrics.observe_stage("parse", parse_seconds);
     let grid = Arc::new(grid);
 
-    let (stack, prepare_seconds) = Timer::time(|| state.pipeline.stack_builder().prepare(&grid));
+    let (stack, prepare_seconds) = timed(|| state.pipeline.stack_builder().prepare(&grid));
     let stack = match stack {
         Ok(stack) => stack,
         Err(error) => {
@@ -1040,7 +1040,7 @@ fn handle_whatif(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Str
         Ok(session) => session,
         Err(error) => return (400, edit_error_body(&error)),
     };
-    let (stack, prepare_seconds) = Timer::time(|| session.prepare());
+    let (stack, prepare_seconds) = timed(|| session.prepare());
     let stack = match stack {
         Ok(stack) => stack,
         Err(error) => {
@@ -1113,7 +1113,7 @@ fn resolve_base(body: &Json, state: &Arc<State>) -> Result<(u64, Arc<PowerGrid>)
             ),
         ));
     };
-    let Ok(fingerprint) = u64::from_str_radix(base, 16) else {
+    let Some(fingerprint) = parse_hex16(base) else {
         return Err((
             400,
             envelope_with(
@@ -1410,7 +1410,7 @@ fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Stri
             .collect();
     }
 
-    let ((prepared, base_stack), prepare_seconds) = Timer::time(|| {
+    let ((prepared, base_stack), prepare_seconds) = timed(|| {
         let base_stack = base_session.prepare();
         // Serial per-candidate prepares keep the store counters
         // attributable to one candidate at a time.
@@ -1762,7 +1762,7 @@ fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, S
         },
     )
     .with_predictor(&predictor);
-    let (result, seconds) = Timer::time(|| optimizer.run(Arc::clone(&grid)));
+    let (result, seconds) = timed(|| optimizer.run(Arc::clone(&grid)));
     state.metrics.observe_stage("optimize", seconds);
     let report = match result {
         Ok(report) => report,

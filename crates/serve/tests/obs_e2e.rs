@@ -8,8 +8,8 @@
 use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
-use irf_obs::RequestId;
 use irf_serve::json::{parse, Json};
+use irf_serve::recorder::RequestId;
 use irf_serve::{BatchConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -220,6 +220,15 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
             400,
             "invalid_base",
         ),
+        // A sign is not a hex digit, even where the integer parser
+        // would take one.
+        (
+            "POST",
+            "/v1/whatif",
+            r#"{"base":"+00000000000abcd"}"#,
+            400,
+            "invalid_base",
+        ),
         (
             "POST",
             "/v1/whatif",
@@ -232,6 +241,13 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
         (
             "GET",
             "/v1/debug/requests/zz",
+            "",
+            400,
+            "invalid_request_id",
+        ),
+        (
+            "GET",
+            "/v1/debug/requests/+00000000000abcd",
             "",
             400,
             "invalid_request_id",

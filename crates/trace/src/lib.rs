@@ -2,7 +2,10 @@
 //! structured tracing, solver telemetry, and a unified metrics
 //! registry, all on `std` alone.
 //!
-//! Three pieces live here:
+//! This is the process layer: everything here is called from more
+//! than one crate. The per-request layer of the inference server
+//! (request ids, access log, flight recorder, SLOs) lives in
+//! `irf-serve`. Four pieces live here:
 //!
 //! * [`mod@span`] — scoped spans recorded into a per-thread buffer. Spans
 //!   compile to a single relaxed atomic load when no [`Collector`] is
@@ -11,8 +14,9 @@
 //!   stack unwinds to depth zero; pool worker threads (which never
 //!   exit) therefore deliver their events without any registration
 //!   protocol. A finished [`Trace`] exports Chrome trace-event JSON
-//!   (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev))
-//!   and a human-readable self-profile tree ([`profile`]).
+//!   (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)),
+//!   its span forest ([`span_forest`]) and a human-readable
+//!   self-profile tree aggregated from that forest ([`profile`]).
 //! * [`mod@registry`] — a [`MetricsRegistry`] of counters, gauges, and
 //!   histograms with Prometheus text rendering. One process-global
 //!   instance ([`registry()`]) is shared by the solver, the pipeline,
@@ -22,12 +26,9 @@
 //! * [`request`] — thread-local request attribution: a scope guard
 //!   installs a request id that every span opened under it carries
 //!   ([`Event::request`]), and the stage store / PCG solver fold
-//!   per-request cache and convergence counts into it. `irf-obs`
-//!   builds the server-side observability layer (request ids, access
-//!   logs, flight recorder) on top of this.
-//! * [`timer`] — the accumulating [`Timer`] behind the paper's
-//!   Table I / Fig. 7 runtime columns, re-exported by `irf-metrics`
-//!   for compatibility and backed by the same clock as the spans.
+//!   per-request cache and convergence counts into it.
+//! * [`timer`] — [`timed`], the stopwatch behind the paper's Table I /
+//!   Fig. 7 runtime columns.
 //!
 //! # Tracing a region
 //!
@@ -62,7 +63,8 @@ pub mod request;
 pub mod span;
 pub mod timer;
 
+pub use profile::{span_forest, SpanTree};
 pub use registry::{registry, MetricKind, MetricsRegistry};
 pub use request::{RequestScope, RequestStats};
 pub use span::{set_thread_label, span, AttrValue, Collector, Event, Span, Trace};
-pub use timer::Timer;
+pub use timer::timed;

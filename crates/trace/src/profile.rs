@@ -1,11 +1,74 @@
-//! The self-profile tree: spans aggregated by call path, with
-//! inclusive/exclusive time and call counts — the quick textual answer
-//! to "where did the pipeline spend its time" that the paper's Table I
-//! runtime split needs.
+//! The span forest and the self-profile tree built from it.
+//!
+//! [`span_forest`] is the one place parenthood is rebuilt from a
+//! trace: the flight recorder snapshots it for one request, and
+//! [`profile_tree`] aggregates it by call path, with inclusive/exclusive
+//! time and call counts — the quick textual answer to "where did the
+//! pipeline spend its time" that the paper's Table I runtime split
+//! needs.
 
-use crate::span::Trace;
+use crate::span::{Event, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// One span and the spans it encloses, as rebuilt by [`span_forest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanTree {
+    /// The span itself.
+    pub event: Event,
+    /// Spans opened inside it on the same thread, in trace order.
+    pub children: Vec<SpanTree>,
+}
+
+/// The span forest of the events `keep` selects. Events keep their
+/// trace order; parent/child structure follows each thread's depth
+/// stack (the trace is sorted with parents before children at equal
+/// starts). A span whose parent is not selected, or was still open
+/// when the collector finished, is a root.
+#[must_use]
+pub fn span_forest(trace: &Trace, keep: impl Fn(&Event) -> bool) -> Vec<SpanTree> {
+    let mut arena: Vec<Option<SpanTree>> = Vec::new();
+    // Per-event parent arena index (`None` for roots).
+    let mut parents: Vec<Option<usize>> = Vec::new();
+    // One open-span stack per thread: (depth, arena index).
+    let mut stacks: Vec<(u64, Vec<(u32, usize)>)> = Vec::new();
+    for event in trace.events.iter().filter(|e| keep(e)) {
+        let stack = match stacks.iter_mut().find(|(tid, _)| *tid == event.tid) {
+            Some((_, stack)) => stack,
+            None => {
+                stacks.push((event.tid, Vec::new()));
+                &mut stacks.last_mut().expect("just pushed").1
+            }
+        };
+        while stack.last().is_some_and(|&(depth, _)| depth >= event.depth) {
+            stack.pop();
+        }
+        parents.push(stack.last().map(|&(_, idx)| idx));
+        stack.push((event.depth, arena.len()));
+        arena.push(Some(SpanTree {
+            event: event.clone(),
+            children: Vec::new(),
+        }));
+    }
+    // Materialize children bottom-up: walking in reverse arena order
+    // guarantees a node's children are complete before it moves into
+    // its own parent.
+    let mut roots = Vec::new();
+    for idx in (0..arena.len()).rev() {
+        let mut node = arena[idx].take().expect("each node moves once");
+        node.children.reverse();
+        match parents[idx] {
+            Some(parent) => arena[parent]
+                .as_mut()
+                .expect("a parent precedes its children")
+                .children
+                .push(node),
+            None => roots.push(node),
+        }
+    }
+    roots.reverse();
+    roots
+}
 
 /// One aggregated node of the profile tree.
 #[derive(Debug, Default)]
@@ -19,33 +82,25 @@ impl Node {
     fn child_inclusive(&self) -> u64 {
         self.children.values().map(|c| c.inclusive_ns).sum()
     }
+
+    /// Folds `tree` in under this node, merging identical call paths.
+    fn add(&mut self, tree: &SpanTree) {
+        let node = self.children.entry(tree.event.name).or_default();
+        node.calls += 1;
+        node.inclusive_ns += tree.event.dur_ns;
+        for child in &tree.children {
+            node.add(child);
+        }
+    }
 }
 
-/// Builds the aggregated call tree from a trace.
-///
-/// Parenthood is reconstructed from each thread's event stream using
-/// the recorded nesting depth, then identical call paths are merged
-/// across threads — a span running on four pool workers shows up as
-/// one node with four calls.
+/// Builds the aggregated call tree from a trace: the span forest with
+/// identical call paths merged across threads — a span running on four
+/// pool workers shows up as one node with four calls.
 fn build(trace: &Trace) -> Node {
     let mut root = Node::default();
-    let mut by_tid: BTreeMap<u64, Vec<&crate::span::Event>> = BTreeMap::new();
-    for event in &trace.events {
-        by_tid.entry(event.tid).or_default().push(event);
-    }
-    for events in by_tid.values_mut() {
-        events.sort_by_key(|e| (e.start_ns, e.depth));
-        let mut path: Vec<&'static str> = Vec::new();
-        for event in events.iter() {
-            path.truncate(event.depth as usize);
-            path.push(event.name);
-            let mut node = &mut root;
-            for name in &path {
-                node = node.children.entry(name).or_default();
-            }
-            node.calls += 1;
-            node.inclusive_ns += event.dur_ns;
-        }
+    for tree in &span_forest(trace, |_| true) {
+        root.add(tree);
     }
     root.inclusive_ns = root.child_inclusive();
     root
@@ -96,7 +151,6 @@ pub fn profile_tree(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Event;
 
     fn event(name: &'static str, tid: u64, depth: u32, start_ns: u64, dur_ns: u64) -> Event {
         Event {

@@ -242,13 +242,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// Drops every value and family. Intended for tests.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.families.clear();
-        inner.values.clear();
-    }
-
     /// Renders the Prometheus text exposition format (version 0.0.4).
     /// Families and series render in lexicographic order, so output is
     /// deterministic for a given state.
@@ -428,15 +421,6 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter_add("irf_requests_total", &[("route", "a\"b\\c")], 1.0);
         assert!(r.render().contains("route=\"a\\\"b\\\\c\""));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let r = MetricsRegistry::new();
-        r.counter_add("x", &[], 1.0);
-        r.reset();
-        assert_eq!(r.get("x", &[]), None);
-        assert!(r.render().is_empty());
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl RequestScope {
         self.restore().stats
     }
 
-    /// The statistics accumulated so far (the scope stays active).
-    #[must_use]
-    pub fn stats(&self) -> RequestStats {
-        CURRENT.with(|c| c.get().stats)
-    }
-
     fn restore(&mut self) -> Ctx {
         match self.previous.take() {
             Some(previous) => CURRENT.with(|c| c.replace(previous)),

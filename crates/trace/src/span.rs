@@ -111,16 +111,16 @@ static EPOCH: AtomicU64 = AtomicU64::new(0);
 /// Source of the small sequential thread ids.
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide monotonic time base shared by spans and timers. Set
-/// once, on first use, so offsets from it are comparable across
-/// threads and collectors.
+/// Process-wide monotonic time base of every span. Set once, on first
+/// use, so offsets from it are comparable across threads and
+/// collectors.
 fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
 }
 
 /// Nanoseconds since the process anchor (saturating at `u64::MAX`).
-pub(crate) fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -296,31 +296,6 @@ impl Drop for Span {
             }
         });
     }
-}
-
-/// Record a pre-measured interval (used by the [`crate::Timer`] shim,
-/// whose segments are not lexical scopes). Inert without a collector.
-pub(crate) fn record_interval(name: &'static str, start_ns: u64, end_ns: u64) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        t.sync_epoch();
-        let event = Event {
-            name,
-            tid: t.tid,
-            depth: t.depth,
-            start_ns,
-            dur_ns: end_ns.saturating_sub(start_ns),
-            request: crate::request::current(),
-            args: Vec::new(),
-        };
-        t.buf.push(event);
-        if t.depth == 0 {
-            t.flush();
-        }
-    });
 }
 
 /// The process-wide trace collector. At most one is active at a time:

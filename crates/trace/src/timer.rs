@@ -1,97 +1,20 @@
 //! Wall-clock timing for the runtime columns of Table I / Fig. 7.
-//!
-//! Lives in `irf-trace` (re-exported by `irf-metrics` for
-//! compatibility) so timed segments share the spans' clock: a named
-//! timer also records each stopped segment as a trace event.
 
-use crate::span::{now_ns, record_interval};
-use std::time::Duration;
+use std::time::Instant;
 
-/// A simple accumulating stopwatch.
+/// Runs `f` and returns its result with the seconds it took.
 ///
 /// # Example
 ///
 /// ```
-/// use irf_trace::Timer;
-///
-/// let mut t = Timer::new();
-/// t.start();
-/// let _work: u64 = (0..1000).sum();
-/// t.stop();
-/// assert!(t.elapsed().as_nanos() > 0);
+/// let (sum, seconds) = irf_trace::timed(|| (0..1000u64).sum::<u64>());
+/// assert_eq!(sum, 499_500);
+/// assert!(seconds >= 0.0);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Timer {
-    accumulated: Duration,
-    /// Nanosecond offset (from the process trace anchor) at which the
-    /// running segment started.
-    running_since_ns: Option<u64>,
-    /// When set, stopped segments are also recorded as trace events.
-    name: Option<&'static str>,
-}
-
-impl Timer {
-    /// Creates a stopped timer at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Timer::default()
-    }
-
-    /// Creates a stopped timer whose segments are additionally
-    /// recorded as trace events named `name` while a
-    /// [`crate::Collector`] is installed.
-    #[must_use]
-    pub fn named(name: &'static str) -> Self {
-        Timer {
-            name: Some(name),
-            ..Timer::default()
-        }
-    }
-
-    /// Starts a new running segment. Calling `start` on a timer that
-    /// is already running first folds the in-flight segment into the
-    /// accumulated total — time measured so far is never discarded.
-    pub fn start(&mut self) {
-        self.stop();
-        self.running_since_ns = Some(now_ns());
-    }
-
-    /// Stops the running segment, folding it into the accumulated
-    /// total. Stopping a stopped timer is a no-op.
-    pub fn stop(&mut self) {
-        if let Some(since_ns) = self.running_since_ns.take() {
-            let end_ns = now_ns();
-            self.accumulated += Duration::from_nanos(end_ns.saturating_sub(since_ns));
-            if let Some(name) = self.name {
-                record_interval(name, since_ns, end_ns);
-            }
-        }
-    }
-
-    /// Total accumulated time (including a still-running segment).
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        match self.running_since_ns {
-            Some(since_ns) => {
-                self.accumulated + Duration::from_nanos(now_ns().saturating_sub(since_ns))
-            }
-            None => self.accumulated,
-        }
-    }
-
-    /// Accumulated seconds as `f64`.
-    #[must_use]
-    pub fn seconds(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
-    /// Times a closure and returns `(result, seconds)`.
-    pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
-        let start_ns = now_ns();
-        let out = f();
-        let dur = Duration::from_nanos(now_ns().saturating_sub(start_ns));
-        (out, dur.as_secs_f64())
-    }
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
@@ -99,67 +22,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulates_across_segments() {
-        let mut t = Timer::new();
-        t.start();
-        std::thread::sleep(Duration::from_millis(2));
-        t.stop();
-        let first = t.elapsed();
-        t.start();
-        std::thread::sleep(Duration::from_millis(2));
-        t.stop();
-        assert!(t.elapsed() > first);
-    }
-
-    #[test]
-    fn stop_without_start_is_noop() {
-        let mut t = Timer::new();
-        t.stop();
-        assert_eq!(t.elapsed(), Duration::ZERO);
-    }
-
-    #[test]
-    fn restart_folds_the_inflight_segment() {
-        // Regression test: `start()` on a running timer used to throw
-        // away the in-flight segment. Sleeps only ever over-run, so
-        // the bound below is deterministic.
-        let mut t = Timer::new();
-        t.start();
-        std::thread::sleep(Duration::from_millis(3));
-        t.start(); // must fold the >= 3 ms segment, not drop it
-        std::thread::sleep(Duration::from_millis(3));
-        t.stop();
-        assert!(
-            t.elapsed() >= Duration::from_millis(6),
-            "restart dropped an in-flight segment: {:?}",
-            t.elapsed()
-        );
-    }
-
-    #[test]
     fn time_closure_returns_result() {
-        let (v, secs) = Timer::time(|| 21 * 2);
+        let (v, secs) = timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn named_timer_records_trace_events() {
-        let _guard = crate::span::COLLECTOR_GUARD
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let collector = crate::Collector::install().expect("no collector active");
-        let mut t = Timer::named("timed_segment");
-        t.start();
-        t.stop();
-        t.start();
-        t.stop();
-        let trace = collector.finish();
-        let n = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "timed_segment")
-            .count();
-        assert_eq!(n, 2);
     }
 }

@@ -12,6 +12,7 @@ use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_pg::{GridMap, PowerGrid};
 use irf_trace::{AttrValue, Collector};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 /// The global thread count, the trace collector and the metrics
@@ -166,6 +167,83 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
         assert!(trace.profile_tree().contains("rough_solve"));
     }
     drop(guard);
+}
+
+/// The call paths of a span forest, root first.
+fn forest_paths(
+    trees: &[irf_trace::SpanTree],
+    prefix: &mut Vec<&'static str>,
+    out: &mut BTreeSet<Vec<&'static str>>,
+) {
+    for tree in trees {
+        prefix.push(tree.event.name);
+        out.insert(prefix.clone());
+        forest_paths(&tree.children, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// The call paths of a rendered profile tree: one row per path, its
+/// depth in the indentation (two spaces a level), its name first.
+fn profile_paths(text: &str) -> BTreeSet<Vec<&str>> {
+    let mut out = BTreeSet::new();
+    let mut path = Vec::new();
+    for row in text.lines().skip(1) {
+        let name = row.split_whitespace().next().expect("a named row");
+        let depth = (row.len() - row.trim_start().len()) / 2;
+        path.truncate(depth);
+        path.push(name);
+        out.insert(path.clone());
+    }
+    out
+}
+
+/// One trace, two views: the flight recorder's snapshot of a request
+/// (its span forest, what `/v1/debug/requests/{id}` renders) and the
+/// self-profile tree (what `analyze_design --trace` prints) name the
+/// same call paths.
+#[test]
+fn the_request_forest_and_the_profile_tree_show_the_same_spans() {
+    let pipeline = IrFusionPipeline::new(FusionConfig::tiny());
+    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec {
+        seed: 3,
+        ..SynthSpec::default()
+    }))
+    .expect("valid grid");
+    let request = 0x5eed_1e55;
+
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    // One thread: every span opens under the request scope (pool
+    // workers do not inherit it).
+    irf_runtime::set_num_threads(1);
+    let collector = Collector::install().expect("no competing collector");
+    let scope = irf_trace::request::scope(request);
+    pipeline
+        .stack_builder()
+        .analyze(&grid, None)
+        .expect("grid has pads");
+    drop(scope);
+    let trace = collector.finish();
+    irf_runtime::set_num_threads(0);
+    drop(guard);
+
+    let mut from_forest = BTreeSet::new();
+    let forest = irf_trace::span_forest(&trace, |e| e.request == request);
+    forest_paths(&forest, &mut Vec::new(), &mut from_forest);
+    // Tests running beside this one may trace spans of their own into
+    // the same collector; the profile is of this request's events.
+    let profile = irf_trace::Trace {
+        events: trace
+            .events
+            .into_iter()
+            .filter(|e| e.request == request)
+            .collect(),
+        thread_labels: trace.thread_labels,
+    }
+    .profile_tree();
+    let from_profile = profile_paths(&profile);
+    assert!(from_forest.contains(&vec!["analyze_grid", "rough_solve", "pcg_solve"]));
+    assert_eq!(from_forest, from_profile);
 }
 
 /// The `feature/shortest_path_resistance` span says why a topology
