@@ -6,10 +6,11 @@
 //!
 //! - the adjacency is precomputed once as a CSR [`ResistanceGraph`]
 //!   whose edge weights are *resistances* (no per-edge divide inside
-//!   the Dijkstra inner loop) and shared immutably by every pass;
+//!   the pass's inner loop) and shared immutably by every pass;
 //! - each pad's pass borrows a per-thread scratch arena for its
-//!   `dist` vector and binary heap, so a fan-out allocates O(nodes)
-//!   once per worker thread instead of once per pad;
+//!   `dist` vector and FIFO work queue (`settle`: no heap unless a pass
+//!   spends its budget), so a fan-out allocates O(nodes) once per
+//!   worker thread instead of once per pad;
 //! - the per-pad passes run as independent tasks on the deterministic
 //!   pool, and the partial accumulators are folded in fixed chunk
 //!   order ([`irf_runtime::par_reduce`]), so the result is bitwise
@@ -23,13 +24,19 @@
 //! of it pays for what it moves ([`PadDistances::refreshed`]) instead
 //! of re-running every pass.
 //!
-//! Why the refreshed bits equal a from-scratch pass: a pass computes,
+//! Why the bits do not depend on the visiting order, and why the
+//! refreshed bits equal a from-scratch pass: a pass computes,
 //! per node, the minimum over paths of the left-to-right floating-point
 //! sum of the path's resistances. `fl(a + r)` is monotone in `a` and
 //! never below `a` for `r >= 0`, which is all Dijkstra's proof needs,
 //! so that minimum is what *any* correct label-correcting procedure
 //! ends on — there is one answer, and it has one bit pattern. The
-//! refresh starts from the base array instead of from infinity:
+//! loop keeps one invariant: a node that is not queued has relaxed
+//! every edge at its current label, so when nothing is queued the
+//! labels are that minimum. This, and the loop's termination, need
+//! finite non-negative weights: the `resistor` check both ingest paths
+//! share (`irf_pg::streaming`) rejects anything not finite and positive.
+//! The refresh starts from the base array instead of from infinity:
 //!
 //! 1. every *increased* segment that is tight in the base array
 //!    (`fl(d[a] + r_old)` has the bits of `d[b]`, either direction) may
@@ -38,12 +45,12 @@
 //!    harmless, the answer is unique) and re-seeded from its
 //!    neighbours under the new weights;
 //! 2. both endpoints of every *decreased* segment are relaxed;
-//! 3. the ordinary heap loop (`settle`, the one the cold pass runs)
+//! 3. the one pass loop (`settle`, the one the cold pass runs)
 //!    propagates from there.
 //!
 //! What survives untouched is an upper bound some real path of the
 //! edited grid attains, and every edge ends relaxed, so the loop ends
-//! on the unique answer. A pad whose changes touch more than a quarter
+//! on the unique answer. A pad whose changes touch more than a fifth
 //! of the nodes (`REFRESH_MAX_TOUCHED_SHARE`) runs the plain full pass
 //! instead, a pad no change reaches shares the base's array, and the
 //! per-node average is re-folded whole by the same `average_per_node`
@@ -53,8 +60,8 @@ use crate::error::FeatureError;
 use irf_pg::raster::divide_by_counts;
 use irf_pg::{GridMap, PowerGrid, TileTable};
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// How many pads the *average* shortest-path computation visits
@@ -69,51 +76,25 @@ const MAX_PADS_FOR_AVERAGE: usize = 32;
 /// hopeless refresh wastes at most this share of one pass.
 ///
 /// Measured on the 91 160-node / 13-pad benchmark base (release, one
-/// thread, fall-back disabled; EXPERIMENTS.md "Topology what-if and
-/// candidate sweep"), as time for all 13 pads against 13 full passes:
-/// increases that move 17 % of the (pad, node) distances cost 0.26 of
-/// the full passes, 49 % cost 1.0, 81 % cost 1.4 — each invalidated
-/// node is walked, re-seeded and settled again on a colder heap, so
-/// the crossing is near 45 %. Decreases that move 47 % cost 0.4 and
-/// 95 % cost 1.0 while the changed segments are few, but 45 368
-/// improving segments at once (a die-wide m2 scale) start the heap
-/// loop on a heap that large and cost 1.5. A quarter of the nodes, per
-/// pad, keeps both below the full pass with room for the pads of one
-/// edit differing.
-const REFRESH_MAX_TOUCHED_SHARE: f64 = 0.25;
+/// thread, fall-back disabled; EXPERIMENTS.md "Why the shortest-path
+/// pass is FIFO"), per pad as refresh time against one full FIFO pass,
+/// median over random m2-strap and via edits: increases touching
+/// 10-15 % of the nodes cost 0.48, 15-20 % 0.67, 20-25 % 0.95, 25-30 %
+/// 1.25, 40-60 % 2.1 — the full pass is three times cheaper than the
+/// heap pass that put the crossing near 45 %. A fifth keeps increases
+/// below the full pass. Decreases touch only their improving segments
+/// and cost what they move (0.26 at 20-25 % of the distances, 0.77 at
+/// 40-60 %, 1.95 past 60 %), which this rule does not see.
+const REFRESH_MAX_TOUCHED_SHARE: f64 = 0.2;
 
 /// Pads folded per reduction chunk. Fixed — never derived from the
 /// thread count — so the accumulation grouping, and therefore every
 /// floating-point sum, is identical at any parallelism.
 const PADS_PER_CHUNK: usize = 4;
 
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// CSR-form bidirectional adjacency with precomputed edge
 /// resistances: built once per grid and shared by every concurrent
-/// Dijkstra pass. Edge weights come straight from [`Segment::ohms`],
+/// pass. Edge weights come straight from [`Segment::ohms`],
 /// dropping the `1.0 / conductance` divide the naive adjacency paid
 /// on every edge visit.
 ///
@@ -177,80 +158,142 @@ impl ResistanceGraph {
             .zip(&self.resistances[range])
             .map(|(&t, &r)| (t as usize, r))
     }
+
+    /// Relaxes every edge of `node`, handing each neighbour whose label
+    /// dropped, with that label, to `improved`.
+    fn relax(&self, dist: &mut [f64], node: usize, mut improved: impl FnMut(usize, f64)) {
+        let d = dist[node];
+        for (next, resistance) in self.neighbors(node) {
+            let nd = d + resistance;
+            if nd < dist[next] {
+                dist[next] = nd;
+                improved(next, nd);
+            }
+        }
+    }
 }
 
-/// Per-thread scratch arena: the distance vector and heap are reused
-/// across passes on the same worker, so a 32-pad fan-out performs 1-2
-/// large allocations per thread instead of 32. `invalidated` and
-/// `marked` serve the refresh: the nodes one pad's increases
-/// invalidated, and a per-node flag (source or invalidated) cleared
-/// at the start of every pass.
+/// Queue pops a pass may spend per node before [`settle`] escalates to
+/// its heap. FIFO pops each node once on every grid this repository
+/// generates; resistances spread over decades re-pop each ~100 times.
+const FIFO_POPS_PER_NODE: usize = 2;
+
+/// The nodes whose edges are not yet relaxed at their current label:
+/// a FIFO queue with an in-queue flag per node (so it never outgrows
+/// the node count), and the heap a pass that spends its budget ends on.
+#[derive(Default)]
+struct Frontier {
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Frontier {
+    /// Empties the frontier for a pass over `n` nodes.
+    fn reset(&mut self, n: usize) {
+        self.queue.clear();
+        self.queued.clear();
+        self.queued.resize(n, false);
+        self.heap.clear();
+    }
+
+    /// Queues `node` unless it already waits.
+    fn push(&mut self, node: usize) {
+        if !self.queued[node] {
+            self.queued[node] = true;
+            self.queue.push_back(node as u32);
+        }
+    }
+}
+
+/// Per-thread scratch arena: the distance vector and frontier are
+/// reused across passes on the same worker, so a 32-pad fan-out
+/// performs 1-2 large allocations per thread instead of 32.
+/// `invalidated` and `marked` serve the refresh: the nodes one pad's
+/// increases invalidated, and a per-node flag (source or invalidated)
+/// cleared at the start of every pass.
+#[derive(Default)]
 struct Scratch {
     dist: Vec<f64>,
-    heap: BinaryHeap<HeapItem>,
+    frontier: Frontier,
     invalidated: Vec<u32>,
     marked: Vec<bool>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            dist: Vec::new(),
-            heap: BinaryHeap::new(),
-            invalidated: Vec::new(),
-            marked: Vec::new(),
-        })
-    };
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// The one Dijkstra loop, shared by the cold pass and the refresh:
-/// pops until the heap is empty, relaxing every edge of each node
-/// popped at its current distance. Returns how many nodes it settled.
-fn settle(graph: &ResistanceGraph, dist: &mut [f64], heap: &mut BinaryHeap<HeapItem>) -> usize {
-    let mut settled = 0;
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        let node = node as usize;
-        if d > dist[node] {
-            continue;
-        }
-        settled += 1;
-        for (next, resistance) in graph.neighbors(node) {
-            let nd = d + resistance;
-            if nd < dist[next] {
-                dist[next] = nd;
-                heap.push(HeapItem {
-                    dist: nd,
-                    node: next as u32,
-                });
-            }
-        }
+/// What one [`settle`] did: nodes popped and relaxed (once per pop),
+/// and whether the FIFO budget ran out so the heap finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Settled {
+    pops: usize,
+    escalated: bool,
+}
+
+/// The one shortest-path loop, shared by the cold pass and the refresh
+/// (its invariant is in the module docs). It pops in FIFO order
+/// (Bellman-Ford-Moore) until the queue empties or `budget` pops are
+/// spent; then the still-queued nodes go into a heap, keyed on
+/// `f64::to_bits` (which orders non-negative labels as numbers), and
+/// the loop finishes label-setting from the current labels, popping
+/// each node at most once more.
+fn settle(
+    graph: &ResistanceGraph,
+    dist: &mut [f64],
+    frontier: &mut Frontier,
+    budget: usize,
+) -> Settled {
+    let mut pops = 0;
+    while pops < budget {
+        let Some(node) = frontier.queue.pop_front() else {
+            break;
+        };
+        pops += 1;
+        frontier.queued[node as usize] = false;
+        graph.relax(dist, node as usize, |next, _| frontier.push(next));
     }
-    settled
-}
-
-/// Runs one Dijkstra pass from `sources` in the calling thread's
-/// scratch arena and hands the finished distance slice to `f`
-/// (`f64::INFINITY` marks unreachable nodes).
-fn dijkstra_pass<R>(graph: &ResistanceGraph, sources: &[usize], f: impl FnOnce(&[f64]) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.dist.clear();
-        scratch.dist.resize(graph.len(), f64::INFINITY);
-        scratch.heap.clear();
-        for &s in sources {
-            scratch.dist[s] = 0.0;
-            scratch.heap.push(HeapItem {
-                dist: 0.0,
-                node: s as u32,
+    let escalated = !frontier.queue.is_empty();
+    while let Some(node) = frontier.queue.pop_front() {
+        frontier.queued[node as usize] = false;
+        frontier
+            .heap
+            .push(Reverse((dist[node as usize].to_bits(), node)));
+    }
+    while let Some(Reverse((key, node))) = frontier.heap.pop() {
+        if key == dist[node as usize].to_bits() {
+            pops += 1;
+            graph.relax(dist, node as usize, |next, label| {
+                frontier.heap.push(Reverse((label.to_bits(), next as u32)));
             });
         }
-        settle(graph, &mut scratch.dist, &mut scratch.heap);
-        f(&scratch.dist)
+    }
+    Settled { pops, escalated }
+}
+
+/// Runs one full pass from `sources` in the calling thread's scratch
+/// arena and hands the finished distance slice to `f`
+/// (`f64::INFINITY` marks unreachable nodes).
+fn full_pass<R>(graph: &ResistanceGraph, sources: &[usize], f: impl FnOnce(&[f64]) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let Scratch { dist, frontier, .. } = &mut *cell.borrow_mut();
+        let n = graph.len();
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        frontier.reset(n);
+        for &s in sources {
+            dist[s] = 0.0;
+            frontier.push(s);
+        }
+        settle(graph, dist, frontier, FIFO_POPS_PER_NODE * n);
+        f(dist)
     })
 }
 
 /// Adds the passes a caller is about to run to
-/// `irf_sp_pad_passes_total`: full Dijkstra passes actually run, so a
+/// `irf_sp_pad_passes_total`: full passes from a source set actually
+/// run (each FIFO, with its heap finish if it escalates), so a
 /// multi-source design counts one and a refresh only its fall-backs.
 fn count_passes(passes: usize) {
     if passes > 0 {
@@ -269,7 +312,7 @@ fn pass_sources(grid: &PowerGrid) -> Vec<Vec<usize>> {
     }
 }
 
-/// Dijkstra with edge weight = segment resistance from the given
+/// Shortest paths with edge weight = segment resistance from the given
 /// source set; returns per-node cumulative resistance
 /// (`f64::INFINITY` for unreachable nodes).
 ///
@@ -281,12 +324,12 @@ pub fn resistance_distances(grid: &PowerGrid, sources: &[usize]) -> Result<Vec<f
         return Err(FeatureError::NoPads);
     }
     let graph = ResistanceGraph::new(grid);
-    Ok(dijkstra_pass(&graph, sources, <[f64]>::to_vec))
+    Ok(full_pass(&graph, sources, <[f64]>::to_vec))
 }
 
 /// The paper's shortest-path resistance map: "the average of the
 /// cumulative resistance from each node to voltage sources". For each
-/// pad we run a resistance-weighted Dijkstra and average the per-node
+/// pad we run a resistance-weighted shortest-path pass and average the per-node
 /// results; grids with very many pads fall back to the single
 /// multi-source (minimum) pass to bound setup cost. Node values are
 /// rasterized with per-tile means; unreachable nodes are skipped.
@@ -308,7 +351,7 @@ pub fn shortest_path_resistance_map(
 
 /// Rasterizes precomputed per-node shortest-path values with per-tile
 /// means, skipping unreachable (infinite) nodes. Split out so the
-/// feature extractor can fan the Dijkstra passes out at top level and
+/// feature extractor can fan the passes out at top level and
 /// rasterize later inside its own task. Always splats the whole die:
 /// per-tile `f32` sums depend on the order nodes arrive in, so a
 /// refreshed value array is re-splatted whole, never patched.
@@ -410,10 +453,10 @@ pub fn shortest_path_resistance_per_node(grid: &PowerGrid) -> Result<Vec<f64>, F
     if let [all_pads] = sources.as_slice() {
         // One pass — multi-source, or a one-pad design — is its own
         // average: `(0 + d) / 1` has the bits of `d`.
-        return Ok(dijkstra_pass(&graph, all_pads, <[f64]>::to_vec));
+        return Ok(full_pass(&graph, all_pads, <[f64]>::to_vec));
     }
     Ok(average_per_node(graph.len(), sources.len(), |pad, sink| {
-        dijkstra_pass(&graph, &sources[pad], sink);
+        full_pass(&graph, &sources[pad], sink);
     }))
 }
 
@@ -468,9 +511,9 @@ fn changed_segments(base: &PowerGrid, edited: &PowerGrid) -> Option<Vec<SegmentC
 pub struct RefreshStats {
     /// Segments whose `ohms` differ from the base's, bit for bit.
     pub changed_segments: usize,
-    /// Nodes the heap loop settled again, summed over the refreshed
-    /// pads (a full pass settles every reachable node; those are not
-    /// counted here).
+    /// Nodes the pass loop popped again, summed over the refreshed
+    /// pads (a node popped twice counts twice; a full pass pops every
+    /// reachable node, and those are not counted here).
     pub settled: usize,
     /// Pads whose invalidated set passed the fall-back share and ran
     /// the plain full pass.
@@ -521,7 +564,7 @@ fn refresh_pass(
 ) -> PadRefresh {
     SCRATCH.with(|cell| {
         let Scratch {
-            heap,
+            frontier,
             invalidated,
             marked,
             ..
@@ -530,7 +573,6 @@ fn refresh_pass(
         marked.clear();
         marked.resize(n, false);
         invalidated.clear();
-        heap.clear();
 
         // Sources keep distance zero whatever the weights are.
         for &s in sources {
@@ -582,6 +624,7 @@ fn refresh_pass(
         }
 
         let new = graphs.edited_graph();
+        frontier.reset(n);
         let mut dist = base.to_vec();
         for &v in invalidated.iter() {
             dist[v as usize] = f64::INFINITY;
@@ -597,10 +640,7 @@ fn refresh_pass(
                 .fold(f64::INFINITY, f64::min);
             if best < f64::INFINITY {
                 dist[v] = best;
-                heap.push(HeapItem {
-                    dist: best,
-                    node: v as u32,
-                });
+                frontier.push(v);
             }
         }
         for c in changes.iter().filter(|c| c.new < c.old) {
@@ -608,20 +648,17 @@ fn refresh_pass(
                 let nd = dist[from] + c.new;
                 if nd < dist[to] {
                     dist[to] = nd;
-                    heap.push(HeapItem {
-                        dist: nd,
-                        node: to as u32,
-                    });
+                    frontier.push(to);
                 }
             }
         }
-        let settled = settle(new, &mut dist, heap);
-        PadRefresh::Refreshed(dist, settled)
+        let settled = settle(new, &mut dist, frontier, FIFO_POPS_PER_NODE * n);
+        PadRefresh::Refreshed(dist, settled.pops)
     })
 }
 
 /// The per-pad distance arrays of one grid: the state a topology edit
-/// refreshes instead of re-running every Dijkstra pass. One array per
+/// refreshes instead of re-running every pass. One array per
 /// pad, or a single array when the pads exceed the per-pad limit and
 /// the multi-source pass ran. `pads x nodes x 8` bytes — kept for a
 /// *base* design once an edit of it asks, never by a cold analysis.
@@ -656,7 +693,7 @@ impl PadDistances {
             .iter()
             .map(|s| {
                 let graph = &graph;
-                move || dijkstra_pass(graph, s, |dist| Arc::<[f64]>::from(dist))
+                move || full_pass(graph, s, |dist| Arc::<[f64]>::from(dist))
             })
             .collect();
         Ok(PadDistances {
@@ -742,7 +779,7 @@ impl PadDistances {
                     PadRefresh::Refreshed(dist, settled) => (dist.into(), settled, 0),
                     PadRefresh::Hopeless => {
                         let graph = graphs.edited_graph();
-                        (dijkstra_pass(graph, s, |d| Arc::<[f64]>::from(d)), 0, 1)
+                        (full_pass(graph, s, |d| Arc::<[f64]>::from(d)), 0, 1)
                     }
                 }
             })
@@ -867,6 +904,88 @@ I1 t 0 1m
                 assert!((r - 1.0 / cond).abs() < 1e-15);
             }
         }
+    }
+
+    /// One pass of [`settle`] from `sources` on its own frontier, with
+    /// the given pop budget.
+    fn pass(graph: &ResistanceGraph, sources: &[usize], budget: usize) -> (Vec<f64>, Settled) {
+        let mut dist = vec![f64::INFINITY; graph.len()];
+        let mut frontier = Frontier::default();
+        frontier.reset(graph.len());
+        for &s in sources {
+            dist[s] = 0.0;
+            frontier.push(s);
+        }
+        let settled = settle(graph, &mut dist, &mut frontier, budget);
+        (dist, settled)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `side x side` mesh, one pad in a corner, every resistance
+    /// log-uniform over `decades` decades above 10 mOhm.
+    fn decade_mesh(side: usize, decades: f64, seed: u64) -> PowerGrid {
+        let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(seed);
+        let mut src = String::from("V1 n0_0 0 1.0\n");
+        let mut k = 0;
+        for y in 0..side {
+            for x in 0..side {
+                for (nx, ny) in [(x + 1, y), (x, y + 1)] {
+                    if nx < side && ny < side {
+                        let ohms = 0.01 * 10f64.powf(decades * rng.random::<f64>());
+                        src.push_str(&format!("R{k} n{x}_{y} n{nx}_{ny} {ohms:e}\n"));
+                        k += 1;
+                    }
+                }
+            }
+        }
+        PowerGrid::from_netlist(&parse(&src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn fifo_pass_pops_each_node_once_on_a_synthetic_grid() {
+        use irf_data::synth::{synthesize, SynthSpec};
+        let g = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(4000, 5))).unwrap();
+        let graph = ResistanceGraph::new(&g);
+        let n = graph.len();
+        let pads: Vec<usize> = g.pads.iter().map(|p| p.node).collect();
+        for &pad in &pads {
+            let (dist, settled) = pass(&graph, &[pad], FIFO_POPS_PER_NODE * n);
+            assert!(dist.iter().all(|d| d.is_finite()), "every node reachable");
+            let once = Settled {
+                pops: n,
+                escalated: false,
+            };
+            assert_eq!(settled, once, "pad {pad}");
+        }
+        // Waves from several sources cross, so a multi-source pass
+        // re-pops some nodes, but stays well inside the budget.
+        let (_, settled) = pass(&graph, &pads, FIFO_POPS_PER_NODE * n);
+        assert!(
+            !settled.escalated && settled.pops < n + n / 4,
+            "{settled:?}"
+        );
+    }
+
+    #[test]
+    fn a_decade_spread_mesh_escalates_and_keeps_the_bits() {
+        let g = decade_mesh(40, 6.0, 11);
+        let graph = ResistanceGraph::new(&g);
+        let (n, pad) = (graph.len(), g.pads[0].node);
+        let (shipped, settled) = pass(&graph, &[pad], FIFO_POPS_PER_NODE * n);
+        assert!(settled.escalated, "{settled:?}");
+        // The heap finish pops each node at most once more.
+        assert!(settled.pops <= (FIFO_POPS_PER_NODE + 1) * n, "{settled:?}");
+        let (heap_only, _) = pass(&graph, &[pad], 0);
+        assert_eq!(bits(&shipped), bits(&heap_only));
+        let (fifo_only, unbounded) = pass(&graph, &[pad], usize::MAX);
+        assert!(!unbounded.escalated && unbounded.pops > settled.pops);
+        assert_eq!(bits(&shipped), bits(&fifo_only));
+        let mut cold = Vec::new();
+        full_pass(&graph, &[pad], |d| cold.extend_from_slice(d));
+        assert_eq!(bits(&shipped), bits(&cold));
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl FeatureStack {
 /// This is the `FeatureStack` stage's structural half in the
 /// incremental pipeline: when only the current vector of a design
 /// changes, these maps (including the costly per-pad shortest-path
-/// Dijkstra) are reused verbatim and only the current and solution
+/// passes) are reused verbatim and only the current and solution
 /// channels are recomputed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructuralMaps {
@@ -242,7 +242,7 @@ impl<T> Carried<T> {
 /// strap/via edit gets new ones while [`GeometryMaps`] stays warm — and
 /// *refreshes* them from the base design's
 /// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
-/// re-running every per-pad Dijkstra; a current-only edit reuses both
+/// re-running every per-pad pass; a current-only edit reuses both
 /// halves.
 ///
 /// Equality compares the two maps. The per-pad distance arrays a base
@@ -254,7 +254,7 @@ pub struct ResistanceMaps {
     /// The normalized `resistance/map` channel.
     pub resistance: GridMap,
     /// The normalized `resistance/shortest_path` channel (the costly
-    /// per-pad Dijkstra).
+    /// per-pad passes).
     pub shortest_path: GridMap,
     /// The per-pad distance arrays behind `shortest_path`, materialised
     /// by the first topology edit that refreshes from these maps. A
@@ -310,7 +310,7 @@ impl FeatureExtractor {
     /// ablation while keeping the channel count fixed).
     ///
     /// The shortest-path resistance values — the costliest feature —
-    /// are computed first at top level, so their per-pad Dijkstra
+    /// are computed first at top level, so their per-pad
     /// passes fan out across the whole pool; the remaining map groups
     /// then run as one task each (nested parallel calls inside a task
     /// execute inline).
@@ -335,12 +335,12 @@ impl FeatureExtractor {
 
     /// Computes only the current-independent channels — the structural
     /// half of the stack, including the costly per-pad shortest-path
-    /// Dijkstra. The result depends on the grid topology, geometry,
+    /// passes. The result depends on the grid topology, geometry,
     /// and pad set, but never on the load currents, so the incremental
     /// pipeline caches it across current-only edits.
     ///
     /// The shortest-path resistance values — the costliest feature —
-    /// are computed first at top level, so their per-pad Dijkstra
+    /// are computed first at top level, so their per-pad
     /// passes fan out across the whole pool; the remaining maps then
     /// run as one task each (nested parallel calls inside a task
     /// execute inline).
@@ -407,7 +407,7 @@ impl FeatureExtractor {
     /// warm.
     ///
     /// The shortest-path resistance values — the costliest feature —
-    /// are computed first at top level, so their per-pad Dijkstra
+    /// are computed first at top level, so their per-pad
     /// passes fan out across the whole pool; the remaining maps then
     /// run as one task each (nested parallel calls inside a task
     /// execute inline).

@@ -1,4 +1,4 @@
-//! `irf_sp_pad_passes_total` counts the Dijkstra passes actually run.
+//! `irf_sp_pad_passes_total` counts the full shortest-path passes actually run.
 //! One test in a process of its own: the counter is process-wide.
 
 use irf_data::synth::{synthesize, SynthSpec};

@@ -10,7 +10,8 @@ use std::fmt;
 /// as `FeatureError::NoPads` upstream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
-    /// A resistor had a non-positive resistance.
+    /// A resistor had a non-positive or non-finite resistance (`1e400`
+    /// parses to infinity).
     NonPositiveResistance {
         /// Element name.
         name: String,
@@ -40,7 +41,10 @@ impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ModelError::NonPositiveResistance { name, ohms } => {
-                write!(f, "resistor '{name}' has non-positive resistance {ohms}")
+                write!(
+                    f,
+                    "resistor '{name}' has non-positive or non-finite resistance {ohms}"
+                )
             }
             ModelError::NoPads => write!(f, "design has no voltage source (floating grid)"),
             ModelError::UngroundedSource { name } => {
@@ -67,8 +71,9 @@ mod tests {
         assert!(ModelError::NoPads.to_string().contains("floating"));
         let e = ModelError::NonPositiveResistance {
             name: "R9".into(),
-            ohms: 0.0,
+            ohms: f64::INFINITY,
         };
         assert!(e.to_string().contains("R9"));
+        assert!(e.to_string().contains("non-positive or non-finite"));
     }
 }

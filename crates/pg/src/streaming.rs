@@ -243,7 +243,9 @@ impl Accumulator {
     }
 
     fn resistor(&mut self, name: &str, a: &str, b: &str, ohms: f64) -> Result<(), ModelError> {
-        if ohms <= 0.0 {
+        // Finite and positive: the solver's SPD matrix and the
+        // shortest-path passes' termination both rest on this check.
+        if !(ohms > 0.0 && ohms.is_finite()) {
             return Err(ModelError::NonPositiveResistance {
                 name: name.to_string(),
                 ohms,
@@ -335,7 +337,8 @@ impl PowerGrid {
     ///
     /// # Errors
     ///
-    /// - [`ModelError::NonPositiveResistance`] for `R <= 0`;
+    /// - [`ModelError::NonPositiveResistance`] for `R` not finite and
+    ///   positive;
     /// - [`ModelError::NoPads`] when no voltage source exists;
     /// - [`ModelError::UngroundedSource`] when a voltage source's
     ///   negative terminal is not ground.
@@ -480,8 +483,11 @@ mod tests {
     #[test]
     fn model_errors_match() {
         let cases = [
-            "R1 a b 0\nV1 a 0 1.0\n",   // non-positive resistance
-            "R1 a b -2\nV1 a 0 1.0\n",  // negative resistance
+            "R1 a b 0\nV1 a 0 1.0\n",  // non-positive resistance
+            "R1 a b -2\nV1 a 0 1.0\n", // negative resistance
+            // `1e400` and `1e300t` (1e312) both parse to +inf.
+            "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e400\nI1 c 0 1m\n",
+            "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e300t\nI1 c 0 1m\n",
             "R1 a b 1.0\nV1 a b 1.0\n", // ungrounded source
             "R1 a b 1.0\nI1 a 0 1m\n",  // no pads
         ];

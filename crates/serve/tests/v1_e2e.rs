@@ -212,6 +212,15 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
             404,
             "unknown_model",
         ),
+        // `1e400` parses to +inf: a typed ingest error, not a panic in
+        // the solver's setup.
+        (
+            "POST",
+            "/v1/predict",
+            r#"{"netlist":"V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e400\nI1 c 0 1m\n"}"#,
+            400,
+            "invalid_design",
+        ),
         ("POST", "/v1/whatif", "{}", 400, "missing_base"),
         (
             "POST",
