@@ -9,14 +9,13 @@
 use irf_data::golden::golden_drops;
 use irf_data::real_like::real_like_spec;
 use irf_data::synthesize;
-use irf_pg::PowerGrid;
 use irf_sparse::amg::AmgParams;
 use irf_sparse::smoother::SmootherKind;
 use irf_sparse::{Solver, SolverKind};
 
 fn main() {
     let spec = real_like_spec(3);
-    let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid grid");
+    let grid = synthesize(&spec);
     let sys = grid.build_system();
     let golden = golden_drops(&grid);
     println!(

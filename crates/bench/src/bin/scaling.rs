@@ -10,13 +10,9 @@
 //! each thread count the full prepare path runs from the file —
 //! streaming ingest ([`irf_pg::grid_from_spice_path`]), two-pass MNA
 //! assembly, AMG setup, and a truncated rough solve — with `VmHWM`
-//! peak-RSS recorded after the streaming sweep and again after a
-//! materialize-everything baseline (read the whole file into a
-//! `String`, parse to a full [`irf_spice::Netlist`], then model).
-//! Because the high-water mark is monotone, the streaming sweep runs
-//! first; its peak is an upper bound on what the streaming path
-//! needs. Matrix and solution checksums must be bitwise identical
-//! across thread counts and between the streaming and baseline paths.
+//! peak-RSS recorded after each pass (the high-water mark is monotone,
+//! so the last row is the whole sweep's peak). Matrix and solution
+//! checksums must be bitwise identical across thread counts.
 //!
 //! Per-thread timings carry the benchmark's metric names
 //! (`pg.ingest_s`, `pg.assemble_s`, `sparse.amg_setup_s`,
@@ -98,6 +94,9 @@ struct LargeRun {
     matrix_checksum: u64,
     solution_checksum: u64,
     peak_rss_mb: f64,
+    grid_nodes: usize,
+    unknowns: usize,
+    nnz: usize,
 }
 
 /// One streaming end-to-end pass at a fixed thread count: file →
@@ -111,6 +110,7 @@ fn large_pass(path: &std::path::Path, threads: usize) -> LargeRun {
     let start = Instant::now();
     let system = irf_pg::PgSystem::try_build(&grid).expect("assembly");
     let assemble_s = start.elapsed().as_secs_f64();
+    let grid_nodes = grid.nodes.len();
     drop(grid);
 
     let start = Instant::now();
@@ -132,6 +132,9 @@ fn large_pass(path: &std::path::Path, threads: usize) -> LargeRun {
         matrix_checksum: matrix_checksum(&system.matrix),
         solution_checksum: bits_checksum(report.x.iter()),
         peak_rss_mb: peak as f64 / (1024.0 * 1024.0),
+        grid_nodes,
+        unknowns: system.matrix.rows(),
+        nnz: system.matrix.nnz(),
     }
 }
 
@@ -155,8 +158,6 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
         "threads", "ingest_s", "asm_s", "amg_s", "solve_s", "it", "solution", "peakRSS"
     );
     println!("{}", "-".repeat(88));
-    // Streaming passes first: VmHWM is monotone, so their peak must be
-    // captured before the materialize-everything baseline inflates it.
     let mut runs = Vec::new();
     for &threads in &[1usize, 2, 4, 8] {
         let run = large_pass(&path, threads);
@@ -181,41 +182,13 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
     );
     let streaming_peak_mb = runs.last().map_or(0.0, |r| r.peak_rss_mb);
 
-    // Materialize-everything baseline at 1 thread: whole file in a
-    // String, full Netlist, full PowerGrid — the pre-streaming shape
-    // of the prepare path.
-    irf_runtime::set_num_threads(1);
-    let start = Instant::now();
-    let src = std::fs::read_to_string(&path).expect("read netlist");
-    let netlist = irf_spice::parse(&src).expect("parse netlist");
-    drop(src);
-    let parse_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let grid = irf_pg::PowerGrid::from_netlist(&netlist).expect("model grid");
-    drop(netlist);
-    let system = irf_pg::PgSystem::try_build(&grid).expect("assembly");
-    let assemble_seconds = start.elapsed().as_secs_f64();
-    let baseline_checksum = matrix_checksum(&system.matrix);
-    let baseline_peak_mb = irf_bench::peak_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0);
-    assert_eq!(
-        baseline_checksum, runs[0].matrix_checksum,
-        "streaming and materialized assembly disagree"
-    );
-    println!(
-        "baseline (materialized, 1 thread): parse {parse_seconds:.2}s + assemble \
-         {assemble_seconds:.2}s, peak RSS {baseline_peak_mb:.1}MB (streaming sweep peaked \
-         at {streaming_peak_mb:.1}MB)"
-    );
-
     irf_runtime::set_num_threads(0);
     let mut out = String::from("{\n  \"benchmark\": \"large-grid-scaling\",\n");
     out.push_str(&format!(
         "  \"target_nodes\": {target_nodes},\n  \"grid_nodes\": {},\n  \"unknowns\": {},\n  \
          \"nnz\": {},\n  \"netlist_bytes\": {netlist_bytes},\n  \
          \"synth_seconds\": {synth_seconds:.3},\n  \"results\": [\n",
-        grid.nodes.len(),
-        system.matrix.rows(),
-        system.matrix.nnz(),
+        runs[0].grid_nodes, runs[0].unknowns, runs[0].nnz,
     ));
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -237,10 +210,7 @@ fn run_large(target_nodes: usize, json_path: Option<String>) {
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"baseline\": {{\"parse_seconds\": {parse_seconds:.3}, \
-         \"assemble_seconds\": {assemble_seconds:.3}, \"peak_rss_mb\": {baseline_peak_mb:.1}, \
-         \"matrix_checksum\": \"{baseline_checksum:016x}\"}},\n  \
-         \"streaming_peak_rss_mb\": {streaming_peak_mb:.1}\n}}\n"
+        "  ],\n  \"streaming_peak_rss_mb\": {streaming_peak_mb:.1}\n}}\n"
     ));
     if let Some(path) = json_path {
         std::fs::write(&path, &out).expect("write JSON report");

@@ -22,9 +22,9 @@
 //! use irf_data::{synthesize, SynthSpec};
 //!
 //! // Synthesize a small design and analyze it end to end.
-//! let netlist = synthesize(&SynthSpec::default());
+//! let grid = synthesize(&SynthSpec::default());
 //! let pipeline = IrFusionPipeline::new(FusionConfig::default());
-//! let analysis = pipeline.analyze_netlist(&netlist)?;
+//! let analysis = pipeline.stack_builder().analyze(&grid, None)?;
 //! assert!(analysis.rough_map.max() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

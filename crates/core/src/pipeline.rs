@@ -14,9 +14,8 @@ use irf_data::golden::golden_drops;
 use irf_data::Design;
 use irf_features::{FeatureError, FeatureExtractor, FeatureStack};
 use irf_nn::{Tape, Tensor};
-use irf_pg::{GridMap, Load, ModelError, PgStructure, PowerGrid, Rasterizer};
+use irf_pg::{GridMap, Load, PgStructure, PowerGrid, Rasterizer};
 use irf_sparse::{SolveReport, Solver, SolverSetup};
-use irf_spice::Netlist;
 use irf_trace::timed;
 use std::sync::Arc;
 use std::time::Instant;
@@ -276,7 +275,7 @@ impl EditPlan {
 /// use irf_data::{synthesize, SynthSpec};
 /// use irf_pg::PowerGrid;
 ///
-/// let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default()))?;
+/// let grid = synthesize(&SynthSpec::default());
 /// let pipeline = IrFusionPipeline::new(FusionConfig::tiny());
 /// let analysis = pipeline.stack_builder().analyze(&grid, None)?;
 /// assert!(analysis.rough_map.max() > 0.0);
@@ -403,7 +402,7 @@ impl<'p> FeatureStackBuilder<'p> {
 
     /// Prepares the label-free stack straight from a SPICE file on
     /// disk, streaming cards into the grid model without ever holding
-    /// the netlist text (or an [`irf_spice::Netlist`]) in memory —
+    /// the netlist text (or any whole-netlist structure) in memory —
     /// the front door for paper-size designs whose source files dwarf
     /// the working set of the solve itself. Downstream of ingest this
     /// is exactly [`FeatureStackBuilder::prepare`]: same stage graph,
@@ -879,24 +878,6 @@ impl IrFusionPipeline {
             .map(|stack| (*stack).clone())
     }
 
-    /// Analyzes a netlist end to end (inference path). Pass a trained
-    /// `model` to get the fused prediction; without one, only the
-    /// rough numerical map is produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] when the netlist does not describe a
-    /// valid power grid (a padless grid surfaces as
-    /// [`ModelError::NoPads`]).
-    pub fn analyze_netlist(&self, netlist: &Netlist) -> Result<Analysis, ModelError> {
-        let grid = PowerGrid::from_netlist(netlist)?;
-        // The only feature error today is NoPads; `FeatureError` is
-        // non_exhaustive, so map conservatively.
-        self.stack_builder()
-            .analyze(&grid, None)
-            .map_err(|_| ModelError::NoPads)
-    }
-
     /// Runs model inference on one prepared stack, applying the
     /// residual (or absolute) postprocessing.
     ///
@@ -991,7 +972,7 @@ impl IrFusionPipeline {
 /// use irf_pg::PowerGrid;
 /// use std::sync::Arc;
 ///
-/// let grid = Arc::new(PowerGrid::from_netlist(&synthesize(&SynthSpec::default()))?);
+/// let grid = Arc::new(synthesize(&SynthSpec::default()));
 /// let pipeline =
 ///     IrFusionPipeline::new(FusionConfig::tiny()).with_cache(Arc::new(StageStore::new(4)));
 /// let cold = pipeline.session(Arc::clone(&grid)).prepare()?;
@@ -1247,7 +1228,7 @@ mod tests {
     }
 
     fn grid() -> PowerGrid {
-        PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid grid")
+        synthesize(&SynthSpec::default())
     }
 
     #[test]
@@ -1293,8 +1274,8 @@ mod tests {
     #[test]
     fn analyze_without_model_gives_rough_map_only() {
         let p = pipeline();
-        let netlist = synthesize(&SynthSpec::default());
-        let a = p.analyze_netlist(&netlist).expect("valid");
+        let grid = synthesize(&SynthSpec::default());
+        let a = p.stack_builder().analyze(&grid, None).expect("valid");
         assert!(a.fused_map.is_none());
         assert!(a.rough_map.max() > 0.0);
         assert!(a.runtime_seconds > 0.0);

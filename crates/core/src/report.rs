@@ -179,10 +179,8 @@ mod tests {
     fn analysis_signoff_prefers_fused_map() {
         use crate::pipeline::IrFusionPipeline;
         use crate::FusionConfig;
-        let grid = irf_pg::PowerGrid::from_netlist(
-            &irf_spice::parse("V1 p 0 1.0\nR1 p a 1.0\nI1 a 0 1m\n").expect("parses"),
-        )
-        .expect("valid");
+        let grid = irf_pg::grid_from_spice_reader(&b"V1 p 0 1.0\nR1 p a 1.0\nI1 a 0 1m\n"[..])
+            .expect("valid");
         let pipeline = IrFusionPipeline::new(FusionConfig::tiny());
         let analysis = pipeline.stack_builder().analyze(&grid, None).expect("pads");
         let report = analysis.signoff(0.1);

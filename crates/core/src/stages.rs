@@ -14,7 +14,7 @@
 //!
 //! | stage                | fingerprint inputs                               |
 //! |----------------------|--------------------------------------------------|
-//! | `Parsed`             | raw netlist bytes ([`irf_spice::source_hash`])   |
+//! | `Parsed`             | the design fingerprint ([`design_fingerprint`])  |
 //! | `Assembled`          | topology (geometry + conductances + pad volts)   |
 //! | `SolverSetup`        | topology + solver configuration                  |
 //! | `Rough`              | topology + solver configuration + currents       |

@@ -32,8 +32,7 @@ impl Design {
     /// Builds a labelled fake design from a seed.
     #[must_use]
     pub fn fake(seed: u64) -> Self {
-        let grid =
-            PowerGrid::from_netlist(&fake::generate(seed)).expect("generator emits valid grids");
+        let grid = fake::generate(seed);
         let golden = golden_drops(&grid);
         Design {
             name: format!("fake_{seed:03}"),
@@ -46,8 +45,7 @@ impl Design {
     /// Builds a labelled real-like design from a seed.
     #[must_use]
     pub fn real_like(seed: u64) -> Self {
-        let grid = PowerGrid::from_netlist(&real_like::generate(seed))
-            .expect("generator emits valid grids");
+        let grid = real_like::generate(seed);
         let golden = golden_drops(&grid);
         Design {
             name: format!("real_{seed:03}"),

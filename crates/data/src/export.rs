@@ -9,7 +9,9 @@
 use crate::dataset::{Dataset, Design};
 use irf_features::solution::bottom_layer_solution_map;
 use irf_features::{current, density, distance};
-use irf_pg::Rasterizer;
+use irf_pg::{PowerGrid, Rasterizer};
+use irf_spice::value::format_spice_number;
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -23,10 +25,7 @@ use std::path::Path;
 pub fn export_design(design: &Design, dir: &Path, resolution: usize) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let grid = &design.grid;
-    // SPICE netlist, regenerated through the writer so the exported
-    // file round-trips through `irf_spice::parse`.
-    let netlist = to_netlist(design);
-    fs::write(dir.join("netlist.sp"), irf_spice::write(&netlist))?;
+    fs::write(dir.join("netlist.sp"), to_netlist(grid))?;
     let raster = Rasterizer::new(grid.bounding_box(), resolution, resolution);
     fs::write(
         dir.join("current_map.csv"),
@@ -68,33 +67,35 @@ pub fn export_dataset(dataset: &Dataset, root: &Path, resolution: usize) -> io::
     fs::write(root.join("MANIFEST.csv"), manifest)
 }
 
-/// Rebuilds a netlist from the structured grid (used by the exporter;
-/// the generated grid does not retain its original netlist text).
-fn to_netlist(design: &Design) -> irf_spice::Netlist {
-    let grid = &design.grid;
-    let mut src = String::from("* exported by irf-data\n");
+/// The grid as SPICE text (a generated grid keeps no netlist text): a
+/// header, one `R` card per segment, one `I` card per load and one `V`
+/// card per pad, in grid order, with values printed by
+/// [`format_spice_number`] so the file reads back to the same grid bit
+/// for bit.
+#[must_use]
+pub fn to_netlist(grid: &PowerGrid) -> String {
+    let name = |node: usize| grid.nodes[node].name.as_str();
+    let mut out = String::from("* power-grid netlist written by irf-spice\n");
     for (i, s) in grid.segments.iter().enumerate() {
-        let a = &grid.nodes[s.a];
-        let b = &grid.nodes[s.b];
-        src.push_str(&format!("R{i} {} {} {:e}\n", a.name, b.name, s.ohms));
+        let ohms = format_spice_number(s.ohms);
+        let _ = writeln!(out, "R{i} {} {} {ohms}", name(s.a), name(s.b));
     }
     for (i, l) in grid.loads.iter().enumerate() {
-        let n = &grid.nodes[l.node];
-        src.push_str(&format!("I{i} {} 0 {:e}\n", n.name, l.amps));
+        let amps = format_spice_number(l.amps);
+        let _ = writeln!(out, "I{i} {} 0 {amps}", name(l.node));
     }
     for (i, p) in grid.pads.iter().enumerate() {
-        let n = &grid.nodes[p.node];
-        src.push_str(&format!("V{i} {} 0 {}\n", n.name, p.volts));
+        let volts = format_spice_number(p.volts);
+        let _ = writeln!(out, "V{i} {} 0 {volts}", name(p.node));
     }
-    src.push_str(".end\n");
-    irf_spice::parse(&src).expect("regenerated netlist always parses")
+    out.push_str(".end\n");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::parse_map_csv;
-    use irf_pg::PowerGrid;
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("irf_export_{tag}_{}", std::process::id()));
@@ -116,12 +117,9 @@ mod tests {
         ] {
             assert!(dir.join(f).exists(), "{f} missing");
         }
-        // The exported netlist parses and rebuilds the same grid shape.
-        let text = fs::read_to_string(dir.join("netlist.sp")).expect("readable");
-        let grid =
-            PowerGrid::from_netlist(&irf_spice::parse(&text).expect("parses")).expect("valid grid");
-        assert_eq!(grid.nodes.len(), design.grid.nodes.len());
-        assert_eq!(grid.segments.len(), design.grid.segments.len());
+        // The exported netlist reads back to the same grid.
+        let grid = irf_pg::grid_from_spice_path(dir.join("netlist.sp")).expect("valid grid");
+        assert_eq!(grid, design.grid);
         // The golden CSV parses back to a 16x16 map with the same peak.
         let m = parse_map_csv(&fs::read_to_string(dir.join("ir_drop_map.csv")).unwrap())
             .expect("valid csv");
@@ -140,5 +138,19 @@ mod tests {
         assert!(manifest.contains("train"));
         assert!(manifest.contains("test"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn to_netlist_writes_header_cards_in_grid_order_and_end() {
+        let src = "V1 p 0 1.1\nR1 p a 0.5\nR2 a b 2e-3\nI1 0 b 1m\nI2 a 0 3e-6\n";
+        let grid = irf_pg::grid_from_spice_reader(src.as_bytes()).expect("valid");
+        let text = to_netlist(&grid);
+        assert_eq!(
+            text,
+            "* power-grid netlist written by irf-spice\n\
+             R0 p a 0.5\nR1 a b 0.002\nI0 b 0 -0.001\nI1 a 0 3e-6\nV0 p 0 1.1\n.end\n"
+        );
+        let again = irf_pg::grid_from_spice_reader(text.as_bytes()).expect("reads back");
+        assert_eq!(again, grid);
     }
 }

@@ -2,8 +2,8 @@
 //! curriculum class.
 
 use crate::synth::{synthesize, SynthSpec};
+use irf_pg::PowerGrid;
 use irf_runtime::Xoshiro256pp;
-use irf_spice::Netlist;
 
 /// Generates the spec of one fake design: perfectly regular stripes,
 /// smooth current, no blockages — mirroring the BeGAN generator's
@@ -28,14 +28,13 @@ pub fn fake_spec(seed: u64) -> SynthSpec {
 
 /// Synthesizes one fake design.
 #[must_use]
-pub fn generate(seed: u64) -> Netlist {
+pub fn generate(seed: u64) -> PowerGrid {
     synthesize(&fake_spec(seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_pg::PowerGrid;
 
     #[test]
     fn fake_designs_are_regular() {
@@ -52,7 +51,7 @@ mod tests {
 
     #[test]
     fn generated_design_is_well_formed() {
-        let g = PowerGrid::from_netlist(&generate(5)).expect("valid");
+        let g = generate(5);
         assert!(g.is_connected_to_pads());
     }
 }

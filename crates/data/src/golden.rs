@@ -35,7 +35,7 @@ mod tests {
 
     #[test]
     fn golden_drops_are_nonnegative_and_bounded() {
-        let g = irf_pg::PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).unwrap();
+        let g = synthesize(&SynthSpec::default());
         let drops = golden_drops(&g);
         assert_eq!(drops.len(), g.nodes.len());
         assert!(drops.iter().all(|&d| d >= -1e-12));
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn pads_have_zero_drop() {
-        let g = irf_pg::PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).unwrap();
+        let g = synthesize(&SynthSpec::default());
         let drops = golden_drops(&g);
         for p in &g.pads {
             assert_eq!(drops[p.node], 0.0);
@@ -54,7 +54,7 @@ mod tests {
 
     #[test]
     fn label_map_has_hotspots() {
-        let g = irf_pg::PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).unwrap();
+        let g = synthesize(&SynthSpec::default());
         let raster = Rasterizer::new(g.bounding_box(), 16, 16);
         let label = golden_label(&g, &raster);
         assert!(label.max() > 0.0);
@@ -68,8 +68,8 @@ mod tests {
             total_current: base.total_current * 2.0,
             ..base.clone()
         };
-        let gb = irf_pg::PowerGrid::from_netlist(&synthesize(&base)).unwrap();
-        let gh = irf_pg::PowerGrid::from_netlist(&synthesize(&heavy)).unwrap();
+        let gb = synthesize(&base);
+        let gh = synthesize(&heavy);
         let db = golden_drops(&gb);
         let dh = golden_drops(&gh);
         let max_b = db.iter().copied().fold(0.0, f64::max);

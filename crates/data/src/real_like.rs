@@ -6,8 +6,8 @@
 //! concentrated in a few hot macros instead of spread smoothly.
 
 use crate::synth::{synthesize, SynthSpec};
+use irf_pg::PowerGrid;
 use irf_runtime::Xoshiro256pp;
-use irf_spice::Netlist;
 
 /// Generates the spec of one real-like design.
 #[must_use]
@@ -30,14 +30,13 @@ pub fn real_like_spec(seed: u64) -> SynthSpec {
 
 /// Synthesizes one real-like design.
 #[must_use]
-pub fn generate(seed: u64) -> Netlist {
+pub fn generate(seed: u64) -> PowerGrid {
     synthesize(&real_like_spec(seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_pg::PowerGrid;
 
     #[test]
     fn real_like_specs_are_irregular() {
@@ -51,7 +50,7 @@ mod tests {
     #[test]
     fn generated_design_is_well_formed() {
         for seed in 0..3 {
-            let g = PowerGrid::from_netlist(&generate(seed)).expect("valid");
+            let g = generate(seed);
             assert!(g.is_connected_to_pads(), "seed {seed} disconnected");
             assert!(!g.loads.is_empty());
         }

@@ -7,8 +7,8 @@
 //! — are what separate "fake" (regular) from "real-like" (irregular)
 //! designs.
 
+use irf_pg::PowerGrid;
 use irf_runtime::Xoshiro256pp;
-use irf_spice::Netlist;
 use std::io;
 use std::path::Path;
 
@@ -74,24 +74,24 @@ impl Default for SynthSpec {
     }
 }
 
-/// Synthesizes a SPICE netlist for the spec.
-///
-/// The output uses the ICCAD-2023 node naming convention so it parses
-/// back through [`irf_spice::parse`] with full layer/coordinate
-/// structure.
+/// Synthesizes the spec's power grid: its SPICE text
+/// ([`synthesize_to_string`]) read through
+/// [`irf_pg::grid_from_spice_reader`], the one door every design comes
+/// in by. The text uses the ICCAD-2023 node naming convention, so the
+/// grid has full layer/coordinate structure.
 ///
 /// # Panics
 ///
 /// Panics if the spec is degenerate (fewer than 2 stripes on any
 /// layer, or zero pads).
 #[must_use]
-pub fn synthesize(spec: &SynthSpec) -> Netlist {
+pub fn synthesize(spec: &SynthSpec) -> PowerGrid {
     let src = synthesize_to_string(spec);
-    irf_spice::parse(&src).expect("synthesized netlist always parses")
+    irf_pg::grid_from_spice_reader(src.as_bytes()).expect("synthesized netlists are valid grids")
 }
 
-/// Synthesizes the SPICE text for the spec without parsing it — the
-/// same bytes [`synthesize`] parses.
+/// Synthesizes the SPICE text for the spec without reading it — the
+/// same bytes [`synthesize`] reads.
 ///
 /// # Panics
 ///
@@ -399,17 +399,15 @@ fn stripe_positions(extent: i64, count: usize, jitter: f64, rng: &mut Xoshiro256
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_pg::PowerGrid;
 
     #[test]
     fn default_spec_synthesizes_valid_grid() {
-        let n = synthesize(&SynthSpec::default());
-        let g = PowerGrid::from_netlist(&n).expect("valid grid");
+        let g = synthesize(&SynthSpec::default());
         assert!(g.nodes.len() > 200);
         assert_eq!(g.pads.len(), 4);
         assert_eq!(g.layers(), vec![1, 2, 4]);
         assert!(g.is_connected_to_pads());
-        // Netlist values are written with 7 significant digits.
+        // Synthesized values are written with 7 significant digits.
         assert!((g.total_load_current() - 0.08).abs() < 1e-5);
     }
 
@@ -431,8 +429,7 @@ mod tests {
             seed: 7,
             ..SynthSpec::default()
         };
-        let n = synthesize(&spec);
-        let g = PowerGrid::from_netlist(&n).expect("valid");
+        let g = synthesize(&spec);
         // Check that m1 y-coordinates are not evenly spaced.
         let mut ys: Vec<i64> = g
             .nodes
@@ -459,8 +456,8 @@ mod tests {
             seed: 11,
             ..SynthSpec::default()
         };
-        let gw = PowerGrid::from_netlist(&synthesize(&with)).expect("valid");
-        let go = PowerGrid::from_netlist(&synthesize(&without)).expect("valid");
+        let gw = synthesize(&with);
+        let go = synthesize(&without);
         assert!(gw.loads.len() < go.loads.len());
         assert!(gw.is_connected_to_pads());
     }
@@ -473,8 +470,8 @@ mod tests {
             seed: 13,
             ..SynthSpec::default()
         };
-        let g = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid");
-        // Netlist values are written with 7 significant digits.
+        let g = synthesize(&spec);
+        // Synthesized values are written with 7 significant digits.
         assert!((g.total_load_current() - 0.08).abs() < 1e-5);
         // The largest single load should be far above the mean.
         let max = g.loads.iter().map(|l| l.amps).fold(0.0, f64::max);
@@ -484,11 +481,10 @@ mod tests {
 
     #[test]
     fn roundtrips_through_spice_writer() {
-        let n = synthesize(&SynthSpec::default());
-        let text = irf_spice::write(&n);
-        let again = irf_spice::parse(&text).expect("reparses");
-        assert_eq!(n.resistors().len(), again.resistors().len());
-        assert_eq!(n.current_sources().len(), again.current_sources().len());
+        let g = synthesize(&SynthSpec::default());
+        let text = crate::export::to_netlist(&g);
+        let again = irf_pg::grid_from_spice_reader(text.as_bytes()).expect("reads back");
+        assert_eq!(g, again);
     }
 
     #[test]
@@ -503,10 +499,9 @@ mod tests {
         let mut bytes: Vec<u8> = Vec::new();
         synthesize_to_writer(&spec, &mut bytes).expect("vec sink");
         assert_eq!(text.as_bytes(), &bytes[..]);
-        // And the parsed netlist matches the materialized front door.
-        let parsed = irf_spice::parse(&text).expect("parses");
-        assert_eq!(parsed, synthesize(&spec));
-        assert_eq!(parsed.content_hash(), synthesize(&spec).content_hash());
+        // And those bytes are the grid `synthesize` reads.
+        let read = irf_pg::grid_from_spice_reader(&bytes[..]).expect("reads");
+        assert_eq!(read, synthesize(&spec));
     }
 
     #[test]
@@ -534,7 +529,7 @@ mod tests {
         }
         // Small scaled specs must still synthesize a valid grid.
         let spec = SynthSpec::scaled_to_nodes(5_000, 9);
-        let g = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid grid");
+        let g = synthesize(&spec);
         assert!(g.is_connected_to_pads());
         let lo = approx_node_count(&spec) / 2;
         assert!(g.nodes.len() > lo, "{} nodes vs approx {lo}", g.nodes.len());

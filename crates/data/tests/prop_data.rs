@@ -2,10 +2,11 @@
 //! substrate: every design the generators can emit must be physically
 //! well-formed (fixed seeds, exact reproduction on failure).
 
+use irf_data::export::to_netlist;
 use irf_data::golden::golden_drops;
 use irf_data::synth::{synthesize, SynthSpec};
 use irf_data::{fake, real_like};
-use irf_pg::PowerGrid;
+use irf_pg::grid_from_spice_reader;
 use irf_runtime::Xoshiro256pp;
 
 const CASES: u64 = 24;
@@ -32,8 +33,7 @@ fn every_synthesized_design_is_well_formed() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xDA_01);
     for _ in 0..CASES {
         let spec = small_spec(&mut rng);
-        let netlist = synthesize(&spec);
-        let grid = PowerGrid::from_netlist(&netlist).expect("generator emits valid grids");
+        let grid = synthesize(&spec);
         assert!(grid.is_connected_to_pads(), "floating nodes");
         assert_eq!(grid.pads.len(), spec.pads);
         assert!(!grid.loads.is_empty());
@@ -50,7 +50,7 @@ fn golden_solutions_are_physical() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xDA_02);
     for _ in 0..CASES {
         let spec = small_spec(&mut rng);
-        let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid");
+        let grid = synthesize(&spec);
         let drops = golden_drops(&grid);
         // Drops are non-negative and below the supply.
         assert!(drops.iter().all(|&d| (-1e-12..grid.vdd()).contains(&d)));
@@ -80,16 +80,11 @@ fn netlists_roundtrip_via_spice_text() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xDA_04);
     for _ in 0..CASES {
         let spec = small_spec(&mut rng);
-        let n = synthesize(&spec);
-        let text = irf_spice::write(&n);
-        let again = irf_spice::parse(&text).expect("round-trips");
-        assert_eq!(n.resistors().len(), again.resistors().len());
-        assert_eq!(n.current_sources().len(), again.current_sources().len());
-        assert_eq!(n.voltage_sources().len(), again.voltage_sources().len());
-        // And the rebuilt grid is equivalent node-for-node.
-        let ga = PowerGrid::from_netlist(&n).expect("valid");
-        let gb = PowerGrid::from_netlist(&again).expect("valid");
-        assert_eq!(ga.nodes.len(), gb.nodes.len());
-        assert_eq!(ga.segments.len(), gb.segments.len());
+        let grid = synthesize(&spec);
+        let text = to_netlist(&grid);
+        let again = grid_from_spice_reader(text.as_bytes()).expect("round-trips");
+        // The rebuilt grid is the same, bit for bit.
+        assert_eq!(grid, again);
+        assert_eq!(to_netlist(&again), text);
     }
 }

@@ -28,7 +28,7 @@ pub fn pdn_density_map_tiled(tiles: &TileTable) -> GridMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     fn grid() -> PowerGrid {
         let src = "\
@@ -39,7 +39,7 @@ R3 n1_m1_100_0 n1_m1_200_0 0.5
 R4 n1_m1_200_0 n1_m1_1000_0 0.5
 I1 n1_m1_1000_0 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]

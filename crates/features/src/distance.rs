@@ -50,7 +50,7 @@ pub fn effective_distance_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     fn grid_with_corner_pad() -> PowerGrid {
         let src = "\
@@ -58,7 +58,7 @@ V1 n1_m4_0_0 0 1.0
 R1 n1_m4_0_0 n1_m1_1000_1000 0.1
 I1 n1_m1_1000_1000 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]
@@ -90,7 +90,7 @@ R1 n1_m4_0_0 n1_m1_1000_1000 0.1
 R2 n1_m4_1000_1000 n1_m1_1000_1000 0.1
 I1 n1_m1_1000_1000 0 1m
 ";
-        let two = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let two = grid_from_spice_reader(src.as_bytes()).unwrap();
         let m2 = effective_distance_map(&two, &Rasterizer::new(two.bounding_box(), 8, 8));
         // With a second pad every non-pad pixel is effectively closer.
         assert!(m2.get(4, 4) < m1.get(4, 4));

@@ -27,7 +27,7 @@ pub fn resistance_map(grid: &PowerGrid, tiles: &TileTable) -> GridMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     fn grid() -> PowerGrid {
         let src = "\
@@ -36,7 +36,7 @@ R1 n1_m4_0_0 n1_m1_0_0 0.4
 R2 n1_m1_0_0 n1_m1_1000_0 1.0
 I1 n1_m1_1000_0 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]

@@ -800,7 +800,7 @@ impl PadDistances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     /// pad --0.5-- a --0.5-- b, plus a second pad at b's far side.
     fn chain() -> PowerGrid {
@@ -810,7 +810,7 @@ R1 p a 0.5
 R2 a b 0.5
 I1 b 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]
@@ -827,7 +827,7 @@ I1 b 0 1m
     #[test]
     fn unreachable_nodes_are_infinite() {
         let src = "V1 p 0 1.0\nR1 p a 1.0\nR2 x y 1.0\nI1 a 0 1m\n";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let d = resistance_distances(&g, &[g.pads[0].node]).unwrap();
         assert!(d.iter().filter(|v| !v.is_finite()).count() == 2);
     }
@@ -841,7 +841,7 @@ R1 p a 1.0
 R2 a q 3.0
 I1 a 0 1m
 ";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let v = shortest_path_resistance_per_node(&g).unwrap();
         // node a: 1.0 from p, 3.0 from q -> average 2.0.
         let a_idx = g
@@ -870,7 +870,7 @@ R2 p m 1.0
 R3 m t 1.0
 I1 t 0 1m
 ";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let d = resistance_distances(&g, &[g.pads[0].node]).unwrap();
         let t_idx = g.nodes.iter().position(|n| n.name == "t").unwrap();
         assert!((d[t_idx] - 2.0).abs() < 1e-12);
@@ -941,13 +941,13 @@ I1 t 0 1m
                 }
             }
         }
-        PowerGrid::from_netlist(&parse(&src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]
     fn fifo_pass_pops_each_node_once_on_a_synthetic_grid() {
         use irf_data::synth::{synthesize, SynthSpec};
-        let g = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(4000, 5))).unwrap();
+        let g = synthesize(&SynthSpec::scaled_to_nodes(4000, 5));
         let graph = ResistanceGraph::new(&g);
         let n = graph.len();
         let pads: Vec<usize> = g.pads.iter().map(|p| p.node).collect();
@@ -998,7 +998,7 @@ I1 t 0 1m
             src.push_str(&format!("R{i} p{i} mid {}\n", 0.25 * (i + 1) as f64));
         }
         src.push_str("Rl mid t 0.5\nI1 t 0 1m\n");
-        let g = PowerGrid::from_netlist(&parse(&src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let fanned = shortest_path_resistance_per_node(&g).unwrap();
         let mut acc = vec![0.0; g.nodes.len()];
         for pad in &g.pads {

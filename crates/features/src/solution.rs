@@ -92,7 +92,7 @@ pub fn bottom_layer_solution_map_tiled(drops: &[f64], tiles: &TileTable) -> Grid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     fn two_layer_grid() -> PowerGrid {
         let src = "\
@@ -103,7 +103,7 @@ R3 n1_m4_0_0 n1_m4_1000_0 0.2
 R4 n1_m4_1000_0 n1_m1_1000_0 0.1
 I1 n1_m1_1000_0 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     #[test]

@@ -714,7 +714,7 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use irf_pg::grid_from_spice_reader;
 
     fn grid() -> PowerGrid {
         let src = "\
@@ -725,7 +725,7 @@ R3 n1_m4_0_0 n1_m4_1000_1000 0.2
 R4 n1_m4_1000_1000 n1_m1_1000_0 0.3
 I1 n1_m1_1000_0 0 1m
 ";
-        PowerGrid::from_netlist(&parse(src).unwrap()).unwrap()
+        grid_from_spice_reader(src.as_bytes()).unwrap()
     }
 
     fn config() -> FeatureConfig {
@@ -868,7 +868,7 @@ R1 n1_m4_-9223372036854775800_0 n1_m1_9223372036854775800_0 0.1
 R2 n1_m1_9223372036854775800_0 n1_m1_0_0 0.5
 I1 n1_m1_0_0 0 1m
 ";
-        let g = irf_pg::grid_from_spice_reader(std::io::Cursor::new(src)).expect("valid grid");
+        let g = grid_from_spice_reader(std::io::Cursor::new(src)).expect("valid grid");
         let ex = FeatureExtractor::new(config());
         let geometry = ex.geometry(&g).expect("pads");
         let resistance = ex.resistance_maps(&g).expect("pads");

@@ -13,7 +13,7 @@ fn grid(pads: usize) -> PowerGrid {
         pads,
         ..SynthSpec::default()
     };
-    PowerGrid::from_netlist(&synthesize(&spec)).expect("valid")
+    synthesize(&spec)
 }
 
 #[test]

@@ -17,7 +17,7 @@ fn random_grid(rng: &mut Xoshiro256pp) -> PowerGrid {
         seed: rng.random_range(0u64..200),
         ..SynthSpec::default()
     };
-    PowerGrid::from_netlist(&synthesize(&spec)).expect("valid")
+    synthesize(&spec)
 }
 
 #[test]

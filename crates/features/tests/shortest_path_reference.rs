@@ -204,14 +204,13 @@ fn decade_mesh(side: usize, pads: usize, decades: f64, seed: u64) -> PowerGrid {
             }
         }
     }
-    PowerGrid::from_netlist(&irf_spice::parse(&src).expect("parses")).expect("valid grid")
+    irf_pg::grid_from_spice_reader(src.as_bytes()).expect("valid grid")
 }
 
 #[test]
 fn synthetic_grids_match_the_reference() {
     for (nodes, seed) in [(2_000, 1), (3_000, 2), (5_000, 3)] {
-        let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(nodes, seed)))
-            .expect("valid grid");
+        let grid = synthesize(&SynthSpec::scaled_to_nodes(nodes, seed));
         check(&grid, &format!("scaled_to_nodes({nodes}, {seed})"));
     }
 }
@@ -235,7 +234,7 @@ fn a_design_past_the_per_pad_limit_takes_the_multi_source_pass() {
         seed: 5,
         ..SynthSpec::default()
     };
-    let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid grid");
+    let grid = synthesize(&spec);
     assert!(grid.pads.len() > 32, "{} pads", grid.pads.len());
     assert_eq!(
         PadDistances::compute(&grid).expect("pads").passes().len(),

@@ -253,7 +253,7 @@ fn check_every_map(what: &str, grid: &PowerGrid, raster: &Rasterizer, values: &[
 }
 
 fn synth(nodes: usize, seed: u64) -> PowerGrid {
-    PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(nodes, seed))).expect("valid")
+    synthesize(&SynthSpec::scaled_to_nodes(nodes, seed))
 }
 
 fn node(layer: u32, x: i64, y: i64) -> PgNode {

@@ -239,7 +239,7 @@ struct BeamState {
 /// use irf_pg::PowerGrid;
 /// use std::sync::Arc;
 ///
-/// let grid = Arc::new(PowerGrid::from_netlist(&synthesize(&SynthSpec::default()))?);
+/// let grid = Arc::new(synthesize(&SynthSpec::default()));
 /// let pipeline =
 ///     IrFusionPipeline::new(FusionConfig::tiny()).with_cache(Arc::new(StageStore::new(64)));
 /// let base_drop = f64::from(pipeline.session(Arc::clone(&grid)).prepare()?.rough.max());

@@ -74,9 +74,9 @@ pub(crate) fn sorted_distinct(layers: impl Iterator<Item = u32>) -> Vec<u32> {
 
 /// A validated multi-layer power grid.
 ///
-/// Built by the one grid builder in [`crate::streaming`] — from a
-/// parsed netlist by [`PowerGrid::from_netlist`], from SPICE bytes by
-/// [`grid_from_spice_reader`](crate::grid_from_spice_reader); ground
+/// Built by the one grid builder in [`crate::streaming`], from SPICE
+/// bytes by [`grid_from_spice_reader`](crate::grid_from_spice_reader)
+/// or [`grid_from_spice_path`](crate::grid_from_spice_path); ground
 /// is removed, voltage sources become [`Pad`]s, current sources become
 /// [`Load`]s, and elements touching only ground are dropped.
 ///
@@ -104,7 +104,7 @@ impl PowerGrid {
     /// # Errors
     ///
     /// Returns [`ModelError::NoPads`] if the grid has no pads (cannot
-    /// happen for grids built by [`PowerGrid::from_netlist`]).
+    /// happen for grids built from SPICE text).
     pub fn try_vdd(&self) -> Result<f64, ModelError> {
         self.pads
             .iter()
@@ -120,8 +120,8 @@ impl PowerGrid {
     /// # Panics
     ///
     /// Panics if the grid has no pads (cannot happen for grids built
-    /// by [`PowerGrid::from_netlist`]); use [`PowerGrid::try_vdd`] for
-    /// grids of unknown provenance.
+    /// from SPICE text); use [`PowerGrid::try_vdd`] for grids of
+    /// unknown provenance.
     #[must_use]
     pub fn vdd(&self) -> f64 {
         self.try_vdd().expect("grid has no pads")
@@ -291,7 +291,7 @@ impl PowerGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use crate::{grid_from_spice_reader, IngestError};
 
     const SRC: &str = "\
 R1 n1_m1_0_0 n1_m1_2000_0 0.5
@@ -303,7 +303,7 @@ V1 n1_m4_0_0 0 1.1
 
     #[test]
     fn builds_nodes_segments_loads_pads() {
-        let g = PowerGrid::from_netlist(&parse(SRC).unwrap()).unwrap();
+        let g = grid_from_spice_reader(SRC.as_bytes()).unwrap();
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(g.segments.len(), 2);
         assert_eq!(g.loads.len(), 1);
@@ -314,32 +314,32 @@ V1 n1_m4_0_0 0 1.1
 
     #[test]
     fn layers_are_collected() {
-        let g = PowerGrid::from_netlist(&parse(SRC).unwrap()).unwrap();
+        let g = grid_from_spice_reader(SRC.as_bytes()).unwrap();
         assert_eq!(g.layers(), vec![1, 4]);
     }
 
     #[test]
     fn reversed_current_source_injects() {
         let src = "R1 a b 1.0\nI1 0 b 2m\nV1 a 0 1.0\n";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         assert_eq!(g.loads[0].amps, -2e-3);
     }
 
     #[test]
     fn no_pads_is_rejected() {
         let src = "R1 a b 1.0\n";
-        assert_eq!(
-            PowerGrid::from_netlist(&parse(src).unwrap()),
-            Err(ModelError::NoPads)
-        );
+        assert!(matches!(
+            grid_from_spice_reader(src.as_bytes()),
+            Err(IngestError::Model(ModelError::NoPads))
+        ));
     }
 
     #[test]
     fn zero_resistance_is_rejected() {
         let src = "R1 a b 0\nV1 a 0 1.0\n";
         assert!(matches!(
-            PowerGrid::from_netlist(&parse(src).unwrap()),
-            Err(ModelError::NonPositiveResistance { .. })
+            grid_from_spice_reader(src.as_bytes()),
+            Err(IngestError::Model(ModelError::NonPositiveResistance { .. }))
         ));
     }
 
@@ -347,24 +347,24 @@ V1 n1_m4_0_0 0 1.1
     fn ungrounded_source_is_rejected() {
         let src = "R1 a b 1.0\nV1 a b 1.0\n";
         assert!(matches!(
-            PowerGrid::from_netlist(&parse(src).unwrap()),
-            Err(ModelError::UngroundedSource { .. })
+            grid_from_spice_reader(src.as_bytes()),
+            Err(IngestError::Model(ModelError::UngroundedSource { .. }))
         ));
     }
 
     #[test]
     fn connectivity_check() {
-        let g = PowerGrid::from_netlist(&parse(SRC).unwrap()).unwrap();
+        let g = grid_from_spice_reader(SRC.as_bytes()).unwrap();
         assert!(g.is_connected_to_pads());
         let island = "R1 a b 1.0\nR2 c d 1.0\nV1 a 0 1.0\n";
-        let g = PowerGrid::from_netlist(&parse(island).unwrap()).unwrap();
+        let g = grid_from_spice_reader(island.as_bytes()).unwrap();
         assert!(!g.is_connected_to_pads());
     }
 
     #[test]
     fn parallel_segments_merge_to_equivalent_conductance() {
         let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nR3 a b 1.0\nI1 b 0 1m\n";
-        let mut g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let mut g = grid_from_spice_reader(src.as_bytes()).unwrap();
         assert_eq!(g.segments.len(), 3);
         let merged = g.merge_parallel_segments();
         assert_eq!(merged, 1);
@@ -381,20 +381,20 @@ V1 n1_m4_0_0 0 1.1
     #[test]
     fn validate_flags_issues() {
         let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nI1 0 a 1m\n";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let issues = g.validate();
         assert!(issues.iter().any(|i| i.contains("parallel")));
         assert!(issues.iter().any(|i| i.contains("inject")));
         // A clean grid validates empty.
         let clean = "V1 p 0 1.0\nR1 p a 2.0\nI1 a 0 1m\n";
-        let g = PowerGrid::from_netlist(&parse(clean).unwrap()).unwrap();
+        let g = grid_from_spice_reader(clean.as_bytes()).unwrap();
         assert!(g.validate().is_empty(), "{:?}", g.validate());
     }
 
     #[test]
     fn merged_grid_solves_identically() {
         let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nR3 a b 1.0\nI1 b 0 1m\n";
-        let g0 = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g0 = grid_from_spice_reader(src.as_bytes()).unwrap();
         let mut g1 = g0.clone();
         g1.merge_parallel_segments();
         let s0 = g0.build_system();
@@ -412,7 +412,7 @@ V1 n1_m4_0_0 0 1.1
 
     #[test]
     fn bounding_box_spans_nodes() {
-        let g = PowerGrid::from_netlist(&parse(SRC).unwrap()).unwrap();
+        let g = grid_from_spice_reader(SRC.as_bytes()).unwrap();
         assert_eq!(g.bounding_box(), (0, 0, 2000, 0));
     }
 }

@@ -1,7 +1,8 @@
 //! Power-grid circuit model, MNA system assembly, and rasterization.
 //!
-//! This crate turns a parsed SPICE netlist ([`irf_spice::Netlist`])
-//! into:
+//! This crate turns SPICE netlist text, read card by card through
+//! [`irf_spice::visit_cards`] ([`grid_from_spice_reader`],
+//! [`grid_from_spice_path`]), into:
 //!
 //! - a structured multi-layer [`PowerGrid`] (nodes with layer and
 //!   coordinates, resistive segments, cell loads, power pads);
@@ -17,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use irf_pg::PowerGrid;
+//! use irf_pg::grid_from_spice_reader;
 //!
 //! let src = "\
 //! R1 n1_m1_0_0 n1_m1_2000_0 0.5
@@ -26,8 +27,7 @@
 //! V1 n1_m4_0_0 0 1.1
 //! .end
 //! ";
-//! let netlist = irf_spice::parse(src)?;
-//! let grid = PowerGrid::from_netlist(&netlist)?;
+//! let grid = grid_from_spice_reader(src.as_bytes())?;
 //! let system = grid.build_system();
 //! assert_eq!(system.matrix.rows(), 2); // pad node eliminated
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -65,7 +65,7 @@ impl PgStructure {
     /// Returns [`ModelError::InvalidNodeIndex`] when a segment, load,
     /// or pad references a node outside the grid's node list (cannot
     /// happen for grids produced by
-    /// [`PowerGrid::from_netlist`](crate::PowerGrid::from_netlist)).
+    /// [`grid_from_spice_reader`](crate::grid_from_spice_reader)).
     pub fn try_build(grid: &PowerGrid) -> Result<Self, ModelError> {
         let n_nodes = grid.nodes.len();
         let bad_index = |what: &'static str, index: usize| ModelError::InvalidNodeIndex {
@@ -256,7 +256,7 @@ impl PgSystem {
     ///
     /// Panics if a segment references an out-of-range node (cannot
     /// happen for grids produced by
-    /// [`PowerGrid::from_netlist`](crate::PowerGrid::from_netlist)).
+    /// [`grid_from_spice_reader`](crate::grid_from_spice_reader)).
     #[must_use]
     pub fn build(grid: &PowerGrid) -> Self {
         Self::try_build(grid).expect("malformed power grid")
@@ -304,9 +304,8 @@ impl PgSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::PowerGrid;
+    use crate::grid_from_spice_reader;
     use irf_sparse::{Solver, SolverKind};
-    use irf_spice::parse;
 
     /// Chain: pad --1R-- n1 --1R-- n2, with 1 mA drawn at n2.
     /// Exact drops: d(n1) = 1 mV, d(n2) = 2 mV.
@@ -319,7 +318,7 @@ I1 n2 0 1m
 ";
 
     fn chain_system() -> PgSystem {
-        PowerGrid::from_netlist(&parse(CHAIN).unwrap())
+        grid_from_spice_reader(CHAIN.as_bytes())
             .unwrap()
             .build_system()
     }
@@ -355,7 +354,7 @@ I1 n2 0 1m
     #[test]
     fn pad_to_pad_segments_are_dropped() {
         let src = "V1 p 0 1.0\nV2 q 0 1.0\nR1 p q 1.0\nR2 p a 1.0\nI1 a 0 1m\n";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let s = g.build_system();
         assert_eq!(s.dim(), 1);
         assert_eq!(s.matrix.get(0, 0), 1.0);
@@ -364,7 +363,7 @@ I1 n2 0 1m
     #[test]
     fn rhs_collects_loads() {
         let src = "V1 p 0 1.0\nR1 p a 1.0\nI1 a 0 1m\nI2 a 0 2m\n";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let s = g.build_system();
         assert!((s.rhs[0] - 3e-3).abs() < 1e-15);
     }
@@ -378,7 +377,7 @@ R2 n1 n2 1.0
 R3 n2 n3 2.0
 I1 n3 0 1m
 ";
-        let base_grid = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let base_grid = grid_from_spice_reader(src.as_bytes()).unwrap();
         let base = PgStructure::build(&base_grid);
 
         let mut edited = base_grid.clone();
@@ -395,14 +394,13 @@ I1 n3 0 1m
     #[test]
     fn restamped_declines_on_structural_changes() {
         let src = "V1 p 0 1.0\nR1 p a 1.0\nR2 a b 1.0\nR3 b c 1.0\nI1 c 0 1m\n";
-        let grid = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let grid = grid_from_spice_reader(src.as_bytes()).unwrap();
         let base = PgStructure::build(&grid);
 
         // Different node count.
-        let smaller = PowerGrid::from_netlist(
-            &parse("V1 p 0 1.0\nR1 p a 1.0\nR2 a b 1.0\nI1 b 0 1m\n").unwrap(),
-        )
-        .unwrap();
+        let smaller =
+            grid_from_spice_reader(&b"V1 p 0 1.0\nR1 p a 1.0\nR2 a b 1.0\nI1 b 0 1m\n"[..])
+                .unwrap();
         assert!(base.restamped(&smaller).is_none());
 
         // New connection a--c outside the base sparsity pattern (the
@@ -438,7 +436,7 @@ R3 n1_m1_1000_0 n1_m1_2000_0 0.4
 I1 n1_m1_1000_0 0 2m
 I2 n1_m1_2000_0 0 1m
 ";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let s = g.build_system();
         let x = Solver::new(SolverKind::Cholesky).solve(&s.matrix, &s.rhs).x;
         assert!(x.iter().all(|&d| d >= -1e-15));

@@ -60,7 +60,7 @@ impl fmt::Display for DesignStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use crate::grid_from_spice_reader;
 
     #[test]
     fn stats_match_grid() {
@@ -70,7 +70,7 @@ R2 n1_m4_0_0 n1_m1_0_0 0.1
 I1 n1_m1_2000_0 0 1m
 V1 n1_m4_0_0 0 1.1
 ";
-        let g = PowerGrid::from_netlist(&parse(src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let s = DesignStats::from_grid(&g);
         assert_eq!(s.nodes, 3);
         assert_eq!(s.segments, 2);

@@ -5,15 +5,15 @@
 //! error, a resistor leg to ground or onto itself is dropped, which
 //! terminal of an `I` card carries the load and with what sign, pads
 //! come from `V` cards whose minus terminal is ground, and a grid with
-//! no pad is rejected. It has two front doors:
+//! no pad is rejected. Its one front door is the card stream:
+//! [`grid_from_spice_reader`] / [`grid_from_spice_path`] subscribe it
+//! to [`irf_spice::visit_cards`], so SPICE bytes become a grid with no
+//! source text and no netlist in memory.
 //!
-//! * [`grid_from_spice_reader`] / [`grid_from_spice_path`] subscribe it
-//!   to the card-visitor stream ([`irf_spice::visit_cards`]), so a file
-//!   becomes a grid with no source text and no
-//!   [`Netlist`] in memory — at million-node scale
-//!   those two exist only to be thrown away.
-//! * [`PowerGrid::from_netlist`] replays an already parsed netlist
-//!   through it.
+//! Errors surface in stream order: the first bad card — malformed,
+//! a duplicate name, or electrically invalid like `R <= 0` — stops the
+//! ingest, and design-wide checks (ungrounded sources, no pads) come
+//! after the last card.
 //!
 //! # Node order
 //!
@@ -28,25 +28,11 @@
 //! still-unseen name of theirs is interned. Whatever order the cards
 //! arrive in, the grid is the same; tests pin that on sources whose
 //! `V` and `I` cards come first.
-//!
-//! # What the card stream does not check
-//!
-//! Two documented differences from `parse` + `from_netlist`, on
-//! *invalid* input only:
-//!
-//! * duplicate element names are not detected (that check needs
-//!   whole-file state the visitor stream deliberately does not keep —
-//!   parse the netlist with [`irf_spice::parse_reader`] when it
-//!   matters);
-//! * errors surface in stream order, so a model error (say `R <= 0`
-//!   on line 3) can win over a parse error later in the file, where
-//!   parsing the whole netlist first would report the parse error.
-//!   Valid designs are unaffected.
 
 use crate::error::ModelError;
 use crate::grid::{Load, Pad, PgNode, PowerGrid, Segment};
 use irf_spice::error::{ParseError, ParseErrorKind};
-use irf_spice::{Netlist, NodeId, NodeInfo, StreamError, StreamedCard, StreamedCardKind};
+use irf_spice::{StreamError, StreamedCard, StreamedCardKind};
 use std::fs::File;
 use std::hash::{BuildHasher, RandomState};
 use std::io::{self, BufRead, BufReader};
@@ -101,6 +87,19 @@ impl From<ModelError> for IngestError {
     fn from(e: ModelError) -> Self {
         IngestError::Model(e)
     }
+}
+
+/// The `(layer, x, y)` a node name encodes under the ICCAD-2023
+/// convention `n<net>_m<layer>_<x>_<y>`, or `None` for any other name.
+fn place(name: &str) -> Option<(u32, i64, i64)> {
+    // Expect: n<net> _ m<layer> _ <x> _ <y>
+    let mut parts = name.split('_');
+    let (_net, layer, x, y) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
+    if parts.next().is_some() {
+        return None;
+    }
+    let layer = layer.strip_prefix(['m', 'M'])?.parse::<u32>().ok()?;
+    Some((layer, x.parse::<i64>().ok()?, y.parse::<i64>().ok()?))
 }
 
 /// A buffered reference to a grid node: resolved to its final index
@@ -213,7 +212,7 @@ impl Accumulator {
         if let Some(idx) = self.index.get(hash, name, &self.nodes) {
             return Some(idx);
         }
-        let (layer, x, y) = NodeInfo::place(name).unwrap_or((1, 0, 0));
+        let (layer, x, y) = place(name).unwrap_or((1, 0, 0));
         let idx = self.nodes.len();
         self.nodes.push(PgNode {
             name: name.to_string(),
@@ -329,50 +328,42 @@ impl Accumulator {
     }
 }
 
-impl PowerGrid {
-    /// Builds the model from a parsed netlist, by replaying its
-    /// elements through the grid builder: all resistors, then all
-    /// current sources, then all voltage sources. The grid equals the
-    /// one [`grid_from_spice_reader`] builds from the same SPICE text.
-    ///
-    /// # Errors
-    ///
-    /// - [`ModelError::NonPositiveResistance`] for `R` not finite and
-    ///   positive;
-    /// - [`ModelError::NoPads`] when no voltage source exists;
-    /// - [`ModelError::UngroundedSource`] when a voltage source's
-    ///   negative terminal is not ground.
-    pub fn from_netlist(netlist: &Netlist) -> Result<Self, ModelError> {
-        let name = |id: NodeId| netlist.node(id).name.as_str();
-        let mut acc = Accumulator::default();
-        for r in netlist.resistors() {
-            acc.resistor(&r.name, name(r.a), name(r.b), r.ohms)?;
-        }
-        for i in netlist.current_sources() {
-            acc.current_source(name(i.from), name(i.to), i.amps);
-        }
-        for v in netlist.voltage_sources() {
-            acc.voltage_source(&v.name, name(v.plus), name(v.minus), v.volts);
-        }
-        acc.finish().map(|(grid, _)| grid)
-    }
-}
-
 /// Streams SPICE text from `reader` directly into a [`PowerGrid`],
-/// never materializing the source or a netlist. The grid is **equal**
-/// to `PowerGrid::from_netlist(&irf_spice::parse(&text)?)` on the same
-/// bytes; see the [module docs](self) for the two invalid-input
-/// caveats.
+/// never materializing the source or a netlist; see the
+/// [module docs](self) for the rules and the node order.
 ///
 /// # Errors
 ///
-/// [`IngestError::Io`] / [`IngestError::Parse`] from the stream,
-/// [`IngestError::Model`] for electrically invalid designs.
+/// [`IngestError::Io`] / [`IngestError::Parse`] from the stream
+/// (duplicate element names included), [`IngestError::Model`] for
+/// electrically invalid designs:
+///
+/// - [`ModelError::NonPositiveResistance`] for `R` not finite and
+///   positive;
+/// - [`ModelError::UngroundedSource`] when a voltage source's
+///   negative terminal is not ground;
+/// - [`ModelError::NoPads`] when no voltage source exists.
 pub fn grid_from_spice_reader<R: BufRead>(reader: R) -> Result<PowerGrid, IngestError> {
+    use irf_spice::stream::{CARDS_PER_CHUNK, CHUNKS_PER_BATCH};
+    grid_from_spice_reader_chunked(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH)
+}
+
+/// [`grid_from_spice_reader`] with explicit chunk and batch sizes, so
+/// tests can show the grid does not depend on them.
+///
+/// # Errors
+///
+/// See [`grid_from_spice_reader`].
+#[doc(hidden)]
+pub fn grid_from_spice_reader_chunked<R: BufRead>(
+    reader: R,
+    cards_per_chunk: usize,
+    chunks_per_batch: usize,
+) -> Result<PowerGrid, IngestError> {
     let mut span = irf_trace::span("grid_stream_ingest");
     let mut acc = Accumulator::default();
     let mut model_err: Option<ModelError> = None;
-    let result = irf_spice::visit_cards(reader, |card| match acc.absorb(card) {
+    let visit = |card: &StreamedCard<'_>| match acc.absorb(card) {
         Ok(()) => Ok(()),
         Err(e) => {
             // The visitor contract only carries `ParseError`; park the
@@ -384,7 +375,9 @@ pub fn grid_from_spice_reader<R: BufRead>(reader: R) -> Result<PowerGrid, Ingest
                 kind: ParseErrorKind::InvalidValue(String::new()),
             })
         }
-    });
+    };
+    let result =
+        irf_spice::stream::visit_cards_chunked(reader, cards_per_chunk, chunks_per_batch, visit);
     if let Some(e) = model_err {
         return Err(IngestError::Model(e));
     }
@@ -416,19 +409,130 @@ pub fn grid_from_spice_path(path: impl AsRef<Path>) -> Result<PowerGrid, IngestE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_spice::parse;
+    use crate::grid::PgNode;
+    use std::collections::HashMap;
     use std::io::Cursor;
 
-    fn materialized(src: &str) -> Result<PowerGrid, ModelError> {
-        PowerGrid::from_netlist(&parse(src).expect("parses"))
+    /// The grid built the plain way, sharing no code with
+    /// `Accumulator`: collect every card, then intern the nodes of all
+    /// `R` cards, then of all `I` cards, then of all `V` cards, in a
+    /// `HashMap`. Valid designs only.
+    fn reference(src: &str) -> PowerGrid {
+        let mut cards = Vec::new();
+        irf_spice::visit_cards(src.as_bytes(), |card| {
+            let (a, b) = (card.a.to_string(), card.b.to_string());
+            cards.push((card.kind, a, b, card.value));
+            Ok(())
+        })
+        .expect("parses");
+        let mut ids: HashMap<String, usize> = HashMap::new();
+        let mut nodes: Vec<PgNode> = Vec::new();
+        let mut intern = |name: &str| -> Option<usize> {
+            if name == "0" {
+                return None;
+            }
+            if let Some(&id) = ids.get(name) {
+                return Some(id);
+            }
+            let fields: Vec<&str> = name.split('_').collect();
+            let coordinates = match fields[..] {
+                [_, layer, x, y] => match (
+                    layer.strip_prefix(['m', 'M']).map(str::parse::<u32>),
+                    x.parse::<i64>(),
+                    y.parse::<i64>(),
+                ) {
+                    (Some(Ok(layer)), Ok(x), Ok(y)) => (layer, x, y),
+                    _ => (1, 0, 0),
+                },
+                _ => (1, 0, 0),
+            };
+            let (layer, x, y) = coordinates;
+            let name = name.to_string();
+            nodes.push(PgNode {
+                name: name.clone(),
+                layer,
+                x,
+                y,
+                is_pad: false,
+            });
+            ids.insert(name, nodes.len() - 1);
+            Some(nodes.len() - 1)
+        };
+        let of_kind = |kind| cards.iter().filter(move |card| card.0 == kind);
+        let mut segments = Vec::new();
+        for (_, a, b, ohms) in of_kind(StreamedCardKind::Resistor) {
+            if let (Some(a), Some(b)) = (intern(a), intern(b)) {
+                if a != b {
+                    segments.push(Segment { a, b, ohms: *ohms });
+                }
+            }
+        }
+        let mut loads = Vec::new();
+        for (_, from, to, amps) in of_kind(StreamedCardKind::CurrentSource) {
+            let (node, amps) = match (from.as_str(), to.as_str()) {
+                (_, "0") => (from, *amps),
+                ("0", _) => (to, -amps),
+                _ => (from, *amps),
+            };
+            if let Some(node) = intern(node) {
+                loads.push(Load { node, amps });
+            }
+        }
+        let mut pads = Vec::new();
+        for (_, plus, minus, volts) in of_kind(StreamedCardKind::VoltageSource) {
+            assert_eq!(minus, "0", "the reference takes grounded sources only");
+            if let Some(node) = intern(plus) {
+                pads.push(Pad {
+                    node,
+                    volts: *volts,
+                });
+            }
+        }
+        for pad in &pads {
+            nodes[pad.node].is_pad = true;
+        }
+        PowerGrid {
+            nodes: nodes.into(),
+            segments,
+            loads,
+            pads,
+        }
     }
 
     fn streamed(src: &str) -> Result<PowerGrid, IngestError> {
         grid_from_spice_reader(Cursor::new(src))
     }
 
+    /// The streamed grid equals the reference, and so does its system.
+    fn matches_reference(src: &str) -> PowerGrid {
+        let want = reference(src);
+        let got = streamed(src).expect("valid");
+        assert_eq!(want, got, "src={src:?}");
+        assert_eq!(want.build_system(), got.build_system(), "src={src:?}");
+        got
+    }
+
     #[test]
-    fn matches_from_netlist_on_valid_designs() {
+    fn iccad_names_decode_coordinates() {
+        assert_eq!(place("n1_m4_17500_208600"), Some((4, 17_500, 208_600)));
+        assert_eq!(place("n1_M2_-5_7"), Some((2, -5, 7)));
+    }
+
+    #[test]
+    fn foreign_names_have_no_coordinates() {
+        for name in [
+            "vdd_net",
+            "n1_m4_1_2_3",
+            "n1_x4_1_2",
+            "n1_m4_1_y",
+            "n1_m-1_0_0",
+        ] {
+            assert_eq!(place(name), None, "{name}");
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_builder_on_valid_designs() {
         let cases = [
             // Standard mix with coordinates, comments, continuations.
             "* hdr\nR1 n1_m1_0_0 n1_m1_2000_0 0.5\nR2 n1_m4_0_0 n1_m1_0_0 0.1\n\
@@ -444,55 +548,102 @@ mod tests {
             "V1 p 0 1.0\nR1 p a 1.0\nR2 p b 1.0\nI1 a b 4m\n",
         ];
         for src in cases {
-            let want = materialized(src).expect("valid");
-            let got = streamed(src).expect("valid");
-            assert_eq!(want, got, "src={src:?}");
-            assert_eq!(want.build_system(), got.build_system(), "src={src:?}");
+            matches_reference(src);
         }
+        let grid = matches_reference(cases[0]);
+        let names: Vec<&str> = grid.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["n1_m1_0_0", "n1_m1_2000_0", "n1_m4_0_0"]);
+        let places: Vec<_> = grid.nodes.iter().map(|n| (n.layer, n.x, n.y)).collect();
+        assert_eq!(places, [(1, 0, 0), (1, 2000, 0), (4, 0, 0)]);
+        assert_eq!(
+            grid.loads,
+            [Load {
+                node: 1,
+                amps: 1e-3
+            }]
+        );
+        assert_eq!(
+            grid.pads,
+            [Pad {
+                node: 2,
+                volts: 1.1
+            }]
+        );
     }
 
     #[test]
-    fn node_interning_is_type_major_like_from_netlist() {
+    fn node_interning_is_type_major() {
         let cases = [
             // V1 names `late` before any resistor does, but nodes are
-            // interned resistors first, whichever door the cards came
-            // by.
+            // interned resistors first, whichever order the cards
+            // came in.
             (
                 "V1 late 0 1.0\nI1 early2 0 1m\nR1 late early 1.0\nR2 early early2 2.0\n",
                 vec!["late", "early", "early2"],
             ),
-            // The netlist interned `pad` (V1) and `lone` (I1) before
-            // any resistor node, and `lone` is on no resistor at all:
-            // an adapter walking the netlist's nodes, or its cards in
-            // source order, would put them first.
+            // `pad` (V1) and `lone` (I1) come before any resistor node,
+            // and `lone` is on no resistor at all: a builder interning
+            // cards in source order would put them first.
             (
                 "V1 pad 0 1.0\nI1 lone 0 1m\nI2 b 0 2m\nR1 a b 1.0\nR2 b pad 0.5\n",
                 vec!["a", "b", "pad", "lone"],
             ),
         ];
         for (src, order) in cases {
-            let want = materialized(src).expect("valid");
-            let got = streamed(src).expect("valid");
-            assert_eq!(want, got, "src={src:?}");
-            assert_eq!(want.build_system(), got.build_system(), "src={src:?}");
-            let names: Vec<&str> = want.nodes.iter().map(|n| n.name.as_str()).collect();
+            let grid = matches_reference(src);
+            let names: Vec<&str> = grid.nodes.iter().map(|n| n.name.as_str()).collect();
             assert_eq!(names, order, "src={src:?}");
         }
     }
 
     #[test]
     fn model_errors_match() {
+        let name = |name: &str| name.to_string();
         let cases = [
-            "R1 a b 0\nV1 a 0 1.0\n",  // non-positive resistance
-            "R1 a b -2\nV1 a 0 1.0\n", // negative resistance
+            (
+                "R1 a b 0\nV1 a 0 1.0\n",
+                ModelError::NonPositiveResistance {
+                    name: name("R1"),
+                    ohms: 0.0,
+                },
+            ),
+            (
+                "R1 a b -2\nV1 a 0 1.0\n",
+                ModelError::NonPositiveResistance {
+                    name: name("R1"),
+                    ohms: -2.0,
+                },
+            ),
             // `1e400` and `1e300t` (1e312) both parse to +inf.
-            "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e400\nI1 c 0 1m\n",
-            "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e300t\nI1 c 0 1m\n",
-            "R1 a b 1.0\nV1 a b 1.0\n", // ungrounded source
-            "R1 a b 1.0\nI1 a 0 1m\n",  // no pads
+            (
+                "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e400\nI1 c 0 1m\n",
+                ModelError::NonPositiveResistance {
+                    name: name("R2"),
+                    ohms: f64::INFINITY,
+                },
+            ),
+            (
+                "V1 a 0 1.0\nR1 a b 1.0\nR2 b c 1e300t\nI1 c 0 1m\n",
+                ModelError::NonPositiveResistance {
+                    name: name("R2"),
+                    ohms: f64::INFINITY,
+                },
+            ),
+            (
+                "R1 a b 1.0\nV1 a b 1.0\n",
+                ModelError::UngroundedSource { name: name("V1") },
+            ),
+            ("R1 a b 1.0\nI1 a 0 1m\n", ModelError::NoPads),
+            // A bad resistor stops the stream before a later bad card.
+            (
+                "V1 a 0 1.0\nR1 a b 0\nR2 b c zz\n",
+                ModelError::NonPositiveResistance {
+                    name: name("R1"),
+                    ohms: 0.0,
+                },
+            ),
         ];
-        for src in cases {
-            let want = materialized(src).expect_err("invalid");
+        for (src, want) in cases {
             match streamed(src) {
                 Err(IngestError::Model(got)) => assert_eq!(want, got, "src={src:?}"),
                 other => panic!("expected model error for {src:?}, got {other:?}"),
@@ -504,6 +655,14 @@ mod tests {
     fn parse_errors_surface_with_line_numbers() {
         match streamed("V1 p 0 1.0\nR1 p a zz\n") {
             Err(IngestError::Parse(e)) => assert_eq!(e.line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // A duplicate element name is a parse error, whatever its case.
+        match streamed("V1 p 0 1.0\nR1 p a 1\nI1 a 0 1m\nr1 a p 2\n") {
+            Err(IngestError::Parse(e)) => {
+                assert_eq!(e.line, 4);
+                assert_eq!(e.kind, ParseErrorKind::DuplicateElement("r1".into()));
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }
@@ -560,18 +719,15 @@ mod tests {
     #[test]
     fn name_index_keeps_near_miss_names_apart_through_growth() {
         let src = many_names_source();
-        let want = materialized(&src).expect("valid");
-        let got = streamed(&src).expect("valid");
+        let grid = matches_reference(&src);
         // 40 001 chain names + the two no resistor names: the 16-slot
         // index doubled thirteen times on the way.
-        assert_eq!(want.nodes.len(), 40_003);
-        let mut names: Vec<&str> = want.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(grid.nodes.len(), 40_003);
+        let mut names: Vec<&str> = grid.nodes.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(&names[40_001..], ["load_only", "pad_only"]);
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 40_003, "every node has its own name");
-        assert_eq!(want, got);
-        assert_eq!(want.build_system(), got.build_system());
     }
 
     #[test]
@@ -580,8 +736,18 @@ mod tests {
         let path = std::env::temp_dir().join("irf_pg_stream_test.sp");
         std::fs::write(&path, src).expect("writes");
         let got = grid_from_spice_path(&path).expect("valid");
+        let duplicate = format!("{src}i1 p 0 2m\n");
+        std::fs::write(&path, duplicate).expect("writes");
+        let rejected = grid_from_spice_path(&path);
         std::fs::remove_file(&path).ok();
-        assert_eq!(got, materialized(src).expect("valid"));
+        assert_eq!(got, streamed(src).expect("valid"));
+        match rejected {
+            Err(IngestError::Parse(e)) => {
+                assert_eq!(e.line, 4);
+                assert_eq!(e.kind, ParseErrorKind::DuplicateElement("i1".into()));
+            }
+            other => panic!("expected the duplicate to be refused, got {other:?}"),
+        }
     }
 
     #[test]
@@ -594,7 +760,7 @@ R3 n1_m1_1000_0 n1_m1_2000_0 0.4
 I1 n1_m1_1000_0 0 2m
 I2 n1_m1_2000_0 0 1m
 ";
-        let a = materialized(src).expect("valid").build_system();
+        let a = reference(src).build_system();
         let b = streamed(src).expect("valid").build_system();
         assert_eq!(a, b);
     }

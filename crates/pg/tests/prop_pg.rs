@@ -1,9 +1,9 @@
 //! Randomized-but-deterministic property tests for the circuit model
 //! and rasterization (fixed seeds, exact reproduction on failure).
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use irf_pg::grid_from_spice_reader;
+use irf_pg::{GridMap, Rasterizer};
 use irf_runtime::Xoshiro256pp;
-use irf_spice::parse;
 
 const CASES: u64 = 64;
 
@@ -98,7 +98,7 @@ fn mna_diagonal_dominance() {
             prev = cur;
         }
         src.push_str(&format!("I1 {prev} 0 1m\n"));
-        let g = PowerGrid::from_netlist(&parse(&src).unwrap()).unwrap();
+        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
         let sys = g.build_system();
         for i in 0..sys.dim() {
             let (cols, vals) = sys.matrix.row(i);

@@ -86,7 +86,7 @@ use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
     EditError, FusionConfig, IrFusionPipeline, StageStore, TopologyDelta, TrainedModel,
 };
-use irf_pg::{GridMap, PowerGrid};
+use irf_pg::{GridMap, IngestError, PowerGrid};
 use irf_trace::request::RequestStats;
 use irf_trace::{timed, SpanTree};
 use std::cell::{Cell, RefCell};
@@ -589,16 +589,22 @@ fn handle_models_list(state: &Arc<State>) -> (u16, String) {
 const MAX_NETLIST_FILE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Resolves the request body into a power grid: an inline `netlist`
-/// (SPICE text), a `netlist_path` on the server's filesystem
-/// (streamed — the file is never materialized as a `String` or
-/// `Netlist`), or a synthetic `spec`
-/// (`{"class":"fake"|"real","seed":N}`). Errors come back as a ready
+/// (SPICE text) or a `netlist_path` on the server's filesystem, both
+/// read through the card stream (a file is never materialized), or a
+/// synthetic `spec` (`{"class":"fake"|"real","seed":N}`, an absent
+/// member taking `"fake"` / `0`). Errors come back as a ready
 /// `(status, envelope-body)` response.
 fn resolve_grid(body: &Json) -> Result<PowerGrid, (u16, String)> {
     let invalid = |message: String| (400, envelope("invalid_design", &message));
-    let netlist = if let Some(text) = body.get("netlist").and_then(Json::as_str) {
-        irf_spice::parse(text).map_err(|e| invalid(format!("netlist parse error: {e}")))?
-    } else if let Some(path) = body.get("netlist_path").and_then(Json::as_str) {
+    if let Some(text) = body.get("netlist").and_then(Json::as_str) {
+        return irf_pg::grid_from_spice_reader(text.as_bytes()).map_err(|e| {
+            invalid(match e {
+                IngestError::Model(e) => format!("invalid power grid: {e}"),
+                IngestError::Parse(_) | IngestError::Io(_) => format!("netlist parse error: {e}"),
+            })
+        });
+    }
+    if let Some(path) = body.get("netlist_path").and_then(Json::as_str) {
         let size = std::fs::metadata(path)
             .map_err(|e| invalid(format!("cannot read {path}: {e}")))?
             .len();
@@ -617,20 +623,34 @@ fn resolve_grid(body: &Json) -> Result<PowerGrid, (u16, String)> {
         }
         return irf_pg::grid_from_spice_path(path)
             .map_err(|e| invalid(format!("cannot ingest {path}: {e}")));
-    } else if let Some(spec) = body.get("spec") {
-        let class = spec.get("class").and_then(Json::as_str).unwrap_or("fake");
-        let seed = spec.get("seed").and_then(Json::as_u64).unwrap_or(0);
-        match class {
-            "fake" => irf_data::fake::generate(seed),
-            "real" => irf_data::real_like::generate(seed),
-            other => return Err(invalid(format!("unknown design class {other:?}"))),
-        }
-    } else {
+    }
+    let Some(spec) = body.get("spec") else {
         return Err(invalid(
             "request needs one of: netlist, netlist_path, spec".to_string(),
         ));
     };
-    PowerGrid::from_netlist(&netlist).map_err(|e| invalid(format!("invalid power grid: {e}")))
+    if !matches!(spec, Json::Obj(_)) {
+        return Err(invalid("\"spec\" must be an object".to_string()));
+    }
+    // Only an absent member takes its default; a present one of the
+    // wrong type is refused, never read as the default.
+    let class = match spec.get("class") {
+        None => "fake",
+        Some(class) => class
+            .as_str()
+            .ok_or_else(|| invalid("spec member \"class\" must be a string".to_string()))?,
+    };
+    let seed = match spec.get("seed") {
+        None => 0,
+        Some(seed) => seed.as_u64().ok_or_else(|| {
+            invalid("spec member \"seed\" must be a non-negative integer".to_string())
+        })?,
+    };
+    match class {
+        "fake" => Ok(irf_data::fake::generate(seed)),
+        "real" => Ok(irf_data::real_like::generate(seed)),
+        other => Err(invalid(format!("unknown design class {other:?}"))),
+    }
 }
 
 /// Per-request accounting threaded through the handlers: the
@@ -2004,9 +2024,7 @@ mod tests {
     fn a_prepared_stack_carries_its_grids_design_fingerprint() {
         let pipeline =
             IrFusionPipeline::new(FusionConfig::tiny()).with_cache(Arc::new(StageStore::new(8)));
-        let grid = Arc::new(
-            PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid grid"),
-        );
+        let grid = Arc::new(synthesize(&SynthSpec::default()));
         let stack = pipeline.stack_builder().prepare(&grid).expect("pads");
         assert_eq!(
             stack.fingerprint,

@@ -246,7 +246,7 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let netlist_path = dir.join("design.sp");
     std::fs::write(
         &netlist_path,
-        irf_spice::write(&irf_data::fake::generate(11)),
+        irf_data::export::to_netlist(&irf_data::fake::generate(11)),
     )
     .expect("write netlist file");
     let (status, body) = request(

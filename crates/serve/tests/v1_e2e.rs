@@ -286,6 +286,36 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
             "{method} {path} wrong code: {reply}"
         );
     }
+    // A design request is read as written: a mistyped `spec` member is
+    // refused by name, never replaced by its default (fake seed 0),
+    // and inline SPICE rides the card stream, duplicate names and all.
+    for (body, names) in [
+        (r#"{"spec":{"class":"real","seed":"7"}}"#, r#""seed""#),
+        (r#"{"spec":{"class":"fake","seed":-1}}"#, r#""seed""#),
+        (r#"{"spec":{"seed":1.5}}"#, r#""seed""#),
+        (r#"{"spec":{"class":7}}"#, r#""class""#),
+        (r#"{"spec":5}"#, r#""spec""#),
+        (
+            r#"{"netlist":"V1 a 0 1.0\nR1 a b 1.0\nI1 b 0 1m\nr1 b a 2.0\n"}"#,
+            "netlist parse error: line 4: duplicate element name 'r1'",
+        ),
+        (
+            r#"{"netlist":"V1 a 0 1.0\nR1 a b 0\nI1 b 0 1m\n"}"#,
+            "invalid power grid: resistor 'R1'",
+        ),
+    ] {
+        let (status, reply) = request(addr, "POST", "/v1/predict", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert_eq!(envelope_code(&reply), "invalid_design", "{body}: {reply}");
+        let json = parse(&reply).expect("valid json");
+        let message = json
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(message.contains(names), "{body}: {message}");
+    }
+
     // unknown_model reports which models ARE loaded.
     let (_, reply) = request(
         addr,
@@ -426,6 +456,18 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
         !advertises_deprecation(&metrics),
         "the deprecation counter is gone: {metrics}"
     );
+
+    // An absent `spec` member still takes its default (after the
+    // metrics above, which count every 200).
+    let (status, seedless) = request(addr, "POST", "/v1/predict", r#"{"spec":{"class":"fake"}}"#);
+    assert_eq!(status, 200, "{seedless}");
+    let (_, seed_zero) = request(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"spec":{"class":"fake","seed":0}}"#,
+    );
+    assert_eq!(seedless, seed_zero);
 
     let (status, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);

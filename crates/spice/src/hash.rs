@@ -8,8 +8,7 @@
 //! that has been restarted.
 //!
 //! Two step sizes share one state. [`Fnv1a::write`] is byte-wise
-//! FNV-1a, bit-compatible with the published vectors, and is what
-//! [`source_hash`] folds netlist text with. The word methods
+//! FNV-1a, bit-compatible with the published vectors. The word methods
 //! ([`Fnv1a::write_u64`], [`Fnv1a::write_i64`], [`Fnv1a::write_f64`],
 //! [`Fnv1a::write_words`]) fold eight bytes per multiply — a grid's
 //! key plan is a few hundred thousand words, and one multiply per byte
@@ -91,16 +90,6 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// Fingerprints raw netlist source text. Used to memoize parses: two
-/// byte-identical sources always collide (that is the feature), while
-/// any edit — whitespace included — yields a fresh key.
-#[must_use]
-pub fn source_hash(src: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(src.as_bytes());
-    h.finish()
 }
 
 #[cfg(test)]
@@ -193,12 +182,5 @@ mod tests {
             edited[i] ^= 1;
             assert_ne!(pair(&edited, b""), pair(name, b""), "byte {i}");
         }
-    }
-
-    #[test]
-    fn source_hash_is_stable_and_edit_sensitive() {
-        let s = "R1 a b 1.0\n";
-        assert_eq!(source_hash(s), source_hash(s));
-        assert_ne!(source_hash(s), source_hash("R1 a b 1.1\n"));
     }
 }

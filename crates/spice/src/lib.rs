@@ -1,25 +1,26 @@
-//! SPICE netlist parsing for power-grid (PG) designs.
+//! SPICE netlist reading for power-grid (PG) designs.
 //!
 //! The IR-Fusion flow starts from a SPICE description of the power
 //! grid — resistors for metal segments and vias, current sources for
-//! cell load, and voltage sources for the power pads. This crate
-//! provides:
+//! cell load, and voltage sources for the power pads. This crate has
+//! one way in:
 //!
-//! - [`parse`] / [`parse_reader`]: a line-oriented SPICE parser
-//!   covering the subset used by PG analysis (`R`, `I`, `V` elements,
-//!   `*` comments, `+` continuations, SI value suffixes, `.end`), from
-//!   a `&str` or any `BufRead`; [`visit_cards`] streams the same cards
-//!   to a callback without building a netlist. All three run the one
-//!   chunk-parallel driver in [`stream`].
-//! - [`netlist::Netlist`]: the parsed design with hash-interned node
-//!   names and structured node coordinates following the ICCAD-2023
-//!   contest convention `n<net>_m<layer>_<x>_<y>`.
-//! - [`writer::write`]: serialization back to SPICE, so synthetic
-//!   designs round-trip through the same front door real designs use.
+//! - [`visit_cards`]: a line-oriented SPICE reader covering the subset
+//!   used by PG analysis (`R`, `I`, `V` elements, `*` comments, `+`
+//!   continuations, SI value suffixes, `.end`) from any `BufRead`. It
+//!   parses chunks of cards in parallel ([`stream`]), rejects malformed
+//!   cards and duplicate element names, and hands each card to a
+//!   callback in source order. `irf-pg` builds its grid from those
+//!   cards; nothing else turns SPICE bytes into a design.
+//! - [`value`]: SPICE numbers with SI suffixes, both ways, so writers
+//!   of SPICE text print values this reader gets back bit for bit.
+//! - [`Fnv1a`]: the stable hash the stage-graph cache keys are made of.
 //!
 //! # Example
 //!
 //! ```
+//! use irf_spice::{visit_cards, StreamedCardKind};
+//!
 //! let src = "\
 //! * tiny grid
 //! R1 n1_m1_0_0 n1_m1_1000_0 0.5
@@ -28,11 +29,18 @@
 //! R2 n1_m4_0_0 n1_m1_0_0 0.1
 //! .end
 //! ";
-//! let netlist = irf_spice::parse(src)?;
-//! assert_eq!(netlist.resistors().len(), 2);
-//! assert_eq!(netlist.current_sources().len(), 1);
-//! assert_eq!(netlist.voltage_sources().len(), 1);
-//! # Ok::<(), irf_spice::ParseError>(())
+//! let mut resistors = 0;
+//! let mut load = 0.0;
+//! visit_cards(src.as_bytes(), |card| {
+//!     match card.kind {
+//!         StreamedCardKind::Resistor => resistors += 1,
+//!         StreamedCardKind::CurrentSource => load += card.value,
+//!         StreamedCardKind::VoltageSource => assert_eq!(card.a, "n1_m4_0_0"),
+//!     }
+//!     Ok(())
+//! })?;
+//! assert_eq!((resistors, load), (2, 1e-3));
+//! # Ok::<(), irf_spice::StreamError>(())
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,17 +48,10 @@
 pub mod error;
 pub mod hash;
 pub mod lexer;
-pub mod netlist;
 pub mod parser;
 pub mod stream;
 pub mod value;
-pub mod writer;
 
 pub use error::ParseError;
-pub use hash::{source_hash, Fnv1a};
-pub use netlist::{CurrentSource, Netlist, NodeId, NodeInfo, Resistor, VoltageSource};
-pub use parser::parse;
-pub use stream::{
-    parse_reader, visit_cards, ChunkReader, StreamError, StreamedCard, StreamedCardKind,
-};
-pub use writer::write;
+pub use hash::Fnv1a;
+pub use stream::{visit_cards, ChunkReader, StreamError, StreamedCard, StreamedCardKind};

@@ -2,18 +2,15 @@
 //!
 //! Two halves, both driven by the one loop in [`crate::stream`]:
 //! `parse_chunk` scans + parses one card-boundary chunk into raw cards
-//! with zero-copy `&str` fields (the parallel half), and the `Merger`
-//! folds chunk parses in source order into a [`Netlist`], interning
-//! node names and checking duplicate element names (the serial half).
-//! Because chunk boundaries depend only on the text (never on the
-//! thread count) and the merge walks chunks in order, the resulting
-//! [`Netlist`] — node-id assignment included — is identical to a fully
-//! serial parse, and error line numbers are preserved.
+//! with zero-copy `&str` fields (the parallel half), and
+//! `ElementNames` checks, card by card in source order, that no element
+//! name repeats (the serial half). Because chunk boundaries depend
+//! only on the text (never on the thread count) and the names are
+//! checked in source order, the cards and the first error — line
+//! number included — are those of a fully serial parse.
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::scan_cards;
-use crate::netlist::{CurrentSource, Netlist, Resistor, VoltageSource};
-use crate::stream::{parse_reader, StreamError};
 use crate::value::parse_spice_number;
 use std::collections::HashSet;
 
@@ -27,8 +24,8 @@ pub(crate) enum CardKind {
 
 /// One parsed card with fields still borrowing the source text. The
 /// value is pre-parsed in the parallel phase; `None` marks a bad
-/// number, surfaced from the merge pass so a duplicate-name error on
-/// the same line wins, exactly as in a serial parse.
+/// number, surfaced by the serial walk after the name check, so a
+/// duplicate-name error on the same line wins.
 pub(crate) struct RawCard<'a> {
     pub(crate) kind: CardKind,
     pub(crate) name: &'a str,
@@ -40,9 +37,9 @@ pub(crate) struct RawCard<'a> {
 }
 
 /// Everything one chunk contributes: the cards parsed before the
-/// first chunk-local error (if any). Merge consumes the cards first,
-/// then the error, so an earlier-line error from a previous chunk
-/// still wins overall.
+/// first chunk-local error (if any). The serial walk consumes the
+/// cards first, then the error, so an earlier-line error from a
+/// previous chunk still wins overall.
 pub(crate) struct ChunkParse<'a> {
     pub(crate) cards: Vec<RawCard<'a>>,
     pub(crate) error: Option<ParseError>,
@@ -95,127 +92,119 @@ pub(crate) fn parse_chunk(text: &str, first_line: usize) -> ChunkParse<'_> {
     ChunkParse { cards, error }
 }
 
-/// Incremental serial merge state: absorbs chunk parses in source
-/// order, interning node names (identical id assignment to a serial
-/// parse) and enforcing unique element names across chunk boundaries.
-pub(crate) struct Merger {
-    netlist: Netlist,
-    seen_names: HashSet<String>,
+/// Every element name the serial walk has met, for the duplicate
+/// check: names compare exactly, ASCII case ignored.
+///
+/// A name of the form `<prefix><decimal>` — non-empty prefix, a number
+/// with no leading zero below [`ElementNames::MAX_DENSE_ID`], a prefix
+/// among the first [`ElementNames::MAX_PREFIXES`] admitted — is one bit
+/// in its prefix's bitset. Every other name is kept upper-cased in a
+/// hash set.
+///
+/// Where a name lands depends only on the name and on the prefixes
+/// admitted before it, and an admitted prefix is never evicted. Two
+/// equal names therefore always meet in the same structure, which is
+/// what makes the check exact.
+///
+/// The bitsets exist for speed: netlists name their elements `R1`,
+/// `R2`, ..., and a hash set over every name cost a quarter of an
+/// ingest (EXPERIMENTS.md, "One ingest path").
+#[derive(Debug, Default)]
+pub(crate) struct ElementNames {
+    /// `(upper-cased prefix, bitset over ids)` per admitted prefix.
+    dense: Vec<(Vec<u8>, Vec<u64>)>,
+    /// Upper-cased names that are not dense.
+    other: HashSet<String>,
 }
 
-impl Merger {
-    pub(crate) fn new() -> Self {
-        Merger {
-            netlist: Netlist::new(),
-            seen_names: HashSet::new(),
-        }
-    }
+impl ElementNames {
+    /// `R`, `I` and `V`, with one to spare.
+    pub(crate) const MAX_PREFIXES: usize = 4;
+    /// 2^22 covers the ~2·10^6 resistors of a 10^6-node grid and caps
+    /// each bitset at 512 KiB, all of them at 2 MiB.
+    pub(crate) const MAX_DENSE_ID: u32 = 1 << 22;
 
-    /// Folds one chunk's parse into the netlist. Cards are consumed
-    /// before the chunk's own error, so an earlier-line error from a
-    /// previous chunk still wins overall — the same priority a serial
-    /// scan has.
-    pub(crate) fn absorb(&mut self, chunk: ChunkParse<'_>) -> Result<(), ParseError> {
-        for card in chunk.cards {
-            let name = card.name.to_string();
-            if !self.seen_names.insert(name.to_ascii_uppercase()) {
-                return Err(ParseError {
-                    line: card.line,
-                    kind: ParseErrorKind::DuplicateElement(name),
-                });
-            }
-            let Some(value) = card.value else {
-                return Err(ParseError {
-                    line: card.line,
-                    kind: ParseErrorKind::InvalidValue(card.value_text.to_string()),
-                });
-            };
-            let a = self.netlist.intern(card.a);
-            let b = self.netlist.intern(card.b);
-            match card.kind {
-                CardKind::Resistor => self.netlist.add_resistor(Resistor {
-                    name,
-                    a,
-                    b,
-                    ohms: value,
-                }),
-                CardKind::Current => self.netlist.add_current_source(CurrentSource {
-                    name,
-                    from: a,
-                    to: b,
-                    amps: value,
-                }),
-                CardKind::Voltage => self.netlist.add_voltage_source(VoltageSource {
-                    name,
-                    plus: a,
-                    minus: b,
-                    volts: value,
-                }),
+    /// Records `name`; `false` when an equal name was recorded before.
+    pub(crate) fn insert(&mut self, name: &str) -> bool {
+        if let Some((prefix, id)) = dense_form(name) {
+            if let Some(bits) = self.bitset(prefix) {
+                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                if word >= bits.len() {
+                    bits.resize(word + 1, 0);
+                }
+                let fresh = bits[word] & bit == 0;
+                bits[word] |= bit;
+                return fresh;
             }
         }
-        if let Some(error) = chunk.error {
-            return Err(error);
-        }
-        Ok(())
+        self.other.insert(name.to_ascii_uppercase())
     }
 
-    pub(crate) fn finish(self) -> Netlist {
-        self.netlist
+    /// The bitset of `prefix`, admitting it while the table has room.
+    fn bitset(&mut self, prefix: &[u8]) -> Option<&mut Vec<u64>> {
+        let at = match self
+            .dense
+            .iter()
+            .position(|(known, _)| known.eq_ignore_ascii_case(prefix))
+        {
+            Some(at) => at,
+            None if self.dense.len() < Self::MAX_PREFIXES => {
+                self.dense.push((prefix.to_ascii_uppercase(), Vec::new()));
+                self.dense.len() - 1
+            }
+            None => return None,
+        };
+        Some(&mut self.dense[at].1)
     }
 }
 
-/// Parses SPICE source into a [`Netlist`].
-///
-/// Supported cards:
-///
-/// - `R<name> <node> <node> <value>` — resistor;
-/// - `I<name> <node> <node> <value>` — DC current source;
-/// - `V<name> <node> <node> <value>` — DC voltage source;
-/// - `.end` / `.op` and other dot-cards are accepted and ignored;
-/// - `*` comments, `$`/`;` inline comments, and `+` continuations.
-///
-/// This is [`parse_reader`] over the bytes of `src`: large sources
-/// are parsed in parallel, and the result and any error — line number
-/// included — are identical to a serial parse at any thread count.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] with the offending line number for
-/// malformed cards, unknown element prefixes, bad numeric values,
-/// duplicate element names, or dangling continuations.
-///
-/// # Example
-///
-/// ```
-/// let n = irf_spice::parse("R1 a b 2.0\nV1 p 0 1.05\n.end\n")?;
-/// assert_eq!(n.resistors()[0].ohms, 2.0);
-/// assert_eq!(n.voltage_sources()[0].volts, 1.05);
-/// # Ok::<(), irf_spice::ParseError>(())
-/// ```
-pub fn parse(src: &str) -> Result<Netlist, ParseError> {
-    parse_reader(src.as_bytes()).map_err(in_memory_error)
-}
-
-/// The error of a parse whose source was a `&str`: reading one cannot
-/// fail, so only the parse half of [`StreamError`] can occur.
-fn in_memory_error(error: StreamError) -> ParseError {
-    match error {
-        StreamError::Parse(e) => e,
-        StreamError::Io(e) => unreachable!("reading a &str cannot fail: {e}"),
+/// `name` split into `(prefix, id)` when it is a non-empty prefix
+/// followed by a decimal with no leading zero below
+/// [`ElementNames::MAX_DENSE_ID`].
+fn dense_form(name: &str) -> Option<(&[u8], u32)> {
+    let bytes = name.as_bytes();
+    let digits = bytes
+        .iter()
+        .rev()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let (prefix, number) = bytes.split_at(bytes.len() - digits);
+    // Seven digits hold every id below the limit without overflow.
+    if prefix.is_empty() || number.is_empty() || number.len() > 7 {
+        return None;
     }
+    if number[0] == b'0' && number.len() > 1 {
+        return None;
+    }
+    let id = number
+        .iter()
+        .fold(0u32, |id, &d| id * 10 + u32::from(d - b'0'));
+    (id < ElementNames::MAX_DENSE_ID).then_some((prefix, id))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::NodeId;
-    use crate::stream::parse_reader_chunked;
+    use crate::stream::tests::{cards_of, OwnedCard};
+    use crate::stream::StreamError;
+    use crate::StreamedCardKind;
     use irf_runtime::Xoshiro256pp;
 
-    /// [`parse`] at an explicit chunk size (two chunks per batch, so
-    /// multi-batch merges are exercised too).
-    fn parse_chunked(src: &str, cards_per_chunk: usize) -> Result<Netlist, ParseError> {
-        parse_reader_chunked(src.as_bytes(), cards_per_chunk, 2).map_err(in_memory_error)
+    /// The visitor's cards for `src` at an explicit chunk size (two
+    /// chunks per batch, so multi-batch walks are exercised too).
+    fn parse_chunked(src: &str, cards_per_chunk: usize) -> Result<Vec<OwnedCard>, ParseError> {
+        cards_of(src.as_bytes(), cards_per_chunk, 2).map_err(|e| match e {
+            StreamError::Parse(e) => e,
+            StreamError::Io(e) => unreachable!("reading a &str cannot fail: {e}"),
+        })
+    }
+
+    fn parse(src: &str) -> Result<Vec<OwnedCard>, ParseError> {
+        parse_chunked(src, 1024)
+    }
+
+    fn count(cards: &[OwnedCard], kind: StreamedCardKind) -> usize {
+        cards.iter().filter(|card| card.0 == kind).count()
     }
 
     const TINY: &str = "\
@@ -230,17 +219,23 @@ V1 n1_m4_0_0 0 1.1
     #[test]
     fn parses_all_element_kinds() {
         let n = parse(TINY).expect("parses");
-        assert_eq!(n.resistors().len(), 2);
-        assert_eq!(n.current_sources().len(), 1);
-        assert_eq!(n.voltage_sources().len(), 1);
-        assert_eq!(n.current_sources()[0].amps, 1e-3);
-        assert_eq!(n.current_sources()[0].to, NodeId::GROUND);
+        assert_eq!(count(&n, StreamedCardKind::Resistor), 2);
+        assert_eq!(count(&n, StreamedCardKind::CurrentSource), 1);
+        assert_eq!(count(&n, StreamedCardKind::VoltageSource), 1);
+        let (_, name, from, to, amps, line) = &n[2];
+        assert_eq!(
+            (name.as_str(), from.as_str(), to.as_str()),
+            ("I1", "n1_m1_1000_0", "0")
+        );
+        assert_eq!((f64::from_bits(*amps), *line), (1e-3, 4));
     }
 
     #[test]
     fn lowercase_prefixes_are_accepted() {
         let n = parse("r1 a b 1.0\ni1 a 0 1m\nv1 a 0 1.0\n").expect("parses");
-        assert_eq!(n.resistors().len(), 1);
+        assert_eq!(count(&n, StreamedCardKind::Resistor), 1);
+        assert_eq!(count(&n, StreamedCardKind::CurrentSource), 1);
+        assert_eq!(count(&n, StreamedCardKind::VoltageSource), 1);
     }
 
     #[test]
@@ -272,13 +267,12 @@ V1 n1_m4_0_0 0 1.1
     fn duplicate_names_are_rejected() {
         let err = parse("R1 a b 1\nR1 c d 2\n").unwrap_err();
         assert_eq!(err.line, 2);
-        assert!(matches!(err.kind, ParseErrorKind::DuplicateElement(_)));
+        assert_eq!(err.kind, ParseErrorKind::DuplicateElement("R1".into()));
     }
 
     #[test]
     fn duplicate_beats_bad_value_on_the_same_line() {
-        // Serial parsing checked names before values; the parallel
-        // parse must keep that priority even though values are parsed
+        // Names are checked before values, although values are parsed
         // eagerly in the chunk phase.
         let err = parse("R1 a b 1\nR1 c d zz\n").unwrap_err();
         assert_eq!(err.line, 2);
@@ -288,7 +282,7 @@ V1 n1_m4_0_0 0 1.1
     #[test]
     fn continuations_apply_to_cards() {
         let n = parse("R1 a\n+ b 1.5\n").expect("parses");
-        assert_eq!(n.resistors()[0].ohms, 1.5);
+        assert_eq!(f64::from_bits(n[0].4), 1.5);
     }
 
     #[test]
@@ -300,7 +294,7 @@ V1 n1_m4_0_0 0 1.1
     #[test]
     fn dot_cards_are_ignored() {
         let n = parse(".op\n.end\n").expect("parses");
-        assert_eq!(n.node_count(), 1); // only ground
+        assert!(n.is_empty());
     }
 
     /// Synthesizes a many-card source with a known structure.
@@ -317,6 +311,7 @@ V1 n1_m4_0_0 0 1.1
     fn chunked_parse_matches_single_chunk_parse() {
         let src = big_source(100);
         let whole = parse_chunked(&src, usize::MAX).expect("parses");
+        assert_eq!(whole.len(), 101);
         for cards in [1, 7, 32] {
             let chunked = parse_chunked(&src, cards).expect("parses");
             assert_eq!(whole, chunked, "cards_per_chunk={cards}");
@@ -357,6 +352,37 @@ V1 n1_m4_0_0 0 1.1
         let err = parse_chunked(src, 1).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(matches!(err.kind, ParseErrorKind::MissingFields { .. }));
+    }
+
+    #[test]
+    fn dense_names_split_at_their_trailing_decimal() {
+        assert_eq!(dense_form("R17"), Some((&b"R"[..], 17)));
+        assert_eq!(dense_form("Rvia0"), Some((&b"Rvia"[..], 0)));
+        assert_eq!(dense_form("é9"), Some(("é".as_bytes(), 9)));
+        assert_eq!(dense_form("R4194303"), Some((&b"R"[..], 4_194_303)));
+        for free in ["R", "17", "R017", "R00", "R4194304", "R12345678", "R1a", ""] {
+            assert_eq!(dense_form(free), None, "{free:?}");
+        }
+    }
+
+    #[test]
+    fn the_prefix_table_stops_growing_when_full() {
+        let mut names = ElementNames::default();
+        for prefix in ["R", "i", "V", "Rx", "Ry", "Q"] {
+            for id in 0..3 {
+                assert!(names.insert(&format!("{prefix}{id}")), "{prefix}{id}");
+            }
+        }
+        let admitted: Vec<&[u8]> = names.dense.iter().map(|(p, _)| p.as_slice()).collect();
+        assert_eq!(admitted, [&b"R"[..], b"I", b"V", b"RX"]);
+        let mut late: Vec<&str> = names.other.iter().map(String::as_str).collect();
+        late.sort_unstable();
+        assert_eq!(late, ["Q0", "Q1", "Q2", "RY0", "RY1", "RY2"]);
+        // Equal names land where the first of them did.
+        for repeat in ["r2", "I0", "v1", "rX2", "rY1", "q0"] {
+            assert!(!names.insert(repeat), "{repeat}");
+        }
+        assert_eq!(names.dense.len(), ElementNames::MAX_PREFIXES);
     }
 
     /// The card loop `parse_chunk` replaced, over the oracle lexer:

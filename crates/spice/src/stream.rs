@@ -14,38 +14,35 @@
 //!    order, and dropped. Peak memory is one batch of source text plus
 //!    whatever the sink builds — never the whole file.
 //!
-//! The loop has two sinks. [`parse_reader`] folds the cards into a
-//! [`Netlist`] (interning node names, rejecting duplicate element
-//! names); [`crate::parse`] is that over the bytes of a `&str`.
-//! [`visit_cards`] hands each card to a callback instead, so `irf-pg`
-//! can build its grid directly and skip the netlist entirely.
+//! The loop has one sink, [`visit_cards`]: it checks each card's
+//! element name against every name before it (`parser::ElementNames`),
+//! then hands the card to a callback — `irf-pg` builds its grid from
+//! them with no netlist in memory.
 //!
 //! # Determinism
 //!
 //! Chunk boundaries depend only on the bytes and the chunk size —
 //! never on the thread count or the reader's buffer size — and the
-//! sink runs serially in source order. The [`Netlist`] (node-id
-//! assignment, [`Netlist::content_hash`] and all), the card sequence
-//! and the first error with its line number are therefore identical
-//! at any thread count and any chunk or batch size. Tests assert this.
+//! sink runs serially in source order. The card sequence and the first
+//! error with its line number are therefore identical at any thread
+//! count and any chunk or batch size. Tests assert this.
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::is_card_start;
-use crate::netlist::Netlist;
-use crate::parser::{parse_chunk, CardKind, ChunkParse, Merger};
+use crate::parser::{parse_chunk, CardKind, ChunkParse, ElementNames};
 use std::io::{self, BufRead};
 
 /// Cards per parallel parse chunk. Large enough that chunk overhead
 /// is negligible, small enough that contest-scale netlists (millions
 /// of cards) spread across every worker.
-const CARDS_PER_CHUNK: usize = 1024;
+pub const CARDS_PER_CHUNK: usize = 1024;
 
 /// How many chunks a batch holds before it is parsed and dropped.
 /// Bounds resident source text to roughly
 /// `CHUNKS_PER_BATCH * CARDS_PER_CHUNK` cards (~1–2 MB) while still
 /// giving the parallel phase enough independent chunks to spread
 /// across workers.
-const CHUNKS_PER_BATCH: usize = 32;
+pub const CHUNKS_PER_BATCH: usize = 32;
 
 /// Error from a streaming parse: either the underlying reader failed
 /// or the SPICE text was malformed.
@@ -237,41 +234,6 @@ fn drive<R: BufRead>(
     Ok(())
 }
 
-/// Reads SPICE text from `reader` and builds a [`Netlist`] without
-/// ever holding the whole source in memory. See [`crate::parse`] for
-/// the supported cards.
-///
-/// # Errors
-///
-/// [`StreamError::Io`] when the reader fails (including non-UTF-8
-/// input, which wins over a parse error in the same batch of chunks),
-/// [`StreamError::Parse`] for malformed SPICE — the earliest offending
-/// line, duplicate element names included.
-pub fn parse_reader<R: BufRead>(reader: R) -> Result<Netlist, StreamError> {
-    parse_reader_chunked(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH)
-}
-
-/// [`parse_reader`] with explicit chunk and batch sizes, so tests can
-/// force many small chunks and batches on small sources; results are
-/// identical for every `cards_per_chunk >= 1` and
-/// `chunks_per_batch >= 1`.
-///
-/// # Errors
-///
-/// See [`parse_reader`].
-#[doc(hidden)]
-pub fn parse_reader_chunked<R: BufRead>(
-    reader: R,
-    cards_per_chunk: usize,
-    chunks_per_batch: usize,
-) -> Result<Netlist, StreamError> {
-    let mut merger = Merger::new();
-    drive(reader, cards_per_chunk, chunks_per_batch, |chunk| {
-        merger.absorb(chunk)
-    })?;
-    Ok(merger.finish())
-}
-
 /// The element class of a [`StreamedCard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamedCardKind {
@@ -301,33 +263,93 @@ pub struct StreamedCard<'a> {
     pub line: usize,
 }
 
-/// Card-visitor mode: streams `reader`, validating and parsing every
-/// card exactly like [`parse_reader`], but hands each card to `visit`
-/// in source order instead of building a [`Netlist`]. This lets
-/// `irf-pg` build its grid as cards arrive with no netlist in memory
-/// at all.
+/// Streams SPICE text from `reader`, parsing and validating every
+/// card, and hands each card to `visit` in source order — the one way
+/// SPICE bytes reach a consumer. `irf-pg` builds its grid from these
+/// cards as they arrive, so neither the source nor a netlist is ever
+/// held in memory.
 ///
-/// Scanning/parsing still runs chunk-parallel; only the visitor walk is
-/// serial, so card order is exactly source order.
+/// Supported cards:
 ///
-/// Malformed cards (bad prefixes, missing fields, bad values,
-/// dangling continuations) error with the same line numbers as
-/// [`parse_reader`]. **Not** checked here: duplicate element names,
-/// which require whole-file state — use [`parse_reader`] when that
-/// validation matters, or track names in the visitor.
+/// - `R<name> <node> <node> <value>` — resistor;
+/// - `I<name> <node> <node> <value>` — DC current source;
+/// - `V<name> <node> <node> <value>` — DC voltage source;
+/// - `.end` / `.op` and other dot-cards are accepted and ignored;
+/// - `*` comments, `$`/`;` inline comments, and `+` continuations.
+///
+/// Scanning and parsing run chunk-parallel; only the walk that checks
+/// names and calls `visit` is serial, so card order is exactly source
+/// order.
+///
+/// Element names are unique: a card whose name equals an earlier
+/// card's, ASCII case ignored (`R1` and `r1` are one name, `R01` and
+/// `R1` two), is rejected with its own line and name. On one line a
+/// duplicate name wins over a bad value.
 ///
 /// # Errors
 ///
-/// [`StreamError::Io`] / [`StreamError::Parse`] as in
-/// [`parse_reader`]; a `ParseError` returned by `visit` aborts the
-/// stream and is surfaced as [`StreamError::Parse`].
-pub fn visit_cards<R, F>(reader: R, mut visit: F) -> Result<(), StreamError>
+/// [`StreamError::Io`] when the reader fails (including non-UTF-8
+/// input, which wins over a parse error in the same batch of chunks);
+/// [`StreamError::Parse`] for the earliest malformed card — bad
+/// prefix, missing fields, bad value, dangling continuation, duplicate
+/// element name. A `ParseError` returned by `visit` aborts the stream
+/// and is surfaced as [`StreamError::Parse`].
+///
+/// # Example
+///
+/// ```
+/// use irf_spice::{visit_cards, StreamedCardKind};
+///
+/// let src = "R1 a b 2.0\nV1 a 0 1.05\n.end\n";
+/// let mut volts = Vec::new();
+/// visit_cards(src.as_bytes(), |card| {
+///     if card.kind == StreamedCardKind::VoltageSource {
+///         volts.push(card.value);
+///     }
+///     Ok(())
+/// })?;
+/// assert_eq!(volts, [1.05]);
+///
+/// let dup = visit_cards("R1 a b 1\nr1 c d 2\n".as_bytes(), |_| Ok(()));
+/// assert!(dup.unwrap_err().to_string().contains("duplicate element name 'r1'"));
+/// # Ok::<(), irf_spice::StreamError>(())
+/// ```
+pub fn visit_cards<R, F>(reader: R, visit: F) -> Result<(), StreamError>
 where
     R: BufRead,
     F: FnMut(&StreamedCard<'_>) -> Result<(), ParseError>,
 {
-    drive(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH, |chunk| {
+    visit_cards_chunked(reader, CARDS_PER_CHUNK, CHUNKS_PER_BATCH, visit)
+}
+
+/// [`visit_cards`] with explicit chunk and batch sizes, so tests can
+/// force many small chunks and batches on small sources; the cards and
+/// the error are identical for every `cards_per_chunk >= 1` and
+/// `chunks_per_batch >= 1`.
+///
+/// # Errors
+///
+/// See [`visit_cards`].
+#[doc(hidden)]
+pub fn visit_cards_chunked<R, F>(
+    reader: R,
+    cards_per_chunk: usize,
+    chunks_per_batch: usize,
+    mut visit: F,
+) -> Result<(), StreamError>
+where
+    R: BufRead,
+    F: FnMut(&StreamedCard<'_>) -> Result<(), ParseError>,
+{
+    let mut names = ElementNames::default();
+    drive(reader, cards_per_chunk, chunks_per_batch, |chunk| {
         for card in &chunk.cards {
+            if !names.insert(card.name) {
+                return Err(ParseError {
+                    line: card.line,
+                    kind: ParseErrorKind::DuplicateElement(card.name.to_string()),
+                });
+            }
             let Some(value) = card.value else {
                 return Err(ParseError {
                     line: card.line,
@@ -356,11 +378,30 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lexer::oracle::chunk_source;
-    use crate::parse;
     use std::io::{BufReader, Cursor};
+
+    /// A visited card with owned fields and the value's bits, so tests can
+    /// compare whole card sequences.
+    pub(crate) type OwnedCard = (StreamedCardKind, String, String, String, u64, usize);
+
+    /// Every card [`visit_cards_chunked`] hands out for `src`, or its error.
+    pub(crate) fn cards_of(
+        src: &[u8],
+        cards_per_chunk: usize,
+        chunks_per_batch: usize,
+    ) -> Result<Vec<OwnedCard>, StreamError> {
+        let mut cards = Vec::new();
+        visit_cards_chunked(src, cards_per_chunk, chunks_per_batch, |card| {
+            let text = |s: &str| s.to_string();
+            let (name, a, b) = (text(card.name), text(card.a), text(card.b));
+            cards.push((card.kind, name, a, b, card.value.to_bits(), card.line));
+            Ok(())
+        })?;
+        Ok(cards)
+    }
 
     const TRICKY: &str = "\
 * header comment
@@ -419,13 +460,25 @@ R3 a
         }
     }
 
+    /// The whole source as one chunk: the serial walk every chunking
+    /// must reproduce.
+    fn whole(src: &[u8]) -> Result<Vec<OwnedCard>, StreamError> {
+        cards_of(src, usize::MAX, 1)
+    }
+
+    fn parse_error(result: Result<Vec<OwnedCard>, StreamError>) -> ParseError {
+        match result {
+            Err(StreamError::Parse(e)) => e,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn non_utf8_input_is_an_io_error_ahead_of_its_batch() {
         let valid = b"R1 a b 1\nR2 c d 2\nR3 \xFF e 3\nR4 f g 4\n";
         // A parse error on an earlier line of the same batch loses.
         let broken = b"R1 a b zz\nR2 c d 2\nR3 \xFF e 3\nR4 f g 4\n";
         for src in [&valid[..], &broken[..]] {
-            invalid_data(parse_reader(src));
             let mut seen = 0usize;
             invalid_data(visit_cards(src, |_| {
                 seen += 1;
@@ -436,44 +489,41 @@ R3 a
             // that emits the chunk before it, so that chunk's batch is
             // the one that fails — line 2 never reaches the sink, and
             // only line 1's error, a batch earlier, can win.
-            match parse_reader_chunked(src, 1, 1) {
+            match cards_of(src, 1, 1) {
                 Err(StreamError::Parse(e)) if src == broken => assert_eq!(e.line, 1),
                 other => invalid_data(other),
             }
         }
         // The bad byte on the very line that cuts the first chunk.
-        invalid_data(parse_reader_chunked(&b"R1 a b zz\nR2 \xFF d 2\n"[..], 1, 1));
+        invalid_data(cards_of(&b"R1 a b zz\nR2 \xFF d 2\n"[..], 1, 1));
         // Truncated multi-byte sequence at the end of the file.
-        invalid_data(parse_reader(&b"R1 a b 1\nR2 c d 2 \xE2\x80"[..]));
+        invalid_data(visit_cards(&b"R1 a b 1\nR2 c d 2 \xE2\x80"[..], |_| Ok(())));
     }
 
     #[test]
     fn streamed_netlist_is_bitwise_identical_to_batch() {
-        let batch = parse(TRICKY).expect("parses");
+        let batch = whole(TRICKY.as_bytes()).expect("parses");
+        assert_eq!(batch.len(), 5);
         for (cards, per_batch) in [(1, 1), (2, 3), (1024, 32)] {
-            let streamed =
-                parse_reader_chunked(Cursor::new(TRICKY), cards, per_batch).expect("streams");
-            assert_eq!(batch, streamed);
-            assert_eq!(batch.content_hash(), streamed.content_hash());
+            let streamed = cards_of(TRICKY.as_bytes(), cards, per_batch).expect("streams");
+            assert_eq!(batch, streamed, "cards={cards} per_batch={per_batch}");
         }
     }
 
     #[test]
     fn streamed_errors_match_batch_line_numbers() {
         let cases = [
-            "R1 a b 1\nR1 c d 2\n",        // duplicate
-            "R1 a b zz\n",                 // bad value
-            "C1 a b 1p\n",                 // unsupported
-            "R1 a b 1\nR2 c\n",            // missing fields
-            "+ oops\n",                    // dangling continuation
-            "R1 a b 1\nR2 c\nR3 d e zz\n", // earliest error wins
+            ("R1 a b 1\nR1 c d 2\n", 2),        // duplicate
+            ("R1 a b zz\n", 1),                 // bad value
+            ("C1 a b 1p\n", 1),                 // unsupported
+            ("R1 a b 1\nR2 c\n", 2),            // missing fields
+            ("+ oops\n", 1),                    // dangling continuation
+            ("R1 a b 1\nR2 c\nR3 d e zz\n", 2), // earliest error wins
         ];
-        for src in cases {
-            let want = parse(src).unwrap_err();
-            let got = match parse_reader_chunked(Cursor::new(src), 1, 2) {
-                Err(StreamError::Parse(e)) => e,
-                other => panic!("expected parse error for {src:?}, got {other:?}"),
-            };
+        for (src, line) in cases {
+            let want = parse_error(whole(src.as_bytes()));
+            assert_eq!(want.line, line, "src={src:?}");
+            let got = parse_error(cards_of(src.as_bytes(), 1, 2));
             assert_eq!(want, got, "src={src:?}");
         }
     }
@@ -484,9 +534,19 @@ R3 a
         let path = dir.join("irf_spice_stream_test.sp");
         std::fs::write(&path, TRICKY).expect("writes");
         let file = std::fs::File::open(&path).expect("opens");
-        let streamed = parse_reader(BufReader::new(file)).expect("parses");
+        let mut from_file = Vec::new();
+        visit_cards(BufReader::new(file), |card| {
+            from_file.push((card.kind, card.name.to_string(), card.value.to_bits()));
+            Ok(())
+        })
+        .expect("parses");
         std::fs::remove_file(&path).ok();
-        assert_eq!(streamed, parse(TRICKY).expect("parses"));
+        let in_memory: Vec<_> = whole(TRICKY.as_bytes())
+            .expect("parses")
+            .into_iter()
+            .map(|(kind, name, _, _, bits, _)| (kind, name, bits))
+            .collect();
+        assert_eq!(from_file, in_memory);
     }
 
     #[test]
@@ -558,12 +618,123 @@ R3 a
             }
         }
         src.push_str("I1 n250 0 2m\n.end\n");
-        let batch = parse(&src).expect("parses");
+        let batch = whole(src.as_bytes()).expect("parses");
+        assert_eq!(batch.len(), 502);
         for (cards, per_batch) in [(3, 1), (16, 4), (1024, 32)] {
-            let streamed =
-                parse_reader_chunked(Cursor::new(&src), cards, per_batch).expect("streams");
+            let streamed = cards_of(src.as_bytes(), cards, per_batch).expect("streams");
             assert_eq!(batch, streamed, "cards={cards} per_batch={per_batch}");
-            assert_eq!(batch.content_hash(), streamed.content_hash());
         }
+    }
+
+    /// The duplicate the visitor reports for `src` at every chunking,
+    /// as `(line, name)`; `None` when it has none.
+    fn duplicate(src: &str) -> Option<(usize, String)> {
+        let mut found = Vec::new();
+        for (cards, per_batch) in [(1, 1), (2, 3), (7, 2), (1024, 32), (usize::MAX, 1)] {
+            found.push(match cards_of(src.as_bytes(), cards, per_batch) {
+                Ok(_) => None,
+                Err(StreamError::Parse(ParseError {
+                    line,
+                    kind: ParseErrorKind::DuplicateElement(name),
+                })) => Some((line, name)),
+                Err(other) => panic!("{src:?}: unexpected error {other}"),
+            });
+        }
+        assert!(found.windows(2).all(|w| w[0] == w[1]), "{src:?}: {found:?}");
+        found.pop().expect("five chunkings")
+    }
+
+    fn dup(line: usize, name: &str) -> Option<(usize, String)> {
+        Some((line, name.to_string()))
+    }
+
+    #[test]
+    fn names_differing_only_in_case_are_duplicates() {
+        // Dense names (`<prefix><decimal>`) and a free-form one.
+        assert_eq!(duplicate("R1 a b 1\nr1 c d 2\n"), dup(2, "r1"));
+        assert_eq!(duplicate("Rvia_a a b 1\nrVIA_A c d 2\n"), dup(2, "rVIA_A"));
+        assert_eq!(duplicate("Rx7 a b 1\nrX7 c d 2\n"), dup(2, "rX7"));
+        assert_eq!(duplicate("V1 a 0 1\nv1 b 0 1\n"), dup(2, "v1"));
+        // The same number under another prefix is another name.
+        assert_eq!(duplicate("R1 a b 1\nI1 a 0 1m\n"), None);
+    }
+
+    #[test]
+    fn a_leading_zero_makes_a_different_name() {
+        assert_eq!(duplicate("R01 a b 1\nR1 c d 2\n"), None);
+        assert_eq!(duplicate("R1 a b 1\nR01 c d 2\n"), None);
+        assert_eq!(duplicate("R0 a b 1\nR00 c d 2\n"), None);
+        assert_eq!(duplicate("R01 a b 1\nr01 c d 2\n"), dup(2, "r01"));
+        assert_eq!(duplicate("R0 a b 1\nr0 c d 2\n"), dup(2, "r0"));
+    }
+
+    #[test]
+    fn duplicates_are_caught_across_chunk_boundaries() {
+        let mut src = String::new();
+        for i in 0..40 {
+            src.push_str(&format!("R{i} n{i} n{} 1\nRs_{i} n{i} 0 2\n", i + 1));
+        }
+        assert_eq!(duplicate(&src), None);
+        let lines = src.lines().count();
+        for (late, want) in [("r3", "r3"), ("RS_5", "RS_5")] {
+            let with_dup = format!("{src}{late} x y 1\nR999 p q 1\n");
+            assert_eq!(duplicate(&with_dup), dup(lines + 1, want), "{late}");
+        }
+    }
+
+    #[test]
+    fn ids_past_the_dense_limit_are_checked_by_name() {
+        let limit = ElementNames::MAX_DENSE_ID;
+        let (at, past, far) = (limit - 1, limit, 10 * u64::from(limit));
+        let src = format!(
+            "R{at} a b 1\nR{past} a b 1\nR{far} a b 1\nR{} a b 1\n",
+            u64::MAX
+        );
+        assert_eq!(duplicate(&src), None);
+        for (name, repeat) in [
+            (at.to_string(), "r"),
+            (past.to_string(), "r"),
+            (far.to_string(), "R"),
+        ] {
+            let with_dup = format!("{src}{repeat}{name} c d 2\n");
+            assert_eq!(duplicate(&with_dup), dup(5, &format!("{repeat}{name}")));
+        }
+        let overflow = format!("{src}R{}0 c d 2\nr{} e f 3\n", u64::MAX, u64::MAX);
+        assert_eq!(duplicate(&overflow), dup(6, &format!("r{}", u64::MAX)));
+    }
+
+    #[test]
+    fn a_prefix_arriving_after_the_table_is_full_is_checked_by_name() {
+        // `Ra`..`Rd` fill the prefix table; `Rz` and `R` arrive after it.
+        let mut src = String::new();
+        for prefix in ["Ra", "Rb", "Rc", "Rd", "Rz", "R"] {
+            for i in 0..5 {
+                src.push_str(&format!("{prefix}{i} a b 1\n"));
+            }
+        }
+        assert_eq!(duplicate(&src), None);
+        for (late, line) in [("rZ3", 31), ("r4", 31), ("rA0", 31), ("RD4", 31)] {
+            assert_eq!(duplicate(&format!("{src}{late} x y 1\n")), dup(line, late));
+        }
+    }
+
+    #[test]
+    fn dense_and_free_form_names_never_collide() {
+        // Seven names sharing a prefix or digits: `R7`, `R77` and `RR7`
+        // are dense, the rest free-form.
+        let src = "R7 a b 1\nR7a a b 1\nR07 a b 1\nR a b 1\nR_7 a b 1\nR77 a b 1\nRR7 a b 1\n";
+        assert_eq!(duplicate(src), None);
+        for late in ["r", "r7A", "rr7", "r_7", "r07"] {
+            assert_eq!(duplicate(&format!("{src}{late} a b 1\n")), dup(8, late));
+        }
+    }
+
+    #[test]
+    fn a_duplicate_name_wins_over_a_bad_value_on_its_line() {
+        assert_eq!(duplicate("R1 a b 1\nr1 c d zz\n"), dup(2, "r1"));
+        // A bad value on an earlier line still wins.
+        let err = parse_error(whole(b"R1 a b zz\nr1 c d 1\n"));
+        assert_eq!(err.line, 1);
+        assert!(matches!(err.kind, ParseErrorKind::InvalidValue(_)));
     }
 }

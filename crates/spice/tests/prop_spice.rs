@@ -2,7 +2,8 @@
 //! end (fixed seeds, exact reproduction on failure).
 
 use irf_runtime::Xoshiro256pp;
-use irf_spice::{parse, write, Netlist};
+use irf_spice::value::format_spice_number;
+use irf_spice::{visit_cards, ParseError, StreamError, StreamedCardKind};
 
 const CASES: u64 = 64;
 
@@ -61,6 +62,39 @@ fn build_source(elems: &[(u8, String, String, f64)]) -> String {
     src
 }
 
+/// A visited card with owned fields.
+type Card = (StreamedCardKind, String, String, String, f64);
+
+/// Every card of `src`, or the error that stopped the stream.
+fn cards(src: &str) -> Result<Vec<Card>, ParseError> {
+    let mut cards = Vec::new();
+    let visited = visit_cards(src.as_bytes(), |card| {
+        let text = |s: &str| s.to_string();
+        cards.push((
+            card.kind,
+            text(card.name),
+            text(card.a),
+            text(card.b),
+            card.value,
+        ));
+        Ok(())
+    });
+    match visited {
+        Ok(()) => Ok(cards),
+        Err(StreamError::Parse(e)) => Err(e),
+        Err(StreamError::Io(e)) => unreachable!("reading a &str cannot fail: {e}"),
+    }
+}
+
+/// SPICE text for `cards`, values printed by [`format_spice_number`].
+fn write(cards: &[Card]) -> String {
+    let mut out = String::new();
+    for (_, name, a, b, value) in cards {
+        out.push_str(&format!("{name} {a} {b} {}\n", format_spice_number(*value)));
+    }
+    out
+}
+
 #[test]
 fn parse_never_panics_on_arbitrary_text() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x5C_01);
@@ -77,7 +111,7 @@ fn parse_never_panics_on_arbitrary_text() {
                 _ => (rng.random_range(0x20u32..0x7F) as u8) as char,
             })
             .collect();
-        let _ = parse(&s);
+        let _ = cards(&s);
     }
 }
 
@@ -87,9 +121,16 @@ fn generated_netlists_parse() {
     for _ in 0..CASES {
         let elems = elements(&mut rng);
         let src = build_source(&elems);
-        let n = parse(&src).expect("generated netlists are valid");
-        let total = n.resistors().len() + n.current_sources().len() + n.voltage_sources().len();
-        assert_eq!(total, elems.len());
+        let n = cards(&src).expect("generated netlists are valid");
+        assert_eq!(n.len(), elems.len());
+        for ((kind, a, b, value), card) in elems.iter().zip(&n) {
+            let want = [
+                StreamedCardKind::Resistor,
+                StreamedCardKind::CurrentSource,
+                StreamedCardKind::VoltageSource,
+            ][usize::from(*kind)];
+            assert_eq!((want, a, b, *value), (card.0, &card.2, &card.3, card.4));
+        }
     }
 }
 
@@ -99,27 +140,27 @@ fn write_parse_roundtrip() {
     for _ in 0..CASES {
         let elems = elements(&mut rng);
         let src = build_source(&elems);
-        let a: Netlist = parse(&src).expect("valid");
-        let b = parse(&write(&a)).expect("round-trips");
-        assert_eq!(a.resistors().len(), b.resistors().len());
+        let a = cards(&src).expect("valid");
+        let b = cards(&write(&a)).expect("round-trips");
         // Values survive exactly (the writer prints full precision).
-        for (ra, rb) in a.resistors().iter().zip(b.resistors()) {
-            assert_eq!(ra.ohms, rb.ohms);
-        }
-        for (ia, ib) in a.current_sources().iter().zip(b.current_sources()) {
-            assert_eq!(ia.amps, ib.amps);
-        }
+        assert_eq!(a, b);
     }
 }
 
 #[test]
 fn interning_is_stable_across_duplicates() {
+    // A node name may repeat on any number of cards; an element name,
+    // in any ASCII case, may not.
     let mut rng = Xoshiro256pp::seed_from_u64(0x5C_04);
     for _ in 0..CASES {
-        let name = node_name(&mut rng);
-        let src = format!("R1 {name} other 1.0\nR2 {name} other2 2.0\n");
-        let n = parse(&src).expect("valid");
-        assert_eq!(n.resistors()[0].a, n.resistors()[1].a);
+        let node = node_name(&mut rng);
+        let element = format!("R{}", node_name(&mut rng));
+        let src = format!("{element} {node} other 1.0\nR2 {node} other2 2.0\n");
+        let n = cards(&src).expect("valid");
+        assert_eq!(n[0].2, n[1].2);
+        let shouted = element.to_ascii_uppercase();
+        let err = cards(&format!("{src}{shouted} a b 1\n")).expect_err("duplicate");
+        assert_eq!(err.line, 3, "{element} / {shouted}");
     }
 }
 

@@ -13,8 +13,8 @@
 //! prints the aggregated self-profile tree.
 
 use ir_fusion::{FusionConfig, IrFusionPipeline};
-use irf_data::{synthesize, SynthSpec};
-use irf_pg::PowerGrid;
+use irf_data::{synthesize_to_string, SynthSpec};
+use irf_pg::{grid_from_spice_path, grid_from_spice_reader};
 use std::fs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,25 +37,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         None
     };
-    let netlist = match netlist_path {
+    let grid = match netlist_path {
         Some(path) => {
             println!("parsing {path}");
-            irf_spice::parse(&fs::read_to_string(&path)?)?
+            grid_from_spice_path(&path)?
         }
         None => {
             println!("no netlist given; using a synthesized demo design");
-            let netlist = synthesize(&SynthSpec {
+            let text = synthesize_to_string(&SynthSpec {
                 seed: 7,
                 hotspot_clusters: 2,
                 hotspot_fraction: 0.5,
                 ..SynthSpec::default()
             });
-            // Round-trip through the SPICE writer so the trace shows
-            // the parse stage even for the synthetic design.
-            irf_spice::parse(&irf_spice::write(&netlist))?
+            grid_from_spice_reader(text.as_bytes())?
         }
     };
-    let grid = PowerGrid::from_netlist(&netlist)?;
     println!(
         "{} nodes, {} segments, {} loads, {} pads, layers {:?}",
         grid.nodes.len(),

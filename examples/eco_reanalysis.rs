@@ -9,7 +9,6 @@
 //! ```
 
 use irf_data::{synthesize, SynthSpec};
-use irf_pg::PowerGrid;
 use irf_sparse::{Solver, SolverKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hotspot_fraction: 0.5,
         ..SynthSpec::default()
     };
-    let grid = PowerGrid::from_netlist(&synthesize(&spec))?;
+    let grid = synthesize(&spec);
     let system = grid.build_system();
     let solver = Solver::new(SolverKind::AmgPcg).with_tolerance(1e-10);
     let base = solver.solve(&system.matrix, &system.rhs);

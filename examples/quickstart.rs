@@ -8,12 +8,11 @@
 use ir_fusion::{FusionConfig, IrFusionPipeline};
 use irf_data::{synthesize, SynthSpec};
 use irf_metrics::{f1_score, mae};
-use irf_pg::{DesignStats, PowerGrid};
+use irf_pg::DesignStats;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Synthesize a BeGAN-style power grid and show its statistics.
-    let netlist = synthesize(&SynthSpec::default());
-    let grid = PowerGrid::from_netlist(&netlist)?;
+    let grid = synthesize(&SynthSpec::default());
     println!("design: {}", DesignStats::from_grid(&grid));
 
     // 2. Run the fusion pipeline front end: a 2-iteration AMG-PCG

@@ -5,11 +5,10 @@
 
 use ir_fusion::config::FusionConfig;
 use ir_fusion::pipeline::{IrFusionPipeline, PreparedSample};
-use irf_data::synth::{synthesize, SynthSpec};
+use irf_data::synth::{synthesize, synthesize_to_string, SynthSpec};
 use irf_data::Dataset;
 use irf_features::{FeatureConfig, FeatureExtractor};
 use irf_nn::{ParamStore, Tape, Tensor};
-use irf_pg::PowerGrid;
 use irf_runtime::Xoshiro256pp;
 use irf_sparse::{CsrMatrix, TripletMatrix};
 use std::sync::Mutex;
@@ -192,7 +191,7 @@ fn ir_fusion_forward_keeps_the_bits_of_the_general_conv_loop() {
 
 #[test]
 fn feature_stack_is_bitwise_identical_across_thread_counts() {
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid");
+    let grid = synthesize(&SynthSpec::default());
     let mut rng = Xoshiro256pp::seed_from_u64(0xDE_04);
     let drops: Vec<f64> = (0..grid.nodes.len())
         .map(|_| rng.random_range(0.0f64..2e-3))
@@ -223,7 +222,7 @@ fn shortest_path_fanout_is_bitwise_identical_across_thread_counts() {
         seed: 21,
         ..SynthSpec::default()
     };
-    let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid");
+    let grid = synthesize(&spec);
     assert!(grid.pads.len() > 4, "need multiple Dijkstra chunks");
 
     let serial = with_threads(1, || {
@@ -245,26 +244,34 @@ fn shortest_path_fanout_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn chunked_spice_parse_is_identical_across_thread_counts() {
-    // The parallel parser must produce the same netlist — same element
-    // order, same interned node ids — as a serial single-chunk parse,
-    // at any thread count and chunk granularity.
-    let text = irf_spice::write(&synthesize(&SynthSpec {
+    // The parallel parser feeding the grid builder must produce the
+    // same grid — same node order, same segments, loads and pads — as
+    // a serial single-chunk ingest, at any thread count and chunk
+    // granularity.
+    let text = synthesize_to_string(&SynthSpec {
         seed: 22,
         ..SynthSpec::default()
-    }));
+    });
     // The sized entry: `cards_per_chunk` cards per parallel chunk,
     // four chunks per batch.
-    let parse = |cards_per_chunk: usize| {
-        irf_spice::stream::parse_reader_chunked(text.as_bytes(), cards_per_chunk, 4)
+    let ingest = |cards_per_chunk: usize| {
+        irf_pg::streaming::grid_from_spice_reader_chunked(text.as_bytes(), cards_per_chunk, 4)
+            .expect("synthesized netlists are valid grids")
     };
-    let reference = with_threads(1, || parse(usize::MAX)).expect("netlist round-trips");
+    let reference = with_threads(1, || ingest(usize::MAX));
+    assert_eq!(
+        reference,
+        synthesize(&SynthSpec {
+            seed: 22,
+            ..SynthSpec::default()
+        })
+    );
     for threads in [1, 2, 4, 8] {
         for cards_per_chunk in [7, 64, 1024] {
-            let parsed =
-                with_threads(threads, || parse(cards_per_chunk)).expect("netlist round-trips");
+            let grid = with_threads(threads, || ingest(cards_per_chunk));
             assert_eq!(
-                parsed, reference,
-                "parse differs at {threads} threads, {cards_per_chunk} cards/chunk"
+                grid, reference,
+                "grid differs at {threads} threads, {cards_per_chunk} cards/chunk"
             );
         }
     }
@@ -386,8 +393,7 @@ fn truncated_solves_keep_the_bits_of_the_full_work_solver() {
         ("V/Jacobi/1 from a guess meeting tol", 0x4fe6_1783_cebd_fe6c),
     ];
 
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(2500, 0xDE_20)))
-        .expect("valid");
+    let grid = synthesize(&SynthSpec::scaled_to_nodes(2500, 0xDE_20));
     let structure = irf_pg::PgStructure::build(&grid);
     let a = &structure.matrix;
     let b = structure.rhs(&grid.loads);
@@ -522,9 +528,7 @@ fn amg_hierarchies_keep_the_bits_of_the_sorted_setup() {
         ),
     ];
     for (nodes, rows, levels, want_base, want_edited) in GOLDEN {
-        let grid =
-            PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(nodes, 0xA3_22)))
-                .expect("valid");
+        let grid = synthesize(&SynthSpec::scaled_to_nodes(nodes, 0xA3_22));
         let structure = irf_pg::PgStructure::build(&grid);
         assert_eq!(structure.matrix.rows(), rows);
         // Halve eight segments spread over the segment list.

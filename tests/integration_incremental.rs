@@ -29,7 +29,7 @@ fn grid(seed: u64) -> PowerGrid {
         seed,
         ..SynthSpec::default()
     };
-    PowerGrid::from_netlist(&synthesize(&spec)).expect("valid grid")
+    synthesize(&spec)
 }
 
 /// A grid whose stripe count — and therefore topology — differs from
@@ -40,7 +40,7 @@ fn restriped_grid(seed: u64) -> PowerGrid {
         m1_stripes: SynthSpec::default().m1_stripes + 2,
         ..SynthSpec::default()
     };
-    PowerGrid::from_netlist(&synthesize(&spec)).expect("valid grid")
+    synthesize(&spec)
 }
 
 fn bits32(v: &[f32]) -> Vec<u32> {

@@ -2,8 +2,8 @@
 //! solver -> features -> analysis.
 
 use ir_fusion::{FusionConfig, IrFusionPipeline};
-use irf_data::{synthesize, SynthSpec};
-use irf_pg::PowerGrid;
+use irf_data::{synthesize, synthesize_to_string, SynthSpec};
+use irf_pg::grid_from_spice_reader;
 
 fn tiny_pipeline() -> IrFusionPipeline {
     IrFusionPipeline::new(FusionConfig::tiny())
@@ -11,14 +11,14 @@ fn tiny_pipeline() -> IrFusionPipeline {
 
 #[test]
 fn netlist_text_flows_through_the_whole_stack() {
-    // Write a synthesized netlist to text and push the *text* through
-    // the same front door a user's SPICE file would take.
-    let netlist = synthesize(&SynthSpec::default());
-    let text = irf_spice::write(&netlist);
-    let reparsed = irf_spice::parse(&text).expect("round-trips");
+    // Synthesize netlist text and push the *text* through the same
+    // front door a user's SPICE file would take.
+    let text = synthesize_to_string(&SynthSpec::default());
+    let grid = grid_from_spice_reader(text.as_bytes()).expect("valid design");
     let analysis = tiny_pipeline()
-        .analyze_netlist(&reparsed)
-        .expect("valid design");
+        .stack_builder()
+        .analyze(&grid, None)
+        .expect("grid has pads");
     assert!(analysis.rough_map.max() > 0.0);
     assert!(analysis.fused_map.is_none());
 }
@@ -31,7 +31,7 @@ fn rough_and_golden_maps_share_hotspot_structure() {
         seed: 3,
         ..SynthSpec::default()
     };
-    let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid");
+    let grid = synthesize(&spec);
     let pipeline = tiny_pipeline();
     let analysis = pipeline.stack_builder().analyze(&grid, None).expect("pads");
     let golden = pipeline.golden_map(&grid);
@@ -43,7 +43,7 @@ fn rough_and_golden_maps_share_hotspot_structure() {
 
 #[test]
 fn feature_channels_match_config_prediction() {
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid");
+    let grid = synthesize(&SynthSpec::default());
     let pipeline = tiny_pipeline();
     let (drops, _) = pipeline.rough_solution(&grid);
     let extractor = irf_features::FeatureExtractor::new(pipeline.config().feature);
@@ -56,7 +56,7 @@ fn feature_channels_match_config_prediction() {
 
 #[test]
 fn analysis_runtime_accounts_for_work() {
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid");
+    let grid = synthesize(&SynthSpec::default());
     let pipeline = tiny_pipeline();
     let analysis = pipeline.stack_builder().analyze(&grid, None).expect("pads");
     assert!(analysis.runtime_seconds > 0.0);
@@ -69,7 +69,6 @@ fn analysis_runtime_accounts_for_work() {
 #[test]
 fn disconnected_designs_are_caught_before_the_solver() {
     let src = "V1 p 0 1.0\nR1 p a 1.0\nR2 x y 1.0\nI1 a 0 1m\nI2 x 0 1m\n";
-    let netlist = irf_spice::parse(src).expect("parses");
-    let grid = PowerGrid::from_netlist(&netlist).expect("builds");
+    let grid = grid_from_spice_reader(src.as_bytes()).expect("builds");
     assert!(!grid.is_connected_to_pads());
 }

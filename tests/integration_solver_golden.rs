@@ -6,7 +6,7 @@ use irf_pg::PowerGrid;
 use irf_sparse::{Solver, SolverKind};
 
 fn system() -> (irf_pg::PgSystem, PowerGrid) {
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::default())).expect("valid");
+    let grid = synthesize(&SynthSpec::default());
     (grid.build_system(), grid)
 }
 
@@ -59,7 +59,7 @@ fn drop_coordinates_keep_solutions_nonnegative() {
             blockages: 1,
             ..SynthSpec::default()
         };
-        let grid = PowerGrid::from_netlist(&synthesize(&spec)).expect("valid");
+        let grid = synthesize(&spec);
         let sys = grid.build_system();
         let r = Solver::new(SolverKind::Cholesky).solve(&sys.matrix, &sys.rhs);
         assert!(

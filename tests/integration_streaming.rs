@@ -1,14 +1,18 @@
-//! The bounded-memory prepare path end to end: streaming SPICE parse
-//! and grid ingest must be indistinguishable — bit for bit — from the
-//! materialize-everything path, and the downstream assembly + AMG +
+//! The bounded-memory prepare path end to end: streaming a file must be
+//! indistinguishable — bit for bit — from reading the same bytes whole
+//! into memory, the grids must keep the fingerprints pinned before the
+//! stream became the only way in, and the downstream assembly + AMG +
 //! rough solve must stay bitwise identical at any thread count.
 
 use ir_fusion::config::FusionConfig;
 use ir_fusion::pipeline::IrFusionPipeline;
-use irf_data::synth::{synthesize_to_path, synthesize_to_string, SynthSpec};
+use ir_fusion::stages::design_fingerprint;
+use irf_data::synth::{synthesize, synthesize_to_path, synthesize_to_string, SynthSpec};
+use irf_data::Dataset;
 use irf_pg::{PgSystem, PowerGrid};
 use irf_sparse::{CsrMatrix, Solver, SolverKind};
-use std::io::{BufReader, Cursor};
+use irf_spice::StreamedCard;
+use std::io::{BufRead, BufReader, Cursor};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -57,20 +61,49 @@ fn matrix_bits(a: &CsrMatrix) -> MatrixBits {
     )
 }
 
+type Card = (String, String, String, u64);
+
+fn owned(card: &StreamedCard<'_>) -> Card {
+    let text = |s: &str| s.to_string();
+    (
+        text(card.name),
+        text(card.a),
+        text(card.b),
+        card.value.to_bits(),
+    )
+}
+
+/// Every card [`irf_spice::visit_cards`] hands out for `reader`.
+fn cards(reader: impl BufRead) -> Vec<Card> {
+    let mut cards = Vec::new();
+    irf_spice::visit_cards(reader, |card| {
+        cards.push(owned(card));
+        Ok(())
+    })
+    .expect("parses");
+    cards
+}
+
 #[test]
 fn streaming_parse_matches_materialized_parse() {
     let spec = medium_spec();
     let src = synthesize_to_string(&spec);
-    let materialized = irf_spice::parse(&src).expect("materialized parse");
-    let streamed = irf_spice::parse_reader(Cursor::new(src.as_bytes())).expect("streamed parse");
-    assert_eq!(materialized, streamed, "netlists must be identical");
-    assert_eq!(materialized.content_hash(), streamed.content_hash());
+    // The whole source as one chunk: the serial reading.
+    let mut materialized = Vec::new();
+    irf_spice::stream::visit_cards_chunked(src.as_bytes(), usize::MAX, 1, |card| {
+        materialized.push(owned(card));
+        Ok(())
+    })
+    .expect("materialized parse");
+    assert!(materialized.len() > 10_000);
+    let streamed = cards(Cursor::new(src.as_bytes()));
+    assert_eq!(materialized, streamed, "card sequences must be identical");
 
     let path = temp_netlist("parse_parity.sp", &spec);
     let file = std::fs::File::open(&path).expect("open netlist file");
-    let from_file = irf_spice::parse_reader(BufReader::new(file)).expect("parse from file");
+    let from_file = cards(BufReader::new(file));
     let _ = std::fs::remove_file(&path);
-    assert_eq!(materialized.content_hash(), from_file.content_hash());
+    assert_eq!(materialized, from_file);
 }
 
 #[test]
@@ -79,11 +112,12 @@ fn streaming_grid_ingest_matches_materialized_path() {
     let path = temp_netlist("ingest_parity.sp", &spec);
     let streamed = irf_pg::grid_from_spice_path(&path).expect("streaming ingest");
 
+    // The same bytes read whole into memory first.
     let src = std::fs::read_to_string(&path).expect("read back");
     let _ = std::fs::remove_file(&path);
-    let netlist = irf_spice::parse(&src).expect("parse");
-    let materialized = PowerGrid::from_netlist(&netlist).expect("model grid");
+    let materialized = irf_pg::grid_from_spice_reader(src.as_bytes()).expect("in-memory ingest");
     assert_eq!(streamed, materialized, "grids must be identical");
+    assert_eq!(streamed, synthesize(&spec));
 
     let sys_streamed = PgSystem::try_build(&streamed).expect("assemble streamed");
     let sys_materialized = PgSystem::try_build(&materialized).expect("assemble materialized");
@@ -93,6 +127,75 @@ fn streaming_grid_ingest_matches_materialized_path() {
         "assembled systems must be bitwise identical"
     );
     assert_eq!(sys_streamed.rhs, sys_materialized.rhs);
+}
+
+/// A seeded ~40 000-node source whose names collide in every way but
+/// equality (the name-index stress source of `irf-pg`'s builder tests).
+fn many_names_source() -> String {
+    let mut rng = irf_runtime::Xoshiro256pp::seed_from_u64(0x2023);
+    let mut below = |n: u64| rng.random_range(0..n);
+    let name = |i: u64| match i % 5 {
+        0 => format!("n{}", i / 5),
+        1 => format!("N{}", i / 5),
+        2 => format!("n{}a", i / 5),
+        3 => format!("n{}b", i / 5),
+        _ => format!("n{}é", i / 5),
+    };
+    let mut src = String::from("* many names\nV1 pad_only 0 1.0\nI1 load_only 0 1m\n");
+    for i in 0..40_000u64 {
+        src.push_str(&format!("R{i} {} {} 0.5\n", name(i), name(i + 1)));
+        if i % 3 == 0 {
+            src.push_str(&format!("Rx{i} {} {} 1.5\n", name(below(i + 1)), name(i)));
+        }
+        if i % 7 == 0 {
+            src.push_str(&format!("I{i} {} 0 1m\n", name(below(i + 1))));
+        }
+        if i % 9_000 == 0 {
+            src.push_str(&format!("V{i} {} 0 1.0\n", name(i)));
+        }
+        if i % 11 == 0 {
+            src.push_str(&format!("Rg{i} {} 0 50\n", name(i)));
+        }
+    }
+    src
+}
+
+/// `design_fingerprint`s (node names, coordinates, segments, loads and
+/// pads, bit for bit) taken when designs were still built by parsing
+/// the whole netlist first and then modelling it; the stream must keep
+/// reproducing them.
+const DEFAULT_SPEC_FINGERPRINT: u64 = 0xefca_9d61_aa1a_4b17;
+const SCALED_3000_5_FINGERPRINT: u64 = 0x0967_bc2a_5b32_e52a;
+const DATASET_2_2_0_7_FINGERPRINTS: [u64; 4] = [
+    0xb34f_8d81_fdc0_bd65,
+    0x4178_a17b_dfb4_cf06,
+    0x0674_4a1b_d672_9fe3,
+    0x310f_831d_b9ab_df0a,
+];
+const MANY_NAMES_FINGERPRINT: u64 = 0x085b_c3c8_e328_6477;
+
+#[test]
+fn pinned_design_fingerprints_hold_through_the_stream() {
+    let config = FusionConfig::default();
+    let fingerprint = |grid: &PowerGrid| design_fingerprint(grid, &config);
+    let read = |text: &str| irf_pg::grid_from_spice_reader(text.as_bytes()).expect("valid grid");
+
+    let default_spec = read(&synthesize_to_string(&SynthSpec::default()));
+    assert_eq!(fingerprint(&default_spec), DEFAULT_SPEC_FINGERPRINT);
+    assert_eq!(default_spec.nodes.len(), 2432);
+    let scaled = read(&synthesize_to_string(&SynthSpec::scaled_to_nodes(3000, 5)));
+    assert_eq!(fingerprint(&scaled), SCALED_3000_5_FINGERPRINT);
+    assert_eq!(scaled.nodes.len(), 3198);
+    let dataset = Dataset::generate(2, 2, 0, 7);
+    let got: Vec<u64> = dataset
+        .designs
+        .iter()
+        .map(|d| fingerprint(&d.grid))
+        .collect();
+    assert_eq!(got, DATASET_2_2_0_7_FINGERPRINTS);
+    let many = read(&many_names_source());
+    assert_eq!(fingerprint(&many), MANY_NAMES_FINGERPRINT);
+    assert_eq!(many.nodes.len(), 40_003);
 }
 
 #[test]
@@ -140,7 +243,7 @@ fn prepare_spice_path_matches_in_memory_prepare() {
 
     let src = std::fs::read_to_string(&path).expect("read back");
     let _ = std::fs::remove_file(&path);
-    let grid = PowerGrid::from_netlist(&irf_spice::parse(&src).expect("parse")).expect("grid");
+    let grid = irf_pg::grid_from_spice_reader(src.as_bytes()).expect("grid");
     let in_memory = pipeline
         .stack_builder()
         .bypass_cache()

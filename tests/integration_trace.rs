@@ -7,10 +7,10 @@
 use ir_fusion::config::FusionConfig;
 use ir_fusion::pipeline::IrFusionPipeline;
 use ir_fusion::TrainedModel;
-use irf_data::synth::{synthesize, SynthSpec};
+use irf_data::synth::{synthesize, synthesize_to_string, SynthSpec};
 use irf_data::Dataset;
 use irf_models::ModelKind;
-use irf_pg::{GridMap, PowerGrid};
+use irf_pg::{grid_from_spice_reader, GridMap};
 use irf_trace::{AttrValue, Collector};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -30,8 +30,7 @@ fn run_pipeline(
     trained: &TrainedModel,
     spice_text: &str,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let netlist = irf_spice::parse(spice_text).expect("valid netlist");
-    let grid = PowerGrid::from_netlist(&netlist).expect("valid grid");
+    let grid = grid_from_spice_reader(spice_text.as_bytes()).expect("valid grid");
     let stack = pipeline.prepare_stack(&grid).expect("grid has pads");
     let fused: GridMap = pipeline.predict(trained, &stack);
     let feature_bits: Vec<u32> = stack
@@ -56,10 +55,10 @@ fn tracing_is_zero_overhead_and_covers_every_stage() {
     let dataset = Dataset::generate(2, 2, 1, 7);
     let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
     let pipeline = IrFusionPipeline::new(config);
-    let spice_text = irf_spice::write(&synthesize(&SynthSpec {
+    let spice_text = synthesize_to_string(&SynthSpec {
         seed: 3,
         ..SynthSpec::default()
-    }));
+    });
 
     let baseline = {
         irf_runtime::set_num_threads(1);
@@ -205,11 +204,10 @@ fn profile_paths(text: &str) -> BTreeSet<Vec<&str>> {
 #[test]
 fn the_request_forest_and_the_profile_tree_show_the_same_spans() {
     let pipeline = IrFusionPipeline::new(FusionConfig::tiny());
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec {
+    let grid = synthesize(&SynthSpec {
         seed: 3,
         ..SynthSpec::default()
-    }))
-    .expect("valid grid");
+    });
     let request = 0x5eed_1e55;
 
     let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -258,13 +256,10 @@ fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
     let config = FusionConfig::tiny();
     let store = Arc::new(StageStore::with_shards(16, 1));
     let pipeline = IrFusionPipeline::new(config).with_cache(store);
-    let base = Arc::new(
-        PowerGrid::from_netlist(&synthesize(&SynthSpec {
-            seed: 3,
-            ..SynthSpec::default()
-        }))
-        .expect("valid grid"),
-    );
+    let base = Arc::new(synthesize(&SynthSpec {
+        seed: 3,
+        ..SynthSpec::default()
+    }));
     let pads = base.pads.len() as u64;
     // Two m1 straps: on nobody's shortest path, like the benchmark's.
     let m1_straps: Vec<usize> = (0..base.segments.len())
@@ -332,13 +327,10 @@ fn the_feature_stack_span_says_which_tables_an_analysis_built() {
     let config = FusionConfig::tiny();
     let store = Arc::new(StageStore::with_shards(16, 1));
     let pipeline = IrFusionPipeline::new(config).with_cache(store);
-    let base = Arc::new(
-        PowerGrid::from_netlist(&synthesize(&SynthSpec {
-            seed: 3,
-            ..SynthSpec::default()
-        }))
-        .expect("valid grid"),
-    );
+    let base = Arc::new(synthesize(&SynthSpec {
+        seed: 3,
+        ..SynthSpec::default()
+    }));
     let m1_strap = (0..base.segments.len())
         .find(|&i| {
             let s = &base.segments[i];
@@ -432,8 +424,7 @@ fn the_pcg_span_counts_cycles_visits_and_matrix_passes_per_level() {
     use irf_sparse::{Solver, SolverKind};
     use irf_trace::AttrValue;
 
-    let grid = PowerGrid::from_netlist(&synthesize(&SynthSpec::scaled_to_nodes(3000, 5)))
-        .expect("valid grid");
+    let grid = synthesize(&SynthSpec::scaled_to_nodes(3000, 5));
     let structure = irf_pg::PgStructure::build(&grid);
     let rhs = structure.rhs(&grid.loads);
     let setup = Solver::new(SolverKind::AmgPcg)
