@@ -263,7 +263,8 @@ impl EditPlan {
 /// what-if re-analysis, see [`IrFusionPipeline::session`]).
 ///
 /// Obtained from [`IrFusionPipeline::stack_builder`]; options select
-/// feature families, thread count and cache policy, and the terminal
+/// thread count and cache policy (feature families are
+/// [`FusionConfig::feature`]'s), and the terminal
 /// methods ([`FeatureStackBuilder::prepare`],
 /// [`FeatureStackBuilder::prepare_labelled`],
 /// [`FeatureStackBuilder::analyze`]) return `Result` instead of
@@ -284,8 +285,6 @@ impl EditPlan {
 #[derive(Debug, Clone)]
 pub struct FeatureStackBuilder<'p> {
     pipeline: &'p IrFusionPipeline,
-    numerical: Option<bool>,
-    hierarchical: Option<bool>,
     threads: Option<usize>,
     cache: CachePolicy,
 }
@@ -294,32 +293,9 @@ impl<'p> FeatureStackBuilder<'p> {
     fn new(pipeline: &'p IrFusionPipeline) -> Self {
         FeatureStackBuilder {
             pipeline,
-            numerical: None,
-            hierarchical: None,
             threads: None,
             cache: CachePolicy::Shared,
         }
-    }
-
-    /// Overrides [`FeatureConfig::numerical`] (the per-layer
-    /// rough-solution channels; `false` is the "w/o Num. Solu."
-    /// ablation).
-    ///
-    /// [`FeatureConfig::numerical`]: irf_features::FeatureConfig::numerical
-    #[must_use]
-    pub fn numerical(mut self, on: bool) -> Self {
-        self.numerical = Some(on);
-        self
-    }
-
-    /// Overrides [`FeatureConfig::hierarchical`] (the per-layer
-    /// current channels; `false` is the "w/o hierarchical" ablation).
-    ///
-    /// [`FeatureConfig::hierarchical`]: irf_features::FeatureConfig::hierarchical
-    #[must_use]
-    pub fn hierarchical(mut self, on: bool) -> Self {
-        self.hierarchical = Some(on);
-        self
     }
 
     /// Runs this builder's terminal call at an explicit thread count
@@ -347,18 +323,10 @@ impl<'p> FeatureStackBuilder<'p> {
         self.cache_policy(CachePolicy::Bypass)
     }
 
-    /// The pipeline configuration with this builder's feature-family
-    /// overrides applied — also what the cache fingerprint covers, so
-    /// ablated and full stacks never collide in the cache.
-    #[must_use]
-    pub fn effective_config(&self) -> FusionConfig {
+    /// The pipeline configuration with this builder's thread override
+    /// applied — also what the cache fingerprint covers.
+    fn effective_config(&self) -> FusionConfig {
         let mut config = *self.pipeline.config();
-        if let Some(numerical) = self.numerical {
-            config.feature.numerical = numerical;
-        }
-        if let Some(hierarchical) = self.hierarchical {
-            config.feature.hierarchical = hierarchical;
-        }
         if let Some(threads) = self.threads {
             config.num_threads = threads;
         }
@@ -534,8 +502,7 @@ impl IrFusionPipeline {
 
     /// Attaches a stage-artifact store: subsequent
     /// [`FeatureStackBuilder::prepare`] and [`AnalysisSession`] calls
-    /// (and everything built on them — `prepare`, `prepare_all`,
-    /// `analyze`) reuse previously computed stage artifacts whose
+    /// (and everything built on them — `prepare`, `analyze`) reuse previously computed stage artifacts whose
     /// fingerprints still match.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<StageStore>) -> Self {
@@ -832,8 +799,8 @@ impl IrFusionPipeline {
     }
 
     /// Starts a [`FeatureStackBuilder`] — the front door for stack
-    /// preparation and analysis. Options (feature families, thread
-    /// count, cache policy) are builder methods; terminals return
+    /// preparation and analysis. Options (thread count, cache policy)
+    /// are builder methods; terminals return
     /// `Result` so padless grids surface as [`FeatureError::NoPads`]
     /// instead of a panic deep in feature extraction.
     #[must_use]
@@ -855,29 +822,6 @@ impl IrFusionPipeline {
             .expect("design grid has pads")
     }
 
-    /// Prepares every design concurrently (one task per design; the
-    /// parallel kernels inside each run inline on the task's thread).
-    /// Output order matches input order, and each sample is bitwise
-    /// identical to what a serial [`IrFusionPipeline::prepare`] yields.
-    #[must_use]
-    pub fn prepare_all(&self, designs: &[Design]) -> Vec<PreparedSample> {
-        let tasks: Vec<_> = designs.iter().map(|d| move || self.prepare(d)).collect();
-        irf_runtime::par_map(tasks)
-    }
-
-    /// Prepares the label-free part of a design: truncated solve,
-    /// feature extraction, rough bottom-layer map. Uncached; most
-    /// callers want [`FeatureStackBuilder::prepare`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::NoPads`] when the grid has no pads.
-    pub fn prepare_stack(&self, grid: &PowerGrid) -> Result<PreparedStack, FeatureError> {
-        let plan = StagePlan::for_design(grid, &self.config);
-        self.staged_prepare(&self.config, grid, &plan, None, None)
-            .map(|stack| (*stack).clone())
-    }
-
     /// Runs model inference on one prepared stack, applying the
     /// residual (or absolute) postprocessing.
     ///
@@ -897,8 +841,9 @@ impl IrFusionPipeline {
     /// [`IrFusionPipeline::predict`] on each stack sequentially, at any
     /// thread count: every tape operation computes per-sample values
     /// with the same serial inner loops regardless of batch size. This
-    /// is the contract the serving layer's micro-batching relies on
-    /// (and what `tests/integration_batch.rs` asserts).
+    /// is the contract that lets the serving layer run a request's
+    /// stacks in chunks (and what `tests/integration_batch.rs`
+    /// asserts).
     ///
     /// # Panics
     ///
@@ -1314,10 +1259,11 @@ mod tests {
         let p = pipeline();
         let g = grid();
         let full = p.stack_builder().prepare(&g).expect("pads");
-        let ablated = p
+        let mut config = *p.config();
+        config.feature.numerical = false;
+        config.feature.hierarchical = false;
+        let ablated = IrFusionPipeline::new(config)
             .stack_builder()
-            .numerical(false)
-            .hierarchical(false)
             .prepare(&g)
             .expect("pads");
         let (c_full, ..) = full.features.to_nchw();

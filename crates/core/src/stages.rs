@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ParsedDesign -> AssembledSystem -> SolverSetup -> RoughSolution
-//!                                 \-> StructuralMaps -/
+//!                                 \-> GeometryMaps, ResistanceMaps -/
 //!                                        -> FeatureStack -> Prediction
 //! ```
 //!

@@ -34,6 +34,4 @@ pub mod solution;
 pub mod stack;
 
 pub use error::FeatureError;
-pub use stack::{
-    FeatureConfig, FeatureExtractor, FeatureStack, GeometryMaps, ResistanceMaps, StructuralMaps,
-};
+pub use stack::{FeatureConfig, FeatureExtractor, FeatureStack, GeometryMaps, ResistanceMaps};

@@ -139,48 +139,12 @@ impl FeatureStack {
     }
 }
 
-/// The current-independent feature channels of one design, normalized
-/// and ready for assembly: everything determined by the grid topology,
-/// geometry, and pad set alone — never by the load currents.
-///
-/// This is the `FeatureStack` stage's structural half in the
-/// incremental pipeline: when only the current vector of a design
-/// changes, these maps (including the costly per-pad shortest-path
-/// passes) are reused verbatim and only the current and solution
-/// channels are recomputed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StructuralMaps {
-    /// The normalized `distance/effective` channel.
-    pub distance: GridMap,
-    /// The normalized `density/pdn` channel.
-    pub density: GridMap,
-    /// The normalized `resistance/map` channel.
-    pub resistance: GridMap,
-    /// The normalized `resistance/shortest_path` channel.
-    pub shortest_path: GridMap,
-}
-
-impl StructuralMaps {
-    /// Reassembles the legacy combined artifact from the two split
-    /// halves (cheap map clones).
-    #[must_use]
-    pub fn from_parts(geometry: &GeometryMaps, resistance: &ResistanceMaps) -> Self {
-        StructuralMaps {
-            distance: geometry.distance.clone(),
-            density: geometry.density.clone(),
-            resistance: resistance.resistance.clone(),
-            shortest_path: resistance.shortest_path.clone(),
-        }
-    }
-}
-
 /// The *geometry-only* feature channels: determined by node positions,
 /// layers, segment endpoints, and the pad set — never by segment
 /// resistances or load currents.
 ///
-/// This is the half of the old [`StructuralMaps`] artifact that a
-/// strap/via resistance edit can reuse verbatim: a topology delta that
-/// only rescales `ohms` leaves these maps untouched.
+/// A strap/via resistance edit reuses these maps verbatim: a topology
+/// delta that only rescales `ohms` leaves them untouched.
 ///
 /// The design's [`TileTable`] rides along: it depends on exactly what
 /// these maps depend on, so whoever holds the maps warm holds the tile
@@ -333,37 +297,15 @@ impl FeatureExtractor {
         self.extract_with_parts(grid, rough_drop, &geometry, &resistance)
     }
 
-    /// Computes only the current-independent channels — the structural
-    /// half of the stack, including the costly per-pad shortest-path
-    /// passes. The result depends on the grid topology, geometry,
-    /// and pad set, but never on the load currents, so the incremental
-    /// pipeline caches it across current-only edits.
-    ///
-    /// The shortest-path resistance values — the costliest feature —
-    /// are computed first at top level, so their per-pad
-    /// passes fan out across the whole pool; the remaining maps then
-    /// run as one task each (nested parallel calls inside a task
-    /// execute inline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::NoPads`] when the grid has no pads (the
-    /// pad-relative features are undefined).
-    pub fn structural(&self, grid: &PowerGrid) -> Result<StructuralMaps, FeatureError> {
-        let geometry = self.geometry(grid)?;
-        let resistance = self.resistance_maps_with(grid, &geometry, None)?;
-        Ok(StructuralMaps::from_parts(&geometry, &resistance))
-    }
-
     /// Computes only the geometry-dependent channels (effective
     /// distance, PDN density). These survive both current edits *and*
     /// strap/via resistance edits, so the incremental pipeline keys
     /// them on the geometry fingerprint alone.
     ///
     /// Each map's values are bitwise identical to the corresponding
-    /// channel of [`FeatureExtractor::structural`]: every individual
-    /// map is produced by the same serial code regardless of which
-    /// grouping computed it.
+    /// channel of [`FeatureExtractor::extract`]: every individual map
+    /// is produced by the same serial code regardless of which grouping
+    /// computed it.
     ///
     /// # Errors
     ///
@@ -566,44 +508,6 @@ impl FeatureExtractor {
             pad_distances: OnceLock::new(),
             shares: Carried::new(shares),
         })
-    }
-
-    /// Assembles the full stack from precomputed structural channels,
-    /// recomputing only the current-dependent channels (total/per-layer
-    /// currents and per-layer rough-solution maps). Channel order and
-    /// values are bitwise identical to [`FeatureExtractor::extract`].
-    /// The combined artifact carries no tables, so this builds the tile
-    /// table and the conductance shares for the call;
-    /// [`FeatureExtractor::extract_with_parts`] reads warm ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::NoPads`] when the grid has no pads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rough_drop.len() != grid.nodes.len()` or the
-    /// structural maps' size disagrees with the configured raster.
-    pub fn extract_with_structural(
-        &self,
-        grid: &PowerGrid,
-        rough_drop: &[f64],
-        structural: &StructuralMaps,
-    ) -> Result<FeatureStack, FeatureError> {
-        let tiles = self.tile_table(grid);
-        let shares = ConductanceShares::new(grid, &tiles);
-        let geometry = GeometryMaps {
-            distance: structural.distance.clone(),
-            density: structural.density.clone(),
-            tiles: Carried::new(tiles),
-        };
-        let resistance = ResistanceMaps {
-            resistance: structural.resistance.clone(),
-            shortest_path: structural.shortest_path.clone(),
-            pad_distances: OnceLock::new(),
-            shares: Carried::new(shares),
-        };
-        self.extract_with_parts(grid, rough_drop, &geometry, &resistance)
     }
 
     /// Assembles the full stack from the split structural halves —
@@ -810,14 +714,23 @@ I1 n1_m1_1000_0 0 1m
         assert_eq!(m0.get(0, 0), r0.get(7, 7));
     }
 
+    /// The channel of `stack` named `name`.
+    fn channel<'s>(stack: &'s FeatureStack, name: &str) -> &'s GridMap {
+        let i = stack.names().iter().position(|n| n == name);
+        &stack.maps()[i.unwrap_or_else(|| panic!("no {name} channel"))]
+    }
+
     #[test]
     fn structural_reuse_is_bitwise_identical() {
         let g = grid();
         let ex = FeatureExtractor::new(config());
         let drops = vec![0.0005; g.nodes.len()];
         let cold = ex.extract(&g, &drops).unwrap();
-        let structural = ex.structural(&g).unwrap();
-        let warm = ex.extract_with_structural(&g, &drops, &structural).unwrap();
+        let geometry = ex.geometry(&g).unwrap();
+        let resistance = ex.resistance_maps(&g).unwrap();
+        let warm = ex
+            .extract_with_parts(&g, &drops, &geometry, &resistance)
+            .unwrap();
         assert_eq!(cold, warm);
         // The structural maps never depend on the loads: recomputing
         // them after a current edit yields the exact same channels.
@@ -825,7 +738,8 @@ I1 n1_m1_1000_0 0 1m
         for l in &mut edited.loads {
             l.amps *= 3.0;
         }
-        assert_eq!(ex.structural(&edited).unwrap(), structural);
+        assert_eq!(ex.geometry(&edited).unwrap(), geometry);
+        assert_eq!(ex.resistance_maps(&edited).unwrap(), resistance);
     }
 
     #[test]
@@ -833,17 +747,18 @@ I1 n1_m1_1000_0 0 1m
         let g = grid();
         let ex = FeatureExtractor::new(config());
         let drops = vec![0.0005; g.nodes.len()];
-        let combined = ex.structural(&g).unwrap();
+        let cold = ex.extract(&g, &drops).unwrap();
         let geometry = ex.geometry(&g).unwrap();
         let resistance = ex.resistance_maps(&g).unwrap();
-        assert_eq!(geometry.distance, combined.distance);
-        assert_eq!(geometry.density, combined.density);
-        assert_eq!(resistance.resistance, combined.resistance);
-        assert_eq!(resistance.shortest_path, combined.shortest_path);
-        assert_eq!(StructuralMaps::from_parts(&geometry, &resistance), combined);
+        assert_eq!(&geometry.distance, channel(&cold, "distance/effective"));
+        assert_eq!(&geometry.density, channel(&cold, "density/pdn"));
+        assert_eq!(&resistance.resistance, channel(&cold, "resistance/map"));
+        assert_eq!(
+            &resistance.shortest_path,
+            channel(&cold, "resistance/shortest_path")
+        );
 
         // Parts-based assembly equals the cold extract bit for bit.
-        let cold = ex.extract(&g, &drops).unwrap();
         let parts = ex
             .extract_with_parts(&g, &drops, &geometry, &resistance)
             .unwrap();

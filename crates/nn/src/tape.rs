@@ -1607,8 +1607,8 @@ mod tests {
     #[test]
     fn batched_conv2d_is_bitwise_identical_to_single_samples() {
         // One batched forward over (B, C, H, W) must reproduce each
-        // single-sample forward bit for bit — the contract the serving
-        // layer's micro-batching relies on.
+        // single-sample forward bit for bit — the contract that lets
+        // the serving layer chunk a request's stacks freely.
         let samples: Vec<Tensor> = (0..4)
             .map(|s| {
                 let data = (0..2 * 6 * 6)

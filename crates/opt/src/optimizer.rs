@@ -22,10 +22,10 @@ use ir_fusion::{
 use irf_pg::{GridMap, PowerGrid};
 use std::sync::Arc;
 
-/// Batch evaluation hook: maps prepared stacks to predicted drop maps
-/// (e.g. the serving layer's micro-batched model inference). When
-/// absent the optimizer scores states by their rough numerical maps.
-pub type BatchPredictor<'a> = &'a dyn Fn(&[Arc<PreparedStack>]) -> Result<Vec<GridMap>, String>;
+/// Batch evaluation hook: maps prepared stacks to predicted drop maps,
+/// one per stack (e.g. the serving layer's model forward). When absent
+/// the optimizer scores states by their rough numerical maps.
+pub type BatchPredictor<'a> = &'a dyn Fn(&[Arc<PreparedStack>]) -> Vec<GridMap>;
 
 /// Tuning knobs and budgets for one [`Optimizer::run`].
 #[derive(Debug, Clone)]
@@ -191,8 +191,6 @@ pub enum OptimizeError {
     Edit(EditError),
     /// The analysis pipeline rejected the design.
     Feature(FeatureError),
-    /// The attached batch predictor failed.
-    Predict(String),
 }
 
 impl std::fmt::Display for OptimizeError {
@@ -200,7 +198,6 @@ impl std::fmt::Display for OptimizeError {
         match self {
             OptimizeError::Edit(e) => write!(f, "edit rejected: {e}"),
             OptimizeError::Feature(e) => write!(f, "analysis failed: {e}"),
-            OptimizeError::Predict(e) => write!(f, "prediction failed: {e}"),
         }
     }
 }
@@ -305,12 +302,10 @@ impl<'a> Optimizer<'a> {
         &self.cost_model
     }
 
-    fn evaluate(&self, stacks: &[Arc<PreparedStack>]) -> Result<Vec<f64>, OptimizeError> {
+    fn evaluate(&self, stacks: &[Arc<PreparedStack>]) -> Vec<f64> {
         match self.predictor {
-            Some(p) => p(stacks)
-                .map(|maps| maps.iter().map(|m| f64::from(m.max())).collect())
-                .map_err(OptimizeError::Predict),
-            None => Ok(stacks.iter().map(|s| f64::from(s.rough.max())).collect()),
+            Some(p) => p(stacks).iter().map(|m| f64::from(m.max())).collect(),
+            None => stacks.iter().map(|s| f64::from(s.rough.max())).collect(),
         }
     }
 
@@ -344,15 +339,15 @@ impl<'a> Optimizer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`OptimizeError`] when the base design is unanalyzable,
-    /// a generated edit fails validation, or the predictor fails.
+    /// Returns [`OptimizeError`] when the base design is unanalyzable
+    /// or a generated edit fails validation.
     pub fn run(&self, base: Arc<PowerGrid>) -> Result<OptimizationReport, OptimizeError> {
         let _span = irf_trace::span("optimize");
         let cfg = &self.config;
         let base_session = self.pipeline.session(Arc::clone(&base));
         let base_stack = base_session.prepare()?;
         let base_rough = base_session.rough_solution()?;
-        let baseline_max_drop = self.evaluate(std::slice::from_ref(&base_stack))?[0];
+        let baseline_max_drop = self.evaluate(std::slice::from_ref(&base_stack))[0];
         let mut evaluations = 1usize;
 
         let mut beam = vec![BeamState {
@@ -438,7 +433,7 @@ impl<'a> Optimizer<'a> {
 
             // One batched evaluation for the whole iteration.
             let evaluated = stacks.len();
-            let drops = self.evaluate(&stacks)?;
+            let drops = self.evaluate(&stacks);
             for (state, drop) in expansions.iter_mut().zip(&drops) {
                 state.max_drop = *drop;
                 if *drop <= cfg.target_max_drop {

@@ -25,6 +25,14 @@ pub enum ModelError {
         /// Element name.
         name: String,
     },
+    /// A current or voltage source had a non-finite value (`1e400`
+    /// parses to infinity).
+    NonFiniteSource {
+        /// Element name.
+        name: String,
+        /// The offending value.
+        value: f64,
+    },
     /// A segment, load, or pad referenced a node index outside the
     /// grid's node list.
     InvalidNodeIndex {
@@ -49,6 +57,9 @@ impl fmt::Display for ModelError {
             ModelError::NoPads => write!(f, "design has no voltage source (floating grid)"),
             ModelError::UngroundedSource { name } => {
                 write!(f, "voltage source '{name}' is not referenced to ground")
+            }
+            ModelError::NonFiniteSource { name, value } => {
+                write!(f, "source '{name}' has non-finite value {value}")
             }
             ModelError::InvalidNodeIndex { what, index, nodes } => {
                 write!(
@@ -75,5 +86,11 @@ mod tests {
         };
         assert!(e.to_string().contains("R9"));
         assert!(e.to_string().contains("non-positive or non-finite"));
+        let e = ModelError::NonFiniteSource {
+            name: "I3".into(),
+            value: f64::INFINITY,
+        };
+        assert!(e.to_string().contains("'I3'"));
+        assert!(e.to_string().contains("non-finite"));
     }
 }

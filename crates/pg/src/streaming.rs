@@ -282,6 +282,14 @@ impl Accumulator {
     }
 
     fn absorb(&mut self, card: &StreamedCard<'_>) -> Result<(), ModelError> {
+        // An infinite load or pad voltage would flow through the solve
+        // as a NaN/inf drop map, so sources must be finite.
+        if card.kind != StreamedCardKind::Resistor && !card.value.is_finite() {
+            return Err(ModelError::NonFiniteSource {
+                name: card.name.to_string(),
+                value: card.value,
+            });
+        }
         match card.kind {
             StreamedCardKind::Resistor => {
                 self.resistor(card.name, card.a, card.b, card.value)?;
@@ -340,6 +348,8 @@ impl Accumulator {
 ///
 /// - [`ModelError::NonPositiveResistance`] for `R` not finite and
 ///   positive;
+/// - [`ModelError::NonFiniteSource`] for an `I` or `V` value that is
+///   not finite;
 /// - [`ModelError::UngroundedSource`] when a voltage source's
 ///   negative terminal is not ground;
 /// - [`ModelError::NoPads`] when no voltage source exists.
@@ -634,6 +644,29 @@ mod tests {
                 ModelError::UngroundedSource { name: name("V1") },
             ),
             ("R1 a b 1.0\nI1 a 0 1m\n", ModelError::NoPads),
+            // Sources must be finite too: an infinite load or pad
+            // voltage is named, not solved into an all-zero map.
+            (
+                "V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_2000_0 1.0\nI1 n1_m1_2000_0 0 1e400\n",
+                ModelError::NonFiniteSource {
+                    name: name("I1"),
+                    value: f64::INFINITY,
+                },
+            ),
+            (
+                "V1 a 0 1.0\nR1 a b 1.0\nI7 0 b -1e400\n",
+                ModelError::NonFiniteSource {
+                    name: name("I7"),
+                    value: f64::NEG_INFINITY,
+                },
+            ),
+            (
+                "V2 a 0 1e400\nR1 a b 1.0\nI1 b 0 1m\n",
+                ModelError::NonFiniteSource {
+                    name: name("V2"),
+                    value: f64::INFINITY,
+                },
+            ),
             // A bad resistor stops the stream before a later bad card.
             (
                 "V1 a 0 1.0\nR1 a b 0\nR2 b c zz\n",

@@ -1,8 +1,8 @@
 //! `irf-serve` — the IR-Fusion inference server binary.
 //!
 //! ```text
-//! irf-serve [--addr HOST:PORT] [--workers N] [--batch-size B]
-//!           [--queue N] [--cache N] [--read-timeout-ms T]
+//! irf-serve [--addr HOST:PORT] [--workers N] [--cache N]
+//!           [--read-timeout-ms T]
 //!           [--model CKPT | --no-model] [--full] [--threads N]
 //!           [--log LEVEL] [--slow-ms T] [--recorder N]
 //! ```
@@ -12,6 +12,9 @@
 //! self-contained; `--no-model` skips the model entirely and serves
 //! rough numerical maps. `--full` uses the full-resolution pipeline
 //! configuration instead of the test-scale one.
+//!
+//! Each of the `--workers` connection handlers runs its requests'
+//! model forwards itself; there is no separate inference queue.
 //!
 //! Observability: all diagnostics are structured log records on
 //! stderr, one JSON object per line, at `--log` level and above
@@ -40,8 +43,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: irf-serve [--addr HOST:PORT] [--workers N] [--batch-size B]\n\
-         \x20                [--queue N] [--cache N] [--read-timeout-ms T]\n\
+        "usage: irf-serve [--addr HOST:PORT] [--workers N] [--cache N]\n\
+         \x20                [--read-timeout-ms T]\n\
          \x20                [--model CKPT | --no-model] [--full] [--threads N]\n\
          \x20                [--log off|error|warn|info|debug|trace]\n\
          \x20                [--slow-ms T] [--recorder N]"
@@ -63,8 +66,6 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--addr" => args.server.addr = value("--addr"),
             "--workers" => args.server.workers = parse_num(&value("--workers")),
-            "--batch-size" => args.server.batch.max_batch = parse_num(&value("--batch-size")),
-            "--queue" => args.server.batch.queue_capacity = parse_num(&value("--queue")),
             "--read-timeout-ms" => {
                 args.server.read_timeout =
                     Duration::from_millis(parse_num(&value("--read-timeout-ms")) as u64);

@@ -3,24 +3,21 @@
 //! The crate turns the [`ir_fusion`] pipeline into a long-running
 //! HTTP/1.1 service on `std::net::TcpListener` — no async runtime, no
 //! HTTP or JSON crates, in keeping with the repo's toolchain-only
-//! build. Three ideas carry the design:
+//! build. Two ideas carry the design:
 //!
-//! - **Micro-batching** ([`batch`]): predict requests already queued
-//!   when the batcher comes free (up to a batch size) are executed as
-//!   one batched forward pass; a lone request never waits for company.
-//!   Because every tape operation computes per-sample values with
-//!   identical serial loops, the batched pass is bitwise identical to
-//!   running each request alone — batching is purely a throughput
-//!   optimization.
+//! - **One forward per request, on the request's thread**: a handler
+//!   prepares its stacks and runs the model itself
+//!   ([`ir_fusion::IrFusionPipeline::predict_batch`], in chunks of four
+//!   for a sweep's many stacks), so the forward pass lands in the
+//!   request's own span tree and the request finishes on the model it
+//!   resolved, whatever a concurrent reload swaps in.
 //! - **Stage-artifact caching** ([`ir_fusion::StageStore`]): every
 //!   pipeline stage (assembled MNA system, AMG solver setup, rough
-//!   solution, structural feature maps, prepared stack) is cached
-//!   under a content fingerprint of exactly the inputs that determine
-//!   it, so repeated requests skip the dominant preparation cost and
-//!   `POST /v1/whatif` re-analyzes a current edit while reusing the
-//!   matrix and AMG hierarchy verbatim.
-//! - **Bounded queues everywhere**: the predict queue rejects beyond
-//!   its capacity (HTTP 429) instead of building unbounded backlog.
+//!   solution, geometry and resistance feature maps, prepared stack)
+//!   is cached under a content fingerprint of exactly the inputs that
+//!   determine it, so repeated requests skip the dominant preparation
+//!   cost and `POST /v1/whatif` re-analyzes a current edit while
+//!   reusing the matrix and AMG hierarchy verbatim.
 //!
 //! The crate also holds the request layer of the observability stack
 //! (the process layer — spans, request scope, metrics registry — is
@@ -47,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod http;
 pub mod json;
 pub mod log;
@@ -58,7 +54,6 @@ pub mod recorder;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchConfig, Batcher, ModelSlot, PredictJob, SubmitError};
 pub use json::Json;
 pub use metrics::ServerMetrics;
 pub use registry::{ModelInfo, ModelRegistry};

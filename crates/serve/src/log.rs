@@ -28,11 +28,11 @@ pub enum Level {
     Off = 0,
     /// The process is in trouble (bind failures, checkpoint errors).
     Error = 1,
-    /// Something degraded but handled (queue shedding, fallbacks).
+    /// Something degraded but handled (malformed requests, fallbacks).
     Warn = 2,
     /// One line per notable unit of work (the access log lives here).
     Info = 3,
-    /// Per-subsystem detail (batch composition, cache churn).
+    /// Per-subsystem detail (cache churn).
     Debug = 4,
     /// Everything.
     Trace = 5,
@@ -227,7 +227,12 @@ mod tests {
         assert_eq!(Level::parse("bogus"), None);
         assert!(Level::Error < Level::Trace);
         // The one format: every record is a JSON object on one line.
-        let line = render_at(0, Level::Warn, "queue_full", &[("depth", Value::U64(64))]);
+        let line = render_at(
+            0,
+            Level::Warn,
+            "request_error",
+            &[("depth", Value::U64(64))],
+        );
         let record = crate::json::parse(&line).expect("a record is one JSON document");
         assert_eq!(
             record.get("level").and_then(crate::json::Json::as_str),

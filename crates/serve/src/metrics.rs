@@ -2,10 +2,10 @@
 //! [`irf_trace::MetricsRegistry`], and the per-endpoint latency
 //! objectives it accounts requests against.
 //!
-//! The server publishes its request/batch/stage series into the same
+//! The server publishes its request/stage series into the same
 //! process-global registry the solver and pipeline publish into, so a
 //! single `GET /v1/metrics` exposes the whole stack: request counts by
-//! route and status, a batch-size histogram, per-stage latency
+//! route and status, per-stage latency
 //! accumulators, the feature-cache counters, *and* pipeline internals
 //! (`irf_pcg_iterations`, `irf_amg_levels`,
 //! `irf_stage_seconds_total{stage="pcg_solve"}`, ...).
@@ -63,26 +63,27 @@ pub(crate) fn objective_seconds(endpoint: &str) -> f64 {
 #[derive(Debug)]
 pub struct ServerMetrics {
     registry: &'static MetricsRegistry,
-    max_batch: usize,
+}
+
+impl Default for ServerMetrics {
+    fn default() -> Self {
+        ServerMetrics::new()
+    }
 }
 
 impl ServerMetrics {
-    /// Creates a facade over the process-global registry; `max_batch`
-    /// sizes the batch histogram (one bucket per possible batch size).
+    /// Creates a facade over the process-global registry.
     #[must_use]
-    pub fn new(max_batch: usize) -> Self {
-        ServerMetrics::with_registry(irf_trace::registry(), max_batch)
+    pub fn new() -> Self {
+        ServerMetrics::with_registry(irf_trace::registry())
     }
 
     /// Creates a facade over `registry` — the process-global one in
     /// production; tests that must not observe series published by
     /// other servers in the process pass an isolated (leaked) one.
     #[must_use]
-    pub fn with_registry(registry: &'static MetricsRegistry, max_batch: usize) -> Self {
-        let m = ServerMetrics {
-            registry,
-            max_batch: max_batch.max(1),
-        };
+    pub fn with_registry(registry: &'static MetricsRegistry) -> Self {
+        let m = ServerMetrics { registry };
         m.describe_families();
         m
     }
@@ -93,12 +94,6 @@ impl ServerMetrics {
             "irf_requests_total",
             MetricKind::Counter,
             "Finished HTTP requests by route and status.",
-        );
-        let buckets: Vec<f64> = (1..=self.max_batch).map(|i| i as f64).collect();
-        r.describe_histogram(
-            "irf_batch_size",
-            "Requests per executed forward batch.",
-            &buckets,
         );
         r.describe(
             "irf_stage_seconds_total",
@@ -248,12 +243,6 @@ impl ServerMetrics {
         );
     }
 
-    /// Records one executed batch of `size` requests.
-    pub fn observe_batch(&self, size: usize) {
-        self.registry
-            .observe("irf_batch_size", &[], size.clamp(1, self.max_batch) as f64);
-    }
-
     /// Counts one successful model reload.
     pub fn observe_reload(&self) {
         self.registry.counter_inc("irf_model_reloads_total", &[]);
@@ -329,8 +318,8 @@ impl ServerMetrics {
 mod tests {
     use super::*;
 
-    fn isolated(max_batch: usize) -> ServerMetrics {
-        ServerMetrics::with_registry(Box::leak(Box::new(MetricsRegistry::new())), max_batch)
+    fn isolated() -> ServerMetrics {
+        ServerMetrics::with_registry(Box::leak(Box::new(MetricsRegistry::new())))
     }
 
     #[test]
@@ -348,13 +337,11 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_complete() {
-        let m = isolated(4);
+        let m = isolated();
         m.observe_request("predict", 200);
         m.observe_request("predict", 200);
         m.observe_request("healthz", 200);
-        m.observe_request("predict", 429);
-        m.observe_batch(1);
-        m.observe_batch(3);
+        m.observe_request("predict", 404);
         m.observe_stage("prepare", 0.5);
         m.observe_stage("prepare", 0.25);
         let cache = StageStore::new(4);
@@ -366,11 +353,7 @@ mod tests {
             text.contains("irf_stage_cache_events_total{stage=\"solver_setup\",event=\"hit\"} 0")
         );
         assert!(text.contains("irf_cache_misses_total 1"));
-        assert!(text.contains("irf_requests_total{route=\"predict\",status=\"429\"} 1"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"1\"} 1"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"3\"} 2"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("irf_batch_size_sum 4"));
+        assert!(text.contains("irf_requests_total{route=\"predict\",status=\"404\"} 1"));
         assert!(text.contains("irf_stage_seconds_total{stage=\"prepare\"} 0.75"));
         assert!(text.contains("irf_stage_requests_total{stage=\"prepare\"} 2"));
         assert!(text.contains("irf_cache_hits_total 0"));
@@ -380,7 +363,7 @@ mod tests {
 
     #[test]
     fn reload_counter_starts_at_zero_and_increments() {
-        let m = isolated(2);
+        let m = isolated();
         let cache = StageStore::new(1);
         assert!(m.render(&cache).contains("irf_model_reloads_total 0"));
         m.observe_reload();
@@ -389,19 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batches_clamp_into_the_last_bucket() {
-        let m = isolated(2);
-        m.observe_batch(9);
-        let cache = StageStore::new(1);
-        let text = m.render(&cache);
-        assert!(text.contains("irf_batch_size_bucket{le=\"2\"} 1"));
-        assert!(text.contains("irf_batch_size_sum 2"));
-    }
-
-    #[test]
     fn instance_registries_are_isolated() {
-        let a = isolated(2);
-        let b = isolated(2);
+        let a = isolated();
+        let b = isolated();
         a.observe_request("predict", 200);
         let cache = StageStore::new(1);
         assert!(a.render(&cache).contains("irf_requests_total"));
@@ -410,7 +383,7 @@ mod tests {
 
     #[test]
     fn http_slo_series_start_zeroed_and_accumulate() {
-        let m = isolated(2);
+        let m = isolated();
         m.init_http();
         let cache = StageStore::new(1);
         let text = m.render(&cache);
@@ -430,7 +403,7 @@ mod tests {
 
     #[test]
     fn new_series_start_zeroed_and_accumulate() {
-        let m = isolated(2);
+        let m = isolated();
         let cache = StageStore::new(1);
         let text = m.render(&cache);
         assert!(text.contains("irf_model_registry_models 0"));
@@ -441,11 +414,10 @@ mod tests {
 
     #[test]
     fn rendered_exposition_passes_promlint() {
-        let m = isolated(4);
+        let m = isolated();
         m.init_http();
         m.observe_request("predict", 200);
         m.observe_request("healthz", 200);
-        m.observe_batch(2);
         m.observe_stage("prepare", 0.5);
         m.observe_http("predict", 0.3, false);
         m.observe_http("optimize", 11.0, true);
@@ -461,7 +433,7 @@ mod tests {
         // registry, which is where the sparse solver publishes its
         // telemetry — the families must at least be describable
         // side by side.
-        let m = ServerMetrics::new(2);
+        let m = ServerMetrics::new();
         irf_trace::registry().gauge_set("irf_pcg_iterations", &[], 3.0);
         let cache = StageStore::new(1);
         let text = m.render(&cache);

@@ -9,7 +9,7 @@
 //! lowercase hex digits everywhere a human sees them.
 //!
 //! Every finished HTTP request lands one `RequestRecord` in the
-//! recorder — timings, batch placement, per-request stage-cache and
+//! recorder — timings, per-request stage-cache and
 //! solver counts — and requests slower than the server's slow-request
 //! threshold additionally snapshot their span forest. The server dumps
 //! the ring via `GET /v1/debug/requests` (most recent first) and
@@ -119,12 +119,6 @@ pub(crate) struct RequestRecord {
     pub start_unix_ms: u64,
     /// End-to-end handling time in seconds.
     pub duration_seconds: f64,
-    /// Time the request's inference job waited in the batch queue
-    /// (0 when the request never reached the batcher).
-    pub queue_seconds: f64,
-    /// Size of the forward-pass batch the request rode in (0 when it
-    /// never reached the batcher).
-    pub batch_size: u64,
     /// Per-request stage-cache and solver counts accumulated while the
     /// request was being served.
     pub stats: RequestStats,
@@ -274,8 +268,6 @@ mod tests {
             status: 200,
             start_unix_ms: 0,
             duration_seconds: 0.01,
-            queue_seconds: 0.0,
-            batch_size: 1,
             stats: RequestStats::default(),
             slo_objective_seconds: 0.5,
             slo_breached: false,
@@ -359,7 +351,7 @@ mod tests {
                 event("prepare", 0, 1, 20, 400, 7),
                 event("stage_cache", 0, 2, 30, 100, 7),
                 event("solve", 0, 1, 500, 300, 7),
-                // Same request on a second (batcher) thread.
+                // Same request on a second (pool) thread.
                 event("forward", 1, 0, 600, 200, 7),
                 // Untagged background noise.
                 event("untagged", 2, 0, 0, 10, 0),

@@ -1,24 +1,22 @@
 //! The named model registry behind `/v1/models`.
 //!
-//! A map of named entries, each holding one swappable [`ModelSlot`]:
-//! a request picks a loaded model by name and the micro-batcher reads
-//! exactly one slot per batch.
+//! A map of named entries, each holding one `Arc<TrainedModel>`: a
+//! request resolves a loaded model by name and runs its forward on the
+//! `Arc` it got.
 //!
-//! Slot identity is stable across reloads: `POST /v1/models/{name}/reload`
-//! swaps the entry's slot in place (under the registry lock, so the
-//! swap is atomic with respect to concurrent resolves), and jobs
-//! already queued against the old `Arc<TrainedModel>` finish on the
-//! model they started with.
+//! `POST /v1/models/{name}/reload` swaps the entry's `Arc` under the
+//! registry lock, so the swap is atomic with respect to concurrent
+//! resolves. A request that resolved before the swap keeps its clone
+//! of the old `Arc` and finishes on the model it started with.
 
-use crate::batch::ModelSlot;
 use ir_fusion::TrainedModel;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// One named entry: the slot its requests run through and what
+/// One named entry: the model its requests run on and what
 /// `GET /v1/models` says about it.
 struct Entry {
-    slot: Arc<ModelSlot>,
+    model: Arc<TrainedModel>,
     /// Architecture display name (stable across reloads of the same
     /// architecture; refreshed on every reload).
     architecture: String,
@@ -76,31 +74,32 @@ impl ModelRegistry {
         self.len() == 0
     }
 
-    /// The slot serving `name`. `Err` carries the sorted names of the
+    /// The model serving `name` (a cheap `Arc` clone the request keeps
+    /// across any later reload). `Err` carries the sorted names of the
     /// models that ARE loaded, for the error envelope.
     ///
     /// # Errors
     ///
     /// Returns the list of loaded model names when `name` is unknown.
-    pub fn resolve(&self, name: &str) -> Result<Arc<ModelSlot>, Vec<String>> {
+    pub fn resolve(&self, name: &str) -> Result<Arc<TrainedModel>, Vec<String>> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.get(name) {
-            Some(entry) => Ok(Arc::clone(&entry.slot)),
+            Some(entry) => Ok(Arc::clone(&entry.model)),
             None => Err(entries.keys().cloned().collect()),
         }
     }
 
-    /// Loads `model` under `name`: an existing entry has its slot
-    /// swapped in place (batches already collected keep the model they
-    /// resolved), a new name gets a fresh slot. Returns the entry's
-    /// total reload count.
+    /// Loads `model` under `name`: an existing entry has its model
+    /// swapped (requests already resolved keep the model they got), a
+    /// new name gets a fresh entry. Returns the entry's total reload
+    /// count.
     pub fn reload(&self, name: &str, model: TrainedModel) -> u64 {
         let architecture = model.model.name().to_string();
         let params = model.store.num_scalars();
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.get_mut(name) {
             Some(entry) => {
-                entry.slot.swap(model);
+                entry.model = Arc::new(model);
                 entry.architecture = architecture;
                 entry.params = params;
                 entry.reloads += 1;
@@ -110,7 +109,7 @@ impl ModelRegistry {
                 entries.insert(
                     name.to_string(),
                     Entry {
-                        slot: Arc::new(ModelSlot::new(model)),
+                        model: Arc::new(model),
                         architecture,
                         params,
                         reloads: 0,
@@ -151,7 +150,7 @@ pub fn valid_model_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir_fusion::FusionConfig;
+    use ir_fusion::{FusionConfig, IrFusionPipeline};
     use irf_data::Dataset;
     use irf_models::ModelKind;
 
@@ -167,11 +166,7 @@ mod tests {
         assert_eq!(registry.len(), 1);
         let first = registry.resolve("default").expect("default exists");
         let again = registry.resolve("default").expect("default exists");
-        assert!(Arc::ptr_eq(&first, &again), "one slot per name");
-        assert!(
-            Arc::ptr_eq(&first.get(), &again.get()),
-            "one model per slot"
-        );
+        assert!(Arc::ptr_eq(&first, &again), "one model per name");
     }
 
     #[test]
@@ -182,18 +177,46 @@ mod tests {
     }
 
     #[test]
-    fn reload_keeps_slot_identity_and_counts() {
+    fn reload_swaps_the_model_and_counts() {
         let registry = ModelRegistry::new(tiny_model());
         let before = registry.resolve("default").expect("exists");
-        let old_model = before.get();
         assert_eq!(registry.reload("default", tiny_model()), 1);
         let after = registry.resolve("default").expect("exists");
-        assert!(Arc::ptr_eq(&before, &after), "slot identity must survive");
-        assert!(!Arc::ptr_eq(&old_model, &after.get()), "model must change");
+        assert!(!Arc::ptr_eq(&before, &after), "model must change");
         assert_eq!(registry.reload("alt", tiny_model()), 0);
         assert_eq!(registry.len(), 2);
         let names: Vec<String> = registry.list().into_iter().map(|m| m.name).collect();
         assert_eq!(names, vec!["alt".to_string(), "default".to_string()]);
+    }
+
+    #[test]
+    fn a_request_resolved_before_a_reload_finishes_on_its_model() {
+        let config = FusionConfig::tiny();
+        let dataset = Dataset::generate(2, 2, 1, 7);
+        let first = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
+        let mut longer = config;
+        longer.train.epochs += 1;
+        let second = ir_fusion::train(ModelKind::IrEdge, &dataset, &longer);
+        let pipeline = IrFusionPipeline::new(config);
+        let stack = pipeline
+            .stack_builder()
+            .bypass_cache()
+            .prepare(&dataset.designs[0].grid)
+            .expect("grid has pads");
+        let from_first = pipeline.predict(&first, &stack);
+        let from_second = pipeline.predict(&second, &stack);
+        assert_ne!(from_first, from_second, "models must actually differ");
+
+        let registry = ModelRegistry::new(first);
+        let in_flight = registry.resolve("default").expect("exists");
+        registry.reload("default", second);
+        assert_eq!(pipeline.predict(&in_flight, &stack), from_first);
+        let fresh = registry.resolve("default").expect("exists");
+        assert_eq!(
+            pipeline.predict(&fresh, &stack),
+            from_second,
+            "the swap must be visible to the next resolve"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The HTTP server: a `std::net::TcpListener` accept loop, a small
-//! pool of connection handlers, and the micro-batcher behind them.
+//! The HTTP server: a `std::net::TcpListener` accept loop and a small
+//! pool of connection handlers. Each handler runs its request's model
+//! forwards itself, so every forward sits in that request's span tree.
 //!
 //! The HTTP surface lives under `/v1/`; every route below is served
 //! at `/v1/<route>` and nowhere else (anything else answers the 404
@@ -16,7 +17,7 @@
 //! - `GET /v1/healthz` — liveness probe, plain `ok`.
 //! - `GET /v1/metrics` — Prometheus text exposition.
 //! - `GET /v1/debug/requests` — the flight recorder: the last N
-//!   completed requests (ids, timings, batch placement, per-request
+//!   completed requests (ids, timings, per-request
 //!   stage-cache and solver counts), most recent first.
 //! - `GET /v1/debug/requests/{id}` — one recorded request in full,
 //!   including its span tree when it ran at or over the configured
@@ -27,15 +28,13 @@
 //!   its architecture, parameter count and reload count.
 //! - `POST /v1/models/{name}/reload` — load a checkpoint
 //!   (`{"model_path": ...}`) under `name`, hot-swapping an existing
-//!   entry atomically (in-flight batches finish on the model they
+//!   entry atomically (in-flight requests finish on the model they
 //!   resolved) or creating a new named entry.
 //! - `POST /v1/predict` — run one design through the pipeline.
 //!   Optional `"model"` picks a registry entry (default `default`),
 //!   validated with the error envelope. The forward pass is f32; a
 //!   `"precision"` member naming anything else answers
-//!   `400 invalid_precision`. The micro-batcher only fuses requests
-//!   that resolved to the same model, so every executed batch is
-//!   homogeneous and bitwise deterministic.
+//!   `400 invalid_precision`.
 //! - `POST /v1/whatif` — incremental re-analysis: a base design
 //!   fingerprint (as reported by `/v1/predict`) plus a list of deltas.
 //!   Current deltas (`kind` omitted or `"current"`) ride the stage
@@ -47,8 +46,8 @@
 //!   re-stamped into the base's and the AMG setup re-run on it.
 //! - `POST /v1/sweep` — ranked candidate sweep: one base fingerprint
 //!   plus N candidate delta plans. Every candidate is prepared
-//!   through the warm stage graph, the model forwards are fanned
-//!   through the micro-batcher, and the response ranks candidates by
+//!   through the warm stage graph, the model forwards run in chunks of
+//!   four on the handler's thread, and the response ranks candidates by
 //!   worst-drop improvement (then hotspot-count delta) against the
 //!   base analysis, with per-candidate stage-cache hit statistics.
 //!   `"warm_start": true` opts candidates into seeding their rough
@@ -69,12 +68,9 @@
 //! ctrl-c (that needs `libc`/`signal-hook`, and this repo is
 //! dependency-free by design), so graceful termination is exposed as
 //! an explicit `POST /v1/shutdown` endpoint and the in-process
-//! [`Server::shutdown`] handle instead. Both stop accepting, drain
-//! queued batches, and join every thread.
+//! [`Server::shutdown`] handle instead. Both stop accepting, let
+//! requests in flight finish, and join every thread.
 
-use crate::batch::{
-    try_submit, BatchConfig, Batcher, ModelSlot, PredictJob, PredictReply, SubmitError,
-};
 use crate::http::{read_request, write_response, write_response_with_headers, HttpError, Request};
 use crate::json::{obj, parse, Json};
 use crate::log;
@@ -84,7 +80,8 @@ use crate::recorder::{
 };
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
-    EditError, FusionConfig, IrFusionPipeline, StageStore, TopologyDelta, TrainedModel,
+    EditError, FusionConfig, IrFusionPipeline, PreparedStack, StageStore, TopologyDelta,
+    TrainedModel,
 };
 use irf_pg::{GridMap, IngestError, PowerGrid};
 use irf_trace::request::RequestStats;
@@ -92,6 +89,7 @@ use irf_trace::{timed, SpanTree};
 use std::cell::{Cell, RefCell};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -105,8 +103,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection-handler threads.
     pub workers: usize,
-    /// Micro-batcher settings.
-    pub batch: BatchConfig,
     /// Stage-store capacity (artifacts per stage, roughly "designs
     /// kept warm").
     pub cache_capacity: usize,
@@ -129,7 +125,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7878".to_string(),
             workers: 4,
-            batch: BatchConfig::default(),
             cache_capacity: 32,
             read_timeout: Duration::from_secs(30),
             slow_threshold: Duration::from_millis(500),
@@ -142,9 +137,6 @@ struct State {
     pipeline: IrFusionPipeline,
     cache: Arc<StageStore>,
     metrics: Arc<ServerMetrics>,
-    /// `None` once shutdown started (or when serving without a model
-    /// was requested and no batcher exists).
-    predict_tx: Mutex<Option<mpsc::SyncSender<PredictJob>>>,
     /// Named models; `None` when serving without a model (then reloads
     /// answer 409 and predicts fall back to the rough numerical map).
     registry: Option<Arc<ModelRegistry>>,
@@ -165,7 +157,6 @@ pub struct Server {
     state: Arc<State>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<Batcher>,
 }
 
 impl Server {
@@ -184,21 +175,17 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let cache = Arc::new(StageStore::new(config.cache_capacity));
-        let metrics = Arc::new(ServerMetrics::new(config.batch.max_batch));
+        let metrics = Arc::new(ServerMetrics::new());
         // Zero-init the per-endpoint SLO series so `/metrics` exposes
         // every endpoint from the first scrape.
         metrics.init_http();
         let pipeline = IrFusionPipeline::new(fusion).with_cache(Arc::clone(&cache));
         let registry = model.map(|trained| Arc::new(ModelRegistry::new(trained)));
         metrics.set_registry_models(registry.as_ref().map_or(0, |r| r.len()));
-        let batcher = registry
-            .as_ref()
-            .map(|_| Batcher::start(pipeline.clone(), config.batch, Arc::clone(&metrics)));
         let state = Arc::new(State {
             pipeline,
             cache,
             metrics,
-            predict_tx: Mutex::new(batcher.as_ref().map(Batcher::sender)),
             registry,
             shutting_down: AtomicBool::new(false),
             addr,
@@ -244,7 +231,6 @@ impl Server {
             state,
             accept: Some(accept),
             workers,
-            batcher,
         })
     }
 
@@ -260,8 +246,8 @@ impl Server {
         &self.state.cache
     }
 
-    /// Starts a graceful shutdown: stop accepting, reject new predict
-    /// submissions, let queued batches finish. Idempotent.
+    /// Starts a graceful shutdown: stop accepting, refuse new work with
+    /// 503, let requests in flight finish. Idempotent.
     pub fn shutdown(&self) {
         initiate_shutdown(&self.state);
     }
@@ -275,23 +261,15 @@ impl Server {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(batcher) = self.batcher.take() {
-            batcher.shutdown();
-        }
     }
 }
 
-/// Flags shutdown, closes the predict queue, and pokes the listener so
-/// the accept loop observes the flag even while blocked in `accept`.
+/// Flags shutdown and pokes the listener so the accept loop observes
+/// the flag even while blocked in `accept`.
 fn initiate_shutdown(state: &State) {
     if state.shutting_down.swap(true, Ordering::SeqCst) {
         return;
     }
-    state
-        .predict_tx
-        .lock()
-        .expect("predict sender poisoned")
-        .take();
     // Self-connect unblocks the accept loop; the errors don't matter.
     let _ = TcpStream::connect(state.addr);
 }
@@ -303,7 +281,13 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, state: &Arc<State>) {
             guard.recv()
         };
         match stream {
-            Ok(stream) => handle_connection(stream, state),
+            // The forward runs on this thread, so a panic in it (a
+            // design whose layer count the model was not built for)
+            // drops the connection but keeps the worker.
+            Ok(stream) => {
+                let serve = AssertUnwindSafe(|| handle_connection(stream, state));
+                let _ = std::panic::catch_unwind(serve);
+            }
             Err(mpsc::RecvError) => return,
         }
     }
@@ -433,8 +417,6 @@ fn finish_request(
         status,
         start_unix_ms,
         duration_seconds,
-        queue_seconds: ctx.queue_seconds.get(),
-        batch_size: ctx.batch_size.get(),
         stats,
         slo_objective_seconds: objective,
         slo_breached: breached,
@@ -449,8 +431,6 @@ fn finish_request(
                 ("endpoint", route.into()),
                 ("status", u64::from(status).into()),
                 ("duration_seconds", duration_seconds.into()),
-                ("queue_seconds", ctx.queue_seconds.get().into()),
-                ("batch_size", ctx.batch_size.get().into()),
                 ("cache_hits", stats.cache_hits.into()),
                 ("cache_misses", stats.cache_misses.into()),
                 ("pcg_iterations", stats.pcg_iterations.into()),
@@ -487,11 +467,10 @@ fn route_request(
     // Everything is served under `/v1`; any other target matches no
     // arm below and answers the `unknown_route` 404.
     let path = request.target.strip_prefix("/v1").unwrap_or("");
-    type Handler = fn(&Json, &Arc<State>, &RequestCtx) -> (u16, String);
+    type Handler = fn(&Json, &Arc<State>) -> (u16, String);
     let traced = |route, span, handler: Handler| {
-        let (status, body) = json_endpoint(request, state, ctx, Some(span), |body| {
-            handler(body, state, ctx)
-        });
+        let (status, body) =
+            json_endpoint(request, state, ctx, Some(span), |body| handler(body, state));
         (route, status, "application/json", body)
     };
     match (request.method.as_str(), path) {
@@ -653,18 +632,12 @@ fn resolve_grid(body: &Json) -> Result<PowerGrid, (u16, String)> {
     }
 }
 
-/// Per-request accounting threaded through the handlers: the
-/// inference helpers fill in queue/batch placement, the trace scope
-/// deposits the finished trace, and the connection loop reads it all
-/// back when it builds the flight-recorder entry and the access-log
-/// line.
+/// Per-request accounting threaded through the handlers: the trace
+/// scope deposits the finished trace, and the connection loop reads it
+/// back when it builds the flight-recorder entry.
 struct RequestCtx {
     /// The minted id, echoed as `X-Irf-Request-Id`.
     id: RequestId,
-    /// Longest batch-queue wait among the request's inference jobs.
-    queue_seconds: Cell<f64>,
-    /// Largest forward batch any of the request's jobs rode in.
-    batch_size: Cell<u64>,
     /// The finished span trace (handlers that install the collector).
     trace: RefCell<Option<irf_trace::Trace>>,
 }
@@ -673,18 +646,8 @@ impl RequestCtx {
     fn new(id: RequestId) -> RequestCtx {
         RequestCtx {
             id,
-            queue_seconds: Cell::new(0.0),
-            batch_size: Cell::new(0),
             trace: RefCell::new(None),
         }
-    }
-
-    /// Folds one batcher reply's placement into the request's totals.
-    fn observe_reply(&self, reply: &PredictReply) {
-        self.queue_seconds
-            .set(self.queue_seconds.get().max(reply.queue_seconds));
-        self.batch_size
-            .set(self.batch_size.get().max(reply.batch_size as u64));
     }
 }
 
@@ -737,8 +700,6 @@ fn render_request_record(record: &RequestRecord, include_spans: bool) -> Json {
         ("status", Json::Num(f64::from(record.status))),
         ("start_unix_ms", Json::Num(record.start_unix_ms as f64)),
         ("duration_seconds", Json::Num(record.duration_seconds)),
-        ("queue_seconds", Json::Num(record.queue_seconds)),
-        ("batch_size", Json::Num(record.batch_size as f64)),
         ("cache_hits", Json::Num(record.stats.cache_hits as f64)),
         ("cache_misses", Json::Num(record.stats.cache_misses as f64)),
         (
@@ -836,8 +797,8 @@ fn json_endpoint(
 
 /// `POST /v1/models/{name}/reload` — loads a checkpoint from the
 /// server's filesystem (`{"model_path": ...}`) under `name`: existing
-/// entries are hot-swapped atomically (batches already collected
-/// finish on the model they resolved; no request is dropped), unknown
+/// entries are hot-swapped atomically (requests already resolved
+/// finish on the model they got; no request is dropped), unknown
 /// names become new registry entries.
 fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, String) {
     let Some(registry) = &state.registry else {
@@ -902,12 +863,12 @@ fn handle_model_reload(name: &str, body: &Json, state: &Arc<State>) -> (u16, Str
     )
 }
 
-/// A resolved predict target: the slot to run on plus the model name
+/// A resolved predict target: the model to run on plus its name
 /// echoed in the response.
-type ResolvedModel = (Arc<ModelSlot>, String);
+type ResolvedModel = (Arc<TrainedModel>, String);
 
 /// Resolves the optional `"model"` request member against the
-/// registry: the slot to run on plus the model name for the response,
+/// registry: the model to run on plus its name for the response,
 /// or a rendered envelope. `Ok(None)` means no model is loaded and the
 /// rough map applies.
 fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel>, (u16, String)> {
@@ -953,7 +914,7 @@ fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel
         return Ok(None);
     };
     match registry.resolve(name) {
-        Ok(slot) => Ok(Some((slot, name.to_string()))),
+        Ok(model) => Ok(Some((model, name.to_string()))),
         Err(loaded) => Err((
             404,
             envelope_with(
@@ -968,17 +929,17 @@ fn resolve_model(body: &Json, state: &Arc<State>) -> Result<Option<ResolvedModel
     }
 }
 
-/// The `default` model's slot — what the endpoints without model
-/// selection (`/whatif`, `/sweep`, `/optimize`) run on. `None` when
-/// serving without a model.
-fn default_slot(state: &Arc<State>) -> Option<Arc<ModelSlot>> {
+/// The `default` model — what the endpoints without model selection
+/// (`/whatif`, `/sweep`, `/optimize`) run on. `None` when serving
+/// without a model.
+fn default_model(state: &Arc<State>) -> Option<Arc<TrainedModel>> {
     state
         .registry
         .as_ref()
         .and_then(|registry| registry.resolve("default").ok())
 }
 
-fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+fn handle_predict(body: &Json, state: &Arc<State>) -> (u16, String) {
     let resolved = match resolve_model(body, state) {
         Ok(resolved) => resolved,
         Err(err) => return err,
@@ -1010,11 +971,13 @@ fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, St
         .cache
         .insert_parsed(stack.fingerprint, Arc::clone(&grid));
 
-    let slot = resolved.as_ref().map(|(slot, ..)| slot);
-    let (maps, source) = match run_inference_batch(state, std::slice::from_ref(&stack), ctx, slot) {
-        Ok(ok) => ok,
-        Err(err) => return err,
-    };
+    let model = resolved.as_ref().map(|(model, _)| model.as_ref());
+    let (maps, source) = run_forwards(
+        &state.pipeline,
+        &state.metrics,
+        std::slice::from_ref(&stack),
+        model,
+    );
     let map = &maps[0];
     let mut extra = Vec::new();
     if let Some((_, name)) = &resolved {
@@ -1046,7 +1009,7 @@ fn handle_predict(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, St
 /// references a layer / layer pair / segment the base does not have is
 /// rejected with a structured 400 body (`{"error", "code", ...}`) and
 /// nothing is applied.
-fn handle_whatif(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+fn handle_whatif(body: &Json, state: &Arc<State>) -> (u16, String) {
     let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
@@ -1081,12 +1044,13 @@ fn handle_whatif(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Str
         .cache
         .insert_parsed(stack.fingerprint, Arc::clone(session.grid()));
 
-    let slot = default_slot(state);
-    let (maps, source) =
-        match run_inference_batch(state, std::slice::from_ref(&stack), ctx, slot.as_ref()) {
-            Ok(ok) => ok,
-            Err(err) => return err,
-        };
+    let model = default_model(state);
+    let (maps, source) = run_forwards(
+        &state.pipeline,
+        &state.metrics,
+        std::slice::from_ref(&stack),
+        model.as_deref(),
+    );
     let extra = vec![
         ("base", Json::Str(format!("{fingerprint:016x}"))),
         ("deltas_applied", Json::Num(edits.len() as f64)),
@@ -1200,6 +1164,9 @@ fn parse_edits(deltas: Option<&Json>, grid: &PowerGrid) -> Result<Edits, String>
                 let Some(amps) = item.get("amps").and_then(Json::as_f64) else {
                     return Err(format!("deltas[{i}] needs a numeric amps"));
                 };
+                if !amps.is_finite() {
+                    return Err(format!("deltas[{i}]: amps must be finite, got {amps}"));
+                }
                 let node = if let Some(node) = item.get("node").and_then(Json::as_u64) {
                     let node = node as usize;
                     if node >= grid.nodes.len() {
@@ -1223,13 +1190,11 @@ fn parse_edits(deltas: Option<&Json>, grid: &PowerGrid) -> Result<Edits, String>
                 let Some(layer) = item.get("layer").and_then(Json::as_u64) else {
                     return Err(format!("deltas[{i}] needs a numeric layer"));
                 };
+                let layer = layer_index(i, layer)?;
                 let Some(scale) = item.get("scale").and_then(Json::as_f64) else {
                     return Err(format!("deltas[{i}] needs a numeric scale"));
                 };
-                edits.topology.push(TopologyDelta::Strap {
-                    layer: layer as u32,
-                    scale,
-                });
+                edits.topology.push(TopologyDelta::Strap { layer, scale });
             }
             "via" => {
                 let Some(Json::Arr(layers)) = item.get("layers") else {
@@ -1244,12 +1209,13 @@ fn parse_edits(deltas: Option<&Json>, grid: &PowerGrid) -> Result<Edits, String>
                 let (Some(a), Some(b)) = (a.as_u64(), b.as_u64()) else {
                     return Err(format!("deltas[{i}]: layers entries must be numeric"));
                 };
+                let (a, b) = (layer_index(i, a)?, layer_index(i, b)?);
                 let Some(scale) = item.get("scale").and_then(Json::as_f64) else {
                     return Err(format!("deltas[{i}] needs a numeric scale"));
                 };
                 edits.topology.push(TopologyDelta::Via {
-                    lower: a.min(b) as u32,
-                    upper: a.max(b) as u32,
+                    lower: a.min(b),
+                    upper: a.max(b),
                     scale,
                 });
             }
@@ -1273,6 +1239,12 @@ fn parse_edits(deltas: Option<&Json>, grid: &PowerGrid) -> Result<Edits, String>
         }
     }
     Ok(edits)
+}
+
+/// A layer number of `deltas[i]`, refused when it does not fit a
+/// layer id (a wrapped `2^32 + 1` would silently edit `m1`).
+fn layer_index(i: usize, layer: u64) -> Result<u32, String> {
+    u32::try_from(layer).map_err(|_| format!("deltas[{i}]: layer {layer} is out of range"))
 }
 
 /// The machine-readable `code` of an [`EditError`] envelope.
@@ -1304,13 +1276,13 @@ fn edit_error_body(error: &EditError) -> String {
 ///
 /// Every candidate is prepared serially through the warm stage graph
 /// (so per-candidate cache statistics are attributable), the model
-/// forwards are all submitted to the micro-batcher before any reply
-/// is awaited, and the response lists candidates ranked best-first by
-/// worst-drop delta against the base analysis (ties: hotspot-count
-/// delta, then submission order). Because every prepared map is
-/// bitwise deterministic and the ranking key is total, the ranking is
-/// identical at any thread count and any batch slicing.
-fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+/// forwards run in chunks of four, and the response lists candidates
+/// ranked best-first by worst-drop delta against the base analysis
+/// (ties: hotspot-count delta, then submission order). Because every
+/// prepared map is bitwise deterministic and the ranking key is total,
+/// the ranking is identical at any thread count and any chunking of
+/// the forwards.
+fn handle_sweep(body: &Json, state: &Arc<State>) -> (u16, String) {
     let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
@@ -1482,11 +1454,8 @@ fn handle_sweep(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, Stri
         }
     }
 
-    let slot = default_slot(state);
-    let (maps, source) = match run_inference_batch(state, &stacks, ctx, slot.as_ref()) {
-        Ok(ok) => ok,
-        Err(err) => return err,
-    };
+    let model = default_model(state);
+    let (maps, source) = run_forwards(&state.pipeline, &state.metrics, &stacks, model.as_deref());
     let base_map = &maps[0];
     let threshold = body
         .get("hotspot_threshold")
@@ -1684,12 +1653,12 @@ fn render_topology_delta(delta: &TopologyDelta) -> Json {
 /// Runs [`irf_opt::Optimizer`] from the registered base design:
 /// candidates are generated from the rough drop map, priced under the
 /// metal budget, batched through the warm stage graph (and the model
-/// micro-batcher when a model is loaded), and beam-pruned until the
+/// forward when a model is loaded), and beam-pruned until the
 /// worst drop meets the target or a budget runs out. The winner is
 /// registered under its design fingerprint for follow-up `/whatif` /
 /// `/sweep` calls, and the full per-iteration trajectory is returned.
 /// Deterministic for a fixed base and tunables at any thread count.
-fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, String) {
+fn handle_optimize(body: &Json, state: &Arc<State>) -> (u16, String) {
     let (fingerprint, grid) = match resolve_base(body, state) {
         Ok(ok) => ok,
         Err(err) => return err,
@@ -1750,24 +1719,13 @@ fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, S
         .and_then(Json::as_bool)
         .unwrap_or(true);
 
-    // The optimizer's batch hook rides the same micro-batcher as
-    // /sweep; structured HTTP failures (429 backpressure, 503 drain)
-    // are captured on the side so they surface with their real status
-    // instead of a generic 500.
-    let http_error: std::cell::RefCell<Option<(u16, String)>> = std::cell::RefCell::new(None);
-    let source: std::cell::Cell<&'static str> = std::cell::Cell::new("rough");
-    let slot = default_slot(state);
-    let predictor = |stacks: &[Arc<ir_fusion::PreparedStack>]| -> Result<Vec<GridMap>, String> {
-        match run_inference_batch(state, stacks, ctx, slot.as_ref()) {
-            Ok((maps, src)) => {
-                source.set(src);
-                Ok(maps)
-            }
-            Err(err) => {
-                *http_error.borrow_mut() = Some(err);
-                Err("inference failed".to_string())
-            }
-        }
+    // The optimizer's batch hook runs the same forwards as /sweep.
+    let source: Cell<&'static str> = Cell::new("rough");
+    let model = default_model(state);
+    let predictor = |stacks: &[Arc<PreparedStack>]| {
+        let (maps, src) = run_forwards(&state.pipeline, &state.metrics, stacks, model.as_deref());
+        source.set(src);
+        maps
     };
     let optimizer = irf_opt::Optimizer::new(
         &state.pipeline,
@@ -1786,12 +1744,6 @@ fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, S
     state.metrics.observe_stage("optimize", seconds);
     let report = match result {
         Ok(report) => report,
-        Err(irf_opt::OptimizeError::Predict(_)) => {
-            return http_error
-                .borrow_mut()
-                .take()
-                .unwrap_or((500, envelope("predict_failed", "prediction failed")))
-        }
         Err(irf_opt::OptimizeError::Edit(error)) => return (400, edit_error_body(&error)),
         Err(irf_opt::OptimizeError::Feature(error)) => {
             return (
@@ -1874,86 +1826,35 @@ fn handle_optimize(body: &Json, state: &Arc<State>, ctx: &RequestCtx) -> (u16, S
     )
 }
 
-/// The one inference helper: fans `stacks` (a single predict's one
-/// stack, a sweep's many) through the micro-batcher against `slot`, a
-/// registry-resolved model. Every job is submitted
-/// before any reply is awaited, so one sweep's forwards coalesce into
-/// as few batches as the batcher's window allows.
-/// Output order matches input order, and because the batched forward
-/// is bitwise identical to serial forwards, the maps do not depend on
-/// how the batcher slices the jobs. Without a model (`slot` `None`),
-/// falls back to the rough maps.
-fn run_inference_batch(
-    state: &Arc<State>,
-    stacks: &[Arc<ir_fusion::PreparedStack>],
-    ctx: &RequestCtx,
-    slot: Option<&Arc<ModelSlot>>,
-) -> Result<(Vec<GridMap>, &'static str), (u16, String)> {
-    let Some(slot) = slot else {
-        return Ok((stacks.iter().map(|s| s.rough.clone()).collect(), "rough"));
+/// Stacks per forward call: a sweep's (or an optimizer round's) many
+/// stacks run in chunks of this many. The batched forward is bitwise
+/// identical to serial forwards, so the chunk size moves no bits.
+const FORWARD_CHUNK: usize = 4;
+
+/// The one inference helper: runs `stacks` (a single predict's one
+/// stack, a sweep's many) through `model` on the calling handler's
+/// thread, in chunks of [`FORWARD_CHUNK`], so each forward's
+/// `nn_forward` span lands in the request's own trace. Output order
+/// matches input order. Without a model, falls back to the rough maps.
+fn run_forwards(
+    pipeline: &IrFusionPipeline,
+    metrics: &ServerMetrics,
+    stacks: &[Arc<PreparedStack>],
+    model: Option<&TrainedModel>,
+) -> (Vec<GridMap>, &'static str) {
+    let Some(model) = model else {
+        return (stacks.iter().map(|s| s.rough.clone()).collect(), "rough");
     };
-    let sender = state
-        .predict_tx
-        .lock()
-        .expect("predict sender poisoned")
-        .clone();
-    match sender {
-        Some(tx) => {
-            let mut replies = Vec::with_capacity(stacks.len());
-            let submitted = Instant::now();
-            for stack in stacks {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let job = PredictJob {
-                    stack: Arc::clone(stack),
-                    slot: Arc::clone(slot),
-                    request: ctx.id.as_u64(),
-                    submitted: Instant::now(),
-                    reply: reply_tx,
-                };
-                match try_submit(&tx, job) {
-                    Ok(()) => replies.push(reply_rx),
-                    Err(SubmitError::QueueFull) => {
-                        return Err((
-                            429,
-                            envelope("queue_full", "predict queue is full, retry later"),
-                        ))
-                    }
-                    Err(SubmitError::Closed) => {
-                        return Err((503, envelope("shutting_down", "shutting down")))
-                    }
-                }
-            }
-            let received = {
-                // The wait shows up in the request's span tree (the
-                // forward itself runs on the batcher thread).
-                let _span = irf_trace::span("infer_wait");
-                replies
-                    .iter()
-                    .map(mpsc::Receiver::recv)
-                    .collect::<Result<Vec<_>, _>>()
-            };
-            // Timed from submission: waking the batcher usually costs
-            // this thread the CPU, and a clock started only once it is
-            // back would miss the part of the forward already run.
-            state
-                .metrics
-                .observe_stage("infer", submitted.elapsed().as_secs_f64());
-            match received {
-                Ok(received) => {
-                    let maps = received
-                        .into_iter()
-                        .map(|reply| {
-                            ctx.observe_reply(&reply);
-                            reply.map
-                        })
-                        .collect();
-                    Ok((maps, "fused"))
-                }
-                Err(mpsc::RecvError) => Err((503, envelope("shutting_down", "shutting down"))),
-            }
-        }
-        None => Err((503, envelope("shutting_down", "shutting down"))),
+    let started = Instant::now();
+    let mut maps = Vec::with_capacity(stacks.len());
+    for chunk in stacks.chunks(FORWARD_CHUNK) {
+        let chunk: Vec<&PreparedStack> = chunk.iter().map(AsRef::as_ref).collect();
+        let (forwarded, seconds) = timed(|| pipeline.predict_batch(model, &chunk));
+        metrics.observe_stage("forward", seconds);
+        maps.extend(forwarded);
     }
+    metrics.observe_stage("infer", started.elapsed().as_secs_f64());
+    (maps, "fused")
 }
 
 /// Pixels of `map` at or over `threshold` volts (and over zero).
@@ -2015,7 +1916,47 @@ fn render_prediction(
 mod tests {
     use super::*;
     use ir_fusion::design_fingerprint;
-    use irf_data::{synthesize, SynthSpec};
+    use irf_data::{synthesize, Dataset, SynthSpec};
+    use irf_models::ModelKind;
+    use irf_trace::MetricsRegistry;
+
+    /// A request's stacks run in forwards of at most four, in order,
+    /// and each map equals that stack's lone forward bit for bit.
+    #[test]
+    fn a_requests_stacks_run_in_forwards_of_four() {
+        let config = FusionConfig::tiny();
+        let dataset = Dataset::generate(2, 2, 1, 7);
+        let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
+        let pipeline = IrFusionPipeline::new(config);
+        let stacks: Vec<Arc<PreparedStack>> = dataset
+            .designs
+            .iter()
+            .cycle()
+            .take(10)
+            .map(|d| {
+                pipeline
+                    .stack_builder()
+                    .bypass_cache()
+                    .prepare(&d.grid)
+                    .expect("grid has pads")
+            })
+            .collect();
+        let metrics = ServerMetrics::with_registry(Box::leak(Box::new(MetricsRegistry::new())));
+        let (maps, source) = run_forwards(&pipeline, &metrics, &stacks, Some(&trained));
+        assert_eq!(source, "fused");
+        assert_eq!(maps.len(), stacks.len());
+        for (map, stack) in maps.iter().zip(&stacks) {
+            assert_eq!(map, &pipeline.predict(&trained, stack));
+        }
+        // Ten stacks: forwards of 4, 4 and 2, inside one inference.
+        let text = metrics.render(&StageStore::new(1));
+        assert!(text.contains("irf_stage_requests_total{stage=\"forward\"} 3"));
+        assert!(text.contains("irf_stage_requests_total{stage=\"infer\"} 1"));
+
+        // Without a model the rough maps answer, and nothing runs.
+        let (maps, source) = run_forwards(&pipeline, &metrics, &stacks[..1], None);
+        assert_eq!((source, &maps[0]), ("rough", &stacks[0].rough));
+    }
 
     /// `handle_predict` and `handle_whatif` report the prepared stack's
     /// fingerprint as the design id instead of hashing the grid again;

@@ -10,7 +10,7 @@ use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_serve::json::{parse, Json};
 use irf_serve::recorder::RequestId;
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -84,7 +84,6 @@ fn modelless_server(recorder_capacity: usize) -> Server {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig::default(),
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             // Snapshot the span tree for every request so the tests
@@ -224,8 +223,7 @@ fn request_ids_round_trip_and_attribute_stage_events() {
 
 #[test]
 fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
-    // A trained model so predicts ride the micro-batcher: batch
-    // attribution (queue wait, batch size) only exists on that path.
+    // A trained model, so every predict runs a forward of its own.
     let config = FusionConfig::tiny();
     let dataset = Dataset::generate(2, 2, 1, 7);
     let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
@@ -233,10 +231,6 @@ fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 3,
-            batch: BatchConfig {
-                max_batch: 3,
-                queue_capacity: 16,
-            },
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             slow_threshold: Duration::ZERO,
@@ -283,14 +277,80 @@ fn concurrent_requests_get_distinct_ids_with_their_own_stats() {
         );
         assert_eq!(field_u64(&record, "status"), 200);
         assert!(
-            field_u64(&record, "batch_size") >= 1,
-            "predict rides the micro-batcher: {record:?}"
-        );
-        assert!(
             field_u64(&record, "cache_misses") >= 1,
             "each cold design computes its own stages: {record:?}"
         );
     }
+
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    server.wait();
+}
+
+/// The subtree rooted at the first span named `name`, depth first.
+fn find_span<'a>(node: &'a Json, name: &str) -> Option<&'a Json> {
+    if node.get("name").and_then(Json::as_str) == Some(name) {
+        return Some(node);
+    }
+    match node.get("children") {
+        Some(Json::Arr(children)) => children.iter().find_map(|c| find_span(c, name)),
+        _ => None,
+    }
+}
+
+#[test]
+fn a_fused_predict_records_its_forward_under_the_request_span() {
+    let config = FusionConfig::tiny();
+    let dataset = Dataset::generate(2, 2, 1, 7);
+    let trained = ir_fusion::train(ModelKind::IrEdge, &dataset, &config);
+    let server = Server::start(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            cache_capacity: 8,
+            read_timeout: Duration::from_secs(120),
+            slow_threshold: Duration::ZERO,
+            recorder_capacity: 64,
+        },
+        config,
+        Some(trained),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+
+    // The span collector is process-wide: while another test's request
+    // holds it, a predict keeps its record but no span tree, so try a
+    // few times for a record that has one.
+    let record = (0..20)
+        .find_map(|_| {
+            let (status, id, body) = request(
+                addr,
+                "POST",
+                "/v1/predict",
+                r#"{"spec":{"class":"fake","seed":3}}"#,
+            );
+            assert_eq!(status, 200, "predict failed: {body}");
+            let source = parse(&body).expect("valid json");
+            assert_eq!(source.get("source").and_then(Json::as_str), Some("fused"));
+            let record = debug_record(addr, &id.expect("response carries an id"));
+            let has_spans = record.get("has_spans").and_then(Json::as_bool);
+            (has_spans == Some(true)).then_some(record)
+        })
+        .expect("one of the predicts keeps its span tree");
+
+    let Some(Json::Arr(roots)) = record.get("spans") else {
+        panic!("expected spans array in {record:?}");
+    };
+    let request_span = roots
+        .iter()
+        .find_map(|root| find_span(root, "predict_request"))
+        .unwrap_or_else(|| panic!("no predict_request span in {record:?}"));
+    let mut below = Vec::new();
+    span_names(request_span, &mut below);
+    assert!(
+        below.iter().any(|n| n == "nn_forward"),
+        "the forward runs inside the request: {below:?}"
+    );
 
     let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);

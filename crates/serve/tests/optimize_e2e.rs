@@ -5,7 +5,7 @@
 
 use ir_fusion::FusionConfig;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -48,7 +48,6 @@ fn start_server(num_threads: usize) -> Server {
             workers: 2,
             // The optimizer keeps a beam of designs warm per stage.
             cache_capacity: 128,
-            batch: BatchConfig::default(),
             read_timeout: Duration::from_secs(120),
             ..ServerConfig::default()
         },

@@ -5,7 +5,7 @@ use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -55,6 +55,26 @@ fn span_names(node: &Json, out: &mut Vec<String>) {
         for child in children {
             span_names(child, out);
         }
+    }
+}
+
+/// `true` when a span named `request` in `record`'s span tree has an
+/// `nn_forward` span somewhere beneath it.
+fn forward_under_request(record: &Json, request: &str) -> bool {
+    fn find(node: &Json, request: &str) -> bool {
+        if node.get("name").and_then(Json::as_str) == Some(request) {
+            let mut below = Vec::new();
+            span_names(node, &mut below);
+            return below.iter().any(|n| n == "nn_forward");
+        }
+        match node.get("children") {
+            Some(Json::Arr(children)) => children.iter().any(|c| find(c, request)),
+            _ => false,
+        }
+    }
+    match record.get("spans") {
+        Some(Json::Arr(roots)) => roots.iter().any(|root| find(root, request)),
+        _ => false,
     }
 }
 
@@ -114,10 +134,6 @@ fn server_answers_predicts_and_reuses_the_cache() {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig {
-                max_batch: 2,
-                queue_capacity: 8,
-            },
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             // Every request snapshots its span tree into the flight
@@ -207,7 +223,11 @@ fn server_answers_predicts_and_reuses_the_cache() {
         metrics.contains("irf_stage_cache_events_total{stage=\"solver_setup\",event=\"miss\"} 1")
     );
     assert!(metric_value(&metrics, "irf_cache_hit_rate") > 0.2);
-    assert_eq!(metric_value(&metrics, "irf_batch_size_count"), 3.0);
+    // One forward per fused predict, run on the handler's thread.
+    assert_eq!(
+        metric_value(&metrics, "irf_stage_requests_total{stage=\"forward\"}"),
+        3.0
+    );
     assert!(metrics.contains("irf_requests_total{route=\"predict\",status=\"200\"} 3"));
     assert!(metrics.contains("irf_requests_total{route=\"predict\",status=\"400\"} 2"));
     assert!(metrics.contains("irf_stage_seconds_total{stage=\"prepare\"}"));
@@ -222,8 +242,8 @@ fn server_answers_predicts_and_reuses_the_cache() {
     assert!(metrics.contains("irf_stage_seconds_total{stage=\"rough_solve\"}"));
 
     // The flight recorder resolves that predict's id back to its span
-    // tree: the request-level span, and under it the wait for the
-    // batched forward.
+    // tree: the request-level span, and under it the model forward,
+    // run on the request's own thread.
     let (status, record) = request(addr, "GET", &format!("/v1/debug/requests/{predict_id}"), "");
     assert_eq!(status, 200, "{record}");
     let record = parse(&record).expect("record is valid json");
@@ -232,12 +252,10 @@ fn server_answers_predicts_and_reuses_the_cache() {
         Some(Json::Arr(roots)) => roots.iter().for_each(|root| span_names(root, &mut names)),
         other => panic!("expected a span tree, got {other:?}"),
     }
-    for span in ["predict_request", "infer_wait"] {
-        assert!(
-            names.iter().any(|n| n == span),
-            "missing {span} span in {names:?}"
-        );
-    }
+    assert!(
+        forward_under_request(&record, "predict_request"),
+        "nn_forward must sit under predict_request in {names:?}"
+    );
 
     // netlist_path streams the file into the same grid the spec
     // produced: identical design fingerprint, warm cache hit.

@@ -8,7 +8,7 @@ use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -81,10 +81,6 @@ fn reload_swaps_the_model_without_dropping_requests() {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 3,
-            batch: BatchConfig {
-                max_batch: 2,
-                queue_capacity: 16,
-            },
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             ..ServerConfig::default()

@@ -5,7 +5,7 @@
 
 use ir_fusion::FusionConfig;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -46,7 +46,6 @@ fn start_server(num_threads: usize) -> Server {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig::default(),
             // Generous: a sweep keeps base + 8 candidates warm per
             // stage, and per-shard LRU must not evict mid-test.
             cache_capacity: 64,

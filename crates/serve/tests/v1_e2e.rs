@@ -10,7 +10,7 @@ use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -118,10 +118,6 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig {
-                max_batch: 2,
-                queue_capacity: 16,
-            },
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             ..ServerConfig::default()
@@ -303,6 +299,11 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
             r#"{"netlist":"V1 a 0 1.0\nR1 a b 0\nI1 b 0 1m\n"}"#,
             "invalid power grid: resistor 'R1'",
         ),
+        // An infinite load is named, never solved into an all-zero map.
+        (
+            r#"{"netlist":"V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_2000_0 1.0\nI1 n1_m1_2000_0 0 1e400\n"}"#,
+            "invalid power grid: source 'I1' has non-finite value",
+        ),
     ] {
         let (status, reply) = request(addr, "POST", "/v1/predict", body);
         assert_eq!(status, 400, "{body}: {reply}");
@@ -315,6 +316,52 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
             .expect("error message");
         assert!(message.contains(names), "{body}: {message}");
     }
+
+    // Edits are read as written too: an infinite current and a layer
+    // number past u32 (which would wrap onto m1 or m2) are refused,
+    // in a what-if and in a sweep candidate alike.
+    let base = v1_json
+        .get("design")
+        .and_then(Json::as_str)
+        .expect("design fingerprint");
+    for deltas in [
+        r#"[{"node":3,"amps":1e400}]"#,
+        r#"[{"kind":"strap","layer":4294967297,"scale":0.8}]"#,
+        r#"[{"kind":"via","layers":[1,4294967298],"scale":1.5}]"#,
+    ] {
+        let whatif = format!(r#"{{"base":"{base}","deltas":{deltas}}}"#);
+        let sweep =
+            format!(r#"{{"base":"{base}","candidates":[{{"label":"x","deltas":{deltas}}}]}}"#);
+        for (path, body) in [("/v1/whatif", whatif), ("/v1/sweep", sweep)] {
+            let (status, reply) = request(addr, "POST", path, &body);
+            assert_eq!(status, 400, "{path} {deltas}: {reply}");
+            assert_eq!(envelope_code(&reply), "invalid_deltas", "{path}: {reply}");
+        }
+    }
+
+    // A valid one-layer design feeds the three-layer model fewer
+    // channels than it was built for, and the forward panics. That
+    // drops the connection, not the worker: after more such requests
+    // than there are workers, the server still answers.
+    let one_layer = r#"{"netlist":"V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_2000_0 1.0\nI1 n1_m1_2000_0 0 1m\n"}"#;
+    for _ in 0..3 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let head = format!(
+            "POST /v1/predict HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+            one_layer.len()
+        );
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(one_layer.as_bytes()).expect("write body");
+        // A close or a reset: either way, no response.
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        assert!(
+            response.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&response)
+        );
+    }
+    assert_eq!(request(addr, "GET", "/v1/healthz", "").0, 200);
 
     // unknown_model reports which models ARE loaded.
     let (_, reply) = request(

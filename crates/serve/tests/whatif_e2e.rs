@@ -4,7 +4,7 @@
 
 use ir_fusion::FusionConfig;
 use irf_serve::json::{parse, Json};
-use irf_serve::{BatchConfig, Server, ServerConfig};
+use irf_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -51,12 +51,11 @@ fn metric_value(metrics: &str, name: &str) -> f64 {
 fn whatif_rides_warm_artifacts() {
     // Modelless server: responses carry the rough map, which is all
     // the incremental path needs exercising (the forward pass is the
-    // same micro-batcher either way).
+    // same call either way).
     let server = Server::start(
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig::default(),
             cache_capacity: 8,
             read_timeout: Duration::from_secs(120),
             ..ServerConfig::default()
@@ -174,7 +173,6 @@ fn read_timeouts_close_idle_connections_and_408_half_requests() {
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch: BatchConfig::default(),
             cache_capacity: 2,
             read_timeout: Duration::from_millis(200),
             ..ServerConfig::default()

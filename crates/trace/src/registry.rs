@@ -372,18 +372,18 @@ mod tests {
     #[test]
     fn histograms_render_cumulative_buckets() {
         let r = MetricsRegistry::new();
-        r.describe_histogram("irf_batch_size", "Batch sizes.", &[1.0, 2.0, 4.0]);
-        r.observe("irf_batch_size", &[], 1.0);
-        r.observe("irf_batch_size", &[], 2.0);
-        r.observe("irf_batch_size", &[], 9.0); // beyond last bound -> +Inf only
+        r.describe_histogram("irf_chunk_size", "Batch sizes.", &[1.0, 2.0, 4.0]);
+        r.observe("irf_chunk_size", &[], 1.0);
+        r.observe("irf_chunk_size", &[], 2.0);
+        r.observe("irf_chunk_size", &[], 9.0); // beyond last bound -> +Inf only
         let text = r.render();
-        assert!(text.contains("irf_batch_size_bucket{le=\"1\"} 1"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"2\"} 2"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"4\"} 2"));
-        assert!(text.contains("irf_batch_size_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("irf_batch_size_sum 12"));
-        assert!(text.contains("irf_batch_size_count 3"));
-        assert_eq!(r.get("irf_batch_size", &[]), Some(3.0));
+        assert!(text.contains("irf_chunk_size_bucket{le=\"1\"} 1"));
+        assert!(text.contains("irf_chunk_size_bucket{le=\"2\"} 2"));
+        assert!(text.contains("irf_chunk_size_bucket{le=\"4\"} 2"));
+        assert!(text.contains("irf_chunk_size_bucket{le=\"+Inf\"} 3"));
+        assert!(text.contains("irf_chunk_size_sum 12"));
+        assert!(text.contains("irf_chunk_size_count 3"));
+        assert_eq!(r.get("irf_chunk_size", &[]), Some(3.0));
     }
 
     #[test]

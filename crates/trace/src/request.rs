@@ -16,7 +16,7 @@
 //!   and a branch, so pipeline code can stay instrumented in CLI and
 //!   bench builds that never mint request ids.
 //!
-//! Work handed to other threads (e.g. a micro-batcher) does NOT
+//! Work handed to other threads (e.g. a pool worker) does NOT
 //! inherit the scope — cross-thread attribution is the handoff's job
 //! (carry the id in the job and report results back explicitly).
 

@@ -1,8 +1,8 @@
 //! Batched inference correctness: `predict_batch(B samples)` must be
 //! bitwise identical to B sequential `predict` calls, at one thread and
-//! at many. This is the contract that lets the serving layer fuse
-//! concurrent requests into one forward pass with zero accuracy
-//! consequences.
+//! at many. This is the contract that lets the serving layer run a
+//! request's many stacks (a sweep's candidates) in chunks with zero
+//! accuracy consequences.
 
 use ir_fusion::{train, FusionConfig, IrFusionPipeline, PreparedStack, StageStore};
 use irf_data::Dataset;
@@ -32,12 +32,18 @@ fn predict_batch_is_bitwise_identical_to_sequential_predicts() {
     let trained = train(ModelKind::IrFusion, &dataset, &config);
     let pipeline = IrFusionPipeline::new(config);
 
-    let stacks: Vec<PreparedStack> = dataset
+    let stacks: Vec<Arc<PreparedStack>> = dataset
         .designs
         .iter()
-        .map(|d| pipeline.prepare_stack(&d.grid).expect("grid has pads"))
+        .map(|d| {
+            pipeline
+                .stack_builder()
+                .bypass_cache()
+                .prepare(&d.grid)
+                .expect("grid has pads")
+        })
         .collect();
-    let refs: Vec<&PreparedStack> = stacks.iter().collect();
+    let refs: Vec<&PreparedStack> = stacks.iter().map(AsRef::as_ref).collect();
 
     // Reference: sequential single-sample predicts at one thread.
     let sequential = with_threads(1, || {

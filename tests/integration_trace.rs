@@ -31,7 +31,11 @@ fn run_pipeline(
     spice_text: &str,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let grid = grid_from_spice_reader(spice_text.as_bytes()).expect("valid grid");
-    let stack = pipeline.prepare_stack(&grid).expect("grid has pads");
+    let stack = pipeline
+        .stack_builder()
+        .bypass_cache()
+        .prepare(&grid)
+        .expect("grid has pads");
     let fused: GridMap = pipeline.predict(trained, &stack);
     let feature_bits: Vec<u32> = stack
         .features
