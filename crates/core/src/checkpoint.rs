@@ -123,6 +123,7 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, CheckpointError> {
         store,
         label_scale,
         residual,
+        in_channels,
         loss_history: Vec::new(),
     })
 }
@@ -168,6 +169,7 @@ mod tests {
         let loaded = load_model(buf.as_slice()).expect("load");
         assert_eq!(loaded.residual, trained.residual);
         assert_eq!(loaded.label_scale, trained.label_scale);
+        assert_eq!((trained.in_channels, loaded.in_channels), (11, 11));
         // Same predictions bit-for-bit on the evaluation path.
         let pipeline = IrFusionPipeline::new(cfg);
         let a = evaluate_model(&trained, &ds, &pipeline);
@@ -191,6 +193,7 @@ mod tests {
             store,
             label_scale: 1.5,
             residual: true,
+            in_channels: config.in_channels,
             loss_history: Vec::new(),
         };
         (trained, config)

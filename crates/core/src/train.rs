@@ -23,6 +23,9 @@ pub struct TrainedModel {
     /// default); `false` for absolute drop prediction (baselines and
     /// the "w/o Num. Solu." ablation).
     pub residual: bool,
+    /// Feature channels the network was built for: a stack with any
+    /// other count cannot run through it.
+    pub in_channels: usize,
     /// Mean training loss per epoch.
     pub loss_history: Vec<f32>,
 }
@@ -157,6 +160,7 @@ pub fn train(kind: ModelKind, dataset: &Dataset, config: &FusionConfig) -> Train
         store,
         label_scale,
         residual,
+        in_channels: n_channels,
         loss_history,
     }
 }

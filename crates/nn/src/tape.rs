@@ -340,23 +340,15 @@ impl Tape {
         let [na, ca, ha, wa] = self.value(a).shape();
         let [nb, cb, hb, wb] = self.value(b).shape();
         assert_eq!((na, ha, wa), (nb, hb, wb), "concat: N/H/W mismatch");
-        let mut out = Tensor::zeros([na, ca + cb, ha, wa]);
-        for n in 0..na {
-            for c in 0..ca {
-                for h in 0..ha {
-                    for w in 0..wa {
-                        out.set(n, c, h, w, self.value(a).at(n, c, h, w));
-                    }
-                }
-            }
-            for c in 0..cb {
-                for h in 0..ha {
-                    for w in 0..wa {
-                        out.set(n, ca + c, h, w, self.value(b).at(n, c, h, w));
-                    }
-                }
-            }
+        // Per sample, `a`'s channels then `b`'s: two contiguous copies.
+        let (sa, sb) = (ca * ha * wa, cb * ha * wa);
+        let (ad, bd) = (self.value(a).data(), self.value(b).data());
+        let mut data = Vec::with_capacity(na * (sa + sb));
+        for ni in 0..na {
+            data.extend_from_slice(&ad[ni * sa..][..sa]);
+            data.extend_from_slice(&bd[ni * sb..][..sb]);
         }
+        let out = Tensor::from_vec([na, ca + cb, ha, wa], data);
         let needs = self.ng(a) || self.ng(b);
         self.push(Op::ConcatChannels { a, b }, out, needs)
     }
@@ -371,32 +363,29 @@ impl Tape {
         let [n, c, h, w] = xv.shape();
         assert!(h % 2 == 0 && w % 2 == 0, "max_pool2 requires even H and W");
         let (ho, wo) = (h / 2, w / 2);
-        let mut out = Tensor::zeros([n, c, ho, wo]);
-        let mut argmax = vec![0usize; n * c * ho * wo];
-        let mut k = 0;
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..ho {
-                    for wi in 0..wo {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_off = 0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let off = xv.offset(ni, ci, 2 * hi + dy, 2 * wi + dx);
-                                let v = xv.data()[off];
-                                if v > best {
-                                    best = v;
-                                    best_off = off;
-                                }
-                            }
+        let xd = xv.data();
+        let mut out = Vec::with_capacity(n * c * ho * wo);
+        let mut argmax = Vec::with_capacity(n * c * ho * wo);
+        for plane in 0..n * c {
+            for hi in 0..ho {
+                // Flat offsets of the window's two input rows.
+                let top = (plane * h + 2 * hi) * w;
+                for wi in 0..wo {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_off = 0;
+                    for off in [top, top + 1, top + w, top + w + 1] {
+                        let v = xd[off + 2 * wi];
+                        if v > best {
+                            best = v;
+                            best_off = off + 2 * wi;
                         }
-                        out.set(ni, ci, hi, wi, best);
-                        argmax[k] = best_off;
-                        k += 1;
                     }
+                    out.push(best);
+                    argmax.push(best_off);
                 }
             }
         }
+        let out = Tensor::from_vec([n, c, ho, wo], out);
         let needs = self.ng(x);
         self.push(Op::MaxPool2 { x, argmax }, out, needs)
     }
@@ -411,22 +400,23 @@ impl Tape {
         let [n, c, h, w] = xv.shape();
         assert!(h % 2 == 0 && w % 2 == 0, "avg_pool2 requires even H and W");
         let (ho, wo) = (h / 2, w / 2);
-        let mut out = Tensor::zeros([n, c, ho, wo]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..ho {
-                    for wi in 0..wo {
-                        let mut s = 0.0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                s += xv.at(ni, ci, 2 * hi + dy, 2 * wi + dx);
-                            }
-                        }
-                        out.set(ni, ci, hi, wi, s / 4.0);
-                    }
+        let xd = xv.data();
+        let mut out = Vec::with_capacity(n * c * ho * wo);
+        for plane in 0..n * c {
+            for hi in 0..ho {
+                let top = &xd[(plane * h + 2 * hi) * w..][..w];
+                let bottom = &xd[(plane * h + 2 * hi + 1) * w..][..w];
+                for wi in 0..wo {
+                    let mut s = 0.0;
+                    s += top[2 * wi];
+                    s += top[2 * wi + 1];
+                    s += bottom[2 * wi];
+                    s += bottom[2 * wi + 1];
+                    out.push(s / 4.0);
                 }
             }
         }
+        let out = Tensor::from_vec([n, c, ho, wo], out);
         let needs = self.ng(x);
         self.push(Op::AvgPool2 { x }, out, needs)
     }
@@ -435,21 +425,17 @@ impl Tape {
     pub fn upsample2(&mut self, x: NodeId) -> NodeId {
         let xv = self.value(x);
         let [n, c, h, w] = xv.shape();
-        let mut out = Tensor::zeros([n, c, 2 * h, 2 * w]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let v = xv.at(ni, ci, hi, wi);
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                out.set(ni, ci, 2 * hi + dy, 2 * wi + dx, v);
-                            }
-                        }
-                    }
-                }
+        let mut out = Vec::with_capacity(n * c * 4 * h * w);
+        for row in xv.data().chunks_exact(w.max(1)) {
+            // Each input row becomes two equal output rows.
+            let start = out.len();
+            for &v in row {
+                out.push(v);
+                out.push(v);
             }
+            out.extend_from_within(start..);
         }
+        let out = Tensor::from_vec([n, c, 2 * h, 2 * w], out);
         let needs = self.ng(x);
         self.push(Op::Upsample2 { x }, out, needs)
     }
@@ -458,18 +444,16 @@ impl Tape {
     pub fn global_avg_pool(&mut self, x: NodeId) -> NodeId {
         let xv = self.value(x);
         let [n, c, h, w] = xv.shape();
-        let mut out = Tensor::zeros([n, c, 1, 1]);
-        for ni in 0..n {
-            for ci in 0..c {
+        let out = (0..n * c)
+            .map(|plane| {
                 let mut s = 0.0;
-                for hi in 0..h {
-                    for wi in 0..w {
-                        s += xv.at(ni, ci, hi, wi);
-                    }
+                for &v in &xv.data()[plane * h * w..][..h * w] {
+                    s += v;
                 }
-                out.set(ni, ci, 0, 0, s / (h * w) as f32);
-            }
-        }
+                s / (h * w) as f32
+            })
+            .collect();
+        let out = Tensor::from_vec([n, c, 1, 1], out);
         let needs = self.ng(x);
         self.push(Op::GlobalAvgPool { x }, out, needs)
     }
@@ -478,25 +462,22 @@ impl Tape {
     pub fn global_max_pool(&mut self, x: NodeId) -> NodeId {
         let xv = self.value(x);
         let [n, c, h, w] = xv.shape();
-        let mut out = Tensor::zeros([n, c, 1, 1]);
-        let mut argmax = vec![0usize; n * c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_off = 0;
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let off = xv.offset(ni, ci, hi, wi);
-                        if xv.data()[off] > best {
-                            best = xv.data()[off];
-                            best_off = off;
-                        }
-                    }
+        let mut out = Vec::with_capacity(n * c);
+        let mut argmax = Vec::with_capacity(n * c);
+        for plane in 0..n * c {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_off = 0;
+            let base = plane * h * w;
+            for (i, &v) in xv.data()[base..][..h * w].iter().enumerate() {
+                if v > best {
+                    best = v;
+                    best_off = base + i;
                 }
-                out.set(ni, ci, 0, 0, best);
-                argmax[ni * c + ci] = best_off;
             }
+            out.push(best);
+            argmax.push(best_off);
         }
+        let out = Tensor::from_vec([n, c, 1, 1], out);
         let needs = self.ng(x);
         self.push(Op::GlobalMaxPool { x, argmax }, out, needs)
     }
@@ -514,17 +495,12 @@ impl Tape {
             [n, c, 1, 1],
             "mul_channel scale shape"
         );
-        let mut out = Tensor::zeros([n, c, h, w]);
-        for ni in 0..n {
-            for ci in 0..c {
-                let sc = self.value(s).at(ni, ci, 0, 0);
-                for hi in 0..h {
-                    for wi in 0..w {
-                        out.set(ni, ci, hi, wi, self.value(x).at(ni, ci, hi, wi) * sc);
-                    }
-                }
-            }
+        let (xd, sd) = (self.value(x).data(), self.value(s).data());
+        let mut out = Vec::with_capacity(n * c * h * w);
+        for (plane, &sc) in sd.iter().enumerate() {
+            out.extend(xd[plane * h * w..][..h * w].iter().map(|&v| v * sc));
         }
+        let out = Tensor::from_vec([n, c, h, w], out);
         let needs = self.ng(x) || self.ng(s);
         self.push(Op::MulChannel { x, s }, out, needs)
     }
@@ -542,22 +518,14 @@ impl Tape {
             [n, 1, h, w],
             "mul_spatial mask shape"
         );
-        let mut out = Tensor::zeros([n, c, h, w]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..h {
-                    for wi in 0..w {
-                        out.set(
-                            ni,
-                            ci,
-                            hi,
-                            wi,
-                            self.value(x).at(ni, ci, hi, wi) * self.value(s).at(ni, 0, hi, wi),
-                        );
-                    }
-                }
-            }
+        let (xd, sd) = (self.value(x).data(), self.value(s).data());
+        let mut out = Vec::with_capacity(n * c * h * w);
+        for plane in 0..n * c {
+            let mask = &sd[plane / c * h * w..][..h * w];
+            let xs = &xd[plane * h * w..][..h * w];
+            out.extend(xs.iter().zip(mask).map(|(&v, &m)| v * m));
         }
+        let out = Tensor::from_vec([n, c, h, w], out);
         let needs = self.ng(x) || self.ng(s);
         self.push(Op::MulSpatial { x, s }, out, needs)
     }
@@ -566,18 +534,21 @@ impl Tape {
     pub fn channel_mean(&mut self, x: NodeId) -> NodeId {
         let xv = self.value(x);
         let [n, c, h, w] = xv.shape();
-        let mut out = Tensor::zeros([n, 1, h, w]);
-        for ni in 0..n {
-            for hi in 0..h {
-                for wi in 0..w {
-                    let mut s = 0.0;
-                    for ci in 0..c {
-                        s += xv.at(ni, ci, hi, wi);
-                    }
-                    out.set(ni, 0, hi, wi, s / c as f32);
+        let hw = h * w;
+        let mut out = vec![0.0f32; n * hw];
+        for (ni, sums) in out.chunks_exact_mut(hw.max(1)).enumerate() {
+            // Every pixel sums its channels in ascending order.
+            for ci in 0..c {
+                let xs = &xv.data()[(ni * c + ci) * hw..][..hw];
+                for (s, &v) in sums.iter_mut().zip(xs) {
+                    *s += v;
                 }
             }
+            for s in sums.iter_mut() {
+                *s /= c as f32;
+            }
         }
+        let out = Tensor::from_vec([n, 1, h, w], out);
         let needs = self.ng(x);
         self.push(Op::ChannelMean { x }, out, needs)
     }
@@ -586,25 +557,28 @@ impl Tape {
     pub fn channel_max(&mut self, x: NodeId) -> NodeId {
         let xv = self.value(x);
         let [n, c, h, w] = xv.shape();
-        let mut out = Tensor::zeros([n, 1, h, w]);
-        let mut argmax = vec![0usize; n * h * w];
+        let hw = h * w;
+        let mut out = Vec::with_capacity(n * hw);
+        let mut argmax = Vec::with_capacity(n * hw);
         for ni in 0..n {
-            for hi in 0..h {
-                for wi in 0..w {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_c = 0;
-                    for ci in 0..c {
-                        let v = xv.at(ni, ci, hi, wi);
-                        if v > best {
-                            best = v;
-                            best_c = ci;
-                        }
+            let xs = &xv.data()[ni * c * hw..][..c * hw];
+            for i in 0..hw {
+                // Channels in ascending order; a later channel wins only
+                // when strictly greater.
+                let mut best = f32::NEG_INFINITY;
+                let mut best_c = 0;
+                for ci in 0..c {
+                    let v = xs[ci * hw + i];
+                    if v > best {
+                        best = v;
+                        best_c = ci;
                     }
-                    out.set(ni, 0, hi, wi, best);
-                    argmax[(ni * h + hi) * w + wi] = best_c;
                 }
+                out.push(best);
+                argmax.push(best_c);
             }
         }
+        let out = Tensor::from_vec([n, 1, h, w], out);
         let needs = self.ng(x);
         self.push(Op::ChannelMax { x, argmax }, out, needs)
     }
@@ -642,39 +616,32 @@ impl Tape {
         assert_eq!(self.value(gamma).shape(), [1, c, 1, 1], "gamma shape");
         assert_eq!(self.value(beta).shape(), [1, c, 1, 1], "beta shape");
         let m = (h * w) as f32;
-        let mut out = Tensor::zeros([n, c, h, w]);
-        let mut means = vec![0.0f32; n * c];
-        let mut inv_stds = vec![0.0f32; n * c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let mut s = 0.0;
-                for hi in 0..h {
-                    for wi in 0..w {
-                        s += xv.at(ni, ci, hi, wi);
-                    }
-                }
-                let mean = s / m;
-                let mut var = 0.0;
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let d = xv.at(ni, ci, hi, wi) - mean;
-                        var += d * d;
-                    }
-                }
-                var /= m;
-                let inv_std = 1.0 / (var + eps).sqrt();
-                means[ni * c + ci] = mean;
-                inv_stds[ni * c + ci] = inv_std;
-                let g = self.value(gamma).at(0, ci, 0, 0);
-                let bta = self.value(beta).at(0, ci, 0, 0);
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let xhat = (xv.at(ni, ci, hi, wi) - mean) * inv_std;
-                        out.set(ni, ci, hi, wi, g * xhat + bta);
-                    }
-                }
+        let (gd, bd) = (self.value(gamma).data(), self.value(beta).data());
+        let mut out = Vec::with_capacity(n * c * h * w);
+        let mut means = Vec::with_capacity(n * c);
+        let mut inv_stds = Vec::with_capacity(n * c);
+        for plane in 0..n * c {
+            let xs = &xv.data()[plane * h * w..][..h * w];
+            // Both sums stay sequential over the plane: their order is
+            // part of the output's bits.
+            let mut s = 0.0;
+            for &v in xs {
+                s += v;
             }
+            let mean = s / m;
+            let mut var = 0.0;
+            for &v in xs {
+                let d = v - mean;
+                var += d * d;
+            }
+            var /= m;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            means.push(mean);
+            inv_stds.push(inv_std);
+            let (g, bta) = (gd[plane % c], bd[plane % c]);
+            out.extend(xs.iter().map(|&v| g * ((v - mean) * inv_std) + bta));
         }
+        let out = Tensor::from_vec([n, c, h, w], out);
         let needs = self.ng(x) || self.ng(gamma) || self.ng(beta);
         self.push(
             Op::InstanceNorm {
@@ -1176,12 +1143,14 @@ impl ConvDims {
 /// element, so vectorizing across elements changes no bit.
 ///
 /// LLVM vectorizes a plain loop eight lanes to the iteration and leaves
-/// up to seven elements to a scalar remainder loop — most of a 7- or
-/// 15-long row at the 8x8 and 16x16 scales. So the plain loop only gets
-/// the multiple of eight, and `n % 8` is spelled out as straight-line
-/// groups of four, two and one, which compile to one (partial) vector
-/// operation each. Indexing is plain `[]` throughout: iterator adapters
-/// measured 3x slower in the unoptimized builds the test suite runs.
+/// up to seven elements to a scalar remainder loop. The forward's runs
+/// span whole padded maps, but the backward `dx` scatters row by row,
+/// and a 7- or 15-long row at the 8x8 and 16x16 scales is mostly
+/// remainder. So the plain loop only gets the multiple of eight, and
+/// `n % 8` is spelled out as straight-line groups of four, two and one,
+/// which compile to one (partial) vector operation each. Indexing is
+/// plain `[]` throughout: iterator adapters measured 3x slower in the
+/// unoptimized builds the test suite runs.
 fn axpy(dst: &mut [f32], src: &[f32], a: f32) {
     let n = dst.len();
     let src = &src[..n];
@@ -1209,6 +1178,23 @@ fn axpy(dst: &mut [f32], src: &[f32], a: f32) {
     }
 }
 
+/// `K` [`axpy`] passes in one: `dst[i] += w[k] * src[i + k]` for `k` in
+/// `0..K` in turn. Each element receives the same rounded multiplies and
+/// adds in the same order as from `K` passes, but is loaded and stored
+/// once instead of `K` times, which leaves the pass bound by arithmetic
+/// rather than by loads and stores.
+fn axpy_row<const K: usize>(dst: &mut [f32], src: &[f32], w: [f32; K]) {
+    let n = dst.len();
+    let src = &src[..n + K - 1];
+    for i in 0..n {
+        let mut a = dst[i];
+        for k in 0..K {
+            a += w[k] * src[i + k];
+        }
+        dst[i] = a;
+    }
+}
+
 /// [`axpy`] over every run of `t`.
 fn axpy_runs(dst: &mut [f32], src: &[f32], t: &TapRuns, a: f32) {
     let (mut dst_at, mut src_at) = (t.dst_at, t.src_at);
@@ -1233,7 +1219,8 @@ fn conv2d_forward(
 
 /// [`Tape::conv2d`]'s forward pass through the any-stride,
 /// bounds-checked loop nest alone. Production code reaches that nest
-/// only for `stride > 1`; parity tests call this to hold the stride-1
+/// only for `stride > 1` and for the channels the padded-pitch kernel
+/// cannot take exactly; parity tests call this to hold the stride-1
 /// kernel to it bit for bit.
 ///
 /// # Panics
@@ -1286,20 +1273,22 @@ fn conv2d_forward_with(
     let wd = w.data();
     let bd = b.data();
     let od = out.data_mut();
-    let taps = unit_stride_kernel.then(|| d.unit_stride_taps());
+    let padded = unit_stride_kernel.then(|| PaddedInput::new(xd, n, &d));
     // Parallel over (sample, output channel) blocks: each `ho x wo`
     // output map is written by exactly one task running the same serial
     // inner loop, so results are bitwise identical at any thread count.
     irf_runtime::par_chunks_mut(od, ho * wo, |blk, omap| {
         let ni = blk / co;
         let oc = blk % co;
-        omap.fill(bd[oc]);
         // This sample's input maps and this channel's weights.
         let xs = &xd[ni * ci * h * ww..][..ci * h * ww];
         let ws = &wd[oc * ci * kh * kw..][..ci * kh * kw];
-        match &taps {
-            Some(taps) => conv2d_map_unit_stride(omap, xs, ws, h * ww, taps),
-            None => conv2d_map_any_stride(omap, xs, ws, &d),
+        match &padded {
+            Some(p) if PaddedInput::is_exact_for(ws, bd[oc]) => p.accumulate(omap, ni, ws, bd[oc]),
+            _ => {
+                omap.fill(bd[oc]);
+                conv2d_map_any_stride(omap, xs, ws, &d);
+            }
         }
     });
     out
@@ -1353,27 +1342,130 @@ fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims)
     }
 }
 
-/// The stride-1 form of [`conv2d_map_any_stride`]: each tap's bounds
-/// were resolved once into contiguous runs (`taps`, from
-/// [`ConvDims::unit_stride_taps`]), leaving a branch-free [`axpy`] as
-/// the inner loop. Every output element receives the same
-/// multiply-then-add sequence in the same `(ic, ky, kx)` order as in
-/// the general nest, zero-weight skip included, so the two are bitwise
-/// identical.
-fn conv2d_map_unit_stride(
-    omap: &mut [f32],
-    xs: &[f32],
-    ws: &[f32],
-    map: usize,
-    taps: &[Option<TapRuns>],
-) {
-    for (xmap, wtaps) in xs.chunks_exact(map).zip(ws.chunks_exact(taps.len())) {
-        for (&wv, runs) in wtaps.iter().zip(taps) {
-            if wv == 0.0 {
-                continue;
+/// The stride-1 forward's view of its input: every row of every map
+/// widened to the pitch `p = wo + kw - 1` with `pad_w` zero columns on
+/// each side, so that output `(oh, ow)` of tap `(ky, kx)` reads element
+/// `(oh + ky - pad_h) * p + ow + kx` of its channel's map. A tap is then
+/// one run over the valid output rows of its kernel row `ky` in a
+/// pitch-`p` accumulator, the `kw - 1` columns past `wo` in each row
+/// included; those columns are garbage and are dropped at the end. The
+/// `kw` taps of a kernel row share that run and differ only in where
+/// they start reading, so [`axpy_row`] applies them in one pass.
+///
+/// Against [`conv2d_map_any_stride`], each output element receives the
+/// same multiply-then-add terms in the same `(ic, ky, kx)` order,
+/// zero-weight skip included, plus a `w * 0.0` for every tap that
+/// reaches into the padding. Such a term is exact when `w` is finite
+/// and the accumulator is not `-0.0`: `acc + (±0.0)` is then `acc`. An
+/// accumulator is `-0.0` only if it started at `-0.0` and every term
+/// added so far was `-0.0` (in round-to-nearest a nonzero sum that
+/// cancels is `+0.0`), so a bias that is not `-0.0` keeps it off
+/// `-0.0` for good. [`PaddedInput::is_exact_for`] is that test; a
+/// channel that fails it goes through the general nest.
+struct PaddedInput<'a> {
+    /// `n x ci x h x p`, or the input itself when `pad_w == 0`.
+    maps: std::borrow::Cow<'a, [f32]>,
+    pitch: usize,
+    /// Per kernel row `ky`: where its run starts in the accumulator and
+    /// (for tap `kx = 0`) in the channel's padded map, and its length;
+    /// `None` when no output row sees the kernel row.
+    rows: Vec<Option<(usize, usize, usize)>>,
+    d: ConvDims,
+}
+
+impl<'a> PaddedInput<'a> {
+    fn new(xd: &'a [f32], n: usize, d: &ConvDims) -> Self {
+        debug_assert_eq!(d.stride, 1);
+        let pitch = d.wo + d.kw - 1;
+        let maps = if d.pad_w == 0 {
+            // `pitch == ww`: the input already has it.
+            std::borrow::Cow::Borrowed(xd)
+        } else {
+            let mut maps = vec![0.0; n * d.ci * d.h * pitch];
+            for (row, prow) in xd.chunks_exact(d.ww).zip(maps.chunks_exact_mut(pitch)) {
+                prow[d.pad_w..][..d.ww].copy_from_slice(row);
             }
-            if let Some(runs) = runs {
-                axpy_runs(omap, xmap, runs, wv);
+            std::borrow::Cow::Owned(maps)
+        };
+        let rows = (0..d.kh)
+            .map(|ky| {
+                let (lo, hi) = valid_outputs(ky, d.pad_h, d.h, d.ho, 1);
+                (lo < hi).then(|| {
+                    let src_at = (lo + ky - d.pad_h) * pitch;
+                    (lo * pitch, src_at, (hi - lo - 1) * pitch + d.wo)
+                })
+            })
+            .collect();
+        PaddedInput {
+            maps,
+            pitch,
+            rows,
+            d: *d,
+        }
+    }
+
+    /// Whether the padding's `w * 0.0` terms leave every bit of the
+    /// channel with weights `ws` and bias `bias` alone: when the bias is
+    /// not `-0.0` and every weight is finite.
+    fn is_exact_for(ws: &[f32], bias: f32) -> bool {
+        bias.to_bits() != (-0.0f32).to_bits() && ws.iter().all(|w| w.is_finite())
+    }
+
+    /// Sample `ni`'s output map for the channel with weights `ws` and
+    /// bias `bias`, written to `omap`.
+    fn accumulate(&self, omap: &mut [f32], ni: usize, ws: &[f32], bias: f32) {
+        let ConvDims {
+            ci,
+            h,
+            kh,
+            kw,
+            ho,
+            wo,
+            ..
+        } = self.d;
+        let map = h * self.pitch;
+        let xs = &self.maps[ni * ci * map..][..ci * map];
+        // A one-column kernel (`pitch == wo`) leaves no garbage columns:
+        // the output map is the accumulator.
+        let mut wide = Vec::new();
+        let acc = if self.pitch == wo {
+            omap.fill(bias);
+            &mut *omap
+        } else {
+            wide.resize(ho * self.pitch, bias);
+            &mut wide[..]
+        };
+        for (xmap, wk) in xs.chunks_exact(map).zip(ws.chunks_exact(kh * kw)) {
+            for (wrow, row) in wk.chunks_exact(kw).zip(&self.rows) {
+                let &Some((dst_at, src_at, len)) = row else {
+                    continue;
+                };
+                let dst = &mut acc[dst_at..][..len];
+                let src = &xmap[src_at..][..len + kw - 1];
+                // The model's kernel widths, when no tap is skipped.
+                if !wrow.contains(&0.0) {
+                    match *wrow {
+                        [a, b, c] => {
+                            axpy_row(dst, src, [a, b, c]);
+                            continue;
+                        }
+                        [a, b, c, d, e, f, g] => {
+                            axpy_row(dst, src, [a, b, c, d, e, f, g]);
+                            continue;
+                        }
+                        _ => {}
+                    }
+                }
+                for (kx, &wv) in wrow.iter().enumerate() {
+                    if wv != 0.0 {
+                        axpy(dst, &src[kx..][..len], wv);
+                    }
+                }
+            }
+        }
+        if self.pitch != wo {
+            for (orow, arow) in omap.chunks_exact_mut(wo).zip(wide.chunks_exact(self.pitch)) {
+                orow.copy_from_slice(&arow[..wo]);
             }
         }
     }
@@ -1461,7 +1553,7 @@ fn conv2d_backward(
     // with output channels as the inner loop so each dx element sees
     // its contributions in the serial order.
     let dxd = dx.data_mut();
-    // At stride 1 the forward kernel's runs, scattering instead of
+    // At stride 1 each tap's contiguous runs, scattering instead of
     // gathering; per `dx` element the adds arrive in the general nest's
     // `(oc, ky, kx)` order, so the two are bitwise identical.
     let taps = (stride == 1).then(|| {
@@ -1720,6 +1812,370 @@ mod tests {
             let (dx_ref, dw_ref) = conv2d_backward_reference(&x, &w, &dy, stride, pad_h, pad_w);
             assert_eq!(bits(&dx), bits(&dx_ref), "dx of {what}");
             assert_eq!(bits(&dw), bits(&dw_ref), "dw of {what}");
+        }
+    }
+
+    /// The forward ops as they were written before they became slice
+    /// loops: one `at()` / `set()` per element. Each returns its output
+    /// and whatever the op saves for backward.
+    mod indexed {
+        use super::Tensor;
+
+        pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
+            let [na, ca, ha, wa] = a.shape();
+            let [_, cb, _, _] = b.shape();
+            let mut out = Tensor::zeros([na, ca + cb, ha, wa]);
+            for n in 0..na {
+                for c in 0..ca {
+                    for h in 0..ha {
+                        for w in 0..wa {
+                            out.set(n, c, h, w, a.at(n, c, h, w));
+                        }
+                    }
+                }
+                for c in 0..cb {
+                    for h in 0..ha {
+                        for w in 0..wa {
+                            out.set(n, ca + c, h, w, b.at(n, c, h, w));
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn max_pool2(xv: &Tensor) -> (Tensor, Vec<usize>) {
+            let [n, c, h, w] = xv.shape();
+            let (ho, wo) = (h / 2, w / 2);
+            let mut out = Tensor::zeros([n, c, ho, wo]);
+            let mut argmax = vec![0usize; n * c * ho * wo];
+            let mut k = 0;
+            for ni in 0..n {
+                for ci in 0..c {
+                    for hi in 0..ho {
+                        for wi in 0..wo {
+                            let mut best = f32::NEG_INFINITY;
+                            let mut best_off = 0;
+                            for dy in 0..2 {
+                                for dx in 0..2 {
+                                    let off = xv.offset(ni, ci, 2 * hi + dy, 2 * wi + dx);
+                                    let v = xv.data()[off];
+                                    if v > best {
+                                        best = v;
+                                        best_off = off;
+                                    }
+                                }
+                            }
+                            out.set(ni, ci, hi, wi, best);
+                            argmax[k] = best_off;
+                            k += 1;
+                        }
+                    }
+                }
+            }
+            (out, argmax)
+        }
+
+        pub fn avg_pool2(xv: &Tensor) -> Tensor {
+            let [n, c, h, w] = xv.shape();
+            let (ho, wo) = (h / 2, w / 2);
+            let mut out = Tensor::zeros([n, c, ho, wo]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    for hi in 0..ho {
+                        for wi in 0..wo {
+                            let mut s = 0.0;
+                            for dy in 0..2 {
+                                for dx in 0..2 {
+                                    s += xv.at(ni, ci, 2 * hi + dy, 2 * wi + dx);
+                                }
+                            }
+                            out.set(ni, ci, hi, wi, s / 4.0);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn upsample2(xv: &Tensor) -> Tensor {
+            let [n, c, h, w] = xv.shape();
+            let mut out = Tensor::zeros([n, c, 2 * h, 2 * w]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let v = xv.at(ni, ci, hi, wi);
+                            for dy in 0..2 {
+                                for dx in 0..2 {
+                                    out.set(ni, ci, 2 * hi + dy, 2 * wi + dx, v);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn global_avg_pool(xv: &Tensor) -> Tensor {
+            let [n, c, h, w] = xv.shape();
+            let mut out = Tensor::zeros([n, c, 1, 1]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    let mut s = 0.0;
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            s += xv.at(ni, ci, hi, wi);
+                        }
+                    }
+                    out.set(ni, ci, 0, 0, s / (h * w) as f32);
+                }
+            }
+            out
+        }
+
+        pub fn global_max_pool(xv: &Tensor) -> (Tensor, Vec<usize>) {
+            let [n, c, h, w] = xv.shape();
+            let mut out = Tensor::zeros([n, c, 1, 1]);
+            let mut argmax = vec![0usize; n * c];
+            for ni in 0..n {
+                for ci in 0..c {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_off = 0;
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let off = xv.offset(ni, ci, hi, wi);
+                            if xv.data()[off] > best {
+                                best = xv.data()[off];
+                                best_off = off;
+                            }
+                        }
+                    }
+                    out.set(ni, ci, 0, 0, best);
+                    argmax[ni * c + ci] = best_off;
+                }
+            }
+            (out, argmax)
+        }
+
+        pub fn mul_channel(x: &Tensor, s: &Tensor) -> Tensor {
+            let [n, c, h, w] = x.shape();
+            let mut out = Tensor::zeros([n, c, h, w]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    let sc = s.at(ni, ci, 0, 0);
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            out.set(ni, ci, hi, wi, x.at(ni, ci, hi, wi) * sc);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn mul_spatial(x: &Tensor, s: &Tensor) -> Tensor {
+            let [n, c, h, w] = x.shape();
+            let mut out = Tensor::zeros([n, c, h, w]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let v = x.at(ni, ci, hi, wi) * s.at(ni, 0, hi, wi);
+                            out.set(ni, ci, hi, wi, v);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn channel_mean(xv: &Tensor) -> Tensor {
+            let [n, c, h, w] = xv.shape();
+            let mut out = Tensor::zeros([n, 1, h, w]);
+            for ni in 0..n {
+                for hi in 0..h {
+                    for wi in 0..w {
+                        let mut s = 0.0;
+                        for ci in 0..c {
+                            s += xv.at(ni, ci, hi, wi);
+                        }
+                        out.set(ni, 0, hi, wi, s / c as f32);
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn channel_max(xv: &Tensor) -> (Tensor, Vec<usize>) {
+            let [n, c, h, w] = xv.shape();
+            let mut out = Tensor::zeros([n, 1, h, w]);
+            let mut argmax = vec![0usize; n * h * w];
+            for ni in 0..n {
+                for hi in 0..h {
+                    for wi in 0..w {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_c = 0;
+                        for ci in 0..c {
+                            let v = xv.at(ni, ci, hi, wi);
+                            if v > best {
+                                best = v;
+                                best_c = ci;
+                            }
+                        }
+                        out.set(ni, 0, hi, wi, best);
+                        argmax[(ni * h + hi) * w + wi] = best_c;
+                    }
+                }
+            }
+            (out, argmax)
+        }
+
+        pub fn instance_norm(
+            xv: &Tensor,
+            gamma: &Tensor,
+            beta: &Tensor,
+            eps: f32,
+        ) -> (Tensor, Vec<f32>, Vec<f32>) {
+            let [n, c, h, w] = xv.shape();
+            let m = (h * w) as f32;
+            let mut out = Tensor::zeros([n, c, h, w]);
+            let mut means = vec![0.0f32; n * c];
+            let mut inv_stds = vec![0.0f32; n * c];
+            for ni in 0..n {
+                for ci in 0..c {
+                    let mut s = 0.0;
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            s += xv.at(ni, ci, hi, wi);
+                        }
+                    }
+                    let mean = s / m;
+                    let mut var = 0.0;
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let d = xv.at(ni, ci, hi, wi) - mean;
+                            var += d * d;
+                        }
+                    }
+                    var /= m;
+                    let inv_std = 1.0 / (var + eps).sqrt();
+                    means[ni * c + ci] = mean;
+                    inv_stds[ni * c + ci] = inv_std;
+                    let g = gamma.at(0, ci, 0, 0);
+                    let bta = beta.at(0, ci, 0, 0);
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let xhat = (xv.at(ni, ci, hi, wi) - mean) * inv_std;
+                            out.set(ni, ci, hi, wi, g * xhat + bta);
+                        }
+                    }
+                }
+            }
+            (out, means, inv_stds)
+        }
+    }
+
+    /// Values on a coarse grid (so maxima tie), with `-0.0`, `+0.0`,
+    /// `-inf` and a NaN mixed in.
+    fn awkward_input(shape: [usize; 4], salt: usize) -> Tensor {
+        let n: usize = shape.iter().product();
+        let data = (0..n)
+            .map(|i| match (i * 7 + salt) % 23 {
+                0 => -0.0,
+                1 => 0.0,
+                2 if i % 3 == 0 => f32::NEG_INFINITY,
+                3 if i == n / 2 => f32::NAN,
+                _ => (((i + salt) as f32 * 0.71).sin() * 4.0).round() / 4.0,
+            })
+            .collect();
+        Tensor::from_vec(shape, data)
+    }
+
+    fn value_bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn slice_forward_ops_keep_the_bits_of_their_indexed_loops() {
+        // Odd and even shapes, one and several samples; pools need
+        // even maps.
+        for shape in [[1, 1, 2, 2], [2, 3, 4, 6], [3, 5, 6, 2]] {
+            let [n, c, h, w] = shape;
+            let x = awkward_input(shape, 0);
+            let other = awkward_input([n, c + 1, h, w], 5);
+            let scales = awkward_input([n, c, 1, 1], 9);
+            let mask = awkward_input([n, 1, h, w], 13);
+            let gamma = seeded_input([1, c, 1, 1]);
+            let beta = awkward_input([1, c, 1, 1], 2);
+            // Instance norm on finite planes, so its statistics are
+            // numbers that can differ.
+            let finite = seeded_input(shape);
+
+            let mut tape = Tape::new();
+            let xn = tape.input(x.clone());
+            let on = tape.input(other.clone());
+            let sn = tape.input(scales.clone());
+            let mn = tape.input(mask.clone());
+            let fn_ = tape.input(finite.clone());
+            let gn = tape.input(gamma.clone());
+            let bn = tape.input(beta.clone());
+            let what = format!("{shape:?}");
+            let check = |tape: &Tape, id: NodeId, want: &Tensor, op: &str| {
+                assert_eq!(tape.value(id).shape(), want.shape(), "{op} {what}");
+                assert_eq!(value_bits(tape.value(id)), value_bits(want), "{op} {what}");
+            };
+
+            let y = tape.concat_channels(xn, on);
+            check(&tape, y, &indexed::concat_channels(&x, &other), "concat");
+            let y = tape.avg_pool2(xn);
+            check(&tape, y, &indexed::avg_pool2(&x), "avg_pool2");
+            let y = tape.upsample2(xn);
+            check(&tape, y, &indexed::upsample2(&x), "upsample2");
+            let y = tape.global_avg_pool(xn);
+            check(&tape, y, &indexed::global_avg_pool(&x), "global_avg_pool");
+            let y = tape.mul_channel(xn, sn);
+            check(&tape, y, &indexed::mul_channel(&x, &scales), "mul_channel");
+            let y = tape.mul_spatial(xn, mn);
+            check(&tape, y, &indexed::mul_spatial(&x, &mask), "mul_spatial");
+            let y = tape.channel_mean(xn);
+            check(&tape, y, &indexed::channel_mean(&x), "channel_mean");
+
+            let saved = |tape: &Tape, id: NodeId| match &tape.ops[id.0] {
+                Op::MaxPool2 { argmax, .. }
+                | Op::GlobalMaxPool { argmax, .. }
+                | Op::ChannelMax { argmax, .. } => argmax.clone(),
+                _ => unreachable!("not an argmax op"),
+            };
+            let y = tape.max_pool2(xn);
+            let (want, argmax) = indexed::max_pool2(&x);
+            check(&tape, y, &want, "max_pool2");
+            assert_eq!(saved(&tape, y), argmax, "max_pool2 argmax {what}");
+            let y = tape.global_max_pool(xn);
+            let (want, argmax) = indexed::global_max_pool(&x);
+            check(&tape, y, &want, "global_max_pool");
+            assert_eq!(saved(&tape, y), argmax, "global_max_pool argmax {what}");
+            let y = tape.channel_max(xn);
+            let (want, argmax) = indexed::channel_max(&x);
+            check(&tape, y, &want, "channel_max");
+            assert_eq!(saved(&tape, y), argmax, "channel_max argmax {what}");
+
+            for (input, id) in [(&x, xn), (&finite, fn_)] {
+                let y = tape.instance_norm(id, gn, bn, 1e-5);
+                let (want, means, inv_stds) = indexed::instance_norm(input, &gamma, &beta, 1e-5);
+                check(&tape, y, &want, "instance_norm");
+                let Op::InstanceNorm { mean, inv_std, .. } = &tape.ops[y.0] else {
+                    unreachable!("not an instance norm");
+                };
+                let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(mean), bits(&means), "instance_norm mean {what}");
+                assert_eq!(
+                    bits(inv_std),
+                    bits(&inv_stds),
+                    "instance_norm inv_std {what}"
+                );
+            }
         }
     }
 

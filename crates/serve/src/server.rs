@@ -281,9 +281,8 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, state: &Arc<State>) {
             guard.recv()
         };
         match stream {
-            // The forward runs on this thread, so a panic in it (a
-            // design whose layer count the model was not built for)
-            // drops the connection but keeps the worker.
+            // The forward runs on this thread, so a panic in it drops
+            // the connection but keeps the worker.
             Ok(stream) => {
                 let serve = AssertUnwindSafe(|| handle_connection(stream, state));
                 let _ = std::panic::catch_unwind(serve);
@@ -965,13 +964,16 @@ fn handle_predict(body: &Json, state: &Arc<State>) -> (u16, String) {
         }
     };
     state.metrics.observe_stage("prepare", prepare_seconds);
+    let model = resolved.as_ref().map(|(model, _)| model.as_ref());
+    if let Err(err) = check_channels(model, stack.features.len()) {
+        return err;
+    }
     // Register the parsed grid under its reported fingerprint so a
     // later /whatif can start from it without re-sending the netlist.
     state
         .cache
         .insert_parsed(stack.fingerprint, Arc::clone(&grid));
 
-    let model = resolved.as_ref().map(|(model, _)| model.as_ref());
     let (maps, source) = run_forwards(
         &state.pipeline,
         &state.metrics,
@@ -1039,12 +1041,15 @@ fn handle_whatif(body: &Json, state: &Arc<State>) -> (u16, String) {
     state
         .metrics
         .observe_stage("whatif_prepare", prepare_seconds);
+    let model = default_model(state);
+    if let Err(err) = check_channels(model.as_deref(), stack.features.len()) {
+        return err;
+    }
     // The edited design is itself a valid base for further what-ifs.
     state
         .cache
         .insert_parsed(stack.fingerprint, Arc::clone(session.grid()));
 
-    let model = default_model(state);
     let (maps, source) = run_forwards(
         &state.pipeline,
         &state.metrics,
@@ -1455,6 +1460,10 @@ fn handle_sweep(body: &Json, state: &Arc<State>) -> (u16, String) {
     }
 
     let model = default_model(state);
+    // Edits keep the base's layers, so every candidate has its count.
+    if let Err(err) = check_channels(model.as_deref(), base_stack.features.len()) {
+        return err;
+    }
     let (maps, source) = run_forwards(&state.pipeline, &state.metrics, &stacks, model.as_deref());
     let base_map = &maps[0];
     let threshold = body
@@ -1722,6 +1731,14 @@ fn handle_optimize(body: &Json, state: &Arc<State>) -> (u16, String) {
     // The optimizer's batch hook runs the same forwards as /sweep.
     let source: Cell<&'static str> = Cell::new("rough");
     let model = default_model(state);
+    // Edits keep the base's layers, so every candidate has its count.
+    let channels = state
+        .pipeline
+        .config()
+        .feature_channels(grid.layers().len());
+    if let Err(err) = check_channels(model.as_deref(), channels) {
+        return err;
+    }
     let predictor = |stacks: &[Arc<PreparedStack>]| {
         let (maps, src) = run_forwards(&state.pipeline, &state.metrics, stacks, model.as_deref());
         source.set(src);
@@ -1857,6 +1874,26 @@ fn run_forwards(
     (maps, "fused")
 }
 
+/// A 400 `invalid_design` unless a stack of `channels` feature maps
+/// fits `model`'s input layer; without a model every stack fits (the
+/// rough map needs no forward). A design with another layer count than
+/// the model was trained on would otherwise panic inside the forward.
+fn check_channels(model: Option<&TrainedModel>, channels: usize) -> Result<(), (u16, String)> {
+    match model {
+        Some(model) if model.in_channels != channels => Err((
+            400,
+            envelope(
+                "invalid_design",
+                &format!(
+                    "the design gives {channels} feature channels; the model was built for {}",
+                    model.in_channels
+                ),
+            ),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Pixels of `map` at or over `threshold` volts (and over zero).
 fn hotspot_count(map: &GridMap, threshold: f64) -> usize {
     map.data()
@@ -1956,6 +1993,17 @@ mod tests {
         // Without a model the rough maps answer, and nothing runs.
         let (maps, source) = run_forwards(&pipeline, &metrics, &stacks[..1], None);
         assert_eq!((source, &maps[0]), ("rough", &stacks[0].rough));
+
+        // The handlers' channel check: the stacks the model trained on
+        // fit it, one channel short is a 400, and the rough map takes
+        // any stack.
+        let channels = stacks[0].features.len();
+        assert_eq!(trained.in_channels, channels);
+        assert!(check_channels(Some(&trained), channels).is_ok());
+        let (status, body) = check_channels(Some(&trained), channels - 1).expect_err("short");
+        assert_eq!(status, 400);
+        assert!(body.contains("invalid_design"), "{body}");
+        assert!(check_channels(None, 1).is_ok());
     }
 
     /// `handle_predict` and `handle_whatif` report the prepared stack's

@@ -339,26 +339,17 @@ fn v1_surface_envelope_registry_and_f32_only_predicts() {
         }
     }
 
-    // A valid one-layer design feeds the three-layer model fewer
-    // channels than it was built for, and the forward panics. That
-    // drops the connection, not the worker: after more such requests
-    // than there are workers, the server still answers.
+    // A valid one-layer design gives fewer feature channels than the
+    // three-layer model was built for: a typed 400 naming both counts,
+    // answered before the forward runs, and the server still answers.
     let one_layer = r#"{"netlist":"V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_2000_0 1.0\nI1 n1_m1_2000_0 0 1m\n"}"#;
     for _ in 0..3 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let head = format!(
-            "POST /v1/predict HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-            one_layer.len()
-        );
-        stream.write_all(head.as_bytes()).expect("write head");
-        stream.write_all(one_layer.as_bytes()).expect("write body");
-        // A close or a reset: either way, no response.
-        let mut response = Vec::new();
-        let _ = stream.read_to_end(&mut response);
+        let (status, reply) = request(addr, "POST", "/v1/predict", one_layer);
+        assert_eq!(status, 400, "{reply}");
+        assert_eq!(envelope_code(&reply), "invalid_design", "{reply}");
         assert!(
-            response.is_empty(),
-            "{}",
-            String::from_utf8_lossy(&response)
+            reply.contains("7 feature channels") && reply.contains("built for 11"),
+            "{reply}"
         );
     }
     assert_eq!(request(addr, "GET", "/v1/healthz", "").0, 200);

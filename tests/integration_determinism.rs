@@ -153,13 +153,33 @@ fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// The fixed-seed IR-Fusion forward below, run at the commit before
-/// conv2d got its stride-1 kernel (every convolution through the
-/// general bounds-checked nest), hashed to `GOLDEN`. The kernel's
-/// contract is that no output bit moves, at any thread count.
-#[test]
-fn ir_fusion_forward_keeps_the_bits_of_the_general_conv_loop() {
-    const GOLDEN: u64 = 0xee5f_8c9e_edd3_770b;
+/// FNV-1a over the output words of one IR-Fusion forward of `x` at
+/// `threads` threads.
+fn ir_fusion_forward_hash(
+    model: &dyn irf_models::Model,
+    store: &ParamStore,
+    x: &Tensor,
+    threads: usize,
+) -> u64 {
+    with_threads(threads, || {
+        let mut tape = Tape::new();
+        let xn = tape.input(x.clone());
+        let y = model.forward(&mut tape, store, xn);
+        tape.value(y)
+            .data()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    })
+}
+
+/// An 11-channel IR-Fusion net (the served feature stack's width) and a
+/// fixed-seed `[n, 11, side, side]` input.
+fn ir_fusion_forward_case(
+    n: usize,
+    side: usize,
+) -> (Box<dyn irf_models::Model>, ParamStore, Tensor) {
     let (model, store) = irf_models::build_model(
         irf_models::ModelKind::IrFusion,
         irf_models::ModelConfig {
@@ -168,24 +188,36 @@ fn ir_fusion_forward_keeps_the_bits_of_the_general_conv_loop() {
         },
     );
     let mut rng = Xoshiro256pp::seed_from_u64(0xDE_17);
-    let data: Vec<f32> = (0..2 * 11 * 32 * 32)
+    let data: Vec<f32> = (0..n * 11 * side * side)
         .map(|_| rng.random_range(-1.0f32..1.0))
         .collect();
-    let x = Tensor::from_vec([2, 11, 32, 32], data);
+    (model, store, Tensor::from_vec([n, 11, side, side], data))
+}
+
+/// The fixed-seed IR-Fusion forward below, run at the commit before
+/// conv2d got its stride-1 kernel (every convolution through the
+/// general bounds-checked nest), hashed to `GOLDEN`. The kernel's
+/// contract is that no output bit moves, at any thread count.
+#[test]
+fn ir_fusion_forward_keeps_the_bits_of_the_general_conv_loop() {
+    const GOLDEN: u64 = 0xee5f_8c9e_edd3_770b;
+    let (model, store, x) = ir_fusion_forward_case(2, 32);
     for threads in [1, 2, 4, 8] {
-        let hash = with_threads(threads, || {
-            let mut tape = Tape::new();
-            let xn = tape.input(x.clone());
-            let y = model.forward(&mut tape, &store, xn);
-            // FNV-1a over the output words.
-            tape.value(y)
-                .data()
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-                    (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
-                })
-        });
+        let hash = ir_fusion_forward_hash(model.as_ref(), &store, &x, threads);
         assert_eq!(hash, GOLDEN, "{hash:#018x} at {threads} threads");
+    }
+}
+
+/// The same net at the served shape, one 64x64 sample, hashed at the
+/// commit before the forward ops became slice loops and the stride-1
+/// conv2d a padded-pitch accumulation. Neither may move a bit.
+#[test]
+fn ir_fusion_forward_keeps_the_bits_at_the_served_shape() {
+    const GOLDEN_64: u64 = 0xf2ab_60a1_c06c_3f5e;
+    let (model, store, x) = ir_fusion_forward_case(1, 64);
+    for threads in [1, 2, 4, 8] {
+        let hash = ir_fusion_forward_hash(model.as_ref(), &store, &x, threads);
+        assert_eq!(hash, GOLDEN_64, "{hash:#018x} at {threads} threads");
     }
 }
 
