@@ -70,18 +70,15 @@ pub fn bench_out(file: &str) -> std::path::PathBuf {
     dir.join(file)
 }
 
-/// Peak resident set size of the current process in bytes — `VmHWM`
-/// from `/proc/self/status` — or `None` off Linux or when procfs is
-/// unavailable. The kernel's high-water mark is monotone over the
-/// process lifetime, so a phase that should demonstrate a memory
+/// Peak resident set size of the current process in bytes — `VmHWM`,
+/// through [`irf_trace::resident_memory`] — or `None` off Linux or when
+/// procfs is unavailable. The kernel's high-water mark is monotone over
+/// the process lifetime, so a phase that should demonstrate a memory
 /// *bound* must be measured before any phase with a larger working
 /// set runs.
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
+    irf_trace::resident_memory().map(|m| m.peak_resident_bytes)
 }
 
 #[cfg(test)]

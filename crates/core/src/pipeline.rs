@@ -15,13 +15,15 @@ use irf_data::Design;
 use irf_features::{FeatureError, FeatureExtractor, FeatureStack};
 use irf_nn::{Tape, Tensor};
 use irf_pg::{GridMap, Load, PgStructure, PowerGrid, Rasterizer};
-use irf_sparse::{SolveReport, Solver, SolverSetup};
+use irf_sparse::{SolveReport, SolveSummary, Solver, SolverSetup};
 use irf_trace::timed;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A design prepared up to (but excluding) the golden label: feature
-/// stack, rough numerical map, and the solve report behind it.
+/// stack, rough numerical map, and the summary of the solve behind it
+/// (its scalars and residual history; the solution vector stays with
+/// the [`RoughSolution`]).
 ///
 /// This is the label-free unit of work the [`StageStore`] stores under
 /// [`crate::stages::Stage::Stack`] and the serving layer batches:
@@ -36,8 +38,8 @@ pub struct PreparedStack {
     pub features: FeatureStack,
     /// Rough bottom-layer drop map from the truncated solve (volts).
     pub rough: GridMap,
-    /// Report of the truncated solve.
-    pub solve_report: SolveReport,
+    /// Summary of the truncated solve.
+    pub solve_report: SolveSummary,
     /// Seconds spent in the truncated numerical solve.
     pub solve_seconds: f64,
     /// Seconds spent extracting features.
@@ -120,8 +122,8 @@ pub struct Analysis {
     pub rough_map: GridMap,
     /// The model-refined prediction, if a trained model was supplied.
     pub fused_map: Option<GridMap>,
-    /// Report of the truncated solve.
-    pub solve_report: SolveReport,
+    /// Summary of the truncated solve.
+    pub solve_report: SolveSummary,
     /// Total wall-clock seconds (solve + features + inference).
     pub runtime_seconds: f64,
 }
@@ -454,8 +456,7 @@ impl<'p> FeatureStackBuilder<'p> {
                     fingerprint: design_fingerprint(grid, &config),
                     features,
                     rough,
-                    solve_report: SolveReport {
-                        x: Vec::new(),
+                    solve_report: SolveSummary {
                         converged: false,
                         iterations: 0,
                         residual: f64::INFINITY,
@@ -718,7 +719,8 @@ impl IrFusionPipeline {
     }
 
     /// The warm-started [`crate::stages::Stage::Rough`] compute: the
-    /// truncated solve starts from the seed's solution vector and stops
+    /// truncated solve starts from the seed's solution vector (gathered
+    /// back out of its drops, [`RoughSolution::reduced_solution`]) and stops
     /// as soon as the relative residual matches the seed's final
     /// residual (never looser than the configured tolerance, never more
     /// iterations than the configured budget). Returns `None` when the
@@ -734,7 +736,7 @@ impl IrFusionPipeline {
         fingerprint: u64,
         seed: &RoughSolution,
     ) -> Option<RoughSolution> {
-        if seed.report.x.len() != structure.matrix.rows() {
+        if seed.node_of.len() != structure.dim() {
             return None;
         }
         let _span = irf_trace::span("rough_solve_warm");
@@ -744,11 +746,13 @@ impl IrFusionPipeline {
             seed.report.residual.max(setup.tolerance()),
             setup.max_iterations(),
         );
-        let report = relaxed.solve_with_guess(&structure.matrix, &rhs, seed.report.x.clone());
-        let drops = structure.expand_solution(&report.x);
+        let (x, report) = relaxed
+            .solve_with_guess(&structure.matrix, &rhs, seed.reduced_solution())
+            .into_parts();
         Some(RoughSolution {
             fingerprint,
-            drops,
+            drops: structure.expand_solution(&x),
+            node_of: Arc::clone(&structure.node_of),
             report,
             solve_seconds: t0.elapsed().as_secs_f64(),
         })
@@ -767,11 +771,11 @@ impl IrFusionPipeline {
         let _span = irf_trace::span("rough_solve");
         let t0 = Instant::now();
         let rhs = structure.rhs(&grid.loads);
-        let report = setup.solve(&structure.matrix, &rhs);
-        let drops = structure.expand_solution(&report.x);
+        let (x, report) = setup.solve(&structure.matrix, &rhs).into_parts();
         RoughSolution {
             fingerprint,
-            drops,
+            drops: structure.expand_solution(&x),
+            node_of: Arc::clone(&structure.node_of),
             report,
             solve_seconds: t0.elapsed().as_secs_f64(),
         }
@@ -1328,6 +1332,41 @@ mod tests {
             .expect("pads");
         assert_eq!(warm.rough.data(), fresh.rough.data());
         assert_eq!(warm.features.to_nchw().3, fresh.features.to_nchw().3);
+    }
+
+    #[test]
+    fn a_strap_edit_keeps_only_what_it_changed() {
+        use crate::stages::TopologyDelta;
+        let cache = Arc::new(StageStore::new(4));
+        let p = pipeline().with_cache(Arc::clone(&cache));
+        let base = p.session(Arc::new(grid()));
+        base.prepare().expect("pads");
+        let edit = p
+            .session(Arc::clone(base.grid()))
+            .with_topology_deltas(&[TopologyDelta::Strap {
+                layer: 1,
+                scale: 0.8,
+            }])
+            .expect("valid deltas");
+        edit.prepare().expect("pads");
+        let (base_plan, plan) = (base.stage_plan(), edit.stage_plan());
+        let base_structure = cache.peek_assembled(base_plan.assembled).expect("base");
+        let structure = cache.peek_assembled(plan.assembled).expect("edited");
+        let setup = cache.peek_solver_setup(plan.solver_setup).expect("setup");
+        // The edited setup's finest operator is the edited matrix itself.
+        let levels = setup.amg_hierarchy().expect("an AMG setup").levels();
+        assert!(Arc::ptr_eq(&levels[0].a, &structure.matrix));
+        // That matrix owns new values on the base's pattern, and the
+        // edited structure holds the base's node maps.
+        let (a, b) = (&structure.matrix, &base_structure.matrix);
+        assert!(!Arc::ptr_eq(a, b));
+        assert!(std::ptr::eq(a.row_ptr(), b.row_ptr()));
+        assert!(std::ptr::eq(a.col_idx(), b.col_idx()));
+        assert!(Arc::ptr_eq(&structure.index_of, &base_structure.index_of));
+        assert!(Arc::ptr_eq(&structure.node_of, &base_structure.node_of));
+        // The rough solution reads its vector through that same map.
+        let rough = edit.rough_solution().expect("pads");
+        assert!(Arc::ptr_eq(&rough.node_of, &structure.node_of));
     }
 
     #[test]

@@ -53,8 +53,9 @@
 
 use crate::config::FusionConfig;
 use irf_pg::{GridMap, Load, PowerGrid};
-use irf_sparse::SolveReport;
+use irf_sparse::SolveSummary;
 use irf_spice::Fnv1a;
+use std::sync::Arc;
 
 /// Identifies one stage of the analysis pipeline in the stage store
 /// and its metrics.
@@ -121,8 +122,13 @@ impl Stage {
     }
 }
 
-/// The truncated rough-solve artifact: per-node drops plus the solve
-/// report behind them.
+/// The truncated rough-solve artifact: per-node drops plus the
+/// summary of the solve behind them.
+///
+/// The solve's reduced vector is held once, in `drops`: expansion to
+/// node space is a pure copy, so `drops[node_of[row]]` is its
+/// `x[row]` bit for bit, and [`RoughSolution::reduced_solution`]
+/// reads it back for a warm start.
 #[derive(Debug, Clone)]
 pub struct RoughSolution {
     /// The [`Stage::Rough`] fingerprint this solution was computed
@@ -130,10 +136,23 @@ pub struct RoughSolution {
     pub fingerprint: u64,
     /// Per-node voltage drops (full node space, pads at zero).
     pub drops: Vec<f64>,
-    /// Report of the truncated solve.
-    pub report: SolveReport,
+    /// Reduced row -> node index of the system this was solved on: the
+    /// assembled structure's map, shared. Its length is the reduced
+    /// dimension a warm start checks.
+    pub node_of: Arc<[usize]>,
+    /// Summary of the truncated solve.
+    pub report: SolveSummary,
     /// Seconds spent in the solve (excluding reused setup).
     pub solve_seconds: f64,
+}
+
+impl RoughSolution {
+    /// The solve's reduced solution vector, gathered from `drops`
+    /// through `node_of`: bit for bit the vector the solve returned.
+    #[must_use]
+    pub fn reduced_solution(&self) -> Vec<f64> {
+        self.node_of.iter().map(|&node| self.drops[node]).collect()
+    }
 }
 
 /// A model prediction, tagged with the fingerprint of the stack it

@@ -578,8 +578,7 @@ mod tests {
             fingerprint: 0,
             features: irf_features::FeatureStack::default(),
             rough: irf_pg::GridMap::new(1, 1),
-            solve_report: irf_sparse::SolveReport {
-                x: Vec::new(),
+            solve_report: irf_sparse::SolveSummary {
                 converged: false,
                 iterations: 0,
                 residual: 0.0,
@@ -596,8 +595,8 @@ mod tests {
         StageArtifact::Rough(Arc::new(RoughSolution {
             fingerprint: fp,
             drops: Vec::new(),
-            report: irf_sparse::SolveReport {
-                x: Vec::new(),
+            node_of: Arc::from([]),
+            report: irf_sparse::SolveSummary {
                 converged: false,
                 iterations: 0,
                 residual: 0.0,
@@ -725,9 +724,9 @@ mod tests {
         assert!(store.peek_assembled(5).is_none());
         assert!(store.peek_solver_setup(5).is_none());
         let structure = Arc::new(irf_pg::PgStructure {
-            matrix: irf_sparse::CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)]),
-            index_of: vec![Some(0)],
-            node_of: vec![0],
+            matrix: Arc::new(irf_sparse::CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)])),
+            index_of: Arc::from([Some(0)]),
+            node_of: Arc::from([0]),
         });
         store.insert(Stage::Assembled, 5, StageArtifact::Assembled(structure));
         assert!(store.peek_assembled(5).is_some());

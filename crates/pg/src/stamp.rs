@@ -10,6 +10,7 @@
 use crate::error::ModelError;
 use crate::grid::{Load, PowerGrid};
 use irf_sparse::{CsrAssembler, CsrMatrix, PatternScatter};
+use std::sync::Arc;
 
 /// The MNA stamping walk, written once: hands `emit` every
 /// `(row, col, value)` contribution of `grid`'s segments to the
@@ -46,15 +47,22 @@ fn for_each_stamp(
 /// are folded into the diagonal of their neighbours, which keeps the
 /// system symmetric positive definite and strictly diagonally dominant
 /// at pad neighbours. Nothing here depends on the load currents.
+///
+/// Every part sits behind an `Arc`, so the artifacts built from a
+/// structure hold it instead of copying it: a solver setup keeps the
+/// matrix as its finest AMG level, and a re-stamped structure
+/// ([`PgStructure::restamped`]) shares the base's node maps and
+/// sparsity pattern, owning only its new values. Cloning one copies
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PgStructure {
     /// Reduced conductance matrix over non-pad nodes.
-    pub matrix: CsrMatrix,
+    pub matrix: Arc<CsrMatrix>,
     /// For each grid node index, its row in the reduced system
     /// (`None` for pads).
-    pub index_of: Vec<Option<usize>>,
+    pub index_of: Arc<[Option<usize>]>,
     /// Reduced row -> grid node index.
-    pub node_of: Vec<usize>,
+    pub node_of: Arc<[usize]>,
 }
 
 impl PgStructure {
@@ -117,9 +125,9 @@ impl PgStructure {
             span.attr("segments", grid.segments.len());
         }
         Ok(PgStructure {
-            matrix,
-            index_of,
-            node_of,
+            matrix: Arc::new(matrix),
+            index_of: index_of.into(),
+            node_of: node_of.into(),
         })
     }
 
@@ -144,14 +152,16 @@ impl PgStructure {
     /// zero — returns `None`, and the caller falls back to
     /// [`PgStructure::build`]. On `Some`, the result is bitwise
     /// identical to a cold build of `edited`: the same stamps, in the
-    /// same order, scatter-added straight into the base pattern.
+    /// same order, scatter-added straight into the base pattern. It
+    /// shares this structure's node maps and the matrix's sparsity
+    /// pattern; only the values are new.
     #[must_use]
     pub fn restamped(&self, edited: &PowerGrid) -> Option<PgStructure> {
         let n_nodes = self.index_of.len();
         if edited.nodes.len() != n_nodes {
             return None;
         }
-        for (node, idx) in edited.nodes.iter().zip(&self.index_of) {
+        for (node, idx) in edited.nodes.iter().zip(self.index_of.iter()) {
             if node.is_pad != idx.is_none() {
                 return None;
             }
@@ -175,9 +185,9 @@ impl PgStructure {
             span.attr("segments", edited.segments.len());
         }
         Some(PgStructure {
-            matrix,
-            index_of: self.index_of.clone(),
-            node_of: self.node_of.clone(),
+            matrix: Arc::new(matrix),
+            index_of: Arc::clone(&self.index_of),
+            node_of: Arc::clone(&self.node_of),
         })
     }
 
@@ -225,18 +235,18 @@ impl PgStructure {
 /// The reduced linear system `G d = I` of a power grid, expressed in
 /// IR-drop coordinates `d_i = Vdd - v_i`: a [`PgStructure`] plus the
 /// load-current right-hand side. Solving yields per-node IR drops
-/// directly.
+/// directly. The matrix and node maps are the structure's `Arc`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PgSystem {
     /// Reduced conductance matrix over non-pad nodes.
-    pub matrix: CsrMatrix,
+    pub matrix: Arc<CsrMatrix>,
     /// Load-current right-hand side (amperes).
     pub rhs: Vec<f64>,
     /// For each grid node index, its row in the reduced system
     /// (`None` for pads).
-    pub index_of: Vec<Option<usize>>,
+    pub index_of: Arc<[Option<usize>]>,
     /// Reduced row -> grid node index.
-    pub node_of: Vec<usize>,
+    pub node_of: Arc<[usize]>,
 }
 
 impl PgSystem {
@@ -389,6 +399,22 @@ I1 n3 0 1m
 
         // Identical grid restamps to an identical structure.
         assert_eq!(base.restamped(&base_grid).expect("identity"), base);
+    }
+
+    #[test]
+    fn restamped_shares_the_node_maps_and_the_pattern() {
+        let src = "V1 p 0 1.0\nR1 p a 1.0\nR2 a b 1.0\nI1 b 0 1m\n";
+        let grid = grid_from_spice_reader(src.as_bytes()).unwrap();
+        let base = PgStructure::build(&grid);
+        let mut edited = grid.clone();
+        edited.segments[1].ohms *= 2.0;
+        let fast = base.restamped(&edited).expect("same pattern");
+        assert!(Arc::ptr_eq(&fast.index_of, &base.index_of));
+        assert!(Arc::ptr_eq(&fast.node_of, &base.node_of));
+        let (a, b) = (&fast.matrix, &base.matrix);
+        assert!(std::ptr::eq(a.row_ptr(), b.row_ptr()));
+        assert!(std::ptr::eq(a.col_idx(), b.col_idx()));
+        assert_ne!(a.values(), b.values());
     }
 
     #[test]

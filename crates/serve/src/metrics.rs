@@ -136,6 +136,16 @@ impl ServerMetrics {
             "Stage-store events (hit/miss/coalesced/eviction) by pipeline stage.",
         );
         r.describe(
+            "irf_process_resident_bytes",
+            MetricKind::Gauge,
+            "Resident set size of the server process (VmRSS), read at scrape time.",
+        );
+        r.describe(
+            "irf_process_peak_resident_bytes",
+            MetricKind::Gauge,
+            "Peak resident set size of the server process (VmHWM), read at scrape time.",
+        );
+        r.describe(
             "irf_model_reloads_total",
             MetricKind::Counter,
             "Successful checkpoint reloads via POST /v1/models/{name}/reload.",
@@ -265,6 +275,26 @@ impl ServerMetrics {
         let r = self.registry;
         r.counter_add("irf_opt_iterations_total", &[], iterations as f64);
         r.counter_add("irf_opt_evaluations_total", &[], evaluations as f64);
+    }
+
+    /// Sets the process's resident and peak resident bytes from
+    /// `/proc/self/status`; the `/v1/metrics` handler calls it before
+    /// each render, so the two gauges are read at scrape time. Where
+    /// the file is absent the gauges are left out.
+    pub fn observe_process_memory(&self) {
+        if let Some(memory) = irf_trace::resident_memory() {
+            let r = self.registry;
+            r.gauge_set(
+                "irf_process_resident_bytes",
+                &[],
+                memory.resident_bytes as f64,
+            );
+            r.gauge_set(
+                "irf_process_peak_resident_bytes",
+                &[],
+                memory.peak_resident_bytes as f64,
+            );
+        }
     }
 
     /// Accumulates `seconds` of latency under a stage label
@@ -424,6 +454,30 @@ mod tests {
         let cache = StageStore::new(4);
         assert!(cache.get(Stage::Stack, 1).is_none());
         let problems = crate::promlint::lint(&m.render(&cache));
+        assert!(problems.is_empty(), "promlint: {problems:?}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn process_memory_gauges_are_read_at_scrape_time() {
+        let m = isolated();
+        let cache = StageStore::new(1);
+        assert!(!m.render(&cache).contains("irf_process_resident_bytes "));
+        m.observe_process_memory();
+        let text = m.render(&cache);
+        for name in [
+            "irf_process_resident_bytes",
+            "irf_process_peak_resident_bytes",
+        ] {
+            assert!(text.contains(&format!("# TYPE {name} gauge")), "{name}");
+            let value: f64 = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{name} has no sample"));
+            assert!(value > 0.0, "{name} = {value}");
+        }
+        let problems = crate::promlint::lint(&text);
         assert!(problems.is_empty(), "promlint: {problems:?}");
     }
 

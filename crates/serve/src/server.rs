@@ -474,12 +474,15 @@ fn route_request(
     };
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => ("healthz", 200, "text/plain", "ok\n".to_string()),
-        ("GET", "/metrics") => (
-            "metrics",
-            200,
-            "text/plain; version=0.0.4",
-            state.metrics.render(&state.cache),
-        ),
+        ("GET", "/metrics") => {
+            state.metrics.observe_process_memory();
+            (
+                "metrics",
+                200,
+                "text/plain; version=0.0.4",
+                state.metrics.render(&state.cache),
+            )
+        }
         ("GET", path) if path == "/debug/requests" || path.starts_with("/debug/requests/") => {
             let (status, body) = handle_debug_requests(path, state);
             ("debug", status, "application/json", body)

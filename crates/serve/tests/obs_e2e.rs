@@ -403,3 +403,40 @@ fn flight_recorder_stays_within_its_fixed_capacity() {
     assert_eq!(status, 200);
     server.wait();
 }
+
+/// `/v1/metrics` reads the process's resident and peak resident bytes
+/// at scrape time, after a predict has grown the heap.
+#[cfg(target_os = "linux")]
+#[test]
+fn metrics_carry_the_process_resident_memory() {
+    let server = modelless_server(4);
+    let addr = server.addr();
+    let (status, _, _) = request(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"spec":{"class":"fake","seed":3}}"#,
+    );
+    assert_eq!(status, 200);
+    let (status, _, metrics) = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200);
+    let gauge = |name: &str| -> f64 {
+        assert!(
+            metrics.contains(&format!("# TYPE {name} gauge")),
+            "{name} is not typed as a gauge"
+        );
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} has no sample"))
+    };
+    let resident = gauge("irf_process_resident_bytes");
+    let peak = gauge("irf_process_peak_resident_bytes");
+    assert!(resident > 0.0, "resident {resident}");
+    assert!(peak >= resident, "peak {peak} below resident {resident}");
+
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    server.wait();
+}

@@ -32,6 +32,7 @@ pub enum CycleKind {
 /// ```
 /// use irf_sparse::{TripletMatrix, pcg::pcg};
 /// use irf_sparse::amg::{AmgHierarchy, AmgParams, AmgPreconditioner, CycleKind};
+/// use std::sync::Arc;
 ///
 /// let n = 200;
 /// let mut t = TripletMatrix::new(n, n);
@@ -42,7 +43,7 @@ pub enum CycleKind {
 ///         t.push(i + 1, i, -1.0);
 ///     }
 /// }
-/// let a = t.to_csr();
+/// let a = Arc::new(t.to_csr());
 /// let h = AmgHierarchy::build(&a, AmgParams::default());
 /// let m = AmgPreconditioner::new(h, CycleKind::KCycle);
 /// let res = pcg(&a, &vec![1.0; n], &m, 1e-10, 100);
@@ -417,7 +418,7 @@ mod tests {
     #[test]
     fn vcycle_preconditioned_pcg_converges() {
         let a = laplacian_2d(24, 24);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         let m = AmgPreconditioner::new(h, CycleKind::VCycle);
         let b = vec![1.0; a.rows()];
         let res = pcg(&a, &b, &m, 1e-10, 100);
@@ -427,7 +428,7 @@ mod tests {
     #[test]
     fn kcycle_preconditioned_pcg_converges() {
         let a = laplacian_2d(24, 24);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         let m = AmgPreconditioner::new(h, CycleKind::KCycle);
         let b = vec![1.0; a.rows()];
         let res = pcg(&a, &b, &m, 1e-10, 100);
@@ -441,7 +442,7 @@ mod tests {
     fn amg_pcg_beats_jacobi_pcg_in_iterations() {
         let a = laplacian_2d(32, 32);
         let b = vec![1.0; a.rows()];
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         let amg = AmgPreconditioner::new(h, CycleKind::KCycle);
         let jac = crate::pcg::JacobiPreconditioner::new(&a);
         let res_amg = pcg(&a, &b, &amg, 1e-8, 500);
@@ -458,7 +459,7 @@ mod tests {
     #[test]
     fn single_cycle_reduces_error() {
         let a = laplacian_2d(16, 16);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         let m = AmgPreconditioner::new(h, CycleKind::VCycle);
         let x_true: Vec<f64> = (0..a.rows()).map(|i| ((i * 7) % 13) as f64).collect();
         let b = a.spmv(&x_true);

@@ -1,5 +1,6 @@
 //! AMG setup stage: the multilevel hierarchy of Galerkin operators.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::amg::aggregation::{bucket_rows, Aggregation, SetupWorkspace};
@@ -37,8 +38,9 @@ impl Default for AmgParams {
 /// maps it to the next coarser level (absent on the coarsest level).
 #[derive(Debug, Clone)]
 pub struct Level {
-    /// Galerkin operator on this level.
-    pub a: CsrMatrix,
+    /// Galerkin operator on this level. Level 0's is the caller's
+    /// matrix itself, shared, not a copy of it.
+    pub a: Arc<CsrMatrix>,
     /// Fine-to-coarse map toward the next level, if any.
     pub agg: Option<Aggregation>,
 }
@@ -201,23 +203,25 @@ impl AmgHierarchy {
     ///
     /// Recursively aggregates until the operator is small enough, then
     /// factors the coarsest operator with dense Cholesky so coarse
-    /// solves are exact.
+    /// solves are exact. The finest level holds `a` itself (one more
+    /// reference to the caller's matrix): only the coarse operators
+    /// are new allocations.
     ///
     /// # Panics
     ///
     /// Panics if `a` is not square, or if the coarsest operator is not
     /// positive definite (which indicates a non-SPD input).
     #[must_use]
-    pub fn build(a: &CsrMatrix, params: AmgParams) -> Self {
+    pub fn build(a: &Arc<CsrMatrix>, params: AmgParams) -> Self {
         Self::build_in(a, params, &mut SetupWorkspace::default())
     }
 
     /// [`AmgHierarchy::build`] on the caller's workspace, which
     /// afterwards says how long the pairings and the products took.
-    pub(crate) fn build_in(a: &CsrMatrix, params: AmgParams, ws: &mut SetupWorkspace) -> Self {
+    pub(crate) fn build_in(a: &Arc<CsrMatrix>, params: AmgParams, ws: &mut SetupWorkspace) -> Self {
         assert_eq!(a.rows(), a.cols(), "amg: matrix must be square");
         let mut levels = Vec::new();
-        let mut current = a.clone();
+        let mut current = Arc::clone(a);
         while current.rows() > params.coarse_limit && levels.len() + 1 < params.max_levels {
             let agg = ws.double_pairwise(&current, params.theta);
             if agg.n_coarse >= current.rows() {
@@ -228,7 +232,7 @@ impl AmgHierarchy {
                 a: current,
                 agg: Some(agg),
             });
-            current = coarse;
+            current = Arc::new(coarse);
         }
         let coarse_n = current.rows();
         let coarse_chol = dense_cholesky(&current);
@@ -372,16 +376,26 @@ mod tests {
     #[test]
     fn hierarchy_coarsens_to_limit() {
         let a = laplacian_2d(20, 20);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         assert!(h.num_levels() >= 2);
         let coarsest = &h.levels().last().unwrap().a;
         assert!(coarsest.rows() <= AmgParams::default().coarse_limit);
     }
 
     #[test]
+    fn the_finest_level_is_the_callers_matrix() {
+        let a = Arc::new(laplacian_2d(20, 20));
+        let h = AmgHierarchy::build(&a, AmgParams::default());
+        assert!(Arc::ptr_eq(&h.levels()[0].a, &a));
+        let setup = crate::Solver::new(crate::SolverKind::AmgPcg).prepare(&a);
+        let levels = setup.amg_hierarchy().expect("an AMG setup").levels();
+        assert!(Arc::ptr_eq(&levels[0].a, &a));
+    }
+
+    #[test]
     fn galerkin_preserves_symmetry() {
         let a = laplacian_2d(10, 10);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         for level in h.levels() {
             assert!(level.a.is_symmetric(1e-12));
         }
@@ -390,7 +404,7 @@ mod tests {
     #[test]
     fn operator_complexity_is_modest() {
         let a = laplacian_2d(24, 24);
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         assert!(h.operator_complexity() < 2.0, "{}", h.operator_complexity());
     }
 
@@ -412,7 +426,7 @@ mod tests {
     #[test]
     fn coarse_solve_is_exact() {
         let a = laplacian_2d(6, 6); // 36 <= coarse_limit: single level
-        let h = AmgHierarchy::build(&a, AmgParams::default());
+        let h = AmgHierarchy::build(&Arc::new(a.clone()), AmgParams::default());
         assert_eq!(h.num_levels(), 1);
         let x_true: Vec<f64> = (0..36).map(|i| (i % 7) as f64).collect();
         let b = a.spmv(&x_true);
@@ -429,7 +443,7 @@ mod tests {
 
         let a = laplacian_2d(20, 20);
         let solver = Solver::new(SolverKind::AmgPcg);
-        let base = solver.prepare(&a);
+        let base = solver.prepare(&Arc::new(a.clone()));
 
         // Same-pattern symmetric value edit: weaken a subset of the
         // couplings the way a strap-resistance edit does (the `r + c`
@@ -443,11 +457,11 @@ mod tests {
         }
         let edited = CsrMatrix::from_triplets(400, 400, &t);
 
-        let cold = AmgHierarchy::build(&edited, AmgParams::default());
+        let cold = AmgHierarchy::build(&Arc::new(edited.clone()), AmgParams::default());
         // Against its own base, and against an unrelated one.
-        let other = solver.prepare(&laplacian_2d(15, 15));
+        let other = solver.prepare(&Arc::new(laplacian_2d(15, 15)));
         for base in [&base, &other] {
-            let warm = solver.rebuild_from(base, &edited);
+            let warm = solver.rebuild_from(base, &Arc::new(edited.clone()));
             let warm = warm.amg_hierarchy().expect("an AMG setup");
             assert_eq!(warm.num_levels(), cold.num_levels());
             for (w, c) in warm.levels().iter().zip(cold.levels()) {

@@ -8,6 +8,7 @@
 //! the array where it happened.
 
 use irf_runtime::Xoshiro256pp;
+use std::sync::Arc;
 
 use super::aggregation::{Aggregation, SetupWorkspace};
 use super::hierarchy::{AmgHierarchy, AmgParams};
@@ -157,7 +158,7 @@ fn assert_parity(a: &CsrMatrix, params: AmgParams, spd: bool, what: &str) {
         let what = format!("{what}, theta {}, {threads} threads", params.theta);
         let want = descend(a, params, &what);
         if spd {
-            let built = AmgHierarchy::build(a, params);
+            let built = AmgHierarchy::build(&Arc::new(a.clone()), params);
             assert_eq!(built.num_levels(), want.len(), "{what}: levels");
             for (l, (got, (a, agg))) in built.levels().iter().zip(&want).enumerate() {
                 assert_same_matrix(&got.a, a, &format!("{what}: built level {l}"));
@@ -428,7 +429,7 @@ fn one_row_and_one_row_past_the_coarse_limit() {
         let a = laplacian([1, 1, n]);
         assert_parity(&a, AmgParams::default(), true, &format!("{n} rows"));
         assert_eq!(
-            AmgHierarchy::build(&a, AmgParams::default()).num_levels(),
+            AmgHierarchy::build(&Arc::new(a), AmgParams::default()).num_levels(),
             levels
         );
     }

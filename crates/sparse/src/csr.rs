@@ -1,5 +1,7 @@
 //! Compressed sparse row (CSR) matrix.
 
+use std::sync::Arc;
+
 use crate::builder::PatternScatter;
 
 /// Cuts `0..rows` into nnz-balanced chunks: each chunk accumulates at
@@ -68,6 +70,12 @@ fn write_rows<const W: usize>(acc: &[f64; W], b: Option<&[f64]>, at: usize, out:
 /// by modified nodal analysis. Column indices within each row are kept
 /// sorted and unique, which the solvers and the AMG setup rely on.
 ///
+/// The sparsity pattern (`row_ptr`, `col_idx` and the row chunks) sits
+/// behind `Arc`s: a matrix re-stamped into an existing pattern
+/// ([`CsrMatrix::from_triplets_with_pattern`], [`crate::PatternScatter`])
+/// owns only its values and shares the pattern with its base, and
+/// cloning a matrix copies only the values.
+///
 /// # Example
 ///
 /// ```
@@ -82,15 +90,15 @@ pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     /// Row pointers, length `rows + 1`.
-    row_ptr: Vec<usize>,
+    row_ptr: Arc<[usize]>,
     /// Column indices, sorted within each row.
-    col_idx: Vec<usize>,
+    col_idx: Arc<[usize]>,
     /// Non-zero values, parallel to `col_idx`.
     values: Vec<f64>,
     /// nnz-balanced row-chunk boundaries for the parallel kernels
     /// (`row_ptr` style), precomputed from the structure at
     /// construction.
-    row_chunks: Vec<usize>,
+    row_chunks: Arc<[usize]>,
 }
 
 impl CsrMatrix {
@@ -187,12 +195,12 @@ impl CsrMatrix {
         debug_assert_eq!(row_ptr.len(), rows + 1);
         debug_assert_eq!(row_ptr[rows], col_idx.len());
         debug_assert_eq!(col_idx.len(), values.len());
-        let row_chunks = nnz_balanced_chunks(rows, &row_ptr);
+        let row_chunks = nnz_balanced_chunks(rows, &row_ptr).into();
         CsrMatrix {
             rows,
             cols,
-            row_ptr,
-            col_idx,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
             values,
             row_chunks,
         }
@@ -226,7 +234,8 @@ impl CsrMatrix {
     }
 
     /// Wraps a fully accumulated `values` array (parallel to
-    /// `pattern`'s stored entries) in the pattern's structure. Shared
+    /// `pattern`'s stored entries) in the pattern's structure, which
+    /// the result shares with `pattern` rather than copies. Shared
     /// tail of the pattern-reuse assembly path
     /// ([`crate::PatternScatter`]).
     ///
@@ -242,21 +251,26 @@ impl CsrMatrix {
         Some(CsrMatrix {
             rows: pattern.rows,
             cols: pattern.cols,
-            row_ptr: pattern.row_ptr.clone(),
-            col_idx: pattern.col_idx.clone(),
+            row_ptr: Arc::clone(&pattern.row_ptr),
+            col_idx: Arc::clone(&pattern.col_idx),
             values,
-            row_chunks: pattern.row_chunks.clone(),
+            row_chunks: Arc::clone(&pattern.row_chunks),
         })
     }
 
     /// `true` when `other` has exactly this matrix's sparsity pattern
     /// (shape, row pointers and column indices) regardless of values.
+    /// Two matrices that share one pattern answer without a scan.
     #[must_use]
     pub fn same_pattern(&self, other: &CsrMatrix) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
+        if self.rows != other.rows || self.cols != other.cols {
+            return false;
+        }
+        if Arc::ptr_eq(&self.row_ptr, &other.row_ptr) && Arc::ptr_eq(&self.col_idx, &other.col_idx)
+        {
+            return true;
+        }
+        self.row_ptr == other.row_ptr && self.col_idx == other.col_idx
     }
 
     /// Builds an `n x n` identity matrix.
@@ -506,7 +520,7 @@ impl CsrMatrix {
     #[must_use]
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
+        for &c in self.col_idx.iter() {
             counts[c + 1] += 1;
         }
         for i in 0..self.cols {
@@ -529,7 +543,7 @@ impl CsrMatrix {
         row_ptr[0] = 0;
         // Rebuild the proper prefix array.
         let mut rp = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
+        for &c in self.col_idx.iter() {
             rp[c + 1] += 1;
         }
         for i in 0..self.cols {
@@ -613,6 +627,23 @@ mod tests {
         let reused = CsrMatrix::from_triplets_with_pattern(&base, &t2).expect("pattern matches");
         assert_eq!(fresh, reused);
         assert!(base.same_pattern(&reused));
+    }
+
+    #[test]
+    fn a_restamp_shares_its_base_pattern() {
+        let base = laplacian_1d(6);
+        let t: Vec<_> = base.iter().map(|(r, c, v)| (r, c, v * 2.0)).collect();
+        let restamped = CsrMatrix::from_triplets_with_pattern(&base, &t).expect("pattern matches");
+        assert!(Arc::ptr_eq(&restamped.row_ptr, &base.row_ptr));
+        assert!(Arc::ptr_eq(&restamped.col_idx, &base.col_idx));
+        assert!(Arc::ptr_eq(&restamped.row_chunks, &base.row_chunks));
+        assert!(base.same_pattern(&restamped));
+        // A fresh assembly of the same entries owns its pattern, equal
+        // in every bit to the shared one.
+        let fresh = CsrMatrix::from_triplets(6, 6, &t);
+        assert!(!Arc::ptr_eq(&fresh.col_idx, &base.col_idx));
+        assert!(base.same_pattern(&fresh));
+        assert_eq!(fresh, restamped);
     }
 
     #[test]
@@ -748,10 +779,10 @@ mod tests {
         CsrMatrix {
             rows,
             cols,
-            row_ptr,
-            col_idx,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
             values,
-            row_chunks,
+            row_chunks: row_chunks.into(),
         }
     }
 

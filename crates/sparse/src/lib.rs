@@ -57,5 +57,5 @@ pub use builder::{CsrAssembler, PatternScatter};
 pub use csr::CsrMatrix;
 pub use error::SolveError;
 pub use pcg::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner};
-pub use solver::{SolveReport, Solver, SolverKind, SolverSetup};
+pub use solver::{SolveReport, SolveSummary, Solver, SolverKind, SolverSetup};
 pub use triplet::TripletMatrix;

@@ -67,6 +67,41 @@ pub struct SolveReport {
     pub trace: ConvergenceTrace,
 }
 
+/// A [`SolveReport`] without its solution vector: what a caller keeps
+/// once it has moved the vector elsewhere (the rough-solve stage keeps
+/// it expanded to node space, and nothing else).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolveSummary {
+    /// See [`SolveReport::converged`].
+    pub converged: bool,
+    /// See [`SolveReport::iterations`].
+    pub iterations: usize,
+    /// See [`SolveReport::residual`].
+    pub residual: f64,
+    /// See [`SolveReport::setup_seconds`].
+    pub setup_seconds: f64,
+    /// See [`SolveReport::solve_seconds`].
+    pub solve_seconds: f64,
+    /// See [`SolveReport::trace`].
+    pub trace: ConvergenceTrace,
+}
+
+impl SolveReport {
+    /// Splits the report into its solution vector and everything else.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<f64>, SolveSummary) {
+        let summary = SolveSummary {
+            converged: self.converged,
+            iterations: self.iterations,
+            residual: self.residual,
+            setup_seconds: self.setup_seconds,
+            solve_seconds: self.solve_seconds,
+            trace: self.trace,
+        };
+        (self.x, summary)
+    }
+}
+
 /// Configurable entry point over all solver kinds.
 ///
 /// # Example
@@ -156,14 +191,17 @@ impl Solver {
     /// Internally routes through [`Solver::prepare`] followed by
     /// [`SolverSetup::solve_with_guess`], so a cold solve and a solve
     /// against a cached [`SolverSetup`] execute the exact same code and
-    /// produce bitwise-identical solutions.
+    /// produce bitwise-identical solutions. The setup needs a shared
+    /// matrix, so this wraps a copy of `a` once; callers that already
+    /// hold an `Arc` go through [`Solver::prepare`] and copy nothing.
     ///
     /// # Panics
     ///
     /// See [`Solver::solve`].
     #[must_use]
     pub fn solve_with_guess(&self, a: &CsrMatrix, b: &[f64], x0: Vec<f64>) -> SolveReport {
-        self.prepare(a).solve_with_guess(a, b, x0)
+        let a = Arc::new(a.clone());
+        self.prepare(&a).solve_with_guess(&a, b, x0)
     }
 
     /// Runs the setup phase only — AMG hierarchy construction (plus
@@ -172,7 +210,9 @@ impl Solver {
     /// that can serve any number of right-hand sides against the same
     /// matrix. This is the stage-graph `SolverSetup` artifact: for
     /// re-analyses where only the current vector changed, the handle is
-    /// cached and the hierarchy is reused verbatim.
+    /// cached and the hierarchy is reused verbatim. An AMG setup keeps
+    /// `a` as its finest operator by reference, so the handle holds no
+    /// copy of the matrix it was prepared against.
     ///
     /// Emits the `amg_setup` trace span and solver telemetry for the
     /// AMG kinds, exactly as the one-shot [`Solver::solve`] path does.
@@ -182,13 +222,13 @@ impl Solver {
     /// Panics if `A` is not square or (for factorizing kinds) not
     /// positive definite.
     #[must_use]
-    pub fn prepare(&self, a: &CsrMatrix) -> SolverSetup {
+    pub fn prepare(&self, a: &Arc<CsrMatrix>) -> SolverSetup {
         self.prepare_marked(a, false)
     }
 
     /// [`Solver::prepare`]; `rebuilt` marks the `amg_setup` span of a
     /// setup that replaces an earlier one.
-    fn prepare_marked(&self, a: &CsrMatrix, rebuilt: bool) -> SolverSetup {
+    fn prepare_marked(&self, a: &Arc<CsrMatrix>, rebuilt: bool) -> SolverSetup {
         let t0 = Instant::now();
         let inner = match self.kind {
             SolverKind::Cg => Prepared::Bare,
@@ -245,7 +285,7 @@ impl Solver {
     ///
     /// Same as [`Solver::prepare`].
     #[must_use]
-    pub fn rebuild_from(&self, base: &SolverSetup, a: &CsrMatrix) -> SolverSetup {
+    pub fn rebuild_from(&self, base: &SolverSetup, a: &Arc<CsrMatrix>) -> SolverSetup {
         self.prepare_marked(a, matches!(base.inner, Prepared::Amg(_)))
     }
 }
@@ -263,7 +303,11 @@ enum Prepared {
 /// A reusable, thread-safe solver handle produced by
 /// [`Solver::prepare`]: the setup artifacts (AMG hierarchy + smoother
 /// diagonals, factorizations, diagonals) bound to one matrix, ready to
-/// solve any number of right-hand sides without repeating setup.
+/// solve any number of right-hand sides without repeating setup. An
+/// AMG hierarchy's finest level is that matrix's `Arc`, shared with
+/// whoever assembled it, so the handle adds the coarse levels, the
+/// aggregations and the smoother diagonals, not a second fine
+/// operator.
 ///
 /// Cloning is cheap (the heavy state is behind `Arc`s), and the handle
 /// is `Send + Sync`, so it can live in a shared stage-artifact cache.
@@ -574,7 +618,7 @@ mod tests {
         let setup = Solver::new(SolverKind::AmgPcg)
             .with_tolerance(1e-12)
             .with_max_iterations(50)
-            .prepare(&a);
+            .prepare(&Arc::new(a.clone()));
         let loose = setup.with_stopping(1e-3, 7);
         assert_eq!(loose.tolerance(), 1e-3);
         assert_eq!(loose.max_iterations(), 7);
@@ -667,7 +711,7 @@ mod tests {
             let solver = Solver::new(kind)
                 .with_tolerance(1e-12)
                 .with_max_iterations(8);
-            let setup = solver.prepare(&a);
+            let setup = solver.prepare(&Arc::new(a.clone()));
             assert_eq!(setup.kind(), kind);
             assert_eq!(setup.dim(), a.rows());
             // Same prepared handle serves two different right-hand
@@ -708,9 +752,9 @@ mod tests {
             let solver = Solver::new(kind)
                 .with_tolerance(1e-12)
                 .with_max_iterations(8);
-            let base = solver.prepare(&a);
-            let warm = solver.rebuild_from(&base, &edited);
-            let cold = solver.prepare(&edited);
+            let base = solver.prepare(&Arc::new(a.clone()));
+            let warm = solver.rebuild_from(&base, &Arc::new(edited.clone()));
+            let cold = solver.prepare(&Arc::new(edited.clone()));
             let wx = warm.solve(&edited, &b);
             let cx = cold.solve(&edited, &b);
             assert_eq!(wx.x, cx.x, "{kind:?} rebuilt warm != cold");

@@ -5,7 +5,7 @@
 //! This is the process layer: everything here is called from more
 //! than one crate. The per-request layer of the inference server
 //! (request ids, access log, flight recorder, SLOs) lives in
-//! `irf-serve`. Four pieces live here:
+//! `irf-serve`. Five pieces live here:
 //!
 //! * [`mod@span`] — scoped spans recorded into a per-thread buffer. Spans
 //!   compile to a single relaxed atomic load when no [`Collector`] is
@@ -29,6 +29,8 @@
 //!   per-request cache and convergence counts into it.
 //! * [`timer`] — [`timed`], the stopwatch behind the paper's Table I /
 //!   Fig. 7 runtime columns.
+//! * [`memory`] — [`resident_memory`], the process's current and peak
+//!   resident set from `/proc/self/status`.
 //!
 //! # Tracing a region
 //!
@@ -57,12 +59,14 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod memory;
 pub mod profile;
 pub mod registry;
 pub mod request;
 pub mod span;
 pub mod timer;
 
+pub use memory::{resident_memory, ResidentMemory};
 pub use profile::{span_forest, SpanTree};
 pub use registry::{registry, MetricKind, MetricsRegistry};
 pub use request::{RequestScope, RequestStats};

@@ -515,6 +515,109 @@ fn warm_start_falls_back_to_cold_on_geometry_mismatch() {
     assert_eq!(warm.solve_report.iterations, cold.solve_report.iterations);
 }
 
+/// A seed from a grid with the same node list but one more pad has a
+/// reduced system one row smaller, while its per-node drops have the
+/// base's length: the seed is still ignored, and the tagged walk is the
+/// cold one bit for bit.
+#[test]
+fn warm_start_falls_back_to_cold_on_a_pad_set_mismatch() {
+    let config = FusionConfig::tiny();
+    let pipeline = IrFusionPipeline::new(config);
+    let base = Arc::new(grid(5));
+    let mut repadded = grid(5);
+    let node = repadded
+        .nodes
+        .iter()
+        .position(|n| !n.is_pad)
+        .expect("a non-pad node");
+    Arc::make_mut(&mut repadded.nodes)[node].is_pad = true;
+    let volts = repadded.pads[0].volts;
+    repadded.pads.push(irf_pg::Pad { node, volts });
+    let seed = pipeline
+        .session(Arc::new(repadded))
+        .rough_solution()
+        .expect("pads");
+    assert_eq!(seed.drops.len(), base.nodes.len());
+    let warm = pipeline
+        .session(Arc::clone(&base))
+        .with_rough_warm_start(seed)
+        .prepare()
+        .expect("pads");
+    let cold = pipeline.session(base).prepare().expect("pads");
+    assert_ne!(warm.fingerprint, cold.fingerprint, "keys must stay tagged");
+    assert_eq!(bits32(warm.rough.data()), bits32(cold.rough.data()));
+    assert_eq!(warm.solve_report.iterations, cold.solve_report.iterations);
+}
+
+/// FNV-1a over the drop bits of each rough solution, then its
+/// iteration count.
+fn rough_hash(roughs: &[&ir_fusion::RoughSolution]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for rough in roughs {
+        for d in &rough.drops {
+            eat(d.to_bits());
+        }
+        eat(rough.report.iterations as u64);
+    }
+    h
+}
+
+/// The warm-started rough solutions of a current edit and of a strap
+/// edit, pinned as one hash of their drop bits and iteration counts: a
+/// change to how the warm start rebuilds its initial guess from the
+/// seed must not move a bit.
+#[test]
+fn warm_started_rough_solutions_keep_their_pinned_bits() {
+    use ir_fusion::TopologyDelta;
+    let config = FusionConfig::tiny();
+    let store = Arc::new(roomy_store());
+    let pipeline = IrFusionPipeline::new(config).with_cache(store);
+    let base = Arc::new(grid(5));
+    let seed = pipeline
+        .session(Arc::clone(&base))
+        .rough_solution()
+        .expect("pads");
+    let strap_layer = base
+        .segments
+        .iter()
+        .find_map(|s| {
+            let (a, b) = (base.nodes[s.a].layer, base.nodes[s.b].layer);
+            (a == b).then_some(a)
+        })
+        .expect("synth grid has straps");
+    let current = pipeline
+        .session(Arc::clone(&base))
+        .with_current_deltas(&[(base.loads[0].node, 1.25e-3), (base.loads[3].node, -2e-4)])
+        .with_rough_warm_start(Arc::clone(&seed))
+        .rough_solution()
+        .expect("pads");
+    let strap = pipeline
+        .session(base)
+        .with_topology_deltas(&[TopologyDelta::Strap {
+            layer: strap_layer,
+            scale: 0.9,
+        }])
+        .expect("valid deltas")
+        .with_rough_warm_start(seed)
+        .rough_solution()
+        .expect("pads");
+    assert_eq!(
+        rough_hash(&[&current, &strap]),
+        WARM_ROUGH_GOLDEN,
+        "warm-started rough bits moved"
+    );
+}
+
+/// [`warm_started_rough_solutions_keep_their_pinned_bits`]' hash,
+/// taken when the seed still carried its reduced solution vector.
+const WARM_ROUGH_GOLDEN: u64 = 0x92af_de11_7373_29c8;
+
 /// A store no test below fills: one shard, so nothing is evicted
 /// before its sixteenth artifact of a stage (a sharded store evicts
 /// per shard, well before its nominal capacity).
