@@ -44,6 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod decode;
+mod handlers;
 pub mod http;
 pub mod json;
 pub mod log;
@@ -52,6 +54,7 @@ pub mod metrics;
 mod promlint;
 pub mod recorder;
 pub mod registry;
+mod render;
 pub mod server;
 
 pub use json::Json;
