@@ -190,18 +190,18 @@ impl From<FeatureError> for StreamPrepareError {
 /// they need no base hints — the warm artifacts are found under the
 /// *same* keys. Topology deltas (strap/via/segment resistance edits)
 /// change the assembled, solver-setup and resistance keys; the plan
-/// remembers the grid and the three keys those artifacts lived under
+/// remembers the grid and the keys those artifacts lived under
 /// *before the first topology edit* so [`IrFusionPipeline`] can
 /// re-stamp the edited conductances into the base CSR
-/// ([`PgStructure::restamped`]), re-run the AMG setup on the re-stamped
-/// matrix ([`irf_sparse::Solver::rebuild_from`], a cold setup whose
-/// span says `rebuilt`) and refresh the
-/// per-pad shortest-path distances from the base's
+/// ([`PgStructure::restamped`]) and refresh the per-pad shortest-path
+/// distances from the base's
 /// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
-/// computing any of the three from scratch. Chained topology edits
-/// keep the original base hints: the base is the last design that went
-/// through a full (or cached) assembly, and a chain's diff against it
-/// is the union of its edits.
+/// computing either from scratch. The AMG setup of the re-stamped
+/// matrix is always cold: its aggregation depends on the edited
+/// values, so nothing of the base hierarchy carries over. Chained
+/// topology edits keep the original base hints: the base is the last
+/// design that went through a full (or cached) assembly, and a
+/// chain's diff against it is the union of its edits.
 #[derive(Debug, Clone, Default)]
 pub struct EditPlan {
     current_deltas: Vec<(usize, f64)>,
@@ -229,13 +229,6 @@ impl EditPlan {
     #[must_use]
     pub fn base_assembled(&self) -> Option<u64> {
         self.base.as_ref().map(|(_, plan)| plan.assembled)
-    }
-
-    /// The [`crate::stages::Stage::SolverSetup`] key of the pre-edit
-    /// base, once a topology delta has been recorded.
-    #[must_use]
-    pub fn base_solver_setup(&self) -> Option<u64> {
-        self.base.as_ref().map(|(_, plan)| plan.solver_setup)
     }
 
     /// The [`crate::stages::Stage::Resistance`] key of the pre-edit
@@ -574,22 +567,20 @@ impl IrFusionPipeline {
     /// upstream artifact through `store` when attached. Pads must have
     /// been checked by the caller.
     ///
-    /// On an [`crate::stages::Stage::Assembled`],
-    /// [`crate::stages::Stage::SolverSetup`] or
+    /// On an [`crate::stages::Stage::Assembled`] or
     /// [`crate::stages::Stage::Resistance`] miss with base hints in
     /// `edit`, the compute closure first tries the incremental route —
     /// re-stamping the edited conductances into the warm base CSR
-    /// ([`PgStructure::restamped`]), re-running the AMG setup on the
-    /// re-stamped matrix ([`irf_sparse::Solver::rebuild_from`], which
-    /// takes nothing from the base but the `rebuilt` mark on its
-    /// span), refreshing the per-pad
+    /// ([`PgStructure::restamped`]), refreshing the per-pad
     /// shortest-path distances from the warm base maps
     /// ([`FeatureExtractor::resistance_maps_from_base`]) — and falls
     /// back to the cold build when the base is gone or structurally
-    /// incompatible. All three incremental routes are bitwise identical
-    /// to their cold counterparts, so the determinism contract is
-    /// unaffected. The refreshed maps keep no distance arrays: those
-    /// stay with the base, which every later edit of it refreshes from.
+    /// incompatible. A [`crate::stages::Stage::SolverSetup`] miss runs
+    /// a cold setup of the (re-stamped) matrix. Both incremental routes
+    /// are bitwise identical to their cold counterparts, so the
+    /// determinism contract is unaffected. The refreshed maps keep no
+    /// distance arrays: those stay with the base, which every later
+    /// edit of it refreshes from.
     fn build_stack(
         &self,
         config: &FusionConfig,
@@ -688,16 +679,7 @@ impl IrFusionPipeline {
             Some(s) => s.assembled(plan.assembled, assemble),
             None => assemble(),
         };
-        let prepare = || {
-            if let (Some(s), Some(base_key)) = (store, edit.and_then(EditPlan::base_solver_setup)) {
-                if base_key != plan.solver_setup {
-                    if let Some(base) = s.peek_solver_setup(base_key) {
-                        return Arc::new(self.solver().rebuild_from(&base, &structure.matrix));
-                    }
-                }
-            }
-            Arc::new(self.solver().prepare(&structure.matrix))
-        };
+        let prepare = || Arc::new(self.solver().prepare(&structure.matrix));
         let setup = match store {
             Some(s) => s.solver_setup(plan.solver_setup, prepare),
             None => prepare(),
@@ -1352,7 +1334,7 @@ mod tests {
         let (base_plan, plan) = (base.stage_plan(), edit.stage_plan());
         let base_structure = cache.peek_assembled(base_plan.assembled).expect("base");
         let structure = cache.peek_assembled(plan.assembled).expect("edited");
-        let setup = cache.peek_solver_setup(plan.solver_setup).expect("setup");
+        let setup = cache.solver_setup(plan.solver_setup, || unreachable!("prepared above"));
         // The edited setup's finest operator is the edited matrix itself.
         let levels = setup.amg_hierarchy().expect("an AMG setup").levels();
         assert!(Arc::ptr_eq(&levels[0].a, &structure.matrix));
@@ -1433,11 +1415,6 @@ mod tests {
             let plan = session.edit_plan();
             let base_plan = StagePlan::for_design(&base, p.config());
             assert_eq!(plan.base_assembled(), Some(base_plan.assembled), "{label}");
-            assert_eq!(
-                plan.base_solver_setup(),
-                Some(base_plan.solver_setup),
-                "{label}"
-            );
             assert_eq!(
                 plan.base_resistance(),
                 Some(base_plan.resistance),

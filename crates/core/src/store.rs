@@ -437,16 +437,6 @@ impl StageStore {
         }
     }
 
-    /// Non-counting probe for a warm [`Stage::SolverSetup`] artifact;
-    /// see [`StageStore::peek_assembled`].
-    #[must_use]
-    pub fn peek_solver_setup(&self, key: u64) -> Option<Arc<SolverSetup>> {
-        match self.peek(Stage::SolverSetup, key) {
-            Some(StageArtifact::Setup(v)) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Non-counting probe for a warm [`Stage::Resistance`] artifact —
     /// the base maps a topology edit refreshes its shortest-path
     /// distances from; see [`StageStore::peek_assembled`].
@@ -722,7 +712,7 @@ mod tests {
     fn peeks_find_artifacts_without_touching_the_counters() {
         let store = StageStore::new(4);
         assert!(store.peek_assembled(5).is_none());
-        assert!(store.peek_solver_setup(5).is_none());
+        assert!(store.peek_resistance(5).is_none());
         let structure = Arc::new(irf_pg::PgStructure {
             matrix: Arc::new(irf_sparse::CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)])),
             index_of: Arc::from([Some(0)]),
@@ -731,7 +721,7 @@ mod tests {
         store.insert(Stage::Assembled, 5, StageArtifact::Assembled(structure));
         assert!(store.peek_assembled(5).is_some());
         // Wrong-stage key: a peek never cross-reads another stage.
-        assert!(store.peek_solver_setup(5).is_none());
+        assert!(store.peek_resistance(5).is_none());
         assert_eq!(store.hits(), 0, "peeks must not count as hits");
         assert_eq!(store.misses(), 0, "peeks must not count as misses");
     }

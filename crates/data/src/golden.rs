@@ -1,6 +1,6 @@
 //! Golden labelling via the exact direct solver.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer};
+use irf_pg::PowerGrid;
 use irf_sparse::cholesky::CholeskyFactor;
 
 /// Exact per-node IR drops from a sparse Cholesky solve — the golden
@@ -18,14 +18,6 @@ pub fn golden_drops(grid: &PowerGrid) -> Vec<f64> {
         .expect("reduced PG system must be SPD; is the grid connected to pads?");
     let reduced = factor.solve(&system.rhs);
     system.expand_solution(&reduced)
-}
-
-/// The golden bottom-layer IR-drop map — the label `y` of the paper's
-/// problem formulation.
-#[must_use]
-pub fn golden_label(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    let drops = golden_drops(grid);
-    irf_features::solution::bottom_layer_solution_map(grid, &drops, raster)
 }
 
 #[cfg(test)]
@@ -50,15 +42,6 @@ mod tests {
         for p in &g.pads {
             assert_eq!(drops[p.node], 0.0);
         }
-    }
-
-    #[test]
-    fn label_map_has_hotspots() {
-        let g = synthesize(&SynthSpec::default());
-        let raster = Rasterizer::new(g.bounding_box(), 16, 16);
-        let label = golden_label(&g, &raster);
-        assert!(label.max() > 0.0);
-        assert!(label.min() >= 0.0);
     }
 
     #[test]

@@ -18,14 +18,11 @@
 //! - [`curriculum`] implements the predefined easy-to-hard curriculum
 //!   scheduler;
 //! - [`dataset::Dataset`] ties it together with the contest-style
-//!   train/test split;
-//! - [`csv`] loads the contest's own image-based CSV data when the
-//!   real dataset is available.
+//!   train/test split.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod augment;
-pub mod csv;
 pub mod curriculum;
 pub mod dataset;
 pub mod export;

@@ -7,16 +7,10 @@
 //! is distributed over layers in proportion to the layer's share of
 //! segment conductance inside the load's tile.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
+use irf_pg::{GridMap, PowerGrid, TileTable};
 
 /// The total current map over all layers (the classic IREDGe-style
-/// current image): load currents summed per tile.
-#[must_use]
-pub fn total_current_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    total_current_map_tiled(grid, &TileTable::with_raster(grid, *raster))
-}
-
-/// [`total_current_map`] through the tile table of `grid`.
+/// current image): load currents summed per tile of `tiles`.
 ///
 /// # Panics
 ///
@@ -122,7 +116,7 @@ pub fn layer_current_maps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_pg::grid_from_spice_reader;
+    use irf_pg::{grid_from_spice_reader, Rasterizer};
 
     fn grid() -> PowerGrid {
         let src = "\
@@ -181,7 +175,7 @@ I1 n1_m1_1000_0 0 2m
     fn total_map_sums_loads() {
         let g = grid();
         let raster = Rasterizer::new(g.bounding_box(), 1, 1);
-        let m = total_current_map(&g, &raster);
+        let m = total_current_map_tiled(&g, &TileTable::with_raster(&g, raster));
         assert!((m.get(0, 0) - 2e-3).abs() < 1e-9);
     }
 

@@ -1,6 +1,6 @@
 //! PDN density map.
 
-use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
+use irf_pg::{GridMap, TileTable};
 
 /// The PDN density map: how much power-grid structure each tile
 /// contains. The paper derives it "from the average PDN pitch within
@@ -8,12 +8,8 @@ use irf_pg::{GridMap, PowerGrid, Rasterizer, TileTable};
 /// count grid nodes per tile (every stripe crossing and via landing
 /// contributes a node), normalized by the densest tile so the map is
 /// in `[0, 1]`.
-#[must_use]
-pub fn pdn_density_map(grid: &PowerGrid, raster: &Rasterizer) -> GridMap {
-    pdn_density_map_tiled(&TileTable::with_raster(grid, *raster))
-}
-
-/// [`pdn_density_map`] of the design `tiles` was built from.
+///
+/// The map is that of the design `tiles` was built from.
 #[must_use]
 pub fn pdn_density_map_tiled(tiles: &TileTable) -> GridMap {
     let raster = tiles.raster();
@@ -28,7 +24,7 @@ pub fn pdn_density_map_tiled(tiles: &TileTable) -> GridMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irf_pg::grid_from_spice_reader;
+    use irf_pg::{grid_from_spice_reader, PowerGrid, Rasterizer};
 
     fn grid() -> PowerGrid {
         let src = "\
@@ -46,7 +42,7 @@ I1 n1_m1_1000_0 0 1m
     fn density_is_normalized() {
         let g = grid();
         let raster = Rasterizer::new(g.bounding_box(), 4, 1);
-        let m = pdn_density_map(&g, &raster);
+        let m = pdn_density_map_tiled(&TileTable::with_raster(&g, raster));
         assert!((m.max() - 1.0).abs() < 1e-6);
         assert!(m.min() >= 0.0);
     }
@@ -55,7 +51,7 @@ I1 n1_m1_1000_0 0 1m
     fn denser_tiles_score_higher() {
         let g = grid();
         let raster = Rasterizer::new(g.bounding_box(), 4, 1);
-        let m = pdn_density_map(&g, &raster);
+        let m = pdn_density_map_tiled(&TileTable::with_raster(&g, raster));
         // Tile 0 holds 4 nodes (0, 100, 200 + the pad node), tile 3 one.
         assert!(m.get(0, 0) > m.get(3, 0));
     }

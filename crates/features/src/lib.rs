@@ -8,7 +8,7 @@
 //! - **hierarchical structure features** — per-layer current maps
 //!   ([`current::layer_current_maps`]), the effective distance to the
 //!   pads ([`distance::effective_distance_map`]), the PDN density map
-//!   ([`density::pdn_density_map`]), the resistance map
+//!   ([`density::pdn_density_map_tiled`]), the resistance map
 //!   ([`resistance::resistance_map`]) and the shortest-path resistance
 //!   map ([`shortest_path::shortest_path_resistance_map`]).
 //!

@@ -29,27 +29,17 @@ impl Conv2d {
         stride: usize,
         seed: u64,
     ) -> Self {
-        Conv2d::with_padding(store, name, cin, cout, k, stride, k / 2, seed)
-    }
-
-    /// Registers a convolution with explicit padding.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_padding(
-        store: &mut ParamStore,
-        name: &str,
-        cin: usize,
-        cout: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        seed: u64,
-    ) -> Self {
         let w = store.register(
             format!("{name}.w"),
             kaiming_uniform([cout, cin, k, k], seed),
         );
         let b = store.register(format!("{name}.b"), Tensor::zeros([1, cout, 1, 1]));
-        Conv2d { w, b, stride, pad }
+        Conv2d {
+            w,
+            b,
+            stride,
+            pad: k / 2,
+        }
     }
 
     /// Records the convolution onto the tape.

@@ -31,10 +31,6 @@ enum Op {
     Relu {
         x: NodeId,
     },
-    LeakyRelu {
-        x: NodeId,
-        slope: f32,
-    },
     Sigmoid {
         x: NodeId,
     },
@@ -254,20 +250,6 @@ impl Tape {
         );
         let needs = self.ng(x);
         self.push(Op::Relu { x }, value, needs)
-    }
-
-    /// Leaky ReLU with the given negative slope.
-    pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let value = Tensor::from_vec(
-            self.value(x).shape(),
-            self.value(x)
-                .data()
-                .iter()
-                .map(|&v| if v > 0.0 { v } else { slope * v })
-                .collect(),
-        );
-        let needs = self.ng(x);
-        self.push(Op::LeakyRelu { x, slope }, value, needs)
     }
 
     /// Logistic sigmoid.
@@ -725,18 +707,6 @@ impl Tape {
                         .iter()
                         .zip(grad.data())
                         .map(|(&xv, &g)| if xv > 0.0 { g } else { 0.0 })
-                        .collect(),
-                );
-                self.add_grad(x, dx);
-            }
-            Op::LeakyRelu { x, slope } => {
-                let dx = Tensor::from_vec(
-                    grad.shape(),
-                    self.value(x)
-                        .data()
-                        .iter()
-                        .zip(grad.data())
-                        .map(|(&xv, &g)| if xv > 0.0 { g } else { slope * g })
                         .collect(),
                 );
                 self.add_grad(x, dx);
@@ -2249,11 +2219,6 @@ mod tests {
     fn relu_and_sigmoid_gradcheck() {
         numeric_grad_check(seeded_input([1, 1, 3, 3]), |t, x| t.relu(x), 1e-2);
         numeric_grad_check(seeded_input([1, 1, 3, 3]), |t, x| t.sigmoid(x), 1e-2);
-        numeric_grad_check(
-            seeded_input([1, 1, 3, 3]),
-            |t, x| t.leaky_relu(x, 0.1),
-            1e-2,
-        );
     }
 
     #[test]

@@ -128,24 +128,6 @@ impl Tensor {
         self.data[o] = v;
     }
 
-    /// Reshapes without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count changes.
-    #[must_use]
-    pub fn reshape(self, shape: [usize; 4]) -> Tensor {
-        assert_eq!(
-            self.numel(),
-            shape.iter().product::<usize>(),
-            "reshape must preserve element count"
-        );
-        Tensor {
-            shape,
-            data: self.data,
-        }
-    }
-
     /// Mean of all elements (`0.0` for empty tensors).
     #[must_use]
     pub fn mean(&self) -> f32 {
@@ -298,19 +280,6 @@ mod tests {
     fn out_of_bounds_panics() {
         let t = Tensor::zeros([1, 1, 2, 2]);
         let _ = t.at(0, 0, 2, 0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let r = t.reshape([1, 4, 1, 1]);
-        assert_eq!(r.at(0, 3, 0, 0), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "preserve element count")]
-    fn bad_reshape_panics() {
-        let _ = Tensor::zeros([1, 1, 2, 2]).reshape([1, 1, 3, 3]);
     }
 
     #[test]

@@ -32,52 +32,23 @@ pub struct Candidate {
     pub predicted_delta: f64,
 }
 
-/// Tuning knobs for [`CandidateGenerator`].
-#[derive(Debug, Clone)]
-pub struct GeneratorConfig {
-    /// Resistance scales tried for whole-layer strap widening
-    /// (each `< 1`; `0.5` doubles strap width).
-    pub strap_scales: Vec<f64>,
-    /// Resistance scale for via-ladder candidates (`0.5` doubles the
-    /// cut count between a layer pair).
-    pub via_scale: f64,
-    /// Resistance scale for single-segment upsizing.
-    pub segment_scale: f64,
-    /// How many of the highest-voltage segments get individual
-    /// upsizing candidates.
-    pub max_segment_candidates: usize,
-}
-
-impl Default for GeneratorConfig {
-    fn default() -> Self {
-        GeneratorConfig {
-            strap_scales: vec![0.5, 0.7],
-            via_scale: 0.5,
-            segment_scale: 0.5,
-            max_segment_candidates: 4,
-        }
-    }
-}
+/// Resistance scales tried for whole-layer strap widening (`0.5`
+/// doubles strap width).
+const STRAP_SCALES: [f64; 2] = [0.5, 0.7];
+/// Resistance scale for via-ladder candidates (`0.5` doubles the cut
+/// count between a layer pair).
+const VIA_SCALE: f64 = 0.5;
+/// Resistance scale for single-segment upsizing.
+const SEGMENT_SCALE: f64 = 0.5;
+/// How many of the highest-voltage segments get individual upsizing
+/// candidates.
+const MAX_SEGMENT_CANDIDATES: usize = 4;
 
 /// Deterministic candidate generator over a parsed [`PowerGrid`].
-#[derive(Debug, Clone, Default)]
-pub struct CandidateGenerator {
-    config: GeneratorConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CandidateGenerator;
 
 impl CandidateGenerator {
-    /// A generator with the given tuning knobs.
-    #[must_use]
-    pub fn new(config: GeneratorConfig) -> Self {
-        CandidateGenerator { config }
-    }
-
-    /// The generator's configuration.
-    #[must_use]
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
     /// Emits candidates for `grid` given the base analysis's per-node
     /// voltage drops (full node space, as in
     /// [`ir_fusion::RoughSolution::drops`]), each priced under `cost`.
@@ -116,7 +87,7 @@ impl CandidateGenerator {
         }
         layers.sort_unstable_by_key(|(l, _)| *l);
         for &(layer, worst) in &layers {
-            for &scale in &self.config.strap_scales {
+            for scale in STRAP_SCALES {
                 let delta = TopologyDelta::Strap { layer, scale };
                 out.push(Candidate {
                     label: format!("strap:m{layer}@{scale}"),
@@ -142,18 +113,17 @@ impl CandidateGenerator {
             }
         }
         pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        let via_scale = self.config.via_scale;
         for &(lower, upper, worst) in &pairs {
             let delta = TopologyDelta::Via {
                 lower,
                 upper,
-                scale: via_scale,
+                scale: VIA_SCALE,
             };
             out.push(Candidate {
-                label: format!("via:m{lower}-m{upper}@{via_scale}"),
+                label: format!("via:m{lower}-m{upper}@{VIA_SCALE}"),
                 cost: cost.delta_cost(grid, &delta),
                 deltas: vec![delta],
-                predicted_delta: (1.0 - via_scale) * worst,
+                predicted_delta: (1.0 - VIA_SCALE) * worst,
             });
         }
 
@@ -161,18 +131,17 @@ impl CandidateGenerator {
         // segments by recoverable voltage (ties break on lower index).
         let mut ranked: Vec<usize> = (0..grid.segments.len()).collect();
         ranked.sort_by(|&a, &b| volts[b].total_cmp(&volts[a]).then(a.cmp(&b)));
-        let seg_scale = self.config.segment_scale;
-        for &i in ranked.iter().take(self.config.max_segment_candidates) {
+        for &i in ranked.iter().take(MAX_SEGMENT_CANDIDATES) {
             if volts[i] <= 0.0 {
                 break;
             }
-            let ohms = grid.segments[i].ohms * seg_scale;
+            let ohms = grid.segments[i].ohms * SEGMENT_SCALE;
             let delta = TopologyDelta::Segment { segment: i, ohms };
             out.push(Candidate {
-                label: format!("seg:{i}@{seg_scale}"),
+                label: format!("seg:{i}@{SEGMENT_SCALE}"),
                 cost: cost.delta_cost(grid, &delta),
                 deltas: vec![delta],
-                predicted_delta: (1.0 - seg_scale) * volts[i],
+                predicted_delta: (1.0 - SEGMENT_SCALE) * volts[i],
             });
         }
 

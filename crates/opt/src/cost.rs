@@ -8,84 +8,35 @@
 use ir_fusion::TopologyDelta;
 use irf_pg::PowerGrid;
 
-/// Configurable per-layer metal cost model.
+/// Cost weight of a unit of wire on any metal layer.
+const LAYER_WEIGHT: f64 = 1.0;
+/// Cost weight of one via cut.
+const VIA_WEIGHT: f64 = 1.0;
+/// Database units to cost units for wire length.
+const LENGTH_SCALE: f64 = 1e-3;
+
+/// The metal cost model.
 ///
 /// The model prices a [`TopologyDelta`] by the extra conductance it
 /// buys: scaling a segment's resistance by `s < 1` means widening the
 /// wire (or adding parallel via cuts) by a factor `1/s`, i.e. spending
 /// `1/s - 1` extra units of metal per unit of wire already there.
-/// Strap and segment edits are weighted by Manhattan wire length and a
-/// per-layer weight (upper layers are usually scarcer); via edits by a
-/// flat per-cut weight. Narrowing (`s >= 1`) is free — the model
-/// prices resource *spent*, not saved.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    layer_weights: Vec<(u32, f64)>,
-    default_weight: f64,
-    via_weight: f64,
-    length_scale: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            layer_weights: Vec::new(),
-            default_weight: 1.0,
-            via_weight: 1.0,
-            length_scale: 1e-3,
-        }
-    }
-}
+/// Strap and segment edits are weighted by Manhattan wire length (one
+/// cost unit per 1000 database units, every layer weighted alike); via
+/// edits by a flat weight per cut. Narrowing (`s >= 1`) is free — the
+/// model prices resource *spent*, not saved.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel;
 
 impl CostModel {
-    /// Overrides the cost weight of one metal layer (higher = scarcer).
-    #[must_use]
-    pub fn with_layer_weight(mut self, layer: u32, weight: f64) -> Self {
-        match self.layer_weights.iter_mut().find(|(l, _)| *l == layer) {
-            Some(entry) => entry.1 = weight,
-            None => self.layer_weights.push((layer, weight)),
-        }
-        self
-    }
-
-    /// Sets the weight used for layers without an explicit override.
-    #[must_use]
-    pub fn with_default_weight(mut self, weight: f64) -> Self {
-        self.default_weight = weight;
-        self
-    }
-
-    /// Sets the flat per-via-cut weight.
-    #[must_use]
-    pub fn with_via_weight(mut self, weight: f64) -> Self {
-        self.via_weight = weight;
-        self
-    }
-
-    /// Sets the database-unit-to-cost length scale for wire edits.
-    #[must_use]
-    pub fn with_length_scale(mut self, scale: f64) -> Self {
-        self.length_scale = scale;
-        self
-    }
-
-    /// The effective weight of `layer`.
-    #[must_use]
-    pub fn layer_weight(&self, layer: u32) -> f64 {
-        self.layer_weights
-            .iter()
-            .find(|(l, _)| *l == layer)
-            .map_or(self.default_weight, |(_, w)| *w)
-    }
-
     /// Manhattan length of segment `i` in cost units.
-    fn segment_length(&self, grid: &PowerGrid, i: usize) -> f64 {
+    fn segment_length(grid: &PowerGrid, i: usize) -> f64 {
         let s = &grid.segments[i];
         let (a, b) = (&grid.nodes[s.a], &grid.nodes[s.b]);
         let len = (a.x - b.x).abs() + (a.y - b.y).abs();
         #[allow(clippy::cast_precision_loss)]
         let len = len as f64;
-        len * self.length_scale
+        len * LENGTH_SCALE
     }
 
     /// Metal cost of applying one delta to `grid` (its current state —
@@ -96,13 +47,12 @@ impl CostModel {
         match *delta {
             TopologyDelta::Strap { layer, scale } => {
                 let extra = (1.0 / scale - 1.0).max(0.0);
-                let weight = self.layer_weight(layer);
                 (0..grid.segments.len())
                     .filter(|&i| {
                         let s = &grid.segments[i];
                         grid.nodes[s.a].layer == layer && grid.nodes[s.b].layer == layer
                     })
-                    .map(|i| weight * self.segment_length(grid, i) * extra)
+                    .map(|i| LAYER_WEIGHT * Self::segment_length(grid, i) * extra)
                     .sum()
             }
             TopologyDelta::Via {
@@ -121,7 +71,7 @@ impl CostModel {
                     .count();
                 #[allow(clippy::cast_precision_loss)]
                 let matched = matched as f64;
-                matched * self.via_weight * extra
+                matched * VIA_WEIGHT * extra
             }
             TopologyDelta::Segment { segment, ohms } => {
                 if segment >= grid.segments.len() || ohms <= 0.0 {
@@ -135,11 +85,11 @@ impl CostModel {
                     // A wire: extra width over the segment's length,
                     // never cheaper than one length unit so zero-length
                     // stubs still carry a price.
-                    let len = self.segment_length(grid, segment).max(self.length_scale);
-                    self.layer_weight(la) * len * extra
+                    let len = Self::segment_length(grid, segment).max(LENGTH_SCALE);
+                    LAYER_WEIGHT * len * extra
                 } else {
                     // A via: upsizing means extra parallel cuts.
-                    self.via_weight * extra
+                    VIA_WEIGHT * extra
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Given a parsed power grid and an analysis pipeline, this crate
 //! proposes typed topology edits ([`CandidateGenerator`]), prices them
-//! under a configurable metal budget ([`CostModel`]), and drives a
+//! in metal ([`CostModel`]) against a budget, and drives a
 //! deterministic beam-search loop ([`Optimizer`]) through the
 //! stage-graph what-if machinery until the worst-case IR drop meets a
 //! target, the budget runs out, or improvement stalls. Every run is a
@@ -17,7 +17,7 @@ mod candidates;
 mod cost;
 mod optimizer;
 
-pub use candidates::{Candidate, CandidateGenerator, GeneratorConfig};
+pub use candidates::{Candidate, CandidateGenerator};
 pub use cost::CostModel;
 pub use optimizer::{
     BatchPredictor, IterationRecord, OptimizationReport, OptimizeError, Optimizer, OptimizerConfig,

@@ -255,37 +255,19 @@ struct BeamState {
 pub struct Optimizer<'a> {
     pipeline: &'a IrFusionPipeline,
     config: OptimizerConfig,
-    generator: CandidateGenerator,
-    cost_model: CostModel,
     predictor: Option<BatchPredictor<'a>>,
 }
 
 impl<'a> Optimizer<'a> {
-    /// An optimizer over `pipeline` with default candidate generation
-    /// and cost model.
+    /// An optimizer over `pipeline`, generating candidates with
+    /// [`CandidateGenerator`] and pricing them with [`CostModel`].
     #[must_use]
     pub fn new(pipeline: &'a IrFusionPipeline, config: OptimizerConfig) -> Self {
         Optimizer {
             pipeline,
             config,
-            generator: CandidateGenerator::default(),
-            cost_model: CostModel::default(),
             predictor: None,
         }
-    }
-
-    /// Replaces the candidate generator.
-    #[must_use]
-    pub fn with_generator(mut self, generator: CandidateGenerator) -> Self {
-        self.generator = generator;
-        self
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
     }
 
     /// Attaches a batch predictor; without one, states are scored by
@@ -294,12 +276,6 @@ impl<'a> Optimizer<'a> {
     pub fn with_predictor(mut self, predictor: BatchPredictor<'a>) -> Self {
         self.predictor = Some(predictor);
         self
-    }
-
-    /// The cost model this optimizer prices candidates with.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 
     fn evaluate(&self, stacks: &[Arc<PreparedStack>]) -> Vec<f64> {
@@ -388,8 +364,7 @@ impl<'a> Optimizer<'a> {
             let mut over_budget = 0usize;
             'expand: for state in &beam {
                 let mut candidates =
-                    self.generator
-                        .generate(&state.grid, &state.rough.drops, &self.cost_model);
+                    CandidateGenerator.generate(&state.grid, &state.rough.drops, &CostModel);
                 let before = candidates.len();
                 candidates.retain(|c| state.cost + c.cost <= cfg.metal_budget);
                 over_budget += before - candidates.len();

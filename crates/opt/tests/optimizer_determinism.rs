@@ -131,7 +131,7 @@ fn loop_meets_a_modest_target() {
             .rough
             .max(),
     );
-    let widen_cost = CostModel::default().plan_cost(&base, &widen_everything(&base));
+    let widen_cost = CostModel.plan_cost(&base, &widen_everything(&base));
     let report = Optimizer::new(&pipeline, config(baseline * 0.9))
         .run(base)
         .expect("run succeeds");
@@ -173,8 +173,8 @@ fn candidate_generation_is_deterministic_and_priced() {
         .session(Arc::clone(&base))
         .rough_solution()
         .expect("pads");
-    let model = CostModel::default();
-    let generator = CandidateGenerator::default();
+    let model = CostModel;
+    let generator = CandidateGenerator;
     let a = generator.generate(&base, &rough.drops, &model);
     let b = generator.generate(&base, &rough.drops, &model);
     assert!(!a.is_empty());
@@ -281,4 +281,36 @@ fn edit_error_edge_cases() {
         ])
         .expect_err("out-of-range segment must reject the whole batch");
     assert!(matches!(err, EditError::SegmentOutOfRange { .. }));
+}
+
+/// The optimizer's bits, pinned: a fixed base and config scored by
+/// rough maps, with and without warm starts, must keep its report
+/// checksum, and the widen-everything plan its metal cost, to the bit.
+/// The cost model and candidate generator are constants; this is what
+/// says they did not move.
+#[test]
+fn optimizer_reports_and_plan_costs_keep_their_pinned_bits() {
+    const WARM_CHECKSUM: u64 = 0x7114_9db4_7819_f2eb;
+    const COLD_CHECKSUM: u64 = 0xfd6e_851a_1217_30c0;
+    const WIDEN_COST_BITS: u64 = 0x40a0_47ff_ffff_ffec;
+
+    let base = grid();
+    let widen_cost = CostModel.plan_cost(&base, &widen_everything(&base));
+    let checksums: Vec<u64> = [true, false]
+        .into_iter()
+        .map(|warm_start| {
+            let pipeline = IrFusionPipeline::new(FusionConfig::tiny())
+                .with_cache(Arc::new(StageStore::new(128)));
+            let cfg = OptimizerConfig {
+                warm_start,
+                ..config(0.0)
+            };
+            Optimizer::new(&pipeline, cfg)
+                .run(Arc::clone(&base))
+                .expect("run succeeds")
+                .checksum()
+        })
+        .collect();
+    assert_eq!(checksums, [WARM_CHECKSUM, COLD_CHECKSUM]);
+    assert_eq!(widen_cost.to_bits(), WIDEN_COST_BITS);
 }

@@ -172,94 +172,13 @@ impl PowerGrid {
     /// Builds the reduced SPD system in IR-drop coordinates.
     /// See [`PgSystem`].
     ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidNodeIndex`] when a segment, load,
-    /// or pad references a node outside the grid's node list.
-    pub fn try_build_system(&self) -> Result<PgSystem, ModelError> {
-        PgSystem::try_build(self)
-    }
-
-    /// Builds the reduced SPD system in IR-drop coordinates.
-    /// See [`PgSystem`].
-    ///
     /// # Panics
     ///
-    /// Panics on malformed grids; use [`PowerGrid::try_build_system`]
-    /// for grids of unknown provenance.
+    /// Panics on malformed grids; use [`PgSystem::try_build`] for
+    /// grids of unknown provenance.
     #[must_use]
     pub fn build_system(&self) -> PgSystem {
         PgSystem::build(self)
-    }
-
-    /// Merges parallel segments (same unordered endpoint pair) into
-    /// one equivalent segment with the combined conductance —
-    /// netlist sanitation that shrinks the MNA system without changing
-    /// the electrical behaviour. Returns the number of segments
-    /// merged away.
-    pub fn merge_parallel_segments(&mut self) -> usize {
-        use std::collections::HashMap;
-        let before = self.segments.len();
-        let mut combined: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut order: Vec<(usize, usize)> = Vec::new();
-        for s in &self.segments {
-            let key = (s.a.min(s.b), s.a.max(s.b));
-            match combined.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += s.conductance();
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(s.conductance());
-                    order.push(key);
-                }
-            }
-        }
-        self.segments = order
-            .into_iter()
-            .map(|(a, b)| Segment {
-                a,
-                b,
-                ohms: 1.0 / combined[&(a, b)],
-            })
-            .collect();
-        before - self.segments.len()
-    }
-
-    /// Validation findings for a grid (empty = clean). Complements
-    /// [`PowerGrid::is_connected_to_pads`] with the lint-level issues
-    /// sign-off flows check before a solve.
-    #[must_use]
-    pub fn validate(&self) -> Vec<String> {
-        let mut issues = Vec::new();
-        if self.pads.is_empty() {
-            issues.push("no power pads".to_string());
-        }
-        if self.loads.is_empty() {
-            issues.push("no cell loads (all drops will be zero)".to_string());
-        }
-        if !self.is_connected_to_pads() {
-            issues.push("some nodes cannot reach a pad (singular system)".to_string());
-        }
-        // Parallel duplicates.
-        let mut seen = std::collections::HashSet::new();
-        let mut dups = 0usize;
-        for s in &self.segments {
-            if !seen.insert((s.a.min(s.b), s.a.max(s.b))) {
-                dups += 1;
-            }
-        }
-        if dups > 0 {
-            issues.push(format!(
-                "{dups} parallel segments (consider merge_parallel_segments)"
-            ));
-        }
-        // Negative loads feed current *into* the grid; legal but worth
-        // flagging for a VDD net.
-        let injecting = self.loads.iter().filter(|l| l.amps < 0.0).count();
-        if injecting > 0 {
-            issues.push(format!("{injecting} loads inject current into the grid"));
-        }
-        issues
     }
 
     /// `true` when every node can reach a pad through segments — a
@@ -359,55 +278,6 @@ V1 n1_m4_0_0 0 1.1
         let island = "R1 a b 1.0\nR2 c d 1.0\nV1 a 0 1.0\n";
         let g = grid_from_spice_reader(island.as_bytes()).unwrap();
         assert!(!g.is_connected_to_pads());
-    }
-
-    #[test]
-    fn parallel_segments_merge_to_equivalent_conductance() {
-        let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nR3 a b 1.0\nI1 b 0 1m\n";
-        let mut g = grid_from_spice_reader(src.as_bytes()).unwrap();
-        assert_eq!(g.segments.len(), 3);
-        let merged = g.merge_parallel_segments();
-        assert_eq!(merged, 1);
-        assert_eq!(g.segments.len(), 2);
-        // Two 2-ohm resistors in parallel = 1 ohm.
-        let pa = g
-            .segments
-            .iter()
-            .find(|s| (s.a, s.b) != (1, 2) && (s.b, s.a) != (1, 2))
-            .unwrap();
-        assert!((pa.ohms - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn validate_flags_issues() {
-        let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nI1 0 a 1m\n";
-        let g = grid_from_spice_reader(src.as_bytes()).unwrap();
-        let issues = g.validate();
-        assert!(issues.iter().any(|i| i.contains("parallel")));
-        assert!(issues.iter().any(|i| i.contains("inject")));
-        // A clean grid validates empty.
-        let clean = "V1 p 0 1.0\nR1 p a 2.0\nI1 a 0 1m\n";
-        let g = grid_from_spice_reader(clean.as_bytes()).unwrap();
-        assert!(g.validate().is_empty(), "{:?}", g.validate());
-    }
-
-    #[test]
-    fn merged_grid_solves_identically() {
-        let src = "V1 p 0 1.0\nR1 p a 2.0\nR2 p a 2.0\nR3 a b 1.0\nI1 b 0 1m\n";
-        let g0 = grid_from_spice_reader(src.as_bytes()).unwrap();
-        let mut g1 = g0.clone();
-        g1.merge_parallel_segments();
-        let s0 = g0.build_system();
-        let s1 = g1.build_system();
-        let x0 = irf_sparse::Solver::new(irf_sparse::SolverKind::Cholesky)
-            .solve(&s0.matrix, &s0.rhs)
-            .x;
-        let x1 = irf_sparse::Solver::new(irf_sparse::SolverKind::Cholesky)
-            .solve(&s1.matrix, &s1.rhs)
-            .x;
-        for (a, b) in x0.iter().zip(&x1) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 pub mod error;
 pub mod grid;
-pub mod lef;
 pub mod raster;
 pub mod stamp;
 pub mod stats;

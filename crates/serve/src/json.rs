@@ -161,16 +161,24 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level on the thread that answers a request, so without a bound a
+/// small body of open brackets overflows that thread's stack, which
+/// aborts the process.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// content rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] on malformed input.
+/// Returns a [`JsonError`] on malformed input, including arrays and
+/// objects nested deeper than 128 levels.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -184,6 +192,8 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +234,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -234,6 +244,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level down, refusing a level past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -404,6 +429,32 @@ mod tests {
     }
 
     #[test]
+    fn nesting_stops_at_128_levels() {
+        // Arrays and objects count alike, in any mix.
+        let nest = |depth: usize| {
+            let open: String = (0..depth)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            let close: String = (0..depth)
+                .rev()
+                .map(|i| if i % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{open}0{close}")
+        };
+        let deepest = parse(&nest(128)).expect("128 levels parse");
+        assert_eq!(parse(&deepest.render()), Ok(deepest));
+        let err = parse(&nest(129)).expect_err("129 levels are refused");
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        assert_eq!(&nest(129)[err.pos..err.pos + 1], "[", "at the 129th opener");
+        // A bomb of openers fails the same way, at the same place.
+        let bomb = "[".repeat(10_000);
+        assert_eq!(
+            parse(&bomb).map_err(|e| (e.pos, e.message)),
+            Err((128, err.message))
+        );
+    }
+
+    #[test]
     fn numbers_render_without_noise() {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(0.25).render(), "0.25");
@@ -499,10 +550,12 @@ mod tests {
             let mut fast = Parser {
                 bytes: src.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             let mut oracle = Parser {
                 bytes: src.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             let (got, want) = (fast.string(), oracle.string_per_char());
             assert_eq!(got, want, "case {case}: {src:?}");

@@ -129,6 +129,8 @@ pub(crate) struct RequestRecord {
     /// The request's span forest, snapshotted only for slow requests
     /// (the ring stays small for healthy traffic).
     pub spans: Option<Vec<SpanTree>>,
+    /// The panic message of a request that answered 500 `internal`.
+    pub panic: Option<String>,
 }
 
 /// The span forest of the events tagged with `request` in `trace` —
@@ -272,6 +274,7 @@ mod tests {
             slo_objective_seconds: 0.5,
             slo_breached: false,
             spans: None,
+            panic: None,
         }
     }
 

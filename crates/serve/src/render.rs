@@ -94,9 +94,10 @@ pub(crate) fn render_topology_delta(delta: &TopologyDelta) -> Json {
     }
 }
 
-/// One flight-recorder record; its span tree only with `include_spans`
-/// (and only when the request was slow enough to keep one).
-pub(crate) fn render_request_record(record: &RequestRecord, include_spans: bool) -> Json {
+/// One flight-recorder record. The full record (`full`) adds the span
+/// tree, when the request was slow enough to keep one, and the panic
+/// message of a request that answered 500 `internal`.
+pub(crate) fn render_request_record(record: &RequestRecord, full: bool) -> Json {
     let mut members = vec![
         ("request", Json::Str(format!("{:016x}", record.id))),
         ("seq", Json::Num(record.seq as f64)),
@@ -118,12 +119,15 @@ pub(crate) fn render_request_record(record: &RequestRecord, include_spans: bool)
         ("slo_breached", Json::Bool(record.slo_breached)),
         ("has_spans", Json::Bool(record.spans.is_some())),
     ];
-    if include_spans {
+    if full {
         if let Some(spans) = &record.spans {
             members.push((
                 "spans",
                 Json::Arr(spans.iter().map(render_span_node).collect()),
             ));
+        }
+        if let Some(message) = &record.panic {
+            members.push(("panic", Json::Str(message.clone())));
         }
     }
     obj(members)

@@ -302,7 +302,8 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, state: &Arc<State>) {
 /// A panic while answering (a handler's, or one deep in the pipeline)
 /// is caught here: the request answers a 500 `internal` envelope, is
 /// counted and recorded like any other, logs one `request_panic` line,
-/// and its connection closes. The worker lives on.
+/// keeps the panic message in its flight-recorder record, and its
+/// connection closes. The worker lives on.
 fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     let _ = stream.set_read_timeout(Some(state.read_timeout));
     // Responses are written whole; never hold one back for coalescing.
@@ -355,18 +356,21 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
         let answered = std::panic::catch_unwind(AssertUnwindSafe(answer));
         let stats = scope.finish();
         let id_text = id.to_string();
+        let mut panicked = None;
         let (status, content_type, body) = match answered {
             Ok(Ok((content_type, body))) => (200, content_type, body),
             Ok(Err(error)) => (error.status, "application/json", error.render()),
             Err(panic) => {
+                let message = panic_message(panic.as_ref());
                 log::warn(
                     "request_panic",
                     &[
                         ("request", id_text.as_str().into()),
                         ("endpoint", route.into()),
-                        ("error", panic_message(panic.as_ref()).into()),
+                        ("error", message.into()),
                     ],
                 );
+                panicked = Some(message.to_string());
                 keep_alive = false;
                 let error = ApiError::new(500, "internal", "internal error while answering");
                 (500, "application/json", error.render())
@@ -389,6 +393,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
             start_unix_ms,
             duration_seconds,
             stats,
+            panicked,
         );
         if written.is_err() || !keep_alive {
             return;
@@ -406,6 +411,7 @@ pub(crate) fn unix_ms_now() -> u64 {
 
 /// SLO accounting, flight-recorder entry and access-log line for one
 /// finished request.
+#[allow(clippy::too_many_arguments)]
 fn finish_request(
     state: &State,
     ctx: &RequestCtx,
@@ -414,6 +420,7 @@ fn finish_request(
     start_unix_ms: u64,
     duration_seconds: f64,
     stats: RequestStats,
+    panic: Option<String>,
 ) {
     state.metrics.observe_request(route, status);
     let objective = objective_seconds(route);
@@ -442,6 +449,7 @@ fn finish_request(
         slo_objective_seconds: objective,
         slo_breached: breached,
         spans,
+        panic,
     });
     if log::enabled(log::Level::Info) {
         let id_text = ctx.id.to_string();

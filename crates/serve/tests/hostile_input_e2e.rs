@@ -1,7 +1,9 @@
 //! Requests that must end in a typed error and a live server: a design
-//! whose solve panics answers a counted, recorded 500 `internal`, and a
-//! present optional member of the wrong type answers a 400
-//! `invalid_<member>` carrying the value as sent, never its default.
+//! whose solve panics answers a counted, recorded 500 `internal`, a
+//! body of nested brackets too deep to parse answers a 400
+//! `invalid_json`, and a present optional member of the wrong type
+//! answers a 400 `invalid_<member>` carrying the value as sent, never
+//! its default.
 //! Kept in its own test binary because the server publishes into the
 //! process-global metrics registry and log sink.
 
@@ -159,7 +161,11 @@ fn a_panicking_request_answers_500_and_the_server_lives_on() {
         head.to_ascii_lowercase().contains("connection: close"),
         "{head}"
     );
-    assert!(head.contains("X-Irf-Request-Id: "), "{head}");
+    let id = head
+        .lines()
+        .find_map(|l| l.strip_prefix("X-Irf-Request-Id: "))
+        .unwrap_or_else(|| panic!("no request id: {head}"))
+        .to_string();
     assert_eq!(
         body,
         r#"{"error":{"code":"internal","message":"internal error while answering","details":{}}}"#
@@ -197,6 +203,19 @@ fn a_panicking_request_answers_500_and_the_server_lives_on() {
         "{}",
         recent.render()
     );
+    // Its full record carries the panic message.
+    let (status, record) = request(addr, "GET", &format!("/v1/debug/requests/{id}"), "");
+    assert_eq!(status, 200, "{record}");
+    let panic = parse(&record)
+        .expect("json")
+        .get("panic")
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .unwrap_or_else(|| panic!("no panic member: {record}"));
+    assert!(
+        panic.contains("amg coarse operator is not positive definite"),
+        "{panic}"
+    );
     stop(server);
     log::set_writer(None);
     let logs = String::from_utf8(logs.0.lock().expect("log buffer").clone()).expect("utf-8");
@@ -212,6 +231,37 @@ fn a_panicking_request_answers_500_and_the_server_lives_on() {
         panics[0]
     );
     assert!(panics[0].contains("positive definite"), "{}", panics[0]);
+}
+
+/// Ten thousand open brackets: a parser with no depth bound overflows
+/// the worker's stack, which aborts the whole process. The body is
+/// refused like any other malformed JSON, and the server keeps
+/// answering on a new connection.
+#[test]
+fn a_nesting_bomb_answers_400_and_the_server_lives_on() {
+    let server = start();
+    let addr = server.addr();
+    let (status, body) = request(addr, "POST", "/v1/predict", &"[".repeat(10_000));
+    assert_eq!(status, 400, "{body}");
+    let error = parse(&body).expect("json").get("error").cloned();
+    let error = error.expect("envelope");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("invalid_json"),
+        "{body}"
+    );
+    assert!(
+        error
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("nesting deeper than 128 levels")),
+        "{body}"
+    );
+    assert_eq!(
+        request(addr, "GET", "/v1/healthz", ""),
+        (200, "ok\n".to_string())
+    );
+    stop(server);
 }
 
 #[test]

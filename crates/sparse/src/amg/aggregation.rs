@@ -28,12 +28,6 @@ impl Aggregation {
         }
         sizes
     }
-
-    /// Coarsening ratio `n_fine / n_coarse`.
-    #[must_use]
-    pub fn coarsening_ratio(&self) -> f64 {
-        self.assign.len() as f64 / self.n_coarse.max(1) as f64
-    }
 }
 
 /// Scratch and phase timers of one hierarchy build, shared by both
@@ -157,7 +151,8 @@ impl SetupWorkspace {
         Aggregation { assign, n_coarse }
     }
 
-    /// [`aggregate_double_pairwise`] on this workspace.
+    /// Two rounds of pairwise aggregation composed, giving aggregates
+    /// of up to four fine nodes (coarsening ratio approaching 4).
     pub(crate) fn double_pairwise(&mut self, a: &CsrMatrix, theta: f64) -> Aggregation {
         let first = self.pairwise(a, theta);
         let coarse = self.galerkin(a, &first);
@@ -178,10 +173,9 @@ impl SetupWorkspace {
 /// Visits unaggregated nodes in order of ascending strong degree (ties
 /// in index order) and pairs each with its strongest unaggregated
 /// strong neighbour (ties to the lowest column); leftover nodes form
-/// singletons. Applying this twice (see
-/// [`aggregate_double_pairwise`]) yields aggregates of up to 4 nodes —
-/// the setup used by aggregation-based AMG solvers such as AGMG and
-/// PowerRush.
+/// singletons. Applying this twice (as every hierarchy level does)
+/// yields aggregates of up to 4 nodes — the setup used by
+/// aggregation-based AMG solvers such as AGMG and PowerRush.
 ///
 /// # Panics
 ///
@@ -189,17 +183,6 @@ impl SetupWorkspace {
 #[must_use]
 pub fn aggregate_pairwise(a: &CsrMatrix, theta: f64) -> Aggregation {
     SetupWorkspace::default().pairwise(a, theta)
-}
-
-/// Two rounds of pairwise aggregation composed, giving aggregates of up
-/// to four fine nodes (coarsening ratio approaching 4).
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-#[must_use]
-pub fn aggregate_double_pairwise(a: &CsrMatrix, theta: f64) -> Aggregation {
-    SetupWorkspace::default().double_pairwise(a, theta)
 }
 
 #[cfg(test)]
@@ -248,13 +231,12 @@ mod tests {
             "expected ~50 aggregates, got {}",
             agg.n_coarse
         );
-        assert!(agg.coarsening_ratio() >= 1.6);
     }
 
     #[test]
     fn double_pairwise_coarsens_harder() {
         let a = laplacian_1d(100);
-        let agg = aggregate_double_pairwise(&a, 0.25);
+        let agg = SetupWorkspace::default().double_pairwise(&a, 0.25);
         assert!(
             agg.n_coarse <= 35,
             "expected ~25 aggregates, got {}",

@@ -163,17 +163,8 @@ impl SetupWorkspace {
     }
 }
 
-/// Restricts a fine-level vector: `r_c[a] = sum_{i in a} r[i]`
-/// (`r_c = P^T r`).
-#[must_use]
-pub fn restrict(agg: &Aggregation, fine: &[f64]) -> Vec<f64> {
-    let mut coarse = vec![0.0; agg.n_coarse];
-    restrict_into(agg, fine, &mut coarse);
-    coarse
-}
-
-/// [`restrict`] into a caller-owned buffer (overwritten), for cycle
-/// inner loops that reuse scratch instead of allocating.
+/// Restricts a fine-level vector into a caller-owned buffer
+/// (overwritten): `r_c[a] = sum_{i in a} r[i]` (`r_c = P^T r`).
 ///
 /// # Panics
 ///
@@ -415,7 +406,8 @@ mod tests {
         let agg = crate::amg::aggregation::aggregate_pairwise(&a, 0.25);
         let r: Vec<f64> = (0..36).map(|i| (i as f64).sin()).collect();
         let e: Vec<f64> = (0..agg.n_coarse).map(|i| (i as f64).cos()).collect();
-        let rc = restrict(&agg, &r);
+        let mut rc = vec![f64::NAN; agg.n_coarse];
+        restrict_into(&agg, &r, &mut rc);
         let lhs: f64 = rc.iter().zip(&e).map(|(a, b)| a * b).sum();
         let mut pe = vec![0.0; 36];
         prolongate_add(&agg, &e, &mut pe);

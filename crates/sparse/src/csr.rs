@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use crate::builder::PatternScatter;
-
 /// Cuts `0..rows` into nnz-balanced chunks: each chunk accumulates at
 /// least an autotuned cost budget (one unit per stored non-zero plus
 /// one per row) before the next boundary. Returned in `row_ptr` style
@@ -72,9 +70,8 @@ fn write_rows<const W: usize>(acc: &[f64; W], b: Option<&[f64]>, at: usize, out:
 ///
 /// The sparsity pattern (`row_ptr`, `col_idx` and the row chunks) sits
 /// behind `Arc`s: a matrix re-stamped into an existing pattern
-/// ([`CsrMatrix::from_triplets_with_pattern`], [`crate::PatternScatter`])
-/// owns only its values and shares the pattern with its base, and
-/// cloning a matrix copies only the values.
+/// ([`crate::PatternScatter`]) owns only its values and shares the
+/// pattern with its base, and cloning a matrix copies only the values.
 ///
 /// # Example
 ///
@@ -204,33 +201,6 @@ impl CsrMatrix {
             values,
             row_chunks,
         }
-    }
-
-    /// Builds a CSR matrix from triplets by scatter-adding into the
-    /// sparsity `pattern` of an existing matrix
-    /// ([`crate::PatternScatter`] over a triplet slice), skipping the
-    /// per-row sort that dominates [`CsrMatrix::from_triplets`]. On
-    /// `Some`, the result is **bitwise identical** to a fresh
-    /// `from_triplets` call.
-    ///
-    /// Returns `None` when the pattern cannot represent the triplets
-    /// exactly: a triplet lands outside the pattern, or an accumulated
-    /// value is exactly `0.0` (which `from_triplets` would have dropped,
-    /// changing the pattern). Callers fall back to a full assembly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any triplet is out of bounds for the pattern's shape.
-    #[must_use]
-    pub fn from_triplets_with_pattern(
-        pattern: &CsrMatrix,
-        triplets: &[(usize, usize, f64)],
-    ) -> Option<Self> {
-        let mut scatter = PatternScatter::new(pattern);
-        for &(r, c, v) in triplets {
-            scatter.add(r, c, v);
-        }
-        scatter.finish()
     }
 
     /// Wraps a fully accumulated `values` array (parallel to
@@ -569,12 +539,6 @@ impl CsrMatrix {
         true
     }
 
-    /// Frobenius norm of the matrix.
-    #[must_use]
-    pub fn norm_frobenius(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Iterates over all stored entries as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |r| {
@@ -590,6 +554,16 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::PatternScatter;
+
+    /// Scatter-adds `triplets` into `pattern` ([`PatternScatter`]).
+    fn scatter(pattern: &CsrMatrix, triplets: &[(usize, usize, f64)]) -> Option<CsrMatrix> {
+        let mut scatter = PatternScatter::new(pattern);
+        for &(r, c, v) in triplets {
+            scatter.add(r, c, v);
+        }
+        scatter.finish()
+    }
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         let mut t = Vec::new();
@@ -624,7 +598,7 @@ mod tests {
         let base = CsrMatrix::from_triplets(2, 3, &t1);
         let t2: Vec<_> = t1.iter().map(|&(r, c, v)| (r, c, v * 1.5)).collect();
         let fresh = CsrMatrix::from_triplets(2, 3, &t2);
-        let reused = CsrMatrix::from_triplets_with_pattern(&base, &t2).expect("pattern matches");
+        let reused = scatter(&base, &t2).expect("pattern matches");
         assert_eq!(fresh, reused);
         assert!(base.same_pattern(&reused));
     }
@@ -633,7 +607,7 @@ mod tests {
     fn a_restamp_shares_its_base_pattern() {
         let base = laplacian_1d(6);
         let t: Vec<_> = base.iter().map(|(r, c, v)| (r, c, v * 2.0)).collect();
-        let restamped = CsrMatrix::from_triplets_with_pattern(&base, &t).expect("pattern matches");
+        let restamped = scatter(&base, &t).expect("pattern matches");
         assert!(Arc::ptr_eq(&restamped.row_ptr, &base.row_ptr));
         assert!(Arc::ptr_eq(&restamped.col_idx, &base.col_idx));
         assert!(Arc::ptr_eq(&restamped.row_chunks, &base.row_chunks));
@@ -650,13 +624,11 @@ mod tests {
     fn pattern_reuse_declines_on_mismatch() {
         let base = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]);
         // New entry outside the pattern.
-        assert!(CsrMatrix::from_triplets_with_pattern(&base, &[(0, 1, 1.0)]).is_none());
+        assert!(scatter(&base, &[(0, 1, 1.0)]).is_none());
         // Exact-zero sum: from_triplets would drop the entry.
-        assert!(
-            CsrMatrix::from_triplets_with_pattern(&base, &[(0, 0, 1.0), (0, 0, -1.0)]).is_none()
-        );
+        assert!(scatter(&base, &[(0, 0, 1.0), (0, 0, -1.0)]).is_none());
         // Untouched pattern slot stays 0.0: also a pattern change.
-        assert!(CsrMatrix::from_triplets_with_pattern(&base, &[(0, 0, 2.0)]).is_none());
+        assert!(scatter(&base, &[(0, 0, 2.0)]).is_none());
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! This crate is the numerical substrate of the IR-Fusion reproduction.
 //! It provides:
 //!
-//! - [`TripletMatrix`] / [`CsrMatrix`]: assembly and compressed storage
-//!   for the symmetric positive-definite (SPD) conductance systems that
-//!   modified nodal analysis produces for power grids.
+//! - [`CsrAssembler`] / [`CsrMatrix`]: two-pass assembly and compressed
+//!   storage for the symmetric positive-definite (SPD) conductance
+//!   systems that modified nodal analysis produces for power grids;
+//!   [`PatternScatter`] re-stamps new values into a matrix's pattern.
+//!   [`TripletMatrix`] is the simple reference assembler tests and
+//!   examples build with.
 //! - Classic iterative methods: [`cg::conjugate_gradient`] and the
 //!   preconditioned variant [`pcg::pcg`] with pluggable
 //!   [`Preconditioner`]s.
@@ -46,7 +49,6 @@ pub mod cg;
 pub mod cholesky;
 pub mod csr;
 pub mod error;
-pub mod matrix_market;
 pub mod pcg;
 pub mod smoother;
 pub mod solver;

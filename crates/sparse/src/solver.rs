@@ -223,12 +223,6 @@ impl Solver {
     /// positive definite.
     #[must_use]
     pub fn prepare(&self, a: &Arc<CsrMatrix>) -> SolverSetup {
-        self.prepare_marked(a, false)
-    }
-
-    /// [`Solver::prepare`]; `rebuilt` marks the `amg_setup` span of a
-    /// setup that replaces an earlier one.
-    fn prepare_marked(&self, a: &Arc<CsrMatrix>, rebuilt: bool) -> SolverSetup {
         let t0 = Instant::now();
         let inner = match self.kind {
             SolverKind::Cg => Prepared::Bare,
@@ -240,9 +234,6 @@ impl Solver {
                     CycleKind::VCycle
                 };
                 let mut setup_span = irf_trace::span("amg_setup");
-                if rebuilt && setup_span.is_recording() {
-                    setup_span.attr("rebuilt", true);
-                }
                 let mut ws = SetupWorkspace::default();
                 let h = AmgHierarchy::build_in(a, self.amg_params, &mut ws);
                 record_amg_telemetry(&h, &ws, &mut setup_span);
@@ -269,24 +260,23 @@ impl Solver {
         }
     }
 
-    /// [`Solver::prepare`] for a matrix that replaces the one `base`
-    /// was prepared against — what a topology what-if calls.
+    /// [`Solver::prepare`] of a matrix that replaces the one `base` was
+    /// prepared against: an alias, ignoring `base`, kept for callers
+    /// that name the edit.
     ///
-    /// This is a cold setup of `a`, bitwise equal to
-    /// [`Solver::prepare`]'s: the aggregation depends on the edited
-    /// values, so every level is re-paired and re-multiplied, and
-    /// nothing of `base`'s hierarchy can be reused (scatter-adding into
-    /// its coarse sparsity patterns measured slower than the product
-    /// itself — EXPERIMENTS.md, "What an AMG setup costs"). `base` only
-    /// decides whether the `amg_setup` span carries `rebuilt`: it does
-    /// when both setups are AMG.
+    /// The setup is cold and bitwise equal to [`Solver::prepare`]'s:
+    /// the aggregation depends on the edited values, so every level is
+    /// re-paired and re-multiplied, and nothing of `base`'s hierarchy
+    /// can be reused (scatter-adding into its coarse sparsity patterns
+    /// measured slower than the product itself — EXPERIMENTS.md, "What
+    /// an AMG setup costs").
     ///
     /// # Panics
     ///
     /// Same as [`Solver::prepare`].
     #[must_use]
-    pub fn rebuild_from(&self, base: &SolverSetup, a: &Arc<CsrMatrix>) -> SolverSetup {
-        self.prepare_marked(a, matches!(base.inner, Prepared::Amg(_)))
+    pub fn rebuild_from(&self, _base: &SolverSetup, a: &Arc<CsrMatrix>) -> SolverSetup {
+        self.prepare(a)
     }
 }
 

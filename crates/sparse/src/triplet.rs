@@ -131,30 +131,6 @@ impl TripletMatrix {
         CsrMatrix::from_triplets(self.rows, self.cols, &self.entries)
     }
 
-    /// Compresses into CSR by scatter-adding into `pattern`'s sparsity
-    /// structure, skipping the sort `to_csr` performs.
-    ///
-    /// Returns `None` if any entry falls outside the pattern or any
-    /// accumulated value is exactly zero (cases where [`to_csr`] would
-    /// produce a different structure); the caller should then fall back
-    /// to a full assembly. On `Some`, the result is bitwise identical
-    /// to [`to_csr`] because both sum duplicates in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern`'s shape differs from this matrix's.
-    ///
-    /// [`to_csr`]: TripletMatrix::to_csr
-    #[must_use]
-    pub fn to_csr_with_pattern(&self, pattern: &CsrMatrix) -> Option<CsrMatrix> {
-        assert_eq!(
-            (pattern.rows(), pattern.cols()),
-            (self.rows, self.cols),
-            "pattern shape mismatch"
-        );
-        CsrMatrix::from_triplets_with_pattern(pattern, &self.entries)
-    }
-
     /// Iterates over the raw entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &(usize, usize, f64)> {
         self.entries.iter()
@@ -172,6 +148,7 @@ impl Extend<(usize, usize, f64)> for TripletMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PatternScatter;
 
     #[test]
     fn new_is_empty() {
@@ -242,12 +219,19 @@ mod tests {
         edited.stamp_conductance(0, 1, 2.0);
         edited.stamp_conductance(1, 2, 4.5); // resistance edit
         edited.stamp_grounded_conductance(0, 5.0);
-        let fast = edited.to_csr_with_pattern(&pattern).expect("same pattern");
+        let scatter = |t: &TripletMatrix| {
+            let mut scatter = PatternScatter::new(&pattern);
+            for &(r, c, v) in t.iter() {
+                scatter.add(r, c, v);
+            }
+            scatter.finish()
+        };
+        let fast = scatter(&edited).expect("same pattern");
         assert_eq!(fast, edited.to_csr());
 
         // A new connection is outside the pattern: decline.
         let mut rewired = TripletMatrix::new(3, 3);
         rewired.stamp_conductance(0, 2, 1.0);
-        assert!(rewired.to_csr_with_pattern(&pattern).is_none());
+        assert!(scatter(&rewired).is_none());
     }
 }

@@ -83,12 +83,6 @@ pub fn copy(src: &[f64], dst: &mut [f64]) {
     dst.copy_from_slice(src);
 }
 
-/// Maximum absolute entry (infinity norm); `0.0` for an empty slice.
-#[must_use]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,12 +114,6 @@ mod tests {
         let mut y = vec![1.0, 2.0];
         xpby(&[10.0, 10.0], 0.5, &mut y);
         assert_eq!(y, vec![10.5, 11.0]);
-    }
-
-    #[test]
-    fn norm_inf_picks_max_abs() {
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

@@ -112,11 +112,6 @@ fn not_utf8<E>(_: E) -> io::Error {
 }
 
 impl<R: BufRead> ChunkReader<R> {
-    /// Wraps `reader` with the default chunk size.
-    pub fn new(reader: R) -> Self {
-        Self::with_chunk_size(reader, CARDS_PER_CHUNK)
-    }
-
     /// Wraps `reader` cutting chunks of roughly `cards_per_chunk`
     /// cards (minimum 1).
     pub fn with_chunk_size(reader: R, cards_per_chunk: usize) -> Self {
