@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let design = dataset.test().next().expect("held-out design exists");
     println!("design under test: {}", design.name);
-    let golden = pipeline.golden_map(&design.grid);
+    let golden = pipeline.label_map(&design.grid, &design.golden);
     let pred = |t: &ir_fusion::TrainedModel| {
         pipeline
             .stack_builder()

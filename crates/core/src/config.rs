@@ -3,45 +3,30 @@
 use irf_data::curriculum::CurriculumScheduler;
 use irf_features::FeatureConfig;
 use irf_models::ModelConfig;
-use irf_nn::optim::LrSchedule;
 use irf_sparse::amg::AmgParams;
 use irf_sparse::SolverKind;
 
-/// Training hyperparameters.
+/// Training settings: what the paper's ablations and the experiment
+/// scales change. The optimizer's constants live with the trainer
+/// (`crate::train`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Training epochs.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub learning_rate: f32,
-    /// Optional learning-rate schedule; when set it overrides
-    /// `learning_rate` per epoch (warmup + step decay).
-    pub lr_schedule: Option<LrSchedule>,
-    /// Apply the paper's 90/180/270 rotation augmentation.
+    /// Apply the paper's 90/180/270 rotation augmentation (`false` is
+    /// the "w/o Data Aug." ablation; class oversampling stays).
     pub rotations: bool,
-    /// Apply the paper's class oversampling (fake x2, real x5).
-    pub oversample: bool,
     /// Curriculum scheduler; `None` trains on everything from epoch 0
     /// (the "w/o Curr. Lear." ablation).
     pub curriculum: Option<CurriculumScheduler>,
-    /// Weight of the Kirchhoff-constraint loss for models that request
-    /// it (IRPnet).
-    pub kirchhoff_alpha: f32,
-    /// Gradient-norm clip applied before each optimizer step.
-    pub grad_clip: f32,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             epochs: 12,
-            learning_rate: 2e-3,
-            lr_schedule: None,
             rotations: true,
-            oversample: true,
             curriculum: Some(CurriculumScheduler::default()),
-            kirchhoff_alpha: 1e-3,
-            grad_clip: 5.0,
         }
     }
 }
@@ -124,7 +109,7 @@ mod tests {
     fn defaults_are_sane() {
         let cfg = FusionConfig::default();
         assert_eq!(cfg.solver_iterations, 2);
-        assert!(cfg.train.rotations && cfg.train.oversample);
+        assert!(cfg.train.rotations);
         assert!(cfg.train.curriculum.is_some());
     }
 

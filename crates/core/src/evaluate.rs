@@ -24,7 +24,7 @@ pub fn evaluate_model(
             .stack_builder()
             .analyze(&design.grid, Some(trained))
             .expect("test designs have pads");
-        let golden = pipeline.golden_map(&design.grid);
+        let golden = pipeline.label_map(&design.grid, &design.golden);
         let pred = analysis.fused_map.expect("model supplied");
         reports.push(MetricReport::evaluate(
             pred.data(),
@@ -52,7 +52,7 @@ pub fn evaluate_numerical(dataset: &Dataset, pipeline: &IrFusionPipeline) -> Vec
             .stack_builder()
             .analyze(&design.grid, None)
             .expect("test designs have pads");
-        let golden = pipeline.golden_map(&design.grid);
+        let golden = pipeline.label_map(&design.grid, &design.golden);
         reports.push(MetricReport::evaluate(
             analysis.rough_map.data(),
             golden.data(),

@@ -14,7 +14,7 @@ use irf_data::golden::golden_drops;
 use irf_data::Design;
 use irf_features::{FeatureError, FeatureExtractor, FeatureStack};
 use irf_nn::{Tape, Tensor};
-use irf_pg::{GridMap, Load, PgStructure, PowerGrid, Rasterizer};
+use irf_pg::{GridMap, Load, PgStructure, PowerGrid};
 use irf_sparse::{SolveReport, SolveSummary, Solver, SolverSetup};
 use irf_trace::timed;
 use std::sync::Arc;
@@ -401,10 +401,7 @@ impl<'p> FeatureStackBuilder<'p> {
         golden: &[f64],
     ) -> Result<PreparedSample, FeatureError> {
         let stack = self.prepare(grid)?;
-        let config = self.effective_config();
-        let extractor = FeatureExtractor::new(config.feature);
-        let raster = extractor.rasterizer(grid);
-        let label = irf_features::solution::bottom_layer_solution_map(grid, golden, &raster);
+        let label = self.pipeline.label_map(grid, golden);
         Ok(PreparedSample {
             features: stack.features.clone(),
             label,
@@ -870,14 +867,24 @@ impl IrFusionPipeline {
             .collect()
     }
 
-    /// Golden analysis via the exact direct solver (for labels and
-    /// verification).
+    /// Golden analysis via the exact direct solver (a [`Design`] holds
+    /// its golden drops already: see [`IrFusionPipeline::label_map`]).
     #[must_use]
     pub fn golden_map(&self, grid: &PowerGrid) -> GridMap {
-        let extractor = FeatureExtractor::new(self.config.feature);
-        let raster: Rasterizer = extractor.rasterizer(grid);
-        let drops = golden_drops(grid);
-        irf_features::solution::bottom_layer_solution_map(grid, &drops, &raster)
+        self.label_map(grid, &golden_drops(grid))
+    }
+
+    /// The bottom-layer map of per-node `drops` at this pipeline's
+    /// feature resolution: how training labels and golden maps are
+    /// drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drops.len() != grid.nodes.len()`.
+    #[must_use]
+    pub fn label_map(&self, grid: &PowerGrid, drops: &[f64]) -> GridMap {
+        let raster = FeatureExtractor::new(self.config.feature).rasterizer(grid);
+        irf_features::solution::bottom_layer_solution_map(grid, drops, &raster)
     }
 }
 

@@ -14,34 +14,24 @@ pub struct AugmentedSample {
     pub quarters: u32,
 }
 
-/// Expands design indices into the paper's augmentation plan:
-///
-/// - every design appears rotated by 0°, 90°, 180°, 270° (fourfold);
-/// - oversampling on top: fake designs doubled, real designs
-///   quintupled (the paper's "fake designs are doubled, and real ones
-///   are quintupled").
+/// The paper's class oversampling: fake designs are doubled and real
+/// ones quintupled.
+fn copies(class: DesignClass) -> usize {
+    match class {
+        DesignClass::Fake => 2,
+        DesignClass::Real => 5,
+    }
+}
+
+/// Expands design indices into the paper's augmentation plan: every
+/// design's oversampled copies (fake x2, real x5), each rotated by 0°,
+/// 90°, 180° and 270°.
 #[must_use]
-pub fn augmentation_plan(
-    designs: &[(usize, DesignClass)],
-    oversample: bool,
-) -> Vec<AugmentedSample> {
+pub fn augmentation_plan(designs: &[(usize, DesignClass)]) -> Vec<AugmentedSample> {
     let mut plan = Vec::new();
-    for &(idx, class) in designs {
-        let copies = if oversample {
-            match class {
-                DesignClass::Fake => 2,
-                DesignClass::Real => 5,
-            }
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            for quarters in 0..4 {
-                plan.push(AugmentedSample {
-                    design: idx,
-                    quarters,
-                });
-            }
+    for &(design, class) in designs {
+        for _ in 0..copies(class) {
+            plan.extend((0..4).map(|quarters| AugmentedSample { design, quarters }));
         }
     }
     plan
@@ -50,26 +40,14 @@ pub fn augmentation_plan(
 /// Plan without rotations (the "w/o Data Aug." ablation), keeping the
 /// oversampling so class balance stays comparable.
 #[must_use]
-pub fn no_rotation_plan(
-    designs: &[(usize, DesignClass)],
-    oversample: bool,
-) -> Vec<AugmentedSample> {
+pub fn no_rotation_plan(designs: &[(usize, DesignClass)]) -> Vec<AugmentedSample> {
     let mut plan = Vec::new();
-    for &(idx, class) in designs {
-        let copies = if oversample {
-            match class {
-                DesignClass::Fake => 2,
-                DesignClass::Real => 5,
-            }
-        } else {
-            1
+    for &(design, class) in designs {
+        let copy = AugmentedSample {
+            design,
+            quarters: 0,
         };
-        for _ in 0..copies {
-            plan.push(AugmentedSample {
-                design: idx,
-                quarters: 0,
-            });
-        }
+        plan.extend(std::iter::repeat_n(copy, copies(class)));
     }
     plan
 }
@@ -79,16 +57,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fourfold_rotation_without_oversampling() {
-        let plan = augmentation_plan(&[(0, DesignClass::Fake)], false);
-        assert_eq!(plan.len(), 4);
+    fn fourfold_rotation_of_every_copy() {
+        let plan = augmentation_plan(&[(0, DesignClass::Fake)]);
         let quarters: Vec<u32> = plan.iter().map(|s| s.quarters).collect();
-        assert_eq!(quarters, vec![0, 1, 2, 3]);
+        assert_eq!(quarters, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn oversampling_weights_classes() {
-        let plan = augmentation_plan(&[(0, DesignClass::Fake), (1, DesignClass::Real)], true);
+        let plan = augmentation_plan(&[(0, DesignClass::Fake), (1, DesignClass::Real)]);
         let fake = plan.iter().filter(|s| s.design == 0).count();
         let real = plan.iter().filter(|s| s.design == 1).count();
         assert_eq!(fake, 2 * 4);
@@ -97,7 +74,7 @@ mod tests {
 
     #[test]
     fn no_rotation_plan_keeps_copies_only() {
-        let plan = no_rotation_plan(&[(3, DesignClass::Real)], true);
+        let plan = no_rotation_plan(&[(3, DesignClass::Real)]);
         assert_eq!(plan.len(), 5);
         assert!(plan.iter().all(|s| s.quarters == 0));
     }

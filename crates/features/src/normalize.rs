@@ -8,43 +8,21 @@ pub enum Normalization {
     /// Divide by the maximum absolute value (maps land in `[-1, 1]`).
     #[default]
     MaxAbs,
-    /// Subtract the mean and divide by the standard deviation.
-    ZScore,
     /// Multiply by a fixed constant. Unlike per-map normalization this
     /// preserves amplitude information *across* designs — essential
     /// for the numerical-solution channels, whose absolute values are
     /// the fusion's head start.
     Fixed(f32),
-    /// Leave the map untouched.
-    None,
 }
 
-/// Applies the chosen normalization, returning a new map. Degenerate
-/// maps (all-zero, zero variance) are returned unchanged rather than
-/// producing NaNs.
+/// Applies the chosen normalization, returning a new map. An all-zero
+/// map is returned unchanged rather than producing NaNs.
 #[must_use]
 pub fn normalize(map: &GridMap, policy: Normalization) -> GridMap {
     match policy {
         Normalization::MaxAbs => map.normalized(),
-        Normalization::None => map.clone(),
         Normalization::Fixed(scale) => {
             let data = map.data().iter().map(|v| v * scale).collect();
-            GridMap::from_vec(map.width(), map.height(), data)
-        }
-        Normalization::ZScore => {
-            let mean = map.mean();
-            let n = map.data().len() as f32;
-            let var = map
-                .data()
-                .iter()
-                .map(|v| (v - mean) * (v - mean))
-                .sum::<f32>()
-                / n;
-            if var == 0.0 {
-                return map.clone();
-            }
-            let std = var.sqrt();
-            let data = map.data().iter().map(|v| (v - mean) / std).collect();
             GridMap::from_vec(map.width(), map.height(), data)
         }
     }
@@ -62,27 +40,9 @@ mod tests {
     }
 
     #[test]
-    fn zscore_centers_and_scales() {
-        let m = GridMap::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let n = normalize(&m, Normalization::ZScore);
-        assert!(n.mean().abs() < 1e-6);
-        let var: f32 = n.data().iter().map(|v| v * v).sum::<f32>() / 4.0;
-        assert!((var - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn degenerate_maps_pass_through() {
-        let m = GridMap::filled(2, 2, 5.0);
-        let z = normalize(&m, Normalization::ZScore);
-        assert_eq!(z, m);
         let zero = GridMap::new(2, 2);
         assert_eq!(normalize(&zero, Normalization::MaxAbs), zero);
-    }
-
-    #[test]
-    fn none_is_identity() {
-        let m = GridMap::from_vec(1, 2, vec![7.0, -3.0]);
-        assert_eq!(normalize(&m, Normalization::None), m);
     }
 
     #[test]

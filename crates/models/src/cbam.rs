@@ -30,7 +30,7 @@ impl Cbam {
         Cbam {
             fc1: Linear::new(store, &format!("{name}.mc.fc1"), c, hidden, seed),
             fc2: Linear::new(store, &format!("{name}.mc.fc2"), hidden, c, seed ^ 0x1111),
-            spatial: Conv2d::new(store, &format!("{name}.ms.conv"), 2, 1, 7, 1, seed ^ 0x2222),
+            spatial: Conv2d::new(store, &format!("{name}.ms.conv"), 2, 1, 7, 7, seed ^ 0x2222),
         }
     }
 

@@ -6,7 +6,7 @@
 //! **C** — optimized for high-dimensional features — at the deepest
 //! scale.
 
-use irf_nn::layers::{Conv2d, ConvRect, Norm};
+use irf_nn::layers::{Conv2d, Norm};
 use irf_nn::{NodeId, ParamStore, Tape};
 
 /// Which Inception variant a block applies.
@@ -20,32 +20,19 @@ pub enum InceptionKind {
     C,
 }
 
+/// A branch's `(kh, kw)` conv kernels, in order.
+type Kernels = &'static [(usize, usize)];
+
 /// One Inception block: multi-branch convolution + norm + ReLU with
 /// `cout` output channels split across three branches.
 #[derive(Debug, Clone)]
 pub struct Inception {
-    kind: InceptionKind,
     // Branch 0: plain 1x1.
     b0: Conv2d,
     // Branch 1 and 2: chains whose composition depends on the kind.
-    b1: Vec<BranchConv>,
-    b2: Vec<BranchConv>,
+    b1: Vec<Conv2d>,
+    b2: Vec<Conv2d>,
     norm: Norm,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BranchConv {
-    Square(Conv2d),
-    Rect(ConvRect),
-}
-
-impl BranchConv {
-    fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        match self {
-            BranchConv::Square(c) => c.forward(tape, store, x),
-            BranchConv::Rect(c) => c.forward(tape, store, x),
-        }
-    }
 }
 
 impl Inception {
@@ -67,192 +54,25 @@ impl Inception {
         let c1 = cout / 3;
         let c2 = cout / 3;
         let b0 = Conv2d::new(store, &format!("{name}.b0"), cin, c0, 1, 1, seed);
-        let (b1, b2) = match kind {
-            InceptionKind::A => {
-                // b1: 1x1 -> 3x3 ; b2: 1x1 -> 3x3 -> 3x3.
-                let b1 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b1.0"),
-                        cin,
-                        c1,
-                        1,
-                        1,
-                        seed ^ 1,
-                    )),
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b1.1"),
-                        c1,
-                        c1,
-                        3,
-                        1,
-                        seed ^ 2,
-                    )),
-                ];
-                let b2 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b2.0"),
-                        cin,
-                        c2,
-                        1,
-                        1,
-                        seed ^ 3,
-                    )),
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b2.1"),
-                        c2,
-                        c2,
-                        3,
-                        1,
-                        seed ^ 4,
-                    )),
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b2.2"),
-                        c2,
-                        c2,
-                        3,
-                        1,
-                        seed ^ 5,
-                    )),
-                ];
-                (b1, b2)
-            }
-            InceptionKind::B => {
-                // Factorized 7x7: 1x1 -> 1x7 -> 7x1 (b1) and a longer
-                // 1x1 -> 7x1 -> 1x7 chain (b2).
-                let b1 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b1.0"),
-                        cin,
-                        c1,
-                        1,
-                        1,
-                        seed ^ 1,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b1.1"),
-                        c1,
-                        c1,
-                        1,
-                        7,
-                        seed ^ 2,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b1.2"),
-                        c1,
-                        c1,
-                        7,
-                        1,
-                        seed ^ 3,
-                    )),
-                ];
-                let b2 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b2.0"),
-                        cin,
-                        c2,
-                        1,
-                        1,
-                        seed ^ 4,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b2.1"),
-                        c2,
-                        c2,
-                        7,
-                        1,
-                        seed ^ 5,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b2.2"),
-                        c2,
-                        c2,
-                        1,
-                        7,
-                        seed ^ 6,
-                    )),
-                ];
-                (b1, b2)
-            }
-            InceptionKind::C => {
-                // Expanded small kernels: 1x1 -> 1x3 (b1) and
-                // 1x1 -> 3x1 -> 1x3 (b2).
-                let b1 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b1.0"),
-                        cin,
-                        c1,
-                        1,
-                        1,
-                        seed ^ 1,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b1.1"),
-                        c1,
-                        c1,
-                        1,
-                        3,
-                        seed ^ 2,
-                    )),
-                ];
-                let b2 = vec![
-                    BranchConv::Square(Conv2d::new(
-                        store,
-                        &format!("{name}.b2.0"),
-                        cin,
-                        c2,
-                        1,
-                        1,
-                        seed ^ 3,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b2.1"),
-                        c2,
-                        c2,
-                        3,
-                        1,
-                        seed ^ 4,
-                    )),
-                    BranchConv::Rect(ConvRect::new(
-                        store,
-                        &format!("{name}.b2.2"),
-                        c2,
-                        c2,
-                        1,
-                        3,
-                        seed ^ 5,
-                    )),
-                ];
-                (b1, b2)
-            }
+        // The `(kh, kw)` kernels of branches 1 and 2; each opens with a
+        // 1x1 from `cin` to the branch width.
+        let (k1, k2): (Kernels, Kernels) = match kind {
+            // b1: 1x1 -> 3x3 ; b2: 1x1 -> 3x3 -> 3x3.
+            InceptionKind::A => (&[(1, 1), (3, 3)], &[(1, 1), (3, 3), (3, 3)]),
+            // Factorized 7x7: 1x1 -> 1x7 -> 7x1 (b1) and a longer
+            // 1x1 -> 7x1 -> 1x7 chain (b2).
+            InceptionKind::B => (&[(1, 1), (1, 7), (7, 1)], &[(1, 1), (7, 1), (1, 7)]),
+            // Expanded small kernels: 1x1 -> 1x3 (b1) and
+            // 1x1 -> 3x1 -> 1x3 (b2).
+            InceptionKind::C => (&[(1, 1), (1, 3)], &[(1, 1), (3, 1), (1, 3)]),
         };
+        // Branch convs take seeds `seed ^ 1`, `seed ^ 2`, ... in
+        // registration order.
+        let b1 = branch(store, &format!("{name}.b1"), cin, c1, k1, seed, 0);
+        let salt = k1.len() as u64;
+        let b2 = branch(store, &format!("{name}.b2"), cin, c2, k2, seed, salt);
         let norm = Norm::new(store, &format!("{name}.norm"), cout);
-        Inception {
-            kind,
-            b0,
-            b1,
-            b2,
-            norm,
-        }
-    }
-
-    /// The variant of this block.
-    #[must_use]
-    pub fn kind(&self) -> InceptionKind {
-        self.kind
+        Inception { b0, b1, b2, norm }
     }
 
     /// Records the block: branch concat + norm + ReLU.
@@ -271,6 +91,36 @@ impl Inception {
         let normed = self.norm.forward(tape, store, cat);
         tape.relu(normed)
     }
+}
+
+/// Registers one branch `{name}.0`, `{name}.1`, ...: a conv per `(kh,
+/// kw)` kernel, the first from `cin` channels and every one to `width`,
+/// seeded `seed ^ (salt + 1)`, `seed ^ (salt + 2)`, ... in turn.
+fn branch(
+    store: &mut ParamStore,
+    name: &str,
+    cin: usize,
+    width: usize,
+    kernels: &[(usize, usize)],
+    seed: u64,
+    salt: u64,
+) -> Vec<Conv2d> {
+    let salts = salt + 1..;
+    let convs = kernels.iter().zip(salts).enumerate();
+    convs
+        .map(|(i, (&(kh, kw), salt))| {
+            let from = if i == 0 { cin } else { width };
+            Conv2d::new(
+                store,
+                &format!("{name}.{i}"),
+                from,
+                width,
+                kh,
+                kw,
+                seed ^ salt,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,15 +16,14 @@ use crate::Model;
 use irf_nn::{NodeId, ParamStore, Tape};
 
 /// Ablation switches for the Inception Attention U-Net. The full model
-/// enables everything; each `false` reproduces one bar of Fig. 8.
+/// enables everything; each `false` reproduces one bar of Fig. 8. The
+/// attention gates on the skip connections are always on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrFusionNetOptions {
     /// Use Inception encoder blocks (otherwise plain double convs).
     pub inception: bool,
     /// Apply CBAM in the decoder stages.
     pub cbam: bool,
-    /// Apply attention gates on the skip connections.
-    pub attention_gates: bool,
 }
 
 impl Default for IrFusionNetOptions {
@@ -32,7 +31,6 @@ impl Default for IrFusionNetOptions {
         IrFusionNetOptions {
             inception: true,
             cbam: true,
-            attention_gates: true,
         }
     }
 }
@@ -119,12 +117,6 @@ impl IrFusionNet {
         }
     }
 
-    /// The ablation switches this instance was built with.
-    #[must_use]
-    pub fn options(&self) -> IrFusionNetOptions {
-        self.options
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn up_stage(
         &self,
@@ -137,11 +129,7 @@ impl IrFusionNet {
         cbam: &Cbam,
     ) -> NodeId {
         let up = tape.upsample2(coarse);
-        let skip = if self.options.attention_gates {
-            gate.forward(tape, store, skip, up)
-        } else {
-            skip
-        };
+        let skip = gate.forward(tape, store, skip, up);
         let cat = tape.concat_channels(up, skip);
         let mut out = conv.forward(tape, store, cat);
         if self.options.cbam {
@@ -200,10 +188,6 @@ mod tests {
             },
             IrFusionNetOptions {
                 cbam: false,
-                ..IrFusionNetOptions::default()
-            },
-            IrFusionNetOptions {
-                attention_gates: false,
                 ..IrFusionNetOptions::default()
             },
         ] {

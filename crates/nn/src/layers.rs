@@ -6,74 +6,18 @@ use crate::param::{ParamId, ParamStore};
 use crate::tape::{NodeId, Tape};
 use crate::tensor::Tensor;
 
-/// A 2-D convolution layer (weight + bias).
+/// A 2-D convolution layer (weight + bias) with [`Tape::conv2d`]'s
+/// "same" padding: square kernels and Inception-B's factorized `1xN` /
+/// `Nx1` ones alike keep the spatial size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2d {
     w: ParamId,
     b: ParamId,
-    /// Stride (usually 1; downsampling uses explicit pooling).
-    pub stride: usize,
-    /// Zero padding on each side.
-    pub pad: usize,
 }
 
 impl Conv2d {
-    /// Registers a `k x k` convolution from `cin` to `cout` channels
-    /// with "same" padding (`pad = k / 2`) and Kaiming init.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        cin: usize,
-        cout: usize,
-        k: usize,
-        stride: usize,
-        seed: u64,
-    ) -> Self {
-        let w = store.register(
-            format!("{name}.w"),
-            kaiming_uniform([cout, cin, k, k], seed),
-        );
-        let b = store.register(format!("{name}.b"), Tensor::zeros([1, cout, 1, 1]));
-        Conv2d {
-            w,
-            b,
-            stride,
-            pad: k / 2,
-        }
-    }
-
-    /// Records the convolution onto the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        tape.conv2d(x, w, b, self.stride, self.pad)
-    }
-
-    /// Weight parameter id.
-    #[must_use]
-    pub fn weight(&self) -> ParamId {
-        self.w
-    }
-
-    /// Bias parameter id.
-    #[must_use]
-    pub fn bias(&self) -> ParamId {
-        self.b
-    }
-}
-
-/// A rectangular (non-square kernel) convolution, used by Inception-B's
-/// `1xN` / `Nx1` factorized branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvRect {
-    w: ParamId,
-    b: ParamId,
-    pad_h: usize,
-    pad_w: usize,
-}
-
-impl ConvRect {
-    /// Registers a `kh x kw` convolution with "same" padding.
+    /// Registers a `kh x kw` convolution from `cin` to `cout` channels
+    /// with Kaiming init.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -88,21 +32,20 @@ impl ConvRect {
             kaiming_uniform([cout, cin, kh, kw], seed),
         );
         let b = store.register(format!("{name}.b"), Tensor::zeros([1, cout, 1, 1]));
-        ConvRect {
-            w,
-            b,
-            pad_h: kh / 2,
-            pad_w: kw / 2,
-        }
+        Conv2d { w, b }
     }
 
-    /// Records the convolution with per-axis "same" padding
-    /// (`pad_h = kh / 2`, `pad_w = kw / 2`), so odd rectangular
-    /// kernels preserve the spatial size exactly.
+    /// Records the convolution onto the tape.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        tape.conv2d_rect(x, w, b, self.pad_h, self.pad_w)
+        tape.conv2d(x, w, b)
+    }
+
+    /// Bias parameter id.
+    #[must_use]
+    pub fn bias(&self) -> ParamId {
+        self.b
     }
 }
 
@@ -172,7 +115,7 @@ impl ConvBlock {
         seed: u64,
     ) -> Self {
         ConvBlock {
-            conv: Conv2d::new(store, &format!("{name}.conv"), cin, cout, k, 1, seed),
+            conv: Conv2d::new(store, &format!("{name}.conv"), cin, cout, k, k, seed),
             norm: Norm::new(store, &format!("{name}.norm"), cout),
         }
     }
@@ -192,7 +135,7 @@ mod tests {
     #[test]
     fn conv2d_layer_shapes() {
         let mut store = ParamStore::new();
-        let conv = Conv2d::new(&mut store, "c", 3, 8, 3, 1, 1);
+        let conv = Conv2d::new(&mut store, "c", 3, 8, 3, 3, 1);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::zeros([1, 3, 6, 6]));
         let y = conv.forward(&mut tape, &store, x);
@@ -223,7 +166,7 @@ mod tests {
     #[test]
     fn rect_conv_preserves_shape() {
         let mut store = ParamStore::new();
-        let c = ConvRect::new(&mut store, "r", 2, 3, 1, 5, 9);
+        let c = Conv2d::new(&mut store, "r", 2, 3, 1, 5, 9);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::zeros([1, 2, 6, 6]));
         let y = c.forward(&mut tape, &store, x);

@@ -7,12 +7,13 @@
 //! DESIGN.md). It provides everything the paper's model zoo needs:
 //!
 //! - [`Tensor`]: dense NCHW `f32` tensors;
-//! - [`Tape`]: a define-by-run autograd tape with 2-D convolution,
-//!   pooling, nearest upsampling, channel/spatial attention
-//!   primitives, concatenation, normalization and activations;
+//! - [`Tape`]: a define-by-run autograd tape with "same"-padded 2-D
+//!   convolution (square and `1xN` / `Nx1` kernels), pooling, nearest
+//!   upsampling, channel/spatial attention primitives, concatenation,
+//!   normalization and activations;
 //! - [`ParamStore`]: named trainable parameters shared across forward
-//!   passes, with [`init`] (Kaiming/Xavier), [`optim`] (SGD, Adam),
-//!   [`loss`] (MAE/MSE/Huber + a Kirchhoff residual loss), and
+//!   passes, with [`init`] (Kaiming/Xavier), [`optim`] (Adam),
+//!   [`loss`] (MAE + IRPnet's Kirchhoff residual loss), and
 //!   [`serialize`] (self-contained binary checkpoints).
 //!
 //! # Example
@@ -22,7 +23,8 @@
 //! use irf_nn::layers::Conv2d;
 //!
 //! let mut store = ParamStore::new();
-//! let conv = Conv2d::new(&mut store, "conv", 1, 4, 3, 1, 0x42);
+//! // A 3x3 kernel: one zero row and column of padding on each side.
+//! let conv = Conv2d::new(&mut store, "conv", 1, 4, 3, 3, 0x42);
 //! let mut tape = Tape::new();
 //! let x = tape.input(Tensor::zeros([2, 1, 8, 8]));
 //! let y = conv.forward(&mut tape, &store, x);

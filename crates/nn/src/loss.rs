@@ -31,67 +31,6 @@ pub fn mae(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Mean squared error and its gradient.
-///
-/// # Panics
-///
-/// Panics if shapes differ or tensors are empty.
-#[must_use]
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse: shape mismatch");
-    let n = pred.numel() as f32;
-    assert!(n > 0.0, "mse: empty tensors");
-    let mut loss = 0.0;
-    let grad = Tensor::from_vec(
-        pred.shape(),
-        pred.data()
-            .iter()
-            .zip(target.data())
-            .map(|(&p, &t)| {
-                let d = p - t;
-                loss += d * d;
-                2.0 * d / n
-            })
-            .collect(),
-    );
-    (loss / n, grad)
-}
-
-/// Huber (smooth-L1) loss with threshold `delta`.
-///
-/// Quadratic inside `|d| <= delta`, linear outside — robust to the
-/// heavy-tailed drop distributions of real designs.
-///
-/// # Panics
-///
-/// Panics if shapes differ, tensors are empty, or `delta <= 0`.
-#[must_use]
-pub fn huber(pred: &Tensor, target: &Tensor, delta: f32) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "huber: shape mismatch");
-    assert!(delta > 0.0, "huber: delta must be positive");
-    let n = pred.numel() as f32;
-    assert!(n > 0.0, "huber: empty tensors");
-    let mut loss = 0.0;
-    let grad = Tensor::from_vec(
-        pred.shape(),
-        pred.data()
-            .iter()
-            .zip(target.data())
-            .map(|(&p, &t)| {
-                let d = p - t;
-                if d.abs() <= delta {
-                    loss += 0.5 * d * d;
-                    d / n
-                } else {
-                    loss += delta * (d.abs() - 0.5 * delta);
-                    delta * d.signum() / n
-                }
-            })
-            .collect(),
-    );
-    (loss / n, grad)
-}
-
 /// Kirchhoff-constraint loss in the spirit of IRPnet: penalizes the
 /// mismatch between the discrete Laplacian of the predicted drop map
 /// and the (scaled) current map, i.e. the image-level residual of
@@ -193,28 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn mse_value_and_grad() {
-        let (l, g) = mse(&t(vec![1.0, 3.0]), &t(vec![0.0, 5.0]));
-        assert!((l - 2.5).abs() < 1e-6);
-        assert_eq!(g.data(), &[1.0, -2.0]);
-    }
-
-    #[test]
-    fn huber_transitions_at_delta() {
-        // |d| = 0.5 < 1 -> quadratic; |d| = 2 > 1 -> linear.
-        let (l, g) = huber(&t(vec![0.5, 2.0]), &t(vec![0.0, 0.0]), 1.0);
-        let expected = (0.5 * 0.25 + 1.0 * (2.0 - 0.5)) / 2.0;
-        assert!((l - expected).abs() < 1e-6);
-        assert!((g.data()[0] - 0.25).abs() < 1e-6);
-        assert!((g.data()[1] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn perfect_prediction_has_zero_loss() {
         let p = t(vec![1.0, 2.0, 3.0]);
         assert_eq!(mae(&p, &p).0, 0.0);
-        assert_eq!(mse(&p, &p).0, 0.0);
-        assert_eq!(huber(&p, &p, 1.0).0, 0.0);
     }
 
     #[test]

@@ -1,52 +1,9 @@
-//! Optimizers over a [`ParamStore`].
+//! The optimizer over a [`ParamStore`].
 
 use crate::param::ParamStore;
 
-/// Stochastic gradient descent with momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (`0.0` disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates the optimizer.
-    #[must_use]
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update using the store's accumulated gradients,
-    /// then zeroes them.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.len() != store.len() {
-            self.velocity = (0..store.len())
-                .map(|i| vec![0.0; store.value(crate::param::ParamId(i)).numel()])
-                .collect();
-        }
-        for i in 0..store.len() {
-            let id = crate::param::ParamId(i);
-            let grad: Vec<f32> = store.grad(id).data().to_vec();
-            let vel = &mut self.velocity[i];
-            let value = store.value_mut(id);
-            for ((v, g), vel) in value.data_mut().iter_mut().zip(&grad).zip(vel.iter_mut()) {
-                *vel = self.momentum * *vel + g;
-                *v -= self.lr * *vel;
-            }
-        }
-        store.zero_grads();
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction — the default optimizer of
-/// the training pipeline.
+/// Adam (Kingma & Ba) with bias correction — the training pipeline's
+/// optimizer.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
@@ -112,106 +69,16 @@ impl Adam {
     }
 }
 
-/// A step-decay learning-rate schedule with optional linear warmup:
-/// `lr(e) = base * decay^(e / step)` after `warmup` epochs of linear
-/// ramp from `base / 10`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LrSchedule {
-    /// Peak learning rate.
-    pub base: f32,
-    /// Epochs of linear warmup (0 disables).
-    pub warmup: usize,
-    /// Multiplier applied every `step` epochs.
-    pub decay: f32,
-    /// Epochs between decays.
-    pub step: usize,
-}
-
-impl LrSchedule {
-    /// A constant schedule at `base`.
-    #[must_use]
-    pub fn constant(base: f32) -> Self {
-        LrSchedule {
-            base,
-            warmup: 0,
-            decay: 1.0,
-            step: 1,
-        }
-    }
-
-    /// The learning rate for `epoch` (0-based).
-    #[must_use]
-    pub fn at(&self, epoch: usize) -> f32 {
-        if epoch < self.warmup {
-            let t = (epoch + 1) as f32 / self.warmup as f32;
-            return self.base * (0.1 + 0.9 * t);
-        }
-        let steps = (epoch - self.warmup) / self.step.max(1);
-        self.base * self.decay.powi(i32::try_from(steps).unwrap_or(i32::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::ParamStore;
     use crate::tensor::Tensor;
 
-    #[test]
-    fn constant_schedule_is_flat() {
-        let s = LrSchedule::constant(1e-3);
-        assert_eq!(s.at(0), 1e-3);
-        assert_eq!(s.at(100), 1e-3);
-    }
-
-    #[test]
-    fn warmup_ramps_then_decays() {
-        let s = LrSchedule {
-            base: 1.0,
-            warmup: 2,
-            decay: 0.5,
-            step: 2,
-        };
-        assert!(s.at(0) < s.at(1));
-        assert!(s.at(1) <= 1.0);
-        assert_eq!(s.at(2), 1.0); // first post-warmup epoch at base
-        assert_eq!(s.at(4), 0.5);
-        assert_eq!(s.at(6), 0.25);
-    }
-
     /// Minimizes `f(w) = (w - 3)^2` whose gradient is `2 (w - 3)`.
     fn quadratic_grad(store: &ParamStore, id: crate::param::ParamId) -> Tensor {
         let w = store.value(id).data()[0];
         Tensor::from_vec([1, 1, 1, 1], vec![2.0 * (w - 3.0)])
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::zeros([1, 1, 1, 1]));
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..100 {
-            let g = quadratic_grad(&store, id);
-            store.accumulate_grad(id, &g);
-            opt.step(&mut store);
-        }
-        assert!((store.value(id).data()[0] - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |momentum: f32| {
-            let mut store = ParamStore::new();
-            let id = store.register("w", Tensor::zeros([1, 1, 1, 1]));
-            let mut opt = Sgd::new(0.02, momentum);
-            for _ in 0..40 {
-                let g = quadratic_grad(&store, id);
-                store.accumulate_grad(id, &g);
-                opt.step(&mut store);
-            }
-            (store.value(id).data()[0] - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]

@@ -19,14 +19,11 @@ enum Op {
     Input,
     /// Parameter read from the store; gradient flows to `ParamId`.
     Param(ParamId),
-    /// 2-D convolution with zero padding.
+    /// "Same" 2-D convolution (see [`Tape::conv2d`]).
     Conv2d {
         x: NodeId,
         w: NodeId,
         b: NodeId,
-        stride: usize,
-        pad_h: usize,
-        pad_w: usize,
     },
     Relu {
         x: NodeId,
@@ -37,14 +34,6 @@ enum Op {
     Add {
         a: NodeId,
         b: NodeId,
-    },
-    Mul {
-        a: NodeId,
-        b: NodeId,
-    },
-    Scale {
-        x: NodeId,
-        c: f32,
     },
     /// Concatenate along the channel dimension.
     ConcatChannels {
@@ -173,7 +162,7 @@ impl Tape {
     }
 
     /// Records a differentiable leaf that is *not* a stored parameter
-    /// (used by tests and by losses that need input gradients).
+    /// (the input of a gradient check).
     pub fn leaf(&mut self, value: Tensor) -> NodeId {
         self.push(Op::Input, value, true)
     }
@@ -183,63 +172,18 @@ impl Tape {
         self.push(Op::Param(id), store.value(id).clone(), true)
     }
 
-    /// 2-D convolution: `x (N,Ci,H,W) * w (Co,Ci,kh,kw) + b (1,Co,1,1)`.
+    /// 2-D convolution `x (N,Ci,H,W) * w (Co,Ci,kh,kw) + b (1,Co,1,1)`
+    /// at stride 1 with "same" zero padding read off the kernel: `kh /
+    /// 2` rows above and below, `kw / 2` columns left and right, so an
+    /// odd kernel (square or Inception's `1xN` / `Nx1`) keeps `H x W`.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches or zero-sized outputs.
-    pub fn conv2d(&mut self, x: NodeId, w: NodeId, b: NodeId, stride: usize, pad: usize) -> NodeId {
-        self.conv2d_padded(x, w, b, stride, pad, pad)
-    }
-
-    /// 2-D convolution with stride 1 and independent vertical /
-    /// horizontal padding — used by Inception's factorized `1xN` /
-    /// `Nx1` kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches or zero-sized outputs.
-    pub fn conv2d_rect(
-        &mut self,
-        x: NodeId,
-        w: NodeId,
-        b: NodeId,
-        pad_h: usize,
-        pad_w: usize,
-    ) -> NodeId {
-        self.conv2d_padded(x, w, b, 1, pad_h, pad_w)
-    }
-
-    fn conv2d_padded(
-        &mut self,
-        x: NodeId,
-        w: NodeId,
-        b: NodeId,
-        stride: usize,
-        pad_h: usize,
-        pad_w: usize,
-    ) -> NodeId {
-        let value = conv2d_forward(
-            self.value(x),
-            self.value(w),
-            self.value(b),
-            stride,
-            pad_h,
-            pad_w,
-        );
+    pub fn conv2d(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        let value = conv2d_forward(self.value(x), self.value(w), self.value(b));
         let needs = self.ng(x) || self.ng(w) || self.ng(b);
-        self.push(
-            Op::Conv2d {
-                x,
-                w,
-                b,
-                stride,
-                pad_h,
-                pad_w,
-            },
-            value,
-            needs,
-        )
+        self.push(Op::Conv2d { x, w, b }, value, needs)
     }
 
     /// Rectified linear unit.
@@ -280,37 +224,6 @@ impl Tape {
         let value = self.value(a).add(self.value(b));
         let needs = self.ng(a) || self.ng(b);
         self.push(Op::Add { a, b }, value, needs)
-    }
-
-    /// Elementwise product of equal-shaped tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        assert_eq!(
-            self.value(a).shape(),
-            self.value(b).shape(),
-            "mul: shape mismatch"
-        );
-        let value = Tensor::from_vec(
-            self.value(a).shape(),
-            self.value(a)
-                .data()
-                .iter()
-                .zip(self.value(b).data())
-                .map(|(p, q)| p * q)
-                .collect(),
-        );
-        let needs = self.ng(a) || self.ng(b);
-        self.push(Op::Mul { a, b }, value, needs)
-    }
-
-    /// Multiplies by a constant.
-    pub fn scale(&mut self, x: NodeId, c: f32) -> NodeId {
-        let value = self.value(x).scale(c);
-        let needs = self.ng(x);
-        self.push(Op::Scale { x, c }, value, needs)
     }
 
     /// Concatenates along channels: `(N, Ca+Cb, H, W)`.
@@ -685,16 +598,8 @@ impl Tape {
         match op {
             Op::Input => {}
             Op::Param(pid) => store.accumulate_grad(pid, grad),
-            Op::Conv2d {
-                x,
-                w,
-                b,
-                stride,
-                pad_h,
-                pad_w,
-            } => {
-                let (dx, dw, db) =
-                    conv2d_backward(self.value(x), self.value(w), grad, stride, pad_h, pad_w);
+            Op::Conv2d { x, w, b } => {
+                let (dx, dw, db) = conv2d_backward(self.value(x), self.value(w), grad);
                 self.add_grad(x, dx);
                 self.add_grad(w, dw);
                 self.add_grad(b, db);
@@ -726,29 +631,6 @@ impl Tape {
             Op::Add { a, b } => {
                 self.add_grad(a, grad.clone());
                 self.add_grad(b, grad.clone());
-            }
-            Op::Mul { a, b } => {
-                let da = Tensor::from_vec(
-                    grad.shape(),
-                    grad.data()
-                        .iter()
-                        .zip(self.value(b).data())
-                        .map(|(g, bv)| g * bv)
-                        .collect(),
-                );
-                let db = Tensor::from_vec(
-                    grad.shape(),
-                    grad.data()
-                        .iter()
-                        .zip(self.value(a).data())
-                        .map(|(g, av)| g * av)
-                        .collect(),
-                );
-                self.add_grad(a, da);
-                self.add_grad(b, db);
-            }
-            Op::Scale { x, c } => {
-                self.add_grad(x, grad.scale(c));
             }
             Op::ConcatChannels { a, b } => {
                 let [n, ca, h, w] = self.value(a).shape();
@@ -1029,26 +911,24 @@ struct ConvDims {
     kw: usize,
     ho: usize,
     wo: usize,
-    stride: usize,
     pad_h: usize,
     pad_w: usize,
 }
 
 /// The half-open range of output positions `o < out` whose input
-/// position `o * stride + k - pad` lies inside `[0, len)`.
-fn valid_outputs(k: usize, pad: usize, len: usize, out: usize, stride: usize) -> (usize, usize) {
-    let lo = pad.saturating_sub(k).div_ceil(stride);
+/// position `o + k - pad` lies inside `[0, len)`.
+fn valid_outputs(k: usize, pad: usize, len: usize, out: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k);
     let hi = match (len + pad).checked_sub(k + 1) {
-        Some(last) => (last / stride + 1).min(out),
+        Some(last) => (last + 1).min(out),
         None => 0,
     };
     (lo, hi)
 }
 
-/// The contiguous runs one weight tap pairs up at stride 1: run `r` is
-/// `len` elements of a destination map from `dst_at + r * dst_pitch`
-/// against `len` elements of a source map from `src_at + r *
-/// src_pitch`.
+/// The contiguous runs one weight tap pairs up: run `r` is `len`
+/// elements of a destination map from `dst_at + r * dst_pitch` against
+/// `len` elements of a source map from `src_at + r * src_pitch`.
 struct TapRuns {
     count: usize,
     len: usize,
@@ -1072,17 +952,35 @@ impl TapRuns {
 }
 
 impl ConvDims {
-    /// The runs of tap `(ky, kx)` at stride 1 with the output map as
-    /// destination and the input map as source; `None` when the tap
-    /// only ever sees padding. That is one run per valid output row —
-    /// or a single run over all of them when it spans whole rows of
-    /// both maps (every 1x1 and kx1 tap, and the centre column of a
-    /// same-padded kernel). Runs ascend by row, so accumulating them in
-    /// order visits elements in the order of the bounds-checked nests.
-    fn unit_stride_runs(&self, ky: usize, kx: usize) -> Option<TapRuns> {
-        debug_assert_eq!(self.stride, 1);
-        let (oh_lo, oh_hi) = valid_outputs(ky, self.pad_h, self.h, self.ho, 1);
-        let (lo, hi) = valid_outputs(kx, self.pad_w, self.ww, self.wo, 1);
+    /// The dimensions of input `x` through weights `w` with
+    /// [`Tape::conv2d`]'s "same" padding.
+    fn new(x: &Tensor, w: &Tensor) -> Self {
+        let [_, ci, h, ww] = x.shape();
+        let [_, _, kh, kw] = w.shape();
+        let (pad_h, pad_w) = (kh / 2, kw / 2);
+        ConvDims {
+            ci,
+            h,
+            ww,
+            kh,
+            kw,
+            ho: h + 2 * pad_h + 1 - kh,
+            wo: ww + 2 * pad_w + 1 - kw,
+            pad_h,
+            pad_w,
+        }
+    }
+
+    /// The runs of tap `(ky, kx)` with the output map as destination
+    /// and the input map as source; `None` when the tap only ever sees
+    /// padding. That is one run per valid output row — or a single run
+    /// over all of them when it spans whole rows of both maps (every
+    /// 1x1 and kx1 tap, and the centre column of any kernel). Runs
+    /// ascend by row, so accumulating them in order visits elements in
+    /// the order of the bounds-checked nests.
+    fn tap_runs(&self, ky: usize, kx: usize) -> Option<TapRuns> {
+        let (oh_lo, oh_hi) = valid_outputs(ky, self.pad_h, self.h, self.ho);
+        let (lo, hi) = valid_outputs(kx, self.pad_w, self.ww, self.wo);
         if oh_lo >= oh_hi || lo >= hi {
             return None;
         }
@@ -1099,12 +997,12 @@ impl ConvDims {
         })
     }
 
-    /// [`ConvDims::unit_stride_runs`] of every tap, in `(ky, kx)` order
-    /// — the order of one channel's `kh x kw` weights. The runs depend
-    /// on the tap alone, so one table serves every channel pair.
-    fn unit_stride_taps(&self) -> Vec<Option<TapRuns>> {
+    /// [`ConvDims::tap_runs`] of every tap, in `(ky, kx)` order — the
+    /// order of one channel's `kh x kw` weights. The runs depend on the
+    /// tap alone, so one table serves every channel pair.
+    fn taps(&self) -> Vec<Option<TapRuns>> {
         (0..self.kh * self.kw)
-            .map(|tap| self.unit_stride_runs(tap / self.kw, tap % self.kw))
+            .map(|tap| self.tap_runs(tap / self.kw, tap % self.kw))
             .collect()
     }
 }
@@ -1176,74 +1074,38 @@ fn axpy_runs(dst: &mut [f32], src: &[f32], t: &TapRuns, a: f32) {
 }
 
 /// Direct 2-D convolution forward pass.
-fn conv2d_forward(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-) -> Tensor {
-    conv2d_forward_with(x, w, b, stride, pad_h, pad_w, stride == 1)
+fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+    conv2d_forward_with(x, w, b, true)
 }
 
-/// [`Tape::conv2d`]'s forward pass through the any-stride,
-/// bounds-checked loop nest alone. Production code reaches that nest
-/// only for `stride > 1` and for the channels the padded-pitch kernel
-/// cannot take exactly; parity tests call this to hold the stride-1
-/// kernel to it bit for bit.
+/// [`Tape::conv2d`]'s forward pass through the bounds-checked loop nest
+/// alone. Production code reaches that nest only for the channels the
+/// padded-pitch kernel cannot take exactly; parity tests call this to
+/// hold that kernel to it bit for bit.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches or zero-sized outputs.
 #[doc(hidden)]
 #[must_use]
-pub fn conv2d_forward_reference(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-) -> Tensor {
-    conv2d_forward_with(x, w, b, stride, pad_h, pad_w, false)
+pub fn conv2d_forward_reference(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+    conv2d_forward_with(x, w, b, false)
 }
 
-fn conv2d_forward_with(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-    unit_stride_kernel: bool,
-) -> Tensor {
+fn conv2d_forward_with(x: &Tensor, w: &Tensor, b: &Tensor, padded_kernel: bool) -> Tensor {
     let [n, ci, h, ww] = x.shape();
     let [co, ci_w, kh, kw] = w.shape();
     assert_eq!(ci, ci_w, "conv2d: input channel mismatch");
     assert_eq!(b.shape(), [1, co, 1, 1], "conv2d: bias shape");
-    assert!(stride >= 1, "conv2d: stride must be >= 1");
-    let ho = (h + 2 * pad_h - kh) / stride + 1;
-    let wo = (ww + 2 * pad_w - kw) / stride + 1;
+    let d = ConvDims::new(x, w);
+    let (ho, wo) = (d.ho, d.wo);
     assert!(ho > 0 && wo > 0, "conv2d: empty output");
-    let d = ConvDims {
-        ci,
-        h,
-        ww,
-        kh,
-        kw,
-        ho,
-        wo,
-        stride,
-        pad_h,
-        pad_w,
-    };
     let mut out = Tensor::zeros([n, co, ho, wo]);
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
     let od = out.data_mut();
-    let padded = unit_stride_kernel.then(|| PaddedInput::new(xd, n, &d));
+    let padded = padded_kernel.then(|| PaddedInput::new(xd, n, &d));
     // Parallel over (sample, output channel) blocks: each `ho x wo`
     // output map is written by exactly one task running the same serial
     // inner loop, so results are bitwise identical at any thread count.
@@ -1257,7 +1119,7 @@ fn conv2d_forward_with(
             Some(p) if PaddedInput::is_exact_for(ws, bd[oc]) => p.accumulate(omap, ni, ws, bd[oc]),
             _ => {
                 omap.fill(bd[oc]);
-                conv2d_map_any_stride(omap, xs, ws, &d);
+                conv2d_map_bounds_checked(omap, xs, ws, &d);
             }
         }
     });
@@ -1266,9 +1128,9 @@ fn conv2d_forward_with(
 
 /// Accumulates one sample's input maps `xs` (`ci x h x ww`) through one
 /// output channel's weights `ws` (`ci x kh x kw`) into that channel's
-/// bias-filled output map, at any stride: every input coordinate is
-/// tested against the map bounds inside the innermost loop.
-fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims) {
+/// bias-filled output map: every input coordinate is tested against
+/// the map bounds inside the innermost loop.
+fn conv2d_map_bounds_checked(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims) {
     let ConvDims {
         ci,
         h,
@@ -1277,10 +1139,8 @@ fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims)
         kw,
         ho,
         wo,
-        stride,
         pad_h,
         pad_w,
-        ..
     } = *d;
     for ic in 0..ci {
         let xbase = ic * h * ww;
@@ -1291,16 +1151,16 @@ fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims)
                 if wv == 0.0 {
                     continue;
                 }
-                // Valid output rows: iy = oh*stride + ky - pad_h in [0, h).
+                // Valid output rows: iy = oh + ky - pad_h in [0, h).
                 for oh in 0..ho {
-                    let iy = (oh * stride + ky) as isize - pad_h as isize;
+                    let iy = (oh + ky) as isize - pad_h as isize;
                     if iy < 0 || iy >= h as isize {
                         continue;
                     }
                     let xrow = xbase + iy as usize * ww;
                     let orow = oh * wo;
                     for ow in 0..wo {
-                        let ix = (ow * stride + kx) as isize - pad_w as isize;
+                        let ix = (ow + kx) as isize - pad_w as isize;
                         if ix < 0 || ix >= ww as isize {
                             continue;
                         }
@@ -1312,7 +1172,7 @@ fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims)
     }
 }
 
-/// The stride-1 forward's view of its input: every row of every map
+/// The forward's view of its input: every row of every map
 /// widened to the pitch `p = wo + kw - 1` with `pad_w` zero columns on
 /// each side, so that output `(oh, ow)` of tap `(ky, kx)` reads element
 /// `(oh + ky - pad_h) * p + ow + kx` of its channel's map. A tap is then
@@ -1322,7 +1182,7 @@ fn conv2d_map_any_stride(omap: &mut [f32], xs: &[f32], ws: &[f32], d: &ConvDims)
 /// `kw` taps of a kernel row share that run and differ only in where
 /// they start reading, so [`axpy_row`] applies them in one pass.
 ///
-/// Against [`conv2d_map_any_stride`], each output element receives the
+/// Against [`conv2d_map_bounds_checked`], each output element receives the
 /// same multiply-then-add terms in the same `(ic, ky, kx)` order,
 /// zero-weight skip included, plus a `w * 0.0` for every tap that
 /// reaches into the padding. Such a term is exact when `w` is finite
@@ -1345,7 +1205,6 @@ struct PaddedInput<'a> {
 
 impl<'a> PaddedInput<'a> {
     fn new(xd: &'a [f32], n: usize, d: &ConvDims) -> Self {
-        debug_assert_eq!(d.stride, 1);
         let pitch = d.wo + d.kw - 1;
         let maps = if d.pad_w == 0 {
             // `pitch == ww`: the input already has it.
@@ -1359,7 +1218,7 @@ impl<'a> PaddedInput<'a> {
         };
         let rows = (0..d.kh)
             .map(|ky| {
-                let (lo, hi) = valid_outputs(ky, d.pad_h, d.h, d.ho, 1);
+                let (lo, hi) = valid_outputs(ky, d.pad_h, d.h, d.ho);
                 (lo < hi).then(|| {
                     let src_at = (lo + ky - d.pad_h) * pitch;
                     (lo * pitch, src_at, (hi - lo - 1) * pitch + d.wo)
@@ -1442,18 +1301,9 @@ impl<'a> PaddedInput<'a> {
 }
 
 /// Direct 2-D convolution backward pass: returns `(dx, dw, db)`.
-fn conv2d_backward(
-    x: &Tensor,
-    w: &Tensor,
-    dy: &Tensor,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let [n, ci, h, ww] = x.shape();
-    let [co, _, kh, kw] = w.shape();
-    let [_, _, ho, wo] = dy.shape();
-    let d = ConvDims {
+fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
+    let d = ConvDims::new(x, w);
+    let ConvDims {
         ci,
         h,
         ww,
@@ -1461,10 +1311,10 @@ fn conv2d_backward(
         kw,
         ho,
         wo,
-        stride,
         pad_h,
         pad_w,
-    };
+    } = d;
+    let (n, co) = (x.shape()[0], w.shape()[0]);
     let mut dx = Tensor::zeros([n, ci, h, ww]);
     let mut dw = Tensor::zeros(w.shape());
     let mut db = Tensor::zeros([1, co, 1, 1]);
@@ -1501,15 +1351,15 @@ fn conv2d_backward(
             for ic in 0..ci {
                 let xbase = ((ni * ci + ic) * h) * ww;
                 for ky in 0..kh {
-                    let (oh_lo, oh_hi) = valid_outputs(ky, pad_h, h, ho, stride);
+                    let (oh_lo, oh_hi) = valid_outputs(ky, pad_h, h, ho);
                     for kx in 0..kw {
-                        let (lo, hi) = valid_outputs(kx, pad_w, ww, wo, stride);
+                        let (lo, hi) = valid_outputs(kx, pad_w, ww, wo);
                         let mut wgrad = 0.0;
                         for oh in oh_lo..oh_hi {
-                            let xrow = xbase + (oh * stride + ky - pad_h) * ww;
+                            let xrow = xbase + (oh + ky - pad_h) * ww;
                             let dyrow = dybase + oh * wo;
                             for ow in lo..hi {
-                                wgrad += dyd[dyrow + ow] * xd[xrow + ow * stride + kx - pad_w];
+                                wgrad += dyd[dyrow + ow] * xd[xrow + ow + kx - pad_w];
                             }
                         }
                         dwoc[(ic * kh + ky) * kw + kx] += wgrad;
@@ -1523,70 +1373,25 @@ fn conv2d_backward(
     // with output channels as the inner loop so each dx element sees
     // its contributions in the serial order.
     let dxd = dx.data_mut();
-    // At stride 1 each tap's contiguous runs, scattering instead of
-    // gathering; per `dx` element the adds arrive in the general nest's
-    // `(oc, ky, kx)` order, so the two are bitwise identical.
-    let taps = (stride == 1).then(|| {
-        let taps = d.unit_stride_taps().into_iter();
-        taps.map(|t| t.map(TapRuns::flipped)).collect::<Vec<_>>()
-    });
+    // Each tap's contiguous runs, scattering instead of gathering; per
+    // `dx` element the adds arrive in the bounds-checked nest's `(oc,
+    // ky, kx)` order, so the two are bitwise identical.
+    let taps = d.taps().into_iter().map(|t| t.map(TapRuns::flipped));
+    let taps: Vec<_> = taps.collect();
     irf_runtime::par_chunks_mut(dxd, h * ww, |blk, dxmap| {
         let ni = blk / ci;
         let ic = blk % ci;
         for oc in 0..co {
             let dymap = &dyd[((ni * co + oc) * ho) * wo..][..ho * wo];
             let wtaps = &wd[((oc * ci + ic) * kh) * kw..][..kh * kw];
-            match &taps {
-                Some(taps) => {
-                    for (&wv, runs) in wtaps.iter().zip(taps) {
-                        if let Some(runs) = runs {
-                            axpy_runs(dxmap, dymap, runs, wv);
-                        }
-                    }
+            for (&wv, runs) in wtaps.iter().zip(&taps) {
+                if let Some(runs) = runs {
+                    axpy_runs(dxmap, dymap, runs, wv);
                 }
-                None => conv2d_dx_map_any_stride(dxmap, dymap, wtaps, &d),
             }
         }
     });
     (dx, dw, db)
-}
-
-/// Scatters one output channel's gradient map `dymap` through its
-/// `kh x kw` taps for one input channel into that channel's `dxmap`,
-/// at any stride.
-fn conv2d_dx_map_any_stride(dxmap: &mut [f32], dymap: &[f32], wtaps: &[f32], d: &ConvDims) {
-    let ConvDims {
-        h,
-        ww,
-        kh,
-        kw,
-        ho,
-        wo,
-        stride,
-        pad_h,
-        pad_w,
-        ..
-    } = *d;
-    for ky in 0..kh {
-        for kx in 0..kw {
-            let wv = wtaps[ky * kw + kx];
-            for oh in 0..ho {
-                let iy = (oh * stride + ky) as isize - pad_h as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let xrow = iy as usize * ww;
-                let dyrow = oh * wo;
-                for ow in 0..wo {
-                    let ix = (ow * stride + kx) as isize - pad_w as isize;
-                    if ix < 0 || ix >= ww as isize {
-                        continue;
-                    }
-                    dxmap[xrow + ix as usize] += dymap[dyrow + ow] * wv;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1650,7 +1455,7 @@ mod tests {
         w.set(0, 0, 1, 1, 1.0);
         let w = tape.input(w);
         let b = tape.input(Tensor::zeros([1, 1, 1, 1]));
-        let y = tape.conv2d(x, w, b, 1, 1);
+        let y = tape.conv2d(x, w, b);
         assert_eq!(tape.value(y), tape.value(x));
     }
 
@@ -1660,10 +1465,8 @@ mod tests {
         let x = tape.input(Tensor::zeros([2, 3, 8, 8]));
         let w = tape.input(Tensor::zeros([5, 3, 3, 3]));
         let b = tape.input(Tensor::zeros([1, 5, 1, 1]));
-        assert_eq!(tape.conv2d(x, w, b, 1, 1), NodeId(3));
+        assert_eq!(tape.conv2d(x, w, b), NodeId(3));
         assert_eq!(tape.value(NodeId(3)).shape(), [2, 5, 8, 8]);
-        let y2 = tape.conv2d(x, w, b, 2, 1);
-        assert_eq!(tape.value(y2).shape(), [2, 5, 4, 4]);
     }
 
     #[test]
@@ -1686,7 +1489,7 @@ mod tests {
             let x = tape.input(Tensor::concat_batch(&samples));
             let wn = tape.input(w.clone());
             let bn = tape.input(b.clone());
-            let y = tape.conv2d(x, wn, bn, 1, 1);
+            let y = tape.conv2d(x, wn, bn);
             tape.value(y).clone()
         };
         assert_eq!(batched.shape(), [4, 3, 6, 6]);
@@ -1696,7 +1499,7 @@ mod tests {
                 let x = tape.input(samples[s].clone());
                 let wn = tape.input(w.clone());
                 let bn = tape.input(b.clone());
-                let y = tape.conv2d(x, wn, bn, 1, 1);
+                let y = tape.conv2d(x, wn, bn);
                 tape.value(y).clone()
             };
             let pb: Vec<u32> = part.data().iter().map(|v| v.to_bits()).collect();
@@ -1708,17 +1511,11 @@ mod tests {
     /// `(dx, dw)` through the loop nests `conv2d_backward` ran before its
     /// bounds were hoisted: every coordinate tested inside the innermost
     /// loop, in the same accumulation order.
-    fn conv2d_backward_reference(
-        x: &Tensor,
-        w: &Tensor,
-        dy: &Tensor,
-        stride: usize,
-        pad_h: usize,
-        pad_w: usize,
-    ) -> (Tensor, Tensor) {
+    fn conv2d_backward_reference(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
         let [n, ci, h, ww] = x.shape();
         let [co, _, kh, kw] = w.shape();
         let [_, _, ho, wo] = dy.shape();
+        let (pad_h, pad_w) = (kh / 2, kw / 2);
         let mut dx = Tensor::zeros(x.shape());
         let mut dw = Tensor::zeros(w.shape());
         for ni in 0..n {
@@ -1729,12 +1526,12 @@ mod tests {
                             let wv = w.at(oc, ic, ky, kx);
                             let mut wgrad = 0.0;
                             for oh in 0..ho {
-                                let iy = (oh * stride + ky) as isize - pad_h as isize;
+                                let iy = (oh + ky) as isize - pad_h as isize;
                                 if iy < 0 || iy >= h as isize {
                                     continue;
                                 }
                                 for ow in 0..wo {
-                                    let ix = (ow * stride + kx) as isize - pad_w as isize;
+                                    let ix = (ow + kx) as isize - pad_w as isize;
                                     if ix < 0 || ix >= ww as isize {
                                         continue;
                                     }
@@ -1755,31 +1552,24 @@ mod tests {
 
     #[test]
     fn conv2d_backward_is_bitwise_identical_to_the_bounds_checked_nests() {
-        // (x shape, co, kernel, stride, pads): the model's stride-1
-        // kernels on an odd map, maps narrower than the kernel, no and
-        // extra padding, and stride 2 for the retained general `dx` nest.
+        // (x shape, co, kernel): the model's kernels on an odd map, and
+        // a map narrower than the kernel.
         let cases = [
-            ([2, 3, 9, 11], 4, (1, 1), 1, (0, 0)),
-            ([2, 3, 9, 11], 4, (3, 3), 1, (1, 1)),
-            ([1, 2, 9, 11], 2, (1, 7), 1, (0, 3)),
-            ([1, 2, 9, 11], 2, (7, 1), 1, (3, 0)),
-            ([1, 2, 2, 2], 2, (7, 7), 1, (3, 3)),
-            ([1, 2, 6, 7], 3, (3, 3), 1, (0, 0)),
-            ([1, 2, 6, 5], 3, (3, 3), 1, (2, 2)),
-            ([2, 3, 9, 11], 4, (3, 3), 2, (1, 1)),
-            ([1, 2, 8, 7], 2, (2, 2), 2, (0, 0)),
+            ([2, 3, 9, 11], 4, (1, 1)),
+            ([2, 3, 9, 11], 4, (3, 3)),
+            ([1, 2, 9, 11], 2, (1, 7)),
+            ([1, 2, 9, 11], 2, (7, 1)),
+            ([1, 2, 2, 2], 2, (7, 7)),
         ];
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        for (shape, co, (kh, kw), stride, (pad_h, pad_w)) in cases {
+        for (shape, co, (kh, kw)) in cases {
             let [n, ci, h, ww] = shape;
-            let what = format!("{shape:?} {kh}x{kw} stride {stride} pad {pad_h},{pad_w}");
-            let ho = (h + 2 * pad_h - kh) / stride + 1;
-            let wo = (ww + 2 * pad_w - kw) / stride + 1;
+            let what = format!("{shape:?} {kh}x{kw}");
             let x = seeded_input(shape);
             let w = seeded_input([co, ci, kh, kw]);
-            let dy = seeded_input([n, co, ho, wo]);
-            let (dx, dw, _) = conv2d_backward(&x, &w, &dy, stride, pad_h, pad_w);
-            let (dx_ref, dw_ref) = conv2d_backward_reference(&x, &w, &dy, stride, pad_h, pad_w);
+            let dy = seeded_input([n, co, h, ww]);
+            let (dx, dw, _) = conv2d_backward(&x, &w, &dy);
+            let (dx_ref, dw_ref) = conv2d_backward_reference(&x, &w, &dy);
             assert_eq!(bits(&dx), bits(&dx_ref), "dx of {what}");
             assert_eq!(bits(&dw), bits(&dw_ref), "dw of {what}");
         }
@@ -2194,7 +1984,7 @@ mod tests {
             |t, x| {
                 let w = t.input(seeded_input([3, 2, 3, 3]));
                 let b = t.input(seeded_input([1, 3, 1, 1]));
-                t.conv2d(x, w, b, 1, 1)
+                t.conv2d(x, w, b)
             },
             1e-2,
         );
@@ -2209,7 +1999,7 @@ mod tests {
             |t, w| {
                 let x = t.input(seeded_input([1, 1, 4, 4]));
                 let b = t.input(Tensor::zeros([1, 2, 1, 1]));
-                t.conv2d(x, w, b, 1, 1)
+                t.conv2d(x, w, b)
             },
             1e-2,
         );
@@ -2267,7 +2057,7 @@ mod tests {
             |t, x| {
                 let o = t.input(seeded_input([1, 2, 2, 2]));
                 let s = t.add(x, o);
-                t.mul(s, x)
+                t.add(s, x)
             },
             1e-2,
         );
@@ -2279,7 +2069,6 @@ mod tests {
             },
             1e-2,
         );
-        numeric_grad_check(seeded_input([1, 1, 2, 2]), |t, x| t.scale(x, -2.5), 1e-2);
     }
 
     #[test]
@@ -2338,7 +2127,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.input(Tensor::filled([1, 1, 1, 1], 3.0));
         let w = tape.param(&store, pid);
-        let y = tape.mul(x, w);
+        let y = tape.mul_channel(x, w);
         tape.backward(y, Tensor::filled([1, 1, 1, 1], 1.0), &mut store);
         // d(x*w)/dw = x = 3
         assert_eq!(store.grad(pid).data(), &[3.0]);

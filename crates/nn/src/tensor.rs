@@ -164,15 +164,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise scale into a new tensor.
-    #[must_use]
-    pub fn scale(&self, c: f32) -> Tensor {
-        Tensor {
-            shape: self.shape,
-            data: self.data.iter().map(|v| v * c).collect(),
-        }
-    }
-
     /// `true` if every element is finite.
     #[must_use]
     pub fn is_finite(&self) -> bool {
@@ -287,7 +278,6 @@ mod tests {
         let a = Tensor::from_vec([1, 1, 1, 2], vec![1.0, -2.0]);
         let b = Tensor::from_vec([1, 1, 1, 2], vec![0.5, 0.5]);
         assert_eq!(a.add(&b).data(), &[1.5, -1.5]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, -4.0]);
         assert_eq!(a.max_abs(), 2.0);
         assert!(a.is_finite());
         let bad = Tensor::from_vec([1, 1, 1, 1], vec![f32::NAN]);

@@ -64,7 +64,7 @@ fn conv_gradcheck_random_inputs() {
             |t, xi| {
                 let wv = t.input(w.clone());
                 let b = t.input(Tensor::zeros([1, 3, 1, 1]));
-                t.conv2d(xi, wv, b, 1, 1)
+                t.conv2d(xi, wv, b)
             },
             &cs,
             0.15,
@@ -103,7 +103,8 @@ fn composite_network_gradcheck() {
                 let p = t.max_pool2(a);
                 let u = t.upsample2(p);
                 let s = t.sigmoid(u);
-                t.mul(s, a)
+                let m = t.channel_mean(s);
+                t.mul_spatial(a, m)
             },
             &cs,
             0.2,
@@ -126,40 +127,6 @@ fn mae_gradient_has_unit_scaled_signs() {
                 assert_eq!(gi.signum(), (p - t).signum());
             }
         }
-    }
-}
-
-#[test]
-fn mse_is_zero_iff_equal() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0xA1_04);
-    for _ in 0..CASES {
-        let pred = tensor(&mut rng, [1, 1, 2, 2]);
-        let (l, g) = loss::mse(&pred, &pred);
-        assert_eq!(l, 0.0);
-        assert!(g.data().iter().all(|&v| v == 0.0));
-    }
-}
-
-#[test]
-fn huber_is_between_half_mse_and_mae_scales() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0xA1_05);
-    for _ in 0..CASES {
-        let pred = tensor(&mut rng, [1, 1, 2, 2]);
-        let target = tensor(&mut rng, [1, 1, 2, 2]);
-        // For delta = 1: just check non-negativity and that moving the
-        // prediction further from the target never lowers the loss.
-        let (l, _) = loss::huber(&pred, &target, 1.0);
-        assert!(l >= 0.0);
-        let further = Tensor::from_vec(
-            pred.shape(),
-            pred.data()
-                .iter()
-                .zip(target.data())
-                .map(|(p, t)| t + 2.0 * (p - t))
-                .collect(),
-        );
-        let (l2, _) = loss::huber(&further, &target, 1.0);
-        assert!(l2 >= l - 1e-6);
     }
 }
 

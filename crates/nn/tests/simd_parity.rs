@@ -1,4 +1,4 @@
-//! Bitwise parity of the stride-1 conv2d kernel against the general
+//! Bitwise parity of the padded-pitch conv2d kernel against the general
 //! bounds-checked loop nest it replaced, at every thread count.
 //!
 //! The kernel widens every input row with zero columns and lets each
@@ -23,34 +23,29 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn conv2d_stride1_kernel_is_bitwise_identical_to_the_general_loop() {
-    // (what, x shape (n, ci, h, w), co, kernel (kh, kw), pad (h, w))
+    // (what, x shape (n, ci, h, w), co, kernel (kh, kw))
     let cases = [
-        // The model's kernels with its "same" pads, on an odd map so
-        // every run length leaves a vector tail, several samples deep.
-        ("1x1", [3, 5, 19, 23], 7, (1, 1), (0, 0)),
-        ("3x3", [3, 5, 19, 23], 7, (3, 3), (1, 1)),
-        ("1x7", [2, 4, 19, 23], 4, (1, 7), (0, 3)),
-        ("7x1", [2, 4, 19, 23], 4, (7, 1), (3, 0)),
-        ("7x7", [2, 2, 19, 23], 1, (7, 7), (3, 3)),
+        // The model's kernels, on an odd map so every run length leaves
+        // a vector tail, several samples deep.
+        ("1x1", [3, 5, 19, 23], 7, (1, 1)),
+        ("3x3", [3, 5, 19, 23], 7, (3, 3)),
+        ("1x7", [2, 4, 19, 23], 4, (1, 7)),
+        ("7x1", [2, 4, 19, 23], 4, (7, 1)),
+        ("7x7", [2, 2, 19, 23], 1, (7, 7)),
         // The scales whose rows are shorter than two vectors.
-        ("3x3 on 8x8", [1, 6, 8, 8], 5, (3, 3), (1, 1)),
-        ("3x3 on 16x16", [1, 6, 16, 16], 5, (3, 3), (1, 1)),
+        ("3x3 on 8x8", [1, 6, 8, 8], 5, (3, 3)),
+        ("3x3 on 16x16", [1, 6, 16, 16], 5, (3, 3)),
         // Maps narrower than the kernel: most taps only see padding.
-        ("7x7 on 2x2", [2, 3, 2, 2], 2, (7, 7), (3, 3)),
-        ("3x3 on 3x1", [1, 2, 3, 1], 2, (3, 3), (1, 1)),
-        ("1x7 on 5x3", [1, 2, 5, 3], 3, (1, 7), (0, 3)),
-        // Unpadded and over-padded: output narrower / wider than input.
-        ("3x3, pad_w 0", [2, 3, 9, 11], 4, (3, 3), (1, 0)),
-        ("3x3, no pad", [2, 3, 9, 11], 4, (3, 3), (0, 0)),
-        ("1x1, pad 1", [1, 3, 6, 5], 2, (1, 1), (1, 1)),
-        ("3x3, pad 2", [1, 3, 6, 5], 2, (3, 3), (2, 2)),
+        ("7x7 on 2x2", [2, 3, 2, 2], 2, (7, 7)),
+        ("3x3 on 3x1", [1, 2, 3, 1], 2, (3, 3)),
+        ("1x7 on 5x3", [1, 2, 5, 3], 3, (1, 7)),
     ];
-    for (seed, (what, shape, co, (kh, kw), (pad_h, pad_w))) in (100u64..).step_by(3).zip(cases) {
+    for (seed, (what, shape, co, (kh, kw))) in (100u64..).step_by(3).zip(cases) {
         let x = rand_tensor(shape, seed);
         let mut w = rand_tensor([co, shape[1], kh, kw], seed + 1);
         let mut b = rand_tensor([1, co, 1, 1], seed + 2);
         // Every channel takes the padded path.
-        assert_matches_reference(&format!("{what}, plain"), &x, &w, &b, (pad_h, pad_w));
+        assert_matches_reference(&format!("{what}, plain"), &x, &w, &b);
         // Exact zeros hit the skip branch; an infinite weight turns
         // any padding that is multiplied instead of skipped into NaN;
         // a -0.0 bias turns any padding that is added into +0.0.
@@ -59,22 +54,21 @@ fn conv2d_stride1_kernel_is_bitwise_identical_to_the_general_loop() {
         w.data_mut()[taps - 1] = 0.0;
         w.data_mut()[taps / 3] = f32::INFINITY;
         b.data_mut()[0] = -0.0;
-        assert_matches_reference(what, &x, &w, &b, (pad_h, pad_w));
+        assert_matches_reference(what, &x, &w, &b);
     }
 }
 
 /// Runs `x * w + b` through the tape at 1, 2, 4 and 8 threads and
 /// holds every output bit to the general loop nest.
-fn assert_matches_reference(what: &str, x: &Tensor, w: &Tensor, b: &Tensor, pad: (usize, usize)) {
-    let (pad_h, pad_w) = pad;
-    let reference = irf_nn::tape::conv2d_forward_reference(x, w, b, 1, pad_h, pad_w);
+fn assert_matches_reference(what: &str, x: &Tensor, w: &Tensor, b: &Tensor) {
+    let reference = irf_nn::tape::conv2d_forward_reference(x, w, b);
     for threads in [1usize, 2, 4, 8] {
         irf_runtime::set_num_threads(threads);
         let mut tape = Tape::new();
         let xn = tape.input(x.clone());
         let wn = tape.input(w.clone());
         let bn = tape.input(b.clone());
-        let y = tape.conv2d_rect(xn, wn, bn, pad_h, pad_w);
+        let y = tape.conv2d(xn, wn, bn);
         assert_eq!(tape.value(y).shape(), reference.shape(), "{what}");
         assert_eq!(
             bits(tape.value(y)),
@@ -96,7 +90,7 @@ fn negative_zero_maps_keep_their_sign_at_the_borders() {
         (0..4 * 3 * 9).map(|i| 0.25 + i as f32 / 64.0).collect(),
     );
     let b = Tensor::filled([1, 4, 1, 1], -0.0);
-    let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b, 1, 1, 1);
+    let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b);
     assert!(
         reference
             .data()
@@ -104,18 +98,13 @@ fn negative_zero_maps_keep_their_sign_at_the_borders() {
             .all(|v| v.to_bits() == (-0.0f32).to_bits()),
         "the reference keeps -0.0 at every pixel"
     );
-    assert_matches_reference("all -0.0", &x, &w, &b, (1, 1));
+    assert_matches_reference("all -0.0", &x, &w, &b);
     // One -0.0-bias channel among ordinary ones.
     let mut b = rand_tensor([1, 4, 1, 1], 7);
     b.data_mut()[2] = -0.0;
-    assert_matches_reference("one -0.0 bias", &x, &w, &b, (1, 1));
-    assert_matches_reference(
-        "1x7, one -0.0 bias",
-        &x,
-        &rand_tensor([4, 3, 1, 7], 8),
-        &b,
-        (0, 3),
-    );
+    assert_matches_reference("one -0.0 bias", &x, &w, &b);
+    let w = rand_tensor([4, 3, 1, 7], 8);
+    assert_matches_reference("1x7, one -0.0 bias", &x, &w, &b);
 }
 
 #[test]
@@ -128,11 +117,11 @@ fn an_infinite_border_tap_goes_through_the_general_loop() {
     let b = rand_tensor([1, 4, 1, 1], 13);
     // Channel 1, input channel 2, tap (ky, kx) = (1, 0).
     w.data_mut()[(3 + 2) * 9 + 3] = f32::INFINITY;
-    let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b, 1, 1, 1);
+    let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b);
     assert!(reference.data().iter().all(|v| !v.is_nan()));
-    assert_matches_reference("infinite border tap", &x, &w, &b, (1, 1));
+    assert_matches_reference("infinite border tap", &x, &w, &b);
     w.data_mut()[(3 + 2) * 9 + 3] = f32::NAN;
-    assert_matches_reference("NaN border tap", &x, &w, &b, (1, 1));
+    assert_matches_reference("NaN border tap", &x, &w, &b);
 }
 
 #[test]
@@ -149,15 +138,9 @@ fn a_zero_weight_never_multiplies_an_infinite_input() {
         let mut w = Tensor::filled([1, 1, k, k], 0.5);
         w.data_mut()[k / 2 * k] = 0.0;
         let b = Tensor::filled([1, 1, 1, 1], 0.25);
-        let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b, 1, k / 2, k / 2);
+        let reference = irf_nn::tape::conv2d_forward_reference(&x, &w, &b);
         assert!(reference.data()[side * side / 2 + k / 2].is_finite());
-        assert_matches_reference(
-            &format!("{k}x{k}, zero beside inf"),
-            &x,
-            &w,
-            &b,
-            (k / 2, k / 2),
-        );
+        assert_matches_reference(&format!("{k}x{k}, zero beside inf"), &x, &w, &b);
     }
 }
 
@@ -166,17 +149,17 @@ fn the_coarse_scales_match_at_batch_four() {
     // The U-Net's 8x8 and 16x16 maps, four samples deep, with the
     // kernels that run there.
     let cases = [
-        ("3x3 on 8x8", [4, 12, 8, 8], 9, (3, 3), (1, 1)),
-        ("3x3 on 16x16", [4, 12, 16, 16], 9, (3, 3), (1, 1)),
-        ("1x1 on 8x8", [4, 12, 8, 8], 5, (1, 1), (0, 0)),
-        ("1x3 on 16x16", [4, 8, 16, 16], 8, (1, 3), (0, 1)),
-        ("3x1 on 16x16", [4, 8, 16, 16], 8, (3, 1), (1, 0)),
-        ("7x7 on 8x8", [4, 2, 8, 8], 1, (7, 7), (3, 3)),
+        ("3x3 on 8x8", [4, 12, 8, 8], 9, (3, 3)),
+        ("3x3 on 16x16", [4, 12, 16, 16], 9, (3, 3)),
+        ("1x1 on 8x8", [4, 12, 8, 8], 5, (1, 1)),
+        ("1x3 on 16x16", [4, 8, 16, 16], 8, (1, 3)),
+        ("3x1 on 16x16", [4, 8, 16, 16], 8, (3, 1)),
+        ("7x7 on 8x8", [4, 2, 8, 8], 1, (7, 7)),
     ];
-    for (seed, (what, shape, co, (kh, kw), pad)) in (300u64..).step_by(3).zip(cases) {
+    for (seed, (what, shape, co, (kh, kw))) in (300u64..).step_by(3).zip(cases) {
         let x = rand_tensor(shape, seed);
         let w = rand_tensor([co, shape[1], kh, kw], seed + 1);
         let b = rand_tensor([1, co, 1, 1], seed + 2);
-        assert_matches_reference(what, &x, &w, &b, pad);
+        assert_matches_reference(what, &x, &w, &b);
     }
 }

@@ -20,8 +20,9 @@ pub struct Aggregation {
 
 impl Aggregation {
     /// Sizes of each aggregate.
+    #[cfg(test)]
     #[must_use]
-    pub fn aggregate_sizes(&self) -> Vec<usize> {
+    pub(crate) fn aggregate_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.n_coarse];
         for &a in &self.assign {
             sizes[a] += 1;

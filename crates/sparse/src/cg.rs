@@ -36,30 +36,43 @@ pub struct CgResult {
     pub trace: ConvergenceTrace,
 }
 
-/// Solves the SPD system `A x = b` with plain conjugate gradient.
+/// Solves the SPD system `A x = b` with plain conjugate gradient from
+/// the guess `x0` (an all-zero one skips the initial residual pass:
+/// `b - A·0` has the bits of `b`).
 ///
 /// Iterates until the relative residual `||b - A x|| / ||b||` drops
-/// below `tol` or `max_iter` iterations have run. A zero right-hand
-/// side returns the zero solution immediately.
+/// below `tol` or `max_iter` iterations have run; a guess that meets
+/// `tol` takes none. A zero right-hand side returns the zero solution
+/// immediately.
 ///
 /// # Panics
 ///
-/// Panics if `A` is not square or `b.len() != A.rows()`.
+/// Panics if `A` is not square or `b` or `x0` is not `A.rows()` long.
 #[must_use]
-pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], tol: f64, max_iter: usize) -> CgResult {
+pub fn conjugate_gradient(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Vec<f64>,
+    tol: f64,
+    max_iter: usize,
+) -> CgResult {
     assert_eq!(a.rows(), a.cols(), "cg: matrix must be square");
     assert_eq!(b.len(), a.rows(), "cg: rhs length mismatch");
+    assert_eq!(x0.len(), b.len(), "cg: guess length mismatch");
     let n = b.len();
     let bnorm = norm2(b);
-    let mut x = vec![0.0; n];
     if bnorm == 0.0 {
         return CgResult {
-            x,
+            x: vec![0.0; n],
             converged: true,
             trace: ConvergenceTrace { history: vec![0.0] },
         };
     }
+    let mut x = x0;
     let mut r = b.to_vec();
+    if x.iter().any(|&v| v != 0.0) {
+        a.residual_into(b, &x, &mut r);
+    }
     let mut p = r.clone();
     let mut ap = vec![0.0; n];
     let mut rr = dot(&r, &r);
@@ -119,7 +132,7 @@ mod tests {
     fn cg_solves_identity_in_one_step() {
         let a = CsrMatrix::identity(10);
         let b: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let res = conjugate_gradient(&a, &b, 1e-12, 10);
+        let res = conjugate_gradient(&a, &b, vec![0.0; 10], 1e-12, 10);
         assert!(res.converged);
         assert!(res.trace.iterations() <= 1);
         for (xi, bi) in res.x.iter().zip(&b) {
@@ -131,7 +144,7 @@ mod tests {
     fn cg_solves_2d_laplacian() {
         let a = laplacian_2d(12, 12);
         let b = vec![1.0; a.rows()];
-        let res = conjugate_gradient(&a, &b, 1e-10, 1000);
+        let res = conjugate_gradient(&a, &b, vec![0.0; b.len()], 1e-10, 1000);
         assert!(res.converged);
         let mut r = vec![0.0; b.len()];
         a.residual_into(&b, &res.x, &mut r);
@@ -141,7 +154,7 @@ mod tests {
     #[test]
     fn cg_zero_rhs_returns_zero() {
         let a = laplacian_2d(4, 4);
-        let res = conjugate_gradient(&a, &[0.0; 16], 1e-10, 100);
+        let res = conjugate_gradient(&a, &[0.0; 16], vec![0.0; 16], 1e-10, 100);
         assert!(res.converged);
         assert!(res.x.iter().all(|&v| v == 0.0));
     }
@@ -150,7 +163,7 @@ mod tests {
     fn cg_residual_history_is_monotone_overall() {
         let a = laplacian_2d(8, 8);
         let b = vec![1.0; 64];
-        let res = conjugate_gradient(&a, &b, 1e-10, 500);
+        let res = conjugate_gradient(&a, &b, vec![0.0; 64], 1e-10, 500);
         let first = res.trace.history[0];
         let last = res.trace.final_residual();
         assert!(last < first);
@@ -160,7 +173,7 @@ mod tests {
     fn cg_respects_iteration_budget() {
         let a = laplacian_2d(16, 16);
         let b = vec![1.0; 256];
-        let res = conjugate_gradient(&a, &b, 1e-14, 3);
+        let res = conjugate_gradient(&a, &b, vec![0.0; 256], 1e-14, 3);
         assert!(!res.converged);
         assert_eq!(res.trace.iterations(), 3);
     }

@@ -266,7 +266,7 @@ mod tests {
         let a = laplacian_2d(6, 6);
         let b = vec![1.0; 36];
         let x_dir = CholeskyFactor::factor(&a).expect("SPD").solve(&b);
-        let x_cg = crate::cg::conjugate_gradient(&a, &b, 1e-12, 1000).x;
+        let x_cg = crate::cg::conjugate_gradient(&a, &b, vec![0.0; b.len()], 1e-12, 1000).x;
         for (p, q) in x_dir.iter().zip(&x_cg) {
             assert!((p - q).abs() < 1e-8);
         }

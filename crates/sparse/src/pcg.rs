@@ -232,7 +232,7 @@ mod tests {
     fn identity_preconditioner_matches_plain_cg() {
         let a = laplacian_2d(10, 10);
         let b = vec![1.0; 100];
-        let plain = crate::cg::conjugate_gradient(&a, &b, 1e-10, 500);
+        let plain = crate::cg::conjugate_gradient(&a, &b, vec![0.0; b.len()], 1e-10, 500);
         let pre = pcg(&a, &b, &IdentityPreconditioner, 1e-10, 500);
         assert!(pre.converged);
         for (p, q) in plain.x.iter().zip(&pre.x) {

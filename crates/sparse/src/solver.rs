@@ -398,7 +398,7 @@ impl SolverSetup {
         match &self.inner {
             Prepared::Bare => {
                 let t0 = Instant::now();
-                let res = conjugate_gradient(a, b, self.tol, self.max_iter);
+                let res = conjugate_gradient(a, b, x0, self.tol, self.max_iter);
                 finish_iterative(res, self.setup_seconds, t0.elapsed().as_secs_f64())
             }
             Prepared::Jacobi(m) => {
@@ -633,6 +633,18 @@ mod tests {
             .with_tolerance(1e-10)
             .solve_with_guess(&a, &b, cold.x.clone());
         assert!(warm.iterations <= 1);
+    }
+
+    #[test]
+    fn cg_honours_its_initial_guess() {
+        let a = grid(8, 8);
+        let b = vec![0.02; 64];
+        let cg = Solver::new(SolverKind::Cg).with_tolerance(1e-10);
+        let cold = cg.solve(&a, &b);
+        assert!(cold.converged && cold.iterations > 0);
+        let warm = cg.solve_with_guess(&a, &b, cold.x.clone());
+        assert_eq!(warm.iterations, 0);
+        assert_eq!(warm.x, cold.x);
     }
 
     #[test]

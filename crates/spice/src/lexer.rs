@@ -1,7 +1,7 @@
 //! The card scanner: one forward pass over the bytes of a chunk.
 //!
 //! The line grammar is written down here and nowhere else; the chunker
-//! ([`crate::stream::ChunkReader`]) and the card parser
+//! (`stream::ChunkReader`) and the card parser
 //! (`parser::parse_chunk`) both read it from this module.
 //!
 //! # Grammar
@@ -249,7 +249,7 @@ pub(crate) mod oracle {
     }
 
     /// Whole-source reference chunker, the oracle for
-    /// [`crate::stream::ChunkReader`]: splits `src` into
+    /// `stream::ChunkReader`: splits `src` into
     /// `(text, first_line)` chunks of roughly `cards_per_chunk` cards,
     /// cutting only at card-start lines so comment and continuation
     /// lines travel with the card they belong to.

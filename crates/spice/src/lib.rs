@@ -54,4 +54,4 @@ pub mod value;
 
 pub use error::ParseError;
 pub use hash::Fnv1a;
-pub use stream::{visit_cards, ChunkReader, StreamError, StreamedCard, StreamedCardKind};
+pub use stream::{visit_cards, StreamError, StreamedCard, StreamedCardKind};

@@ -4,7 +4,7 @@
 //! One loop (`drive`) turns bytes into cards for every entry point of
 //! this crate:
 //!
-//! 1. [`ChunkReader`] cuts the source into owned chunks at card
+//! 1. `ChunkReader` cuts the source into owned chunks at card
 //!    boundaries: [`BufRead::read_until`] appends each line straight
 //!    onto the accumulating chunk, the card-start rule
 //!    ([`crate::lexer`]) is decided on those bytes, and UTF-8 is
@@ -92,7 +92,7 @@ impl From<ParseError> for StreamError {
 /// travel with their card; the trailing chunk is emitted even when it
 /// holds no card, and an empty source yields no chunks.
 #[derive(Debug)]
-pub struct ChunkReader<R> {
+pub(crate) struct ChunkReader<R> {
     reader: R,
     cards_per_chunk: usize,
     /// Bytes of the chunk currently accumulating.
@@ -114,7 +114,7 @@ fn not_utf8<E>(_: E) -> io::Error {
 impl<R: BufRead> ChunkReader<R> {
     /// Wraps `reader` cutting chunks of roughly `cards_per_chunk`
     /// cards (minimum 1).
-    pub fn with_chunk_size(reader: R, cards_per_chunk: usize) -> Self {
+    pub(crate) fn with_chunk_size(reader: R, cards_per_chunk: usize) -> Self {
         ChunkReader {
             reader,
             cards_per_chunk: cards_per_chunk.max(1),
@@ -132,7 +132,7 @@ impl<R: BufRead> ChunkReader<R> {
     ///
     /// Propagates reader errors, and rejects non-UTF-8 input with an
     /// `InvalidData` error from the call that read the offending line.
-    pub fn next_chunk(&mut self) -> io::Result<Option<(String, usize)>> {
+    pub(crate) fn next_chunk(&mut self) -> io::Result<Option<(String, usize)>> {
         if self.done {
             return Ok(None);
         }

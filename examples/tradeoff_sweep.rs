@@ -33,7 +33,7 @@ fn main() {
             .stack_builder()
             .analyze(&design.grid, None)
             .expect("synthetic designs have pads");
-        let golden = pipeline.golden_map(&design.grid);
+        let golden = pipeline.label_map(&design.grid, &design.golden);
         println!(
             "{k:>4} | {:>12.4e} | {:>8.3} | {:>10.2}",
             mae(analysis.rough_map.data(), golden.data()),

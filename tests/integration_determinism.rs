@@ -117,7 +117,7 @@ fn conv_pass(x0: &Tensor, w0: &Tensor, b0: &Tensor) -> (Vec<f32>, Vec<f32>, Vec<
     let x = tape.leaf(x0.clone());
     let w = tape.leaf(w0.clone());
     let b = tape.leaf(b0.clone());
-    let y = tape.conv2d(x, w, b, 1, 1);
+    let y = tape.conv2d(x, w, b);
     let out = tape.value(y).data().to_vec();
     let seed = Tensor::filled(tape.value(y).shape(), 1.0);
     tape.backward(y, seed, &mut store);
