@@ -197,8 +197,9 @@ impl From<FeatureError> for StreamPrepareError {
 /// distances from the base's
 /// ([`FeatureExtractor::resistance_maps_from_base`]) instead of
 /// computing either from scratch. The AMG setup of the re-stamped
-/// matrix is always cold: its aggregation depends on the edited
-/// values, so nothing of the base hierarchy carries over. Chained
+/// matrix is rebuilt from the base's ([`irf_sparse::Solver::rebuild_from`]):
+/// every level whose pairings provably still hold is carried over, and
+/// only the coarse rows the edit touched are summed again. Chained
 /// topology edits keep the original base hints: the base is the last
 /// design that went through a full (or cached) assembly, and a
 /// chain's diff against it is the union of its edits.
@@ -229,6 +230,13 @@ impl EditPlan {
     #[must_use]
     pub fn base_assembled(&self) -> Option<u64> {
         self.base.as_ref().map(|(_, plan)| plan.assembled)
+    }
+
+    /// The [`crate::stages::Stage::SolverSetup`] key of the pre-edit
+    /// base, once a topology delta has been recorded.
+    #[must_use]
+    pub fn base_solver_setup(&self) -> Option<u64> {
+        self.base.as_ref().map(|(_, plan)| plan.solver_setup)
     }
 
     /// The [`crate::stages::Stage::Resistance`] key of the pre-edit
@@ -676,7 +684,14 @@ impl IrFusionPipeline {
             Some(s) => s.assembled(plan.assembled, assemble),
             None => assemble(),
         };
-        let prepare = || Arc::new(self.solver().prepare(&structure.matrix));
+        let prepare = || {
+            let base = store.zip(edit.and_then(EditPlan::base_solver_setup));
+            let base = base.and_then(|(s, key)| s.peek_solver_setup(key));
+            Arc::new(match base {
+                Some(base) => self.solver().rebuild_from(&base, &structure.matrix),
+                None => self.solver().prepare(&structure.matrix),
+            })
+        };
         let setup = match store {
             Some(s) => s.solver_setup(plan.solver_setup, prepare),
             None => prepare(),
@@ -1356,6 +1371,22 @@ mod tests {
         // The rough solution reads its vector through that same map.
         let rough = edit.rough_solution().expect("pads");
         assert!(Arc::ptr_eq(&rough.node_of, &structure.node_of));
+        // The edited setup was rebuilt from the base's. Scaling a whole
+        // layer keeps every pairing, so every level shares the base's
+        // aggregation and sparsity pattern instead of owning copies.
+        let base_setup = cache
+            .peek_solver_setup(base_plan.solver_setup)
+            .expect("base");
+        let base_levels = base_setup.amg_hierarchy().expect("an AMG setup").levels();
+        assert_eq!(levels.len(), base_levels.len());
+        for (e, b) in levels.iter().zip(base_levels) {
+            match (&e.agg, &b.agg) {
+                (Some(e), Some(b)) => assert!(Arc::ptr_eq(e, b)),
+                (e, b) => assert!(e.is_none() && b.is_none()),
+            }
+            assert!(std::ptr::eq(e.a.row_ptr(), b.a.row_ptr()));
+            assert!(std::ptr::eq(e.a.col_idx(), b.a.col_idx()));
+        }
     }
 
     #[test]

@@ -437,6 +437,17 @@ impl StageStore {
         }
     }
 
+    /// Non-counting probe for a warm [`Stage::SolverSetup`] artifact —
+    /// the base hierarchy a topology edit's AMG setup is rebuilt from;
+    /// see [`StageStore::peek_assembled`].
+    #[must_use]
+    pub fn peek_solver_setup(&self, key: u64) -> Option<Arc<SolverSetup>> {
+        match self.peek(Stage::SolverSetup, key) {
+            Some(StageArtifact::Setup(v)) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Non-counting probe for a warm [`Stage::Resistance`] artifact —
     /// the base maps a topology edit refreshes its shortest-path
     /// distances from; see [`StageStore::peek_assembled`].

@@ -132,18 +132,22 @@ pub fn train(kind: ModelKind, dataset: &Dataset, config: &FusionConfig) -> Train
             } else {
                 sample.label_tensor(label_scale)
             };
+            // Channel 0 of the stack is the total current map, which
+            // only the Kirchhoff term reads once the tape owns the stack.
+            let current = use_kirchhoff.then(|| {
+                let [_, _, h, w] = x_t.shape();
+                irf_nn::Tensor::from_vec([1, 1, h, w], x_t.data()[..h * w].to_vec())
+            });
             let mut tape = Tape::new();
-            let x = tape.input(x_t.clone());
+            let x = tape.input(x_t);
             let y = model.forward(&mut tape, &store, x);
             let data_term = loss::mae(tape.value(y), &y_t);
-            let (loss_value, grad) = if use_kirchhoff {
-                // Channel 0 of the stack is the total current map.
-                let [_, _, h, w] = x_t.shape();
-                let current = irf_nn::Tensor::from_vec([1, 1, h, w], x_t.data()[..h * w].to_vec());
-                let k = loss::kirchhoff(tape.value(y), &current, 1.0, KIRCHHOFF_ALPHA);
-                loss::combine(data_term, k)
-            } else {
-                data_term
+            let (loss_value, grad) = match &current {
+                Some(current) => {
+                    let k = loss::kirchhoff(tape.value(y), current, 1.0, KIRCHHOFF_ALPHA);
+                    loss::combine(data_term, k)
+                }
+                None => data_term,
             };
             tape.backward(y, grad, &mut store);
             store.clip_grad_norm(GRAD_CLIP);

@@ -2,18 +2,19 @@
 
 use crate::param::ParamStore;
 
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical floor.
+const EPS: f32 = 1e-8;
+
 /// Adam (Kingma & Ba) with bias correction — the training pipeline's
 /// optimizer.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
+    lr: f32,
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
@@ -25,9 +26,6 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -44,8 +42,8 @@ impl Adam {
             self.v = self.m.clone();
         }
         self.t += 1;
-        let b1c = 1.0 - self.beta1.powi(self.t as i32);
-        let b2c = 1.0 - self.beta2.powi(self.t as i32);
+        let b1c = 1.0 - BETA1.powi(self.t as i32);
+        let b2c = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..store.len() {
             let id = crate::param::ParamId(i);
             let grad: Vec<f32> = store.grad(id).data().to_vec();
@@ -58,11 +56,11 @@ impl Adam {
                 .zip(m.iter_mut())
                 .zip(v.iter_mut())
             {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * g;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * g * g;
                 let mhat = *mi / b1c;
                 let vhat = *vi / b2c;
-                *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *p -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
         store.zero_grads();

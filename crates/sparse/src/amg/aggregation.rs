@@ -44,16 +44,155 @@ pub(crate) struct SetupWorkspace {
     /// [`bucket_rows`] output: bucket offsets and the rows they list.
     pub(super) bucket_ptr: Vec<usize>,
     pub(super) bucket_list: Vec<usize>,
-    /// `acc[c]` belongs to the coarse row being summed iff
-    /// `stamp[c] == epoch`.
-    pub(super) stamp: Vec<usize>,
-    pub(super) epoch: usize,
-    pub(super) acc: Vec<f64>,
-    /// Distinct coarse columns of the row being summed (a prefix).
-    pub(super) touched: Vec<usize>,
+    /// The coarse row being summed.
+    pub(super) sums: RowSums,
     /// Seconds spent pairing / forming products so far.
     pub(crate) pairing_s: f64,
     pub(crate) galerkin_s: f64,
+}
+
+/// Scratch of one Galerkin product's row sums: `acc[c]` belongs to the
+/// coarse row being summed iff `stamp[c] == epoch`, and `touched`
+/// lists (as a prefix) the distinct coarse columns that row reached.
+#[derive(Debug, Default)]
+pub(crate) struct RowSums {
+    pub(super) stamp: Vec<usize>,
+    pub(super) epoch: usize,
+    pub(super) acc: Vec<f64>,
+    pub(super) touched: Vec<usize>,
+}
+
+/// Marks a row no aggregate holds yet, and a row without a partner.
+const UNASSIGNED: usize = usize::MAX;
+
+/// `c` is a strong neighbour of row `i` under threshold `t`.
+#[inline]
+fn is_strong(i: usize, c: usize, v: f64, t: f64) -> bool {
+    c != i && -v >= t && v < 0.0
+}
+
+/// Row `i`'s strength threshold `theta * max_k(-a_ik)` and how many of
+/// its off-diagonals pass it (its strong degree).
+#[inline]
+pub(crate) fn strength(i: usize, cols: &[usize], vals: &[f64], theta: f64) -> (f64, usize) {
+    let max_neg = cols
+        .iter()
+        .zip(vals)
+        .filter(|&(&c, _)| c != i)
+        .map(|(_, &v)| -v)
+        .fold(0.0_f64, f64::max);
+    let t = theta * max_neg;
+    let strong_entries = cols
+        .iter()
+        .zip(vals)
+        .filter(|&(&c, &v)| is_strong(i, c, v, t));
+    (t, strong_entries.count())
+}
+
+/// The pairing sweep's pick for row `i` under threshold `t`: its
+/// strongest strong neighbour that `free` admits, or [`UNASSIGNED`].
+/// Strict `>` keeps the first column among equal couplings, and every
+/// strong coupling exceeds the initial 0.
+#[inline]
+pub(crate) fn choose(
+    i: usize,
+    cols: &[usize],
+    vals: &[f64],
+    t: f64,
+    free: impl Fn(usize) -> bool,
+) -> usize {
+    let (mut partner, mut best) = (UNASSIGNED, 0.0);
+    for (&c, &v) in cols.iter().zip(vals) {
+        if is_strong(i, c, v, t) && -v > best && free(c) {
+            (partner, best) = (c, -v);
+        }
+    }
+    partner
+}
+
+/// Why a rebuild stopped carrying its base's levels over and ran the
+/// cold setup loop from some level on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// A dirty row's strong degree changed, and with it the order the
+    /// pairing sweep visits rows in.
+    Degree,
+    /// A dirty row that leads its pair would now pick another partner.
+    Choice,
+    /// A re-summed coarse row lost or gained a column (a sum came out
+    /// exactly zero, or stopped doing so).
+    Pattern,
+    /// The edited matrix is not the base's shape: another sparsity
+    /// pattern, other setup parameters or cycle, or a level where the
+    /// base's own descent stalled.
+    Shape,
+}
+
+impl Refusal {
+    /// The name the `amg_setup` span's `fallback` attribute carries.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Refusal::Degree => "degree",
+            Refusal::Choice => "choice",
+            Refusal::Pattern => "pattern",
+            Refusal::Shape => "shape",
+        }
+    }
+}
+
+/// One dirty row's half of the proof that a pairing of a base matrix,
+/// its aggregates numbered in creation order (`assign`), is also the
+/// pairing of an edited matrix that differs from the base only in
+/// dirty rows. `row` is row `i` of the edited matrix, `base_degree`
+/// its strong degree on the base, and `partner` its partner in the
+/// pairing with that partner's strong degree (`None` for a singleton).
+///
+/// The sweep visits rows by (strong degree, index) and a row reads
+/// only its own values and which rows are still free. So if every
+/// dirty row (a) keeps its degree, the visiting order is the base's,
+/// and if (b) every dirty row that leads its pair (a singleton, or
+/// first of the two in that order) still picks its partner, each step
+/// of the edited sweep repeats the base's, by induction over the
+/// order. When the sweep reaches `i`, the rows already taken are
+/// exactly those of the aggregates created before `i`'s, so a column
+/// `c` is free iff `assign(c) >= assign(i)`.
+pub(crate) fn keeps_its_pair(
+    i: usize,
+    (cols, vals): (&[usize], &[f64]),
+    base_degree: usize,
+    partner: Option<(usize, usize)>,
+    assign: impl Fn(usize) -> usize,
+    theta: f64,
+) -> Result<(), Refusal> {
+    let (t, degree) = strength(i, cols, vals, theta);
+    if degree != base_degree {
+        return Err(Refusal::Degree);
+    }
+    let leads = partner.is_none_or(|(p, p_degree)| (degree, i) < (p_degree, p));
+    let own = assign(i);
+    let wanted = partner.map_or(UNASSIGNED, |(p, _)| p);
+    if leads && choose(i, cols, vals, t, |c| assign(c) >= own) != wanted {
+        return Err(Refusal::Choice);
+    }
+    Ok(())
+}
+
+/// A level's first pairing, aggregates numbered in creation order: a
+/// hierarchy keeps it (4 B a row) so a rebuild can prove it still
+/// holds. The composed aggregation alone does not say which two of an
+/// aggregate's rows were paired first.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Pairing {
+    pub(crate) assign: Box<[u32]>,
+    pub(crate) n_pairs: usize,
+}
+
+impl Pairing {
+    /// The pair (intermediate node) row `r` belongs to.
+    #[inline]
+    pub(crate) fn of(&self, r: usize) -> usize {
+        self.assign[r] as usize
+    }
 }
 
 /// Stable counting sort of rows `0..n` by `key(row) < n_keys`: afterwards
@@ -93,26 +232,16 @@ impl SetupWorkspace {
         let t0 = Instant::now();
         let n = a.rows();
         // Sweep 1: per row, the strength threshold and how many
-        // off-diagonals pass it (`strong`).
+        // off-diagonals pass it.
         if self.threshold.len() < n {
             self.threshold.resize(n, 0.0);
             self.degree.resize(n, 0);
         }
         let (threshold, degree) = (&mut self.threshold[..n], &mut self.degree[..n]);
-        let strong = |i: usize, c: usize, v: f64, t: f64| c != i && -v >= t && v < 0.0;
         let mut max_degree = 0;
         for i in 0..n {
             let (cols, vals) = a.row(i);
-            let max_neg = cols
-                .iter()
-                .zip(vals)
-                .filter(|&(&c, _)| c != i)
-                .map(|(_, &v)| -v)
-                .fold(0.0_f64, f64::max);
-            let t = theta * max_neg;
-            let strong_entries = cols.iter().zip(vals).filter(|&(&c, &v)| strong(i, c, v, t));
-            threshold[i] = t;
-            degree[i] = strong_entries.count();
+            (threshold[i], degree[i]) = strength(i, cols, vals, theta);
             max_degree = max_degree.max(degree[i]);
         }
         // Sweep 2: visit low-degree nodes first (they have the fewest
@@ -125,10 +254,7 @@ impl SetupWorkspace {
             &mut self.bucket_list,
         );
         // Sweep 3: pair each still-free node with its strongest
-        // still-free strong neighbour. Strict `>` keeps the first column
-        // among equal couplings, and every strong coupling exceeds the
-        // initial 0.
-        const UNASSIGNED: usize = usize::MAX;
+        // still-free strong neighbour.
         let mut assign = vec![UNASSIGNED; n];
         let mut n_coarse = 0;
         for &i in &self.bucket_list[..n] {
@@ -136,12 +262,7 @@ impl SetupWorkspace {
                 continue;
             }
             let (cols, vals) = a.row(i);
-            let (mut partner, mut best) = (UNASSIGNED, 0.0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if strong(i, c, v, threshold[i]) && -v > best && assign[c] == UNASSIGNED {
-                    (partner, best) = (c, -v);
-                }
-            }
+            let partner = choose(i, cols, vals, threshold[i], |c| assign[c] == UNASSIGNED);
             assign[i] = n_coarse;
             if partner != UNASSIGNED {
                 assign[partner] = n_coarse;
@@ -153,17 +274,27 @@ impl SetupWorkspace {
     }
 
     /// Two rounds of pairwise aggregation composed, giving aggregates
-    /// of up to four fine nodes (coarsening ratio approaching 4).
-    pub(crate) fn double_pairwise(&mut self, a: &CsrMatrix, theta: f64) -> Aggregation {
+    /// of up to four fine nodes (coarsening ratio approaching 4), and
+    /// the first of the two pairings.
+    pub(crate) fn double_pairwise(&mut self, a: &CsrMatrix, theta: f64) -> (Aggregation, Pairing) {
         let first = self.pairwise(a, theta);
         let coarse = self.galerkin(a, &first);
         let second = self.pairwise(&coarse, theta);
         let assign = first.assign.iter().map(|&mid| second.assign[mid]).collect();
-        Aggregation {
+        let pairing = Pairing {
+            assign: first.assign.iter().map(|&mid| to_u32(mid)).collect(),
+            n_pairs: first.n_coarse,
+        };
+        let agg = Aggregation {
             assign,
             n_coarse: second.n_coarse,
-        }
+        };
+        (agg, pairing)
     }
+}
+
+fn to_u32(mid: usize) -> u32 {
+    u32::try_from(mid).expect("a level of at most 2^32 pairs")
 }
 
 /// Greedy pairwise aggregation on the strong couplings of `a`: `j` is
@@ -237,7 +368,7 @@ mod tests {
     #[test]
     fn double_pairwise_coarsens_harder() {
         let a = laplacian_1d(100);
-        let agg = SetupWorkspace::default().double_pairwise(&a, 0.25);
+        let (agg, _) = SetupWorkspace::default().double_pairwise(&a, 0.25);
         assert!(
             agg.n_coarse <= 35,
             "expected ~25 aggregates, got {}",

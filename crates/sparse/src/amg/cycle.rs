@@ -1,11 +1,12 @@
 //! Multigrid cycling: V-cycle and Notay's K-cycle, wrapped as a PCG
 //! preconditioner.
 
-use crate::amg::hierarchy::{prolongate_add, restrict_into, AmgHierarchy};
+use crate::amg::hierarchy::{prolongate_add, restrict_into, AmgHierarchy, Level};
+use crate::csr::CsrMatrix;
 use crate::pcg::Preconditioner;
 use crate::smoother::{
-    assert_nonzero_diagonal, l1_diagonal, smooth, sweep_from_zero, sweeps_on_checked_diagonal,
-    SmootherKind,
+    assert_nonzero_diagonal, l1_diagonal, l1_diagonal_entry, smooth, sweep_from_zero,
+    sweeps_on_checked_diagonal, SmootherKind,
 };
 use crate::vector::dot;
 use std::cell::RefCell;
@@ -106,15 +107,55 @@ impl AmgCore {
     /// keeps the check out of every sweep.
     #[must_use]
     pub fn new(hierarchy: AmgHierarchy, cycle: CycleKind) -> Self {
-        let smoother_diag: Vec<Vec<f64>> = match hierarchy.params().smoother {
-            SmootherKind::Jacobi => hierarchy.levels().iter().map(|l| l.a.diagonal()).collect(),
-            SmootherKind::L1Jacobi => hierarchy
-                .levels()
-                .iter()
-                .map(|l| l1_diagonal(&l.a))
-                .collect(),
-            _ => Vec::new(),
-        };
+        Self::with_diagonals(hierarchy, cycle, |_, _, _| None)
+    }
+
+    /// [`AmgCore::new`] for a hierarchy rebuilt from `base`'s. A level
+    /// whose operator is the base level's own `Arc` takes a copy of
+    /// that level's diagonal; one that differs from it only in the
+    /// rows `dirty_rows[level]` recomputes just those entries.
+    pub(crate) fn rebuilt(
+        base: &AmgCore,
+        hierarchy: AmgHierarchy,
+        dirty_rows: &[Vec<usize>],
+    ) -> Self {
+        let base_levels = base.hierarchy.levels();
+        Self::with_diagonals(hierarchy, base.cycle, |l, level, entry| {
+            let shared = Arc::ptr_eq(&base_levels.get(l)?.a, &level.a);
+            let rows = if shared { &[][..] } else { dirty_rows.get(l)? };
+            let mut diag = base.smoother_diag[l].clone();
+            for &r in rows {
+                diag[r] = entry(&level.a, r);
+            }
+            Some(diag)
+        })
+    }
+
+    /// The smoother diagonals of every level, `known` first; `known`
+    /// gets the level's index, the level and the per-row entry.
+    fn with_diagonals(
+        hierarchy: AmgHierarchy,
+        cycle: CycleKind,
+        known: impl Fn(usize, &Level, DiagonalEntry) -> Option<Vec<f64>>,
+    ) -> Self {
+        let (diagonal, entry): (fn(&CsrMatrix) -> Vec<f64>, DiagonalEntry) =
+            match hierarchy.params().smoother {
+                SmootherKind::Jacobi => (CsrMatrix::diagonal, |a, r| a.get(r, r)),
+                SmootherKind::L1Jacobi => (l1_diagonal, l1_diagonal_entry),
+                _ => {
+                    return AmgCore {
+                        hierarchy,
+                        cycle,
+                        smoother_diag: Vec::new(),
+                    }
+                }
+            };
+        let smoother_diag: Vec<Vec<f64>> = hierarchy
+            .levels()
+            .iter()
+            .enumerate()
+            .map(|(l, level)| known(l, level, entry).unwrap_or_else(|| diagonal(&level.a)))
+            .collect();
         for diag in &smoother_diag {
             assert_nonzero_diagonal(diag);
         }
@@ -136,7 +177,16 @@ impl AmgCore {
     pub fn cycle(&self) -> CycleKind {
         self.cycle
     }
+
+    /// The per-level smoother diagonals (empty for Gauss-Seidel).
+    #[cfg(test)]
+    pub(crate) fn smoother_diagonals(&self) -> &[Vec<f64>] {
+        &self.smoother_diag
+    }
 }
+
+/// One row's entry of a smoothing diagonal.
+type DiagonalEntry = fn(&CsrMatrix, usize) -> f64;
 
 /// Scratch vectors for one level of a V-/K-cycle descent.
 #[derive(Debug, Clone, Default)]

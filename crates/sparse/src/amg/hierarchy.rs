@@ -3,7 +3,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::amg::aggregation::{bucket_rows, Aggregation, SetupWorkspace};
+use crate::amg::aggregation::{
+    bucket_rows, keeps_its_pair, strength, Aggregation, Pairing, Refusal, RowSums, SetupWorkspace,
+};
 use crate::csr::CsrMatrix;
 use crate::smoother::SmootherKind;
 
@@ -36,13 +38,17 @@ impl Default for AmgParams {
 
 /// One level of the hierarchy: its operator and the aggregation that
 /// maps it to the next coarser level (absent on the coarsest level).
+/// Both sit behind `Arc`s, so a hierarchy rebuilt from another
+/// ([`crate::Solver::rebuild_from`]) shares what it carried over.
 #[derive(Debug, Clone)]
 pub struct Level {
     /// Galerkin operator on this level. Level 0's is the caller's
     /// matrix itself, shared, not a copy of it.
     pub a: Arc<CsrMatrix>,
     /// Fine-to-coarse map toward the next level, if any.
-    pub agg: Option<Aggregation>,
+    pub agg: Option<Arc<Aggregation>>,
+    /// The first of the two pairings `agg` composes, beside it.
+    pub(crate) first: Option<Arc<Pairing>>,
 }
 
 /// The full multigrid hierarchy plus a dense Cholesky factor of the
@@ -108,13 +114,8 @@ impl SetupWorkspace {
             &mut self.bucket_ptr,
             &mut self.bucket_list,
         );
-        if self.stamp.len() < n_coarse {
-            self.stamp.resize(n_coarse, 0);
-            self.acc.resize(n_coarse, 0.0);
-            self.touched.resize(n_coarse, 0);
-        }
-        let (stamp, acc) = (&mut self.stamp[..n_coarse], &mut self.acc[..n_coarse]);
-        let (a_ptr, a_col, a_val) = (a.row_ptr(), a.col_idx(), a.values());
+        self.sums.reserve(n_coarse);
+        let assign = |c: usize| assign[c];
         // Reserved for the most the product can hold (a coarse entry
         // takes at least one fine entry) and trimmed once it is known.
         let mut row_ptr = Vec::with_capacity(n_coarse + 1);
@@ -122,44 +123,305 @@ impl SetupWorkspace {
         let mut values = Vec::with_capacity(a.nnz());
         row_ptr.push(0);
         for coarse_r in 0..n_coarse {
-            self.epoch += 1;
-            let mut n_touched = 0;
-            let members = self.bucket_ptr[coarse_r]..self.bucket_ptr[coarse_r + 1];
-            for &r in &self.bucket_list[members] {
-                let entries = a_ptr[r]..a_ptr[r + 1];
-                for (&c, &v) in a_col[entries.clone()].iter().zip(&a_val[entries]) {
-                    let coarse_c = assign[c];
-                    if stamp[coarse_c] == self.epoch {
-                        acc[coarse_c] += v;
-                    } else {
-                        stamp[coarse_c] = self.epoch;
-                        acc[coarse_c] = 0.0 + v;
-                        self.touched[n_touched] = coarse_c;
-                        n_touched += 1;
-                    }
-                }
-            }
-            let emit = |c: usize| {
-                if acc[c] != 0.0 {
-                    col_idx.push(c);
-                    values.push(acc[c]);
-                }
-            };
-            if DENSE_ROW_SHARE * n_touched > n_coarse {
-                (0..n_coarse)
-                    .filter(|&c| stamp[c] == self.epoch)
-                    .for_each(emit);
-            } else {
-                let touched = &mut self.touched[..n_touched];
-                touched.sort_unstable();
-                touched.iter().copied().for_each(emit);
-            }
+            let members =
+                &self.bucket_list[self.bucket_ptr[coarse_r]..self.bucket_ptr[coarse_r + 1]];
+            self.sums.sum_row(a, assign, n_coarse, members, |c, v| {
+                col_idx.push(c);
+                values.push(v);
+            });
             row_ptr.push(col_idx.len());
         }
         col_idx.shrink_to_fit();
         values.shrink_to_fit();
         self.galerkin_s += t0.elapsed().as_secs_f64();
         CsrMatrix::from_sorted_parts(n_coarse, n_coarse, row_ptr, col_idx, values)
+    }
+}
+
+impl RowSums {
+    fn reserve(&mut self, n_coarse: usize) {
+        if self.stamp.len() < n_coarse {
+            self.stamp.resize(n_coarse, 0);
+            self.acc.resize(n_coarse, 0.0);
+            self.touched.resize(n_coarse, 0);
+        }
+    }
+
+    /// One coarse row of a Galerkin product: the fine rows `members`
+    /// (ascending) of `a`, their columns mapped through `assign` into
+    /// `0..n_coarse`, summed per coarse column in (fine row, stored
+    /// position) order; `emit` receives every sum that is not exactly
+    /// zero, in column order. The one routine behind the cold product
+    /// and a rebuild's re-summed rows.
+    #[inline]
+    fn sum_row(
+        &mut self,
+        a: &CsrMatrix,
+        assign: impl Fn(usize) -> usize,
+        n_coarse: usize,
+        members: &[usize],
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let (stamp, acc) = (&mut self.stamp[..n_coarse], &mut self.acc[..n_coarse]);
+        let (a_ptr, a_col, a_val) = (a.row_ptr(), a.col_idx(), a.values());
+        self.epoch += 1;
+        let mut n_touched = 0;
+        for &r in members {
+            let entries = a_ptr[r]..a_ptr[r + 1];
+            for (&c, &v) in a_col[entries.clone()].iter().zip(&a_val[entries]) {
+                let coarse_c = assign(c);
+                if stamp[coarse_c] == self.epoch {
+                    acc[coarse_c] += v;
+                } else {
+                    stamp[coarse_c] = self.epoch;
+                    acc[coarse_c] = 0.0 + v;
+                    self.touched[n_touched] = coarse_c;
+                    n_touched += 1;
+                }
+            }
+        }
+        let mut emit = |c: usize| {
+            if acc[c] != 0.0 {
+                emit(c, acc[c]);
+            }
+        };
+        if DENSE_ROW_SHARE * n_touched > n_coarse {
+            (0..n_coarse)
+                .filter(|&c| stamp[c] == self.epoch)
+                .for_each(&mut emit);
+        } else {
+            let touched = &mut self.touched[..n_touched];
+            touched.sort_unstable();
+            touched.iter().copied().for_each(emit);
+        }
+    }
+
+    /// [`RowSums::sum_row`] into `out`, overwritten.
+    fn row_into(
+        &mut self,
+        a: &CsrMatrix,
+        assign: impl Fn(usize) -> usize,
+        n_coarse: usize,
+        members: &[usize],
+        out: &mut SummedRow,
+    ) {
+        out.cols.clear();
+        out.vals.clear();
+        self.sum_row(a, assign, n_coarse, members, |c, v| {
+            out.cols.push(c);
+            out.vals.push(v);
+        });
+    }
+}
+
+/// How a rebuild went: the levels it carried over from its base, and
+/// where and why it ran the cold loop instead, if it did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rebuild {
+    /// Levels whose pairings were proven to hold: every level when
+    /// nothing refused, else the levels above the refusing one.
+    pub(crate) reused_levels: usize,
+    /// The level the cold loop ran from, and why.
+    pub(crate) fallback: Option<(usize, Refusal)>,
+    /// Per level from the finest, while the levels keep the base's
+    /// pattern: the rows whose values differ from the base level's.
+    pub(crate) dirty_rows: Vec<Vec<usize>>,
+}
+
+impl Rebuild {
+    pub(crate) fn carried(levels: usize, dirty_rows: Vec<Vec<usize>>) -> Self {
+        Rebuild {
+            reused_levels: levels,
+            fallback: None,
+            dirty_rows,
+        }
+    }
+
+    pub(crate) fn fallback(level: usize, refusal: Refusal, dirty_rows: Vec<Vec<usize>>) -> Self {
+        Rebuild {
+            reused_levels: level,
+            fallback: Some((level, refusal)),
+            dirty_rows,
+        }
+    }
+}
+
+/// `true` when both slices hold the same values bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The rows, ascending, whose values differ bit for bit between `a`
+/// and `b`, two matrices of one pattern. Blocks of values are compared
+/// whole first; only a block that differs is looked into.
+fn changed_rows(a: &CsrMatrix, b: &CsrMatrix) -> Vec<usize> {
+    const BLOCK: usize = 64;
+    let row_ptr = a.row_ptr();
+    let mut rows: Vec<usize> = Vec::new();
+    let blocks = a.values().chunks(BLOCK).zip(b.values().chunks(BLOCK));
+    for (k, (x, y)) in blocks.enumerate() {
+        let differs = |(x, y): (&f64, &f64)| x.to_bits() != y.to_bits();
+        if !x.iter().zip(y).fold(false, |any, xy| any | differs(xy)) {
+            continue;
+        }
+        for (at, _) in x.iter().zip(y).enumerate().filter(|&(_, xy)| differs(xy)) {
+            let row = row_ptr.partition_point(|&p| p <= k * BLOCK + at) - 1;
+            if rows.last() != Some(&row) {
+                rows.push(row);
+            }
+        }
+    }
+    rows
+}
+
+impl SetupWorkspace {
+    /// One level of [`AmgHierarchy::rebuild_in`]. The base level has
+    /// operator `base`, first pairing `first`, composed aggregation
+    /// `agg` and coarse operator `coarse`; `edited` has `base`'s
+    /// pattern and differs from it only in the (ascending) rows
+    /// `dirty`. Proves that `first` and the second pairing hold on
+    /// `edited`, re-sums the coarse rows `dirty` falls in, and returns
+    /// the edited coarse operator on `coarse`'s pattern (`coarse`
+    /// itself when no bit changed) with the rows whose bits changed.
+    #[allow(clippy::too_many_arguments)]
+    fn carry(
+        &mut self,
+        base: &CsrMatrix,
+        edited: &CsrMatrix,
+        dirty: &[usize],
+        first: &Pairing,
+        agg: &Aggregation,
+        coarse: &Arc<CsrMatrix>,
+        theta: f64,
+    ) -> Result<(Arc<CsrMatrix>, Vec<usize>), Refusal> {
+        // The aggregates the dirty rows fall in with their members in
+        // ascending order, and the second pairing (the aggregate of
+        // each intermediate node), in one pass over the level.
+        let mut touched: Vec<usize> = dirty.iter().map(|&i| agg.assign[i]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut slot = vec![usize::MAX; agg.n_coarse];
+        for (k, &aggregate) in touched.iter().enumerate() {
+            slot[aggregate] = k;
+        }
+        let mut members = vec![Members::default(); touched.len()];
+        let mut second = vec![0; first.n_pairs];
+        for (r, &aggregate) in agg.assign.iter().enumerate() {
+            second[first.of(r)] = aggregate;
+            if let Some(m) = members.get_mut(slot[aggregate]) {
+                m.push(r);
+            }
+        }
+        let f = |c: usize| first.of(c);
+        // The fine rows of intermediate node `pair`, which lies in
+        // touched aggregate `aggregate`.
+        let rows_of = |pair: usize, aggregate: usize| {
+            let mut rows = Members::default();
+            for &r in members[slot[aggregate]].rows() {
+                if f(r) == pair {
+                    rows.push(r);
+                }
+            }
+            rows
+        };
+
+        // The first pairing, on the dirty rows.
+        let degree_on = |m: &CsrMatrix, r: usize| {
+            let (cols, vals) = m.row(r);
+            strength(r, cols, vals, theta).1
+        };
+        for &i in dirty {
+            let pair = rows_of(f(i), agg.assign[i]);
+            let partner = pair.rows().iter().copied().find(|&r| r != i);
+            let partner = partner.map(|p| (p, degree_on(base, p)));
+            keeps_its_pair(i, edited.row(i), degree_on(base, i), partner, f, theta)?;
+        }
+
+        // The intermediate rows the dirty rows fall in, on both
+        // matrices: the ones whose bits differ are the second pairing's
+        // dirty rows.
+        self.sums.reserve(first.n_pairs);
+        let (mut row, mut base_row) = (SummedRow::default(), SummedRow::default());
+        let mut pairs: Vec<(usize, usize)> = dirty.iter().map(|&i| (f(i), agg.assign[i])).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        for &(pair, aggregate) in &pairs {
+            let rows = rows_of(pair, aggregate);
+            self.sums
+                .row_into(edited, f, first.n_pairs, rows.rows(), &mut row);
+            self.sums
+                .row_into(base, f, first.n_pairs, rows.rows(), &mut base_row);
+            if row.same_as(&base_row.cols, &base_row.vals) {
+                continue;
+            }
+            let base_degree = strength(pair, &base_row.cols, &base_row.vals, theta).1;
+            // The other intermediate node of `pair`'s aggregate, if any.
+            let mut others = members[slot[aggregate]].rows().iter().map(|&r| f(r));
+            let partner = others.find(|&p| p != pair).map(|p| {
+                let rows = rows_of(p, aggregate);
+                self.sums
+                    .row_into(base, f, first.n_pairs, rows.rows(), &mut base_row);
+                (p, strength(p, &base_row.cols, &base_row.vals, theta).1)
+            });
+            let s = |c: usize| second[c];
+            keeps_its_pair(pair, (&row.cols, &row.vals), base_degree, partner, s, theta)?;
+        }
+
+        // The coarse rows, re-summed on the edited matrix.
+        let a = |c: usize| agg.assign[c];
+        let mut changed = Vec::new();
+        let mut values: Option<Vec<f64>> = None;
+        for (&k, rows) in touched.iter().zip(&members) {
+            self.sums
+                .row_into(edited, a, agg.n_coarse, rows.rows(), &mut row);
+            let (base_cols, base_vals) = coarse.row(k);
+            if row.cols != base_cols {
+                return Err(Refusal::Pattern);
+            }
+            if !row.same_as(base_cols, base_vals) {
+                let values = values.get_or_insert_with(|| coarse.values().to_vec());
+                values[coarse.row_ptr()[k]..coarse.row_ptr()[k + 1]].copy_from_slice(&row.vals);
+                changed.push(k);
+            }
+        }
+        let Some(values) = values else {
+            return Ok((Arc::clone(coarse), changed));
+        };
+        let edited_coarse =
+            CsrMatrix::with_pattern_values(coarse, values).ok_or(Refusal::Pattern)?;
+        Ok((Arc::new(edited_coarse), changed))
+    }
+}
+
+/// The rows of one aggregate, ascending: at most four, two pairs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Members {
+    rows: [usize; 4],
+    len: usize,
+}
+
+impl Members {
+    fn push(&mut self, r: usize) {
+        self.rows[self.len] = r;
+        self.len += 1;
+    }
+
+    fn rows(&self) -> &[usize] {
+        &self.rows[..self.len]
+    }
+}
+
+/// One summed coarse row, in column order.
+#[derive(Debug, Default)]
+struct SummedRow {
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl SummedRow {
+    /// `true` when this row has exactly these columns and value bits.
+    fn same_as(&self, cols: &[usize], vals: &[f64]) -> bool {
+        self.cols == cols && same_bits(&self.vals, vals)
     }
 }
 
@@ -211,17 +473,27 @@ impl AmgHierarchy {
     /// afterwards says how long the pairings and the products took.
     pub(crate) fn build_in(a: &Arc<CsrMatrix>, params: AmgParams, ws: &mut SetupWorkspace) -> Self {
         assert_eq!(a.rows(), a.cols(), "amg: matrix must be square");
-        let mut levels = Vec::new();
-        let mut current = Arc::clone(a);
+        Self::descend(Vec::new(), Arc::clone(a), params, ws)
+    }
+
+    /// The cold setup loop from `current`, the operator of level
+    /// `levels.len()`, down to the coarse factor.
+    fn descend(
+        mut levels: Vec<Level>,
+        mut current: Arc<CsrMatrix>,
+        params: AmgParams,
+        ws: &mut SetupWorkspace,
+    ) -> Self {
         while current.rows() > params.coarse_limit && levels.len() + 1 < params.max_levels {
-            let agg = ws.double_pairwise(&current, params.theta);
+            let (agg, first) = ws.double_pairwise(&current, params.theta);
             if agg.n_coarse >= current.rows() {
                 break; // aggregation stalled; stop coarsening
             }
             let coarse = ws.galerkin(&current, &agg);
             levels.push(Level {
                 a: current,
-                agg: Some(agg),
+                agg: Some(Arc::new(agg)),
+                first: Some(Arc::new(first)),
             });
             current = Arc::new(coarse);
         }
@@ -230,6 +502,7 @@ impl AmgHierarchy {
         levels.push(Level {
             a: current,
             agg: None,
+            first: None,
         });
         AmgHierarchy {
             levels,
@@ -237,6 +510,90 @@ impl AmgHierarchy {
             coarse_chol,
             coarse_n,
         }
+    }
+
+    /// The hierarchy [`AmgHierarchy::build_in`] would build for `a`,
+    /// a matrix on `base`'s finest pattern, reusing every level of
+    /// `base` it can prove a cold build would reproduce bit for bit.
+    ///
+    /// Walking down from the rows of `a` whose values differ from the
+    /// base's, each level proves both of its pairings still hold
+    /// ([`keeps_its_pair`] on the dirty rows), re-sums only the coarse
+    /// rows those rows fall in, and hands the coarse rows whose bits
+    /// changed to the next level. Once no row differs, every remaining
+    /// level and the coarse factor are the base's, shared. From the
+    /// first level whose proof fails it runs the cold loop.
+    pub(crate) fn rebuild_in(
+        base: &AmgHierarchy,
+        a: &Arc<CsrMatrix>,
+        ws: &mut SetupWorkspace,
+    ) -> (Self, Rebuild) {
+        let params = base.params;
+        let fine = &base.levels[0].a;
+        if !a.same_pattern(fine) {
+            let cold = Self::build_in(a, params, ws);
+            return (cold, Rebuild::fallback(0, Refusal::Shape, Vec::new()));
+        }
+        let mut dirty = changed_rows(a, fine);
+        let mut levels = Vec::with_capacity(base.levels.len());
+        let mut dirty_rows = Vec::with_capacity(base.levels.len());
+        let mut current = Arc::clone(a);
+        for (l, lvl) in base.levels.iter().enumerate() {
+            dirty_rows.push(dirty.clone());
+            if dirty.is_empty() {
+                // `current` has this level's bits, so every level below
+                // and the coarse factor are the base's.
+                levels.push(Level {
+                    a: current,
+                    ..lvl.clone()
+                });
+                levels.extend_from_slice(&base.levels[l + 1..]);
+                let h = AmgHierarchy {
+                    levels,
+                    coarse_chol: base.coarse_chol.clone(),
+                    ..*base
+                };
+                return (h, Rebuild::carried(base.levels.len(), dirty_rows));
+            }
+            let carried = match (&lvl.agg, &lvl.first) {
+                (Some(agg), Some(first)) => {
+                    let coarse = &base.levels[l + 1].a;
+                    ws.carry(&lvl.a, &current, &dirty, first, agg, coarse, params.theta)
+                }
+                // The base's coarsest level: a cold build stops here too,
+                // unless the base's own descent stalled here.
+                _ if current.rows() > params.coarse_limit && l + 1 < params.max_levels => {
+                    Err(Refusal::Shape)
+                }
+                _ => {
+                    let coarse_chol = dense_cholesky(&current);
+                    levels.push(Level {
+                        a: current,
+                        ..lvl.clone()
+                    });
+                    let h = AmgHierarchy {
+                        levels,
+                        coarse_chol,
+                        ..*base
+                    };
+                    return (h, Rebuild::carried(base.levels.len(), dirty_rows));
+                }
+            };
+            match carried {
+                Ok((coarse, changed)) => {
+                    levels.push(Level {
+                        a: current,
+                        ..lvl.clone()
+                    });
+                    (current, dirty) = (coarse, changed);
+                }
+                Err(refusal) => {
+                    let cold = Self::descend(levels, current, params, ws);
+                    return (cold, Rebuild::fallback(l, refusal, dirty_rows));
+                }
+            }
+        }
+        unreachable!("the base's coarsest level ends the walk")
     }
 
     /// Number of levels (including the coarsest).
@@ -255,6 +612,12 @@ impl AmgHierarchy {
     #[must_use]
     pub fn params(&self) -> &AmgParams {
         &self.params
+    }
+
+    /// The dense Cholesky factor of the coarsest operator, row-major.
+    #[cfg(test)]
+    pub(crate) fn coarse_factor(&self) -> &[f64] {
+        &self.coarse_chol
     }
 
     /// Operator complexity: total non-zeros across all levels divided

@@ -7,9 +7,12 @@
 //!    aggregates, producing progressively coarser Galerkin operators
 //!    `A_{l+1} = P^T A_l P` with piecewise-constant prolongation
 //!    ([`aggregation`], [`hierarchy`]). A level costs a few linear
-//!    sweeps over its CSR arrays, all through one workspace per build;
-//!    an edited matrix is set up again from scratch, because its
-//!    aggregation depends on the edited values.
+//!    sweeps over its CSR arrays, all through one workspace per build.
+//!    An edited matrix on the same pattern is set up from its base's
+//!    hierarchy ([`crate::Solver::rebuild_from`]): each level proves
+//!    its pairings still hold on the rows that changed and re-sums only
+//!    the coarse rows they fall in, bit for bit what a cold build
+//!    gives.
 //! 2. **Preconditioning phase** — a multigrid cycle (V-cycle or Notay's
 //!    K-cycle) applied as the implicit preconditioner `M^{-1}`
 //!    ([`cycle`], [`AmgPreconditioner`]).
@@ -26,3 +29,5 @@ pub use hierarchy::{AmgHierarchy, AmgParams};
 
 #[cfg(test)]
 mod parity;
+#[cfg(test)]
+mod rebuild_parity;

@@ -130,7 +130,7 @@ fn descend(a: &CsrMatrix, params: AmgParams, what: &str) -> Vec<(CsrMatrix, Opti
             n_coarse: second.n_coarse,
         };
         assert_eq!(
-            ws.double_pairwise(&current, params.theta),
+            ws.double_pairwise(&current, params.theta).0,
             agg,
             "{at}: composed"
         );
@@ -162,7 +162,11 @@ fn assert_parity(a: &CsrMatrix, params: AmgParams, spd: bool, what: &str) {
             assert_eq!(built.num_levels(), want.len(), "{what}: levels");
             for (l, (got, (a, agg))) in built.levels().iter().zip(&want).enumerate() {
                 assert_same_matrix(&got.a, a, &format!("{what}: built level {l}"));
-                assert_eq!(&got.agg, agg, "{what}: built aggregation {l}");
+                assert_eq!(
+                    got.agg.as_deref(),
+                    agg.as_ref(),
+                    "{what}: built aggregation {l}"
+                );
             }
         }
         irf_runtime::set_num_threads(0);

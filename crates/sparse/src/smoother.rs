@@ -54,16 +54,21 @@ pub fn l1_diagonal(a: &CsrMatrix) -> Vec<f64> {
     irf_runtime::par_chunks_mut(&mut d, SWEEP_CHUNK, |ci, dc| {
         let base = ci * SWEEP_CHUNK;
         for (i, di) in dc.iter_mut().enumerate() {
-            let row = base + i;
-            let (cols, vals) = a.row(row);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += if c == row { v } else { v.abs() };
-            }
-            *di = acc;
+            *di = l1_diagonal_entry(a, base + i);
         }
     });
     d
+}
+
+/// Row `row`'s entry of [`l1_diagonal`].
+#[inline]
+pub(crate) fn l1_diagonal_entry(a: &CsrMatrix, row: usize) -> f64 {
+    let (cols, vals) = a.row(row);
+    let mut acc = 0.0;
+    for (&c, &v) in cols.iter().zip(vals) {
+        acc += if c == row { v } else { v.abs() };
+    }
+    acc
 }
 
 /// Rows per parallel work unit in diagonal-scaled sweeps. Fixed so that

@@ -1,6 +1,7 @@
 //! Unified solver facade with timing and convergence reporting.
 
-use crate::amg::aggregation::SetupWorkspace;
+use crate::amg::aggregation::{Refusal, SetupWorkspace};
+use crate::amg::hierarchy::Rebuild;
 use crate::amg::{AmgCore, AmgHierarchy, AmgParams, AmgPreconditioner, CycleKind};
 use crate::cg::{conjugate_gradient, ConvergenceTrace};
 use crate::cholesky::CholeskyFactor;
@@ -223,28 +224,44 @@ impl Solver {
     /// positive definite.
     #[must_use]
     pub fn prepare(&self, a: &Arc<CsrMatrix>) -> SolverSetup {
+        self.setup(a, None)
+    }
+
+    /// [`Solver::prepare`] of a matrix that replaces the one `base` was
+    /// prepared against, reusing what of `base`'s AMG hierarchy a cold
+    /// setup of `a` would reproduce. The result is bitwise equal to
+    /// [`Solver::prepare`]`(a)`: every level operator, aggregation,
+    /// smoother diagonal, the coarse factor and so every solve.
+    ///
+    /// When `a` has `base`'s finest sparsity pattern (a re-stamped
+    /// resistance edit), the setup walks down from the rows whose
+    /// values changed. At each level it proves that both pairings of
+    /// the base still hold on the changed rows, re-sums only the
+    /// coarse rows they fall in, and passes the coarse rows whose bits
+    /// changed to the next level. Once none did, the remaining levels
+    /// and the coarse factor are `base`'s, shared behind their `Arc`s.
+    /// From the first level whose proof fails, and outright for another
+    /// pattern, other [`AmgParams`] or cycle, or a base of another
+    /// kind, it is the cold setup. The `amg_setup` span says which:
+    /// `rebuilt`, `reused_levels`, and `fallback_level` / `fallback`
+    /// (`degree`, `choice`, `pattern` or `shape`) when a check refused.
+    /// The non-AMG kinds have nothing to reuse and prepare cold.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Solver::prepare`].
+    #[must_use]
+    pub fn rebuild_from(&self, base: &SolverSetup, a: &Arc<CsrMatrix>) -> SolverSetup {
+        self.setup(a, Some(base))
+    }
+
+    fn setup(&self, a: &Arc<CsrMatrix>, base: Option<&SolverSetup>) -> SolverSetup {
         let t0 = Instant::now();
         let inner = match self.kind {
             SolverKind::Cg => Prepared::Bare,
             SolverKind::JacobiPcg => Prepared::Jacobi(JacobiPreconditioner::new(a)),
             SolverKind::AmgPcg | SolverKind::AmgPcgVCycle => {
-                let cycle = if self.kind == SolverKind::AmgPcg {
-                    CycleKind::KCycle
-                } else {
-                    CycleKind::VCycle
-                };
-                let mut setup_span = irf_trace::span("amg_setup");
-                let mut ws = SetupWorkspace::default();
-                let h = AmgHierarchy::build_in(a, self.amg_params, &mut ws);
-                record_amg_telemetry(&h, &ws, &mut setup_span);
-                let core = Arc::new(AmgCore::new(h, cycle));
-                drop(setup_span);
-                irf_trace::registry().counter_add(
-                    "irf_stage_seconds_total",
-                    &[("stage", "amg_setup")],
-                    t0.elapsed().as_secs_f64(),
-                );
-                Prepared::Amg(core)
+                Prepared::Amg(Arc::new(self.amg_core(a, base)))
             }
             SolverKind::Cholesky => Prepared::Cholesky(Arc::new(
                 CholeskyFactor::factor(a).expect("matrix must be SPD for Cholesky"),
@@ -260,23 +277,46 @@ impl Solver {
         }
     }
 
-    /// [`Solver::prepare`] of a matrix that replaces the one `base` was
-    /// prepared against: an alias, ignoring `base`, kept for callers
-    /// that name the edit.
-    ///
-    /// The setup is cold and bitwise equal to [`Solver::prepare`]'s:
-    /// the aggregation depends on the edited values, so every level is
-    /// re-paired and re-multiplied, and nothing of `base`'s hierarchy
-    /// can be reused (scatter-adding into its coarse sparsity patterns
-    /// measured slower than the product itself — EXPERIMENTS.md, "What
-    /// an AMG setup costs").
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Solver::prepare`].
-    #[must_use]
-    pub fn rebuild_from(&self, _base: &SolverSetup, a: &Arc<CsrMatrix>) -> SolverSetup {
-        self.prepare(a)
+    /// The AMG setup of `a` under the `amg_setup` span: rebuilt from
+    /// `base`'s hierarchy when `base` is an AMG setup of this solver's
+    /// parameters and cycle, cold otherwise.
+    fn amg_core(&self, a: &Arc<CsrMatrix>, base: Option<&SolverSetup>) -> AmgCore {
+        let t0 = Instant::now();
+        let cycle = if self.kind == SolverKind::AmgPcg {
+            CycleKind::KCycle
+        } else {
+            CycleKind::VCycle
+        };
+        let mut setup_span = irf_trace::span("amg_setup");
+        let mut ws = SetupWorkspace::default();
+        let reusable = base
+            .and_then(SolverSetup::amg_core)
+            .filter(|core| core.cycle() == cycle && *core.hierarchy().params() == self.amg_params);
+        let (core, rebuild) = match reusable {
+            Some(base) => {
+                let (h, rebuild) = AmgHierarchy::rebuild_in(base.hierarchy(), a, &mut ws);
+                (
+                    AmgCore::rebuilt(base, h, &rebuild.dirty_rows),
+                    Some(rebuild),
+                )
+            }
+            None => {
+                let h = AmgHierarchy::build_in(a, self.amg_params, &mut ws);
+                let refused = || Rebuild::fallback(0, Refusal::Shape, Vec::new());
+                (AmgCore::new(h, cycle), base.map(|_| refused()))
+            }
+        };
+        record_amg_telemetry(core.hierarchy(), &ws, &mut setup_span);
+        if let Some(rebuild) = &rebuild {
+            record_rebuild(rebuild, &mut setup_span);
+        }
+        drop(setup_span);
+        irf_trace::registry().counter_add(
+            "irf_stage_seconds_total",
+            &[("stage", "amg_setup")],
+            t0.elapsed().as_secs_f64(),
+        );
+        core
     }
 }
 
@@ -348,8 +388,13 @@ impl SolverSetup {
     /// kinds.
     #[must_use]
     pub fn amg_hierarchy(&self) -> Option<&AmgHierarchy> {
+        self.amg_core().map(|core| core.hierarchy())
+    }
+
+    /// The hierarchy and smoother diagonals of an AMG setup.
+    pub(crate) fn amg_core(&self) -> Option<&AmgCore> {
         match &self.inner {
-            Prepared::Amg(core) => Some(core.hierarchy()),
+            Prepared::Amg(core) => Some(core),
             _ => None,
         }
     }
@@ -473,6 +518,17 @@ fn record_amg_telemetry(h: &AmgHierarchy, ws: &SetupWorkspace, span: &mut irf_tr
     let registry = irf_trace::registry();
     registry.gauge_set("irf_amg_levels", &[], levels as f64);
     registry.gauge_set("irf_amg_operator_complexity", &[], complexity);
+}
+
+/// Publishes what a rebuild carried over from its base: the levels it
+/// reused, and where and why it ran the cold loop, if it did.
+fn record_rebuild(rebuild: &Rebuild, span: &mut irf_trace::Span) {
+    span.attr("rebuilt", true);
+    span.attr("reused_levels", rebuild.reused_levels);
+    if let Some((level, refusal)) = rebuild.fallback {
+        span.attr("fallback_level", level);
+        span.attr("fallback", refusal.label());
+    }
 }
 
 /// Publishes PCG convergence telemetry: iteration count, convergence

@@ -317,6 +317,83 @@ fn the_shortest_path_span_says_whether_an_edit_was_refreshed() {
     }
 }
 
+/// The `amg_setup` span says what a topology edit's setup reused of its
+/// base's hierarchy: a cold setup carries no `rebuilt`; an edit whose
+/// pairings all hold reuses every level; an edit that moves a strong
+/// coupling below the strength threshold refuses at level 0 and names
+/// the check.
+#[test]
+fn the_amg_setup_span_says_what_a_rebuild_reused() {
+    use ir_fusion::{StageStore, TopologyDelta};
+    use std::sync::Arc;
+
+    let config = FusionConfig::tiny();
+    let store = Arc::new(StageStore::with_shards(16, 1));
+    let pipeline = IrFusionPipeline::new(config).with_cache(store);
+    let base = Arc::new(synthesize(&SynthSpec {
+        seed: 3,
+        ..SynthSpec::default()
+    }));
+    let m1_strap = (0..base.segments.len())
+        .find(|&i| {
+            let s = &base.segments[i];
+            base.nodes[s.a].layer == 1 && base.nodes[s.b].layer == 1
+        })
+        .expect("an m1 strap");
+    let ohms = base.segments[m1_strap].ohms;
+
+    let guard = PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = Collector::install().expect("no competing collector");
+    pipeline.session(Arc::clone(&base)).prepare().expect("pads");
+    for scale in [0.5, 1e3] {
+        pipeline
+            .session(Arc::clone(&base))
+            .with_topology_deltas(&[TopologyDelta::Segment {
+                segment: m1_strap,
+                ohms: ohms * scale,
+            }])
+            .expect("valid delta")
+            .prepare()
+            .expect("pads");
+    }
+    let trace = collector.finish();
+    drop(guard);
+
+    let mut spans: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "amg_setup")
+        .collect();
+    spans.sort_by_key(|e| e.start_ns);
+    let attr = |event: &irf_trace::Event, key: &str| {
+        event
+            .args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let [cold, kept, refused] = spans.as_slice() else {
+        panic!("one span per analysis, got {}", spans.len());
+    };
+    let Some(AttrValue::U64(levels)) = attr(cold, "levels") else {
+        panic!("amg_setup has no levels");
+    };
+    for key in ["rebuilt", "reused_levels", "fallback_level", "fallback"] {
+        assert_eq!(attr(cold, key), None, "a cold setup carries no {key}");
+    }
+    assert_eq!(attr(kept, "rebuilt"), Some(AttrValue::Bool(true)));
+    assert_eq!(attr(kept, "reused_levels"), Some(AttrValue::U64(levels)));
+    assert_eq!(attr(kept, "fallback_level"), None);
+    assert_eq!(attr(kept, "fallback"), None);
+    assert_eq!(attr(refused, "rebuilt"), Some(AttrValue::Bool(true)));
+    assert_eq!(attr(refused, "reused_levels"), Some(AttrValue::U64(0)));
+    assert_eq!(attr(refused, "fallback_level"), Some(AttrValue::U64(0)));
+    assert_eq!(
+        attr(refused, "fallback"),
+        Some(AttrValue::Str("degree".into()))
+    );
+}
+
 /// The `feature_stack` span says which analysis paid for the per-design
 /// rasterization tables, and `irf_tile_tables_built_total` counts them:
 /// a cold analysis builds one tile table and one set of conductance
